@@ -20,9 +20,15 @@ rescans:
 * **Counters are maintained, not recomputed.**  Per-node free-GPU counts, the
   cluster-wide free/busy totals, and the occupied/drained node counts are
   updated by the few GPUs each ``allocate``/``release`` touches, so
-  ``n_free_gpus`` / ``can_fit`` are O(1) and placement sorts nodes by
-  occupancy with one vectorized ``argsort`` instead of rebuilding per-node
-  free lists.
+  ``n_free_gpus`` / ``can_fit`` are O(1).
+* **Placement reads free-count buckets.**  Bucket ``k`` is the sorted list
+  of non-drained node ids with exactly ``k`` free GPUs.  Every state change
+  (``allocate``, ``release``, ``drain_nodes``, ``undrain_all``,
+  ``restore_state`` and view writes) moves only the touched nodes between
+  buckets, with ``bisect``.  Pack placement walks buckets ``1..G`` in order,
+  which is fewest-free-first with ties by node id, and reads each touched
+  node's free GPU indices from its job-id row, so an allocation costs
+  O(nodes touched) instead of a whole-cluster scan.
 * **IT power is delta-maintained.**  Each allocation contributes
   ``n_gpus x power_w(utilization, cap)`` (uniform across a job's GPUs by
   construction); ``allocate``/``release``/``set_power_limit``/``drain_nodes``
@@ -34,7 +40,8 @@ rescans:
   (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is preserved as
   lightweight views over the arrays, so schedulers, tests and user code read
   the same state without the pool paying to keep thousands of Python objects
-  coherent.  Writing through a view keeps the counters correct but drops the
+  coherent.  Writing through a view keeps the counters and buckets correct
+  but drops the
   power cache to the recompute path until the cluster next drains empty.
 """
 
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -249,9 +257,10 @@ class Cluster:
         self._job_ids: list[list[Optional[str]]] = [
             [None] * gpus_per_node for _ in range(n_nodes)
         ]
-        # Incrementally maintained counters.
-        self._node_free = np.full(n_nodes, gpus_per_node, dtype=np.int64)
+        # Incrementally maintained counters (plain ints: read per touched node).
+        self._node_free: list[int] = [gpus_per_node] * n_nodes
         self._drained = np.zeros(n_nodes, dtype=bool)
+        self._rebuild_buckets()
         self._free_gpus_nondrained = n_nodes * gpus_per_node
         self._busy_gpus = 0
         self._n_occupied = 0
@@ -331,7 +340,7 @@ class Cluster:
         GPUs are taken from the most-occupied nodes first so fewer nodes are
         woken up; with ``pack=False`` they are taken from the least-occupied
         nodes (spreading, which can help thermals but costs idle overhead).
-        Only the touched nodes' counters are updated.
+        Only the touched nodes' counters and buckets are updated.
         """
         if job_id in self._allocations:
             raise ResourceError(f"job {job_id!r} already holds an allocation")
@@ -341,53 +350,51 @@ class Cluster:
             raise ResourceError(
                 f"cannot allocate {n_gpus} GPUs: only {self.n_free_gpus} free"
             )
-        free = np.where(self._drained, 0, self._node_free)
+        job_ids = self._job_ids
+        node_free = self._node_free
         locations: list[tuple[int, int]] = []
+        taken: dict[int, int] = {}  # node id -> GPUs taken from it
         if pack:
-            # Fill the most-occupied nodes first (ties by node id, which the
-            # stable argsort preserves since candidates are id-ordered).
-            candidates = np.flatnonzero(free > 0)
-            order = candidates[np.argsort(free[candidates], kind="stable")]
+            # Fill the most-occupied nodes first: buckets 1..G hold the
+            # non-drained nodes by ascending free count, each sorted by id.
             remaining = n_gpus
-            for node_id in order:
-                free_indices = np.flatnonzero(~self._allocated[node_id])
-                take = free_indices if free_indices.size <= remaining else free_indices[:remaining]
-                node_id = int(node_id)
-                locations.extend((node_id, int(index)) for index in take)
-                remaining -= take.size
+            for node_id in itertools.chain.from_iterable(self._buckets[1:]):
+                take = min(node_free[node_id], remaining)
+                free_indices = [index for index, held in enumerate(job_ids[node_id]) if held is None]
+                locations.extend([(node_id, index) for index in free_indices[:take]])
+                taken[node_id] = take
+                remaining -= take
                 if remaining == 0:
                     break
         else:
             # Spread: take one GPU at a time from the emptiest node remaining
             # (argmax returns the first maximum, i.e. the lowest node id).
-            free = free.copy()
-            cursors: dict[int, int] = {}
-            free_rows: dict[int, np.ndarray] = {}
+            free = np.where(self._drained, 0, node_free)
             for _ in range(n_gpus):
                 node_id = int(np.argmax(free))
-                row = free_rows.get(node_id)
-                if row is None:
-                    row = np.flatnonzero(~self._allocated[node_id])
-                    free_rows[node_id] = row
-                cursor = cursors.get(node_id, 0)
-                locations.append((node_id, int(row[cursor])))
-                cursors[node_id] = cursor + 1
+                cursor = taken.get(node_id, 0)
+                free_indices = [index for index, held in enumerate(job_ids[node_id]) if held is None]
+                locations.append((node_id, free_indices[cursor]))
+                taken[node_id] = cursor + 1
                 free[node_id] -= 1
-        # Commit: per-GPU arrays, then the touched nodes' counters.
+        # Commit: per-GPU arrays, then the touched nodes' counters and buckets.
         utilization = float(utilization)
         cap = None if power_limit_w is None else float(power_limit_w)
         cap_value = np.nan if cap is None else cap
+        allocated, utilizations, caps = self._allocated, self._utilization, self._power_cap_w
+        for node_id, index in locations:
+            allocated[node_id, index] = True
+            utilizations[node_id, index] = utilization
+            caps[node_id, index] = cap_value
+            job_ids[node_id][index] = job_id
         gpus_per_node = self._gpus_per_node
         newly_occupied = 0
-        node_free = self._node_free
-        for node_id, index in locations:
-            self._allocated[node_id, index] = True
-            self._utilization[node_id, index] = utilization
-            self._power_cap_w[node_id, index] = cap_value
-            self._job_ids[node_id][index] = job_id
-            if node_free[node_id] == gpus_per_node:
+        for node_id, take in taken.items():
+            free_before = node_free[node_id]
+            if free_before == gpus_per_node:
                 newly_occupied += 1
-            node_free[node_id] -= 1
+            node_free[node_id] = free_before - take
+            self._rebucket(node_id, free_before, free_before - take)
         self._free_gpus_nondrained -= n_gpus
         self._busy_gpus += n_gpus
         self._n_occupied += newly_occupied
@@ -407,17 +414,26 @@ class Cluster:
         allocation = self._allocations.pop(job_id, None)
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
+        allocated, utilizations, caps = self._allocated, self._utilization, self._power_cap_w
+        job_ids = self._job_ids
+        freed: dict[int, int] = {}  # node id -> GPUs returned to it
+        for node_id, index in allocation.gpu_locations:
+            allocated[node_id, index] = False
+            utilizations[node_id, index] = 0.0
+            caps[node_id, index] = np.nan
+            job_ids[node_id][index] = None
+            freed[node_id] = freed.get(node_id, 0) + 1
         gpus_per_node = self._gpus_per_node
         node_free = self._node_free
+        drained = self._drained
         newly_idle = 0
-        for node_id, index in allocation.gpu_locations:
-            self._allocated[node_id, index] = False
-            self._utilization[node_id, index] = 0.0
-            self._power_cap_w[node_id, index] = np.nan
-            self._job_ids[node_id][index] = None
-            node_free[node_id] += 1
-            if node_free[node_id] == gpus_per_node:
+        for node_id, count in freed.items():
+            free_before = node_free[node_id]
+            node_free[node_id] = free_before + count
+            if free_before + count == gpus_per_node:
                 newly_idle += 1
+            if not drained[node_id]:
+                self._rebucket(node_id, free_before, free_before + count)
         n_gpus = allocation.n_gpus
         self._free_gpus_nondrained += n_gpus
         self._busy_gpus -= n_gpus
@@ -458,25 +474,25 @@ class Cluster:
         """
         if n_nodes < 0:
             raise ResourceError(f"n_nodes must be non-negative, got {n_nodes!r}")
-        drained = 0
+        # The idle non-drained nodes are exactly the full bucket, lowest ids first.
         gpus_per_node = self._gpus_per_node
-        for node_id in range(self._n_nodes):
-            if drained >= n_nodes:
-                break
-            if not self._drained[node_id] and self._node_free[node_id] == gpus_per_node:
-                self._drained[node_id] = True
-                self._n_drained += 1
-                self._free_gpus_nondrained -= gpus_per_node
-                drained += 1
-        return drained
+        idle = self._buckets[gpus_per_node]
+        chosen = idle[:n_nodes]
+        del idle[:n_nodes]
+        self._drained[chosen] = True
+        self._n_drained += len(chosen)
+        self._free_gpus_nondrained -= gpus_per_node * len(chosen)
+        return len(chosen)
 
     def undrain_all(self) -> None:
         """Return every drained node to service."""
         drained_ids = np.flatnonzero(self._drained)
-        if drained_ids.size:
-            self._free_gpus_nondrained += int(self._node_free[drained_ids].sum())
-            self._drained[drained_ids] = False
-            self._n_drained = 0
+        for node_id in drained_ids.tolist():
+            free = self._node_free[node_id]
+            self._free_gpus_nondrained += free
+            insort(self._buckets[free], node_id)
+        self._drained[drained_ids] = False
+        self._n_drained = 0
 
     # ------------------------------------------------------------------
     # Power
@@ -597,7 +613,7 @@ class Cluster:
         self._utilization[:] = 0.0
         self._power_cap_w[:] = np.nan
         self._job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]
-        self._node_free[:] = gpus_per_node
+        self._node_free = node_free = [gpus_per_node] * n_nodes
         self._drained[:] = False
         self._drained[[int(i) for i in state["drained"]]] = True
         self._allocations = {}
@@ -614,16 +630,19 @@ class Cluster:
                 self._utilization[node_id, index] = utilization
                 self._power_cap_w[node_id, index] = cap_value
                 self._job_ids[node_id][index] = job_id
-                self._node_free[node_id] -= 1
+                node_free[node_id] -= 1
             self._allocations[job_id] = Allocation(job_id=job_id, gpu_locations=locations)
             self._job_power_w[job_id] = float(entry["per_gpu_power_w"])
-        # Derived counters, then the accumulated power total verbatim.
+        # Derived counters and buckets, then the accumulated power total verbatim.
         self._busy_gpus = int(np.count_nonzero(self._allocated))
-        self._n_occupied = int(np.count_nonzero(self._node_free < gpus_per_node))
+        self._n_occupied = sum(1 for free in node_free if free < gpus_per_node)
         self._n_drained = int(np.count_nonzero(self._drained))
-        self._free_gpus_nondrained = int(self._node_free[~self._drained].sum())
+        self._rebuild_buckets()
+        self._free_gpus_nondrained = sum(
+            free * len(bucket) for free, bucket in enumerate(self._buckets)
+        )
         self._busy_power_w = float(state["busy_power_w"])
-        # The Node views hold direct array references; nothing to rebuild.
+        # The Node views read the cluster's state on access; nothing to rebuild.
 
     # ------------------------------------------------------------------
     # Direct per-GPU writes (view setters route through here)
@@ -642,20 +661,36 @@ class Cluster:
             return
         gpus_per_node = self._gpus_per_node
         self._allocated[node_id, index] = now_allocated
+        free_before = self._node_free[node_id]
         if now_allocated:
-            if self._node_free[node_id] == gpus_per_node:
+            if free_before == gpus_per_node:
                 self._n_occupied += 1
-            self._node_free[node_id] -= 1
+            self._node_free[node_id] = free_after = free_before - 1
             self._busy_gpus += 1
-            if not self._drained[node_id]:
-                self._free_gpus_nondrained -= 1
         else:
-            self._node_free[node_id] += 1
-            if self._node_free[node_id] == gpus_per_node:
+            self._node_free[node_id] = free_after = free_before + 1
+            if free_after == gpus_per_node:
                 self._n_occupied -= 1
             self._busy_gpus -= 1
-            if not self._drained[node_id]:
-                self._free_gpus_nondrained += 1
+        if not self._drained[node_id]:
+            self._free_gpus_nondrained += free_after - free_before
+            self._rebucket(node_id, free_before, free_after)
+
+    # ------------------------------------------------------------------
+    # Free-count buckets
+    # ------------------------------------------------------------------
+    def _rebucket(self, node_id: int, free_before: int, free_after: int) -> None:
+        """Move a non-drained node between free-count buckets."""
+        bucket = self._buckets[free_before]
+        del bucket[bisect_left(bucket, node_id)]
+        insort(self._buckets[free_after], node_id)
+
+    def _rebuild_buckets(self) -> None:
+        """Rebuild every bucket from the per-node counters and drain flags."""
+        self._buckets: list[list[int]] = [[] for _ in range(self._gpus_per_node + 1)]
+        for node_id, (free, drained) in enumerate(zip(self._node_free, self._drained.tolist())):
+            if not drained:
+                self._buckets[free].append(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
