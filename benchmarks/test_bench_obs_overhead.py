@@ -15,10 +15,10 @@ design contract is that this costs nothing measurable —
 
 The gate interleaves traced and untraced rounds and takes the **minimum
 paired ratio**: each round times the two modes back-to-back under the same
-ambient conditions, and the best round estimates the overhead floor.  (The
-fleet lockstep gate's min-of-each-mode discipline works for its 1.3x budget
-but is too noisy for a 5% one: two ~100 ms floors drift a few percent apart
-between processes on a shared machine.)  One pytest-benchmark entry records
+ambient conditions, and the best round estimates the overhead floor.
+(Comparing each mode's own minimum is too noisy for a 5% budget: two
+~100 ms floors drift a few percent apart between processes on a shared
+machine.)  One pytest-benchmark entry records
 the traced run for the committed ``BENCH_<n>.json`` perf trajectory.
 """
 
@@ -35,9 +35,9 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
+from repro.core.levers import make_scheduler
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.obs import NULL_RECORDER, TraceRecorder, recording, set_recorder
-from repro.scheduler.backfill import BackfillScheduler
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
@@ -73,7 +73,7 @@ def _run(world):
     weather, grid, jobs = world
     simulator = ClusterSimulator(
         Cluster(FACILITY, gpu_model=GPU_MODEL),
-        BackfillScheduler(),
+        make_scheduler("backfill"),
         SimulationConfig(horizon_h=HORIZON_28D),
         weather_hourly_c=weather,
         cooling=CoolingModel(),

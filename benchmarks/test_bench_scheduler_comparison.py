@@ -16,12 +16,8 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
+from repro.core.levers import make_scheduler
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.deadline_aware import DeadlineAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
 from repro.timeutils import SimulationCalendar
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
@@ -39,11 +35,11 @@ def _build_world():
 
 def _run_all(weather, grid, jobs):
     schedulers = (
-        FifoScheduler(),
-        BackfillScheduler(),
-        EnergyAwareScheduler(),
-        CarbonAwareScheduler(),
-        DeadlineAwareScheduler(),
+        make_scheduler("fifo"),
+        make_scheduler("backfill"),
+        make_scheduler("energy-aware", 0.75),
+        make_scheduler("carbon-aware"),
+        make_scheduler("deadline-aware"),
     )
     results = []
     for scheduler in schedulers:

@@ -20,15 +20,8 @@ from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.core.framework import GreenDatacenterModel
-from repro.core.levers import OperatingPoint
+from repro.core.levers import OperatingPoint, make_scheduler
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler import (
-    BackfillScheduler,
-    CarbonAwareScheduler,
-    DeadlineAwareScheduler,
-    EnergyAwareScheduler,
-    FifoScheduler,
-)
 from repro.timeutils import SimulationCalendar
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
@@ -48,10 +41,10 @@ def main() -> None:
     header = (f"{'policy':>15} {'energy kWh':>11} {'CO2e kg':>9} {'cost $':>8} "
               f"{'kWh/GPU-h':>10} {'done':>5} {'wait h':>7} {'p95 wait':>9}")
     print(header)
-    for scheduler in (FifoScheduler(), BackfillScheduler(), EnergyAwareScheduler(),
-                      CarbonAwareScheduler(), DeadlineAwareScheduler()):
+    for policy, cap in (("fifo", None), ("backfill", None), ("energy-aware", 0.75),
+                        ("carbon-aware", None), ("deadline-aware", None)):
         simulator = ClusterSimulator(
-            Cluster(FACILITY), scheduler, SimulationConfig(horizon_h=7 * 24.0),
+            Cluster(FACILITY), make_scheduler(policy, cap), SimulationConfig(horizon_h=7 * 24.0),
             weather_hourly_c=weather, cooling=CoolingModel(), grid=grid,
         )
         result = simulator.run([job.clone_pending() for job in jobs])

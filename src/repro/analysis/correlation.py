@@ -12,7 +12,6 @@ values.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..errors import DataError
 
@@ -45,11 +44,28 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation (the monotonicity measure used for Fig. 4)."""
+    """Spearman rank correlation (the monotonicity measure used for Fig. 4).
+
+    The Pearson correlation of the average ranks; ``nan`` when either series
+    is constant.
+    """
     a, b = _validate_pair(x, y)
-    result = stats.spearmanr(a, b)
-    return float(result.statistic)
+    ranks_a, ranks_b = _average_ranks(a), _average_ranks(b)
+    if np.std(ranks_a) == 0 or np.std(ranks_b) == 0:
+        return float("nan")
+    return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
 
 
 def lagged_cross_correlation(x: np.ndarray, y: np.ndarray, max_lag: int = 6) -> dict[int, float]:

@@ -6,17 +6,18 @@ as a JSON file addressed by its content key (see
 subdirectories so fleet-scale campaigns do not pile tens of thousands of
 files into one directory.
 
-Durability follows :class:`~repro.serve.checkpoint.CheckpointStore`: every
-write goes to a temp file in the same directory and lands with
-``os.replace``, so a crash mid-write never leaves a half-artifact at a live
-address.  Reads are defensive the other way: a corrupt, truncated or
-foreign file at an address is treated as a **miss** (and counted in
-:attr:`ArtifactStore.corrupt_reads`), never an error — the caller simply
-recomputes and overwrites it.
+Durability is shared with :class:`~repro.serve.checkpoint.CheckpointStore`
+through :func:`atomic_write_text`: every write goes to a synced temp file in
+the same directory and lands with ``os.replace``, so a crash mid-write never
+leaves a half-artifact at a live address.  Reads are defensive the other
+way: a corrupt, truncated or foreign file at an address is treated as a
+**miss** (and counted in :attr:`ArtifactStore.corrupt_reads`), never an
+error — the caller simply recomputes and overwrites it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -26,13 +27,33 @@ from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import ArtifactError
 
-__all__ = ["ARTIFACT_FORMAT_VERSION", "ArtifactStore", "ArtifactStoreStats"]
+__all__ = ["ARTIFACT_FORMAT_VERSION", "ArtifactStore", "ArtifactStoreStats", "atomic_write_text"]
 
 #: Version of the artifact file envelope; files written by a different
 #: envelope version read as misses (the payload schema is re-derived).
 ARTIFACT_FORMAT_VERSION = 1
 
 _KEY_CHARS = frozenset("0123456789abcdef")
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old file or the new one.
+
+    The text goes to a temp file in the same directory, is fsynced, and lands
+    with ``os.replace``.  Raises :class:`OSError`; the temp file is removed
+    on any failure.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
 
 
 def _validate_key(key: str) -> str:
@@ -168,18 +189,9 @@ class ArtifactStore:
             raise ArtifactError(
                 f"artifact payload for key {key!r} is not JSON-serializable: {exc}"
             ) from None
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
+            atomic_write_text(path, encoded)
         except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise ArtifactError(f"could not write artifact {key!r}: {exc}") from None
         self.writes += 1
         return path

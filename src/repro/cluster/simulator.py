@@ -32,8 +32,9 @@ Design notes
   callbacks, so adaptive controllers and telemetry live outside the loop.
   Observers are attached explicitly (``observers=`` / :meth:`ClusterSimulator.
   add_observer`) or implicitly by the scheduling policy via
-  :meth:`~repro.scheduler.base.Scheduler.observers`.  With no observers the
-  hook sites are a single falsy check — the hot path is unchanged.
+  :meth:`~repro.scheduler.base.Scheduler.observers`.  Each hook site loops
+  over the bound methods of the observers that override that hook, so with
+  no observers it is an empty loop and the hot path is unchanged.
 * Stepping API: :meth:`ClusterSimulator.run` is a thin composition of
   :meth:`~ClusterSimulator.begin` (validate and enqueue the trace),
   :meth:`~ClusterSimulator.advance` (process events strictly before a time
@@ -49,7 +50,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +64,9 @@ from .cooling import CoolingModel
 from .events import Event, EventQueue, EventType
 from .observers import SimulatorObserver
 from .resources import Cluster
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.observer import MetricsObserver
 
 __all__ = [
     "SimulationConfig",
@@ -387,8 +391,9 @@ class ClusterSimulator:
         the recorder is enabled a (checkpoint-transient)
         :class:`~repro.obs.observer.MetricsObserver` is attached
         automatically, publishing queue depth, IT power, GPU utilization and
-        round/job counters into its metrics registry; when disabled (the
-        default) the observer list and the hot loop are untouched.
+        round/job counters into its metrics registry at the end of every
+        :meth:`advance` and :meth:`finalize`; when disabled (the default)
+        the observer list and the hot loop are untouched.
     """
 
     def __init__(
@@ -413,12 +418,15 @@ class ClusterSimulator:
         self._recorder = recorder if recorder is not None else get_recorder()
         self._observers: list[SimulatorObserver] = list(observers or ())
         self._observers.extend(scheduler.observers())
+        self._metrics_observer: Optional[MetricsObserver] = None
         if self._recorder.enabled:
             # Imported lazily: repro.obs.observer subclasses SimulatorObserver,
             # so a module-level import would be circular.
             from ..obs.observer import MetricsObserver
 
-            self._observers.append(MetricsObserver(self._recorder.metrics))
+            self._metrics_observer = MetricsObserver(self._recorder.metrics)
+            self._observers.append(self._metrics_observer)
+        self._bind_hooks()
         n_hours_needed = int(np.ceil(self.config.horizon_h)) + 1
         if weather_hourly_c is not None:
             weather = np.asarray(weather_hourly_c, dtype=float)
@@ -477,7 +485,25 @@ class ClusterSimulator:
     def add_observer(self, observer: SimulatorObserver) -> SimulatorObserver:
         """Attach a lifecycle observer (returned for chaining)."""
         self._observers.append(observer)
+        self._bind_hooks()
         return observer
+
+    def _bind_hooks(self) -> None:
+        """Bind each per-event hook to the observers that override it.
+
+        The event loop calls these bound methods directly, so an observer
+        pays only for the hooks it implements: the base class's are no-ops
+        and are never dispatched.
+        """
+        self._job_start_hooks = self._overriding("on_job_start")
+        self._job_finish_hooks = self._overriding("on_job_finish")
+        self._round_hooks = self._overriding("on_round")
+        self._tick_hooks = self._overriding("on_tick")
+
+    def _overriding(self, name: str) -> tuple[Callable[..., None], ...]:
+        base = getattr(SimulatorObserver, name)
+        hooks = (getattr(observer, name) for observer in self._observers)
+        return tuple(hook for hook in hooks if getattr(hook, "__func__", None) is not base)
 
     @property
     def observers(self) -> tuple[SimulatorObserver, ...]:
@@ -631,9 +657,8 @@ class ClusterSimulator:
         job.mark_started(now_h, power_cap_w=cap_w, duration_h=actual_duration_h)
         self._running[job.job_id] = job
         self._events.push(now_h + actual_duration_h, EventType.JOB_FINISH, job.job_id)
-        if self._observers:
-            for observer in self._observers:
-                observer.on_job_start(self, job, now_h)
+        for hook in self._job_start_hooks:
+            hook(self, job, now_h)
 
     def _finish_job(self, job_id: str, now_h: float, *, completed: bool = True) -> None:
         job = self._running.pop(job_id, None)
@@ -650,9 +675,8 @@ class ClusterSimulator:
             job.mark_completed(now_h, energy_j)
         else:
             job.mark_interrupted(now_h, energy_j)
-        if self._observers:
-            for observer in self._observers:
-                observer.on_job_finish(self, job, now_h, completed=completed)
+        for hook in self._job_finish_hooks:
+            hook(self, job, now_h, completed=completed)
 
     # ------------------------------------------------------------------
     # Main loop (stepping API: begin -> [submit/advance]* -> finalize)
@@ -728,6 +752,8 @@ class ClusterSimulator:
         self._advanced_to = max(self._advanced_to, float(until_h))
         with self._recorder.span("sim.advance", until_h=float(until_h)):
             self._drain(min(until_h - 1e-9, self.config.horizon_h + 1e-9))
+        if self._metrics_observer is not None:
+            self._metrics_observer.publish()
 
     def _drain(self, limit_h: float) -> None:
         """The event loop: drain instants with time <= ``limit_h``."""
@@ -768,18 +794,16 @@ class ClusterSimulator:
                     # One pass over the queue per round (not per started job).
                     self._pending = [j for j in self._pending if j.job_id not in started_ids]
                     self._refresh_it_power()
-                if self._observers:
-                    for observer in self._observers:
-                        observer.on_round(self, now_h, context, decisions)
+                for hook in self._round_hooks:
+                    hook(self, now_h, context, decisions)
 
             if tick_here:
                 self._tick_times.append(now_h)
                 self._tick_it_power.append(self._current_it_power_w)
-                if self._observers:
-                    # Measure, then actuate: control actions taken here show
-                    # up from the next tick on.
-                    for observer in self._observers:
-                        observer.on_tick(self, now_h, self._current_it_power_w)
+                # Measure, then actuate: control actions taken here show
+                # up from the next tick on.
+                for hook in self._tick_hooks:
+                    hook(self, now_h, self._current_it_power_w)
 
     def finalize(self) -> SimulationResult:
         """Drain to the horizon, cut off still-running jobs, build the result."""
@@ -797,6 +821,8 @@ class ClusterSimulator:
         for job_id in list(self._running):
             self._finish_job(job_id, config.horizon_h, completed=False)
         self._refresh_it_power()
+        if self._metrics_observer is not None:
+            self._metrics_observer.publish()
 
         # PUE over the whole tick series in one vectorized lookup (the hourly
         # curve was precomputed at construction).  The summary is cached: the

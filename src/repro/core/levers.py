@@ -16,12 +16,12 @@ the levers are low-dimensional and partly categorical, exactly why the paper
 frames this as an operational rather than algorithmic problem) and evaluates
 each on the cluster simulator.
 
-Policies are registered through :func:`register_policy`; the five legacy
-monolithic policy names (``fifo``, ``backfill``, ``energy-aware``,
-``carbon-aware``, ``deadline-aware``) are pre-registered as *canned pipeline
-compositions* whose job records are bit-identical to the pre-pipeline
-schedulers (pinned in ``tests/test_policy_compose.py``).  ``greenhpc
-policies`` lists the registry and the stage vocabulary.
+Policies are registered through :func:`register_policy`; the five named
+policies (``fifo``, ``backfill``, ``energy-aware``, ``carbon-aware``,
+``deadline-aware``) are pre-registered as *canned pipeline compositions*
+whose job records are bit-identical to the pre-pipeline schedulers (pinned in
+``tests/test_policy_compose.py``).  ``greenhpc policies`` lists the registry
+and the stage vocabulary.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class PolicyDefinition:
         * ``"append"`` — append a static-cap stage when a cap is given
           (carbon-/deadline-aware semantics);
         * ``"always"`` — always append one, defaulting to full TDP when no
-          cap is given (the legacy energy-aware quirk: its cap policy is
+          cap is given (the pre-pipeline energy-aware quirk: its cap policy is
           never absent);
-        * ``"ignored"`` — the policy takes no cap (legacy fifo/backfill
+        * ``"ignored"`` — the policy takes no cap (pre-pipeline fifo/backfill
           factories discarded it; preserved for reproducibility).
     """
 
@@ -170,7 +170,7 @@ def make_scheduler(policy_name: str, power_cap_fraction: Optional[float] = None)
 
 
 # ---------------------------------------------------------------------------
-# The canned legacy policies (bit-identical to the pre-pipeline schedulers)
+# The five named policies (bit-identical to the pre-pipeline schedulers)
 # ---------------------------------------------------------------------------
 
 register_policy(

@@ -7,7 +7,13 @@ queue-depth / IT-power / GPU-utilization gauges, and a per-round
 started-decisions histogram.  :class:`~repro.cluster.simulator.
 ClusterSimulator` attaches one automatically when the ambient recorder is
 enabled at construction — with tracing off the observer list stays empty and
-the event loop's ``if self._observers:`` guard keeps the hot path untouched.
+the event loop's hook sites are empty loops, so the hot path is untouched.
+
+The hooks only tally into plain attributes of the observer; the simulator
+calls :meth:`MetricsObserver.publish` at the end of every ``advance`` and
+``finalize``, which folds the tallies into the registry.  The registry is
+therefore current whenever the simulator is between steps, and the traced
+hot path touches one object per event instead of one per metric.
 
 The observer is stateless for checkpointing (the base class's ``None``
 snapshot protocol applies): metric values are process-local run telemetry,
@@ -17,7 +23,7 @@ not simulation state, so restored runs remain bit-identical.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..cluster.observers import SimulatorObserver
 from .metrics import MetricsRegistry
@@ -36,9 +42,12 @@ _DECISION_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 class MetricsObserver(SimulatorObserver):
     """Publishes simulator-loop telemetry into a :class:`MetricsRegistry`.
 
-    All metric handles are resolved once at construction so the hooks do no
-    registry lookups — each hook is a handful of attribute updates, cheap
-    enough for the per-tick path.
+    All metric handles are resolved once at construction so publishing does
+    no registry lookups.  The hooks fire thousands of times per run on the
+    traced hot path, and the <=1.05x tracing-overhead gate budgets against
+    them, so each one only bumps a tally here.  There is no ``on_job_start``:
+    every decision of a round starts one job, so the per-round sizes give the
+    start count and the simulator never dispatches the (no-op) start hook.
     """
 
     transient = True
@@ -71,19 +80,18 @@ class MetricsObserver(SimulatorObserver):
             help="Jobs started per scheduling round",
             buckets=_DECISION_BUCKETS,
         )
-
-    # The hooks mutate metric attributes directly rather than going through
-    # ``inc``/``set``/``observe``: they fire thousands of times per run on the
-    # traced hot path, and the extra method dispatch plus argument validation
-    # is what the <=1.05x tracing-overhead gate budgets against.
-
-    def on_job_start(self, simulator: "ClusterSimulator", job: "Job", now_h: float) -> None:
-        self._jobs_started.value += 1.0
+        # Tallies since the last publish.
+        self._rounds_by_size: dict[int, int] = {}
+        self._last_queue_depth = 0
+        self._n_finished = 0
+        self._n_ticks = 0
+        self._last_it_power_w = 0.0
+        self._last_utilization: Optional[float] = None
 
     def on_job_finish(
         self, simulator: "ClusterSimulator", job: "Job", now_h: float, *, completed: bool
     ) -> None:
-        self._jobs_finished.value += 1.0
+        self._n_finished += 1
 
     def on_round(
         self,
@@ -92,22 +100,44 @@ class MetricsObserver(SimulatorObserver):
         context: "SchedulingContext",
         decisions: "list[ScheduleDecision]",
     ) -> None:
-        self._rounds.value += 1.0
-        self._queue_depth.value = float(simulator.n_pending)
-        value = float(len(decisions))
-        hist = self._round_decisions
-        hist.counts[bisect_left(hist.buckets, value)] += 1
-        hist.total += value
-        hist.count += 1
-        if hist.min is None or value < hist.min:
-            hist.min = value
-        if hist.max is None or value > hist.max:
-            hist.max = value
+        rounds_by_size = self._rounds_by_size
+        started = len(decisions)
+        rounds_by_size[started] = rounds_by_size.get(started, 0) + 1
+        self._last_queue_depth = simulator.n_pending
 
     def on_tick(self, simulator: "ClusterSimulator", now_h: float, it_power_w: float) -> None:
-        self._ticks.value += 1.0
-        self._it_power.value = float(it_power_w)
+        self._n_ticks += 1
+        self._last_it_power_w = it_power_w
         cluster = simulator.cluster
         total = cluster.total_gpus
         if total:
-            self._utilization.value = 1.0 - cluster.n_free_gpus / total
+            self._last_utilization = 1.0 - cluster.n_free_gpus / total
+
+    def publish(self) -> None:
+        """Fold the tallies since the last publish into the registry's series."""
+        rounds_by_size = self._rounds_by_size
+        if rounds_by_size:
+            self._rounds_by_size = {}
+            hist = self._round_decisions
+            for started, rounds in rounds_by_size.items():
+                hist.counts[bisect_left(hist.buckets, started)] += rounds
+                hist.total += started * rounds
+                hist.count += rounds
+                self._rounds.inc(rounds)
+                self._jobs_started.inc(started * rounds)
+            low = float(min(rounds_by_size))
+            high = float(max(rounds_by_size))
+            if hist.min is None or low < hist.min:
+                hist.min = low
+            if hist.max is None or high > hist.max:
+                hist.max = high
+            self._queue_depth.set(self._last_queue_depth)
+        if self._n_finished:
+            self._jobs_finished.inc(self._n_finished)
+            self._n_finished = 0
+        if self._n_ticks:
+            self._ticks.inc(self._n_ticks)
+            self._n_ticks = 0
+            self._it_power.set(self._last_it_power_w)
+            if self._last_utilization is not None:
+                self._utilization.set(self._last_utilization)

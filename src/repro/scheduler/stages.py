@@ -24,10 +24,9 @@ number of gates, one placement and a power chain into a full
 :mod:`~repro.scheduler.compose` makes any such composition addressable by a
 spec string.
 
-The concrete stages below reproduce the behaviour of the five legacy
-monolithic schedulers *bit-for-bit* (see ``tests/test_policy_compose.py``):
-the deferral predicates, cap arithmetic and power-budget estimator are kept
-operation-for-operation identical to the originals.
+The five named policies are compositions of the stages below; their job
+records are pinned bit-for-bit against the pre-pipeline schedulers in
+``tests/test_policy_compose.py`` and ``tests/test_cluster_state_parity.py``.
 """
 
 from __future__ import annotations
@@ -67,9 +66,7 @@ def estimate_job_it_power_w(job: Job, cluster: Cluster, cap_fraction: Optional[f
     """Rough per-job IT power estimate used for facility-budget checks.
 
     GPU power at the cap plus a share of node overhead proportional to the
-    fraction of a node used.  Shared by :class:`PowerBudgetGate` and the
-    legacy :class:`~repro.scheduler.energy_aware.EnergyAwareScheduler` so the
-    bit-parity between them cannot drift.
+    fraction of a node used.
     """
     spec = cluster.gpu_spec
     cap_w = None if cap_fraction is None else cap_fraction * spec.tdp_w
@@ -202,8 +199,7 @@ class _DeferralGate(AdmissionGate):
 
     While the environment signal is *unfavourable*, deferrable jobs wait until
     their ``max_defer_h`` window expires; with ``defer_non_deferrable`` even
-    unmarked jobs are held for up to ``grace_h`` hours.  The predicates are
-    kept bit-identical to ``CarbonAwareScheduler._may_start_now``.
+    unmarked jobs are held for up to ``grace_h`` hours.
     """
 
     def __init__(self, *, defer_non_deferrable: bool = False, grace_h: float = 6.0) -> None:
@@ -291,11 +287,10 @@ class RenewableShareGate(_DeferralGate):
 class DeadlineSlackGate(AdmissionGate):
     """Use deadline slack (not just the deferability flag) to ride out dirty hours.
 
-    The Section II.A x III combination from the legacy deadline-aware policy:
-    during dirty hours a deadline-carrying job waits until its latest feasible
-    start (minus a safety margin); jobs without deadlines fall back to the
-    explicit deferability contract.  Bit-identical to
-    ``DeadlineAwareScheduler._may_start_now``.
+    The Section II.A x III combination of the deadline-aware policy: during
+    dirty hours a deadline-carrying job waits until its latest feasible start
+    (minus a safety margin); jobs without deadlines fall back to the explicit
+    deferability contract.
     """
 
     name = "slack"
@@ -331,9 +326,7 @@ class PowerBudgetGate(AdmissionGate):
 
     Converts the context's ``facility_power_budget_w`` into an IT budget at
     the current PUE and projects each candidate start's IT power on top of the
-    running total; jobs that would overshoot are skipped this round.  The
-    per-job estimator is kept operation-for-operation identical to
-    ``EnergyAwareScheduler._estimated_job_power_w``.
+    running total; jobs that would overshoot are skipped this round.
     """
 
     name = "budget"
@@ -404,9 +397,9 @@ class PowerStage:
 class StaticCapStage(PowerStage):
     """A fixed cap fraction with queue exemptions (Section II.C's fixed component).
 
-    Reproduces :class:`~repro.scheduler.powercap.StaticPowerCapPolicy.cap_for`
-    exactly when the chain's running value is the job's own cap: exempt queues
-    keep whatever they agreed, everyone else gets ``min(agreed, cap)``.
+    Exempt queues keep whatever cap they agreed; everyone else gets
+    ``min(agreed, cap)`` — a cap already agreed by the job (via its queue or
+    the two-part mechanism) wins when it is stricter than the stage's cap.
     """
 
     name = "cap"
@@ -436,8 +429,7 @@ class DirtyHourCapStage(PowerStage):
 
     Deferral moves deferrable work into green hours; this stage slows down
     the work that cannot wait, so proportionally more of the facility's
-    energy is drawn when the grid is green.  Bit-identical to the dirty-hour
-    arm of ``CarbonAwareScheduler._cap_for``.
+    energy is drawn when the grid is green.
     """
 
     name = "dirty-cap"

@@ -15,12 +15,11 @@ simulation *and* the stream exactly where they stopped.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Optional
 
+from ..artifacts.store import atomic_write_text
 from ..errors import CheckpointError
 
 __all__ = ["CHECKPOINT_FORMAT_VERSION", "CheckpointStore"]
@@ -90,18 +89,9 @@ class CheckpointStore:
                 f"checkpoint payload for session {session_id!r} is not "
                 f"JSON-serializable: {exc}"
             ) from None
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, target)
+            atomic_write_text(target, encoded)
         except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise CheckpointError(
                 f"could not write checkpoint {target.name!r}: {exc}"
             ) from None

@@ -76,6 +76,18 @@ class TestCorrelation:
         x = np.arange(1.0, 11.0)
         assert spearman_correlation(x, x**3) == pytest.approx(1.0)
 
+    def test_spearman_ties_take_average_ranks(self):
+        # x ranks [1, 2.5, 2.5, 5, 5, 5], y ranks [1.5, 1.5, 3.5, 3.5, 5.5, 5.5]:
+        # centred products sum to 13, squares to 15 and 16.
+        x = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        y = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+        assert spearman_correlation(x, y) == pytest.approx(13.0 / np.sqrt(15.0 * 16.0), rel=1e-12)
+        # Unsorted input with a tie: ranks [4, 1, 2.5, 2.5] vs [1, 2.5, 2.5, 4].
+        assert spearman_correlation([3.0, 1.0, 2.0, 2.0], [1.0, 2.0, 2.0, 3.0]) == pytest.approx(
+            -0.5, rel=1e-12
+        )
+        assert np.isnan(spearman_correlation(np.ones(4), np.arange(4.0)))
+
     def test_constant_series_rejected(self):
         with pytest.raises(DataError):
             pearson_correlation(np.ones(5), np.arange(5.0))

@@ -12,10 +12,11 @@ from repro.artifacts import (
     stable_hash,
 )
 from repro.artifacts.keys import CODE_VERSION_ENV
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, CheckpointError
 from repro.experiments import CampaignSpec, ScenarioSpec
 from repro.experiments.dag import CampaignDAG, compare_payload, summarize_payload
 from repro.experiments.report import render_html, render_markdown, svg_bar_chart
+from repro.serve.checkpoint import CheckpointStore
 
 #: A cheap campaign: short horizon, cheap experiments, 2 worlds x 2 experiments.
 CHEAP = dict(
@@ -139,6 +140,30 @@ class TestArtifactStore:
         assert stats.total_bytes > 0
         assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
         assert json.dumps(stats.to_dict())  # strict-JSON-able
+
+
+class TestAtomicWrites:
+    """Both stores write through the shared helper: typed error, no temp file."""
+
+    @pytest.fixture
+    def failing_replace(self, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.artifacts.store.os.replace", refuse)
+
+    def test_artifact_put_failure_is_typed_and_leaves_nothing(self, store, failing_replace):
+        key = "ab" * 16
+        with pytest.raises(ArtifactError, match="disk full"):
+            store.put(key, {"v": 1})
+        assert key not in store
+        assert list(store.root.rglob("*.tmp")) == []
+
+    def test_checkpoint_save_failure_is_typed_and_leaves_nothing(self, tmp_path, failing_replace):
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        with pytest.raises(CheckpointError, match="disk full"):
+            checkpoints.save("s1", {"format": 1})
+        assert list(checkpoints.root.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

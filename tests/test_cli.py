@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _print_rows, build_parser, main
 from repro.experiments import experiment_names
 
@@ -288,3 +293,31 @@ class TestPrintRows:
     def test_empty(self, capsys):
         _print_rows([])
         assert "(no rows)" in capsys.readouterr().out
+
+
+class TestColdImport:
+    def test_cli_import_loads_only_stdlib_and_numpy(self):
+        """``import repro.cli`` needs nothing beyond the declared dependency.
+
+        Run in a fresh interpreter so modules other tests imported do not
+        hide an undeclared one.  Entries without a file (``cython_runtime``,
+        ``__mp_main__``) are interpreter bookkeeping, not packages.
+        """
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'repro'}\n"
+            "print(sorted({\n"
+            "    name.partition('.')[0]\n"
+            "    for name in set(sys.modules) - before\n"
+            "    if getattr(sys.modules[name], '__file__', None)\n"
+            "    and name.partition('.')[0] not in allowed\n"
+            "}))\n"
+        )
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

@@ -7,11 +7,8 @@ from repro.config import FacilityConfig
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.core.levers import make_scheduler
 from repro.errors import SimulationError
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
 from repro.scheduler.job import Job, JobState
 
 
@@ -25,7 +22,7 @@ def make_job(job_id: str, n_gpus: int, duration: float, submit: float, **kw) -> 
 
 def run(jobs, scheduler=None, config=None, **kwargs):
     simulator = ClusterSimulator(
-        Cluster(FACILITY), scheduler or BackfillScheduler(), config or SimulationConfig(horizon_h=48.0), **kwargs
+        Cluster(FACILITY), scheduler or make_scheduler("backfill"), config or SimulationConfig(horizon_h=48.0), **kwargs
     )
     return simulator.run(jobs)
 
@@ -94,7 +91,7 @@ class TestPowerAccounting:
 
     def test_cooling_requires_weather(self):
         with pytest.raises(SimulationError):
-            ClusterSimulator(Cluster(FACILITY), FifoScheduler(), cooling=CoolingModel())
+            ClusterSimulator(Cluster(FACILITY), make_scheduler("fifo"), cooling=CoolingModel())
 
     def test_cooling_raises_facility_energy(self, small_weather):
         config = SimulationConfig(horizon_h=48.0)
@@ -131,10 +128,10 @@ class TestPowerAccounting:
 
 class TestPowerCapsInSimulation:
     def test_caps_stretch_duration_and_lower_energy(self):
-        uncapped = run([make_job("a", 4, 10.0, 0.0, utilization=1.0)], scheduler=BackfillScheduler())
+        uncapped = run([make_job("a", 4, 10.0, 0.0, utilization=1.0)], scheduler=make_scheduler("backfill"))
         capped = run(
             [make_job("a", 4, 10.0, 0.0, utilization=1.0)],
-            scheduler=EnergyAwareScheduler(),
+            scheduler=make_scheduler("energy-aware", 0.75),
         )
         rec_uncapped = uncapped.job_records[0]
         rec_capped = capped.job_records[0]
@@ -174,7 +171,7 @@ class TestCarbonAwareIntegration:
         ]
         result = run(
             jobs,
-            scheduler=CarbonAwareScheduler(),
+            scheduler=make_scheduler("carbon-aware"),
             config=SimulationConfig(horizon_h=48.0),
             weather_hourly_c=small_weather,
             cooling=CoolingModel(),
@@ -188,10 +185,10 @@ class TestCarbonAwareIntegration:
         """Different policies must deliver the same completed GPU-hours on a
         trace that fits comfortably inside the horizon (the activity side of Eq. 1)."""
         results = []
-        for scheduler in (BackfillScheduler(), EnergyAwareScheduler(), CarbonAwareScheduler()):
+        for policy, cap in (("backfill", None), ("energy-aware", 0.75), ("carbon-aware", None)):
             sim = ClusterSimulator(
                 Cluster(FacilityConfig(n_nodes=16, gpus_per_node=2)),
-                scheduler,
+                make_scheduler(policy, cap),
                 SimulationConfig(horizon_h=10 * 24.0),
                 weather_hourly_c=small_weather,
                 cooling=CoolingModel(),

@@ -7,9 +7,11 @@ Three layers of evidence that the delta-maintained state model is exact:
    array API they mirror.
 2. **Randomized state parity** — random allocate/release/drain/undrain/re-cap
    sequences keep every incremental counter equal to a brute-force recount
-   over the GPU views, and keep the O(1) IT power equal (to float tolerance)
+   over the GPU views, keep the O(1) IT power equal (to float tolerance)
    to both the vectorized recompute checkpoint and a pure-Python reference
-   that reproduces the pre-refactor whole-cluster scan arithmetic.
+   that reproduces the pre-refactor whole-cluster scan arithmetic, and place
+   every allocation on exactly the GPUs the whole-cluster-scan placement rule
+   picks.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
    implementation) under all five scheduling policies, with the power series
@@ -28,11 +30,7 @@ from repro.cluster.resources import Cluster, NodeState
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.deadline_aware import DeadlineAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
+from repro.scheduler.compose import build_pipeline
 from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
@@ -133,6 +131,46 @@ def assert_state_parity(cluster: Cluster) -> None:
     np.testing.assert_allclose(cluster.recompute_it_power_w(), reference, rtol=1e-12, atol=1e-9)
 
 
+def scan_placement(cluster: Cluster, n_gpus: int, pack: bool) -> tuple:
+    """The whole-cluster-scan placement rule, kept verbatim as the reference.
+
+    Pack fills the fewest-free non-drained nodes first (a stable argsort, so
+    ties go to the lowest node id); spread takes one GPU at a time from the
+    node with the most free GPUs (``argmax`` returns the first maximum).  The
+    occupancy is read through the GPU views, not the cluster's own counters.
+    """
+    allocated = np.array([[not gpu.is_free for gpu in node.gpus] for node in cluster.nodes])
+    drained = np.array([node.state is NodeState.DRAINED for node in cluster.nodes])
+    free = np.where(drained, 0, (~allocated).sum(axis=1))
+    locations: list[tuple[int, int]] = []
+    if pack:
+        candidates = np.flatnonzero(free > 0)
+        order = candidates[np.argsort(free[candidates], kind="stable")]
+        remaining = n_gpus
+        for node_id in order:
+            free_indices = np.flatnonzero(~allocated[node_id])
+            take = free_indices if free_indices.size <= remaining else free_indices[:remaining]
+            node_id = int(node_id)
+            locations.extend((node_id, int(index)) for index in take)
+            remaining -= take.size
+            if remaining == 0:
+                break
+    else:
+        cursors: dict[int, int] = {}
+        free_rows: dict[int, np.ndarray] = {}
+        for _ in range(n_gpus):
+            node_id = int(np.argmax(free))
+            row = free_rows.get(node_id)
+            if row is None:
+                row = np.flatnonzero(~allocated[node_id])
+                free_rows[node_id] = row
+            cursor = cursors.get(node_id, 0)
+            locations.append((node_id, int(row[cursor])))
+            cursors[node_id] = cursor + 1
+            free[node_id] -= 1
+    return tuple(locations)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 20220527])
 def test_randomized_sequences_keep_state_exact(seed):
     rng = np.random.default_rng(seed)
@@ -146,13 +184,13 @@ def test_randomized_sequences_keep_state_exact(seed):
             job_id = f"job-{next_id}"
             next_id += 1
             cap = None if rng.random() < 0.5 else float(rng.uniform(80.0, 300.0))
-            cluster.allocate(
-                job_id,
-                n_gpus,
-                utilization=float(rng.uniform(0.05, 1.0)),
-                power_limit_w=cap,
-                pack=bool(rng.random() < 0.5),
+            utilization = float(rng.uniform(0.05, 1.0))
+            pack = bool(rng.random() < 0.5)
+            expected = scan_placement(cluster, n_gpus, pack)
+            allocation = cluster.allocate(
+                job_id, n_gpus, utilization=utilization, power_limit_w=cap, pack=pack
             )
+            assert allocation.gpu_locations == expected
             live.append(job_id)
         elif op < 0.70 and live:
             job_id = live.pop(int(rng.integers(len(live))))
@@ -238,12 +276,15 @@ PRE_REFACTOR_METRICS = {
     "deadline-aware": (1828.7097834634963, 1982.8102422810566, 3744.4164705279586, 2.9088644563804165),
 }
 
+#: The explicit pipeline spelling of each of the five named policies, as the
+#: pre-refactor schedulers were default-constructed (energy-aware: a 0.75 cap
+#: plus the budget gate).
 SCHEDULERS = {
-    "backfill": BackfillScheduler,
-    "fifo": FifoScheduler,
-    "energy-aware": EnergyAwareScheduler,
-    "carbon-aware": CarbonAwareScheduler,
-    "deadline-aware": DeadlineAwareScheduler,
+    "backfill": "backfill",
+    "fifo": "fifo",
+    "energy-aware": "backfill+cap(fraction=0.75)+budget",
+    "carbon-aware": "backfill+carbon(cap=0.7)",
+    "deadline-aware": "edf+backfill+slack(margin=2.0)",
 }
 
 
@@ -282,7 +323,7 @@ def test_end_to_end_matches_pre_refactor(policy, parity_world):
     weather, grid, jobs = parity_world
     simulator = ClusterSimulator(
         Cluster(FACILITY),
-        SCHEDULERS[policy](),
+        build_pipeline(SCHEDULERS[policy]),
         SimulationConfig(horizon_h=HORIZON_H),
         weather_hourly_c=weather,
         cooling=CoolingModel(),
@@ -303,7 +344,7 @@ def test_power_series_matches_recompute_at_every_tick(parity_world):
     weather, grid, jobs = parity_world
     fast = ClusterSimulator(
         Cluster(FACILITY),
-        BackfillScheduler(),
+        build_pipeline("backfill"),
         SimulationConfig(horizon_h=HORIZON_H),
         weather_hourly_c=weather,
         cooling=CoolingModel(),

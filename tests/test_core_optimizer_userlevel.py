@@ -6,12 +6,11 @@ from repro.config import FacilityConfig
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-from repro.core.levers import OperatingPoint
+from repro.core.levers import OperatingPoint, make_scheduler
 from repro.core.objective import ActivityConstraint, ActivityKind, EnergyObjective
 from repro.core.optimizer import DatacenterOptimizer
 from repro.core.user_level import per_user_decomposition
 from repro.errors import OptimizationError
-from repro.scheduler.backfill import BackfillScheduler
 
 
 FACILITY = FacilityConfig(n_nodes=8, gpus_per_node=2)
@@ -94,7 +93,7 @@ class TestPerUserDecomposition:
     def result(self, job_trace, small_facility):
         simulator = ClusterSimulator(
             Cluster(small_facility),
-            BackfillScheduler(),
+            make_scheduler("backfill"),
             SimulationConfig(horizon_h=8 * 24.0),
         )
         return simulator.run([j.clone_pending() for j in job_trace])

@@ -18,6 +18,7 @@ Covers the observability issue's acceptance bar end to end:
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 
@@ -25,6 +26,7 @@ import pytest
 
 from repro.artifacts import ArtifactStore
 from repro.config import FacilityConfig
+from repro.core.levers import make_scheduler
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.errors import ConfigurationError, DataError
@@ -45,7 +47,6 @@ from repro.obs import (
     write_trace,
 )
 from repro.parallel import ParallelConfig
-from repro.scheduler.backfill import BackfillScheduler
 from repro.scheduler.job import Job
 
 
@@ -317,7 +318,7 @@ def _jobs(n=6):
 
 def _simulator(**kwargs) -> ClusterSimulator:
     return ClusterSimulator(
-        Cluster(FACILITY), BackfillScheduler(), SimulationConfig(horizon_h=24.0), **kwargs
+        Cluster(FACILITY), make_scheduler("backfill"), SimulationConfig(horizon_h=24.0), **kwargs
     )
 
 
@@ -335,6 +336,29 @@ class TestSimulatorInstrumentation:
         assert snapshot["sim_jobs_finished_total"]["series"][0]["value"] == 6.0
         assert snapshot["sim_ticks_total"]["series"][0]["value"] > 0
         assert result.completed_jobs == 6
+
+    def test_metrics_are_current_after_every_step(self):
+        # Job i (1 GPU, 2 h) arrives at t=i and starts at once, so by t the
+        # run has started the jobs with i < t and finished those with i+2 < t.
+        rec = TraceRecorder()
+        with recording(rec):
+            simulator = _simulator()
+            simulator.begin(_jobs())
+            for until_h, started, finished in ((0.5, 1, 0), (3.0, 3, 1), (7.5, 6, 6)):
+                simulator.advance(until_h)
+                values = {
+                    name: family["series"][0]
+                    for name, family in rec.metrics.snapshot().items()
+                }
+                assert values["sim_jobs_started_total"]["value"] == started
+                assert values["sim_jobs_finished_total"]["value"] == finished
+                assert values["sim_scheduling_rounds_total"]["value"] == started
+                rounds = values["sim_round_decisions"]
+                assert (rounds["count"], rounds["sum"]) == (started, started)
+                assert (rounds["min"], rounds["max"]) == (1.0, 1.0)
+                assert values["sim_queue_depth"]["value"] == 0.0
+                # Hourly ticks at t = 0, 1, ... strictly before the bound.
+                assert values["sim_ticks_total"]["value"] == math.ceil(until_h)
 
     def test_traced_results_match_untraced(self):
         untraced = _simulator().run(_jobs())

@@ -5,16 +5,14 @@ Four layers of evidence:
 1. **Grammar** — ``PolicySpec`` parse -> str round-trips (property-based over
    both arbitrary grammar-valid tokens and the registered vocabulary), and
    invalid specs raise :class:`SchedulingError` naming the offending token.
-2. **Composition parity (hash-pinned)** — every legacy registry name builds a
-   pipeline whose job records are *bit-identical* to the pre-refactor
-   monolithic schedulers, pinned on the seeded ``supercloud-small`` /
-   ``supercloud-medium`` scenarios across cap and facility-budget settings,
-   and on the ``tests/test_cluster_state_parity.py`` world (whose pinned
-   hashes date back to the pre-pipeline *and* pre-array-refactor seed
-   implementation).
-3. **Explicit spellings** — the canned compositions equal their explicit
-   pipeline spelling, and the legacy scheduler classes (kept as references)
-   equal the pipelines, record for record.
+2. **Composition parity (hash-pinned)** — every named registry policy builds
+   a pipeline whose job records are *bit-identical* to the pre-refactor
+   schedulers, pinned on the seeded ``supercloud-small`` /
+   ``supercloud-medium`` scenarios across cap and facility-budget settings.
+   (``tests/test_cluster_state_parity.py`` pins the same pipelines on the
+   pre-pipeline *and* pre-array-refactor seed implementation's world.)
+3. **Explicit spellings** — the explicit pipeline spelling of each
+   default-constructed pre-refactor scheduler reproduces its pinned records.
 4. **Lifecycle hooks** — simulator observers fire at the documented points,
    attaching them does not perturb results, and the adaptive power-cap stage
    drives running-job caps through the hook API.
@@ -34,13 +32,6 @@ from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
 from repro.experiments.spec import get_scenario
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler import (
-    BackfillScheduler,
-    CarbonAwareScheduler,
-    DeadlineAwareScheduler,
-    EnergyAwareScheduler,
-    FifoScheduler,
-)
 from repro.scheduler.compose import (
     PolicySpec,
     StageSpec,
@@ -177,7 +168,7 @@ HORIZON_H = 14 * 24.0
 PARITY_WORLDS = {"supercloud-small": (300, 18000.0), "supercloud-medium": (900, 60000.0)}
 
 #: sha256 fingerprints of the job records produced by the *pre-refactor*
-#: ``make_scheduler(name, cap)`` monolithic schedulers on the seeded worlds
+#: ``make_scheduler(name, cap)`` schedulers on the seeded worlds
 #: above, per (world, policy, cap, facility_power_budget_w).  The canned
 #: pipeline compositions must reproduce every one bit-for-bit.
 PRE_REFACTOR_PIPELINE_HASHES = {
@@ -223,15 +214,17 @@ PRE_REFACTOR_PIPELINE_HASHES = {
     ("supercloud-medium", "deadline-aware", 0.7, 60000.0): "1b1ef7c3760805fa5a6d597b84e6cfa49b9ec2fce64b14747d05424dcdf34b66",
 }
 
-#: The explicit pipeline spelling of each *default-constructed* legacy
-#: scheduler class (the parity references kept in the scheduler package).
-EXPLICIT_SPELLINGS = {
-    "fifo": "fifo",
-    "backfill": "backfill",
-    "energy-aware": "backfill+cap(fraction=0.75)+budget",
-    "carbon-aware": "backfill+carbon(cap=0.7)",
-    "deadline-aware": "edf+backfill+slack(margin=2.0)",
+#: Fingerprints of the default-constructed pre-refactor schedulers, spelled
+#: explicitly as ``state_parity.SCHEDULERS``, on ``supercloud-small`` at its
+#: binding budget.  Four equal registry pins above; the energy-aware one (cap
+#: 0.75 plus the budget gate) was captured from the pre-refactor class.
+EXPLICIT_SPELLING_HASHES = {
+    policy: PRE_REFACTOR_PIPELINE_HASHES[("supercloud-small", policy, None, 18000.0)]
+    for policy in ("fifo", "backfill", "carbon-aware", "deadline-aware")
 }
+EXPLICIT_SPELLING_HASHES["energy-aware"] = (
+    "7d36e835ddf1a2738561583b8ab479dc6cbb4dc377bb220bcba66fd1a7563e9f"
+)
 
 
 @pytest.fixture(scope="module")
@@ -283,46 +276,15 @@ class TestPinnedCompositionParity:
             expected = PRE_REFACTOR_PIPELINE_HASHES[(world_name, policy, cap, budget)]
             assert state_parity._records_fingerprint(result) == expected
 
-    @pytest.mark.parametrize("policy", sorted(EXPLICIT_SPELLINGS))
+    @pytest.mark.parametrize("policy", sorted(state_parity.SCHEDULERS))
     def test_explicit_spelling_equals_canned_composition(self, compose_worlds, policy):
-        spelled = build_pipeline(EXPLICIT_SPELLINGS[policy])
+        spelled = build_pipeline(state_parity.SCHEDULERS[policy])
         world = compose_worlds["supercloud-small"]
         budget = PARITY_WORLDS["supercloud-small"][1]
         spelled_fp = state_parity._records_fingerprint(
             _run_policy(world, spelled, budget=budget)
         )
-        legacy_cls = state_parity.SCHEDULERS[policy]
-        legacy_fp = state_parity._records_fingerprint(
-            _run_policy(world, legacy_cls(), budget=budget)
-        )
-        assert spelled_fp == legacy_fp
-
-
-class TestStateParityHarnessReuse:
-    """The pipelines on the test_cluster_state_parity world and its old pins."""
-
-    @pytest.mark.parametrize("policy", sorted(EXPLICIT_SPELLINGS))
-    def test_explicit_spelling_matches_seed_implementation_hashes(
-        self, policy, parity_world
-    ):
-        weather, grid, jobs = parity_world
-        simulator = ClusterSimulator(
-            Cluster(state_parity.FACILITY),
-            build_pipeline(EXPLICIT_SPELLINGS[policy]),
-            SimulationConfig(horizon_h=state_parity.HORIZON_H),
-            weather_hourly_c=weather,
-            cooling=CoolingModel(),
-            grid=grid,
-            parity_check=True,
-        )
-        result = simulator.run([job.clone_pending() for job in jobs])
-        fingerprint = state_parity._records_fingerprint(result)
-        assert fingerprint == state_parity.PRE_REFACTOR_RECORD_HASHES[policy]
-
-
-# Reuse the hash-pinned parity world exactly as test_cluster_state_parity
-# builds it (module-scoped there; re-declared here for this module's scope).
-parity_world = state_parity.parity_world
+        assert spelled_fp == EXPLICIT_SPELLING_HASHES[policy]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +373,32 @@ class TestLifecycleHooks:
         # One tick callback per recorded tick, with the recorded sample.
         assert len(observer.ticks) == result.tick_times_h.shape[0]
         assert [p for _, p in observer.ticks] == list(result.it_power_w)
+
+    def test_hooks_reach_overrides_and_instance_attributes(self, compose_worlds):
+        # Hook sites dispatch only to observers that override a hook; a hook
+        # assigned on the instance counts as an override too.
+        class TickOnly(SimulatorObserver):
+            def __init__(self):
+                self.ticks = 0
+
+            def on_tick(self, simulator, now_h, it_power_w):
+                self.ticks += 1
+
+        tick_only = TickOnly()
+        assigned = SimulatorObserver()
+        finishes = []
+        assigned.on_job_finish = lambda simulator, job, now_h, *, completed: finishes.append(
+            job.job_id
+        )
+        result = _run_policy(
+            compose_worlds["supercloud-small"],
+            make_scheduler("backfill"),
+            observers=[tick_only, assigned],
+        )
+        assert tick_only.ticks == result.tick_times_h.shape[0]
+        assert sorted(finishes) == sorted(
+            r.job_id for r in result.job_records if r.finish_time_h is not None
+        )
 
     def test_observers_do_not_perturb_results(self, compose_worlds):
         world = compose_worlds["supercloud-small"]

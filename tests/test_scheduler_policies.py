@@ -4,19 +4,12 @@ import pytest
 
 from repro.config import FacilityConfig
 from repro.cluster.resources import Cluster
+from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
-from repro.scheduler.backfill import BackfillScheduler
 from repro.scheduler.base import ScheduleDecision, SchedulingContext
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.deadline_aware import DeadlineAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
 from repro.scheduler.job import Job
-from repro.scheduler.powercap import (
-    AdaptivePowerCapController,
-    StaticPowerCapPolicy,
-    powercap_energy_tradeoff,
-)
+from repro.scheduler.powercap import AdaptivePowerCapController, powercap_energy_tradeoff
+from repro.scheduler.stages import StaticCapStage
 
 
 def make_job(job_id: str, n_gpus: int, submit: float = 0.0, **kw) -> Job:
@@ -50,42 +43,42 @@ class TestSchedulingContext:
 class TestFifo:
     def test_starts_in_order_until_blocked(self, cluster):
         jobs = [make_job("a", 4, 0.0), make_job("b", 6, 1.0), make_job("c", 1, 2.0)]
-        decisions = FifoScheduler().select(jobs, cluster, ctx())
+        decisions = make_scheduler("fifo").select(jobs, cluster, ctx())
         # "a" fits (4 of 8); "b" (6) does not and blocks "c" despite it fitting.
         assert [d.job.job_id for d in decisions] == ["a"]
 
     def test_starts_everything_when_it_fits(self, cluster):
         jobs = [make_job("a", 2), make_job("b", 2), make_job("c", 2)]
-        decisions = FifoScheduler().select(jobs, cluster, ctx())
+        decisions = make_scheduler("fifo").select(jobs, cluster, ctx())
         assert [d.job.job_id for d in decisions] == ["a", "b", "c"]
 
 
 class TestBackfill:
     def test_backfills_around_blocked_head(self, cluster):
         jobs = [make_job("a", 4, 0.0), make_job("b", 6, 1.0), make_job("c", 1, 2.0)]
-        decisions = BackfillScheduler().select(jobs, cluster, ctx())
+        decisions = make_scheduler("backfill").select(jobs, cluster, ctx())
         assert [d.job.job_id for d in decisions] == ["a", "c"]
 
     def test_never_exceeds_free_gpus(self, cluster):
         jobs = [make_job(f"j{i}", 3, float(i)) for i in range(6)]
-        decisions = BackfillScheduler().select(jobs, cluster, ctx())
+        decisions = make_scheduler("backfill").select(jobs, cluster, ctx())
         assert sum(d.job.n_gpus for d in decisions) <= cluster.n_free_gpus
 
 
 class TestEnergyAware:
     def test_applies_power_caps(self, cluster):
-        scheduler = EnergyAwareScheduler(StaticPowerCapPolicy(cap_fraction=0.7))
+        scheduler = make_scheduler("energy-aware", 0.7)
         decisions = scheduler.select([make_job("a", 2)], cluster, ctx())
         assert decisions[0].power_cap_fraction == pytest.approx(0.7)
 
     def test_urgent_queue_exempt_from_caps(self, cluster):
-        scheduler = EnergyAwareScheduler(StaticPowerCapPolicy(cap_fraction=0.7))
+        scheduler = make_scheduler("energy-aware", 0.7)
         job = make_job("a", 2, queue_name="urgent")
         decisions = scheduler.select([job], cluster, ctx())
         assert decisions[0].power_cap_fraction is None
 
     def test_respects_power_budget(self, cluster):
-        scheduler = EnergyAwareScheduler(StaticPowerCapPolicy(cap_fraction=1.0))
+        scheduler = make_scheduler("energy-aware", 1.0)
         jobs = [make_job("a", 4, utilization=1.0), make_job("b", 4, utilization=1.0)]
         # A tiny facility budget prevents the second start.
         context = ctx(facility_power_budget_w=2000.0, current_pue=1.0, current_it_power_w=0.0)
@@ -93,43 +86,43 @@ class TestEnergyAware:
         assert len(decisions) == 1
 
     def test_no_budget_starts_everything(self, cluster):
-        scheduler = EnergyAwareScheduler()
+        scheduler = make_scheduler("energy-aware", 0.75)
         jobs = [make_job("a", 4), make_job("b", 4)]
         assert len(scheduler.select(jobs, cluster, ctx())) == 2
 
 
 class TestCarbonAware:
     def test_defers_deferrable_jobs_in_dirty_hours(self, cluster):
-        scheduler = CarbonAwareScheduler()
+        scheduler = make_scheduler("carbon-aware")
         job = make_job("a", 2, deferrable=True, max_defer_h=24.0)
         dirty = ctx(now_h=1.0, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         assert scheduler.select([job], cluster, dirty) == []
 
     def test_starts_deferrable_jobs_in_green_hours(self, cluster):
-        scheduler = CarbonAwareScheduler()
+        scheduler = make_scheduler("carbon-aware")
         job = make_job("a", 2, deferrable=True, max_defer_h=24.0)
         green = ctx(now_h=1.0, carbon_intensity_g_per_kwh=200.0, carbon_intensity_threshold=300.0)
         assert len(scheduler.select([job], cluster, green)) == 1
 
     def test_deferral_window_expiry_forces_start(self, cluster):
-        scheduler = CarbonAwareScheduler()
+        scheduler = make_scheduler("carbon-aware")
         job = make_job("a", 2, submit=0.0, deferrable=True, max_defer_h=6.0)
         dirty_late = ctx(now_h=7.0, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         assert len(scheduler.select([job], cluster, dirty_late)) == 1
 
     def test_non_deferrable_jobs_start_immediately(self, cluster):
-        scheduler = CarbonAwareScheduler()
+        scheduler = make_scheduler("carbon-aware")
         dirty = ctx(now_h=0.0, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         assert len(scheduler.select([make_job("a", 2)], cluster, dirty)) == 1
 
     def test_dirty_hour_cap_applied(self, cluster):
-        scheduler = CarbonAwareScheduler(dirty_hour_cap_fraction=0.6)
+        scheduler = make_scheduler("backfill+carbon(cap=0.6)")
         dirty = ctx(now_h=0.0, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         decisions = scheduler.select([make_job("a", 2)], cluster, dirty)
         assert decisions[0].power_cap_fraction == pytest.approx(0.6)
 
     def test_no_dirty_cap_in_green_hours(self, cluster):
-        scheduler = CarbonAwareScheduler(dirty_hour_cap_fraction=0.6)
+        scheduler = make_scheduler("backfill+carbon(cap=0.6)")
         green = ctx(now_h=0.0, carbon_intensity_g_per_kwh=100.0, carbon_intensity_threshold=300.0)
         decisions = scheduler.select([make_job("a", 2)], cluster, green)
         assert decisions[0].power_cap_fraction is None
@@ -142,36 +135,36 @@ class TestDeadlineAware:
             make_job("soon", 4, submit=1.0, deadline_h=5.0),
             make_job("none", 4, submit=0.5),
         ]
-        decisions = DeadlineAwareScheduler().select(jobs, cluster, ctx())
+        decisions = make_scheduler("deadline-aware").select(jobs, cluster, ctx())
         assert [d.job.job_id for d in decisions][:2] == ["soon", "late"]
 
     def test_uses_slack_to_defer_in_dirty_hours(self, cluster):
-        scheduler = DeadlineAwareScheduler()
+        scheduler = make_scheduler("deadline-aware")
         job = make_job("a", 2, submit=0.0, deadline_h=100.0)  # plenty of slack
         dirty = ctx(now_h=0.0, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         assert scheduler.select([job], cluster, dirty) == []
 
     def test_starts_when_slack_exhausted(self, cluster):
-        scheduler = DeadlineAwareScheduler(slack_margin_h=1.0)
+        scheduler = make_scheduler("edf+backfill+slack(margin=1.0)")
         job = make_job("a", 2, submit=0.0, deadline_h=4.0)  # must start by hour 2
         dirty = ctx(now_h=1.5, carbon_intensity_g_per_kwh=500.0, carbon_intensity_threshold=300.0)
         assert len(scheduler.select([job], cluster, dirty)) == 1
 
 
-class TestStaticPowerCapPolicy:
-    def test_agreed_cap_takes_precedence_when_stricter(self):
-        policy = StaticPowerCapPolicy(cap_fraction=0.8)
+class TestStaticCapStage:
+    def test_agreed_cap_takes_precedence_when_stricter(self, cluster):
+        stage = StaticCapStage(cap_fraction=0.8)
         job = make_job("a", 1, power_cap_fraction=0.6)
-        assert policy.cap_for(job) == pytest.approx(0.6)
+        assert stage.apply(job, job.power_cap_fraction, cluster, ctx()) == pytest.approx(0.6)
 
-    def test_policy_cap_when_job_cap_looser(self):
-        policy = StaticPowerCapPolicy(cap_fraction=0.7)
+    def test_policy_cap_when_job_cap_looser(self, cluster):
+        stage = StaticCapStage(cap_fraction=0.7)
         job = make_job("a", 1, power_cap_fraction=0.9)
-        assert policy.cap_for(job) == pytest.approx(0.7)
+        assert stage.apply(job, job.power_cap_fraction, cluster, ctx()) == pytest.approx(0.7)
 
     def test_invalid_fraction(self):
         with pytest.raises(SchedulingError):
-            StaticPowerCapPolicy(cap_fraction=1.5)
+            StaticCapStage(cap_fraction=1.5)
 
 
 class TestAdaptivePowerCapController:
