@@ -28,7 +28,10 @@ CAMPAIGN = CampaignSpec(
 
 
 def test_bench_campaign_sweep(benchmark):
-    result = benchmark(lambda: run_campaign(CAMPAIGN))
+    # Cold rounds: each starts with no cached worker sessions.
+    result = benchmark.pedantic(
+        run_campaign, args=(CAMPAIGN,), setup=clear_worker_sessions, rounds=20
+    )
 
     print_header("Campaign — 2 experiments x (2 seeds x 2 horizons)")
     summary = result.summarize("experiment")

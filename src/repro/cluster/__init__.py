@@ -17,16 +17,18 @@ framework (Eq. 1) optimizes:
 Incremental state model
 -----------------------
 The cluster core is built around persistent, incrementally-maintained state
-rather than recomputation.  Per-GPU state (allocated mask, utilization, power
-cap) lives in NumPy arrays on :class:`~repro.cluster.resources.Cluster`;
-per-node free counters and cluster-wide occupancy totals are updated only for
-the nodes an ``allocate``/``release``/``drain`` actually touches, and the
-cluster's IT power is delta-maintained so the simulator reads it in O(1) at
-every tick and scheduling round.  :class:`~repro.cluster.resources.Node` and
+rather than recomputation.  Per-GPU state (job id, from which "allocated" is
+derived, utilization and power cap) lives in plain list rows on
+:class:`~repro.cluster.resources.Cluster`; per-node free counters and
+cluster-wide occupancy totals are updated only for the nodes an
+``allocate``/``release``/``drain`` actually touches, and the cluster's IT
+power is delta-maintained so the simulator reads it in O(1) at every tick and
+scheduling round.  :class:`~repro.cluster.resources.Node` and
 :class:`~repro.cluster.resources.GpuResource` remain available as lightweight
-views over the arrays, so scheduler policies and user code keep their
-historical object API.  ``Cluster.recompute_it_power_w`` is the vectorized
-full recompute retained as a debug/parity checkpoint (the simulator's
+views over the rows, built on the first read of ``Cluster.nodes`` (the
+simulator itself never reads them), so scheduler policies and user code keep
+their historical object API.  ``Cluster.recompute_it_power_w`` is the
+vectorized full recompute retained as a debug/parity checkpoint (the simulator's
 ``parity_check=True`` verifies the incremental value against it after every
 allocation change), and ``tests/test_cluster_state_parity.py`` pins the whole
 model — counters, power, and end-to-end ``SimulationResult`` outputs —

@@ -5,6 +5,11 @@ simulated time are broken first by an explicit priority (finishes are
 processed before submissions so freed GPUs are visible to the scheduler
 within the same instant) and then by insertion order, which keeps runs fully
 deterministic.
+
+An :class:`Event` is a named tuple whose first three fields are that sort
+key, so ``heapq`` orders events with the C tuple comparison.  Sequence
+numbers are unique within a queue, so two events never tie on the key and
+the payload (which may be unorderable) is never compared.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import SimulationError
 
@@ -33,19 +37,14 @@ class EventType(enum.IntEnum):
     TICK = 3
 
 
-@dataclass(order=True)
-class Event:
-    """One scheduled event.
-
-    Only the sort key participates in ordering; the payload is excluded so
-    arbitrary (unorderable) objects can ride along.
-    """
+class Event(NamedTuple):
+    """One scheduled event; ``(time_h, priority, sequence)`` is its sort key."""
 
     time_h: float
     priority: int
     sequence: int
-    event_type: EventType = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    event_type: EventType
+    payload: Any = None
 
 
 class EventQueue:
@@ -70,13 +69,7 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule an event at {time_h} before current time {self._now_h}"
             )
-        event = Event(
-            time_h=float(time_h),
-            priority=int(event_type),
-            sequence=next(self._counter),
-            event_type=event_type,
-            payload=payload,
-        )
+        event = Event(float(time_h), int(event_type), next(self._counter), event_type, payload)
         heapq.heappush(self._heap, event)
         return event
 

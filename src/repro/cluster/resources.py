@@ -13,10 +13,13 @@ ClusterSimulator`, which queries and mutates this pool millions of times per
 run, so the pool is built for O(1) hot-path queries instead of whole-cluster
 rescans:
 
-* **Arrays are the source of truth.**  Per-GPU state lives in NumPy arrays
-  indexed ``[node, gpu]``: an allocated mask, the utilization driven by the
-  running job, and the enforced power cap (NaN = uncapped).  Job ids are kept
-  in a parallel list-of-lists (strings don't belong in float arrays).
+* **Per-GPU state lives in list rows.**  Three parallel list-of-lists
+  indexed ``[node][gpu]`` hold the job id (``None`` = free, so "allocated"
+  is derived from it), the utilization driven by the running job, and the
+  enforced power cap (NaN = uncapped).  Plain lists, not NumPy arrays: the
+  hot path writes a handful of scalars per allocation, and a list write
+  costs a fraction of a NumPy scalar write.  Only the vectorized
+  :meth:`Cluster.recompute_it_power_w` checkpoint builds arrays from them.
 * **Counters are maintained, not recomputed.**  Per-node free-GPU counts, the
   cluster-wide free/busy totals, and the occupied/drained node counts are
   updated by the few GPUs each ``allocate``/``release`` touches, so
@@ -36,19 +39,21 @@ rescans:
   :meth:`Cluster.recompute_it_power_w` is the vectorized full recompute kept
   as a debug/parity checkpoint (and the fallback whenever per-GPU state was
   mutated directly through the view objects below).
-* **``Node`` and ``GpuResource`` are views.**  The historical object API
-  (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is preserved as
-  lightweight views over the arrays, so schedulers, tests and user code read
-  the same state without the pool paying to keep thousands of Python objects
-  coherent.  Writing through a view keeps the counters and buckets correct
-  but drops the
-  power cache to the recompute path until the cluster next drains empty.
+* **``Node`` and ``GpuResource`` are lazy views.**  The historical object
+  API (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is
+  preserved as lightweight views over the rows, built on the first read of
+  ``cluster.nodes`` (the simulator never reads it), so schedulers, tests and
+  user code read the same state without the pool paying to build or keep
+  thousands of Python objects coherent.  Writing through a view keeps the
+  counters and buckets correct but drops the power cache to the recompute
+  path until the cluster next drains empty.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -61,9 +66,17 @@ from ..telemetry.gpu_power import GpuPowerModel, GpuSpec, get_gpu_spec
 
 __all__ = ["GpuResource", "NodeState", "Node", "Allocation", "Cluster"]
 
+#: The per-GPU cap value that means "uncapped" (runs at TDP).
+_UNCAPPED = math.nan
+
+
+def _cap_value(power_limit_w: Optional[float]) -> float:
+    """The per-GPU row value for a cap in watts (``None`` -> NaN = uncapped)."""
+    return _UNCAPPED if power_limit_w is None else float(power_limit_w)
+
 
 class GpuResource:
-    """One physical GPU in the cluster — a view over the cluster's state arrays.
+    """One physical GPU in the cluster — a view over the cluster's state rows.
 
     Attributes
     ----------
@@ -76,7 +89,7 @@ class GpuResource:
     utilization:
         Current compute utilization driven by the running job.
 
-    Reads come straight from the backing arrays; writes go through the
+    Reads come straight from the backing rows; writes go through the
     cluster so the incremental counters stay consistent (direct writes also
     invalidate the delta-maintained power cache — see module docstring).
     """
@@ -100,30 +113,28 @@ class GpuResource:
     @property
     def utilization(self) -> float:
         """Current compute utilization in [0, 1]."""
-        return float(self._cluster._utilization[self.node_id, self.index])
+        return self._cluster._gpu_utilization[self.node_id][self.index]
 
     @utilization.setter
     def utilization(self, value: float) -> None:
-        self._cluster._utilization[self.node_id, self.index] = float(value)
+        self._cluster._gpu_utilization[self.node_id][self.index] = float(value)
         self._cluster._power_dirty = True
 
     @property
     def power_limit_w(self) -> Optional[float]:
         """Enforced power cap in watts (``None`` means TDP)."""
-        cap = self._cluster._power_cap_w[self.node_id, self.index]
-        return None if np.isnan(cap) else float(cap)
+        cap = self._cluster._gpu_cap_w[self.node_id][self.index]
+        return None if math.isnan(cap) else cap
 
     @power_limit_w.setter
     def power_limit_w(self, value: Optional[float]) -> None:
-        self._cluster._power_cap_w[self.node_id, self.index] = (
-            np.nan if value is None else float(value)
-        )
+        self._cluster._gpu_cap_w[self.node_id][self.index] = _cap_value(value)
         self._cluster._power_dirty = True
 
     @property
     def is_free(self) -> bool:
         """Whether the GPU is currently unallocated."""
-        return not self._cluster._allocated[self.node_id, self.index]
+        return self._cluster._job_ids[self.node_id][self.index] is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -141,7 +152,7 @@ class NodeState(enum.Enum):
 
 
 class Node:
-    """A GPU compute node — a view over the cluster's state arrays.
+    """A GPU compute node — a view over the cluster's state rows.
 
     ``state`` is derived (drained flag, else occupied → ACTIVE, else IDLE)
     instead of being refreshed by whole-cluster sweeps after every
@@ -168,8 +179,8 @@ class Node:
         cluster = self._cluster
         if cluster._drained[self.node_id]:
             return []
-        allocated_row = cluster._allocated[self.node_id]
-        return [gpu for gpu, taken in zip(self.gpus, allocated_row) if not taken]
+        job_id_row = cluster._job_ids[self.node_id]
+        return [gpu for gpu, held in zip(self.gpus, job_id_row) if held is None]
 
     @property
     def n_free_gpus(self) -> int:
@@ -177,19 +188,19 @@ class Node:
         cluster = self._cluster
         if cluster._drained[self.node_id]:
             return 0
-        return int(cluster._node_free[self.node_id])
+        return cluster._node_free[self.node_id]
 
     @property
     def n_busy_gpus(self) -> int:
         """Number of allocated GPUs on the node."""
         cluster = self._cluster
-        return cluster._gpus_per_node - int(cluster._node_free[self.node_id])
+        return cluster._gpus_per_node - cluster._node_free[self.node_id]
 
     @property
     def is_occupied(self) -> bool:
         """Whether any GPU on the node is allocated."""
         cluster = self._cluster
-        return int(cluster._node_free[self.node_id]) < cluster._gpus_per_node
+        return cluster._node_free[self.node_id] < cluster._gpus_per_node
 
     @property
     def state(self) -> NodeState:
@@ -250,16 +261,10 @@ class Cluster:
         gpus_per_node = self.facility.gpus_per_node
         self._n_nodes = n_nodes
         self._gpus_per_node = gpus_per_node
-        # Per-GPU state arrays [node, gpu] — the source of truth.
-        self._allocated = np.zeros((n_nodes, gpus_per_node), dtype=bool)
-        self._utilization = np.zeros((n_nodes, gpus_per_node), dtype=float)
-        self._power_cap_w = np.full((n_nodes, gpus_per_node), np.nan)
-        self._job_ids: list[list[Optional[str]]] = [
-            [None] * gpus_per_node for _ in range(n_nodes)
-        ]
+        self._reset_gpu_rows()
         # Incrementally maintained counters (plain ints: read per touched node).
         self._node_free: list[int] = [gpus_per_node] * n_nodes
-        self._drained = np.zeros(n_nodes, dtype=bool)
+        self._drained: list[bool] = [False] * n_nodes
         self._rebuild_buckets()
         self._free_gpus_nondrained = n_nodes * gpus_per_node
         self._busy_gpus = 0
@@ -270,7 +275,14 @@ class Cluster:
         self._job_power_w: dict[str, float] = {}
         self._power_dirty = False
         self._allocations: dict[str, Allocation] = {}
-        self.nodes: list[Node] = [Node(self, node_id) for node_id in range(n_nodes)]
+        self._nodes: Optional[list[Node]] = None
+
+    @property
+    def nodes(self) -> list[Node]:
+        """The node views, built on first access."""
+        if self._nodes is None:
+            self._nodes = [Node(self, node_id) for node_id in range(self._n_nodes)]
+        return self._nodes
 
     # ------------------------------------------------------------------
     # Capacity queries (all O(1) reads of maintained counters)
@@ -320,7 +332,7 @@ class Cluster:
 
     def busy_utilizations(self) -> np.ndarray:
         """Utilizations of the currently-busy GPUs (node-major order)."""
-        return self._utilization[self._allocated]
+        return np.array(self._gpu_utilization, dtype=float)[self._allocated_mask()]
 
     # ------------------------------------------------------------------
     # Allocation / release
@@ -377,16 +389,15 @@ class Cluster:
                 locations.append((node_id, free_indices[cursor]))
                 taken[node_id] = cursor + 1
                 free[node_id] -= 1
-        # Commit: per-GPU arrays, then the touched nodes' counters and buckets.
+        # Commit: per-GPU rows, then the touched nodes' counters and buckets.
         utilization = float(utilization)
         cap = None if power_limit_w is None else float(power_limit_w)
-        cap_value = np.nan if cap is None else cap
-        allocated, utilizations, caps = self._allocated, self._utilization, self._power_cap_w
+        cap_value = _cap_value(cap)
+        utilizations, caps = self._gpu_utilization, self._gpu_cap_w
         for node_id, index in locations:
-            allocated[node_id, index] = True
-            utilizations[node_id, index] = utilization
-            caps[node_id, index] = cap_value
             job_ids[node_id][index] = job_id
+            utilizations[node_id][index] = utilization
+            caps[node_id][index] = cap_value
         gpus_per_node = self._gpus_per_node
         newly_occupied = 0
         for node_id, take in taken.items():
@@ -408,20 +419,18 @@ class Cluster:
     def release(self, job_id: str) -> Allocation:
         """Release a job's allocation, returning it.
 
-        The allocation's own ``gpu_locations`` index the state arrays
+        The allocation's own ``gpu_locations`` index the state rows
         directly — no cluster-wide GPU index is rebuilt.
         """
         allocation = self._allocations.pop(job_id, None)
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
-        allocated, utilizations, caps = self._allocated, self._utilization, self._power_cap_w
-        job_ids = self._job_ids
+        job_ids, utilizations, caps = self._job_ids, self._gpu_utilization, self._gpu_cap_w
         freed: dict[int, int] = {}  # node id -> GPUs returned to it
         for node_id, index in allocation.gpu_locations:
-            allocated[node_id, index] = False
-            utilizations[node_id, index] = 0.0
-            caps[node_id, index] = np.nan
             job_ids[node_id][index] = None
+            utilizations[node_id][index] = 0.0
+            caps[node_id][index] = _UNCAPPED
             freed[node_id] = freed.get(node_id, 0) + 1
         gpus_per_node = self._gpus_per_node
         node_free = self._node_free
@@ -453,13 +462,14 @@ class Cluster:
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
         cap = None if power_limit_w is None else float(power_limit_w)
-        cap_value = np.nan if cap is None else cap
+        cap_value = _cap_value(cap)
+        caps = self._gpu_cap_w
         for node_id, index in allocation.gpu_locations:
-            self._power_cap_w[node_id, index] = cap_value
+            caps[node_id][index] = cap_value
         # A job's GPUs share one utilization by construction, so its power
         # contribution is a single scalar delta.
         first_node, first_index = allocation.gpu_locations[0]
-        utilization = float(self._utilization[first_node, first_index])
+        utilization = self._gpu_utilization[first_node][first_index]
         new_power = self.gpu_power_model.power_w_scalar(utilization, cap)
         old_power = self._job_power_w.get(job_id, 0.0)
         self._job_power_w[job_id] = new_power
@@ -479,19 +489,23 @@ class Cluster:
         idle = self._buckets[gpus_per_node]
         chosen = idle[:n_nodes]
         del idle[:n_nodes]
-        self._drained[chosen] = True
+        drained = self._drained
+        for node_id in chosen:
+            drained[node_id] = True
         self._n_drained += len(chosen)
         self._free_gpus_nondrained -= gpus_per_node * len(chosen)
         return len(chosen)
 
     def undrain_all(self) -> None:
         """Return every drained node to service."""
-        drained_ids = np.flatnonzero(self._drained)
-        for node_id in drained_ids.tolist():
+        if not self._n_drained:
+            return
+        drained = self._drained
+        for node_id in self._drained_ids():
+            drained[node_id] = False
             free = self._node_free[node_id]
             self._free_gpus_nondrained += free
             insort(self._buckets[free], node_id)
-        self._drained[drained_ids] = False
         self._n_drained = 0
 
     # ------------------------------------------------------------------
@@ -518,15 +532,16 @@ class Cluster:
         )
 
     def recompute_it_power_w(self) -> float:
-        """Vectorized full recompute of IT power from the state arrays.
+        """Vectorized full recompute of IT power from the per-GPU rows.
 
         The debug/parity checkpoint for the delta-maintained value returned
-        by :meth:`it_power_w`: one pass over the arrays, independent of the
-        incremental counters.
+        by :meth:`it_power_w`: builds ``[node, gpu]`` arrays from the rows
+        and makes one pass over them, independent of the incremental
+        counters.
         """
         facility = self.facility
-        live = ~self._drained
-        allocated = self._allocated[live]
+        live = ~np.array(self._drained, dtype=bool)
+        allocated = self._allocated_mask()[live]
         n_busy = int(np.count_nonzero(allocated))
         power = (
             facility.node_idle_power_w * int(np.count_nonzero(live))
@@ -534,8 +549,8 @@ class Cluster:
             + self.gpu_spec.idle_power_w * (allocated.size - n_busy)
         )
         if n_busy:
-            utils = self._utilization[live][allocated]
-            caps = self._power_cap_w[live][allocated]
+            utils = np.array(self._gpu_utilization, dtype=float)[live][allocated]
+            caps = np.array(self._gpu_cap_w, dtype=float)[live][allocated]
             caps = np.where(np.isnan(caps), self.gpu_spec.tdp_w, caps)
             power += float(np.sum(self.gpu_power_model.power_w(utils, caps)))
         return float(power)
@@ -570,13 +585,13 @@ class Cluster:
         allocations = []
         for job_id, allocation in self._allocations.items():
             first_node, first_index = allocation.gpu_locations[0]
-            cap = self._power_cap_w[first_node, first_index]
+            cap = self._gpu_cap_w[first_node][first_index]
             allocations.append(
                 {
                     "job_id": job_id,
                     "locations": [list(loc) for loc in allocation.gpu_locations],
-                    "utilization": float(self._utilization[first_node, first_index]),
-                    "power_limit_w": None if np.isnan(cap) else float(cap),
+                    "utilization": self._gpu_utilization[first_node][first_index],
+                    "power_limit_w": None if math.isnan(cap) else cap,
                     "per_gpu_power_w": self._job_power_w[job_id],
                 }
             )
@@ -584,7 +599,7 @@ class Cluster:
             "n_nodes": self._n_nodes,
             "gpus_per_node": self._gpus_per_node,
             "gpu_model": self.gpu_spec.name,
-            "drained": [int(node_id) for node_id in np.flatnonzero(self._drained)],
+            "drained": self._drained_ids(),
             "allocations": allocations,
             "busy_power_w": self._busy_power_w,
         }
@@ -609,34 +624,31 @@ class Cluster:
                 f"cluster has {self.gpu_spec.name!r}"
             )
         n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
-        self._allocated[:] = False
-        self._utilization[:] = 0.0
-        self._power_cap_w[:] = np.nan
-        self._job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]
+        self._reset_gpu_rows()
+        job_ids, utilizations, caps = self._job_ids, self._gpu_utilization, self._gpu_cap_w
         self._node_free = node_free = [gpus_per_node] * n_nodes
-        self._drained[:] = False
-        self._drained[[int(i) for i in state["drained"]]] = True
+        self._drained = [False] * n_nodes
+        for node_id in state["drained"]:
+            self._drained[int(node_id)] = True
         self._allocations = {}
         self._job_power_w = {}
         self._power_dirty = False
         for entry in state["allocations"]:
             job_id = entry["job_id"]
             locations = tuple((int(n), int(i)) for n, i in entry["locations"])
-            cap = entry["power_limit_w"]
-            cap_value = np.nan if cap is None else float(cap)
+            cap_value = _cap_value(entry["power_limit_w"])
             utilization = float(entry["utilization"])
             for node_id, index in locations:
-                self._allocated[node_id, index] = True
-                self._utilization[node_id, index] = utilization
-                self._power_cap_w[node_id, index] = cap_value
-                self._job_ids[node_id][index] = job_id
+                job_ids[node_id][index] = job_id
+                utilizations[node_id][index] = utilization
+                caps[node_id][index] = cap_value
                 node_free[node_id] -= 1
             self._allocations[job_id] = Allocation(job_id=job_id, gpu_locations=locations)
             self._job_power_w[job_id] = float(entry["per_gpu_power_w"])
         # Derived counters and buckets, then the accumulated power total verbatim.
-        self._busy_gpus = int(np.count_nonzero(self._allocated))
+        self._busy_gpus = n_nodes * gpus_per_node - sum(node_free)
         self._n_occupied = sum(1 for free in node_free if free < gpus_per_node)
-        self._n_drained = int(np.count_nonzero(self._drained))
+        self._n_drained = sum(self._drained)
         self._rebuild_buckets()
         self._free_gpus_nondrained = sum(
             free * len(bucket) for free, bucket in enumerate(self._buckets)
@@ -653,14 +665,13 @@ class Cluster:
         Keeps the occupancy counters exact; the power cache is marked dirty
         because out-of-band assignments carry no power bookkeeping.
         """
-        was_allocated = bool(self._allocated[node_id, index])
+        was_allocated = self._job_ids[node_id][index] is not None
         now_allocated = job_id is not None
         self._job_ids[node_id][index] = job_id
         self._power_dirty = True
         if was_allocated == now_allocated:
             return
         gpus_per_node = self._gpus_per_node
-        self._allocated[node_id, index] = now_allocated
         free_before = self._node_free[node_id]
         if now_allocated:
             if free_before == gpus_per_node:
@@ -677,8 +688,23 @@ class Cluster:
             self._rebucket(node_id, free_before, free_after)
 
     # ------------------------------------------------------------------
-    # Free-count buckets
+    # Per-GPU rows, drain flags and free-count buckets
     # ------------------------------------------------------------------
+    def _reset_gpu_rows(self) -> None:
+        """Every GPU free: no job id, zero utilization, uncapped."""
+        n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
+        self._job_ids: list[list[Optional[str]]] = [[None] * gpus_per_node for _ in range(n_nodes)]
+        self._gpu_utilization: list[list[float]] = [[0.0] * gpus_per_node for _ in range(n_nodes)]
+        self._gpu_cap_w: list[list[float]] = [[_UNCAPPED] * gpus_per_node for _ in range(n_nodes)]
+
+    def _allocated_mask(self) -> np.ndarray:
+        """``[node, gpu]`` mask of the GPUs that hold a job."""
+        return np.array([[job_id is not None for job_id in row] for row in self._job_ids])
+
+    def _drained_ids(self) -> list[int]:
+        """Ids of the drained nodes, ascending."""
+        return [node_id for node_id, drained in enumerate(self._drained) if drained]
+
     def _rebucket(self, node_id: int, free_before: int, free_after: int) -> None:
         """Move a non-drained node between free-count buckets."""
         bucket = self._buckets[free_before]
@@ -688,12 +714,12 @@ class Cluster:
     def _rebuild_buckets(self) -> None:
         """Rebuild every bucket from the per-node counters and drain flags."""
         self._buckets: list[list[int]] = [[] for _ in range(self._gpus_per_node + 1)]
-        for node_id, (free, drained) in enumerate(zip(self._node_free, self._drained.tolist())):
+        for node_id, (free, drained) in enumerate(zip(self._node_free, self._drained)):
             if not drained:
                 self._buckets[free].append(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Cluster(nodes={len(self.nodes)}, gpus={self.total_gpus}, "
+            f"Cluster(nodes={self._n_nodes}, gpus={self.total_gpus}, "
             f"busy={self.n_busy_gpus}, drained_nodes={self.n_drained_nodes})"
         )

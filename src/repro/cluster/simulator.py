@@ -17,12 +17,16 @@ Design notes
 * IT power is delta-maintained by the cluster itself: each allocate/release/
   re-cap adjusts the running total by the affected job's own GPUs, so reading
   it at a tick or scheduling round is O(1).  ``parity_check=True`` re-derives
-  the value from the state arrays (the vectorized debug checkpoint) after
+  the value from the per-GPU state (the vectorized debug checkpoint) after
   every allocation change and raises on divergence.
 * The hourly PUE curve is evaluated once, vectorized over the whole weather
-  trace, at construction; per-round context lookups and the tick-series PUE
-  are O(1) indexing into it rather than per-tick scalar ``np.asarray``
-  round-trips.
+  trace, at construction, and the tick-series PUE indexes into it.  The
+  scheduling context is precomputed too: one ``(carbon, price, renewable,
+  temperature, pue)`` row of Python floats per hour, so a round's context
+  costs one index computation and one tuple unpack instead of NumPy scalar
+  lookups.
+* Events are plain named tuples compared by ``heapq`` in C; the loop reads
+  the next event's time once per event and once per instant.
 * Scheduling happens after every batch of simultaneous events, so a finish
   and the start of the next job can occur at the same simulated instant.
   Started jobs are removed from the pending queue once per round (by id),
@@ -83,6 +87,10 @@ __all__ = [
 #: the layout produced by :meth:`ClusterSimulator.snapshot`; restore refuses
 #: payloads from a different version instead of mis-reading them.
 SNAPSHOT_VERSION = 1
+
+_JOB_FINISH = EventType.JOB_FINISH
+_JOB_SUBMIT = EventType.JOB_SUBMIT
+_TICK = EventType.TICK
 
 
 @dataclass(frozen=True)
@@ -464,6 +472,7 @@ class ClusterSimulator:
             self._price_hourly = None
             self._carbon_threshold = None
             self._renewable_hourly = None
+        self._hourly_context = self._build_hourly_context()
 
         # Runtime state
         self._events = EventQueue()
@@ -478,6 +487,31 @@ class ClusterSimulator:
         self._tick_times: list[float] = []
         self._tick_it_power: list[float] = []
         self._power_summary: Optional[SitePowerSummary] = None
+
+    def _build_hourly_context(self) -> list[tuple]:
+        """One ``(carbon, price, renewable, temperature, pue)`` row per hour.
+
+        Rows cover hours ``0..int(horizon_h)``, the range a clamped
+        scheduling time can index.  Values are Python floats (``.tolist()``
+        gives the same value as ``float(series[hour])``), or ``None`` / a PUE
+        of 1.0 when the substrate is absent.
+        """
+        n_rows = int(self.config.horizon_h) + 1
+
+        def column(series: Optional[np.ndarray], missing: Optional[float]) -> list:
+            if series is None:
+                return [missing] * n_rows
+            return np.asarray(series[:n_rows], dtype=float).tolist()
+
+        return list(
+            zip(
+                column(self._carbon_hourly, None),
+                column(self._price_hourly, None),
+                column(self._renewable_hourly, None),
+                column(self.weather_hourly_c, None),
+                column(self._pue_hourly, 1.0),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Observers
@@ -576,7 +610,7 @@ class ClusterSimulator:
         Observers that change allocation power caps must call this so the
         cached total reflects the change.  With ``parity_check`` enabled, the
         value is verified against the vectorized full recompute from the
-        state arrays.
+        per-GPU state.
         """
         power = self.cluster.it_power_w()
         if self.parity_check:
@@ -588,43 +622,22 @@ class ClusterSimulator:
                 )
         self._current_it_power_w = power
 
-    # Backwards-compatible private alias (pre-hook name).
-    _refresh_it_power = refresh_it_power
-
     # ------------------------------------------------------------------
     # Context
     # ------------------------------------------------------------------
-    def _hour_index(self, now_h: float) -> int:
-        return int(min(max(now_h, 0.0), self.config.horizon_h))
-
-    def _outdoor_temperature(self, now_h: float) -> Optional[float]:
-        if self.weather_hourly_c is None:
-            return None
-        return float(self.weather_hourly_c[self._hour_index(now_h)])
-
-    def _pue_at(self, now_h: float) -> float:
-        if self._pue_hourly is None:
-            return 1.0
-        return float(self._pue_hourly[self._hour_index(now_h)])
-
     def _context(self, now_h: float) -> SchedulingContext:
-        index = self._hour_index(now_h)
+        hour = int(min(max(now_h, 0.0), self.config.horizon_h))
+        carbon, price, renewable, temperature, pue = self._hourly_context[hour]
         return SchedulingContext(
             now_h=now_h,
-            carbon_intensity_g_per_kwh=(
-                float(self._carbon_hourly[index]) if self._carbon_hourly is not None else None
-            ),
+            carbon_intensity_g_per_kwh=carbon,
             carbon_intensity_threshold=self._carbon_threshold,
-            price_per_mwh=(
-                float(self._price_hourly[index]) if self._price_hourly is not None else None
-            ),
-            renewable_share=(
-                float(self._renewable_hourly[index]) if self._renewable_hourly is not None else None
-            ),
-            outdoor_temperature_c=self._outdoor_temperature(now_h),
+            price_per_mwh=price,
+            renewable_share=renewable,
+            outdoor_temperature_c=temperature,
             facility_power_budget_w=self.config.facility_power_budget_w,
             current_it_power_w=self._current_it_power_w,
-            current_pue=self._pue_at(now_h),
+            current_pue=pue,
         )
 
     # ------------------------------------------------------------------
@@ -757,25 +770,27 @@ class ClusterSimulator:
 
     def _drain(self, limit_h: float) -> None:
         """The event loop: drain instants with time <= ``limit_h``."""
-        config = self.config
-        while not self._events.is_empty():
-            now_h = self._events.peek_time()
-            if now_h is None or now_h > limit_h:
-                break
-            # Drain all events at this instant (finishes first, then submits, then ticks).
+        events = self._events
+        now_h = events.peek_time()
+        while now_h is not None and now_h <= limit_h:
+            # Drain all events at this instant (finishes first, then submits,
+            # then ticks), reading the next event's time once per event.
             allocations_changed = False
             tick_here = False
-            while (not self._events.is_empty()) and abs(self._events.peek_time() - now_h) < 1e-9:
-                event = self._events.pop()
-                if event.event_type is EventType.JOB_FINISH:
-                    self._finish_job(event.payload, now_h)
+            while True:
+                _, _, _, event_type, payload = events.pop()
+                if event_type is _JOB_FINISH:
+                    self._finish_job(payload, now_h)
                     allocations_changed = True
-                elif event.event_type is EventType.JOB_SUBMIT:
-                    self._pending.append(event.payload)
-                elif event.event_type is EventType.TICK:
+                elif event_type is _JOB_SUBMIT:
+                    self._pending.append(payload)
+                elif event_type is _TICK:
                     tick_here = True
+                next_h = events.peek_time()
+                if next_h is None or abs(next_h - now_h) >= 1e-9:
+                    break
             if allocations_changed:
-                self._refresh_it_power()
+                self.refresh_it_power()
 
             # Scheduling round.
             if self._pending and self.cluster.n_free_gpus > 0:
@@ -793,7 +808,7 @@ class ClusterSimulator:
                 if decisions:
                     # One pass over the queue per round (not per started job).
                     self._pending = [j for j in self._pending if j.job_id not in started_ids]
-                    self._refresh_it_power()
+                    self.refresh_it_power()
                 for hook in self._round_hooks:
                     hook(self, now_h, context, decisions)
 
@@ -804,6 +819,8 @@ class ClusterSimulator:
                 # up from the next tick on.
                 for hook in self._tick_hooks:
                     hook(self, now_h, self._current_it_power_w)
+            # The round and the hooks may have pushed events, so re-read.
+            now_h = events.peek_time()
 
     def finalize(self) -> SimulationResult:
         """Drain to the horizon, cut off still-running jobs, build the result."""
@@ -820,7 +837,7 @@ class ClusterSimulator:
         # do not count as completed work.
         for job_id in list(self._running):
             self._finish_job(job_id, config.horizon_h, completed=False)
-        self._refresh_it_power()
+        self.refresh_it_power()
         if self._metrics_observer is not None:
             self._metrics_observer.publish()
 

@@ -6,12 +6,13 @@ Three layers of evidence that the delta-maintained state model is exact:
    :class:`~repro.telemetry.gpu_power.GpuPowerModel` are bit-equal to the
    array API they mirror.
 2. **Randomized state parity** — random allocate/release/drain/undrain/re-cap
-   sequences keep every incremental counter equal to a brute-force recount
-   over the GPU views, keep the O(1) IT power equal (to float tolerance)
-   to both the vectorized recompute checkpoint and a pure-Python reference
-   that reproduces the pre-refactor whole-cluster scan arithmetic, and place
-   every allocation on exactly the GPUs the whole-cluster-scan placement rule
-   picks.
+   and view-write sequences keep every incremental counter equal to a
+   brute-force recount over the GPU views, keep the O(1) IT power equal (to
+   float tolerance) to both the vectorized recompute checkpoint and a
+   pure-Python reference that reproduces the pre-refactor whole-cluster scan
+   arithmetic, keep every view read equal to an in-test reference model,
+   and place every allocation on exactly the GPUs the whole-cluster-scan
+   placement rule picks.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
    implementation) under all five scheduling policies, with the power series
@@ -171,15 +172,72 @@ def scan_placement(cluster: Cluster, n_gpus: int, pack: bool) -> tuple:
     return tuple(locations)
 
 
+class ReferencePool:
+    """An in-test model of the per-GPU state every view read must match.
+
+    It is updated from the operations the test performs, never from the
+    cluster's own state, so a view that reads stale or wrong rows fails.
+    """
+
+    def __init__(self, n_nodes: int, gpus_per_node: int) -> None:
+        self.n_nodes, self.gpus_per_node = n_nodes, gpus_per_node
+        locations = [(n, i) for n in range(n_nodes) for i in range(gpus_per_node)]
+        self.job = dict.fromkeys(locations)
+        self.utilization = dict.fromkeys(locations, 0.0)
+        self.cap = dict.fromkeys(locations)
+        self.drained: set[int] = set()
+
+    def hold(self, location, job_id, utilization, cap) -> None:
+        self.job[location], self.utilization[location], self.cap[location] = job_id, utilization, cap
+
+    def free_indices(self, node_id: int) -> list[int]:
+        return [i for i in range(self.gpus_per_node) if self.job[(node_id, i)] is None]
+
+    def drain(self, n_nodes: int) -> int:
+        idle = [
+            node_id
+            for node_id in range(self.n_nodes)
+            if node_id not in self.drained and len(self.free_indices(node_id)) == self.gpus_per_node
+        ]
+        self.drained.update(idle[:n_nodes])
+        return len(idle[:n_nodes])
+
+    def assert_views_match(self, cluster: Cluster) -> None:
+        for node in cluster.nodes:
+            for gpu in node.gpus:
+                location = (node.node_id, gpu.index)
+                assert gpu.allocated_job_id == self.job[location], location
+                assert gpu.is_free is (self.job[location] is None), location
+                assert gpu.utilization == self.utilization[location], location
+                assert gpu.power_limit_w == self.cap[location], location
+            expected_free = [] if node.node_id in self.drained else self.free_indices(node.node_id)
+            assert [gpu.index for gpu in node.free_gpus] == expected_free, node.node_id
+            assert node.n_free_gpus == len(expected_free), node.node_id
+
+
 @pytest.mark.parametrize("seed", [0, 7, 20220527])
 def test_randomized_sequences_keep_state_exact(seed):
+    """Random allocate/release/re-cap/drain/undrain/view-write sequences.
+
+    After every step the O(1) IT power equals the vectorized recompute and
+    every view read equals the in-test reference.  A twin cluster mirrors
+    the first half of the operations without any view read, so its first
+    ``cluster.nodes`` read comes after many allocations and must show the
+    current state.
+    """
     rng = np.random.default_rng(seed)
-    cluster = Cluster(FacilityConfig(n_nodes=6, gpus_per_node=4), gpu_model="V100")
+    facility = FacilityConfig(n_nodes=6, gpus_per_node=4)
+    cluster = Cluster(facility, gpu_model="V100")
+    twin = Cluster(facility, gpu_model="V100")
+    reference = ReferencePool(facility.n_nodes, facility.gpus_per_node)
     live: list[str] = []
+    rogue: list[tuple[int, int]] = []  # GPUs given a job id through a view
     next_id = 0
-    for step in range(300):
+    n_steps, twin_steps = 300, 150
+    for step in range(n_steps):
+        mirrored = [cluster, twin] if step < twin_steps else [cluster]
         op = rng.random()
-        if op < 0.45 and cluster.n_free_gpus > 0:
+        if op < 0.40 and cluster.n_free_gpus > 0:
             n_gpus = int(rng.integers(1, cluster.n_free_gpus + 1))
             job_id = f"job-{next_id}"
             next_id += 1
@@ -187,25 +245,71 @@ def test_randomized_sequences_keep_state_exact(seed):
             utilization = float(rng.uniform(0.05, 1.0))
             pack = bool(rng.random() < 0.5)
             expected = scan_placement(cluster, n_gpus, pack)
-            allocation = cluster.allocate(
-                job_id, n_gpus, utilization=utilization, power_limit_w=cap, pack=pack
-            )
-            assert allocation.gpu_locations == expected
+            for pool in mirrored:
+                allocation = pool.allocate(
+                    job_id, n_gpus, utilization=utilization, power_limit_w=cap, pack=pack
+                )
+                assert allocation.gpu_locations == expected
+            for location in expected:
+                reference.hold(location, job_id, utilization, cap)
             live.append(job_id)
-        elif op < 0.70 and live:
+        elif op < 0.60 and live:
             job_id = live.pop(int(rng.integers(len(live))))
-            cluster.release(job_id)
-        elif op < 0.85 and live:
+            for pool in mirrored:
+                allocation = pool.release(job_id)
+            for location in allocation.gpu_locations:
+                reference.hold(location, None, 0.0, None)
+        elif op < 0.72 and live:
             job_id = live[int(rng.integers(len(live)))]
             cap = None if rng.random() < 0.3 else float(rng.uniform(80.0, 300.0))
-            cluster.set_power_limit(job_id, cap)
-        elif op < 0.95:
-            cluster.drain_nodes(int(rng.integers(0, 4)))
-        else:
-            cluster.undrain_all()
-        if step % 10 == 0 or step > 280:
+            for pool in mirrored:
+                pool.set_power_limit(job_id, cap)
+            for location in cluster.allocations[job_id].gpu_locations:
+                reference.cap[location] = cap
+        elif op < 0.82:
+            n_nodes = int(rng.integers(0, 4))
+            expected_drained = reference.drain(n_nodes)
+            for pool in mirrored:
+                assert pool.drain_nodes(n_nodes) == expected_drained
+        elif op < 0.86:
+            for pool in mirrored:
+                pool.undrain_all()
+            reference.drained.clear()
+        elif op < 0.96 and step >= twin_steps:
+            # Out-of-band writes through a GPU view (the dirty-power path).
+            node_id = int(rng.integers(facility.n_nodes))
+            index = int(rng.integers(facility.gpus_per_node))
+            location = (node_id, index)
+            gpu = cluster.nodes[node_id].gpus[index]
+            kind = rng.random()
+            if kind < 0.35:
+                value = float(rng.uniform(0.0, 1.0))
+                gpu.utilization = value
+                reference.utilization[location] = value
+            elif kind < 0.70:
+                value = None if rng.random() < 0.3 else float(rng.uniform(80.0, 300.0))
+                gpu.power_limit_w = value
+                reference.cap[location] = value
+            elif reference.job[location] is None:
+                gpu.allocated_job_id = f"rogue-{step}"
+                reference.job[location] = f"rogue-{step}"
+                rogue.append(location)
+            elif location in rogue:
+                gpu.allocated_job_id = None
+                reference.job[location] = None
+                rogue.remove(location)
+        np.testing.assert_allclose(
+            cluster.recompute_it_power_w(), cluster.it_power_w(), rtol=1e-9, atol=1e-6
+        )
+        if step == twin_steps - 1:
+            # The twin's views are built only now, after its allocations.
+            reference.assert_views_match(twin)
+        reference.assert_views_match(cluster)
+        if step % 10 == 0 or step > n_steps - 20:
             assert_state_parity(cluster)
     # Drain the cluster empty: the busy-power accumulator must return to 0.
+    for location in rogue:
+        cluster.nodes[location[0]].gpus[location[1]].allocated_job_id = None
     for job_id in live:
         cluster.release(job_id)
     cluster.undrain_all()

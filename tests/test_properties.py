@@ -149,3 +149,32 @@ class TestEventQueueProperties:
             queue.push(t, EventType.TICK)
         popped = [queue.pop().time_h for _ in range(len(times))]
         assert popped == sorted(popped)
+
+    @given(
+        st.lists(
+            st.tuples(
+                # A few repeated instants force ties on time (and on priority).
+                st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 100.0)),
+                st.sampled_from(list(EventType)),
+                # Dicts do not support ``<``: ordering must never reach the payload.
+                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pop_order_is_sort_key_and_survives_restore(self, pushes):
+        queue = EventQueue()
+        for time_h, event_type, payload in pushes:
+            queue.push(time_h, event_type, payload)
+        restored = EventQueue()
+        restored.restore(queue.pending_events(), queue.now_h, queue.next_sequence)
+        popped = [queue.pop() for _ in pushes]
+        keys = [(event.time_h, event.priority, event.sequence) for event in popped]
+        assert keys == sorted(keys)
+        assert [event.priority for event in popped] == [int(e.event_type) for e in popped]
+        # Same-key ties are impossible: sequences are unique.
+        assert len({event.sequence for event in popped}) == len(popped)
+        assert [restored.pop() for _ in pushes] == popped
+        assert queue.is_empty() and restored.is_empty()
