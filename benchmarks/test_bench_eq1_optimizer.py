@@ -11,17 +11,18 @@ illustrate the paper's "perverse effects" warning.
 
 from benchmarks._report import print_header, print_rows
 from repro.climate.weather import WeatherModel
-from repro.cluster.cooling import CoolingModel
 from repro.cluster.simulator import SimulationConfig
 from repro.config import FacilityConfig
-from repro.core.levers import OperatingPoint
+from repro.core.levers import OperatingPoint, Substrates
 from repro.core.objective import ActivityConstraint, ActivityKind, EnergyObjective, ObjectiveKind
 from repro.core.optimizer import DatacenterOptimizer
+from repro.experiments import ScenarioSpec
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.timeutils import SimulationCalendar
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
 FACILITY = FacilityConfig(n_nodes=24, gpus_per_node=2)
+SPEC = ScenarioSpec(facility=FACILITY)
 HORIZON_H = 7 * 24.0
 
 POINTS = [
@@ -40,26 +41,23 @@ def _build_problem():
     grid = IsoNeLikeGrid(calendar, seed=0)
     generator = SuperCloudTraceGenerator(SuperCloudTraceConfig(facility=FACILITY), seed=5)
     jobs = generator.generate_jobs(n_jobs=180, horizon_h=5 * 24.0)
+    substrates = Substrates(weather, grid)
 
     baseline_optimizer = DatacenterOptimizer(
-        FACILITY,
+        SPEC,
+        substrates,
         EnergyObjective(ObjectiveKind.FACILITY_ENERGY_KWH),
         ActivityConstraint(ActivityKind.DELIVERED_GPU_HOURS, alpha=0.0),
         simulation_config=SimulationConfig(horizon_h=HORIZON_H),
-        weather_hourly_c=weather,
-        cooling=CoolingModel(),
-        grid=grid,
     )
     baseline = baseline_optimizer.evaluate_point(OperatingPoint(policy_name="backfill"), jobs)
     alpha = 0.9 * baseline.result.delivered_gpu_hours
     optimizer = DatacenterOptimizer(
-        FACILITY,
+        SPEC,
+        substrates,
         EnergyObjective(ObjectiveKind.FACILITY_ENERGY_KWH),
         ActivityConstraint(ActivityKind.DELIVERED_GPU_HOURS, alpha=alpha),
         simulation_config=SimulationConfig(horizon_h=HORIZON_H),
-        weather_hourly_c=weather,
-        cooling=CoolingModel(),
-        grid=grid,
     )
     return optimizer, jobs, alpha
 

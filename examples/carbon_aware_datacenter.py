@@ -16,13 +16,23 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ExperimentConfig, GreenDatacenterModel
-from repro.core.policies import LoadShiftingPolicy
+from repro import ExperimentSession
+from repro.analysis.figures import (
+    SuperCloudScenario,
+    fig2_power_vs_green_share,
+    fig3_price_vs_green_share,
+    fig4_power_vs_temperature,
+    fig5_energy_vs_deadlines,
+)
+from repro.core.opportunity_cost import opportunity_cost_of_profile
+from repro.core.policies import LoadShiftingPolicy, evaluate_load_shifting
 
 
-def print_monthly_table(model: GreenDatacenterModel) -> None:
-    figures = model.monthly_figures()
-    fig2, fig3, fig4, fig5 = figures["fig2"], figures["fig3"], figures["fig4"], figures["fig5"]
+def print_monthly_table(scenario: SuperCloudScenario) -> None:
+    fig2 = fig2_power_vs_green_share(scenario)
+    fig3 = fig3_price_vs_green_share(scenario)
+    fig4 = fig4_power_vs_temperature(scenario)
+    fig5 = fig5_energy_vs_deadlines(scenario)
     print(f"{'month':>9} {'power kW':>9} {'green %':>8} {'LMP $/MWh':>10} {'temp F':>7} "
           f"{'energy MWh':>11} {'deadlines':>9}")
     for i, label in enumerate(fig2.month_labels):
@@ -45,11 +55,12 @@ def main() -> None:
     print("=" * 72)
     print("A Green(er) SuperCloud: monthly picture and demand-side levers")
     print("=" * 72)
-    model = GreenDatacenterModel(experiment=ExperimentConfig(seed=0, n_months=24))
+    session = ExperimentSession(seed=0, n_months=24)
 
-    print_monthly_table(model)
+    print_monthly_table(session.scenario())
 
-    report = model.opportunity_cost(deferrable_fraction=0.3, window_h=24)
+    load_kwh = session.hourly_facility_load_kwh()
+    report = opportunity_cost_of_profile(load_kwh, session.grid, deferrable_fraction=0.3, window_h=24)
     print("Opportunity cost of buying-when-consuming (30% deferrable, 24 h windows):")
     print(f"  avoidable emissions : {report.environmental_opportunity_cost_kg / 1e3:8.1f} t CO2e "
           f"({100 * report.environmental_opportunity_fraction:.1f}% of actual)")
@@ -57,18 +68,22 @@ def main() -> None:
           f"({100 * report.financial_opportunity_fraction:.1f}% of actual)")
     print()
 
-    outcome = model.load_shifting(LoadShiftingPolicy(deferrable_fraction=0.3, window_h=24, signal="carbon"))
+    outcome = evaluate_load_shifting(
+        facility_load_kwh=load_kwh,
+        grid=session.grid,
+        policy=LoadShiftingPolicy(deferrable_fraction=0.3, window_h=24, signal="carbon"),
+    )
     print("Carbon-aware load shifting (same flexibility):")
     print(f"  emissions saved     : {100 * outcome.emissions_savings_fraction:.1f}%")
     print(f"  peak power change   : {100 * outcome.peak_power_change_fraction:+.1f}%")
     print()
 
     print("Deadline-calendar options (Section III), identical substrates:")
-    for name, option in model.deadline_options().items():
-        print(f"  {name:>8}: energy {option.total_energy_mwh:7.0f} MWh, "
-              f"emissions {option.total_emissions_t:7.0f} t, "
-              f"peak month {option.peak_monthly_power_kw:5.0f} kW, "
-              f"summer share {option.summer_energy_share:.2f}")
+    for row in session.run("deadlines").rows:
+        print(f"  {row['option']:>8}: energy {row['energy_mwh']:7.0f} MWh, "
+              f"emissions {row['emissions_t']:7.0f} t, "
+              f"peak month {row['peak_monthly_power_kw']:5.0f} kW, "
+              f"summer share {row['summer_energy_share']:.2f}")
 
 
 if __name__ == "__main__":

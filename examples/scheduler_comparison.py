@@ -4,8 +4,12 @@
 Builds a 48-node cluster, generates a one-week SuperCloud-like job trace, and
 runs it under FIFO, backfill, energy-aware, carbon-aware and deadline-aware
 policies with identical weather and grid conditions — the Eq. 1 levers ``p``
-and ``c`` in action.  Then runs the Eq. 1 grid search to pick the best
-operating point subject to a 90% activity floor.
+and ``c`` in action.  Then runs the Eq. 1 grid search on the same cluster to
+pick the best operating point subject to a 90% activity floor.
+
+Both halves share one :class:`~repro.experiments.ExperimentSession`: the
+policy runs build their simulators with ``build_simulator``, the factory the
+session's Eq. 1 search uses too.
 
 Run with::
 
@@ -14,38 +18,34 @@ Run with::
 
 from __future__ import annotations
 
-from repro.climate.weather import WeatherModel
-from repro.cluster.cooling import CoolingModel
-from repro.cluster.resources import Cluster
-from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.cluster.simulator import SimulationConfig
 from repro.config import FacilityConfig
-from repro.core.framework import GreenDatacenterModel
-from repro.core.levers import OperatingPoint, make_scheduler
-from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.timeutils import SimulationCalendar
-from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
+from repro.core.levers import OperatingPoint, build_simulator
+from repro.experiments import ExperimentSession, ScenarioSpec
+from repro.workloads.supercloud import SuperCloudTraceGenerator
 
 FACILITY = FacilityConfig(n_nodes=48, gpus_per_node=2)
+SPEC = ScenarioSpec(name="scheduler-comparison", n_months=2, facility=FACILITY)
+HORIZON_H = 7 * 24.0
 
 
 def main() -> None:
-    calendar = SimulationCalendar(2020, 2)
-    weather = WeatherModel(seed=0).hourly_temperature_c(calendar)
-    grid = IsoNeLikeGrid(calendar, seed=0)
-    generator = SuperCloudTraceGenerator(SuperCloudTraceConfig(facility=FACILITY), seed=21)
+    session = ExperimentSession(SPEC)
+    generator = SuperCloudTraceGenerator(SPEC.trace_config(), seed=21)
     jobs = generator.generate_jobs(n_jobs=400, horizon_h=5 * 24.0, deferrable_fraction=0.5)
 
     print("=" * 90)
-    print("One-week trace (400 jobs) on a 96-GPU cluster under five scheduling policies")
+    print(f"One-week trace ({len(jobs)} jobs) on a {FACILITY.n_nodes}-node, "
+          f"{FACILITY.total_gpus}-GPU cluster under five scheduling policies")
     print("=" * 90)
     header = (f"{'policy':>15} {'energy kWh':>11} {'CO2e kg':>9} {'cost $':>8} "
               f"{'kWh/GPU-h':>10} {'done':>5} {'wait h':>7} {'p95 wait':>9}")
     print(header)
     for policy, cap in (("fifo", None), ("backfill", None), ("energy-aware", 0.75),
                         ("carbon-aware", None), ("deadline-aware", None)):
-        simulator = ClusterSimulator(
-            Cluster(FACILITY), make_scheduler(policy, cap), SimulationConfig(horizon_h=7 * 24.0),
-            weather_hourly_c=weather, cooling=CoolingModel(), grid=grid,
+        simulator = build_simulator(
+            SPEC, session.scenario(), policy, SimulationConfig(horizon_h=HORIZON_H),
+            power_cap_fraction=cap,
         )
         result = simulator.run([job.clone_pending() for job in jobs])
         print(f"{result.scheduler_name:>15} {result.facility_energy_kwh:11.0f} "
@@ -54,12 +54,11 @@ def main() -> None:
               f"{result.mean_wait_h:7.2f} {result.p95_wait_h:9.2f}")
 
     print()
-    print("Eq. 1 search: minimise facility energy s.t. delivered GPU-hours >= 90% of status quo")
-    model = GreenDatacenterModel()
-    model.facility = FACILITY
-    outcome = model.optimize_operations(
+    print(f"Eq. 1 search on the same {session.spec.facility.n_nodes}-node cluster: "
+          "minimise facility energy s.t. delivered GPU-hours >= 90% of status quo")
+    outcome = session.optimize_operations(
         jobs,
-        horizon_h=7 * 24.0,
+        horizon_h=HORIZON_H,
         activity_floor_fraction=0.9,
         points=[
             OperatingPoint(policy_name="backfill"),

@@ -75,6 +75,12 @@ flags)::
 
     greenhpc figures --months 12 --json
 
+Job-level runs go through the same session: ``session.simulate_policy(p)``
+runs one (composed) scheduling policy and ``session.optimize_operations()``
+runs the Eq. 1 search.  Both, like the fleet's member sites and the serve
+daemon's sessions, build their simulator with
+:func:`repro.core.build_simulator`, the one construction path.
+
 Campaigns
 ---------
 Sweep-shaped questions — power-cap fractions, stress batteries, "compare N
@@ -168,14 +174,10 @@ totals plus a metrics snapshot) to experiment/fleet/campaign results, and
 the serve daemon exposes a Prometheus text endpoint at ``GET /metrics``
 (request counters by method/route/status, per-session uptime/progress
 gauges) ready for scraping.
-
-The legacy :class:`GreenDatacenterModel` facade remains as a thin shim over
-the session API.
 """
 
 from .artifacts import ArtifactStore
-from .config import ExperimentConfig, FacilityConfig, SiteConfig
-from .core.framework import GreenDatacenterModel
+from .config import FacilityConfig, SiteConfig
 from .errors import GreenHPCError
 from .experiments import (
     CampaignDAG,
@@ -233,11 +235,9 @@ __all__ = [
     "__version__",
     "PAPER_REFERENCE",
     "GreenHPCError",
-    "ExperimentConfig",
     "FacilityConfig",
     "SiteConfig",
     "SimulationCalendar",
-    "GreenDatacenterModel",
     "ExperimentSession",
     "ExperimentResult",
     "ScenarioSpec",

@@ -4,7 +4,7 @@ Configuration is expressed as frozen dataclasses with explicit validation in
 ``__post_init__``.  Frozen configs can be hashed, safely shared across
 processes in parameter sweeps, and compared for equality in tests.  Each
 subsystem defines its own more specialised config next to its implementation;
-this module holds the cross-cutting ones (site, facility, and experiment
+this module holds the cross-cutting ones (site and facility
 configuration) plus small validation helpers reused by those subsystem
 configs.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Any
 
 from .errors import ConfigurationError
 
@@ -25,7 +25,6 @@ __all__ = [
     "require_in_range",
     "SiteConfig",
     "FacilityConfig",
-    "ExperimentConfig",
     "config_to_dict",
     "config_to_jsonable",
     "config_replace",
@@ -152,42 +151,6 @@ class FacilityConfig:
     def total_gpus(self) -> int:
         """Total number of GPUs across the facility."""
         return self.n_nodes * self.gpus_per_node
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Reproducibility envelope for a single experiment run.
-
-    Attributes
-    ----------
-    seed:
-        Master seed from which all random streams are derived.
-    start_year:
-        Calendar year at which simulated time begins (Fig. 5 spans 2020-2021).
-    n_months:
-        Number of simulated months.
-    time_step_s:
-        Simulation step for continuous-time components (power sampling,
-        grid series) in seconds.
-    label:
-        Free-form label recorded in reports.
-    extra:
-        Arbitrary experiment metadata (not interpreted by the library).
-    """
-
-    seed: int = 20220527
-    start_year: int = 2020
-    n_months: int = 24
-    time_step_s: float = 3600.0
-    label: str = "default"
-    extra: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_months <= 0:
-            raise ConfigurationError(f"n_months must be positive, got {self.n_months!r}")
-        require_positive(self.time_step_s, "time_step_s")
-        if self.start_year < 1950 or self.start_year > 2100:
-            raise ConfigurationError(f"start_year looks implausible: {self.start_year!r}")
 
 
 def config_to_dict(config: Any) -> dict[str, Any]:

@@ -4,7 +4,9 @@
   currencies the paper lists: kWh, CO2e, dollars, PUE, water) and the activity
   constraint ``A(·) ≥ α``.
 * :mod:`~repro.core.levers` — the decision levers ``q_s`` (supply), ``p``
-  (scheduling policy) and ``c`` (power caps) as an enumerable operating point.
+  (scheduling policy) and ``c`` (power caps) as an enumerable operating point,
+  and :func:`~repro.core.levers.build_simulator`, the one factory that wires
+  a cluster simulator from them.
   The policy lever is an *open registry*: :func:`~repro.core.levers.
   register_policy` names canned stage compositions (the five named
   policies are pre-registered with bit-identical job records), and any pipeline
@@ -26,7 +28,6 @@
   opportunity-cost accounting of Section II.A.
 * :mod:`~repro.core.stress` — the Dodd-Frank-style stress-test harness of
   Section II.B.
-* :mod:`~repro.core.framework` — the :class:`GreenDatacenterModel` facade.
 """
 
 from .objective import ObjectiveKind, EnergyObjective, ActivityConstraint, ObjectiveEvaluation
@@ -34,6 +35,8 @@ from .levers import (
     OperatingPoint,
     PolicyDefinition,
     SCHEDULER_REGISTRY,
+    Substrates,
+    build_simulator,
     default_operating_grid,
     make_scheduler,
     register_policy,
@@ -53,7 +56,6 @@ from .policies import (
 )
 from .opportunity_cost import OpportunityCostReport, opportunity_cost_of_profile
 from .stress import StressTestResult, StressTestHarness
-from .framework import GreenDatacenterModel
 
 __all__ = [
     "ObjectiveKind",
@@ -68,6 +70,8 @@ __all__ = [
     "resolve_policy",
     "make_scheduler",
     "default_operating_grid",
+    "Substrates",
+    "build_simulator",
     "DatacenterOptimizer",
     "OptimizationOutcome",
     "UserProfile",
@@ -88,5 +92,4 @@ __all__ = [
     "opportunity_cost_of_profile",
     "StressTestResult",
     "StressTestHarness",
-    "GreenDatacenterModel",
 ]

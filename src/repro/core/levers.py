@@ -16,6 +16,11 @@ the levers are low-dimensional and partly categorical, exactly why the paper
 frames this as an operational rather than algorithmic problem) and evaluates
 each on the cluster simulator.
 
+:func:`build_simulator` is the one place a
+:class:`~repro.cluster.simulator.ClusterSimulator` is wired from the levers:
+every public path (``ExperimentSession.simulate_policy``, the optimizer, the
+fleet's member sites and the serve daemon's sessions) builds through it.
+
 Policies are registered through :func:`register_policy`; the five named
 policies (``fifo``, ``backfill``, ``energy-aware``, ``carbon-aware``,
 ``deadline-aware``) are pre-registered as *canned pipeline compositions*
@@ -27,11 +32,21 @@ and the stage vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Protocol, Sequence
 
+import numpy as np
+
+from ..cluster.cooling import CoolingModel
+from ..cluster.observers import SimulatorObserver
+from ..cluster.resources import Cluster
+from ..cluster.simulator import ClusterSimulator, SimulationConfig
 from ..errors import OptimizationError, SchedulingError
+from ..grid.iso_ne import IsoNeLikeGrid
 from ..scheduler.base import Scheduler
 from ..scheduler.compose import build_pipeline, parse_policy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.spec import ScenarioSpec
 
 __all__ = [
     "PolicyDefinition",
@@ -42,6 +57,9 @@ __all__ = [
     "OperatingPoint",
     "make_scheduler",
     "default_operating_grid",
+    "SubstrateSource",
+    "Substrates",
+    "build_simulator",
 ]
 
 
@@ -237,10 +255,6 @@ class OperatingPoint:
         if self.facility_power_budget_w is not None and self.facility_power_budget_w <= 0:
             raise OptimizationError("facility_power_budget_w must be positive when given")
 
-    def build_scheduler(self) -> Scheduler:
-        """A fresh scheduler configured for this operating point."""
-        return make_scheduler(self.policy_name, self.power_cap_fraction)
-
     def label(self) -> str:
         """Compact human-readable label for tables."""
         cap = "uncapped" if self.power_cap_fraction is None else f"cap={self.power_cap_fraction:.0%}"
@@ -266,3 +280,54 @@ def default_operating_grid(
                     )
                 )
     return points
+
+
+class SubstrateSource(Protocol):
+    """Anything carrying a world's environment: hourly weather and the grid.
+
+    :class:`~repro.analysis.figures.SuperCloudScenario`, the fleet's
+    ``SitePayload`` and :class:`Substrates` all qualify.
+    """
+
+    weather_hourly_c: Optional[np.ndarray]
+    grid: Optional[IsoNeLikeGrid]
+
+
+class Substrates(NamedTuple):
+    """Just the weather and grid of a world (what a pool worker is shipped)."""
+
+    weather_hourly_c: Optional[np.ndarray]
+    grid: Optional[IsoNeLikeGrid]
+
+
+def build_simulator(
+    spec: "ScenarioSpec",
+    substrates: SubstrateSource,
+    policy: str,
+    config: SimulationConfig,
+    *,
+    power_cap_fraction: Optional[float] = None,
+    supply_fraction: float = 1.0,
+    observers: Sequence[SimulatorObserver] = (),
+) -> ClusterSimulator:
+    """A fresh simulator for ``spec``'s facility under the Eq. 1 levers.
+
+    The cluster is built from ``spec.facility`` and the spec's GPU model;
+    ``round((1 - supply_fraction) * n_nodes)`` nodes are drained *before*
+    the simulator is constructed (it reads the cluster's idle power at
+    construction).  Cooling is always the default :class:`CoolingModel`,
+    and ``observers`` are attached at construction so their hooks run
+    ahead of the scheduler's own.
+    """
+    cluster = Cluster(spec.facility, gpu_model=spec.workload.gpu_model)
+    if supply_fraction < 1.0:
+        cluster.drain_nodes(int(round((1.0 - supply_fraction) * spec.facility.n_nodes)))
+    return ClusterSimulator(
+        cluster,
+        make_scheduler(policy, power_cap_fraction),
+        config,
+        weather_hourly_c=substrates.weather_hourly_c,
+        cooling=CoolingModel(),
+        grid=substrates.grid,
+        observers=observers,
+    )

@@ -13,22 +13,25 @@ paper's warning about perverse effects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from ..cluster.cooling import CoolingModel
-from ..cluster.resources import Cluster
-from ..cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult
-from ..config import FacilityConfig
+from ..cluster.simulator import SimulationConfig, SimulationResult
 from ..errors import OptimizationError
-from ..grid.iso_ne import IsoNeLikeGrid
 from ..parallel.pool import ParallelConfig, map_parallel
 from ..scheduler.job import Job
-from .levers import OperatingPoint, default_operating_grid
+from .levers import (
+    OperatingPoint,
+    SubstrateSource,
+    Substrates,
+    build_simulator,
+    default_operating_grid,
+)
 from .objective import ActivityConstraint, EnergyObjective, ObjectiveEvaluation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.spec import ScenarioSpec
 
 __all__ = ["EvaluatedPoint", "OptimizationOutcome", "DatacenterOptimizer"]
 
@@ -90,14 +93,18 @@ class DatacenterOptimizer:
 
     Parameters
     ----------
-    facility:
-        The facility description used to build a fresh cluster per evaluation.
+    spec:
+        The scenario whose facility and GPU model every evaluation builds a
+        fresh cluster from.
+    substrates:
+        The environment (``ε``) shared by every evaluation: anything with
+        ``weather_hourly_c`` and ``grid``, such as the scenario built from
+        ``spec``.  Only those two are kept, so a process pool ships them and
+        not the whole scenario.
     objective / constraint:
         The ``E(·)`` to minimise and the ``A(·) ≥ α`` floor.
     simulation_config:
         Horizon/tick parameters shared by every evaluation.
-    weather_hourly_c / cooling / grid:
-        Environment (``ε``) shared by every evaluation.
     baseline_point:
         The operating point treated as the status quo (default: uncapped
         backfill at full supply); savings are reported against it.
@@ -105,25 +112,19 @@ class DatacenterOptimizer:
 
     def __init__(
         self,
-        facility: FacilityConfig,
+        spec: "ScenarioSpec",
+        substrates: SubstrateSource,
         objective: EnergyObjective,
         constraint: ActivityConstraint,
         *,
         simulation_config: SimulationConfig | None = None,
-        weather_hourly_c: Optional[np.ndarray] = None,
-        cooling: Optional[CoolingModel] = None,
-        grid: Optional[IsoNeLikeGrid] = None,
-        gpu_model: str = "V100",
         baseline_point: OperatingPoint | None = None,
     ) -> None:
-        self.facility = facility
+        self.spec = spec
+        self.substrates = Substrates(substrates.weather_hourly_c, substrates.grid)
         self.objective = objective
         self.constraint = constraint
         self.simulation_config = simulation_config or SimulationConfig()
-        self.weather_hourly_c = weather_hourly_c
-        self.cooling = cooling
-        self.grid = grid
-        self.gpu_model = gpu_model
         self.baseline_point = baseline_point or OperatingPoint(
             supply_fraction=1.0, policy_name="backfill", power_cap_fraction=None
         )
@@ -133,25 +134,16 @@ class DatacenterOptimizer:
     # ------------------------------------------------------------------
     def evaluate_point(self, point: OperatingPoint, jobs: Sequence[Job]) -> EvaluatedPoint:
         """Run the workload under one operating point and score it."""
-        cluster = Cluster(self.facility, gpu_model=self.gpu_model)
-        if point.supply_fraction < 1.0:
-            to_drain = int(round((1.0 - point.supply_fraction) * self.facility.n_nodes))
-            cluster.drain_nodes(to_drain)
         config = self.simulation_config
         if point.facility_power_budget_w is not None:
-            config = SimulationConfig(
-                horizon_h=config.horizon_h,
-                tick_h=config.tick_h,
-                facility_power_budget_w=point.facility_power_budget_w,
-                carbon_threshold_quantile=config.carbon_threshold_quantile,
-            )
-        simulator = ClusterSimulator(
-            cluster,
-            point.build_scheduler(),
+            config = replace(config, facility_power_budget_w=point.facility_power_budget_w)
+        simulator = build_simulator(
+            self.spec,
+            self.substrates,
+            point.policy_name,
             config,
-            weather_hourly_c=self.weather_hourly_c,
-            cooling=self.cooling,
-            grid=self.grid,
+            power_cap_fraction=point.power_cap_fraction,
+            supply_fraction=point.supply_fraction,
         )
         result = simulator.run([job.clone_pending() for job in jobs])
         evaluation = ObjectiveEvaluation.from_result(result, self.objective, self.constraint)

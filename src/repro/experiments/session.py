@@ -20,10 +20,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..analysis.figures import SuperCloudScenario
-from ..cluster.cooling import CoolingModel
-from ..cluster.resources import Cluster
-from ..cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult
-from ..core.levers import OperatingPoint, make_scheduler
+from ..cluster.simulator import SimulationConfig, SimulationResult
+from ..core.levers import OperatingPoint, build_simulator
 from ..core.objective import ActivityConstraint, ActivityKind, EnergyObjective, ObjectiveKind
 from ..core.optimizer import DatacenterOptimizer, OptimizationOutcome
 from ..grid.iso_ne import IsoNeLikeGrid
@@ -200,17 +198,12 @@ class ExperimentSession:
         weather, cooling and grid substrates are shared with every other
         experiment of the session.
         """
-        scenario = self.scenario()
-        spec = self._spec
-        simulator = ClusterSimulator(
-            Cluster(spec.facility, gpu_model=spec.workload.gpu_model),
-            make_scheduler(policy, power_cap_fraction),
-            SimulationConfig(
-                horizon_h=horizon_h, facility_power_budget_w=facility_power_budget_w
-            ),
-            weather_hourly_c=scenario.weather_hourly_c,
-            cooling=CoolingModel(),
-            grid=scenario.grid,
+        simulator = build_simulator(
+            self._spec,
+            self.scenario(),
+            policy,
+            SimulationConfig(horizon_h=horizon_h, facility_power_budget_w=facility_power_budget_w),
+            power_cap_fraction=power_cap_fraction,
         )
         trace = self.job_trace(n_jobs=n_jobs, horizon_h=horizon_h)
         return simulator.run([job.clone_pending() for job in trace])
@@ -237,21 +230,16 @@ class ExperimentSession:
         itself runs through the parallel mapping layer; ``parallel`` defaults
         to the session's own configuration.
         """
-        spec = self._spec
         trace = list(jobs) if jobs is not None else self.job_trace(n_jobs=n_jobs, horizon_h=horizon_h)
-        scenario = self.scenario()
         simulation_config = SimulationConfig(horizon_h=horizon_h, tick_h=1.0)
 
         def make_optimizer(alpha: float, baseline_point: Optional[OperatingPoint]) -> DatacenterOptimizer:
             return DatacenterOptimizer(
-                spec.facility,
+                self._spec,
+                self.scenario(),
                 EnergyObjective(kind=objective_kind),
                 ActivityConstraint(kind=ActivityKind.DELIVERED_GPU_HOURS, alpha=alpha),
                 simulation_config=simulation_config,
-                weather_hourly_c=scenario.weather_hourly_c,
-                cooling=CoolingModel(),
-                grid=scenario.grid,
-                gpu_model=spec.workload.gpu_model,
                 baseline_point=baseline_point,
             )
 

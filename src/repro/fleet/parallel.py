@@ -40,10 +40,8 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.cooling import CoolingModel
-from ..cluster.resources import Cluster
 from ..cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult, SitePowerSummary
-from ..core.levers import make_scheduler
+from ..core.levers import build_simulator
 from ..errors import FleetError, SimulationError
 from ..experiments.spec import ScenarioSpec
 from ..grid.iso_ne import IsoNeLikeGrid
@@ -120,19 +118,17 @@ def build_site_simulator(payload: SitePayload) -> ClusterSimulator:
     :meth:`FleetSimulator._build_sites` would, so a member that cannot host
     the horizon fails identically in both modes.
     """
-    spec = payload.spec
     try:
-        return ClusterSimulator(
-            Cluster(spec.facility, gpu_model=spec.workload.gpu_model),
-            make_scheduler(payload.policy, payload.power_cap_fraction),
+        return build_simulator(
+            payload.spec,
+            payload,
+            payload.policy,
             SimulationConfig(horizon_h=payload.horizon_h),
-            weather_hourly_c=payload.weather_hourly_c,
-            cooling=CoolingModel(),
-            grid=payload.grid,
+            power_cap_fraction=payload.power_cap_fraction,
         )
     except SimulationError as exc:
         raise FleetError(
-            f"fleet member {spec.name!r} cannot host a "
+            f"fleet member {payload.spec.name!r} cannot host a "
             f"{payload.horizon_h / 24.0:.1f}-day horizon: {exc}"
         ) from None
 

@@ -23,15 +23,13 @@ import time
 import uuid
 from typing import Any, Optional, Sequence
 
-from ..cluster.cooling import CoolingModel
 from ..cluster.observers import SimulatorObserver
-from ..cluster.resources import Cluster
 from ..cluster.simulator import (
     ClusterSimulator,
     SimulationConfig,
     SimulatorSnapshot,
 )
-from ..core.levers import make_scheduler
+from ..core.levers import build_simulator
 from ..errors import CheckpointError, ServeError
 from ..experiments.session import ExperimentSession
 from ..experiments.spec import ScenarioSpec, get_scenario, get_site
@@ -116,8 +114,10 @@ class ServeSession:
     """One live, lockable simulation session held by the daemon.
 
     Build through :meth:`create` (fresh) or :meth:`from_checkpoint`
-    (restored); both construct the simulator from the scenario's cached
-    substrates, so restarts share builds with surviving sessions.
+    (restored).  Both go through this constructor, which builds the
+    simulator from the scenario's cached substrates — restoring must rebuild
+    it exactly as creation did so an adopted snapshot continues
+    bit-identically, and restarts share builds with surviving sessions.
     """
 
     def __init__(
@@ -126,19 +126,18 @@ class ServeSession:
         session_id: str,
         scenario_name: str,
         overrides: dict[str, Any],
-        spec: ScenarioSpec,
         policy: str,
+        config: SimulationConfig,
         power_cap_fraction: Optional[float],
-        simulator: ClusterSimulator,
         preload_jobs: int,
+        world: ExperimentSession,
     ) -> None:
         self.session_id = session_id
         self.scenario_name = scenario_name
         self.overrides = dict(overrides)
-        self.spec = spec
+        self.spec = resolve_spec(scenario_name, self.overrides)
         self.policy = policy
         self.power_cap_fraction = power_cap_fraction
-        self.simulator = simulator
         self.preload_jobs = int(preload_jobs)
         self.created_at = time.time()
         # Uptime math uses the monotonic clock: wall-clock (time.time) can
@@ -153,32 +152,18 @@ class ServeSession:
         self.ticks_available = threading.Condition(self.lock)
         self.last_checkpoint_h: Optional[float] = None
         self.checkpoint_count = 0
+        self.simulator = build_simulator(
+            self.spec,
+            world.scenario(self.spec),
+            policy,
+            config,
+            power_cap_fraction=power_cap_fraction,
+            observers=[TelemetryObserver(self)],
+        )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _build_simulator(
-        session: "ServeSession",
-        world: ExperimentSession,
-    ) -> ClusterSimulator:
-        """The one construction path used by both create and restore.
-
-        Restoring must rebuild the simulator *exactly* as creation did —
-        same substrates, config and scheduler — so the adopted snapshot
-        continues bit-identically.
-        """
-        scenario = world.scenario(session.spec)
-        return ClusterSimulator(
-            Cluster(session.spec.facility, gpu_model=session.spec.workload.gpu_model),
-            make_scheduler(session.policy, session.power_cap_fraction),
-            session._config,
-            weather_hourly_c=scenario.weather_hourly_c,
-            cooling=CoolingModel(),
-            grid=scenario.grid,
-            observers=[TelemetryObserver(session)],
-        )
-
     @classmethod
     def create(
         cls,
@@ -195,28 +180,23 @@ class ServeSession:
         world: ExperimentSession,
     ) -> "ServeSession":
         """Build a fresh session, ``begin()`` its run, optionally preload a trace."""
-        spec = resolve_spec(scenario_name, overrides)
-        session = cls.__new__(cls)
-        config = SimulationConfig(
-            horizon_h=float(horizon_h),
-            tick_h=float(tick_h),
-            facility_power_budget_w=facility_power_budget_w,
-        )
-        session.__init__(
+        session = cls(
             session_id=session_id,
             scenario_name=scenario_name,
             overrides=overrides,
-            spec=spec,
             policy=policy,
+            config=SimulationConfig(
+                horizon_h=float(horizon_h),
+                tick_h=float(tick_h),
+                facility_power_budget_w=facility_power_budget_w,
+            ),
             power_cap_fraction=power_cap_fraction,
-            simulator=None,  # type: ignore[arg-type]  # set just below
             preload_jobs=preload_jobs,
+            world=world,
         )
-        session._config = config
-        session.simulator = cls._build_simulator(session, world)
         if preload_jobs:
             trace = world.job_trace(
-                n_jobs=preload_jobs, horizon_h=float(horizon_h), spec=spec
+                n_jobs=preload_jobs, horizon_h=float(horizon_h), spec=session.spec
             )
             session.simulator.begin([job.clone_pending() for job in trace])
         else:
@@ -228,25 +208,20 @@ class ServeSession:
         """Rebuild a session (simulator + telemetry backlog) from a checkpoint."""
         meta = payload["meta"]
         snapshot = SimulatorSnapshot.from_jsonable(payload["snapshot"])
-        spec = resolve_spec(meta["scenario"], meta["overrides"])
-        session = cls.__new__(cls)
-        config = SimulationConfig(
-            horizon_h=float(meta["horizon_h"]),
-            tick_h=float(meta["tick_h"]),
-            facility_power_budget_w=meta["facility_power_budget_w"],
-        )
-        session.__init__(
+        session = cls(
             session_id=meta["session_id"],
             scenario_name=meta["scenario"],
-            overrides=dict(meta["overrides"]),
-            spec=spec,
+            overrides=meta["overrides"],
             policy=meta["policy"],
+            config=SimulationConfig(
+                horizon_h=float(meta["horizon_h"]),
+                tick_h=float(meta["tick_h"]),
+                facility_power_budget_w=meta["facility_power_budget_w"],
+            ),
             power_cap_fraction=meta["power_cap_fraction"],
-            simulator=None,  # type: ignore[arg-type]
             preload_jobs=meta["preload_jobs"],
+            world=world,
         )
-        session._config = config
-        session.simulator = cls._build_simulator(session, world)
         session.simulator.restore(snapshot)
         session._ticks = list(payload["ticks"])
         session.checkpoint_count = int(meta.get("checkpoint_count", 0))
@@ -290,8 +265,8 @@ class ServeSession:
                 "overrides": dict(self.overrides),
                 "spec_hash": self.spec_hash,
                 "policy": self.policy,
-                "horizon_h": self._config.horizon_h,
-                "tick_h": self._config.tick_h,
+                "horizon_h": self.simulator.config.horizon_h,
+                "tick_h": self.simulator.config.tick_h,
                 "now_h": self.advanced_to_h,
                 "n_pending": simulator.n_pending,
                 "n_running": simulator.n_running,
@@ -357,8 +332,8 @@ class ServeSession:
         with self.lock:
             if self.finalized:
                 raise ServeError(f"session {self.session_id!r} is finalized")
-            target = min(float(until_h), self._config.horizon_h)
-            step = max(self._config.tick_h, 1e-6)
+            target = min(float(until_h), self.simulator.config.horizon_h)
+            step = max(self.simulator.config.tick_h, 1e-6)
             reached = self.advanced_to_h
             while reached < target - 1e-12:
                 reached = min(reached + step, target)
@@ -448,9 +423,9 @@ class ServeSession:
                     "scenario": self.scenario_name,
                     "overrides": dict(self.overrides),
                     "policy": self.policy,
-                    "horizon_h": self._config.horizon_h,
-                    "tick_h": self._config.tick_h,
-                    "facility_power_budget_w": self._config.facility_power_budget_w,
+                    "horizon_h": self.simulator.config.horizon_h,
+                    "tick_h": self.simulator.config.tick_h,
+                    "facility_power_budget_w": self.simulator.config.facility_power_budget_w,
                     "power_cap_fraction": self.power_cap_fraction,
                     "preload_jobs": self.preload_jobs,
                     "checkpoint_count": self.checkpoint_count,

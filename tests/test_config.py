@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import (
-    ExperimentConfig,
     FacilityConfig,
     SiteConfig,
     config_replace,
@@ -79,25 +78,6 @@ class TestFacilityConfig:
     def test_rejects_negative_idle_power(self):
         with pytest.raises(ConfigurationError):
             FacilityConfig(node_idle_power_w=-5.0)
-
-
-class TestExperimentConfig:
-    def test_defaults(self):
-        config = ExperimentConfig()
-        assert config.n_months == 24
-        assert config.start_year == 2020
-
-    def test_rejects_zero_months(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(n_months=0)
-
-    def test_rejects_implausible_year(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(start_year=1800)
-
-    def test_rejects_non_positive_step(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(time_step_s=0.0)
 
 
 class TestConfigHelpers:

@@ -120,21 +120,21 @@ class TestOperatingPoint:
     def test_build_scheduler_types(self):
         # Legacy names resolve to canned pipeline compositions carrying the
         # stages that defined the monolithic policies.
-        energy = OperatingPoint(policy_name="energy-aware").build_scheduler()
+        energy = make_scheduler("energy-aware")
         assert isinstance(energy, PolicyPipeline)
         assert energy.name == "energy-aware"
         assert any(isinstance(g, PowerBudgetGate) for g in energy.gates)
         assert any(isinstance(s, StaticCapStage) for s in energy.power)
-        carbon = OperatingPoint(policy_name="carbon-aware").build_scheduler()
+        carbon = make_scheduler("carbon-aware")
         assert isinstance(carbon, PolicyPipeline)
         assert any(isinstance(g, GreenHourGate) for g in carbon.gates)
-        deadline = OperatingPoint(policy_name="deadline-aware").build_scheduler()
+        deadline = make_scheduler("deadline-aware")
         assert isinstance(deadline.ordering, DeadlineOrdering)
         assert any(isinstance(g, DeadlineSlackGate) for g in deadline.gates)
 
     def test_spec_string_is_a_valid_policy_lever(self):
         point = OperatingPoint(policy_name="backfill+carbon(cap=0.7)+budget")
-        scheduler = point.build_scheduler()
+        scheduler = make_scheduler(point.policy_name, point.power_cap_fraction)
         assert isinstance(scheduler, PolicyPipeline)
         assert scheduler.name == "backfill+carbon(cap=0.7)+budget"
 

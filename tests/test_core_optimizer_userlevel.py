@@ -3,29 +3,28 @@
 import pytest
 
 from repro.config import FacilityConfig
-from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-from repro.core.levers import OperatingPoint, make_scheduler
+from repro.core.levers import OperatingPoint, Substrates, make_scheduler
 from repro.core.objective import ActivityConstraint, ActivityKind, EnergyObjective
 from repro.core.optimizer import DatacenterOptimizer
 from repro.core.user_level import per_user_decomposition
 from repro.errors import OptimizationError
+from repro.experiments import ScenarioSpec
 
 
 FACILITY = FacilityConfig(n_nodes=8, gpus_per_node=2)
+SPEC = ScenarioSpec(facility=FACILITY)
 
 
 @pytest.fixture(scope="module")
 def optimizer(small_weather, small_grid):
     return DatacenterOptimizer(
-        FACILITY,
+        SPEC,
+        Substrates(small_weather, small_grid),
         EnergyObjective(),
         ActivityConstraint(ActivityKind.DELIVERED_GPU_HOURS, alpha=0.0),
         simulation_config=SimulationConfig(horizon_h=5 * 24.0),
-        weather_hourly_c=small_weather,
-        cooling=CoolingModel(),
-        grid=small_grid,
     )
 
 
@@ -65,13 +64,11 @@ class TestDatacenterOptimizer:
 
     def test_infeasible_activity_floor_yields_no_best(self, small_weather, small_grid, trace):
         impossible = DatacenterOptimizer(
-            FACILITY,
+            SPEC,
+            Substrates(small_weather, small_grid),
             EnergyObjective(),
             ActivityConstraint(ActivityKind.DELIVERED_GPU_HOURS, alpha=1e9),
             simulation_config=SimulationConfig(horizon_h=5 * 24.0),
-            weather_hourly_c=small_weather,
-            cooling=CoolingModel(),
-            grid=small_grid,
         )
         outcome = impossible.optimize(trace, [OperatingPoint(policy_name="backfill")])
         assert outcome.best is None

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.figures import SuperCloudScenario, fig2_power_vs_green_share
-from repro.config import ExperimentConfig, SiteConfig
-from repro.core.framework import GreenDatacenterModel
+from repro.config import FacilityConfig, SiteConfig
 from repro.errors import ConfigurationError, DataError
 from repro.experiments import (
     ExperimentResult,
@@ -200,54 +199,30 @@ class TestRegistry:
         assert session.scenario_builds == 1 + 3
 
 
-class TestShimEquivalence:
-    def test_model_scenario_matches_direct_build(self):
-        model = GreenDatacenterModel(experiment=ExperimentConfig(seed=11, n_months=12))
+class TestSessionSubstrates:
+    def test_session_scenario_matches_direct_build(self):
+        scenario = ExperimentSession(seed=11, n_months=12).scenario()
         direct = SuperCloudScenario.build(seed=11, start_year=2020, n_months=12)
         np.testing.assert_allclose(
-            model.scenario.load_trace.monthly_power_kw, direct.load_trace.monthly_power_kw
+            scenario.load_trace.monthly_power_kw, direct.load_trace.monthly_power_kw
         )
-        np.testing.assert_allclose(model.scenario.weather_hourly_c, direct.weather_hourly_c)
+        np.testing.assert_allclose(scenario.weather_hourly_c, direct.weather_hourly_c)
         assert (
-            fig2_power_vs_green_share(model.scenario).correlation
+            fig2_power_vs_green_share(scenario).correlation
             == fig2_power_vs_green_share(direct).correlation
         )
 
-    def test_model_matches_session_experiment(self):
-        config = ExperimentConfig(seed=11, n_months=12)
-        model = GreenDatacenterModel(experiment=config)
-        session = ExperimentSession(ScenarioSpec(seed=11, n_months=12))
-        figures = session.run("figures")
-        assert figures.scalar("fig2_correlation") == model.monthly_figures()["fig2"].correlation
-        shifting = session.run("shifting")
-        assert dict(model.load_shifting().summary()) == dict(shifting.rows[0])
+    def test_deadlines_honor_facility(self):
+        def actual_energy_mwh(session):
+            rows = {row["option"]: row for row in session.run("deadlines").rows}
+            return rows["actual"]["energy_mwh"]
 
-    def test_model_stress_matches_session_experiment(self):
-        config = ExperimentConfig(seed=3, n_months=4)
-        model_results = GreenDatacenterModel(experiment=config).stress_tests()
-        stress = ExperimentSession(ScenarioSpec(seed=3, n_months=4)).run("stress")
-        by_name = {row["scenario"]: row for row in stress.rows}
-        assert set(by_name) == set(model_results)
-        for name, result in model_results.items():
-            assert by_name[name]["hours_cooling_overloaded"] == result.hours_cooling_overloaded
-
-    def test_model_deadline_options_honor_facility(self):
-        from repro.config import FacilityConfig
-
-        config = ExperimentConfig(seed=0, n_months=4)
-        facility = FacilityConfig(n_nodes=64)
-        model = GreenDatacenterModel(experiment=config, facility=facility)
-        shim = model.deadline_options()["actual"].total_energy_mwh
-        session = ExperimentSession(ScenarioSpec(seed=0, n_months=4, facility=facility))
-        rows = {row["option"]: row for row in session.run("deadlines").rows}
-        assert shim == pytest.approx(rows["actual"]["energy_mwh"])
+        small = ExperimentSession(seed=0, n_months=4, facility=FacilityConfig(n_nodes=64))
+        default = ExperimentSession(seed=0, n_months=4)
         # A 64-node facility must not report 448-node energy totals.
-        default_model = GreenDatacenterModel(experiment=config)
-        assert shim < default_model.deadline_options()["actual"].total_energy_mwh / 2
+        assert actual_energy_mwh(small) < actual_energy_mwh(default) / 2
 
-    def test_model_honors_site(self):
-        hot = GreenDatacenterModel(site=get_site("phoenix-az"))
-        cold = GreenDatacenterModel(site=get_site("reykjavik-is"))
-        assert float(np.mean(hot.scenario.weather_hourly_c)) > float(
-            np.mean(cold.scenario.weather_hourly_c)
-        )
+    def test_session_honors_site(self):
+        hot = ExperimentSession(site=get_site("phoenix-az")).scenario()
+        cold = ExperimentSession(site=get_site("reykjavik-is")).scenario()
+        assert float(np.mean(hot.weather_hourly_c)) > float(np.mean(cold.weather_hourly_c))
