@@ -141,6 +141,50 @@ def test_bench_simulator_scale(benchmark, worlds, tier):
 
 
 # ---------------------------------------------------------------------------
+# Cold substrate builds: what a fresh session (or forked fleet worker) pays
+# ---------------------------------------------------------------------------
+
+
+def test_bench_scenario_build(benchmark):
+    """Fresh-session scenario builds for the 10 ``deca-continental-small`` members.
+
+    Each round starts from a new :class:`ExperimentSession`, so nothing is
+    cached: it builds every member's weather, load trace and grid, and reads
+    the grid series a simulator consumes (carbon intensity, price, renewable
+    share), which a forked fleet worker derives on its first read.  The fleet
+    benchmarks pre-build their substrates, so only this one times that path.
+    """
+    from repro.experiments import ExperimentSession
+    from repro.fleet import get_fleet
+
+    members = get_fleet("deca-continental-small").members
+
+    def build_all():
+        session = ExperimentSession(members[0])
+        scenarios = [session.scenario(member) for member in members]
+        for scenario in scenarios:
+            grid = scenario.grid
+            grid.carbon_intensity_g_per_kwh, grid.price_per_mwh, grid.renewable_share
+        return scenarios
+
+    scenarios = benchmark.pedantic(build_all, rounds=5, iterations=1, warmup_rounds=1)
+    print_header("Cold scenario builds (10x deca-continental-small members)")
+    print_rows(
+        [
+            {
+                "members": len(scenarios),
+                "hours_per_member": scenarios[0].calendar.total_hours,
+                "min_s": min(benchmark.stats.stats.data),
+            }
+        ]
+    )
+    for scenario in scenarios:
+        assert scenario.grid.carbon_intensity_g_per_kwh.shape == (
+            scenario.calendar.total_hours,
+        )
+
+
+# ---------------------------------------------------------------------------
 # The pre-refactor scan-based cluster, embedded verbatim as the speed baseline
 # ---------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ with Boston-area defaults (annual mean ~9.5 C, July mean ~23 C, January mean
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class WeatherModel:
     def hourly_temperature_c(self, calendar: SimulationCalendar) -> np.ndarray:
         """Hourly temperature (Celsius) over the calendar horizon."""
         hours = calendar.hour_grid(1.0)
-        day_of_year = np.asarray([calendar.day_of_year(h) for h in hours])
+        day_of_year = calendar.day_of_year_array(hours)
         hour_of_day = hours % 24.0
         expected = self.expected_temperature_c(day_of_year, hour_of_day)
         noise = self._ar1_noise(hours.shape[0])
@@ -114,11 +115,13 @@ class WeatherModel:
         rho = cfg.noise_autocorrelation
         innovation_std = cfg.noise_std_c * np.sqrt(max(1.0 - rho**2, 1e-12))
         innovations = self._rng.normal(0.0, innovation_std, size=n)
-        noise = np.empty(n)
-        noise[0] = self._rng.normal(0.0, cfg.noise_std_c)
-        for i in range(1, n):
-            noise[i] = rho * noise[i - 1] + innovations[i]
-        return noise
+        first = float(self._rng.normal(0.0, cfg.noise_std_c))
+        # The recurrence is sequential; stepping it on Python floats does the
+        # same float operations as indexing the arrays, several times faster.
+        steps = itertools.accumulate(
+            innovations[1:].tolist(), lambda prev, innovation: rho * prev + innovation, initial=first
+        )
+        return np.fromiter(steps, dtype=float, count=n)
 
     def monthly_mean_temperature_c(
         self, calendar: SimulationCalendar, hourly_c: np.ndarray | None = None

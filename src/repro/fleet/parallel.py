@@ -35,6 +35,7 @@ hosted; worker-side exceptions are forwarded verbatim and re-raised as
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -45,18 +46,28 @@ from ..core.levers import build_simulator
 from ..errors import FleetError, SimulationError
 from ..experiments.spec import ScenarioSpec
 from ..grid.iso_ne import IsoNeLikeGrid
-from ..obs.recorder import NULL_RECORDER, SpanRecord, TraceRecorder, set_recorder
+from ..obs.recorder import NULL_RECORDER, SpanRecord, TraceRecorder, get_recorder, set_recorder
 from ..scheduler.job import Job
 
-__all__ = ["SitePayload", "SiteState", "SiteFinal", "FleetWorkerPool", "fleet_start_method"]
+__all__ = [
+    "SitePayload",
+    "SiteState",
+    "SiteFinal",
+    "SiteHost",
+    "FleetWorkerPool",
+    "fleet_start_method",
+]
 
 
 def fleet_start_method() -> str:
     """The multiprocessing start method fleet workers use.
 
     ``fork`` where the platform offers it: workers inherit the registries
-    (custom policies, scorers, scheduler stages) and the shipped substrate
-    arrays without a pickling round trip, and start in a few milliseconds.
+    (custom policies, scorers, scheduler stages) and the shipped substrates
+    without a pickling round trip.  A worker's start is then building its
+    sites' simulators plus, for a grid whose hourly series the coordinator
+    has not read yet, deriving those series (:class:`SitePayload`): about
+    90 ms for a worker hosting five 24-month sites on a 2-vCPU Xeon host.
     Elsewhere (``spawn`` platforms) the payloads below are fully picklable,
     at the cost of a slower worker start.
     """
@@ -67,10 +78,14 @@ def fleet_start_method() -> str:
 class SitePayload:
     """Everything a worker needs to build one member site's simulator.
 
-    The substrates (``weather_hourly_c``, ``grid``) are the coordinator
-    session's *already built* arrays, shipped rather than rebuilt, so the
-    worker's simulator consumes bit-identical inputs to a serial run over the
-    same session.
+    The substrates are the coordinator session's objects, shipped rather
+    than rebuilt, so the worker's simulator consumes bit-identical inputs to
+    a serial run over the same session.  ``weather_hourly_c`` is a built
+    array.  ``grid`` derives its hourly series on first read and caches them
+    on the object (:class:`~repro.grid.iso_ne.IsoNeLikeGrid`), so a worker
+    reads the coordinator's series when the coordinator has read them
+    before the fork, and derives its own equal copy, in milliseconds,
+    otherwise.
     """
 
     index: int
@@ -92,31 +107,25 @@ SiteState = tuple  # noqa: UP006 - 7-tuple documented above
 @dataclass(frozen=True)
 class SiteFinal:
     """One site's end-of-run payload: full result, power summary, and the
-    ``fleet.site_advance`` spans recorded while stepping it.
+    wall time spent advancing it.
 
-    The spans are what used to be hand-rolled ``perf_counter`` sums: workers
-    (and the serial backend) record one span per site per window into a local
-    :class:`~repro.obs.recorder.TraceRecorder` and ship the batch here at
-    finalize, so parallel traces show per-site timelines and
-    :class:`~repro.fleet.result.FleetStepTimings` stays a pure recorder view.
+    ``advance_wall_s`` is a plain ``perf_counter`` sum, kept whether or not
+    tracing is on (:class:`~repro.fleet.result.FleetStepTimings` reads it).
+    ``spans`` holds the ``fleet.site_advance`` spans recorded while stepping
+    the site, one per window, only when the run is traced.
     """
 
     result: SimulationResult
     power: SitePowerSummary
+    advance_wall_s: float
     spans: tuple[SpanRecord, ...] = ()
-
-    @property
-    def advance_wall_s(self) -> float:
-        """Total wall seconds spent advancing this site's simulator."""
-        return sum(s.wall_s for s in self.spans if s.name == "fleet.site_advance")
 
 
 def build_site_simulator(payload: SitePayload) -> ClusterSimulator:
     """Construct one member site's simulator from its shipped payload.
 
-    Raises the same :class:`FleetError` a serial
-    :meth:`FleetSimulator._build_sites` would, so a member that cannot host
-    the horizon fails identically in both modes.
+    Raises the same :class:`FleetError` in both stepping modes, so a member
+    that cannot host the horizon fails identically serial and parallel.
     """
     try:
         return build_simulator(
@@ -136,9 +145,8 @@ def build_site_simulator(payload: SitePayload) -> ClusterSimulator:
 def site_state(simulator: ClusterSimulator, now_h: float) -> SiteState:
     """The routing-relevant state of ``simulator`` at ``now_h``.
 
-    Field-for-field the simulator reads of
-    :meth:`FleetSimulator._snapshots`, so coordinator-side snapshots built
-    from this tuple match the serial loop's exactly.
+    Coordinator-side snapshots are built from this tuple in both stepping
+    modes, so serial and parallel routing see the same fields.
     """
     context = simulator.scheduling_context(now_h)
     return (
@@ -150,6 +158,86 @@ def site_state(simulator: ClusterSimulator, now_h: float) -> SiteState:
         context.price_per_mwh,
         context.renewable_share,
     )
+
+
+class SiteHost:
+    """The member sites one process steps: the serial backend and a worker.
+
+    Speaks the bulk operations of :class:`FleetWorkerPool` (``begin``,
+    ``submit_batch``, ``advance``, ``snapshot``, ``power_summary``,
+    ``finalize``), so :meth:`~repro.fleet.simulator.FleetSimulator.run` drives
+    both stepping modes with one coordinator loop, and a worker process is
+    this class behind a pipe.
+
+    Each site's ``advance`` is timed with ``perf_counter``.  With ``traced``
+    it is also recorded as a ``fleet.site_advance`` span into a private
+    recorder, shipped in :class:`SiteFinal` for the coordinator to merge, so
+    an untraced run builds no spans at all.
+    """
+
+    n_workers = 1
+
+    def __init__(self, payloads: Sequence[SitePayload], *, traced: bool) -> None:
+        self._sims = {payload.index: build_site_simulator(payload) for payload in payloads}
+        self._names = {payload.index: payload.spec.name for payload in payloads}
+        self._indices = sorted(self._sims)
+        self._advance_s = dict.fromkeys(self._indices, 0.0)
+        self._recorder: Any = TraceRecorder() if traced else NULL_RECORDER
+
+    def __enter__(self) -> "SiteHost":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
+
+    @property
+    def indices(self) -> list[int]:
+        """The hosted member indices, ascending."""
+        return list(self._indices)
+
+    def snapshot(self, at_h: float) -> dict[int, SiteState]:
+        """Per-site states at ``at_h`` without advancing anything."""
+        return {index: site_state(self._sims[index], at_h) for index in self._indices}
+
+    def begin(self) -> dict[int, SiteState]:
+        for index in self._indices:
+            self._sims[index].begin()
+        return self.snapshot(0.0)
+
+    def submit_batch(self, batches: Mapping[int, Sequence[Job]]) -> None:
+        for index in sorted(batches):
+            simulator = self._sims[index]
+            for job in batches[index]:
+                simulator.submit(job)
+
+    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteState]:
+        recorder = self._recorder
+        for index in self._indices:
+            start = time.perf_counter()
+            with recorder.span(
+                "fleet.site_advance", site=self._names[index], index=index, until_h=until_h
+            ):
+                self._sims[index].advance(until_h)
+            self._advance_s[index] += time.perf_counter() - start
+        return self.snapshot(snapshot_h)
+
+    def power_summary(self) -> dict[int, SitePowerSummary]:
+        return {index: self._sims[index].site_power_summary() for index in self._indices}
+
+    def finalize(self) -> dict[int, SiteFinal]:
+        spans: dict[int, list[SpanRecord]] = {index: [] for index in self._indices}
+        for record in self._recorder.spans:
+            spans[record.attributes["index"]].append(record)
+        finals = {}
+        for index in self._indices:
+            simulator = self._sims[index]
+            finals[index] = SiteFinal(
+                result=simulator.finalize(),
+                power=simulator.site_power_summary(),
+                advance_wall_s=self._advance_s[index],
+                spans=tuple(spans[index]),
+            )
+        return finals
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +252,19 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
     send no reply (``submit-batch``) defer any failure to the next replying
     command, so the coordinator's pipelined send pattern still observes it.
     """
-    # Fork-started workers inherit the coordinator's ambient recorder; reset
-    # it so instrumented layers in this process stay no-op — site stepping is
-    # timed explicitly into the local recorder below and shipped at finalize.
+    # Fork-started workers inherit the coordinator's ambient recorder: site
+    # spans are recorded only when it is enabled.  Reset it so instrumented
+    # layers in this process stay no-op.
+    traced = get_recorder().enabled
     set_recorder(NULL_RECORDER)
-    recorder = TraceRecorder()
-    sims: dict[int, ClusterSimulator] = {}
-    site_names: dict[int, str] = {}
     deferred_error: Optional[str] = None
     try:
         try:
-            for payload in payloads:
-                sims[payload.index] = build_site_simulator(payload)
-                site_names[payload.index] = payload.spec.name
+            host = SiteHost(payloads, traced=traced)
         except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator
             conn.send(("error", str(exc)))
             return
-        conn.send(("ok", sorted(sims)))
+        conn.send(("ok", host.indices))
         while True:
             message = conn.recv()
             command = message[0]
@@ -192,47 +276,18 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
                     conn.send(("error", error))
                     continue
                 if command == "begin":
-                    for index in sorted(sims):
-                        sims[index].begin()
-                    conn.send(("ok", {i: site_state(sims[i], 0.0) for i in sorted(sims)}))
+                    conn.send(("ok", host.begin()))
                 elif command == "submit-batch":
-                    _, batches = message
-                    for index in sorted(batches):
-                        for job in batches[index]:
-                            sims[index].submit(job)
+                    host.submit_batch(message[1])
                 elif command == "advance":
                     _, until_h, snapshot_h = message
-                    for index in sorted(sims):
-                        with recorder.span(
-                            "fleet.site_advance",
-                            site=site_names[index],
-                            index=index,
-                            until_h=until_h,
-                        ):
-                            sims[index].advance(until_h)
-                    conn.send(
-                        ("ok", {i: site_state(sims[i], snapshot_h) for i in sorted(sims)})
-                    )
+                    conn.send(("ok", host.advance(until_h, snapshot_h)))
                 elif command == "snapshot":
-                    _, at_h = message
-                    conn.send(("ok", {i: site_state(sims[i], at_h) for i in sorted(sims)}))
+                    conn.send(("ok", host.snapshot(message[1])))
                 elif command == "power-summary":
-                    conn.send(("ok", {i: sims[i].site_power_summary() for i in sorted(sims)}))
+                    conn.send(("ok", host.power_summary()))
                 elif command == "finalize":
-                    site_spans: dict[int, list[SpanRecord]] = {i: [] for i in sims}
-                    for record in recorder.spans:
-                        owner = record.attributes.get("index")
-                        if owner in site_spans:
-                            site_spans[owner].append(record)
-                    finals = {}
-                    for index in sorted(sims):
-                        result = sims[index].finalize()
-                        finals[index] = SiteFinal(
-                            result=result,
-                            power=sims[index].site_power_summary(),
-                            spans=tuple(site_spans[index]),
-                        )
-                    conn.send(("ok", finals))
+                    conn.send(("ok", host.finalize()))
                 else:
                     conn.send(("error", f"unknown fleet worker command {command!r}"))
             except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator

@@ -40,8 +40,9 @@ class FleetStepTimings:
     """Wall-clock breakdown of one fleet run's lockstep loop.
 
     Recorded by :meth:`~repro.fleet.simulator.FleetSimulator.run` in both
-    stepping modes, so serial-vs-parallel speedup is observable from the
-    result object itself, not just an external benchmark harness.
+    stepping modes, traced or not (plain ``perf_counter`` sums), so
+    serial-vs-parallel speedup is observable from the result object itself,
+    not just an external benchmark harness.
 
     Attributes
     ----------
@@ -72,42 +73,6 @@ class FleetStepTimings:
     route_s: float
     advance_s: float
     site_advance_s: tuple[float, ...]
-
-    @classmethod
-    def from_spans(
-        cls,
-        *,
-        mode: str,
-        n_workers: int,
-        n_windows: int,
-        run_span: Any,
-        route_spans: Sequence[Any],
-        advance_spans: Sequence[Any],
-        site_spans: Sequence[Sequence[Any]],
-    ) -> "FleetStepTimings":
-        """Build the timing breakdown as a view over recorded spans.
-
-        ``run_span`` is the finished ``fleet.run``
-        :class:`~repro.obs.recorder.SpanRecord`; ``route_spans`` /
-        ``advance_spans`` are the coordinator's per-window ``fleet.route`` /
-        ``fleet.advance`` records; ``site_spans`` holds each member's
-        ``fleet.site_advance`` records, in member order.  This is the only
-        constructor :meth:`~repro.fleet.simulator.FleetSimulator.run` uses —
-        the dataclass fields (and :meth:`to_dict`) are unchanged, the wall
-        times just come from the trace instead of inline clock arithmetic.
-        """
-        return cls(
-            mode=mode,
-            n_workers=n_workers,
-            n_windows=n_windows,
-            total_s=run_span.wall_s,
-            route_s=float(sum(s.wall_s for s in route_spans)),
-            advance_s=float(sum(s.wall_s for s in advance_spans)),
-            site_advance_s=tuple(
-                float(sum(s.wall_s for s in spans if s.name == "fleet.site_advance"))
-                for spans in site_spans
-            ),
-        )
 
     @property
     def max_site_advance_s(self) -> float:
@@ -155,8 +120,8 @@ class FleetResult:
         ``None`` only for results constructed outside the simulator.
     profile:
         The run's :class:`~repro.obs.profile.RunProfile` — per-span-name
-        aggregates over the fleet trace; ``None`` only for results
-        constructed outside the simulator.
+        aggregates over the fleet trace; ``None`` when tracing was off or
+        the result was constructed outside the simulator.
     """
 
     fleet_name: str

@@ -30,99 +30,21 @@ fleet builds each site's world once, not R times.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Optional, Sequence, Union
+import time
+from typing import Mapping, Optional, Sequence, Union
 
 from ..errors import FleetError
 from ..experiments.session import ExperimentSession
 from ..obs.profile import RunProfile
-from ..obs.recorder import SpanRecord, TraceRecorder, get_recorder
+from ..obs.recorder import get_recorder
 from ..parallel.pool import ParallelConfig
 from ..scheduler.job import Job
-from .parallel import (
-    FleetWorkerPool,
-    SiteFinal,
-    SitePayload,
-    SiteState,
-    build_site_simulator,
-    site_state,
-)
+from .parallel import FleetWorkerPool, SiteHost, SitePayload, SiteState
 from .result import FleetResult, FleetStepTimings, JobAssignment
 from .routing import Router, SiteSnapshot, make_router
 from .spec import FleetSpec
 
 __all__ = ["FleetSimulator"]
-
-
-class _SerialBackend:
-    """In-process stepping of the member sites (the ``workers<=1`` path).
-
-    Speaks the same bulk operations as :class:`~repro.fleet.parallel.
-    FleetWorkerPool` so the coordinator loop in :meth:`FleetSimulator.run`
-    is one piece of code for both modes.
-    """
-
-    n_workers = 1
-
-    def __init__(self, payloads: Sequence[SitePayload]) -> None:
-        self._payloads = tuple(payloads)
-        self._sims: dict[int, Any] = {}
-        self._names: dict[int, str] = {}
-        # Site stepping is always timed (FleetStepTimings is a view over
-        # these spans); a private recorder keeps that identical whether or
-        # not the ambient recorder is enabled.
-        self._recorder = TraceRecorder()
-
-    def __enter__(self) -> "_SerialBackend":
-        for payload in self._payloads:
-            self._sims[payload.index] = build_site_simulator(payload)
-            self._names[payload.index] = payload.spec.name
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-    def _states(self, at_h: float) -> dict[int, SiteState]:
-        return {index: site_state(sim, at_h) for index, sim in self._sims.items()}
-
-    def begin(self) -> dict[int, SiteState]:
-        for index in sorted(self._sims):
-            self._sims[index].begin()
-        return self._states(0.0)
-
-    def submit_batch(self, batches: Mapping[int, Sequence[Job]]) -> None:
-        for index in sorted(batches):
-            for job in batches[index]:
-                self._sims[index].submit(job)
-
-    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteState]:
-        for index in sorted(self._sims):
-            with self._recorder.span(
-                "fleet.site_advance",
-                site=self._names[index],
-                index=index,
-                until_h=until_h,
-            ):
-                self._sims[index].advance(until_h)
-        return self._states(snapshot_h)
-
-    def snapshot(self, at_h: float) -> dict[int, SiteState]:
-        return self._states(at_h)
-
-    def finalize(self) -> dict[int, SiteFinal]:
-        site_spans: dict[int, list[SpanRecord]] = {i: [] for i in self._sims}
-        for record in self._recorder.spans:
-            owner = record.attributes.get("index")
-            if owner in site_spans:
-                site_spans[owner].append(record)
-        finals = {}
-        for index in sorted(self._sims):
-            sim = self._sims[index]
-            finals[index] = SiteFinal(
-                result=sim.finalize(),
-                power=sim.site_power_summary(),
-                spans=tuple(site_spans[index]),
-            )
-        return finals
 
 
 class FleetSimulator:
@@ -240,28 +162,14 @@ class FleetSimulator:
         members = self.fleet.members
         member_names = self.fleet.member_names
         workers = self._requested_workers()
-        backend: Any
-        if workers > 1:
-            backend = FleetWorkerPool(self._site_payloads(), workers)
-        else:
-            backend = _SerialBackend(self._site_payloads())
-
         mode = "parallel" if workers > 1 else "serial"
-        # The fleet loop is always timed — FleetStepTimings is a view over
-        # these spans — into the ambient recorder when tracing is on, else a
-        # private one that never leaves this call.
-        ambient = get_recorder()
-        recorder = ambient if ambient.enabled else TraceRecorder()
-        run_span = recorder.span(
-            "fleet.run",
-            fleet=self.fleet.name,
-            router=self.router.name,
-            policy=self.policy,
-            mode=mode,
-            n_sites=len(members),
-        )
-        route_records: list[SpanRecord] = []
-        advance_records: list[SpanRecord] = []
+        payloads = self._site_payloads()
+        # The loop is timed with plain perf_counter sums in both modes
+        # (FleetStepTimings); spans go to the ambient recorder, whose spans
+        # cost nothing when tracing is off.
+        recorder = get_recorder()
+        mark = recorder.mark()
+        route_s = advance_s = 0.0
         dispatched = [0] * len(members)
         assignments: list[JobAssignment] = []
         self.router.begin_fleet(len(members))
@@ -323,7 +231,19 @@ class FleetSimulator:
 
         n_hours = int(math.ceil(self.horizon_h))
         cursor = 0
-        with run_span, backend:
+        run_start = time.perf_counter()
+        with recorder.span(
+            "fleet.run",
+            fleet=self.fleet.name,
+            router=self.router.name,
+            policy=self.policy,
+            mode=mode,
+            n_sites=len(members),
+        ), (
+            FleetWorkerPool(payloads, workers)
+            if workers > 1
+            else SiteHost(payloads, traced=recorder.enabled)
+        ) as backend:
             states = backend.begin()
             for hour in range(n_hours):
                 # Route this window's arrivals first, then advance every site
@@ -334,15 +254,15 @@ class FleetSimulator:
                     window.append(trace[cursor])
                     cursor += 1
                 if window:
-                    with recorder.span(
-                        "fleet.route", hour=hour, n_jobs=len(window)
-                    ) as route_span:
+                    start = time.perf_counter()
+                    with recorder.span("fleet.route", hour=hour, n_jobs=len(window)):
                         batches = route_window(window, states, float(hour), hour)
-                    route_records.append(route_span.record)
+                    route_s += time.perf_counter() - start
                     backend.submit_batch(batches)
-                with recorder.span("fleet.advance", hour=hour) as advance_span:
+                start = time.perf_counter()
+                with recorder.span("fleet.advance", hour=hour):
                     states = backend.advance(hour + 1.0, float(hour + 1))
-                advance_records.append(advance_span.record)
+                advance_s += time.perf_counter() - start
             if cursor < len(trace):
                 # Jobs submitting at/after the horizon still get routed (and
                 # recorded as never-started), so every generated job is
@@ -352,38 +272,37 @@ class FleetSimulator:
                 # simulation ends carries no signal.
                 tail_h = min(self.horizon_h, float(max(n_hours - 1, 0)))
                 states = backend.snapshot(tail_h)
+                start = time.perf_counter()
                 with recorder.span(
                     "fleet.route", hour=n_hours, n_jobs=len(trace) - cursor, tail=True
-                ) as route_span:
+                ):
                     batches = route_window(trace[cursor:], states, tail_h, n_hours)
-                route_records.append(route_span.record)
+                route_s += time.perf_counter() - start
                 backend.submit_batch(batches)
             finals = backend.finalize()
+        total_s = time.perf_counter() - run_start
 
-        # Merge the per-site stepping spans (recorded worker-side in parallel
-        # mode, backend-side in serial mode) into this run's recorder, so an
-        # exported trace shows one timeline per site/process.
-        site_span_batches = [list(finals[i].spans) for i in range(len(members))]
-        for batch in site_span_batches:
-            recorder.extend(batch)
-
-        step_timings = FleetStepTimings.from_spans(
+        step_timings = FleetStepTimings(
             mode=mode,
             n_workers=backend.n_workers,
             n_windows=n_hours,
-            run_span=run_span.record,
-            route_spans=route_records,
-            advance_spans=advance_records,
-            site_spans=site_span_batches,
+            total_s=total_s,
+            route_s=route_s,
+            advance_s=advance_s,
+            site_advance_s=tuple(finals[i].advance_wall_s for i in range(len(members))),
         )
-        all_spans = [run_span.record, *route_records, *advance_records]
-        for batch in site_span_batches:
-            all_spans.extend(batch)
-        profile = RunProfile.from_spans(
-            all_spans,
-            total_s=run_span.record.wall_s,
-            metrics=recorder.metrics.snapshot(),
-        )
+        profile = None
+        if recorder.enabled:
+            # Merge the per-site stepping spans (recorded by the worker or the
+            # in-process host) so an exported trace shows one timeline per
+            # site/process.
+            for i in range(len(members)):
+                recorder.extend(finals[i].spans)
+            profile = RunProfile.from_spans(
+                recorder.spans_since(mark),
+                total_s=total_s,
+                metrics=recorder.metrics.snapshot(),
+            )
         return FleetResult(
             fleet_name=self.fleet.name,
             router=self.router.name,

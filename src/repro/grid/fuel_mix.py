@@ -208,7 +208,7 @@ class FuelMixModel:
         """Generate an hourly :class:`GenerationMix` for the calendar horizon."""
         require_positive(mean_demand_mw, "mean_demand_mw")
         hours = calendar.hour_grid(1.0)
-        day_of_year = np.asarray([calendar.day_of_year(h) for h in hours])
+        day_of_year = calendar.day_of_year_array(hours)
         hour_of_day = hours % 24.0
 
         n = hours.shape[0]

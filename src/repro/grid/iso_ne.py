@@ -44,6 +44,11 @@ class GridMonthlySummary:
 class IsoNeLikeGrid:
     """Aligned hourly fuel-mix, carbon-intensity and price series for a horizon.
 
+    Each hourly series is generated on first read and cached on this object,
+    so per process: a forked fleet worker that reads a series the parent has
+    not read yet generates its own copy (milliseconds for a 24-month
+    horizon), from the same unread seeded stream, so the values are equal.
+
     Parameters
     ----------
     calendar:

@@ -5,10 +5,9 @@ snapshot) into the aggregate view a result object can carry without hauling
 the raw trace around: per-span-name totals plus the headline wall time.
 It is attached to :class:`~repro.experiments.ExperimentResult`,
 :class:`~repro.fleet.result.FleetResult` and
-:class:`~repro.experiments.campaign.CampaignResult` when tracing is enabled
-(and always, for fleet results, whose step timings are recorder views
-already) — so "where did the time go" is answerable from the object an
-experiment returns, not only from an exported trace file.
+:class:`~repro.experiments.campaign.CampaignResult` when tracing is enabled,
+so "where did the time go" is answerable from the object an experiment
+returns, not only from an exported trace file.
 """
 
 from __future__ import annotations

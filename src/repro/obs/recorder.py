@@ -84,9 +84,7 @@ class _OpenSpan:
     """Context manager for one in-flight span; ``.record`` is the result.
 
     The record's timing fields are filled on ``__exit__``; keep a reference
-    to read ``wall_s`` after the block (this is how
-    :class:`~repro.fleet.result.FleetStepTimings` is built as a view over
-    the recorder instead of hand-rolled ``perf_counter`` arithmetic).
+    to read ``wall_s`` after the block.
     """
 
     __slots__ = ("_recorder", "record", "_cpu_start")

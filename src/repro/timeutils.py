@@ -121,15 +121,22 @@ class SimulationCalendar:
         self.n_months = int(n_months)
         self._months: list[MonthIndex] = []
         self._month_start_hours: list[int] = []
+        # Hours from Jan 1 of each month's year to the month's start.
+        self._year_offset_hours: list[int] = []
         hour = 0
+        year_start_hour = 0
         current = MonthIndex(self.start_year, 1)
         for _ in range(self.n_months):
+            if current.month == 1:
+                year_start_hour = hour
             self._months.append(current)
             self._month_start_hours.append(hour)
+            self._year_offset_hours.append(hour - year_start_hour)
             hour += hours_in_month(current.year, current.month)
             current = current.next()
         self._total_hours = hour
         self._start_hours_array = np.asarray(self._month_start_hours, dtype=float)
+        self._year_offset_array = np.asarray(self._year_offset_hours, dtype=float)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -190,16 +197,21 @@ class SimulationCalendar:
     def hour_of_year(self, hour: float) -> float:
         """Hour within its calendar year (0-based), used for seasonal models."""
         index = self.month_of_hour(hour)
-        month = self._months[index]
-        # Hours from Jan 1 of month.year to the start of this month.
-        offset = sum(
-            hours_in_month(month.year, m) for m in range(1, month.month)
-        )
-        return offset + (hour - self._month_start_hours[index])
+        return self._year_offset_hours[index] + (hour - self._month_start_hours[index])
 
     def day_of_year(self, hour: float) -> float:
         """Fractional day of year (0-based) for seasonal temperature models."""
         return self.hour_of_year(hour) / 24.0
+
+    def day_of_year_array(self, hours: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`day_of_year`, bit-identical element by element.
+
+        Performs the scalar method's float operations on whole arrays, so
+        hourly substrate series cost one pass instead of one call per hour.
+        """
+        arr = np.asarray(hours, dtype=float)
+        index = self.month_indices_for_hours(arr)
+        return (self._year_offset_array[index] + (arr - self._start_hours_array[index])) / 24.0
 
     def hour_of_day(self, hour: float) -> float:
         """Hour within the simulated day in [0, 24)."""

@@ -119,7 +119,7 @@ class DeadlineDemandModel:
         """Holiday and summer dips (multiplicative factors <= 1)."""
         cfg = self.config
         hours = calendar.hour_grid(1.0)
-        day_of_year = np.asarray([calendar.day_of_year(h) for h in hours])
+        day_of_year = calendar.day_of_year_array(hours)
         factor = np.ones_like(day_of_year)
         # Late-December holidays (day ~355 to year end plus the first days of January).
         holiday = (day_of_year >= 352) | (day_of_year <= 4)

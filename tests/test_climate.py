@@ -57,6 +57,20 @@ class TestWeatherModel:
         b = WeatherModel(seed=3).hourly_temperature_c(year_calendar)
         np.testing.assert_allclose(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 8784])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.96, 1])
+    def test_ar1_noise_is_the_indexed_loop_bytes(self, n, rho):
+        config = WeatherConfig(noise_std_c=2.5, noise_autocorrelation=rho)
+        reference_rng = WeatherModel(config, seed=11)._rng
+        innovation_std = 2.5 * np.sqrt(max(1.0 - rho**2, 1e-12))
+        innovations = reference_rng.normal(0.0, innovation_std, size=n)
+        reference = np.empty(n)
+        reference[0] = reference_rng.normal(0.0, 2.5)
+        for i in range(1, n):
+            reference[i] = rho * reference[i - 1] + innovations[i]
+        noise = WeatherModel(config, seed=11)._ar1_noise(n)
+        assert noise.tobytes() == reference.tobytes()
+
     def test_noise_free_model_is_deterministic_function_of_time(self, small_calendar):
         model = WeatherModel(WeatherConfig(noise_std_c=0.0), seed=1)
         other = WeatherModel(WeatherConfig(noise_std_c=0.0), seed=2)

@@ -435,17 +435,32 @@ class TestFleetInstrumentation:
             "fleet.site_advance",
         }
 
-    def test_untraced_run_still_carries_timings_and_profile(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_untraced_run_carries_timings_without_spans(self, workers):
         fleet, session, trace = self._duo()
-        result = self._run(fleet, session, trace)
+        result = self._run(fleet, session, trace, workers=workers)
         timings = result.step_timings
-        assert timings.mode == "serial" and timings.total_s > 0.0
+        assert timings.mode == ("serial" if workers is None else "parallel")
+        assert timings.total_s > 0.0
+        assert timings.route_s > 0.0 and timings.advance_s > 0.0
         assert len(timings.site_advance_s) == 2
-        assert sum(timings.site_advance_s) > 0.0
-        assert result.profile is not None
-        assert result.profile.phase("fleet.site_advance")["count"] > 0
-        # The private fleet recorder must not leak into the ambient one.
+        assert all(site_s > 0.0 for site_s in timings.site_advance_s)
+        # Untraced runs build no spans, so (as for experiments and
+        # campaigns) they carry no profile.
+        assert result.profile is None and "profile" not in result.to_dict()
         assert get_recorder() is NULL_RECORDER
+
+    def test_traced_serial_run_profiles_every_fleet_phase(self):
+        fleet, session, trace = self._duo()
+        rec = TraceRecorder()
+        with recording(rec):
+            result = self._run(fleet, session, trace)
+        assert result.profile is not None
+        n_windows = result.step_timings.n_windows
+        assert result.profile.phase("fleet.run")["count"] == 1
+        assert result.profile.phase("fleet.advance")["count"] == n_windows
+        assert result.profile.phase("fleet.site_advance")["count"] == 2 * n_windows
+        assert result.profile.phase("fleet.route")["count"] > 0
 
     def test_traced_serial_matches_untraced_bit_for_bit(self):
         fleet, session, trace = self._duo()

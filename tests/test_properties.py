@@ -132,6 +132,19 @@ class TestCalendarProperties:
         assert indices[0] == 0
         assert indices[-1] == n_months - 1
 
+    @given(
+        st.integers(min_value=1890, max_value=2110),
+        st.integers(min_value=1, max_value=60),
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_day_of_year_array_is_the_scalar_bytes(self, start_year, n_months, fractions):
+        calendar = SimulationCalendar(start_year, n_months)
+        last = np.nextafter(calendar.total_hours, 0.0)
+        hours = np.minimum(np.asarray(fractions) * calendar.total_hours, last)
+        scalar = np.asarray([calendar.day_of_year(h) for h in hours])
+        assert calendar.day_of_year_array(hours).tobytes() == scalar.tobytes()
+
     @given(st.integers(min_value=1, max_value=24))
     @settings(max_examples=20, deadline=None)
     def test_monthly_mean_of_constant_is_constant(self, n_months):

@@ -141,3 +141,97 @@ class TestSimulationCalendar:
     def test_rejects_zero_months(self):
         with pytest.raises(DataError):
             SimulationCalendar(2020, 0)
+
+
+def _summed_day_of_year(cal, hour):
+    """Day of year from first principles: sum the month lengths since Jan 1."""
+    month = cal.months[cal.month_of_hour(hour)]
+    offset = sum(hours_in_month(month.year, m) for m in range(1, month.month))
+    return (offset + (hour - cal.month_start_hour(cal.month_of_hour(hour)))) / 24.0
+
+
+class TestDayOfYearArray:
+    """The vectorized day of year is the scalar one, byte for byte."""
+
+    START_YEARS = (2020, 2019, 2000, 1900)
+
+    @staticmethod
+    def _grids(cal):
+        # Hourly, a fractional step that never lands on a month boundary,
+        # and the last representable instants before each month ends.
+        ends = np.asarray([cal.month_start_hour(i) for i in range(cal.n_months)][1:])
+        return (
+            cal.hour_grid(1.0),
+            cal.hour_grid(0.37),
+            np.concatenate([np.nextafter(ends, 0.0), [np.nextafter(cal.total_hours, 0.0)]]),
+        )
+
+    @pytest.mark.parametrize("start_year", START_YEARS)
+    @pytest.mark.parametrize("n_months", [1, 2, 11, 12, 13, 24, 37, 60])
+    def test_byte_equal_to_scalar_loop(self, start_year, n_months):
+        cal = SimulationCalendar(start_year, n_months)
+        for hours in self._grids(cal):
+            scalar = np.asarray([cal.day_of_year(h) for h in hours])
+            assert cal.day_of_year_array(hours).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("start_year", START_YEARS)
+    def test_matches_summed_month_lengths(self, start_year):
+        cal = SimulationCalendar(start_year, 60)
+        hours = cal.hour_grid(0.37)[::97]
+        reference = np.asarray([_summed_day_of_year(cal, h) for h in hours])
+        assert cal.day_of_year_array(hours).tobytes() == reference.tobytes()
+
+    def test_only_leap_years_reach_day_365(self):
+        cal = SimulationCalendar(2000, 60)
+        days = cal.day_of_year_array(cal.hour_grid(1.0))
+        last_hours = [cal.month_start_hour(12 * k) - 1 for k in range(1, 5)]
+        # 2000 is a leap year (divisible by 400); 2001-2003 are not.
+        assert [int(days[h]) for h in last_hours] == [365, 364, 364, 364]
+        # 1900 is not (divisible by 100 but not by 400).
+        assert int(SimulationCalendar(1900, 12).day_of_year_array([8759.5])[0]) == 364
+
+    def test_empty_input(self):
+        assert SimulationCalendar(2020, 1).day_of_year_array([]).shape == (0,)
+
+    @pytest.mark.parametrize("hour", [-0.5, -1e-9])
+    def test_negative_hours_raise_like_scalar(self, hour):
+        cal = SimulationCalendar(2020, 2)
+        with pytest.raises(DataError):
+            cal.day_of_year(hour)
+        with pytest.raises(DataError):
+            cal.day_of_year_array([0.0, hour])
+
+    def test_hours_past_horizon_raise_like_scalar(self):
+        cal = SimulationCalendar(2019, 3)
+        with pytest.raises(DataError):
+            cal.day_of_year(float(cal.total_hours))
+        with pytest.raises(DataError):
+            cal.day_of_year_array(np.append(cal.hour_grid(1.0), cal.total_hours))
+
+
+class TestSubstrateSeriesAreVectorized:
+    """Scenario builds derive calendar series as arrays, never hour by hour.
+
+    A per-hour ``day_of_year`` comprehension over a 24-month horizon is
+    17 544 Python calls per series; it made every cold scenario build (and
+    every forked fleet worker's grid) cost most of a second.
+    """
+
+    def test_scenario_build_makes_no_scalar_calendar_call(self, monkeypatch):
+        from repro.experiments import ExperimentSession, get_scenario
+        from repro.fleet import get_fleet
+
+        def per_hour_call(self, hour):
+            raise AssertionError("per-hour calendar call while building substrates")
+
+        monkeypatch.setattr(SimulationCalendar, "day_of_year", per_hour_call)
+        monkeypatch.setattr(SimulationCalendar, "hour_of_year", per_hour_call)
+        specs = [get_scenario("supercloud-small"), get_fleet("deca-continental-small").members[3]]
+        session = ExperimentSession(specs[0])
+        for spec in specs:
+            scenario = session.scenario(spec)
+            assert scenario.weather_hourly_c.shape == (scenario.calendar.total_hours,)
+            assert scenario.grid.carbon_intensity_g_per_kwh.shape == (
+                scenario.calendar.total_hours,
+            )
+            assert scenario.grid.price_per_mwh.shape == (scenario.calendar.total_hours,)
