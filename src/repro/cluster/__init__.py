@@ -3,8 +3,8 @@
 This package models the datacenter/HPC system whose energy the paper's
 framework (Eq. 1) optimizes:
 
-* :mod:`~repro.cluster.resources` — GPUs, nodes and the cluster resource pool
-  with allocation/release book-keeping.
+* :mod:`~repro.cluster.resources` — the cluster's GPU pool with
+  allocation/release book-keeping.
 * :mod:`~repro.cluster.events` — a small discrete-event engine (heap-based).
 * :mod:`~repro.cluster.cooling` — the cooling/PUE model that couples facility
   overhead to outdoor temperature (Fig. 4) and the optimizable cooling
@@ -23,21 +23,20 @@ derived, utilization and power cap) lives in plain list rows on
 cluster-wide occupancy totals are updated only for the nodes an
 ``allocate``/``release``/``drain`` actually touches, and the cluster's IT
 power is delta-maintained so the simulator reads it in O(1) at every tick and
-scheduling round.  :class:`~repro.cluster.resources.Node` and
-:class:`~repro.cluster.resources.GpuResource` remain available as lightweight
-views over the rows, built on the first read of ``Cluster.nodes`` (the
-simulator itself never reads them), so scheduler policies and user code keep
-their historical object API.  ``Cluster.recompute_it_power_w`` is the
-vectorized full recompute retained as a debug/parity checkpoint (the simulator's
-``parity_check=True`` verifies the incremental value against it after every
-allocation change), and ``tests/test_cluster_state_parity.py`` pins the whole
-model — counters, power, and end-to-end ``SimulationResult`` outputs —
-against brute-force recounts and the pre-refactor implementation.  The
+scheduling round.  The rows and counters are the only representation of the
+pool's state and change only through those methods; the public read of the
+per-GPU table is ``Cluster.snapshot_state``.  ``Cluster.recompute_it_power_w``
+is the vectorized full recompute retained as a debug/parity checkpoint (the
+simulator's ``parity_check=True`` verifies the incremental value against it
+after every allocation change), and ``tests/test_cluster_state_parity.py``
+pins the whole model — counters, power, and end-to-end ``SimulationResult``
+outputs — against an in-test reference pool and the pre-refactor
+implementation.  The
 ``supercloud-large`` scenario (256 nodes x 8 A100s) and
 ``benchmarks/test_bench_simulator_scale.py`` exercise the core at scale.
 """
 
-from .resources import GpuResource, NodeState, Node, Cluster, Allocation
+from .resources import Cluster, Allocation
 from .events import Event, EventType, EventQueue
 from .cooling import CoolingConfig, CoolingModel, FixedOverheadCooling, OptimizedCoolingController
 from .simulator import (
@@ -50,9 +49,6 @@ from .simulator import (
 from .utilization import UtilizationTracker, cluster_utilization_statistics, utilization_statistics
 
 __all__ = [
-    "GpuResource",
-    "NodeState",
-    "Node",
     "Cluster",
     "Allocation",
     "Event",

@@ -1,4 +1,4 @@
-"""Cluster resource model: GPUs, nodes, and the allocation pool.
+"""Cluster resource model: the GPU allocation pool.
 
 The resource model is deliberately coarse — the scheduling questions the
 paper raises (how many GPUs to supply, which jobs to start when, what power
@@ -26,45 +26,39 @@ rescans:
   ``n_free_gpus`` / ``can_fit`` are O(1).
 * **Placement reads free-count buckets.**  Bucket ``k`` is the sorted list
   of non-drained node ids with exactly ``k`` free GPUs.  Every state change
-  (``allocate``, ``release``, ``drain_nodes``, ``undrain_all``,
-  ``restore_state`` and view writes) moves only the touched nodes between
-  buckets, with ``bisect``.  Pack placement walks buckets ``1..G`` in order,
-  which is fewest-free-first with ties by node id, and reads each touched
-  node's free GPU indices from its job-id row, so an allocation costs
-  O(nodes touched) instead of a whole-cluster scan.
+  (``allocate``, ``release``, ``drain_nodes``, ``undrain_all`` and
+  ``restore_state``) moves only the touched nodes between buckets, with
+  ``bisect``.  Pack placement walks buckets ``1..G`` in order, which is
+  fewest-free-first with ties by node id, and reads each touched node's
+  free GPU indices from its job-id row, so an allocation costs O(nodes
+  touched) instead of a whole-cluster scan.
 * **IT power is delta-maintained.**  Each allocation contributes
   ``n_gpus x power_w(utilization, cap)`` (uniform across a job's GPUs by
   construction); ``allocate``/``release``/``set_power_limit``/``drain_nodes``
   adjust a running total so :meth:`Cluster.it_power_w` is an O(1) read.
   :meth:`Cluster.recompute_it_power_w` is the vectorized full recompute kept
-  as a debug/parity checkpoint (and the fallback whenever per-GPU state was
-  mutated directly through the view objects below).
-* **``Node`` and ``GpuResource`` are lazy views.**  The historical object
-  API (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is
-  preserved as lightweight views over the rows, built on the first read of
-  ``cluster.nodes`` (the simulator never reads it), so schedulers, tests and
-  user code read the same state without the pool paying to build or keep
-  thousands of Python objects coherent.  Writing through a view keeps the
-  counters and buckets correct but drops the power cache to the recompute
-  path until the cluster next drains empty.
+  as a debug/parity checkpoint.
+
+The rows and counters are private to this module and change only through
+the methods above, so they are the one representation of the pool's state;
+:meth:`Cluster.snapshot_state` is the public read of the per-GPU table.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..config import FacilityConfig
-from ..errors import CheckpointError, ResourceError
+from ..errors import CheckpointError, ResourceError, checkpoint_fields
 from ..telemetry.gpu_power import GpuPowerModel, GpuSpec, get_gpu_spec
 
-__all__ = ["GpuResource", "NodeState", "Node", "Allocation", "Cluster"]
+__all__ = ["Allocation", "Cluster"]
 
 #: The per-GPU cap value that means "uncapped" (runs at TDP).
 _UNCAPPED = math.nan
@@ -73,151 +67,6 @@ _UNCAPPED = math.nan
 def _cap_value(power_limit_w: Optional[float]) -> float:
     """The per-GPU row value for a cap in watts (``None`` -> NaN = uncapped)."""
     return _UNCAPPED if power_limit_w is None else float(power_limit_w)
-
-
-class GpuResource:
-    """One physical GPU in the cluster — a view over the cluster's state rows.
-
-    Attributes
-    ----------
-    node_id / index:
-        Location of the device.
-    allocated_job_id:
-        Id of the job currently using the device, or ``None`` when free.
-    power_limit_w:
-        Power cap enforced on the device (``None`` means TDP).
-    utilization:
-        Current compute utilization driven by the running job.
-
-    Reads come straight from the backing rows; writes go through the
-    cluster so the incremental counters stay consistent (direct writes also
-    invalidate the delta-maintained power cache — see module docstring).
-    """
-
-    __slots__ = ("_cluster", "node_id", "index")
-
-    def __init__(self, cluster: "Cluster", node_id: int, index: int) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self.index = index
-
-    @property
-    def allocated_job_id(self) -> Optional[str]:
-        """Id of the job using the device (``None`` when free)."""
-        return self._cluster._job_ids[self.node_id][self.index]
-
-    @allocated_job_id.setter
-    def allocated_job_id(self, job_id: Optional[str]) -> None:
-        self._cluster._set_gpu_job_id(self.node_id, self.index, job_id)
-
-    @property
-    def utilization(self) -> float:
-        """Current compute utilization in [0, 1]."""
-        return self._cluster._gpu_utilization[self.node_id][self.index]
-
-    @utilization.setter
-    def utilization(self, value: float) -> None:
-        self._cluster._gpu_utilization[self.node_id][self.index] = float(value)
-        self._cluster._power_dirty = True
-
-    @property
-    def power_limit_w(self) -> Optional[float]:
-        """Enforced power cap in watts (``None`` means TDP)."""
-        cap = self._cluster._gpu_cap_w[self.node_id][self.index]
-        return None if math.isnan(cap) else cap
-
-    @power_limit_w.setter
-    def power_limit_w(self, value: Optional[float]) -> None:
-        self._cluster._gpu_cap_w[self.node_id][self.index] = _cap_value(value)
-        self._cluster._power_dirty = True
-
-    @property
-    def is_free(self) -> bool:
-        """Whether the GPU is currently unallocated."""
-        return self._cluster._job_ids[self.node_id][self.index] is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GpuResource(node_id={self.node_id}, index={self.index}, "
-            f"allocated_job_id={self.allocated_job_id!r})"
-        )
-
-
-class NodeState(enum.Enum):
-    """Operational state of a node."""
-
-    IDLE = "idle"
-    ACTIVE = "active"
-    DRAINED = "drained"
-
-
-class Node:
-    """A GPU compute node — a view over the cluster's state rows.
-
-    ``state`` is derived (drained flag, else occupied → ACTIVE, else IDLE)
-    instead of being refreshed by whole-cluster sweeps after every
-    allocation change.
-    """
-
-    __slots__ = ("_cluster", "node_id", "gpus")
-
-    def __init__(self, cluster: "Cluster", node_id: int) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self.gpus: list[GpuResource] = [
-            GpuResource(cluster, node_id, i) for i in range(cluster._gpus_per_node)
-        ]
-
-    @property
-    def n_gpus(self) -> int:
-        """Total GPUs on the node."""
-        return self._cluster._gpus_per_node
-
-    @property
-    def free_gpus(self) -> list[GpuResource]:
-        """GPUs currently unallocated (empty when the node is drained)."""
-        cluster = self._cluster
-        if cluster._drained[self.node_id]:
-            return []
-        job_id_row = cluster._job_ids[self.node_id]
-        return [gpu for gpu, held in zip(self.gpus, job_id_row) if held is None]
-
-    @property
-    def n_free_gpus(self) -> int:
-        """Number of free GPUs on the node (0 when drained)."""
-        cluster = self._cluster
-        if cluster._drained[self.node_id]:
-            return 0
-        return cluster._node_free[self.node_id]
-
-    @property
-    def n_busy_gpus(self) -> int:
-        """Number of allocated GPUs on the node."""
-        cluster = self._cluster
-        return cluster._gpus_per_node - cluster._node_free[self.node_id]
-
-    @property
-    def is_occupied(self) -> bool:
-        """Whether any GPU on the node is allocated."""
-        cluster = self._cluster
-        return cluster._node_free[self.node_id] < cluster._gpus_per_node
-
-    @property
-    def state(self) -> NodeState:
-        """Operational state, derived from the drain flag and occupancy."""
-        cluster = self._cluster
-        if cluster._drained[self.node_id]:
-            return NodeState.DRAINED
-        return NodeState.ACTIVE if self.is_occupied else NodeState.IDLE
-
-    def refresh_state(self) -> None:
-        """Kept for API compatibility; state is now derived, nothing to refresh."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Node(node_id={self.node_id}, state={self.state.value!r}, "
-            f"free={self.n_free_gpus}/{self.n_gpus})"
-        )
 
 
 @dataclass(frozen=True)
@@ -231,15 +80,6 @@ class Allocation:
     def n_gpus(self) -> int:
         """Number of GPUs in the allocation."""
         return len(self.gpu_locations)
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """Distinct node ids touched by the allocation (sorted)."""
-        return tuple(sorted({node_id for node_id, _ in self.gpu_locations}))
-
-    def resolve(self, cluster: "Cluster") -> list[GpuResource]:
-        """The allocation's GPU views on ``cluster``, resolved directly by location."""
-        return [cluster.nodes[node_id].gpus[index] for node_id, index in self.gpu_locations]
 
 
 class Cluster:
@@ -273,16 +113,7 @@ class Cluster:
         # Delta-maintained IT power: per-job per-GPU power and the busy total.
         self._busy_power_w = 0.0
         self._job_power_w: dict[str, float] = {}
-        self._power_dirty = False
         self._allocations: dict[str, Allocation] = {}
-        self._nodes: Optional[list[Node]] = None
-
-    @property
-    def nodes(self) -> list[Node]:
-        """The node views, built on first access."""
-        if self._nodes is None:
-            self._nodes = [Node(self, node_id) for node_id in range(self._n_nodes)]
-        return self._nodes
 
     # ------------------------------------------------------------------
     # Capacity queries (all O(1) reads of maintained counters)
@@ -451,9 +282,8 @@ class Cluster:
         self._busy_power_w -= n_gpus * per_gpu_power
         if self._busy_gpus == 0:
             # Exact resynchronization point: an empty cluster has zero busy
-            # power by definition, which also clears any drift or dirtiness.
+            # power by definition, which also clears any summation drift.
             self._busy_power_w = 0.0
-            self._power_dirty = False
         return allocation
 
     def set_power_limit(self, job_id: str, power_limit_w: Optional[float]) -> None:
@@ -516,13 +346,10 @@ class Cluster:
 
         Sums GPU power (via the analytic power model, honouring per-GPU caps
         and utilizations), per-node idle power for non-drained nodes, and the
-        active-node overhead for occupied nodes.  O(1): the busy-GPU term is
-        delta-maintained by ``allocate``/``release``/``set_power_limit``;
-        only direct per-GPU writes through the view objects force the
-        vectorized :meth:`recompute_it_power_w` path.
+        active-node overhead for occupied nodes.  O(1): every term is a
+        maintained counter, and the busy-GPU term is delta-maintained by
+        ``allocate``/``release``/``set_power_limit``.
         """
-        if self._power_dirty:
-            return self.recompute_it_power_w()
         facility = self.facility
         return (
             facility.node_idle_power_w * (self._n_nodes - self._n_drained)
@@ -555,10 +382,6 @@ class Cluster:
             power += float(np.sum(self.gpu_power_model.power_w(utils, caps)))
         return float(power)
 
-    def iter_gpus(self) -> Iterable[GpuResource]:
-        """Iterate over every GPU in the cluster."""
-        return itertools.chain.from_iterable(node.gpus for node in self.nodes)
-
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
@@ -572,16 +395,10 @@ class Cluster:
         the last ulp from the incrementally-maintained original, breaking
         bit-identical continuation.
 
-        Raises :class:`~repro.errors.CheckpointError` when per-GPU state was
-        mutated out-of-band through the view objects (``_power_dirty``): such
-        state is no longer job-uniform and cannot be represented per
-        allocation.
+        Every held GPU belongs to exactly one allocation and shares its job's
+        utilization and cap, so the allocations plus the drained set are the
+        whole per-GPU table.
         """
-        if self._power_dirty:
-            raise CheckpointError(
-                "cluster state was mutated directly through GPU views; "
-                "per-allocation snapshotting requires job-uniform state"
-            )
         allocations = []
         for job_id, allocation in self._allocations.items():
             first_node, first_index = allocation.gpu_locations[0]
@@ -608,84 +425,78 @@ class Cluster:
         """Reset the pool to the state captured by :meth:`snapshot_state`.
 
         The cluster must have been constructed with the same facility shape
-        and GPU model; all current allocations are discarded.
+        and GPU model; all current allocations are discarded.  The snapshot
+        is checked in full before anything changes: a missing or mistyped
+        field, a shape or model mismatch, a location out of range or held
+        twice, an allocation with no GPUs or on a drained node raises
+        :class:`~repro.errors.CheckpointError` and leaves the pool as it was.
         """
-        if (
-            int(state["n_nodes"]) != self._n_nodes
-            or int(state["gpus_per_node"]) != self._gpus_per_node
-        ):
-            raise CheckpointError(
-                f"cluster shape mismatch: snapshot is {state['n_nodes']}x"
-                f"{state['gpus_per_node']}, cluster is {self._n_nodes}x{self._gpus_per_node}"
-            )
-        if state["gpu_model"] != self.gpu_spec.name:
-            raise CheckpointError(
-                f"GPU model mismatch: snapshot has {state['gpu_model']!r}, "
-                f"cluster has {self.gpu_spec.name!r}"
-            )
         n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
+        with checkpoint_fields("cluster snapshot"):
+            if int(state["n_nodes"]) != n_nodes or int(state["gpus_per_node"]) != gpus_per_node:
+                raise CheckpointError(
+                    f"cluster shape mismatch: snapshot is {state['n_nodes']}x"
+                    f"{state['gpus_per_node']}, cluster is {n_nodes}x{gpus_per_node}"
+                )
+            if state["gpu_model"] != self.gpu_spec.name:
+                raise CheckpointError(
+                    f"GPU model mismatch: snapshot has {state['gpu_model']!r}, "
+                    f"cluster has {self.gpu_spec.name!r}"
+                )
+            drained = [False] * n_nodes
+            for node_id in map(int, state["drained"]):
+                if not 0 <= node_id < n_nodes:
+                    raise CheckpointError(f"drained node {node_id} is outside the cluster")
+                drained[node_id] = True
+            held: set[tuple[int, int]] = set()
+            entries: dict[str, tuple] = {}
+            for entry in state["allocations"]:
+                job_id = entry["job_id"]
+                locations = tuple((int(n), int(i)) for n, i in entry["locations"])
+                if job_id in entries or not locations:
+                    raise CheckpointError(f"allocation {job_id!r} is repeated or holds no GPUs")
+                for node_id, index in locations:
+                    if not (0 <= node_id < n_nodes and 0 <= index < gpus_per_node):
+                        raise CheckpointError(
+                            f"allocation {job_id!r} holds GPU ({node_id}, {index}) outside "
+                            f"the {n_nodes}x{gpus_per_node} cluster"
+                        )
+                    if (node_id, index) in held or drained[node_id]:
+                        raise CheckpointError(
+                            f"allocation {job_id!r} holds GPU ({node_id}, {index}), "
+                            f"which is already held or on a drained node"
+                        )
+                    held.add((node_id, index))
+                entries[job_id] = (
+                    locations,
+                    float(entry["utilization"]),
+                    _cap_value(entry["power_limit_w"]),
+                    float(entry["per_gpu_power_w"]),
+                )
+            busy_power_w = float(state["busy_power_w"])
         self._reset_gpu_rows()
         job_ids, utilizations, caps = self._job_ids, self._gpu_utilization, self._gpu_cap_w
         self._node_free = node_free = [gpus_per_node] * n_nodes
-        self._drained = [False] * n_nodes
-        for node_id in state["drained"]:
-            self._drained[int(node_id)] = True
+        self._drained = drained
         self._allocations = {}
         self._job_power_w = {}
-        self._power_dirty = False
-        for entry in state["allocations"]:
-            job_id = entry["job_id"]
-            locations = tuple((int(n), int(i)) for n, i in entry["locations"])
-            cap_value = _cap_value(entry["power_limit_w"])
-            utilization = float(entry["utilization"])
+        for job_id, (locations, utilization, cap_value, per_gpu_power) in entries.items():
             for node_id, index in locations:
                 job_ids[node_id][index] = job_id
                 utilizations[node_id][index] = utilization
                 caps[node_id][index] = cap_value
                 node_free[node_id] -= 1
             self._allocations[job_id] = Allocation(job_id=job_id, gpu_locations=locations)
-            self._job_power_w[job_id] = float(entry["per_gpu_power_w"])
+            self._job_power_w[job_id] = per_gpu_power
         # Derived counters and buckets, then the accumulated power total verbatim.
-        self._busy_gpus = n_nodes * gpus_per_node - sum(node_free)
+        self._busy_gpus = len(held)
         self._n_occupied = sum(1 for free in node_free if free < gpus_per_node)
-        self._n_drained = sum(self._drained)
+        self._n_drained = sum(drained)
         self._rebuild_buckets()
         self._free_gpus_nondrained = sum(
             free * len(bucket) for free, bucket in enumerate(self._buckets)
         )
-        self._busy_power_w = float(state["busy_power_w"])
-        # The Node views read the cluster's state on access; nothing to rebuild.
-
-    # ------------------------------------------------------------------
-    # Direct per-GPU writes (view setters route through here)
-    # ------------------------------------------------------------------
-    def _set_gpu_job_id(self, node_id: int, index: int, job_id: Optional[str]) -> None:
-        """Write-through for ``GpuResource.allocated_job_id`` assignments.
-
-        Keeps the occupancy counters exact; the power cache is marked dirty
-        because out-of-band assignments carry no power bookkeeping.
-        """
-        was_allocated = self._job_ids[node_id][index] is not None
-        now_allocated = job_id is not None
-        self._job_ids[node_id][index] = job_id
-        self._power_dirty = True
-        if was_allocated == now_allocated:
-            return
-        gpus_per_node = self._gpus_per_node
-        free_before = self._node_free[node_id]
-        if now_allocated:
-            if free_before == gpus_per_node:
-                self._n_occupied += 1
-            self._node_free[node_id] = free_after = free_before - 1
-            self._busy_gpus += 1
-        else:
-            self._node_free[node_id] = free_after = free_before + 1
-            if free_after == gpus_per_node:
-                self._n_occupied -= 1
-            self._busy_gpus -= 1
-        if not self._drained[node_id]:
-            self._free_gpus_nondrained += free_after - free_before
-            self._rebucket(node_id, free_before, free_after)
+        self._busy_power_w = busy_power_w
 
     # ------------------------------------------------------------------
     # Per-GPU rows, drain flags and free-count buckets

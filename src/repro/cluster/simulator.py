@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..config import FacilityConfig, require_positive
-from ..errors import CheckpointError, SimulationError, SteppingError
+from ..errors import CheckpointError, SimulationError, SteppingError, checkpoint_fields
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import get_recorder
 from ..scheduler.base import ScheduleDecision, Scheduler, SchedulingContext
@@ -358,12 +358,13 @@ class SimulatorSnapshot:
                 f"snapshot version {version} is not supported "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
-        return cls(
-            version=version,
-            scheduler_name=data["scheduler_name"],
-            now_h=float(data["now_h"]),
-            state=data["state"],
-        )
+        with checkpoint_fields("snapshot payload"):
+            return cls(
+                version=version,
+                scheduler_name=data["scheduler_name"],
+                now_h=float(data["now_h"]),
+                state=data["state"],
+            )
 
 
 class ClusterSimulator:
@@ -966,65 +967,66 @@ class ClusterSimulator:
                 f"scheduler mismatch: snapshot was taken under "
                 f"{snapshot.scheduler_name!r}, this simulator runs {self.scheduler.name!r}"
             )
-        state = snapshot.state
-        config = self.config
-        saved = state["config"]
-        for field_name in (
-            "horizon_h",
-            "tick_h",
-            "facility_power_budget_w",
-            "carbon_threshold_quantile",
-        ):
-            if getattr(config, field_name) != saved[field_name]:
+        with checkpoint_fields("simulator snapshot"):
+            state = snapshot.state
+            config = self.config
+            saved = state["config"]
+            for field_name in (
+                "horizon_h",
+                "tick_h",
+                "facility_power_budget_w",
+                "carbon_threshold_quantile",
+            ):
+                if getattr(config, field_name) != saved[field_name]:
+                    raise CheckpointError(
+                        f"config mismatch on {field_name!r}: snapshot has "
+                        f"{saved[field_name]!r}, simulator has {getattr(config, field_name)!r}"
+                    )
+            observer_states = state["observers"]
+            durable_observers = [obs for obs in self._observers if not obs.transient]
+            if len(observer_states) != len(durable_observers):
                 raise CheckpointError(
-                    f"config mismatch on {field_name!r}: snapshot has "
-                    f"{saved[field_name]!r}, simulator has {getattr(config, field_name)!r}"
+                    f"observer count mismatch: snapshot carries {len(observer_states)} "
+                    f"observer states, simulator has {len(durable_observers)} "
+                    f"checkpointed observers"
                 )
-        observer_states = state["observers"]
-        durable_observers = [obs for obs in self._observers if not obs.transient]
-        if len(observer_states) != len(durable_observers):
-            raise CheckpointError(
-                f"observer count mismatch: snapshot carries {len(observer_states)} "
-                f"observer states, simulator has {len(durable_observers)} "
-                f"checkpointed observers"
-            )
 
-        jobs_by_id: dict[str, Job] = {}
-        all_jobs: list[Job] = []
-        for data in state["jobs"]:
-            job = Job.from_snapshot(data)
-            jobs_by_id[job.job_id] = job
-            all_jobs.append(job)
-        events: list[Event] = []
-        for time_h, type_value, sequence, payload in state["events"]:
-            event_type = EventType(type_value)
-            if event_type is EventType.JOB_SUBMIT:
-                payload = jobs_by_id[payload]
-            events.append(
-                Event(
-                    time_h=float(time_h),
-                    priority=int(event_type),
-                    sequence=int(sequence),
-                    event_type=event_type,
-                    payload=payload,
+            jobs_by_id: dict[str, Job] = {}
+            all_jobs: list[Job] = []
+            for data in state["jobs"]:
+                job = Job.from_snapshot(data)
+                jobs_by_id[job.job_id] = job
+                all_jobs.append(job)
+            events: list[Event] = []
+            for time_h, type_value, sequence, payload in state["events"]:
+                event_type = EventType(type_value)
+                if event_type is EventType.JOB_SUBMIT:
+                    payload = jobs_by_id[payload]
+                events.append(
+                    Event(
+                        time_h=float(time_h),
+                        priority=int(event_type),
+                        sequence=int(sequence),
+                        event_type=event_type,
+                        payload=payload,
+                    )
                 )
-            )
 
-        self.cluster.restore_state(state["cluster"])
-        self._events.restore(events, float(state["now_h"]), int(state["next_sequence"]))
-        self._all_jobs = all_jobs
-        self._seen_ids = set(jobs_by_id)
-        self._pending = [jobs_by_id[job_id] for job_id in state["pending"]]
-        self._running = {job_id: jobs_by_id[job_id] for job_id in state["running"]}
-        self._tick_times = [float(t) for t in state["tick_times"]]
-        self._tick_it_power = [float(p) for p in state["tick_it_power"]]
-        self._current_it_power_w = float(state["current_it_power_w"])
-        self._advanced_to = float(state["advanced_to"])
-        self._begun = True
-        self._finalized = False
-        self._power_summary = None
-        for observer, observer_state in zip(durable_observers, observer_states):
-            observer.restore_state(observer_state)
+            self.cluster.restore_state(state["cluster"])
+            self._events.restore(events, float(state["now_h"]), int(state["next_sequence"]))
+            self._all_jobs = all_jobs
+            self._seen_ids = set(jobs_by_id)
+            self._pending = [jobs_by_id[job_id] for job_id in state["pending"]]
+            self._running = {job_id: jobs_by_id[job_id] for job_id in state["running"]}
+            self._tick_times = [float(t) for t in state["tick_times"]]
+            self._tick_it_power = [float(p) for p in state["tick_it_power"]]
+            self._current_it_power_w = float(state["current_it_power_w"])
+            self._advanced_to = float(state["advanced_to"])
+            self._begun = True
+            self._finalized = False
+            self._power_summary = None
+            for observer, observer_state in zip(durable_observers, observer_states):
+                observer.restore_state(observer_state)
 
     @staticmethod
     def _record_for(job: Job) -> JobRecord:

@@ -7,6 +7,9 @@ catch toolkit failures without also swallowing programming errors such as
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 __all__ = [
     "GreenHPCError",
     "ConfigurationError",
@@ -25,6 +28,7 @@ __all__ = [
     "OptimizationError",
     "MechanismError",
     "DataError",
+    "checkpoint_fields",
 ]
 
 
@@ -112,3 +116,22 @@ class MechanismError(GreenHPCError, RuntimeError):
 
 class DataError(GreenHPCError, ValueError):
     """Raised when analysis-layer inputs are malformed (length mismatches, NaNs, ...)."""
+
+
+@contextmanager
+def checkpoint_fields(what: str) -> Iterator[None]:
+    """Report a structurally bad checkpoint as :class:`CheckpointError`.
+
+    Reading a checkpoint's fields raises ``KeyError``, ``IndexError``,
+    ``TypeError``, ``ValueError`` or ``AttributeError`` when a field is
+    missing or has the wrong shape, and a toolkit error when a value fails
+    validation (a job with no GPUs, an unknown policy); inside this block
+    each becomes a :class:`CheckpointError` naming ``what`` was being read,
+    so callers that skip unreadable checkpoints need to catch only that.
+    """
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except (GreenHPCError, KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

@@ -1,10 +1,11 @@
 """Parallel parameter-sweep harness.
 
 Policy comparisons, power-cap sweeps and stress tests evaluate the same
-simulation at many parameter points; :mod:`~repro.parallel.sweep` runs those
-points across processes (falling back to serial execution for small sweeps or
-when requested), with deterministic per-task seeds derived from the master
-seed so results do not depend on worker scheduling.
+simulation at many parameter points; :func:`~repro.parallel.pool.map_parallel`
+runs those points across processes (falling back to serial execution for
+small sweeps or when requested), and :mod:`~repro.parallel.sweep` gives each
+grid point a seed derived from the master seed so results do not depend on
+worker scheduling.
 
 Scaling guide — two parallel axes
 ---------------------------------
@@ -29,13 +30,11 @@ sweep axis; few points over big fleets → fleet axis — rather than both.
 """
 
 from .pool import map_parallel, ParallelConfig
-from .sweep import SweepPoint, SweepResult, ParameterSweep, grid_points
+from .sweep import SweepPoint, grid_points
 
 __all__ = [
     "map_parallel",
     "ParallelConfig",
     "SweepPoint",
-    "SweepResult",
-    "ParameterSweep",
     "grid_points",
 ]

@@ -1,22 +1,20 @@
-"""Parameter sweeps with reproducible per-point seeds.
+"""Parameter-grid sweep points with reproducible per-point seeds.
 
-A sweep point is a dictionary of parameter values plus a derived seed; the
-sweep applies a user function to every point (optionally across processes)
-and collects ``(point, value)`` pairs.  Benchmarks use this for power-cap
-sweeps, deferrable-fraction ablations, and stress-scenario batteries.
+A sweep point is a dictionary of parameter values plus a seed derived from
+the master seed and the point's index; callers evaluate the points with
+:func:`~repro.parallel.pool.map_parallel`.  Campaigns build their grids here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..rng import derive_seed
-from .pool import ParallelConfig, map_parallel
 
-__all__ = ["SweepPoint", "SweepResult", "grid_points", "ParameterSweep"]
+__all__ = ["SweepPoint", "grid_points"]
 
 
 @dataclass(frozen=True)
@@ -39,43 +37,6 @@ class SweepPoint:
     seed: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """All evaluated points of a sweep with their returned values."""
-
-    points: tuple[SweepPoint, ...]
-    values: tuple[Any, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.values):
-            raise ConfigurationError("points and values must have the same length")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_records(self) -> list[dict[str, Any]]:
-        """One flat record per point: parameters plus the value under ``"value"``."""
-        records = []
-        for point, value in zip(self.points, self.values):
-            record = dict(point.params)
-            record["value"] = value
-            records.append(record)
-        return records
-
-    def best(self, key: Callable[[Any], float], *, maximize: bool = False) -> tuple[SweepPoint, Any]:
-        """The point whose value minimises (or maximises) ``key(value)``.
-
-        Ties are broken by the lowest point index in both modes, so the
-        selection is deterministic and independent of the optimization sense.
-        """
-        if not self.points:
-            raise ConfigurationError("cannot select the best point of an empty sweep")
-        scores = [key(value) for value in self.values]
-        best_score = max(scores) if maximize else min(scores)
-        best_index = scores.index(best_score)
-        return self.points[best_index], self.values[best_index]
-
-
 def grid_points(grid: Mapping[str, Sequence[Any]], *, seed: int = 0) -> list[SweepPoint]:
     """Cartesian-product sweep points from a parameter grid.
 
@@ -95,30 +56,3 @@ def grid_points(grid: Mapping[str, Sequence[Any]], *, seed: int = 0) -> list[Swe
         params = dict(zip(names, combination))
         points.append(SweepPoint(index=index, params=params, seed=derive_seed(seed, "sweep", index)))
     return points
-
-
-@dataclass
-class ParameterSweep:
-    """Evaluates a function over sweep points, optionally in parallel.
-
-    Attributes
-    ----------
-    function:
-        Callable taking a :class:`SweepPoint` and returning any picklable value.
-    parallel:
-        Execution configuration (serial by default).
-    """
-
-    function: Callable[[SweepPoint], Any]
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
-
-    def run(self, points: Sequence[SweepPoint]) -> SweepResult:
-        """Evaluate every point and return the collected results."""
-        if not points:
-            raise ConfigurationError("sweep requires at least one point")
-        values = map_parallel(self.function, points, self.parallel)
-        return SweepResult(points=tuple(points), values=tuple(values))
-
-    def run_grid(self, grid: Mapping[str, Sequence[Any]], *, seed: int = 0) -> SweepResult:
-        """Convenience: build grid points and run them."""
-        return self.run(grid_points(grid, seed=seed))

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import SchedulingError
-from ..parallel.pool import ParallelConfig
-from ..parallel.sweep import ParameterSweep, SweepPoint, grid_points
+from ..parallel.pool import ParallelConfig, map_parallel
 from ..telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 from .job import Job
 
@@ -126,11 +125,10 @@ class PowerCapSweepPoint:
     runtime_penalty_pct: float
 
 
-def _evaluate_cap_point(
-    point: SweepPoint, *, gpu_model: str, utilization: float, baseline_energy: float
+def _evaluate_cap_fraction(
+    fraction: float, *, gpu_model: str, utilization: float, baseline_energy: float
 ) -> PowerCapSweepPoint:
     """One cap level of the trade-off sweep (module-level, so it pickles)."""
-    fraction = point.params["cap_fraction"]
     spec = get_gpu_spec(gpu_model)
     model = GpuPowerModel(spec)
     cap_w = float(model.clamp_power_limit(fraction * spec.tdp_w))
@@ -159,9 +157,9 @@ def powercap_energy_tradeoff(
     Reproduces the shape of the Frey et al. [15] result the paper leans on:
     moderate caps (70-80% of TDP) save 10-25% of energy at only a few percent
     runtime penalty, while very tight caps hit diminishing returns.  The cap
-    levels are evaluated through the sweep harness, so large custom sweeps can
-    run across processes via ``parallel``; results are in ``cap_fractions``
-    order either way.
+    levels are evaluated with :func:`~repro.parallel.pool.map_parallel`, so
+    large custom sweeps can run across processes via ``parallel``; results
+    are in ``cap_fractions`` order either way.
     """
     if not cap_fractions:
         return []
@@ -171,14 +169,10 @@ def powercap_energy_tradeoff(
     spec = get_gpu_spec(gpu_model)
     model = GpuPowerModel(spec)
     baseline_energy = float(model.energy_for_work(1.0, utilization, None))
-    sweep = ParameterSweep(
-        partial(
-            _evaluate_cap_point,
-            gpu_model=gpu_model,
-            utilization=utilization,
-            baseline_energy=baseline_energy,
-        ),
-        parallel=parallel or ParallelConfig(),
+    evaluate = partial(
+        _evaluate_cap_fraction,
+        gpu_model=gpu_model,
+        utilization=utilization,
+        baseline_energy=baseline_energy,
     )
-    result = sweep.run_grid({"cap_fraction": [float(f) for f in cap_fractions]})
-    return list(result.values)
+    return map_parallel(evaluate, [float(f) for f in cap_fractions], parallel)

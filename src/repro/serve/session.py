@@ -30,7 +30,7 @@ from ..cluster.simulator import (
     SimulatorSnapshot,
 )
 from ..core.levers import build_simulator
-from ..errors import CheckpointError, ServeError
+from ..errors import CheckpointError, ServeError, checkpoint_fields
 from ..experiments.session import ExperimentSession
 from ..experiments.spec import ScenarioSpec, get_scenario, get_site
 from ..fleet.routing import SiteSnapshot, make_router
@@ -205,26 +205,31 @@ class ServeSession:
 
     @classmethod
     def from_checkpoint(cls, payload: dict, world: ExperimentSession) -> "ServeSession":
-        """Rebuild a session (simulator + telemetry backlog) from a checkpoint."""
-        meta = payload["meta"]
-        snapshot = SimulatorSnapshot.from_jsonable(payload["snapshot"])
-        session = cls(
-            session_id=meta["session_id"],
-            scenario_name=meta["scenario"],
-            overrides=meta["overrides"],
-            policy=meta["policy"],
-            config=SimulationConfig(
-                horizon_h=float(meta["horizon_h"]),
-                tick_h=float(meta["tick_h"]),
-                facility_power_budget_w=meta["facility_power_budget_w"],
-            ),
-            power_cap_fraction=meta["power_cap_fraction"],
-            preload_jobs=meta["preload_jobs"],
-            world=world,
-        )
-        session.simulator.restore(snapshot)
-        session._ticks = list(payload["ticks"])
-        session.checkpoint_count = int(meta.get("checkpoint_count", 0))
+        """Rebuild a session (simulator + telemetry backlog) from a checkpoint.
+
+        Raises :class:`~repro.errors.CheckpointError` when the payload is
+        missing a field or holds a value this build cannot restore.
+        """
+        with checkpoint_fields("checkpoint"):
+            meta = payload["meta"]
+            snapshot = SimulatorSnapshot.from_jsonable(payload["snapshot"])
+            session = cls(
+                session_id=meta["session_id"],
+                scenario_name=meta["scenario"],
+                overrides=meta["overrides"],
+                policy=meta["policy"],
+                config=SimulationConfig(
+                    horizon_h=float(meta["horizon_h"]),
+                    tick_h=float(meta["tick_h"]),
+                    facility_power_budget_w=meta["facility_power_budget_w"],
+                ),
+                power_cap_fraction=meta["power_cap_fraction"],
+                preload_jobs=meta["preload_jobs"],
+                world=world,
+            )
+            session.simulator.restore(snapshot)
+            session._ticks = list(payload["ticks"])
+            session.checkpoint_count = int(meta.get("checkpoint_count", 0))
         session.last_checkpoint_h = snapshot.now_h
         return session
 
@@ -533,8 +538,9 @@ class SessionManager:
 
     def restore_session(self, payload: dict) -> ServeSession:
         """Register a session rebuilt from a checkpoint payload."""
-        meta = payload.get("meta", {})
-        spec = resolve_spec(meta["scenario"], meta.get("overrides", {}))
+        with checkpoint_fields("checkpoint"):
+            meta = payload["meta"]
+            spec = resolve_spec(meta["scenario"], meta.get("overrides", {}))
         session = ServeSession.from_checkpoint(payload, self.world_for(spec))
         with self._lock:
             if session.session_id in self._sessions:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import FacilityConfig
-from repro.cluster.resources import Cluster, NodeState
+from repro.cluster.resources import Cluster
 from repro.errors import ResourceError
 
 
@@ -63,27 +63,38 @@ class TestAllocation:
         assert cluster.n_occupied_nodes >= 3
 
     def test_node_state_refresh(self, cluster):
-        cluster.allocate("a", 2)
-        active_nodes = [n for n in cluster.nodes if n.state is NodeState.ACTIVE]
-        assert len(active_nodes) == cluster.n_occupied_nodes
+        allocation = cluster.allocate("a", 3)
+        occupied = {node_id for node_id, _ in allocation.gpu_locations}
+        assert cluster.n_occupied_nodes == len(occupied) == 2
         cluster.release("a")
-        assert all(n.state is NodeState.IDLE for n in cluster.nodes)
+        assert cluster.n_occupied_nodes == 0
 
     def test_set_power_limit(self, cluster):
         cluster.allocate("a", 2)
+        uncapped = cluster.it_power_w()
         cluster.set_power_limit("a", 150.0)
-        limits = [g.power_limit_w for g in cluster.iter_gpus() if g.allocated_job_id == "a"]
-        assert limits == [150.0, 150.0]
+        (entry,) = cluster.snapshot_state()["allocations"]
+        assert entry["job_id"] == "a"
+        assert entry["power_limit_w"] == 150.0
+        assert cluster.it_power_w() < uncapped
         with pytest.raises(ResourceError):
             cluster.set_power_limit("ghost", 150.0)
 
     def test_release_resets_gpu_state(self, cluster):
+        idle = cluster.it_power_w()
         cluster.allocate("a", 2, utilization=0.8, power_limit_w=180.0)
         cluster.release("a")
-        for gpu in cluster.iter_gpus():
-            assert gpu.is_free
-            assert gpu.utilization == 0.0
-            assert gpu.power_limit_w is None
+        assert cluster.snapshot_state()["allocations"] == []
+        assert cluster.n_busy_gpus == 0
+        assert cluster.it_power_w() == idle
+        assert cluster.recompute_it_power_w() == pytest.approx(idle, rel=1e-12)
+        # The released GPUs are free and uncapped again: re-allocating them
+        # uncapped draws exactly what a fresh cluster's allocation draws.
+        cluster.allocate("b", 2, utilization=0.8)
+        fresh = Cluster(cluster.facility, gpu_model="V100")
+        fresh.allocate("b", 2, utilization=0.8)
+        assert cluster.snapshot_state() == fresh.snapshot_state()
+        assert cluster.it_power_w() == fresh.it_power_w()
 
 
 class TestDraining:

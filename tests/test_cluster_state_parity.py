@@ -6,13 +6,14 @@ Three layers of evidence that the delta-maintained state model is exact:
    :class:`~repro.telemetry.gpu_power.GpuPowerModel` are bit-equal to the
    array API they mirror.
 2. **Randomized state parity** — random allocate/release/drain/undrain/re-cap
-   and view-write sequences keep every incremental counter equal to a
-   brute-force recount over the GPU views, keep the O(1) IT power equal (to
-   float tolerance) to both the vectorized recompute checkpoint and a
-   pure-Python reference that reproduces the pre-refactor whole-cluster scan
-   arithmetic, keep every view read equal to an in-test reference model,
-   and place every allocation on exactly the GPUs the whole-cluster-scan
-   placement rule picks.
+   sequences keep every incremental counter equal to a brute-force recount
+   of an in-test reference pool (updated only from the operations the test
+   performs), keep the O(1) IT power equal (to float tolerance) to both the
+   vectorized recompute checkpoint and a pure-Python reference that
+   reproduces the pre-refactor whole-cluster scan arithmetic, keep the
+   cluster's public snapshot equal to the reference, and place every
+   allocation on exactly the GPUs the whole-cluster-scan placement rule
+   picks from the reference.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
    implementation) under all five scheduling policies, with the power series
@@ -27,7 +28,7 @@ import pytest
 
 from repro.climate.weather import WeatherModel
 from repro.cluster.cooling import CoolingModel
-from repro.cluster.resources import Cluster, NodeState
+from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.grid.iso_ne import IsoNeLikeGrid
@@ -78,27 +79,78 @@ class TestScalarModelParity:
 # ---------------------------------------------------------------------------
 
 
-def brute_force_it_power(cluster: Cluster) -> float:
-    """The pre-refactor whole-cluster scan, kept verbatim as the reference."""
+class ReferencePool:
+    """An in-test model of the cluster's per-GPU state.
+
+    It is updated from the operations the test performs, never from the
+    cluster's own state, so a cluster whose rows or counters drift from
+    what those operations imply fails.
+    """
+
+    def __init__(self, n_nodes: int, gpus_per_node: int) -> None:
+        self.n_nodes, self.gpus_per_node = n_nodes, gpus_per_node
+        locations = [(n, i) for n in range(n_nodes) for i in range(gpus_per_node)]
+        self.job = dict.fromkeys(locations)
+        self.utilization = dict.fromkeys(locations, 0.0)
+        self.cap = dict.fromkeys(locations)
+        self.drained: set[int] = set()
+
+    @classmethod
+    def from_snapshot(cls, cluster: Cluster) -> "ReferencePool":
+        """The per-GPU table that ``cluster.snapshot_state()`` describes."""
+        state = cluster.snapshot_state()
+        pool = cls(state["n_nodes"], state["gpus_per_node"])
+        pool.drained.update(state["drained"])
+        for entry in state["allocations"]:
+            for location in entry["locations"]:
+                pool.hold(tuple(location), entry["job_id"], entry["utilization"], entry["power_limit_w"])
+        return pool
+
+    def hold(self, location, job_id, utilization, cap) -> None:
+        self.job[location], self.utilization[location], self.cap[location] = job_id, utilization, cap
+
+    def free_indices(self, node_id: int) -> list[int]:
+        return [i for i in range(self.gpus_per_node) if self.job[(node_id, i)] is None]
+
+    def drain(self, n_nodes: int) -> int:
+        idle = [
+            node_id
+            for node_id in range(self.n_nodes)
+            if node_id not in self.drained and len(self.free_indices(node_id)) == self.gpus_per_node
+        ]
+        self.drained.update(idle[:n_nodes])
+        return len(idle[:n_nodes])
+
+    def assert_matches(self, cluster: Cluster) -> None:
+        """The cluster's public snapshot describes exactly this pool."""
+        observed = ReferencePool.from_snapshot(cluster)
+        assert observed.drained == self.drained
+        assert observed.job == self.job
+        assert observed.utilization == self.utilization
+        assert observed.cap == self.cap
+
+
+def brute_force_it_power(cluster: Cluster, reference: ReferencePool) -> float:
+    """The pre-refactor whole-cluster scan, kept verbatim, over the reference pool."""
     facility = cluster.facility
     idle_gpu_w = cluster.gpu_spec.idle_power_w
     power = 0.0
     busy_utils: list[float] = []
     busy_caps: list[float] = []
-    for node in cluster.nodes:
-        if node.state is NodeState.DRAINED:
+    for node_id in range(reference.n_nodes):
+        if node_id in reference.drained:
             continue
         power += facility.node_idle_power_w
         occupied = False
-        for gpu in node.gpus:
-            if gpu.is_free:
+        for index in range(reference.gpus_per_node):
+            location = (node_id, index)
+            if reference.job[location] is None:
                 power += idle_gpu_w
             else:
                 occupied = True
-                busy_utils.append(gpu.utilization)
-                busy_caps.append(
-                    gpu.power_limit_w if gpu.power_limit_w is not None else cluster.gpu_spec.tdp_w
-                )
+                busy_utils.append(reference.utilization[location])
+                cap = reference.cap[location]
+                busy_caps.append(cap if cap is not None else cluster.gpu_spec.tdp_w)
         if occupied:
             power += facility.node_active_overhead_w
     if busy_utils:
@@ -108,40 +160,40 @@ def brute_force_it_power(cluster: Cluster) -> float:
     return power
 
 
-def assert_state_parity(cluster: Cluster) -> None:
-    """Counters and cached power must match brute-force recounts over the views."""
-    free = sum(
+def assert_state_parity(cluster: Cluster, reference: ReferencePool) -> None:
+    """Counters and cached power must match brute-force recounts of the reference."""
+    live = [n for n in range(reference.n_nodes) if n not in reference.drained]
+    free = sum(len(reference.free_indices(node_id)) for node_id in live)
+    busy = sum(1 for job_id in reference.job.values() if job_id is not None)
+    occupied = sum(
         1
-        for node in cluster.nodes
-        if node.state is not NodeState.DRAINED
-        for gpu in node.gpus
-        if gpu.is_free
+        for node_id in range(reference.n_nodes)
+        if len(reference.free_indices(node_id)) < reference.gpus_per_node
     )
-    busy = sum(1 for gpu in cluster.iter_gpus() if not gpu.is_free)
-    occupied = sum(1 for node in cluster.nodes if node.is_occupied)
-    drained = sum(1 for node in cluster.nodes if node.state is NodeState.DRAINED)
     assert cluster.n_free_gpus == free
     assert cluster.n_busy_gpus == busy
     assert cluster.n_occupied_nodes == occupied
-    assert cluster.n_drained_nodes == drained
-    for node in cluster.nodes:
-        assert node.n_free_gpus == len(node.free_gpus)
-        assert node.n_busy_gpus == node.n_gpus - sum(1 for g in node.gpus if g.is_free)
-    reference = brute_force_it_power(cluster)
-    np.testing.assert_allclose(cluster.it_power_w(), reference, rtol=1e-9, atol=1e-6)
-    np.testing.assert_allclose(cluster.recompute_it_power_w(), reference, rtol=1e-12, atol=1e-9)
+    assert cluster.n_drained_nodes == len(reference.drained)
+    expected = brute_force_it_power(cluster, reference)
+    np.testing.assert_allclose(cluster.it_power_w(), expected, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(cluster.recompute_it_power_w(), expected, rtol=1e-12, atol=1e-9)
 
 
-def scan_placement(cluster: Cluster, n_gpus: int, pack: bool) -> tuple:
+def scan_placement(reference: ReferencePool, n_gpus: int, pack: bool) -> tuple:
     """The whole-cluster-scan placement rule, kept verbatim as the reference.
 
     Pack fills the fewest-free non-drained nodes first (a stable argsort, so
     ties go to the lowest node id); spread takes one GPU at a time from the
     node with the most free GPUs (``argmax`` returns the first maximum).  The
-    occupancy is read through the GPU views, not the cluster's own counters.
+    occupancy is read from the reference pool, not the cluster's own state.
     """
-    allocated = np.array([[not gpu.is_free for gpu in node.gpus] for node in cluster.nodes])
-    drained = np.array([node.state is NodeState.DRAINED for node in cluster.nodes])
+    allocated = np.array(
+        [
+            [reference.job[(node_id, index)] is not None for index in range(reference.gpus_per_node)]
+            for node_id in range(reference.n_nodes)
+        ]
+    )
+    drained = np.array([node_id in reference.drained for node_id in range(reference.n_nodes)])
     free = np.where(drained, 0, (~allocated).sum(axis=1))
     locations: list[tuple[int, int]] = []
     if pack:
@@ -172,70 +224,22 @@ def scan_placement(cluster: Cluster, n_gpus: int, pack: bool) -> tuple:
     return tuple(locations)
 
 
-class ReferencePool:
-    """An in-test model of the per-GPU state every view read must match.
-
-    It is updated from the operations the test performs, never from the
-    cluster's own state, so a view that reads stale or wrong rows fails.
-    """
-
-    def __init__(self, n_nodes: int, gpus_per_node: int) -> None:
-        self.n_nodes, self.gpus_per_node = n_nodes, gpus_per_node
-        locations = [(n, i) for n in range(n_nodes) for i in range(gpus_per_node)]
-        self.job = dict.fromkeys(locations)
-        self.utilization = dict.fromkeys(locations, 0.0)
-        self.cap = dict.fromkeys(locations)
-        self.drained: set[int] = set()
-
-    def hold(self, location, job_id, utilization, cap) -> None:
-        self.job[location], self.utilization[location], self.cap[location] = job_id, utilization, cap
-
-    def free_indices(self, node_id: int) -> list[int]:
-        return [i for i in range(self.gpus_per_node) if self.job[(node_id, i)] is None]
-
-    def drain(self, n_nodes: int) -> int:
-        idle = [
-            node_id
-            for node_id in range(self.n_nodes)
-            if node_id not in self.drained and len(self.free_indices(node_id)) == self.gpus_per_node
-        ]
-        self.drained.update(idle[:n_nodes])
-        return len(idle[:n_nodes])
-
-    def assert_views_match(self, cluster: Cluster) -> None:
-        for node in cluster.nodes:
-            for gpu in node.gpus:
-                location = (node.node_id, gpu.index)
-                assert gpu.allocated_job_id == self.job[location], location
-                assert gpu.is_free is (self.job[location] is None), location
-                assert gpu.utilization == self.utilization[location], location
-                assert gpu.power_limit_w == self.cap[location], location
-            expected_free = [] if node.node_id in self.drained else self.free_indices(node.node_id)
-            assert [gpu.index for gpu in node.free_gpus] == expected_free, node.node_id
-            assert node.n_free_gpus == len(expected_free), node.node_id
-
-
 @pytest.mark.parametrize("seed", [0, 7, 20220527])
 def test_randomized_sequences_keep_state_exact(seed):
-    """Random allocate/release/re-cap/drain/undrain/view-write sequences.
+    """Random allocate/release/re-cap/drain/undrain sequences.
 
     After every step the O(1) IT power equals the vectorized recompute and
-    every view read equals the in-test reference.  A twin cluster mirrors
-    the first half of the operations without any view read, so its first
-    ``cluster.nodes`` read comes after many allocations and must show the
-    current state.
+    the cluster's snapshot equals the in-test reference; every allocation
+    lands on the GPUs the scan placement picks from the reference.
     """
     rng = np.random.default_rng(seed)
     facility = FacilityConfig(n_nodes=6, gpus_per_node=4)
     cluster = Cluster(facility, gpu_model="V100")
-    twin = Cluster(facility, gpu_model="V100")
     reference = ReferencePool(facility.n_nodes, facility.gpus_per_node)
-    live: list[str] = []
-    rogue: list[tuple[int, int]] = []  # GPUs given a job id through a view
+    live: dict[str, tuple] = {}  # job id -> the locations placed for it
     next_id = 0
-    n_steps, twin_steps = 300, 150
+    n_steps = 300
     for step in range(n_steps):
-        mirrored = [cluster, twin] if step < twin_steps else [cluster]
         op = rng.random()
         if op < 0.40 and cluster.n_free_gpus > 0:
             n_gpus = int(rng.integers(1, cluster.n_free_gpus + 1))
@@ -244,106 +248,51 @@ def test_randomized_sequences_keep_state_exact(seed):
             cap = None if rng.random() < 0.5 else float(rng.uniform(80.0, 300.0))
             utilization = float(rng.uniform(0.05, 1.0))
             pack = bool(rng.random() < 0.5)
-            expected = scan_placement(cluster, n_gpus, pack)
-            for pool in mirrored:
-                allocation = pool.allocate(
-                    job_id, n_gpus, utilization=utilization, power_limit_w=cap, pack=pack
-                )
-                assert allocation.gpu_locations == expected
+            expected = scan_placement(reference, n_gpus, pack)
+            allocation = cluster.allocate(
+                job_id, n_gpus, utilization=utilization, power_limit_w=cap, pack=pack
+            )
+            assert allocation.gpu_locations == expected
             for location in expected:
                 reference.hold(location, job_id, utilization, cap)
-            live.append(job_id)
+            live[job_id] = expected
         elif op < 0.60 and live:
-            job_id = live.pop(int(rng.integers(len(live))))
-            for pool in mirrored:
-                allocation = pool.release(job_id)
-            for location in allocation.gpu_locations:
+            job_id = list(live)[int(rng.integers(len(live)))]
+            locations = live.pop(job_id)
+            assert cluster.release(job_id).gpu_locations == locations
+            for location in locations:
                 reference.hold(location, None, 0.0, None)
         elif op < 0.72 and live:
-            job_id = live[int(rng.integers(len(live)))]
+            job_id = list(live)[int(rng.integers(len(live)))]
             cap = None if rng.random() < 0.3 else float(rng.uniform(80.0, 300.0))
-            for pool in mirrored:
-                pool.set_power_limit(job_id, cap)
-            for location in cluster.allocations[job_id].gpu_locations:
+            cluster.set_power_limit(job_id, cap)
+            for location in live[job_id]:
                 reference.cap[location] = cap
         elif op < 0.82:
             n_nodes = int(rng.integers(0, 4))
-            expected_drained = reference.drain(n_nodes)
-            for pool in mirrored:
-                assert pool.drain_nodes(n_nodes) == expected_drained
+            assert cluster.drain_nodes(n_nodes) == reference.drain(n_nodes)
         elif op < 0.86:
-            for pool in mirrored:
-                pool.undrain_all()
+            cluster.undrain_all()
             reference.drained.clear()
-        elif op < 0.96 and step >= twin_steps:
-            # Out-of-band writes through a GPU view (the dirty-power path).
-            node_id = int(rng.integers(facility.n_nodes))
-            index = int(rng.integers(facility.gpus_per_node))
-            location = (node_id, index)
-            gpu = cluster.nodes[node_id].gpus[index]
-            kind = rng.random()
-            if kind < 0.35:
-                value = float(rng.uniform(0.0, 1.0))
-                gpu.utilization = value
-                reference.utilization[location] = value
-            elif kind < 0.70:
-                value = None if rng.random() < 0.3 else float(rng.uniform(80.0, 300.0))
-                gpu.power_limit_w = value
-                reference.cap[location] = value
-            elif reference.job[location] is None:
-                gpu.allocated_job_id = f"rogue-{step}"
-                reference.job[location] = f"rogue-{step}"
-                rogue.append(location)
-            elif location in rogue:
-                gpu.allocated_job_id = None
-                reference.job[location] = None
-                rogue.remove(location)
         np.testing.assert_allclose(
             cluster.recompute_it_power_w(), cluster.it_power_w(), rtol=1e-9, atol=1e-6
         )
-        if step == twin_steps - 1:
-            # The twin's views are built only now, after its allocations.
-            reference.assert_views_match(twin)
-        reference.assert_views_match(cluster)
+        reference.assert_matches(cluster)
         if step % 10 == 0 or step > n_steps - 20:
-            assert_state_parity(cluster)
+            assert_state_parity(cluster, reference)
     # Drain the cluster empty: the busy-power accumulator must return to 0.
-    for location in rogue:
-        cluster.nodes[location[0]].gpus[location[1]].allocated_job_id = None
-    for job_id in live:
+    for job_id, locations in live.items():
         cluster.release(job_id)
+        for location in locations:
+            reference.hold(location, None, 0.0, None)
     cluster.undrain_all()
+    reference.drained.clear()
     assert cluster.n_busy_gpus == 0
     assert cluster.n_free_gpus == cluster.total_gpus
-    assert cluster.it_power_w() == pytest.approx(brute_force_it_power(cluster), rel=0, abs=0)
-    assert_state_parity(cluster)
-
-
-def test_direct_view_writes_stay_consistent():
-    """Out-of-band writes through GPU views keep counters exact and fall back
-    to the recompute path for power."""
-    cluster = Cluster(FacilityConfig(n_nodes=2, gpus_per_node=2))
-    gpu = cluster.nodes[0].gpus[1]
-    gpu.allocated_job_id = "rogue"
-    gpu.utilization = 0.8
-    gpu.power_limit_w = 150.0
-    assert cluster.n_free_gpus == 3
-    assert cluster.n_busy_gpus == 1
-    assert cluster.nodes[0].state is NodeState.ACTIVE
-    np.testing.assert_allclose(cluster.it_power_w(), brute_force_it_power(cluster), rtol=1e-12)
-    gpu.allocated_job_id = None
-    gpu.utilization = 0.0
-    gpu.power_limit_w = None
-    assert cluster.n_free_gpus == 4
-    assert cluster.it_power_w() == pytest.approx(brute_force_it_power(cluster))
-
-
-def test_allocation_resolves_gpus_directly():
-    cluster = Cluster(FacilityConfig(n_nodes=2, gpus_per_node=2))
-    allocation = cluster.allocate("a", 3, utilization=0.5)
-    gpus = allocation.resolve(cluster)
-    assert [(g.node_id, g.index) for g in gpus] == list(allocation.gpu_locations)
-    assert all(g.allocated_job_id == "a" for g in gpus)
+    assert cluster.it_power_w() == pytest.approx(
+        brute_force_it_power(cluster, reference), rel=0, abs=0
+    )
+    assert_state_parity(cluster, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +408,9 @@ def test_power_series_matches_recompute_at_every_tick(parity_world):
     pue_hourly = CoolingModel().pue_series(weather)
     indices = np.minimum(np.maximum(result.tick_times_h, 0.0), HORIZON_H).astype(int)
     np.testing.assert_array_equal(result.pue, pue_hourly[indices])
-    # And the final cluster state power must agree with the brute-force scan.
+    # And the final cluster state power must agree with the brute-force scan
+    # of the per-GPU table its snapshot describes.
+    table = ReferencePool.from_snapshot(fast.cluster)
     np.testing.assert_allclose(
-        fast.cluster.it_power_w(), brute_force_it_power(fast.cluster), rtol=1e-9
+        fast.cluster.it_power_w(), brute_force_it_power(fast.cluster, table), rtol=1e-9
     )

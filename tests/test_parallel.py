@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel.pool import ParallelConfig, map_parallel
-from repro.parallel.sweep import ParameterSweep, SweepPoint, SweepResult, grid_points
+from repro.parallel.sweep import grid_points
+from repro.scheduler.powercap import powercap_energy_tradeoff
 
 
 def square(x: int) -> int:
@@ -18,10 +19,6 @@ def uneven_identity(x: int) -> int:
     later tasks finish first and only explicit ordering keeps results sorted."""
     time.sleep(0.02 * (3 - x % 4))
     return x
-
-
-def evaluate_point(point: SweepPoint) -> float:
-    return point.params["a"] * 10 + point.params["b"]
 
 
 class TestParallelConfig:
@@ -103,46 +100,12 @@ class TestGridPoints:
             grid_points({"a": []})
 
 
-class TestParameterSweep:
-    def test_run_grid(self):
-        sweep = ParameterSweep(evaluate_point)
-        result = sweep.run_grid({"a": [1, 2], "b": [3, 4]})
-        assert len(result) == 4
-        assert result.values == (13.0, 14.0, 23.0, 24.0)
-
-    def test_records(self):
-        sweep = ParameterSweep(evaluate_point)
-        records = sweep.run_grid({"a": [1], "b": [3]}).as_records()
-        assert records == [{"a": 1, "b": 3, "value": 13.0}]
-
-    def test_best_minimise_and_maximise(self):
-        sweep = ParameterSweep(evaluate_point)
-        result = sweep.run_grid({"a": [1, 2], "b": [3, 4]})
-        best_point, best_value = result.best(lambda v: v)
-        assert best_value == 13.0
-        worst_point, worst_value = result.best(lambda v: v, maximize=True)
-        assert worst_value == 24.0
-
-    def test_best_breaks_ties_by_lowest_index_in_both_modes(self):
-        points = tuple(SweepPoint(index=i, params={"i": i}, seed=i) for i in range(4))
-        result = SweepResult(points=points, values=(7.0, 7.0, 7.0, 7.0))
-        minimised_point, _ = result.best(lambda v: v)
-        maximised_point, _ = result.best(lambda v: v, maximize=True)
-        assert minimised_point.index == 0
-        assert maximised_point.index == 0
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParameterSweep(evaluate_point).run([])
-
-    def test_mismatched_result_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepResult(points=(SweepPoint(0, {}, 1),), values=())
-
+class TestPowercapSweep:
     def test_parallel_execution_matches_serial(self):
-        points = grid_points({"a": list(range(6)), "b": [1, 2]})
-        serial = ParameterSweep(evaluate_point).run(points)
-        parallel = ParameterSweep(
-            evaluate_point, parallel=ParallelConfig(n_workers=2, min_tasks_for_processes=2)
-        ).run(points)
-        assert serial.values == parallel.values
+        fractions = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.45, 0.4]
+        serial = powercap_energy_tradeoff("A100", fractions)
+        parallel = powercap_energy_tradeoff(
+            "A100", fractions, parallel=ParallelConfig(n_workers=2, min_tasks_for_processes=2)
+        )
+        assert parallel == serial
+        assert [row.cap_fraction for row in serial] == fractions

@@ -6,7 +6,8 @@ session run to its horizon — before their hand-wired simulator construction
 was folded into :func:`~repro.core.levers.build_simulator`.  Matching digests
 mean bit-identical job records, so the consolidation changed no behaviour.
 A structural test keeps the factory the only place a ``ClusterSimulator`` is
-constructed.
+constructed, and another keeps ``cluster/resources.py`` the only module that
+touches the cluster's state rows and counters.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pathlib
 
 import pytest
 
+import repro.cluster
+from repro.cluster import resources
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.observers import SimulatorObserver
 from repro.cluster.simulator import SimulationConfig
@@ -191,3 +194,41 @@ def _simulator_constructions() -> list[str]:
 
 def test_cluster_simulator_is_constructed_in_one_function():
     assert _simulator_constructions() == ["core/levers.py:build_simulator"]
+
+
+#: The cluster's per-GPU rows and maintained counters, private to resources.py.
+CLUSTER_STATE_NAMES = frozenset(
+    {
+        "_job_ids",
+        "_gpu_utilization",
+        "_gpu_cap_w",
+        "_node_free",
+        "_drained",
+        "_buckets",
+        "_busy_power_w",
+        "_job_power_w",
+    }
+)
+
+
+def _cluster_state_references() -> list[str]:
+    """``module:line name`` of every use of a cluster state name outside resources.py."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module == "cluster/resources.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "attr", getattr(node, "id", getattr(node, "value", None)))
+            if isinstance(name, str) and name in CLUSTER_STATE_NAMES:
+                sites.append(f"{module}:{node.lineno} {name}")
+    return sites
+
+
+def test_only_resources_touches_the_cluster_rows():
+    assert _cluster_state_references() == []
+
+
+def test_cluster_exports_no_object_views():
+    for module in (repro.cluster, resources):
+        assert not {"Node", "GpuResource", "NodeState"} & set(vars(module)), module.__name__

@@ -1,4 +1,4 @@
-"""Simulator checkpoint/restore, stepping-API misuse, and session thread safety.
+"""Simulator checkpoint/restore, corrupt checkpoints, stepping-API misuse, and session thread safety.
 
 The headline property: restoring a mid-run snapshot onto a freshly built
 simulator and advancing to the horizon yields job records **bit-identical**
@@ -24,12 +24,14 @@ from repro.cluster.simulator import (
     SimulatorSnapshot,
     SNAPSHOT_VERSION,
 )
+from repro.config import FacilityConfig
 from repro.core.levers import make_scheduler
 from repro.errors import CheckpointError, SimulationError, SteppingError
 from repro.experiments import ExperimentSession
 from repro.fleet import get_fleet
 from repro.scheduler.job import Job, JobState
 from repro.serve.checkpoint import CheckpointStore
+from repro.serve.session import SessionManager
 
 HORIZON_H = 7 * 24.0
 
@@ -366,3 +368,110 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="format"):
             store.load(path)
         assert store.latest("a") is None
+
+
+def _drop(*path):
+    """Mutation deleting the field at ``path`` of a checkpoint payload."""
+
+    def mutate(payload):
+        *parents, key = path
+        for parent in parents:
+            payload = payload[parent]
+        del payload[key]
+
+    return mutate
+
+
+def _cluster_state(payload):
+    return payload["snapshot"]["state"]["cluster"]
+
+
+def _far_location(payload):
+    _cluster_state(payload)["allocations"][0]["locations"][0] = [1000000, 0]
+
+
+def _unknown_event_type(payload):
+    payload["snapshot"]["state"]["events"][0][1] = 99
+
+
+def _shared_location(payload):
+    first, second = _cluster_state(payload)["allocations"][:2]
+    second["locations"][0] = first["locations"][0]
+
+
+class TestCorruptCheckpoints:
+    """A structurally bad checkpoint is skipped, never a crash at daemon start."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        manager = SessionManager()
+        session = manager.create_session(
+            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 200}
+        )
+        session.advance_to(48.0)
+        store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
+        session.checkpoint(store)
+        payload = store.latest("a")
+        assert len(_cluster_state(payload)["allocations"]) >= 2
+        assert payload["snapshot"]["state"]["events"]
+        return payload
+
+    def _restore_all(self, tmp_path, payload):
+        (tmp_path / "a.00000000.json").write_text(json.dumps(payload))
+        return SessionManager().restore_all(CheckpointStore(tmp_path))
+
+    def test_intact_checkpoint_restores(self, tmp_path, payload):
+        assert self._restore_all(tmp_path, payload) == ["a"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _drop("snapshot"),
+            _drop("meta", "policy"),
+            _far_location,
+            _unknown_event_type,
+            _shared_location,
+        ],
+        ids=["no-snapshot", "no-policy", "far-location", "event-type-99", "shared-location"],
+    )
+    def test_bad_checkpoint_is_skipped(self, tmp_path, payload, mutate):
+        bad = json.loads(json.dumps(payload))
+        mutate(bad)
+        assert self._restore_all(tmp_path, bad) == []
+
+
+class TestClusterRestoreValidation:
+    """``Cluster.restore_state`` rejects impossible state and leaves the pool as it was."""
+
+    @pytest.fixture()
+    def state(self):
+        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
+        cluster.allocate("a", 3, utilization=0.5)
+        cluster.allocate("b", 2, utilization=0.9, power_limit_w=200.0)
+        cluster.drain_nodes(1)
+        return json.loads(json.dumps(cluster.snapshot_state()))
+
+    @pytest.mark.parametrize(
+        "locations",
+        [[[1000000, 0]], [[0, 2]], [[-1, 0]], [[0, 0]], [[3, 0]], []],
+        ids=["far-node", "far-index", "negative", "held-twice", "drained-node", "empty"],
+    )
+    def test_bad_locations_rejected(self, state, locations):
+        assert state["drained"] == [3]
+        state["allocations"][1]["locations"] = locations
+        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
+        cluster.allocate("c", 1)
+        before = cluster.snapshot_state()
+        with pytest.raises(CheckpointError):
+            cluster.restore_state(state)
+        assert cluster.snapshot_state() == before
+
+    def test_missing_field_and_repeated_job_rejected(self, state):
+        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
+        with pytest.raises(CheckpointError):
+            cluster.restore_state({**state, "busy_power_w": None})
+        with pytest.raises(CheckpointError):
+            cluster.restore_state({key: value for key, value in state.items() if key != "drained"})
+        state["allocations"][1]["job_id"] = "a"
+        with pytest.raises(CheckpointError):
+            cluster.restore_state(state)
