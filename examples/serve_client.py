@@ -149,6 +149,7 @@ def main() -> int:
             process.wait()
             print("daemon killed (SIGKILL)")
             process, url = start_daemon(checkpoint_dir)
+            client.close()  # its kept-alive connection died with the daemon
             client = ServeClient(url)
             restored = client.health()["restored"]
             print(f"daemon restarted: restored sessions {restored}")
@@ -165,6 +166,7 @@ def main() -> int:
               f"{summary['emissions_kg']:.1f} kg CO2e")
         return 0
     finally:
+        client.close()
         if process is not None:
             process.terminate()
             process.wait(timeout=10)

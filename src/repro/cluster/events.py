@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from typing import Any, NamedTuple, Optional
 
 from ..errors import SimulationError
@@ -52,7 +51,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._sequence = 0  # the next pushed event's sequence number
         self._now_h = 0.0
 
     @property
@@ -69,7 +68,9 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule an event at {time_h} before current time {self._now_h}"
             )
-        event = Event(float(time_h), int(event_type), next(self._counter), event_type, payload)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(float(time_h), int(event_type), sequence, event_type, payload)
         heapq.heappush(self._heap, event)
         return event
 
@@ -121,14 +122,10 @@ class EventQueue:
             )
         self._heap = list(events)
         heapq.heapify(self._heap)
-        self._counter = itertools.count(next_sequence)
+        self._sequence = int(next_sequence)
         self._now_h = float(now_h)
 
     @property
     def next_sequence(self) -> int:
-        """The sequence number the next pushed event would receive.
-
-        Reading it consumes one counter value (sequence numbers only break
-        ties, so gaps are harmless).
-        """
-        return next(self._counter)
+        """The sequence number the next pushed event would receive (a pure read)."""
+        return self._sequence

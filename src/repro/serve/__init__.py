@@ -22,6 +22,13 @@ live mid-run :class:`~repro.cluster.simulator.ClusterSimulator` sessions:
   ``examples/serve_client.py`` walks the whole lifecycle including a
   kill-and-restore.
 
+Connections are persistent HTTP/1.1: a client thread sends all its requests
+over one kept-alive connection, and a telemetry stream runs on a connection
+of its own that closes when the stream is done.  The daemon closes a
+connection left idle for its ``request_timeout_s`` (the client then resends
+on a fresh one), and once its graceful drain has started it answers every
+request with a 503 and closes the connection.
+
 Quick start::
 
     greenhpc serve --port 8714 --checkpoint-dir ./ckpt

@@ -1,42 +1,131 @@
 """A pure-stdlib client for the ``greenhpc serve`` daemon.
 
-Thin ``urllib`` wrappers over the JSON API — one method per endpoint plus a
-generator over the NDJSON telemetry stream.  Error responses
-(``{"error": ...}``) surface as :class:`~repro.errors.ServeError`, so client
-code handles daemon-side validation failures the same way it handles local
-ones.
+:mod:`http.client` over persistent HTTP/1.1 connections — one method per
+endpoint plus a generator over the NDJSON telemetry stream.  Each thread
+that uses a client keeps one connection to the daemon and sends every
+request over it; :meth:`ServeClient.close` (or leaving a ``with`` block)
+closes them all.  A telemetry stream gets a connection of its own, closed
+when the generator ends or is closed, so other calls can be interleaved
+while iterating it.
 
->>> client = ServeClient("http://127.0.0.1:8714")   # doctest: +SKIP
->>> s = client.create_session(scenario="default", policy="backfill",
-...                           preload_jobs=50)      # doctest: +SKIP
->>> client.advance(s["session_id"], until_h=24.0)   # doctest: +SKIP
->>> for row in client.stream_telemetry(s["session_id"]):  # doctest: +SKIP
-...     print(row["now_h"], row["facility_power_w"])
+A reused connection the daemon has meanwhile closed (it drops idle
+connections after its ``request_timeout_s``, and a restarted daemon has
+forgotten them) fails before any status line arrives; that request is sent
+once more on a fresh connection.  Nothing is retried once a status line has
+been read.
+
+Error responses (``{"error": ...}``) surface as
+:class:`~repro.errors.ServeError` (``"<status>: <message>"``), and so does a
+daemon that cannot be reached, so client code handles daemon-side
+validation failures the same way it handles local ones.
+
+>>> with ServeClient("http://127.0.0.1:8714") as client:  # doctest: +SKIP
+...     s = client.create_session(scenario="default", policy="backfill",
+...                               preload_jobs=50)
+...     client.advance(s["session_id"], until_h=24.0)
+...     for row in client.stream_telemetry(s["session_id"]):
+...         print(row["now_h"], row["facility_power_w"])
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 from typing import Any, Iterator, Optional, Sequence
-from urllib import error as urlerror
-from urllib import request as urlrequest
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from ..errors import ServeError
 
 __all__ = ["ServeClient"]
 
+_CONNECTION_TYPES = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
 
 class ServeClient:
-    """Talks to one ``greenhpc serve`` daemon at ``base_url``."""
+    """Talks to one ``greenhpc serve`` daemon at ``base_url``.
+
+    Safe to share between threads: every thread gets its own connection.
+    """
 
     def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = float(timeout_s)
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in _CONNECTION_TYPES or not parts.hostname:
+            raise ServeError(f"not an http(s) daemon URL: {base_url!r}")
+        self._connection_type = _CONNECTION_TYPES[parts.scheme]
+        self._address = (parts.hostname, parts.port)
+        self._prefix = parts.path
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._open: list[http.client.HTTPConnection] = []
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close every pooled connection; later calls open new ones."""
+        with self._lock:
+            connections, self._open = self._open, []
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connect(self, timeout_s: float) -> http.client.HTTPConnection:
+        host, port = self._address
+        return self._connection_type(host, port, timeout=timeout_s)
+
+    def _pooled(self) -> http.client.HTTPConnection:
+        """This thread's persistent connection (created on first use)."""
+        with self._lock:
+            local = self._local
+            connection = getattr(local, "connection", None)
+            if connection is None:
+                connection = local.connection = self._connect(self.timeout_s)
+                self._open.append(connection)
+        return connection
+
+    def _unreachable(self, exc: BaseException) -> ServeError:
+        return ServeError(f"cannot reach daemon at {self.base_url}: {exc}")
+
+    def _exchange(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        timeout_s: float,
+    ) -> Optional[tuple[http.client.HTTPResponse, bytes]]:
+        """One request/response; ``None`` when a reused connection was already closed."""
+        reused = connection.sock is not None
+        connection.timeout = timeout_s  # applies to a (re)connect
+        if reused:
+            connection.sock.settimeout(timeout_s)
+        headers = {"Content-Type": "application/json"} if data else {}
+        try:
+            connection.request(method, self._prefix + path, data, headers)
+        except (ConnectionResetError, BrokenPipeError):
+            if reused:
+                return None
+            raise
+        try:
+            response = connection.getresponse()
+        except http.client.RemoteDisconnected:
+            if reused:
+                return None
+            raise
+        return response, response.read()
+
     def _request(
         self,
         method: str,
@@ -46,27 +135,27 @@ class ServeClient:
         timeout_s: Optional[float] = None,
     ) -> Any:
         data = None if body is None else json.dumps(body).encode()
-        req = urlrequest.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
+        timeout = timeout_s or self.timeout_s
+        connection = self._pooled()
         try:
-            with urlrequest.urlopen(req, timeout=timeout_s or self.timeout_s) as resp:
-                return json.loads(resp.read())
-        except urlerror.HTTPError as exc:
-            raise ServeError(self._error_message(exc)) from None
-        except urlerror.URLError as exc:
-            raise ServeError(f"cannot reach daemon at {self.base_url}: {exc.reason}") from None
+            exchange = self._exchange(connection, method, path, data, timeout)
+            if exchange is None:  # closed by the daemon before any status line
+                connection.close()
+                exchange = self._exchange(connection, method, path, data, timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise self._unreachable(exc) from None
+        response, payload = exchange
+        if response.status >= 400:
+            raise ServeError(self._error_message(response, payload))
+        return json.loads(payload)
 
     @staticmethod
-    def _error_message(exc: urlerror.HTTPError) -> str:
+    def _error_message(response: http.client.HTTPResponse, payload: bytes) -> str:
         try:
-            payload = json.loads(exc.read())
-            return f"{exc.code}: {payload['error']}"
-        except (ValueError, KeyError, OSError):
-            return f"{exc.code}: {exc.reason}"
+            return f"{response.status}: {json.loads(payload)['error']}"
+        except (ValueError, KeyError, TypeError):
+            return f"{response.status}: {response.reason}"
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -144,20 +233,24 @@ class ServeClient:
 
         With ``follow=True`` the daemon holds the connection open waiting for
         new rows (up to ``max_wait_s`` of idleness); resume an interrupted
-        stream by passing the last row count as ``since``.
+        stream by passing the last row count as ``since``.  The stream runs
+        on its own connection, closed when the generator ends or is closed.
         """
         query = urlencode(
             {"since": since, "follow": int(follow), "max_wait_s": max_wait_s}
         )
-        url = f"{self.base_url}/sessions/{session_id}/telemetry?{query}"
-        timeout = self.timeout_s + (max_wait_s if follow else 0.0)
+        path = f"{self._prefix}/sessions/{session_id}/telemetry?{query}"
+        connection = self._connect(self.timeout_s + (max_wait_s if follow else 0.0))
         try:
-            with urlrequest.urlopen(url, timeout=timeout) as resp:
-                for line in resp:
+            connection.request("GET", path)
+            with connection.getresponse() as response:
+                if response.status >= 400:
+                    raise ServeError(self._error_message(response, response.read()))
+                for line in response:
                     line = line.strip()
                     if line:
                         yield json.loads(line)
-        except urlerror.HTTPError as exc:
-            raise ServeError(self._error_message(exc)) from None
-        except urlerror.URLError as exc:
-            raise ServeError(f"cannot reach daemon at {self.base_url}: {exc.reason}") from None
+        except (OSError, http.client.HTTPException) as exc:
+            raise self._unreachable(exc) from None
+        finally:
+            connection.close()

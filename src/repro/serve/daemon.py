@@ -23,7 +23,18 @@ GET    ``/metrics``                        Prometheus text exposition (scrapeabl
 
 Error mapping: :class:`~repro.serve.session.UnknownSessionError` → 404, any
 other :class:`~repro.errors.GreenHPCError` → 400, everything else → 500 with
-the exception text in ``{"error": ...}``.
+the exception text in ``{"error": ...}`` and a ``request_id`` that keys the
+traceback the daemon writes to stderr.
+
+Connections: HTTP/1.1 keep-alive.  A client sends request after request over
+one connection; every request's ``Content-Length`` body is read before
+routing, so each route leaves the connection at the next request (a body
+over the limit, or framed with ``Transfer-Encoding``, gets a 400 and the
+connection is closed).  A telemetry stream ends its connection when it is
+done.  A connection idle for ``request_timeout_s`` is closed.  Once the
+graceful drain has started, every request — on an open connection or a new
+one — gets a 503 and its connection is closed, so no session moves past its
+drain checkpoint; :meth:`ServeDaemon.close` ends every connection still open.
 
 Robustness: every session is checkpointed periodically during ``advance``
 and on SIGTERM/SIGINT (graceful drain), and a restarting daemon pointed at
@@ -35,9 +46,14 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
+import sys
 import threading
+import traceback
+import uuid
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import GreenHPCError, ServeError
@@ -66,10 +82,82 @@ def _route_label(segments: list[str]) -> str:
     return "/".join(segments[:2])
 
 
+class _Refused(ServeError):
+    """A request answered with ``status`` and its connection closed.
+
+    Raised for a body the daemon will not read (the stream is no longer
+    framed) and for any request once the graceful drain has started.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Server(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` that knows its open connections.
+
+    A keep-alive handler thread waits on its connection for the next
+    request, so :meth:`server_close` shuts down the read side of every open
+    connection and joins the handlers that were waiting: they see
+    end-of-stream and return.  A handler answering a request (``busy``)
+    still writes its response and then ends the same way, on its own.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple, handler: type, accepted: Any) -> None:
+        super().__init__(address, handler)
+        self._accepted = accepted  # the serve_connections_total counter
+        self._lock = threading.Lock()
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        #: Connections whose handler is answering a request right now.
+        self.busy: set[socket.socket] = set()
+
+    @contextmanager
+    def answering(self, connection: socket.socket) -> Iterator[None]:
+        """Mark ``connection`` busy while its handler answers a request."""
+        self.busy.add(connection)
+        try:
+            yield
+        finally:
+            self.busy.discard(connection)
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        self._accepted.inc()
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._lock:
+            self._handlers[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            handlers = dict(self._handlers)
+        for connection in handlers:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        for connection, thread in handlers.items():
+            if connection not in self.busy:
+                thread.join()
+
+
 class _JsonHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the daemon's session manager."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # body would wait for the client's delayed ACK on a kept-alive connection.
+    disable_nagle_algorithm = True
     daemon: "ServeDaemon"  # set on the handler class per server
 
     # ------------------------------------------------------------------
@@ -84,11 +172,29 @@ class _JsonHandler(BaseHTTPRequestHandler):
         # A stuck client must not pin a handler thread forever.
         self.connection.settimeout(self.daemon.request_timeout_s)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes:
+        """The whole declared body, read before routing to keep the stream framed."""
+        if "Transfer-Encoding" in self.headers:
+            raise _Refused(400, "request bodies must be sent with Content-Length")
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Refused(400, f"invalid Content-Length {declared!r}")
         if length > _MAX_BODY_BYTES:
-            raise ServeError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+            raise _Refused(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raw = b""
+        if len(raw) != length:
+            raise _Refused(400, f"request body is shorter than its Content-Length {length}")
+        return raw
+
+    def _read_json(self) -> dict:
+        raw = self._body
         if not raw:
             return {}
         try:
@@ -99,11 +205,13 @@ class _JsonHandler(BaseHTTPRequestHandler):
             raise ServeError("request body must be a JSON object")
         return body
 
-    def _send_json(self, payload: Any, status: int = 200) -> None:
+    def _send_json(self, payload: Any, status: int = 200, *, close: bool = False) -> None:
         encoded = json.dumps(payload).encode() + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(encoded)
         self._status = status
@@ -123,9 +231,16 @@ class _JsonHandler(BaseHTTPRequestHandler):
         query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
         route = _route_label(segments)
         self._status = 200  # updated by the _send_* helpers
-        with get_recorder().span("serve.request", method=method, route=route) as span:
+        with self.server.answering(self.connection), get_recorder().span(
+            "serve.request", method=method, route=route
+        ) as span:
             try:
+                self._body = self._read_body()
+                if self.daemon._shutdown_started.is_set():
+                    raise _Refused(503, "daemon is shutting down")
                 handled = self.daemon.handle(self, method, segments, query)
+            except _Refused as exc:
+                self._send_json({"error": str(exc)}, status=exc.status, close=True)
             except UnknownSessionError as exc:
                 self._send_json({"error": str(exc)}, status=404)
             except GreenHPCError as exc:
@@ -133,7 +248,16 @@ class _JsonHandler(BaseHTTPRequestHandler):
             except (BrokenPipeError, ConnectionResetError):
                 self._status = 0  # client went away mid-response; nothing to answer
             except Exception as exc:  # noqa: BLE001 - the daemon must not die on a request
-                self._send_json({"error": f"{type(exc).__name__}: {exc}"}, status=500)
+                request_id = uuid.uuid4().hex
+                sys.stderr.write(
+                    f"greenhpc serve: request {request_id} ({method} {parts.path}) "
+                    f"failed\n{traceback.format_exc()}"
+                )
+                span.set("request_id", request_id)
+                self._send_json(
+                    {"error": f"{type(exc).__name__}: {exc}", "request_id": request_id},
+                    status=500,
+                )
             else:
                 if not handled:
                     self._send_json(
@@ -200,8 +324,10 @@ class ServeDaemon:
             self.restored = self.manager.restore_all(self.store)
 
         handler = type("BoundHandler", (_JsonHandler,), {"daemon": self})
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._server.daemon_threads = True
+        accepted = self.metrics.counter(
+            "serve_connections_total", help="TCP connections accepted"
+        )
+        self._server = _Server((host, port), handler, accepted)
         self.host, self.port = self._server.server_address[:2]
         self._shutdown_started = threading.Event()
 
@@ -234,7 +360,12 @@ class ServeDaemon:
         threading.Thread(target=_drain, name="serve-drain", daemon=True).start()
 
     def close(self) -> None:
-        """Release the listening socket (after ``serve_forever`` returns)."""
+        """Release the listening socket and end every open connection.
+
+        Call after ``serve_forever`` returns.  Handlers waiting on a
+        kept-alive connection for its next request have ended when this
+        returns; one still answering a request ends once it has answered.
+        """
         self._server.server_close()
 
     def install_signal_handlers(self) -> None:
@@ -397,7 +528,8 @@ class ServeDaemon:
 
         Rows are copied out under the session lock and written outside it, so
         a slow reader never stalls the simulation.  The response closes the
-        connection (no chunked framing needed on HTTP/1.1).
+        connection (no chunked framing needed on HTTP/1.1), so a client
+        streams on a connection of its own.
         """
         # Validate the query BEFORE any response bytes go out: a bad value
         # must surface as a clean 400 (via the dispatch error mapping), not
@@ -427,11 +559,11 @@ class ServeDaemon:
         try:
             while True:
                 rows = session.ticks_since(cursor)
-                for row in rows:
-                    request.wfile.write(json.dumps(row).encode() + b"\n")
-                cursor += len(rows)
                 if rows:
-                    request.wfile.flush()
+                    request.wfile.write(
+                        b"".join(json.dumps(row).encode() + b"\n" for row in rows)
+                    )
+                cursor += len(rows)
                 if not follow or session.finalized:
                     break
                 if not session.wait_for_ticks(cursor, max_wait_s):

@@ -10,6 +10,8 @@ session's bit for bit.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 
@@ -41,7 +43,8 @@ def daemon(tmp_path):
 
 @pytest.fixture()
 def client(daemon):
-    return ServeClient(f"http://127.0.0.1:{daemon.port}")
+    with ServeClient(f"http://127.0.0.1:{daemon.port}") as client:
+        yield client
 
 
 def _create(client, session_id="s1", **extra):
@@ -180,6 +183,7 @@ class TestTelemetry:
             with pytest.raises(urlerror.HTTPError) as excinfo:
                 urlrequest.urlopen(url, timeout=10)
             assert excinfo.value.code == 400
+            excinfo.value.close()
 
     def test_follow_sees_rows_from_concurrent_advance(self, client):
         _create(client)
@@ -271,6 +275,203 @@ class TestObservability:
             set_recorder(NULL_RECORDER)
 
 
+def _raw(daemon) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
+
+
+def _exchange(connection, method, path, body=None):
+    """One request on a raw keep-alive connection; returns (status, headers, body)."""
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    connection.request(method, path, body, headers)
+    response = connection.getresponse()
+    return response.status, response.headers, response.read()
+
+
+def _connections(daemon) -> float:
+    return daemon.metrics.counter("serve_connections_total").value
+
+
+class TestTransport:
+    """Persistent HTTP/1.1 connections between ServeClient and the daemon."""
+
+    def test_every_route_leaves_the_connection_at_the_next_request(self, daemon, client):
+        _create(client)
+        connection = _raw(daemon)
+        try:
+            # finalize never reads its body; the daemon still must.
+            assert _exchange(connection, "POST", "/sessions/s1/finalize", b"{}")[0] == 200
+            assert _exchange(connection, "GET", "/health")[0] == 200
+            # An error raised before any route reads the body, too.
+            assert _exchange(connection, "POST", "/sessions/ghost/advance", b'{"until_h": 1}')[0] == 404
+            assert _exchange(connection, "POST", "/nope", b'{"x": 1}')[0] == 404
+            assert _exchange(connection, "GET", "/version")[0] == 200
+        finally:
+            connection.close()
+        assert _connections(daemon) == 2.0  # the client's and the raw one
+
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        connection = _raw(daemon)
+        try:
+            assert _exchange(connection, "GET", "/health")[0] == 200
+            start = time.perf_counter()
+            for _ in range(20):
+                assert _exchange(connection, "GET", "/health")[0] == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        # A Nagle/delayed-ACK stall costs ~40 ms a request (~0.9 s for 20).
+        assert elapsed < 0.4
+
+    def test_client_calls_share_one_connection(self, daemon, client):
+        _create(client)
+        before = _connections(daemon)
+        with ServeClient(client.base_url) as fresh:
+            for hour in range(1, 51):
+                fresh.advance("s1", until_h=float(hour))
+                fresh.session_status("s1")
+        assert _connections(daemon) - before == 1.0
+
+    def test_threads_never_share_a_connection(self, daemon, client):
+        _create(client)
+        before = _connections(daemon)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    assert client.session_status("s1")["session_id"] == "s1"
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _connections(daemon) - before == 4.0
+
+    def test_requests_interleave_with_a_telemetry_stream(self, daemon, client):
+        _create(client)
+        client.advance("s1", until_h=2.0)
+        seen = []
+        stream = client.stream_telemetry("s1", follow=True, max_wait_s=1.0)
+        for row in stream:
+            seen.append(row["now_h"])
+            if len(seen) == 8:
+                break
+            client.advance("s1", until_h=len(seen) + 2.0)
+            assert client.session_status("s1")["now_h"] == len(seen) + 2.0
+        stream.close()
+        assert seen == [float(hour) for hour in range(8)]
+        assert client.health()["status"] == "ok"
+
+    def test_idle_connection_closed_by_daemon_is_retried_once(self, tmp_path):
+        daemon = ServeDaemon(port=0, request_timeout_s=0.2)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServeClient(f"http://127.0.0.1:{daemon.port}") as client:
+                assert client.health()["status"] == "ok"
+                time.sleep(0.6)  # the daemon drops the idle connection
+                assert client.health()["status"] == "ok"
+            assert _connections(daemon) == 2.0
+        finally:
+            daemon._server.shutdown()
+            daemon.close()
+            thread.join(timeout=5)
+
+    def test_unreachable_daemon_is_a_serve_error(self):
+        daemon = ServeDaemon(port=0)
+        url = f"http://127.0.0.1:{daemon.port}"
+        daemon.close()  # nothing listens there any more
+        with pytest.raises(ServeError, match="cannot reach daemon at"):
+            ServeClient(url).health()
+
+    def test_unframed_bodies_are_refused_and_close_the_connection(self, daemon):
+        connection = _raw(daemon)
+        try:
+            connection.putrequest("POST", "/sessions")
+            connection.putheader("Transfer-Encoding", "chunked")
+            connection.endheaders(b"2\r\n{}\r\n0\r\n\r\n")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.headers["Connection"] == "close"
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+    def test_drain_refuses_requests_on_open_connections(self, tmp_path):
+        existing = set(threading.enumerate())
+        daemon = ServeDaemon(port=0, checkpoint_dir=str(tmp_path / "ckpt"))
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        client = ServeClient(f"http://127.0.0.1:{daemon.port}")
+        _create(client, session_id="drained")
+        client.advance("drained", until_h=6.0)
+        connection = _raw(daemon)
+        assert _exchange(connection, "GET", "/health")[0] == 200
+        handlers = [
+            t for t in threading.enumerate()
+            if t not in existing and "process_request_thread" in t.name
+        ]
+        assert len(handlers) == 2  # the client's connection and the raw one
+        daemon.shutdown()
+        status, headers, body = _exchange(
+            connection, "POST", "/sessions/drained/advance", b'{"until_h": 12}'
+        )
+        assert status == 503
+        assert headers["Connection"] == "close"
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        start = time.perf_counter()
+        daemon.close()  # the client's kept-alive connection is still open here
+        assert time.perf_counter() - start < 5.0  # not the 30 s idle timeout
+        assert not any(handler.is_alive() for handler in handlers)
+        assert daemon.manager.get("drained").advanced_to_h == 6.0
+        assert daemon.store.latest("drained")["snapshot"]["state"]["advanced_to"] == 6.0
+        connection.close()
+        client.close()
+
+
+class TestDiagnostics:
+    def test_internal_error_is_keyed_by_a_request_id(self, daemon, client, capfd, monkeypatch):
+        def broken():
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(daemon.manager, "sessions", broken)
+        connection = _raw(daemon)
+        try:
+            status, _, body = _exchange(connection, "GET", "/health")
+        finally:
+            connection.close()
+        assert status == 500
+        payload = json.loads(body)
+        assert payload["error"] == "RuntimeError: injected fault"
+        request_id = payload["request_id"]
+        err = capfd.readouterr().err
+        assert f"request {request_id} (GET /health) failed" in err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: injected fault" in err
+        with pytest.raises(ServeError, match="500: RuntimeError: injected fault"):
+            client.health()
+
+    def test_metrics_count_connections(self, daemon, client):
+        _create(client)
+        for hour in range(1, 11):
+            client.advance("s1", until_h=float(hour))
+        connection = _raw(daemon)
+        try:
+            text = _exchange(connection, "GET", "/metrics")[2].decode()
+        finally:
+            connection.close()
+        assert "# TYPE serve_connections_total counter" in text
+        # The client's connection plus the scrape's.
+        assert "serve_connections_total 2.0" in text
+        assert 'serve_requests_total{method="POST",route="sessions/{id}/advance",status="200"} 10.0' in text
+
+
 class TestRouting:
     def test_route_prefers_empty_queue(self, client):
         _create(client, session_id="busy", preload_jobs=0)
@@ -331,6 +532,7 @@ class TestCheckpointRestore:
         client.checkpoint("twin")
         daemon._server.shutdown()
         daemon.close()
+        client.close()
 
         daemon, client = run_daemon()
         try:
@@ -342,6 +544,7 @@ class TestCheckpointRestore:
             resumed = client.finalize("twin")["summary"]
             assert resumed == reference
         finally:
+            client.close()
             daemon._server.shutdown()
             daemon.close()
 
@@ -357,6 +560,7 @@ class TestCheckpointRestore:
         thread.join(timeout=10)
         assert not thread.is_alive()
         daemon.close()
+        client.close()
         assert "drained" in daemon.store.session_ids()
         payload = daemon.store.latest("drained")
         assert payload["snapshot"]["state"]["advanced_to"] == 12.0
@@ -369,13 +573,14 @@ class TestCheckpointRestore:
         daemon = ServeDaemon(port=0, checkpoint_dir=None)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
+        client = ServeClient(f"http://127.0.0.1:{daemon.port}")
         try:
-            client = ServeClient(f"http://127.0.0.1:{daemon.port}")
             assert client.health()["checkpointing"] is False
             _create(client)
             with pytest.raises(ServeError, match="disabled"):
                 client.checkpoint("s1")
         finally:
+            client.close()
             daemon._server.shutdown()
             daemon.close()
             thread.join(timeout=5)

@@ -132,6 +132,18 @@ class TestRestoreParity:
         late = next(r for r in result.job_records if r.job_id == "late")
         assert late.completed
 
+    def test_snapshot_is_a_pure_read(self, world, trace):
+        """Taking a snapshot does not move the run it captures."""
+        simulator = _build_simulator(world, "backfill")
+        simulator.begin([j.clone_pending() for j in trace])
+        simulator.advance(48.0)
+        first = simulator.snapshot().to_jsonable()
+        assert simulator.snapshot().to_jsonable() == first
+        pending = {event[2] for event in first["state"]["events"]}
+        simulator.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=50.0))
+        pushed = {event[2] for event in simulator.snapshot().to_jsonable()["state"]["events"]}
+        assert pushed - pending == {first["state"]["next_sequence"]}
+
     def test_tick_series_preserved(self, world, trace):
         """The restored run's power series covers the whole horizon seamlessly."""
         uninterrupted = _build_simulator(world, "backfill")
