@@ -53,6 +53,8 @@ Design notes
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -63,7 +65,7 @@ from ..errors import CheckpointError, SimulationError, SteppingError, checkpoint
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import get_recorder
 from ..scheduler.base import ScheduleDecision, Scheduler, SchedulingContext
-from ..scheduler.job import Job, JobState
+from ..scheduler.job import STATIC_FIELDS, Job, JobState
 from .cooling import CoolingModel
 from .events import Event, EventQueue, EventType
 from .observers import SimulatorObserver
@@ -85,12 +87,25 @@ __all__ = [
 
 #: Version of the simulator snapshot payload format.  Bumped on any change to
 #: the layout produced by :meth:`ClusterSimulator.snapshot`; restore refuses
-#: payloads from a different version instead of mis-reading them.
-SNAPSHOT_VERSION = 1
+#: payloads from a different version instead of mis-reading them.  Version 2
+#: references the :meth:`~ClusterSimulator.begin` trace instead of copying it.
+SNAPSHOT_VERSION = 2
 
 _JOB_FINISH = EventType.JOB_FINISH
 _JOB_SUBMIT = EventType.JOB_SUBMIT
 _TICK = EventType.TICK
+_PENDING = JobState.PENDING
+
+
+def _trace_digest(jobs: Sequence[Job]) -> str:
+    """sha256 over the static fields of ``jobs``, in order.
+
+    Tag values JSON cannot encode are digested by ``repr``: the trace itself
+    is never written, so it need not be JSON-able.
+    """
+    rows = [[getattr(job, name) for name in STATIC_FIELDS] for job in jobs]
+    encoded = json.dumps(rows, separators=(",", ":"), default=repr)
+    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -319,12 +334,18 @@ class SimulatorSnapshot:
     """A versioned, JSON-able capture of a mid-run simulator's dynamic state.
 
     Produced by :meth:`ClusterSimulator.snapshot` and consumed by
-    :meth:`ClusterSimulator.restore`.  The snapshot holds only *dynamic*
-    state — the event queue, job table, pending/running sets, tick series,
-    cluster allocations and observer state; the static substrates (weather,
-    cooling, grid, scheduler) are rebuilt deterministically from the scenario
-    spec by the caller, which keeps checkpoints small and lets the service
-    share cached substrates across restored sessions.
+    :meth:`ClusterSimulator.restore`.  The snapshot holds only state a
+    restore cannot rebuild: the event queue, pending/running sets, tick
+    series, cluster allocations and observer state.  The trace passed to
+    :meth:`~ClusterSimulator.begin` is *referenced*, not copied: the snapshot
+    keeps its length, a digest of its static fields and one runtime row
+    ``[index, state, start, finish, cap, actual_duration, energy]`` per job
+    that has started, and :meth:`~ClusterSimulator.restore` takes the same
+    jobs again.  Jobs fed in later with :meth:`~ClusterSimulator.submit` are
+    copied whole.  The static substrates (weather, cooling, grid, scheduler)
+    and the trace are rebuilt deterministically from the scenario spec by the
+    caller, which keeps checkpoints small and lets the service share cached
+    substrates across restored sessions.
 
     Restoring at hour H and advancing to the horizon is **bit-identical** to
     the uninterrupted run: accumulated floats (IT power totals) are stored
@@ -480,6 +501,10 @@ class ClusterSimulator:
         self._pending: list[Job] = []
         self._running: dict[str, Job] = {}
         self._all_jobs: list[Job] = []
+        # The first _n_trace_jobs of _all_jobs came in through begin(); their
+        # digest is computed on the first snapshot, not per save.
+        self._n_trace_jobs = 0
+        self._trace_digest: Optional[str] = None
         self._seen_ids: set[str] = set()
         self._current_it_power_w = self.cluster.it_power_w()
         self._begun = False
@@ -711,6 +736,7 @@ class ClusterSimulator:
             self._begun = True
             for job in jobs:
                 self.submit(job)
+            self._n_trace_jobs = len(self._all_jobs)
             config = self.config
             n_ticks = int(np.floor(config.horizon_h / config.tick_h)) + 1
             for k in range(n_ticks):
@@ -879,16 +905,21 @@ class ClusterSimulator:
     # Snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
     def snapshot(self) -> SimulatorSnapshot:
-        """Capture the run's full dynamic state as a :class:`SimulatorSnapshot`.
+        """Capture the run's dynamic state as a :class:`SimulatorSnapshot`.
 
         Valid any time between :meth:`begin` and :meth:`finalize` (typically
         at an hour boundary after :meth:`advance` returns).  Restoring the
         snapshot onto a freshly constructed simulator with the same
-        substrates, config and scheduling policy, then advancing to the
-        horizon, yields job records bit-identical to the uninterrupted run.
+        substrates, config and scheduling policy, passing the jobs
+        :meth:`begin` took, then advancing to the horizon, yields job records
+        bit-identical to the uninterrupted run.
 
-        Events are stored with their payloads reduced to job ids (the job
-        table carries the objects); observers contribute their own state via
+        Events are stored with their payloads reduced to job ids.  The
+        :meth:`begin` trace is kept as its length, the digest of its static
+        fields (computed on the first snapshot) and one runtime row per job
+        that has started; jobs fed in with :meth:`submit` keep their whole
+        :meth:`~repro.scheduler.job.Job.to_snapshot` entry.  Observers
+        contribute their own state via
         :meth:`~repro.cluster.observers.SimulatorObserver.snapshot_state`.
         """
         if not self._begun:
@@ -908,6 +939,10 @@ class ClusterSimulator:
             events.append(
                 [event.time_h, int(event.event_type), event.sequence, payload]
             )
+        n_trace = self._n_trace_jobs
+        trace = self._all_jobs[:n_trace]
+        if self._trace_digest is None:
+            self._trace_digest = _trace_digest(trace)
         config = self.config
         state = {
             "config": {
@@ -920,7 +955,22 @@ class ClusterSimulator:
             "advanced_to": self._advanced_to,
             "next_sequence": self._events.next_sequence,
             "events": events,
-            "jobs": [job.to_snapshot() for job in self._all_jobs],
+            "trace_jobs": n_trace,
+            "trace_digest": self._trace_digest,
+            "started": [
+                [
+                    index,
+                    job.state.value,
+                    job.start_time_h,
+                    job.finish_time_h,
+                    job.assigned_power_cap_w,
+                    job.actual_duration_h,
+                    job.energy_j,
+                ]
+                for index, job in enumerate(trace)
+                if job.state is not _PENDING
+            ],
+            "jobs": [job.to_snapshot() for job in self._all_jobs[n_trace:]],
             "pending": [job.job_id for job in self._pending],
             "running": list(self._running),
             "tick_times": list(self._tick_times),
@@ -943,13 +993,19 @@ class ClusterSimulator:
             state=state,
         )
 
-    def restore(self, snapshot: SimulatorSnapshot) -> None:
+    def restore(self, snapshot: SimulatorSnapshot, jobs: Sequence[Job] = ()) -> None:
         """Adopt a snapshot's dynamic state on this freshly constructed simulator.
 
         The simulator must have been built with the same substrates (weather,
         cooling, grid), configuration and scheduling policy as the one that
         produced the snapshot, and must not have :meth:`begin`\\ -ed yet —
-        :meth:`restore` *is* its begin.  After restoring, continue with
+        :meth:`restore` *is* its begin, and ``jobs`` are the jobs that run's
+        :meth:`begin` took, as fresh PENDING copies.  The snapshot references
+        them instead of copying them: restore checks their count and
+        static-field digest, then re-applies the runtime state of those that
+        had started.  On a mismatch it raises
+        :class:`~repro.errors.CheckpointError` and the simulator stays
+        un-begun.  After restoring, continue with
         :meth:`submit`/:meth:`advance`/:meth:`finalize` as usual.
         """
         if self._begun:
@@ -991,12 +1047,35 @@ class ClusterSimulator:
                     f"checkpointed observers"
                 )
 
-            jobs_by_id: dict[str, Job] = {}
-            all_jobs: list[Job] = []
-            for data in state["jobs"]:
-                job = Job.from_snapshot(data)
-                jobs_by_id[job.job_id] = job
-                all_jobs.append(job)
+            trace = list(jobs)
+            n_trace = int(state["trace_jobs"])
+            if len(trace) != n_trace:
+                raise CheckpointError(
+                    f"trace mismatch: the snapshot's run began with {n_trace} jobs, "
+                    f"restore() was given {len(trace)}"
+                )
+            if any(job.state is not _PENDING for job in trace):
+                raise CheckpointError("restore() takes fresh PENDING jobs, as begin() does")
+            digest = _trace_digest(trace)
+            if digest != state["trace_digest"]:
+                raise CheckpointError(
+                    "trace mismatch: the jobs given to restore() are not the ones "
+                    "the snapshot's run began with (static-field digest differs)"
+                )
+            started = []
+            for index, job_state, start_h, finish_h, cap_w, duration_h, energy_j in state[
+                "started"
+            ]:
+                if not isinstance(index, int) or not 0 <= index < n_trace:
+                    raise CheckpointError(
+                        f"started row index {index!r} is outside the {n_trace}-job trace"
+                    )
+                started.append(
+                    (trace[index], JobState(job_state), start_h, finish_h, cap_w,
+                     duration_h, float(energy_j))
+                )
+            all_jobs = trace + [Job.from_snapshot(data) for data in state["jobs"]]
+            jobs_by_id = {job.job_id: job for job in all_jobs}
             events: list[Event] = []
             for time_h, type_value, sequence, payload in state["events"]:
                 event_type = EventType(type_value)
@@ -1011,13 +1090,24 @@ class ClusterSimulator:
                         payload=payload,
                     )
                 )
+            pending = [jobs_by_id[job_id] for job_id in state["pending"]]
+            running = {job_id: jobs_by_id[job_id] for job_id in state["running"]}
 
             self.cluster.restore_state(state["cluster"])
+            for job, job_state, start_h, finish_h, cap_w, duration_h, energy_j in started:
+                job.state = job_state
+                job.start_time_h = start_h
+                job.finish_time_h = finish_h
+                job.assigned_power_cap_w = cap_w
+                job.actual_duration_h = duration_h
+                job.energy_j = energy_j
             self._events.restore(events, float(state["now_h"]), int(state["next_sequence"]))
             self._all_jobs = all_jobs
+            self._n_trace_jobs = n_trace
+            self._trace_digest = digest
             self._seen_ids = set(jobs_by_id)
-            self._pending = [jobs_by_id[job_id] for job_id in state["pending"]]
-            self._running = {job_id: jobs_by_id[job_id] for job_id in state["running"]}
+            self._pending = pending
+            self._running = running
             self._tick_times = [float(t) for t in state["tick_times"]]
             self._tick_it_power = [float(p) for p in state["tick_it_power"]]
             self._current_it_power_w = float(state["current_it_power_w"])

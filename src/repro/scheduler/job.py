@@ -14,7 +14,25 @@ from typing import Any, Optional
 
 from ..errors import SchedulingError
 
-__all__ = ["JobState", "Job"]
+__all__ = ["JobState", "Job", "STATIC_FIELDS"]
+
+#: The fields a job is created with, in constructor order.  Everything else
+#: on a :class:`Job` is runtime state the simulator manages.
+STATIC_FIELDS = (
+    "job_id",
+    "user_id",
+    "n_gpus",
+    "duration_h",
+    "submit_time_h",
+    "utilization",
+    "priority",
+    "deadline_h",
+    "deferrable",
+    "max_defer_h",
+    "queue_name",
+    "power_cap_fraction",
+    "tags",
+)
 
 
 class JobState(enum.Enum):

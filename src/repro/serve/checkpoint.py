@@ -6,27 +6,36 @@ One directory holds every session's checkpoints as JSON files named
 state, and only the newest ``keep`` checkpoints per session are retained.
 
 The payload written here is the service-level envelope: session metadata
-(scenario name, overrides, policy, horizon) next to the simulator's
-versioned :class:`~repro.cluster.simulator.SimulatorSnapshot` payload and
-the telemetry rows already streamed, so a restarted daemon resumes both the
-simulation *and* the stream exactly where they stopped.
+(scenario name, overrides, policy, horizon, preload size) next to the
+simulator's versioned :class:`~repro.cluster.simulator.SimulatorSnapshot`
+payload and one ``[n_pending, n_running, it_power_w]`` triple per telemetry
+row already streamed.  The rows themselves are not stored: a restore rebuilds
+them from the snapshot's tick series and the scenario's grid context, so a
+restarted daemon resumes both the simulation *and* the stream exactly where
+they stopped.
+
+With a :class:`~repro.obs.metrics.MetricsRegistry`, every save counts into
+``serve_checkpoints_total`` and ``serve_checkpoint_bytes_total`` and
+observes its encode-plus-atomic-write time in ``serve_checkpoint_seconds``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 from typing import Optional
 
 from ..artifacts.store import atomic_write_text
 from ..errors import CheckpointError
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["CHECKPOINT_FORMAT_VERSION", "CheckpointStore"]
 
 #: Version of the service checkpoint envelope (the simulator snapshot inside
 #: carries its own version).
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _FILENAME = re.compile(r"^(?P<session>[A-Za-z0-9_-]+)\.(?P<seq>\d{8})\.json$")
 
@@ -41,14 +50,34 @@ class CheckpointStore:
     keep:
         Newest checkpoints retained per session; older ones are pruned after
         every successful save.
+    metrics:
+        Registry to count saves, bytes and save latency into (optional).
     """
 
-    def __init__(self, root: str | Path, *, keep: int = 3) -> None:
+    def __init__(
+        self,
+        root: str | Path,
+        *,
+        keep: int = 3,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         if keep < 1:
             raise CheckpointError(f"keep must be at least 1, got {keep!r}")
         self.root = Path(root)
         self.keep = int(keep)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._metrics = None
+        if metrics is not None:
+            self._metrics = (
+                metrics.counter("serve_checkpoints_total", help="Checkpoints written"),
+                metrics.counter(
+                    "serve_checkpoint_bytes_total", help="Bytes of checkpoints written"
+                ),
+                metrics.histogram(
+                    "serve_checkpoint_seconds",
+                    help="Time to encode and atomically write one checkpoint",
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Listing
@@ -82,6 +111,7 @@ class CheckpointStore:
         else:
             last = -1
         target = self.root / f"{session_id}.{last + 1:08d}.json"
+        start = time.perf_counter()
         try:
             encoded = json.dumps(payload, allow_nan=False, separators=(",", ":"))
         except (TypeError, ValueError) as exc:
@@ -95,6 +125,11 @@ class CheckpointStore:
             raise CheckpointError(
                 f"could not write checkpoint {target.name!r}: {exc}"
             ) from None
+        if self._metrics is not None:
+            saves, written, seconds = self._metrics
+            seconds.observe(time.perf_counter() - start)
+            saves.inc()
+            written.inc(len(encoded))  # json.dumps escapes to ASCII: one byte a char
         for stale in self.checkpoints(session_id)[: -self.keep]:
             try:
                 stale.unlink()

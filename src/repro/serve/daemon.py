@@ -315,7 +315,11 @@ class ServeDaemon:
         self.manager = SessionManager()
         #: Process-local service metrics, rendered by ``GET /metrics``.
         self.metrics = MetricsRegistry()
-        self.store = None if checkpoint_dir is None else CheckpointStore(checkpoint_dir)
+        self.store = (
+            None
+            if checkpoint_dir is None
+            else CheckpointStore(checkpoint_dir, metrics=self.metrics)
+        )
         self.checkpoint_every_h = float(checkpoint_every_h)
         self.request_timeout_s = float(request_timeout_s)
         self.verbose = bool(verbose)

@@ -34,7 +34,7 @@ from ..errors import CheckpointError, ServeError, checkpoint_fields
 from ..experiments.session import ExperimentSession
 from ..experiments.spec import ScenarioSpec, get_scenario, get_site
 from ..fleet.routing import SiteSnapshot, make_router
-from ..scheduler.job import Job
+from ..scheduler.job import STATIC_FIELDS, Job
 from .checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
 
 __all__ = [
@@ -44,23 +44,6 @@ __all__ = [
     "SessionManager",
 ]
 
-#: Job fields a client may set when submitting over the API; everything else
-#: (runtime state) is owned by the simulator.
-_JOB_FIELDS = (
-    "job_id",
-    "user_id",
-    "n_gpus",
-    "duration_h",
-    "submit_time_h",
-    "utilization",
-    "priority",
-    "deadline_h",
-    "deferrable",
-    "max_defer_h",
-    "queue_name",
-    "power_cap_fraction",
-    "tags",
-)
 _REQUIRED_JOB_FIELDS = ("job_id", "user_id", "n_gpus", "duration_h", "submit_time_h")
 
 
@@ -99,8 +82,9 @@ def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
 class TelemetryObserver(SimulatorObserver):
     """Feeds every recording tick into the owning session's stream buffer.
 
-    Stateless by design (the rows live on the session and ride along in the
-    service checkpoint), so the base class's null snapshot protocol applies.
+    Stateless by design (the rows live on the session; the service checkpoint
+    carries what rebuilds them), so the base class's null snapshot protocol
+    applies.
     """
 
     def __init__(self, session: "ServeSession") -> None:
@@ -194,19 +178,16 @@ class ServeSession:
             preload_jobs=preload_jobs,
             world=world,
         )
-        if preload_jobs:
-            trace = world.job_trace(
-                n_jobs=preload_jobs, horizon_h=float(horizon_h), spec=session.spec
-            )
-            session.simulator.begin([job.clone_pending() for job in trace])
-        else:
-            session.simulator.begin()
+        session.simulator.begin(session._preload_trace(world))
         return session
 
     @classmethod
     def from_checkpoint(cls, payload: dict, world: ExperimentSession) -> "ServeSession":
         """Rebuild a session (simulator + telemetry backlog) from a checkpoint.
 
+        The preload trace is regenerated from the world (the same cached call
+        :meth:`create` makes) and the telemetry rows are rebuilt from the
+        restored tick series plus the per-tick counts the envelope carries.
         Raises :class:`~repro.errors.CheckpointError` when the payload is
         missing a field or holds a value this build cannot restore.
         """
@@ -227,11 +208,37 @@ class ServeSession:
                 preload_jobs=meta["preload_jobs"],
                 world=world,
             )
-            session.simulator.restore(snapshot)
-            session._ticks = list(payload["ticks"])
+            session.simulator.restore(snapshot, session._preload_trace(world))
+            session._ticks = session._rebuild_ticks(payload["ticks"])
             session.checkpoint_count = int(meta.get("checkpoint_count", 0))
         session.last_checkpoint_h = snapshot.now_h
         return session
+
+    def _preload_trace(self, world: ExperimentSession) -> list[Job]:
+        """Fresh PENDING copies of the session's preload trace (empty without one)."""
+        if not self.preload_jobs:
+            return []
+        trace = world.job_trace(
+            n_jobs=self.preload_jobs,
+            horizon_h=self.simulator.config.horizon_h,
+            spec=self.spec,
+        )
+        return [job.clone_pending() for job in trace]
+
+    def _rebuild_ticks(self, counts: list) -> list[dict[str, Any]]:
+        """Telemetry rows from the envelope's ``[n_pending, n_running, it_power_w]``."""
+        tick_times = self.simulator.site_power_summary().tick_times_h.tolist()
+        if len(counts) != len(tick_times):
+            raise CheckpointError(
+                f"checkpoint carries {len(counts)} telemetry rows for "
+                f"{len(tick_times)} recorded ticks"
+            )
+        return [
+            self._tick_row(tick, now_h, it_power_w, n_pending, n_running)
+            for tick, (now_h, (n_pending, n_running, it_power_w)) in enumerate(
+                zip(tick_times, counts)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -309,12 +316,13 @@ class ServeSession:
         missing = [name for name in _REQUIRED_JOB_FIELDS if name not in data]
         if missing:
             raise ServeError(f"job is missing required fields {missing}")
-        unknown = set(data) - set(_JOB_FIELDS)
+        # A client sets a job's static fields; its runtime state is the simulator's.
+        unknown = set(data) - set(STATIC_FIELDS)
         if unknown:
             raise ServeError(
-                f"unknown job fields {sorted(unknown)}; accepted: {list(_JOB_FIELDS)}"
+                f"unknown job fields {sorted(unknown)}; accepted: {list(STATIC_FIELDS)}"
             )
-        return Job(**{name: data[name] for name in _JOB_FIELDS if name in data})
+        return Job(**{name: data[name] for name in STATIC_FIELDS if name in data})
 
     def advance_to(
         self,
@@ -371,24 +379,32 @@ class ServeSession:
     # ------------------------------------------------------------------
     def _record_tick(self, simulator: ClusterSimulator, now_h: float, it_power_w: float) -> None:
         """Observer callback: append one stream row (under the session lock)."""
-        context = simulator.scheduling_context(now_h)
-        pue = context.current_pue
         self._ticks.append(
-            {
-                "tick": len(self._ticks),
-                "session_id": self.session_id,
-                "now_h": now_h,
-                "it_power_w": it_power_w,
-                "pue": pue,
-                "facility_power_w": it_power_w * pue,
-                "carbon_intensity_g_per_kwh": context.carbon_intensity_g_per_kwh,
-                "price_per_mwh": context.price_per_mwh,
-                "renewable_share": context.renewable_share,
-                "n_pending": simulator.n_pending,
-                "n_running": simulator.n_running,
-            }
+            self._tick_row(
+                len(self._ticks), now_h, it_power_w, simulator.n_pending, simulator.n_running
+            )
         )
         self.ticks_available.notify_all()
+
+    def _tick_row(
+        self, tick: int, now_h: float, it_power_w: float, n_pending: int, n_running: int
+    ) -> dict[str, Any]:
+        """One stream row: the sampled counts and power plus the hour's grid context."""
+        context = self.simulator.scheduling_context(now_h)
+        pue = context.current_pue
+        return {
+            "tick": tick,
+            "session_id": self.session_id,
+            "now_h": now_h,
+            "it_power_w": it_power_w,
+            "pue": pue,
+            "facility_power_w": it_power_w * pue,
+            "carbon_intensity_g_per_kwh": context.carbon_intensity_g_per_kwh,
+            "price_per_mwh": context.price_per_mwh,
+            "renewable_share": context.renewable_share,
+            "n_pending": n_pending,
+            "n_running": n_running,
+        }
 
     def ticks_since(self, cursor: int) -> list[dict[str, Any]]:
         """Stream rows from ``cursor`` on (a copy, safe to write outside the lock)."""
@@ -436,7 +452,14 @@ class ServeSession:
                     "checkpoint_count": self.checkpoint_count,
                 },
                 "snapshot": snapshot.to_jsonable(),
-                "ticks": list(self._ticks),
+                # Rows are rebuilt on restore from the tick series; only what
+                # a row sampled at its tick is kept.  it_power_w stays because
+                # an earlier tick hook (an adaptive cap) can change power
+                # after the simulator's tick series records it.
+                "ticks": [
+                    [row["n_pending"], row["n_running"], row["it_power_w"]]
+                    for row in self._ticks
+                ],
             }
             path = store.save(self.session_id, payload)
             self.last_checkpoint_h = snapshot.now_h
@@ -555,14 +578,15 @@ class SessionManager:
             with self._lock:
                 if session_id in self._sessions:
                     continue
-            payload = store.latest(session_id)
-            if payload is None:
-                continue
-            try:
-                self.restore_session(payload)
-            except CheckpointError:
-                continue  # unreadable under this build; leave the files be
-            restored.append(session_id)
+            # Newest first: a checkpoint that parses but does not restore
+            # falls back to an older one.  Unrestorable files are left be.
+            for path in reversed(store.checkpoints(session_id)):
+                try:
+                    self.restore_session(store.load(path))
+                except CheckpointError:
+                    continue
+                restored.append(session_id)
+                break
         return restored
 
     def get(self, session_id: str) -> ServeSession:

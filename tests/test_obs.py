@@ -376,7 +376,7 @@ class TestSimulatorInstrumentation:
             snapshot = source.snapshot()
         # ...must restore with tracing OFF (no MetricsObserver), and vice versa.
         plain = _simulator()
-        plain.restore(snapshot)
+        plain.restore(snapshot, _jobs())
         resumed = plain.finalize()
         reference = _simulator().run(_jobs())
         assert resumed.job_records == reference.job_records
@@ -385,7 +385,7 @@ class TestSimulatorInstrumentation:
         plain2.advance(6.0)
         with recording(TraceRecorder()):
             traced2 = _simulator()
-            traced2.restore(plain2.snapshot())
+            traced2.restore(plain2.snapshot(), _jobs())
 
 
 class TestFleetInstrumentation:

@@ -4,8 +4,8 @@ Each test class shares one in-process :class:`~repro.serve.ServeDaemon` on an
 ephemeral port, talked to through the pure-stdlib
 :class:`~repro.serve.ServeClient`.  The restart test is the subsystem's
 acceptance gate: checkpoint at hour H, drop the daemon, restore into a fresh
-one, advance to the horizon — the run summary must equal the uninterrupted
-session's bit for bit.
+one, advance to the horizon — the run summary and the streamed telemetry
+must equal the uninterrupted session's bit for bit.
 """
 
 from __future__ import annotations
@@ -223,6 +223,7 @@ class TestObservability:
         from urllib import request as urlrequest
 
         _create(client)
+        daemon.checkpoint_every_h = 1.0  # this advance writes two checkpoints
         client.advance("s1", until_h=2.0)
         url = f"http://127.0.0.1:{daemon.port}/metrics"
         with urlrequest.urlopen(url, timeout=10) as resp:
@@ -234,6 +235,17 @@ class TestObservability:
         assert "serve_sessions 1.0" in text
         assert 'serve_session_now_h{session="s1"} 2.0' in text
         assert 'serve_session_requests{session="s1"}' in text
+        values = dict(
+            line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+        )
+        assert "# TYPE serve_checkpoints_total counter" in text
+        assert values["serve_checkpoints_total"] == "2.0"
+        written = sum(path.stat().st_size for path in daemon.store.checkpoints("s1"))
+        assert float(values["serve_checkpoint_bytes_total"]) == written
+        assert "# TYPE serve_checkpoint_seconds histogram" in text
+        assert values["serve_checkpoint_seconds_count"] == "2"
+        assert values['serve_checkpoint_seconds_bucket{le="+Inf"}'] == "2"
+        assert float(values["serve_checkpoint_seconds_sum"]) > 0.0
         # Scraping twice refreshes the gauges without duplicating families.
         with urlrequest.urlopen(url, timeout=10) as resp:
             again = resp.read().decode()
@@ -509,10 +521,30 @@ class TestRouting:
                           "duration_h": 1.0, "submit_time_h": 0.0})
 
 
+def _rows_as_json(rows) -> str:
+    """Telemetry rows as JSON text, less the session id that names the stream."""
+    return json.dumps([{k: v for k, v in row.items() if k != "session_id"} for row in rows])
+
+
 class TestCheckpointRestore:
-    def test_restart_resumes_bit_identically(self, tmp_path):
-        """The acceptance gate: kill at hour 36, restore, finish — same summary."""
+    @pytest.mark.parametrize(
+        "policy",
+        # The adaptive cap's controller state rides in the snapshot, and its
+        # budget binds on this trace.
+        ["backfill", "backfill+adaptive(budget_w=6000)"],
+    )
+    def test_restart_resumes_bit_identically(self, tmp_path, policy):
+        """The acceptance gate: kill at hour 36, restore, finish — same summary and stream."""
         ckpt = str(tmp_path / "ckpt")
+        # A client job that is not in the preload trace: restore cannot
+        # regenerate it, so the checkpoint must carry it whole.
+        late = {
+            "job_id": "client-late",
+            "user_id": "u",
+            "n_gpus": 2,
+            "duration_h": 5.0,
+            "submit_time_h": 30.0,
+        }
 
         def run_daemon():
             daemon = ServeDaemon(port=0, checkpoint_dir=ckpt, request_timeout_s=30.0)
@@ -522,12 +554,15 @@ class TestCheckpointRestore:
 
         # Uninterrupted reference session.
         daemon, client = run_daemon()
-        _create(client, session_id="ref")
+        _create(client, session_id="ref", policy=policy)
+        client.submit_jobs("ref", [late])
         client.advance("ref", until_h=HORIZON_H)
         reference = client.finalize("ref")["summary"]
+        reference_rows = list(client.stream_telemetry("ref"))
 
         # Interrupted twin: advance halfway, checkpoint, drop the daemon cold.
-        _create(client, session_id="twin")
+        _create(client, session_id="twin", policy=policy)
+        client.submit_jobs("twin", [late])
         client.advance("twin", until_h=36.0)
         client.checkpoint("twin")
         daemon._server.shutdown()
@@ -543,6 +578,10 @@ class TestCheckpointRestore:
             client.advance("twin", until_h=HORIZON_H)
             resumed = client.finalize("twin")["summary"]
             assert resumed == reference
+            rows = list(client.stream_telemetry("twin"))
+            assert len(rows) == len(reference_rows) == HORIZON_H + 1
+            assert {row["session_id"] for row in rows} == {"twin"}
+            assert _rows_as_json(rows) == _rows_as_json(reference_rows)
         finally:
             client.close()
             daemon._server.shutdown()

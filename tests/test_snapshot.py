@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.errors import CheckpointError, SimulationError, SteppingError
 from repro.experiments import ExperimentSession
 from repro.fleet import get_fleet
 from repro.scheduler.job import Job, JobState
-from repro.serve.checkpoint import CheckpointStore
+from repro.serve.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
 from repro.serve.session import SessionManager
 
 HORIZON_H = 7 * 24.0
@@ -100,7 +101,9 @@ class TestRestoreParity:
         payload = json.loads(json.dumps(interrupted.snapshot().to_jsonable()))
 
         resumed = _build_simulator(world, policy)
-        resumed.restore(SimulatorSnapshot.from_jsonable(payload))
+        resumed.restore(
+            SimulatorSnapshot.from_jsonable(payload), [j.clone_pending() for j in trace]
+        )
         assert _fingerprint(resumed.finalize()) == reference
 
     def test_fleet_member_parity(self):
@@ -116,7 +119,7 @@ class TestRestoreParity:
         interrupted.advance(24.0)
         snapshot = interrupted.snapshot()
         resumed = _build_simulator(world, "backfill")
-        resumed.restore(snapshot)
+        resumed.restore(snapshot, [j.clone_pending() for j in trace])
         assert _fingerprint(resumed.finalize()) == reference
 
     def test_restore_then_submit_continues(self, world, trace):
@@ -126,7 +129,7 @@ class TestRestoreParity:
         interrupted.advance(24.0)
         snapshot = interrupted.snapshot()
         resumed = _build_simulator(world, "backfill")
-        resumed.restore(snapshot)
+        resumed.restore(snapshot, [j.clone_pending() for j in trace])
         resumed.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0))
         result = resumed.finalize()
         late = next(r for r in result.job_records if r.job_id == "late")
@@ -152,7 +155,7 @@ class TestRestoreParity:
         interrupted.begin([j.clone_pending() for j in trace])
         interrupted.advance(60.0)
         resumed = _build_simulator(world, "backfill")
-        resumed.restore(interrupted.snapshot())
+        resumed.restore(interrupted.snapshot(), [j.clone_pending() for j in trace])
         result = resumed.finalize()
         assert result.it_power_w.tolist() == reference.it_power_w.tolist()
         assert result.facility_energy_kwh == reference.facility_energy_kwh
@@ -173,7 +176,7 @@ class TestSnapshotValidation:
         snapshot = simulator.snapshot()
         other = _build_simulator(world, "fifo")
         with pytest.raises(CheckpointError, match="scheduler"):
-            other.restore(snapshot)
+            other.restore(snapshot, [j.clone_pending() for j in trace])
 
     def test_config_mismatch_rejected(self, world, trace):
         simulator = _build_simulator(world, "backfill")
@@ -190,7 +193,7 @@ class TestSnapshotValidation:
             grid=scenario.grid,
         )
         with pytest.raises(CheckpointError, match="tick_h"):
-            other.restore(snapshot)
+            other.restore(snapshot, [j.clone_pending() for j in trace])
 
     def test_restore_onto_begun_simulator_rejected(self, world, trace):
         simulator = _build_simulator(world, "backfill")
@@ -199,7 +202,7 @@ class TestSnapshotValidation:
         begun = _build_simulator(world, "backfill")
         begun.begin()
         with pytest.raises(SteppingError, match="already began"):
-            begun.restore(snapshot)
+            begun.restore(snapshot, [j.clone_pending() for j in trace])
 
     def test_snapshot_requires_running_run(self, world):
         simulator = _build_simulator(world, "backfill")
@@ -234,6 +237,86 @@ class TestSnapshotValidation:
         observer.restore_state(None)  # the no-op round trip
         with pytest.raises(CheckpointError):
             observer.restore_state({"unexpected": 1})
+
+
+class TestCheckpointShape:
+    """A checkpoint carries what restore cannot rebuild, and refuses a foreign trace."""
+
+    @pytest.fixture()
+    def mid_run(self, world, trace):
+        jobs = [j.clone_pending() for j in trace]
+        simulator = _build_simulator(world, "backfill")
+        simulator.begin(jobs)
+        simulator.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0))
+        simulator.advance(48.0)
+        return simulator, jobs
+
+    def test_trace_is_referenced_not_copied(self, mid_run, trace):
+        simulator, jobs = mid_run
+        state = json.loads(json.dumps(simulator.snapshot().to_jsonable()))["state"]
+        assert [job["job_id"] for job in state["jobs"]] == ["late"]
+        assert state["trace_jobs"] == len(trace)
+        started = [i for i, job in enumerate(jobs) if job.state is not JobState.PENDING]
+        assert 0 < len(started) < len(trace)
+        assert state["started"] == [
+            [
+                i,
+                jobs[i].state.value,
+                jobs[i].start_time_h,
+                jobs[i].finish_time_h,
+                jobs[i].assigned_power_cap_w,
+                jobs[i].actual_duration_h,
+                jobs[i].energy_j,
+            ]
+            for i in started
+        ]
+
+    def test_envelope_carries_tick_counts_not_rows(self, tmp_path):
+        manager = SessionManager()
+        session = manager.create_session(
+            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 100}
+        )
+        session.advance_to(12.0)
+        store = CheckpointStore(tmp_path)
+        payload = store.load(session.checkpoint(store))
+        rows = session.ticks_since(0)
+        assert len(payload["ticks"]) == len(rows) == 12
+        assert payload["ticks"] == [
+            [row["n_pending"], row["n_running"], row["it_power_w"]] for row in rows
+        ]
+
+    @pytest.mark.parametrize("foreign", ["other-seed", "one-short"])
+    def test_foreign_trace_is_refused_and_leaves_the_simulator_unbegun(
+        self, world, trace, mid_run, foreign
+    ):
+        simulator, _ = mid_run
+        snapshot = simulator.snapshot()
+        if foreign == "other-seed":
+            other = ExperimentSession("supercloud-small", seed=world.spec.seed + 1)
+            jobs = other.job_trace(n_jobs=len(trace), horizon_h=HORIZON_H)
+            assert len(jobs) == len(trace)
+        else:
+            jobs = trace[:-1]
+        resumed = _build_simulator(world, "backfill")
+        with pytest.raises(CheckpointError, match="trace mismatch"):
+            resumed.restore(snapshot, [j.clone_pending() for j in jobs])
+        with pytest.raises(SteppingError, match="before begin"):
+            resumed.advance(49.0)
+        # Nothing was adopted: the right trace still restores onto it.
+        resumed.restore(snapshot, [j.clone_pending() for j in trace])
+        resumed.advance(49.0)
+
+    def test_version_1_payloads_are_refused(self, tmp_path, mid_run):
+        simulator, _ = mid_run
+        payload = simulator.snapshot().to_jsonable()
+        payload["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
+            SimulatorSnapshot.from_jsonable(payload)
+        store = CheckpointStore(tmp_path)
+        path = store.save("a", {"format": 1, "meta": {}, "snapshot": payload, "ticks": []})
+        with pytest.raises(CheckpointError, match="format version 1"):
+            store.load(path)
+        assert SessionManager().restore_all(store) == []
 
 
 class TestSteppingErrors:
@@ -341,7 +424,12 @@ class TestSessionThreadSafety:
 class TestCheckpointStore:
     def test_save_load_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        payload = {"format": 1, "meta": {"session_id": "a"}, "snapshot": {}, "ticks": []}
+        payload = {
+            "format": CHECKPOINT_FORMAT_VERSION,
+            "meta": {"session_id": "a"},
+            "snapshot": {},
+            "ticks": [],
+        }
         path = store.save("a", payload)
         assert store.load(path) == payload
         assert store.latest("a") == payload
@@ -349,28 +437,28 @@ class TestCheckpointStore:
     def test_pruning_keeps_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for index in range(5):
-            store.save("a", {"format": 1, "index": index})
+            store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": index})
         remaining = store.checkpoints("a")
         assert len(remaining) == 2
         assert store.latest("a")["index"] == 4
 
     def test_corrupt_latest_falls_back(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("a", {"format": 1, "index": 0})
-        newest = store.save("a", {"format": 1, "index": 1})
+        store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": 0})
+        newest = store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": 1})
         newest.write_text("{truncated")  # a crash mid-write
         assert store.latest("a")["index"] == 0
 
     def test_unserializable_payload_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError, match="JSON"):
-            store.save("a", {"format": 1, "bad": float("nan")})
+            store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "bad": float("nan")})
         assert store.checkpoints("a") == []
 
     def test_session_ids_and_isolation(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("a", {"format": 1})
-        store.save("b", {"format": 1})
+        store.save("a", {"format": CHECKPOINT_FORMAT_VERSION})
+        store.save("b", {"format": CHECKPOINT_FORMAT_VERSION})
         assert store.session_ids() == ["a", "b"]
         assert len(store.checkpoints("a")) == 1
 
@@ -450,6 +538,24 @@ class TestCorruptCheckpoints:
         bad = json.loads(json.dumps(payload))
         mutate(bad)
         assert self._restore_all(tmp_path, bad) == []
+
+    def test_unrestorable_newest_falls_back_to_an_older_checkpoint(self, tmp_path):
+        session = SessionManager().create_session(
+            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 100}
+        )
+        store = CheckpointStore(tmp_path)
+        session.advance_to(24.0)
+        session.checkpoint(store)
+        session.advance_to(48.0)
+        newest = Path(session.checkpoint(store))
+        assert store.checkpoints("a")[-1] == newest
+        # Valid JSON in the current format, but its job table cannot be read.
+        broken = json.loads(newest.read_text())
+        broken["snapshot"]["state"]["jobs"] = [{"job_id": "broken"}]
+        newest.write_text(json.dumps(broken))
+        manager = SessionManager()
+        assert manager.restore_all(store) == ["a"]
+        assert manager.get("a").advanced_to_h == 24.0
 
 
 class TestClusterRestoreValidation:
