@@ -370,17 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_names(raw: str, what: str) -> tuple[str, ...]:
-    """Parse a non-empty comma-separated name list.
-
-    Splits on *top-level* commas only (the shared
-    :func:`~repro.experiments.campaign.split_value_list` rule), so
-    parameterized policy/router specs like ``backfill+carbon(cap=0.7)``
-    survive as single values in sweep grids.
-    """
-    return split_value_list(raw, what)
-
-
 def _stage_param_summary(param) -> str:
     """Render one stage parameter as ``name=default`` (or ``name=<required>``)."""
     if param.default is REQUIRED:
@@ -525,7 +514,7 @@ def _parse_grid_arguments(
                 f"duplicate grid key {key!r}; give each --grid key once, "
                 f"with all its values comma-separated"
             )
-        values = _split_names(raw_values, f"--grid {key}")
+        values = split_value_list(raw_values, f"--grid {key}")
         if key in SWEEPABLE_SPEC_FIELDS:
             coerce, target = SWEEPABLE_SPEC_FIELDS[key], scenario_grid
         elif key in param_types:
@@ -563,7 +552,7 @@ def _build_campaign(args: argparse.Namespace, base_spec) -> CampaignSpec:
     Shared by ``sweep`` and ``report`` so both address the *same* cache
     keys: a report over the flags of a finished sweep finds its artifacts.
     """
-    experiments = _split_names(args.experiments, "--experiments")
+    experiments = split_value_list(args.experiments, "--experiments")
     scenario_grid, param_grid = _parse_grid_arguments(args.grid, experiments)
     return CampaignSpec(
         experiments=experiments,

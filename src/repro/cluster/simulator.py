@@ -56,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -391,6 +391,15 @@ class SimulatorSnapshot:
 class ClusterSimulator:
     """Runs a job trace through a scheduling policy on a simulated cluster.
 
+    ``sim.begin``/``sim.advance``/``sim.finalize`` spans go to the ambient
+    recorder (:func:`repro.obs.get_recorder`) read at construction.  When it
+    is enabled a (checkpoint-transient)
+    :class:`~repro.obs.observer.MetricsObserver` is attached automatically,
+    publishing queue depth, IT power, GPU utilization and round/job counters
+    into its metrics registry at the end of every :meth:`advance` and
+    :meth:`finalize`; when disabled (the default) the observer list and the
+    hot loop are untouched.
+
     Parameters
     ----------
     cluster:
@@ -415,15 +424,6 @@ class ClusterSimulator:
         Lifecycle observers to attach; the scheduler's own
         :meth:`~repro.scheduler.base.Scheduler.observers` are appended
         automatically (pipeline stages such as adaptive power caps use this).
-    recorder:
-        Trace recorder for ``sim.begin``/``sim.advance``/``sim.finalize``
-        spans; defaults to the ambient :func:`repro.obs.get_recorder`.  When
-        the recorder is enabled a (checkpoint-transient)
-        :class:`~repro.obs.observer.MetricsObserver` is attached
-        automatically, publishing queue depth, IT power, GPU utilization and
-        round/job counters into its metrics registry at the end of every
-        :meth:`advance` and :meth:`finalize`; when disabled (the default)
-        the observer list and the hot loop are untouched.
     """
 
     def __init__(
@@ -437,7 +437,6 @@ class ClusterSimulator:
         grid: Optional[IsoNeLikeGrid] = None,
         parity_check: bool = False,
         observers: Optional[Sequence[SimulatorObserver]] = None,
-        recorder: Optional[Any] = None,
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
@@ -445,7 +444,7 @@ class ClusterSimulator:
         self.cooling = cooling
         self.grid = grid
         self.parity_check = bool(parity_check)
-        self._recorder = recorder if recorder is not None else get_recorder()
+        self._recorder = get_recorder()
         self._observers: list[SimulatorObserver] = list(observers or ())
         self._observers.extend(scheduler.observers())
         self._metrics_observer: Optional[MetricsObserver] = None

@@ -32,7 +32,7 @@ and the stage vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from ..cluster.resources import Cluster
 from ..cluster.simulator import ClusterSimulator, SimulationConfig
 from ..errors import OptimizationError, SchedulingError
 from ..grid.iso_ne import IsoNeLikeGrid
+from ..registry import Registry
 from ..scheduler.base import Scheduler
 from ..scheduler.compose import build_pipeline, parse_policy
 
@@ -125,7 +126,12 @@ class PolicyDefinition:
         return build_pipeline(self.effective_spec(power_cap_fraction), name=self.name)
 
 
-_POLICIES: dict[str, PolicyDefinition] = {}
+#: Registered policies by name.  ``SCHEDULER_REGISTRY`` is the historical
+#: name of the same table, so ``name in SCHEDULER_REGISTRY`` and
+#: ``sorted(SCHEDULER_REGISTRY)`` keep working; register through
+#: :func:`register_policy` only.
+_POLICIES: Registry[PolicyDefinition] = Registry("policy", "policies", OptimizationError)
+SCHEDULER_REGISTRY = _POLICIES
 
 
 def register_policy(
@@ -142,22 +148,12 @@ def register_policy(
     :class:`OperatingPoint` ``p`` lever, :func:`make_scheduler`, the
     ``optimize``/``schedule`` experiments, campaign grids and the CLI.
     """
-    if name in _POLICIES and not overwrite:
-        raise OptimizationError(f"policy {name!r} is already registered")
     definition = PolicyDefinition(name=name, spec=spec, help=help, cap_mode=cap_mode)
-    _POLICIES[name] = definition
-    return definition
+    return _POLICIES.register(name, definition, overwrite=overwrite)
 
 
-def registered_policies() -> Iterator[PolicyDefinition]:
-    """Iterate over the registered policy definitions, in registration order."""
-    return iter(tuple(_POLICIES.values()))
-
-
-#: Registered policies by name.  Kept under the historical name so existing
-#: ``name in SCHEDULER_REGISTRY`` / ``sorted(SCHEDULER_REGISTRY)`` call sites
-#: keep working; mutate it through :func:`register_policy` only.
-SCHEDULER_REGISTRY: dict[str, PolicyDefinition] = _POLICIES
+#: Iterate over the registered policy definitions, in registration order.
+registered_policies = _POLICIES.values
 
 
 def resolve_policy(policy: str) -> PolicyDefinition:
@@ -167,9 +163,8 @@ def resolve_policy(policy: str) -> PolicyDefinition:
     (its canonical spelling becomes the definition name).  Raises
     :class:`OptimizationError` either way on failure.
     """
-    definition = _POLICIES.get(policy)
-    if definition is not None:
-        return definition
+    if policy in _POLICIES:
+        return _POLICIES.get(policy)
     try:
         canonical = str(parse_policy(policy))
         return PolicyDefinition(name=canonical, spec=canonical, cap_mode="append")

@@ -5,18 +5,20 @@ a runner callable ``(session, **params) -> ExperimentResult`` plus declared,
 typed parameters.  The registry is the single source the CLI generates its
 subcommands from, so registering a new experiment automatically gives it a
 ``greenhpc <name>`` surface with ``--seed/--months/--site/--json`` handling
-and per-parameter flags — no CLI edits required.
+and per-parameter flags — no CLI edits required.  The table is a
+:class:`~repro.registry.Registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..obs.profile import RunProfile
 from ..obs.recorder import get_recorder
+from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .result import ExperimentResult
@@ -129,15 +131,14 @@ class ExperimentDefinition:
         return dataclasses.replace(result, profile=profile)
 
 
-_EXPERIMENTS: dict[str, ExperimentDefinition] = {}
+_EXPERIMENTS: Registry[ExperimentDefinition] = Registry(
+    "experiment", "experiments", ConfigurationError
+)
 
 
 def register_experiment(definition: ExperimentDefinition, *, overwrite: bool = False) -> ExperimentDefinition:
     """Register ``definition`` under its name; returns it for chaining."""
-    if definition.name in _EXPERIMENTS and not overwrite:
-        raise ConfigurationError(f"experiment {definition.name!r} is already registered")
-    _EXPERIMENTS[definition.name] = definition
-    return definition
+    return _EXPERIMENTS.register(definition.name, definition, overwrite=overwrite)
 
 
 def experiment(
@@ -160,21 +161,9 @@ def experiment(
     return decorate
 
 
-def get_experiment(name: str) -> ExperimentDefinition:
-    """Look up a registered experiment by name."""
-    try:
-        return _EXPERIMENTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; registered experiments: {sorted(_EXPERIMENTS)}"
-        ) from None
-
-
-def experiment_names() -> tuple[str, ...]:
-    """Names of all registered experiments, in registration order."""
-    return tuple(_EXPERIMENTS)
-
-
-def list_experiments() -> Iterator[ExperimentDefinition]:
-    """Iterate over the registered experiments, in registration order."""
-    return iter(tuple(_EXPERIMENTS.values()))
+#: Look up a registered experiment by name.
+get_experiment = _EXPERIMENTS.get
+#: Names of all registered experiments, in registration order.
+experiment_names = _EXPERIMENTS.names
+#: Iterate over the registered experiments, in registration order.
+list_experiments = _EXPERIMENTS.values

@@ -15,12 +15,14 @@ Two small registries make specs addressable by name:
 * the **scenario registry** (:func:`register_scenario` / :func:`get_scenario`
   / :func:`list_scenarios`) maps names to full specs (the CLI's
   ``--scenario`` flag), pre-populated with the paper's worlds.
+
+Both tables are :class:`~repro.registry.Registry` instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from ..config import (
     FacilityConfig,
@@ -31,6 +33,7 @@ from ..config import (
 from ..errors import ConfigurationError
 from ..grid.fuel_mix import FuelMixConfig
 from ..grid.pricing import LmpPriceConfig
+from ..registry import Registry
 from ..timeutils import SimulationCalendar
 from ..workloads.supercloud import SuperCloudTraceConfig
 
@@ -144,30 +147,18 @@ class ScenarioSpec:
 # Site registry
 # ---------------------------------------------------------------------------
 
-_SITES: dict[str, SiteConfig] = {}
+_SITES: Registry[SiteConfig] = Registry("site", "sites", ConfigurationError)
 
 
 def register_site(site: SiteConfig, *, overwrite: bool = False) -> SiteConfig:
     """Register a site under its own ``name`` so the CLI can select it."""
-    if site.name in _SITES and not overwrite:
-        raise ConfigurationError(f"site {site.name!r} is already registered")
-    _SITES[site.name] = site
-    return site
+    return _SITES.register(site.name, site, overwrite=overwrite)
 
 
-def get_site(name: str) -> SiteConfig:
-    """Look up a registered site by name."""
-    try:
-        return _SITES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown site {name!r}; registered sites: {sorted(_SITES)}"
-        ) from None
-
-
-def site_names() -> tuple[str, ...]:
-    """Names of all registered sites, in registration order."""
-    return tuple(_SITES)
+#: Look up a registered site by name.
+get_site = _SITES.get
+#: Names of all registered sites, in registration order.
+site_names = _SITES.names
 
 
 register_site(SiteConfig())  # holyoke-ma, the paper's site
@@ -280,35 +271,20 @@ register_site(
 # Scenario registry
 # ---------------------------------------------------------------------------
 
-_SCENARIOS: dict[str, ScenarioSpec] = {}
+_SCENARIOS: Registry[ScenarioSpec] = Registry("scenario", "scenarios", ConfigurationError)
 
 
 def register_scenario(spec: ScenarioSpec, *, overwrite: bool = False) -> ScenarioSpec:
     """Register ``spec`` under ``spec.name``; returns the spec for chaining."""
-    if spec.name in _SCENARIOS and not overwrite:
-        raise ConfigurationError(f"scenario {spec.name!r} is already registered")
-    _SCENARIOS[spec.name] = spec
-    return spec
+    return _SCENARIOS.register(spec.name, spec, overwrite=overwrite)
 
 
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a registered scenario by name."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered scenarios: {sorted(_SCENARIOS)}"
-        ) from None
-
-
-def scenario_names() -> tuple[str, ...]:
-    """Names of all registered scenarios, in registration order."""
-    return tuple(_SCENARIOS)
-
-
-def list_scenarios() -> Iterator[ScenarioSpec]:
-    """Iterate over the registered scenario specs, in registration order."""
-    return iter(tuple(_SCENARIOS.values()))
+#: Look up a registered scenario by name.
+get_scenario = _SCENARIOS.get
+#: Names of all registered scenarios, in registration order.
+scenario_names = _SCENARIOS.names
+#: Iterate over the registered scenario specs, in registration order.
+list_scenarios = _SCENARIOS.values
 
 
 register_scenario(

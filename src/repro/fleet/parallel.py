@@ -10,7 +10,7 @@ parallel runs bit-identical to serial ones:
 * Each worker process hosts one or more member sites (assigned round-robin by
   member index) and speaks a small command protocol over a duplex
   :func:`multiprocessing.Pipe`: ``begin`` / ``submit-batch`` / ``advance`` /
-  ``snapshot`` / ``power-summary`` / ``finalize`` / ``stop``.
+  ``snapshot`` / ``finalize`` / ``stop``.
 * The coordinator routes one hourly window at a time from the workers'
   :class:`~repro.fleet.routing.SiteSnapshot` states, ships one batched
   ``submit-batch`` message per worker per window, then pipelines the
@@ -164,10 +164,10 @@ class SiteHost:
     """The member sites one process steps: the serial backend and a worker.
 
     Speaks the bulk operations of :class:`FleetWorkerPool` (``begin``,
-    ``submit_batch``, ``advance``, ``snapshot``, ``power_summary``,
-    ``finalize``), so :meth:`~repro.fleet.simulator.FleetSimulator.run` drives
-    both stepping modes with one coordinator loop, and a worker process is
-    this class behind a pipe.
+    ``submit_batch``, ``advance``, ``snapshot``, ``finalize``), so
+    :meth:`~repro.fleet.simulator.FleetSimulator.run` drives both stepping
+    modes with one coordinator loop, and a worker process is this class
+    behind a pipe.
 
     Each site's ``advance`` is timed with ``perf_counter``.  With ``traced``
     it is also recorded as a ``fleet.site_advance`` span into a private
@@ -220,9 +220,6 @@ class SiteHost:
                 self._sims[index].advance(until_h)
             self._advance_s[index] += time.perf_counter() - start
         return self.snapshot(snapshot_h)
-
-    def power_summary(self) -> dict[int, SitePowerSummary]:
-        return {index: self._sims[index].site_power_summary() for index in self._indices}
 
     def finalize(self) -> dict[int, SiteFinal]:
         spans: dict[int, list[SpanRecord]] = {index: [] for index in self._indices}
@@ -284,8 +281,6 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
                     conn.send(("ok", host.advance(until_h, snapshot_h)))
                 elif command == "snapshot":
                     conn.send(("ok", host.snapshot(message[1])))
-                elif command == "power-summary":
-                    conn.send(("ok", host.power_summary()))
                 elif command == "finalize":
                     conn.send(("ok", host.finalize()))
                 else:
@@ -467,12 +462,6 @@ class FleetWorkerPool:
         """Fresh per-site states at ``at_h`` without advancing anything."""
         for worker in self.workers:
             self._send(worker, ("snapshot", at_h))
-        return self._collect(self.workers)
-
-    def power_summary(self) -> dict[int, SitePowerSummary]:
-        """Mid-run (or post-run) per-site power summaries, by member index."""
-        for worker in self.workers:
-            self._send(worker, ("power-summary",))
         return self._collect(self.workers)
 
     def finalize(self) -> dict[int, SiteFinal]:

@@ -27,19 +27,21 @@ Sites that cannot ever fit a job (``job.n_gpus`` exceeding the site's total
 GPU count) are never candidates; a job too large for every member raises
 :class:`~repro.errors.FleetError`.
 
-The vocabulary is an open registry — :func:`register_router` adds new tokens,
-and :func:`make_router` resolves any spec (or a :class:`Router` instance)
-everywhere a router is addressed: :class:`~repro.fleet.FleetSpec`, the
-``fleet`` experiment, campaign grids (``--grid "router=..."``), and the CLI.
+The vocabulary is an open :class:`~repro.registry.Registry` —
+:func:`register_router` adds new tokens, and :func:`make_router` resolves
+any spec (or a :class:`Router` instance) everywhere a router is addressed:
+:class:`~repro.fleet.FleetSpec`, the ``fleet`` experiment, campaign grids
+(``--grid "router=..."``), and the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..errors import FleetError, SchedulingError
-from ..scheduler.compose import PolicySpec, StageParam, StageSpec
+from ..registry import Registry
+from ..scheduler.compose import PolicySpec, StageParam, StageSpec, TokenDefinition
 from ..scheduler.job import Job
 
 __all__ = [
@@ -300,15 +302,20 @@ class CompositeRouter(Router):
 
 
 @dataclass(frozen=True)
-class RouterDefinition:
+class RouterDefinition(TokenDefinition):
     """A registered router token: metadata plus a factory for its stage.
 
     ``kind`` is ``"scorer"`` or ``"filter"``; ``build`` receives the resolved
     parameter dictionary and returns the corresponding stage instance.
-    Parameters reuse the :class:`~repro.scheduler.compose.StageParam`
-    machinery, so defaults, ``none`` handling and type coercion behave exactly
-    like scheduling-stage tokens.
+    Parameters resolve through the
+    :class:`~repro.scheduler.compose.TokenDefinition` shared with
+    scheduling-stage tokens, so defaults, ``none`` handling and type coercion
+    behave exactly alike; its errors are :class:`FleetError` and name the
+    router token.
     """
+
+    error = FleetError
+    noun = "router token"
 
     name: str
     kind: str  # "scorer" | "filter"
@@ -318,62 +325,23 @@ class RouterDefinition:
         default=lambda params: RoundRobinScorer(), repr=False
     )
 
-    def resolve_params(self, token: StageSpec) -> dict[str, Any]:
-        declared = {p.name: p for p in self.params}
-        unknown = [key for key, _ in token.params if key not in declared]
-        if unknown:
-            raise FleetError(
-                f"unknown argument(s) {unknown} for router token {str(token)!r}; "
-                f"declared: {sorted(declared)}"
-            )
-        given = token.param_dict()
-        resolved: dict[str, Any] = {}
-        for param in self.params:
-            if param.name in given:
-                try:
-                    resolved[param.name] = param.coerce(given[param.name], token)
-                except SchedulingError as exc:
-                    raise FleetError(str(exc).replace("policy token", "router token")) from None
-            elif param.required:
-                raise FleetError(
-                    f"router token {str(token)!r} is missing required argument {param.name!r}"
-                )
-            else:
-                resolved[param.name] = param.default
-        return resolved
 
-
-_ROUTERS: dict[str, RouterDefinition] = {}
+_ROUTERS: Registry[RouterDefinition] = Registry("router token", "tokens", FleetError)
 
 
 def register_router(definition: RouterDefinition, *, overwrite: bool = False) -> RouterDefinition:
     """Register a router token; duplicate names raise unless ``overwrite``."""
     if definition.kind not in ("scorer", "filter"):
         raise FleetError(f"unknown router token kind {definition.kind!r}")
-    if definition.name in _ROUTERS and not overwrite:
-        raise FleetError(f"router token {definition.name!r} is already registered")
-    _ROUTERS[definition.name] = definition
-    return definition
+    return _ROUTERS.register(definition.name, definition, overwrite=overwrite)
 
 
-def get_router_definition(name: str) -> RouterDefinition:
-    """Look up a registered router token by name."""
-    try:
-        return _ROUTERS[name]
-    except KeyError:
-        raise FleetError(
-            f"unknown router token {name!r}; registered tokens: {sorted(_ROUTERS)}"
-        ) from None
-
-
-def router_names() -> tuple[str, ...]:
-    """Names of all registered router tokens, in registration order."""
-    return tuple(_ROUTERS)
-
-
-def list_router_definitions() -> Iterator[RouterDefinition]:
-    """Iterate over registered router definitions, in registration order."""
-    return iter(tuple(_ROUTERS.values()))
+#: Look up a registered router token by name.
+get_router_definition = _ROUTERS.get
+#: Names of all registered router tokens, in registration order.
+router_names = _ROUTERS.names
+#: Iterate over registered router definitions, in registration order.
+list_router_definitions = _ROUTERS.values
 
 
 def parse_router(text: str) -> tuple[StageSpec, ...]:

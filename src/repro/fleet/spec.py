@@ -11,8 +11,8 @@ registered site::
     >>> member.site.name
     'phoenix-az'
 
-A small registry (:func:`register_fleet` / :func:`get_fleet` /
-:func:`fleet_names`) makes fleets addressable by name from the ``fleet``
+A small :class:`~repro.registry.Registry` (:func:`register_fleet` /
+:func:`get_fleet` / :func:`fleet_names`) makes fleets addressable by name from the ``fleet``
 experiment, campaigns and the CLI, pre-populated with a degenerate single
 site fleet (the parity anchor), a two-site fleet, and the three-site fleet
 used throughout the examples and tests.
@@ -21,13 +21,14 @@ used throughout the examples and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 from ..config import config_replace, config_to_jsonable
 from ..errors import ConfigurationError
 from ..experiments.spec import GridSpec, ScenarioSpec, get_scenario, get_site
 from ..grid.fuel_mix import FuelMixConfig
 from ..grid.pricing import LmpPriceConfig
+from ..registry import Registry
 from .routing import make_router
 
 __all__ = [
@@ -281,35 +282,20 @@ class FleetSpec:
 # Fleet registry
 # ---------------------------------------------------------------------------
 
-_FLEETS: dict[str, FleetSpec] = {}
+_FLEETS: Registry[FleetSpec] = Registry("fleet", "fleets", ConfigurationError)
 
 
 def register_fleet(spec: FleetSpec, *, overwrite: bool = False) -> FleetSpec:
     """Register ``spec`` under ``spec.name``; returns the spec for chaining."""
-    if spec.name in _FLEETS and not overwrite:
-        raise ConfigurationError(f"fleet {spec.name!r} is already registered")
-    _FLEETS[spec.name] = spec
-    return spec
+    return _FLEETS.register(spec.name, spec, overwrite=overwrite)
 
 
-def get_fleet(name: str) -> FleetSpec:
-    """Look up a registered fleet by name."""
-    try:
-        return _FLEETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown fleet {name!r}; registered fleets: {sorted(_FLEETS)}"
-        ) from None
-
-
-def fleet_names() -> tuple[str, ...]:
-    """Names of all registered fleets, in registration order."""
-    return tuple(_FLEETS)
-
-
-def list_fleets() -> Iterator[FleetSpec]:
-    """Iterate over the registered fleet specs, in registration order."""
-    return iter(tuple(_FLEETS.values()))
+#: Look up a registered fleet by name.
+get_fleet = _FLEETS.get
+#: Names of all registered fleets, in registration order.
+fleet_names = _FLEETS.names
+#: Iterate over the registered fleet specs, in registration order.
+list_fleets = _FLEETS.values
 
 
 register_fleet(

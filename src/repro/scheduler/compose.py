@@ -25,18 +25,20 @@ to submission order and backfill.
 input); ``str(spec)`` renders the canonical spelling, and
 ``parse_policy(str(spec)) == spec`` round-trips.  :func:`build_pipeline`
 instantiates the composition.  The stage vocabulary itself is an open
-registry (:func:`register_stage` / :func:`list_stage_definitions`), which is
-what the ``greenhpc policies`` listing and the CLI sweep grids are generated
-from.
+:class:`~repro.registry.Registry` (:func:`register_stage` /
+:func:`list_stage_definitions`), which is what the ``greenhpc policies``
+listing and the CLI sweep grids are generated from.  Stage and router tokens
+resolve their arguments through one :class:`TokenDefinition`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, ClassVar, Optional, Union
 
 from ..errors import SchedulingError
+from ..registry import Registry
 from .pipeline import PolicyPipeline
 from .stages import (
     AdaptiveCapStage,
@@ -64,6 +66,7 @@ __all__ = [
     "build_pipeline",
     "split_top_level",
     "StageParam",
+    "TokenDefinition",
     "StageDefinition",
     "register_stage",
     "get_stage",
@@ -254,25 +257,56 @@ class StageParam:
     def required(self) -> bool:
         return self.default is REQUIRED
 
-    def coerce(self, value: ParamValue, token: StageSpec) -> Any:
-        """Validate/coerce a parsed grammar value for this parameter."""
+    def coerce(self, value: ParamValue, where: str, error: type[Exception]) -> Any:
+        """Validate/coerce a parsed grammar value; ``where`` names the token in ``error``."""
         if value is None:
             if not self.allow_none:
-                raise SchedulingError(
-                    f"argument {self.name!r} of policy token {str(token)!r} "
-                    "does not accept 'none'"
-                )
+                raise error(f"argument {self.name!r} of {where} does not accept 'none'")
             return None
         if self.type is float and isinstance(value, int) and not isinstance(value, bool):
             return float(value)
         if self.type is str and not isinstance(value, str):
             return _render_value(value)
         if not isinstance(value, self.type) or (self.type is not bool and isinstance(value, bool)):
-            raise SchedulingError(
-                f"argument {self.name!r} of policy token {str(token)!r} must be "
+            raise error(
+                f"argument {self.name!r} of {where} must be "
                 f"{self.type.__name__}, got {value!r}"
             )
         return value
+
+
+class TokenDefinition:
+    """Parameter resolution shared by registered stage and router tokens.
+
+    Subclasses are frozen dataclasses with a ``params`` field; ``error`` and
+    ``noun`` name their grammar in messages (:class:`SchedulingError` and
+    "policy token" here, :class:`~repro.errors.FleetError` and "router token"
+    for :class:`~repro.fleet.routing.RouterDefinition`).
+    """
+
+    error: ClassVar[type[Exception]] = SchedulingError
+    noun: ClassVar[str] = "policy token"
+    params: tuple[StageParam, ...]
+
+    def resolve_params(self, token: StageSpec) -> dict[str, Any]:
+        """The token's arguments over the declared defaults, coerced and checked."""
+        where = f"{self.noun} {str(token)!r}"
+        declared = {p.name: p for p in self.params}
+        unknown = [key for key, _ in token.params if key not in declared]
+        if unknown:
+            raise self.error(
+                f"unknown argument(s) {unknown} for {where}; declared: {sorted(declared)}"
+            )
+        given = token.param_dict()
+        resolved: dict[str, Any] = {}
+        for param in self.params:
+            if param.name in given:
+                resolved[param.name] = param.coerce(given[param.name], where, self.error)
+            elif param.required:
+                raise self.error(f"{where} is missing required argument {param.name!r}")
+            else:
+                resolved[param.name] = param.default
+        return resolved
 
 
 class _Builder:
@@ -311,7 +345,7 @@ class _Builder:
 
 
 @dataclass(frozen=True)
-class StageDefinition:
+class StageDefinition(TokenDefinition):
     """A registered stage token: metadata plus its pipeline contribution."""
 
     name: str
@@ -322,59 +356,23 @@ class StageDefinition:
         default=lambda builder, params, token: None, repr=False
     )
 
-    def resolve_params(self, token: StageSpec) -> dict[str, Any]:
-        declared = {p.name: p for p in self.params}
-        unknown = [key for key, _ in token.params if key not in declared]
-        if unknown:
-            raise SchedulingError(
-                f"unknown argument(s) {unknown} for policy token {str(token)!r}; "
-                f"declared: {sorted(declared)}"
-            )
-        given = token.param_dict()
-        resolved: dict[str, Any] = {}
-        for param in self.params:
-            if param.name in given:
-                resolved[param.name] = param.coerce(given[param.name], token)
-            elif param.required:
-                raise SchedulingError(
-                    f"policy token {str(token)!r} is missing required argument {param.name!r}"
-                )
-            else:
-                resolved[param.name] = param.default
-        return resolved
 
-
-_STAGES: dict[str, StageDefinition] = {}
+_STAGES: Registry[StageDefinition] = Registry("policy token", "stages", SchedulingError)
 
 
 def register_stage(definition: StageDefinition, *, overwrite: bool = False) -> StageDefinition:
     """Register a stage token; duplicate names raise unless ``overwrite``."""
     if definition.kind not in ("ordering", "placement", "gate", "power"):
         raise SchedulingError(f"unknown stage kind {definition.kind!r}")
-    if definition.name in _STAGES and not overwrite:
-        raise SchedulingError(f"stage {definition.name!r} is already registered")
-    _STAGES[definition.name] = definition
-    return definition
+    return _STAGES.register(definition.name, definition, overwrite=overwrite)
 
 
-def get_stage(name: str) -> StageDefinition:
-    """Look up a registered stage token by name."""
-    try:
-        return _STAGES[name]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown policy token {name!r}; registered stages: {sorted(_STAGES)}"
-        ) from None
-
-
-def stage_names() -> tuple[str, ...]:
-    """Names of all registered stage tokens, in registration order."""
-    return tuple(_STAGES)
-
-
-def list_stage_definitions() -> Iterator[StageDefinition]:
-    """Iterate over registered stage definitions, in registration order."""
-    return iter(tuple(_STAGES.values()))
+#: Look up a registered stage token by name.
+get_stage = _STAGES.get
+#: Names of all registered stage tokens, in registration order.
+stage_names = _STAGES.names
+#: Iterate over registered stage definitions, in registration order.
+list_stage_definitions = _STAGES.values
 
 
 # ---------------------------------------------------------------------------

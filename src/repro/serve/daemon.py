@@ -60,7 +60,7 @@ from ..errors import GreenHPCError, ServeError
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import get_recorder
 from .checkpoint import CheckpointStore
-from .session import SessionManager, UnknownSessionError
+from .session import SessionManager, UnknownSessionError, number_field
 
 __all__ = ["ServeDaemon", "run_serve"]
 
@@ -496,11 +496,12 @@ class ServeDaemon:
             return True
         if method == "POST" and action == "advance":
             body = request._read_json()
-            if "until_h" not in body:
+            until_h = number_field(body, "until_h", float)
+            if until_h is None:
                 raise ServeError("body must carry 'until_h'")
             status = session.advance_to(
-                float(body["until_h"]),
-                deadline_s=float(body.get("deadline_s", self.request_timeout_s)),
+                until_h,
+                deadline_s=number_field(body, "deadline_s", float, self.request_timeout_s),
                 checkpoint_every_h=self.checkpoint_every_h,
                 store=self.store,
             )

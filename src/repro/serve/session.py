@@ -18,6 +18,7 @@ queue/occupancy/grid state and running any router spec over them.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 import uuid
@@ -56,6 +57,26 @@ def _spec_hash(spec: ScenarioSpec) -> str:
     return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
+def number_field(body: dict[str, Any], field: str, kind: type, default: Any = None) -> Any:
+    """``body[field]`` as ``kind`` (``int`` or ``float``); ``default`` when absent or null.
+
+    A value that does not convert, or a non-finite float, raises
+    :class:`~repro.errors.ServeError` naming the field, which the daemon
+    answers with a 400.
+    """
+    raw = body.get(field)
+    if raw is None:
+        return default
+    try:
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ServeError(f"field {field!r} must be {expected}, got {raw!r}") from None
+    return value
+
+
 def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
     """A registered scenario name plus simple overrides -> a concrete spec.
 
@@ -66,8 +87,9 @@ def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
     spec = get_scenario(scenario)
     changes: dict[str, Any] = {}
     for field_name in ("seed", "start_year", "n_months"):
-        if overrides.get(field_name) is not None:
-            changes[field_name] = int(overrides[field_name])
+        value = number_field(overrides, field_name, int)
+        if value is not None:
+            changes[field_name] = value
     if overrides.get("site") is not None:
         changes["site"] = get_site(overrides["site"])
     unknown = set(overrides) - {"seed", "start_year", "n_months", "site"}
@@ -546,11 +568,11 @@ class SessionManager:
             scenario_name=scenario_name,
             overrides=overrides,
             policy=params.get("policy", "backfill"),
-            horizon_h=float(params.get("horizon_h", 7 * 24.0)),
-            tick_h=float(params.get("tick_h", 1.0)),
-            facility_power_budget_w=params.get("facility_power_budget_w"),
-            power_cap_fraction=params.get("power_cap_fraction"),
-            preload_jobs=int(params.get("preload_jobs", 0)),
+            horizon_h=number_field(params, "horizon_h", float, 7 * 24.0),
+            tick_h=number_field(params, "tick_h", float, 1.0),
+            facility_power_budget_w=number_field(params, "facility_power_budget_w", float),
+            power_cap_fraction=number_field(params, "power_cap_fraction", float),
+            preload_jobs=number_field(params, "preload_jobs", int, 0),
             world=world,
         )
         with self._lock:

@@ -123,6 +123,32 @@ class TestSessionLifecycle:
         with pytest.raises(ServeError, match="400"):
             client.advance("s1", until_h=80.0)  # finalized
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/sessions", {"horizon_h": "abc"}),
+            ("/sessions", {"horizon_h": float("nan")}),
+            ("/sessions", {"tick_h": [1]}),
+            ("/sessions", {"preload_jobs": "many"}),
+            ("/sessions", {"facility_power_budget_w": "lots"}),
+            ("/sessions", {"power_cap_fraction": "x"}),
+            ("/sessions", {"seed": "s"}),
+            ("/sessions", {"start_year": {}}),
+            ("/sessions", {"n_months": "two"}),
+            ("/sessions/s1/advance", {"until_h": "later"}),
+            ("/sessions/s1/advance", {"until_h": 1.0, "deadline_s": "soon"}),
+        ],
+    )
+    def test_malformed_numbers_are_400(self, client, path, body):
+        _create(client, preload_jobs=0)
+        bad_field = list(body)[-1]
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", path, {"scenario": "supercloud-small", **body})
+        message = str(excinfo.value)
+        assert message.startswith("400:"), message
+        assert repr(bad_field) in message
+        assert client.health()["status"] == "ok"
+
     def test_duplicate_and_past_submissions_rejected(self, client):
         _create(client, preload_jobs=0)
         job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0,
