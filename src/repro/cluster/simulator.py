@@ -29,8 +29,11 @@ Design notes
   the next event's time once per event and once per instant.
 * Scheduling happens after every batch of simultaneous events, so a finish
   and the start of the next job can occur at the same simulated instant.
-  Started jobs are removed from the pending queue once per round (by id),
-  not by rebuilding the queue per started job.
+* The pending queue is kept sorted on the policy's
+  :attr:`~repro.scheduler.base.Scheduler.queue_key`: a submitted job is
+  bisected into a parallel list of keys, and a started job is found by its
+  key and deleted, so a round hands the policy its queue without copying or
+  sorting it.
 * Lifecycle hooks: :class:`~repro.cluster.observers.SimulatorObserver`\\ s
   receive ``on_job_start`` / ``on_job_finish`` / ``on_round`` / ``on_tick``
   callbacks, so adaptive controllers and telemetry live outside the loop.
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -497,7 +501,10 @@ class ClusterSimulator:
 
         # Runtime state
         self._events = EventQueue()
+        # The pending queue in queue_key order, and each job's key.
+        self._queue_key = scheduler.queue_key
         self._pending: list[Job] = []
+        self._pending_keys: list[tuple] = []
         self._running: dict[str, Job] = {}
         self._all_jobs: list[Job] = []
         # The first _n_trace_jobs of _all_jobs came in through begin(); their
@@ -668,6 +675,23 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
+    def _enqueue(self, job: Job) -> None:
+        key = self._queue_key(job)
+        index = bisect_left(self._pending_keys, key)
+        self._pending_keys.insert(index, key)
+        self._pending.insert(index, job)
+
+    def _dequeue(self, job: Job) -> None:
+        keys = self._pending_keys
+        index = bisect_left(keys, self._queue_key(job))
+        if index == len(keys) or self._pending[index] is not job:
+            raise SimulationError(
+                f"scheduler {self.scheduler.name!r} started job {job.job_id!r}, "
+                f"which is not in the pending queue"
+            )
+        del keys[index]
+        del self._pending[index]
+
     def _start_job(self, decision: ScheduleDecision, now_h: float) -> None:
         job = decision.job
         if job.n_gpus > self.cluster.n_free_gpus:
@@ -809,7 +833,7 @@ class ClusterSimulator:
                     self._finish_job(payload, now_h)
                     allocations_changed = True
                 elif event_type is _JOB_SUBMIT:
-                    self._pending.append(payload)
+                    self._enqueue(payload)
                 elif event_type is _TICK:
                     tick_here = True
                 next_h = events.peek_time()
@@ -821,19 +845,13 @@ class ClusterSimulator:
             # Scheduling round.
             if self._pending and self.cluster.n_free_gpus > 0:
                 context = self._context(now_h)
-                decisions = self.scheduler.select(list(self._pending), self.cluster, context)
-                started_ids = set()
+                decisions = self.scheduler.select(self._pending, self.cluster, context)
                 for decision in decisions:
-                    if decision.job.job_id in started_ids:
-                        raise SimulationError(
-                            f"scheduler {self.scheduler.name!r} returned job "
-                            f"{decision.job.job_id!r} twice"
-                        )
-                    started_ids.add(decision.job.job_id)
+                    # Dequeued first, so a job returned twice is not in the
+                    # queue the second time.
+                    self._dequeue(decision.job)
                     self._start_job(decision, now_h)
                 if decisions:
-                    # One pass over the queue per round (not per started job).
-                    self._pending = [j for j in self._pending if j.job_id not in started_ids]
                     self.refresh_it_power()
                 for hook in self._round_hooks:
                     hook(self, now_h, context, decisions)
@@ -1105,7 +1123,8 @@ class ClusterSimulator:
             self._n_trace_jobs = n_trace
             self._trace_digest = digest
             self._seen_ids = set(jobs_by_id)
-            self._pending = pending
+            for job in pending:
+                self._enqueue(job)
             self._running = running
             self._tick_times = [float(t) for t in state["tick_times"]]
             self._tick_it_power = [float(p) for p in state["tick_it_power"]]

@@ -10,8 +10,8 @@ which jobs to start now and under what power caps.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..cluster.resources import Cluster
 from ..errors import SchedulingError
@@ -56,7 +56,6 @@ class SchedulingContext:
     facility_power_budget_w: Optional[float] = None
     current_it_power_w: float = 0.0
     current_pue: float = 1.0
-    extra: dict = field(default_factory=dict)
 
     def is_green_hour(self) -> bool:
         """Whether the current hour counts as "green" for carbon-aware policies.
@@ -112,6 +111,17 @@ class Scheduler(ABC):
         """
         return ()
 
+    @property
+    @abstractmethod
+    def queue_key(self) -> Callable[[Job], tuple]:
+        """The sort key of the pending queue, a total order over jobs.
+
+        The key must depend only on fields no code writes after a job is
+        constructed, so a job's place in the queue never changes while it
+        waits.  The cluster simulator keeps its queue sorted on it as jobs
+        arrive and hands :meth:`select` the queue in that order.
+        """
+
     @abstractmethod
     def select(
         self, pending: list[Job], cluster: Cluster, context: SchedulingContext
@@ -120,7 +130,8 @@ class Scheduler(ABC):
 
         Implementations must not start more GPUs than are currently free and
         must not return the same job twice; the simulator validates both.
-        The ``pending`` list is ordered by submission time.
+        The ``pending`` list is in :attr:`queue_key` order; it is the
+        simulator's own queue, which implementations must not modify.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -164,10 +164,12 @@ class Job:
         return self.deadline_h - self.duration_h * slowdown_factor
 
     def must_start_by(self) -> float:
-        """Hard latest start time: deferral window end, or +inf if not deferrable.
+        """Hard latest start time: the end of the job's deferral window.
 
         Deferrable jobs may be held back for carbon/price reasons, but only
-        until ``submit_time_h + max_defer_h``.
+        until ``submit_time_h + max_defer_h``.  A job that is not deferrable
+        must start as soon as it is submitted, so this is its
+        ``submit_time_h``: a deferral gate holds it for no time at all.
         """
         if not self.deferrable:
             return self.submit_time_h

@@ -4,18 +4,27 @@ A :class:`PolicyPipeline` composes one :class:`~repro.scheduler.stages.
 OrderingStage`, any number of :class:`~repro.scheduler.stages.AdmissionGate`\\ s,
 one :class:`~repro.scheduler.stages.Placement` and a chain of
 :class:`~repro.scheduler.stages.PowerStage`\\ s into a complete scheduling
-policy.  Per round it:
+policy.  The ordering stage's key is the pipeline's :attr:`~PolicyPipeline.
+queue_key`: the simulator keeps the pending queue sorted on it, so a round
+never sorts.  Per round the pipeline:
 
-1. orders the pending queue (ordering stage);
-2. walks the ordered jobs through placement: a job that does not fit the free
-   GPUs is skipped (backfill) or blocks the rest of the round (strict FIFO);
-3. resolves the job's power cap by threading ``job.power_cap_fraction``
-   through the power chain;
-4. asks every admission gate (short-circuiting on the first rejection; gate
-   rejections *skip* the job — they never block the queue); admitted jobs are
-   committed to each gate so stateful gates can consume their resource;
+1. lets every admission gate read the round's signal once (``begin_round``);
+2. walks the queue, in key order, through placement: a job that does not fit
+   the free GPUs is skipped (backfill) or blocks the rest of the round
+   (strict FIFO);
+3. asks the gates that do not read the power cap (short-circuiting on the
+   first rejection; gate rejections *skip* the job — they never block the
+   queue);
+4. only then resolves the job's power cap by threading
+   ``job.power_cap_fraction`` through the power chain, and asks the gates
+   that read it; admitted jobs are committed to each gate so stateful gates
+   can consume their resource;
 5. emits a :class:`~repro.scheduler.base.ScheduleDecision` with the resolved
    cap and the placement's packing preference.
+
+Neither ``admits`` nor a power stage has side effects, so asking the
+cap-free gates first decides exactly what asking every gate in spec order
+would.
 
 Stages that implement :class:`~repro.cluster.observers.SimulatorObserver`
 (e.g. the adaptive power-cap stage) are surfaced through :meth:`PolicyPipeline.
@@ -28,7 +37,7 @@ ones.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..cluster.observers import SimulatorObserver
 from ..cluster.resources import Cluster
@@ -49,7 +58,7 @@ class PolicyPipeline(Scheduler):
     Parameters
     ----------
     ordering:
-        Queue ordering per round (default: submission order).
+        Queue ordering (default: submission order).
     gates:
         Admission gates, consulted in order for every fitting job.
     placement:
@@ -72,6 +81,8 @@ class PolicyPipeline(Scheduler):
     ) -> None:
         self.ordering = ordering or SubmitOrdering()
         self.gates = tuple(gates)
+        self._cap_free_gates = tuple(gate for gate in self.gates if not gate.reads_cap)
+        self._cap_gates = tuple(gate for gate in self.gates if gate.reads_cap)
         self.placement = placement or _DEFAULT_PLACEMENT
         self.power = tuple(power)
         for stage, kind in (
@@ -100,28 +111,44 @@ class PolicyPipeline(Scheduler):
             cap = stage.apply(job, cap, cluster, context)
         return cap
 
+    @property
+    def queue_key(self) -> Callable[[Job], tuple]:
+        """The ordering stage's key."""
+        return self.ordering.key
+
     def select(
         self, pending: list[Job], cluster: Cluster, context: SchedulingContext
     ) -> list[ScheduleDecision]:
-        ordered = self.ordering.order(pending, context)
-        for gate in self.gates:
+        gates = self.gates
+        for gate in gates:
             gate.begin_round(cluster, context)
+        cap_free_gates = self._cap_free_gates
+        cap_gates = self._cap_gates
         decisions: list[ScheduleDecision] = []
         remaining = cluster.n_free_gpus
         stop_at_first_blocked = self.placement.stop_at_first_blocked
         pack = self.placement.pack
-        for job in ordered:
+        for job in pending:
             if job.n_gpus > remaining:
                 if stop_at_first_blocked:
                     break
                 continue
-            cap = self.cap_for(job, cluster, context)
-            if not all(gate.admits(job, cluster, context, cap) for gate in self.gates):
-                continue
-            for gate in self.gates:
-                gate.commit(job, cluster, context, cap)
-            decisions.append(ScheduleDecision(job=job, power_cap_fraction=cap, pack=pack))
-            remaining -= job.n_gpus
+            # Each ``else`` runs only when no gate in its loop rejected the job.
+            for gate in cap_free_gates:
+                if not gate.admits(job, cluster, context, None):
+                    break
+            else:
+                cap = self.cap_for(job, cluster, context)
+                for gate in cap_gates:
+                    if not gate.admits(job, cluster, context, cap):
+                        break
+                else:
+                    for gate in gates:
+                        gate.commit(job, cluster, context, cap)
+                    decisions.append(
+                        ScheduleDecision(job=job, power_cap_fraction=cap, pack=pack)
+                    )
+                    remaining -= job.n_gpus
         return decisions
 
     def observers(self) -> tuple[SimulatorObserver, ...]:

@@ -62,10 +62,6 @@ class AdaptivePowerCapController:
         self.step_fraction = float(step_fraction)
         self._current_caps: dict[str, float] = {}
 
-    def current_cap(self, job_id: str) -> float:
-        """The cap fraction currently imposed on a job (1.0 if none)."""
-        return self._current_caps.get(job_id, 1.0)
-
     def seed_cap(self, job_id: str, cap_fraction: float) -> None:
         """Register a job's starting cap ahead of its first control step.
 

@@ -3,10 +3,12 @@
 A scheduling policy decomposes into four independently pluggable stages, each
 answering one question per scheduling round:
 
-* **ordering** — in what order are pending jobs considered?
-  (:class:`SubmitOrdering`, :class:`DeadlineOrdering`,
-  :class:`ShortestJobOrdering`)
+* **ordering** — in what order are pending jobs considered?  A static sort
+  key over fields fixed at job construction, so the simulator keeps its
+  queue in this order as jobs arrive (:class:`SubmitOrdering`,
+  :class:`DeadlineOrdering`, :class:`ShortestJobOrdering`)
 * **admission gates** — may this job start *now*, given the environment?
+  Each gate reads the round's signal once, in ``begin_round``
   (:class:`GreenHourGate`, :class:`PriceCeilingGate`,
   :class:`RenewableShareGate`, :class:`DeadlineSlackGate`,
   :class:`PowerBudgetGate`)
@@ -81,11 +83,18 @@ def estimate_job_it_power_w(job: Job, cluster: Cluster, cap_fraction: Optional[f
 
 
 class OrderingStage:
-    """Orders the pending queue at each scheduling round (stable sort)."""
+    """The order in which a round considers pending jobs, as a sort key.
+
+    :meth:`key` reads only fields no code writes after a job is constructed
+    and ends in the unique ``job_id``, so it is a total order that never
+    changes while the job waits.  The simulator therefore keeps its pending
+    queue sorted on it as jobs arrive instead of sorting every round.
+    """
 
     name: str = "abstract-ordering"
 
-    def order(self, pending: list[Job], context: SchedulingContext) -> list[Job]:
+    @staticmethod
+    def key(job: Job) -> tuple:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -97,8 +106,9 @@ class SubmitOrdering(OrderingStage):
 
     name = "submit-order"
 
-    def order(self, pending: list[Job], context: SchedulingContext) -> list[Job]:
-        return sorted(pending, key=lambda j: (j.submit_time_h, j.job_id))
+    @staticmethod
+    def key(job: Job) -> tuple:
+        return (job.submit_time_h, job.job_id)
 
 
 class DeadlineOrdering(OrderingStage):
@@ -106,14 +116,13 @@ class DeadlineOrdering(OrderingStage):
 
     name = "edf"
 
-    def order(self, pending: list[Job], context: SchedulingContext) -> list[Job]:
-        return sorted(
-            pending,
-            key=lambda j: (
-                j.deadline_h if j.deadline_h is not None else float("inf"),
-                j.submit_time_h,
-                j.job_id,
-            ),
+    @staticmethod
+    def key(job: Job) -> tuple:
+        deadline = job.deadline_h
+        return (
+            deadline if deadline is not None else float("inf"),
+            job.submit_time_h,
+            job.job_id,
         )
 
 
@@ -122,8 +131,9 @@ class ShortestJobOrdering(OrderingStage):
 
     name = "sjf"
 
-    def order(self, pending: list[Job], context: SchedulingContext) -> list[Job]:
-        return sorted(pending, key=lambda j: (j.duration_h, j.submit_time_h, j.job_id))
+    @staticmethod
+    def key(job: Job) -> tuple:
+        return (job.duration_h, job.submit_time_h, job.job_id)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +175,19 @@ class AdmissionGate:
     :meth:`admits` for each candidate (short-circuiting on first rejection)
     and :meth:`commit` once the job passed *every* gate and will start —
     stateful gates (e.g. the power budget) consume their resource there.
+
+    A gate reads the round's signal from the context once, in
+    :meth:`begin_round`, not once per job.  The job's power cap is resolved
+    only for jobs that every gate with ``reads_cap`` false has admitted; those
+    gates are asked first and get ``cap_fraction=None``.
     """
 
     name: str = "abstract-gate"
+    #: Whether :meth:`admits` and :meth:`commit` read ``cap_fraction``.
+    reads_cap: bool = False
 
     def begin_round(self, cluster: Cluster, context: SchedulingContext) -> None:
-        """Reset per-round state (projected power, counters, ...)."""
+        """Read this round's signal and reset per-round state."""
 
     def admits(
         self,
@@ -207,10 +224,14 @@ class _DeferralGate(AdmissionGate):
         if grace_h < 0:
             raise SchedulingError(f"grace_h must be non-negative, got {grace_h!r}")
         self.grace_h = float(grace_h)
+        self._favourable = True
 
     def _is_favourable(self, context: SchedulingContext) -> bool:
         """Whether the signal currently allows unrestricted starts."""
         raise NotImplementedError
+
+    def begin_round(self, cluster: Cluster, context: SchedulingContext) -> None:
+        self._favourable = self._is_favourable(context)
 
     def admits(
         self,
@@ -219,7 +240,7 @@ class _DeferralGate(AdmissionGate):
         context: SchedulingContext,
         cap_fraction: Optional[float],
     ) -> bool:
-        if self._is_favourable(context):
+        if self._favourable:
             return True
         if job.deferrable:
             return context.now_h >= job.must_start_by() - 1e-9
@@ -301,6 +322,10 @@ class DeadlineSlackGate(AdmissionGate):
                 f"slack_margin_h must be non-negative, got {slack_margin_h!r}"
             )
         self.slack_margin_h = float(slack_margin_h)
+        self._green = True
+
+    def begin_round(self, cluster: Cluster, context: SchedulingContext) -> None:
+        self._green = context.is_green_hour()
 
     def admits(
         self,
@@ -309,7 +334,7 @@ class DeadlineSlackGate(AdmissionGate):
         context: SchedulingContext,
         cap_fraction: Optional[float],
     ) -> bool:
-        if context.is_green_hour():
+        if self._green:
             return True
         if job.deadline_h is None:
             if job.deferrable:
@@ -330,6 +355,7 @@ class PowerBudgetGate(AdmissionGate):
     """
 
     name = "budget"
+    reads_cap = True
 
     def __init__(self) -> None:
         self._it_budget_w: Optional[float] = None

@@ -12,7 +12,9 @@ Four layers of evidence:
    (``tests/test_cluster_state_parity.py`` pins the same pipelines on the
    pre-pipeline *and* pre-array-refactor seed implementation's world.)
 3. **Explicit spellings** — the explicit pipeline spelling of each
-   default-constructed pre-refactor scheduler reproduces its pinned records.
+   default-constructed pre-refactor scheduler reproduces its pinned records,
+   and every other composition exercised here (plus perfbench's sweep
+   policies) is pinned on a light and a deep-queue ``supercloud-small``.
 4. **Lifecycle hooks** — simulator observers fire at the documented points,
    attaching them does not perturb results, and the adaptive power-cap stage
    drives running-job caps through the hook API.
@@ -302,6 +304,81 @@ COMPOSED_POLICIES = [
 ]
 
 
+#: The six policies of perfbench's ``sweep-oversub`` workload.
+SWEEP_POLICIES = [
+    "backfill",
+    "deadline-aware",
+    "edf+backfill+carbon(cap=0.7)",
+    "sjf+backfill+renewable(min_share=0.3)+cap(fraction=0.75)",
+    "backfill+carbon(cap=0.7)+budget",
+    "backfill+adaptive(budget_w=15000)",
+]
+
+#: Job counts of the pinned ``supercloud-small`` worlds: the parity world's
+#: 300 jobs, and 1200 over the same horizon, whose queues peak 43-127 deep so
+#: that the orderings tell apart.
+PINNED_JOB_COUNTS = (300, 1200)
+
+#: sha256 fingerprints of the job records of every composition above and
+#: every sweep policy, per (jobs, spec, facility budget), captured before the
+#: pending queue was kept in policy order.  Only the budget gate reads the
+#: facility budget, so only its composition is pinned at the binding one.
+COMPOSED_POLICY_HASHES = {
+    (300, "backfill+carbon(cap=0.7)+budget", None):
+        "32d7be31afce589e533aa528c75a979e83e7cac9355bfc2da34cad366569c53f",
+    (300, "backfill+carbon(cap=0.7)+budget", 18000.0):
+        "41b5bae18c7943ccdadb91f6c4f93a472ebe97b95acb41edc890f66ea408c988",
+    (300, "edf+backfill+slack(margin=2.0)+cap(fraction=0.8)", None):
+        "7dee4ebbf5cf77673d4dfc212ba1a7a020edd6a329818f315440fdd09fd89066",
+    (300, "sjf+backfill+renewable(min_share=0.25)", None):
+        "0d9d2998f9258073849c09af3c7520da9c015bfc32c0002ae611f355b6acf1fe",
+    (300, "fifo+price(ceiling=55.0)", None):
+        "08a8b33a51cce6a185882d3f77363901676969bdbb5e0014400c73e5f078121d",
+    (300, "backfill+carbon(cap=none,defer_all=true,grace=4.0)+dirty-cap(fraction=0.6)", None):
+        "f3aaebb9e2b238bcacbea864755e63c25326103533dc5d418f217b7b00640be3",
+    (300, "edf+backfill+deadline-cap(min_fraction=0.5,step=0.05)", None):
+        "ee46e3921b92638ca33908eacc447768125d21770c259386c31361781cc4f356",
+    (300, "backfill+adaptive(budget_w=15000.0,min_fraction=0.5)", None):
+        "fb20f8fad86f9a46c51fefe073625888d31c70f5657d8047e12a8531ff19375d",
+    (300, "backfill", None):
+        "790271c402fe3b2e91fe4ca838a1b09ebb5e66baab9600dff3ee9a0b7a003da3",
+    (300, "deadline-aware", None):
+        "6a6453b641196873ac24e472dbc55e11dcd868528dc52aeea665ff3483f2bae2",
+    (300, "edf+backfill+carbon(cap=0.7)", None):
+        "32d7be31afce589e533aa528c75a979e83e7cac9355bfc2da34cad366569c53f",
+    (300, "sjf+backfill+renewable(min_share=0.3)+cap(fraction=0.75)", None):
+        "6d132e0e56e16c293c819cae5c1611c889b4519c3d5712343a32d9c8d33f5dfa",
+    (300, "backfill+adaptive(budget_w=15000)", None):
+        "fb20f8fad86f9a46c51fefe073625888d31c70f5657d8047e12a8531ff19375d",
+    (1200, "backfill+carbon(cap=0.7)+budget", None):
+        "8a5803e4d99da69be05ae22bc2e538236e7876e55e7326137a70cb01e2c9d9d7",
+    (1200, "backfill+carbon(cap=0.7)+budget", 18000.0):
+        "96d33e97d265282432985f9a5dae0feb3ab8844b142a504c7ce7159255352b4e",
+    (1200, "edf+backfill+slack(margin=2.0)+cap(fraction=0.8)", None):
+        "44e68ddb97e5fd76d46f4d9afd7af78830ae1ca39f43e1e35e22e8035fc54e8e",
+    (1200, "sjf+backfill+renewable(min_share=0.25)", None):
+        "3b5020f9940800ade4a6ac37e402a04b9ff619efd45bf816a7fdc225b87129ef",
+    (1200, "fifo+price(ceiling=55.0)", None):
+        "2c935c8fd2e665d0dc2745e98303a19876c95791a20fa3ddf06969e652cf1c64",
+    (1200, "backfill+carbon(cap=none,defer_all=true,grace=4.0)+dirty-cap(fraction=0.6)", None):
+        "c9fbe0e0b01d6834aa147e007859add33de21923c37ca1b60ea7398c76813cc1",
+    (1200, "edf+backfill+deadline-cap(min_fraction=0.5,step=0.05)", None):
+        "0df931ce653afcecfb8763e7c080c36ca8217dc32a6b40c2c62b243e0e6c7900",
+    (1200, "backfill+adaptive(budget_w=15000.0,min_fraction=0.5)", None):
+        "ba77f373fe3eb7f3e6ee119ed0bf0d2f603b631276cf262d0229a7082913a959",
+    (1200, "backfill", None):
+        "a1f566c2d42575da29140f0edfe05061f5831329c3601f7352a22b8251c88a16",
+    (1200, "deadline-aware", None):
+        "47d0c2173e5ff0c6614443d375dba4ae3f2f237ca1e11216ee959e0485aeda5f",
+    (1200, "edf+backfill+carbon(cap=0.7)", None):
+        "7b4d5cacbc09cb98f31bdb1b0ec403ddce5ddf316eb49a4e284b6f378f5df2a6",
+    (1200, "sjf+backfill+renewable(min_share=0.3)+cap(fraction=0.75)", None):
+        "946e5e4662ff0a3e5976cbfb095aa787328509b859a0e888f2650233073672f8",
+    (1200, "backfill+adaptive(budget_w=15000)", None):
+        "ba77f373fe3eb7f3e6ee119ed0bf0d2f603b631276cf262d0229a7082913a959",
+}
+
+
 class TestComposedPoliciesEndToEnd:
     @pytest.mark.parametrize("spec", COMPOSED_POLICIES)
     def test_composed_policy_runs_and_delivers_work(self, compose_worlds, spec):
@@ -327,6 +404,34 @@ class TestComposedPoliciesEndToEnd:
         assert len(result) == 4
         assert result.column("policy") == COMPOSED_POLICIES[:3] + ["backfill"]
         assert all(row["delivered_gpu_hours"] > 0 for row in result.rows)
+
+
+@pytest.fixture(scope="module")
+def pinned_worlds(compose_worlds):
+    """The pinned ``supercloud-small`` worlds by job count."""
+    facility, weather, grid, jobs = compose_worlds["supercloud-small"]
+    generator = SuperCloudTraceGenerator(
+        SuperCloudTraceConfig(facility=facility),
+        demand_model=DeadlineDemandModel(seed=SEED),
+        seed=SEED,
+    )
+    deep_jobs = generator.generate_jobs(n_jobs=1200, horizon_h=HORIZON_H - 48.0)
+    return {300: (facility, weather, grid, jobs), 1200: (facility, weather, grid, deep_jobs)}
+
+
+class TestPinnedCompositions:
+    @pytest.mark.parametrize("n_jobs", PINNED_JOB_COUNTS)
+    @pytest.mark.parametrize("spec", list(dict.fromkeys(COMPOSED_POLICIES + SWEEP_POLICIES)))
+    def test_composition_records_are_pinned(self, pinned_worlds, n_jobs, spec):
+        budgets = [
+            budget for (jobs, pinned, budget) in COMPOSED_POLICY_HASHES
+            if (jobs, pinned) == (n_jobs, spec)
+        ]
+        assert budgets
+        for budget in budgets:
+            result = _run_policy(pinned_worlds[n_jobs], make_scheduler(spec), budget=budget)
+            expected = COMPOSED_POLICY_HASHES[(n_jobs, spec, budget)]
+            assert state_parity._records_fingerprint(result) == expected
 
 
 # ---------------------------------------------------------------------------

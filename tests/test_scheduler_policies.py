@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import FacilityConfig
 from repro.cluster.resources import Cluster
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
 from repro.scheduler.base import ScheduleDecision, SchedulingContext
@@ -135,8 +136,26 @@ class TestDeadlineAware:
             make_job("soon", 4, submit=1.0, deadline_h=5.0),
             make_job("none", 4, submit=0.5),
         ]
-        decisions = make_scheduler("deadline-aware").select(jobs, cluster, ctx())
+        scheduler = make_scheduler("deadline-aware")
+        # select() takes the queue already in the policy's order, as the
+        # simulator keeps it.
+        decisions = scheduler.select(sorted(jobs, key=scheduler.queue_key), cluster, ctx())
         assert [d.job.job_id for d in decisions][:2] == ["soon", "late"]
+
+    def test_edf_ordering_in_the_simulator(self, cluster):
+        # Submitted at one instant in non-EDF order; each job takes the whole
+        # cluster, so the start times give the order the queue was kept in.
+        jobs = [
+            make_job("late", 8, deadline_h=50.0),
+            make_job("soon", 8, deadline_h=5.0),
+            make_job("none", 8),
+        ]
+        simulator = ClusterSimulator(
+            cluster, make_scheduler("deadline-aware"), SimulationConfig(horizon_h=24.0)
+        )
+        result = simulator.run(jobs)
+        starts = {record.job_id: record.start_time_h for record in result.job_records}
+        assert starts == {"soon": 0.0, "late": 2.0, "none": 4.0}
 
     def test_uses_slack_to_defer_in_dirty_hours(self, cluster):
         scheduler = make_scheduler("deadline-aware")

@@ -9,8 +9,10 @@ surviving a JSON round trip of the snapshot payload.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -98,6 +100,38 @@ class TestRestoreParity:
         interrupted = _build_simulator(world, policy)
         interrupted.begin([j.clone_pending() for j in trace])
         interrupted.advance(48.0)
+        payload = json.loads(json.dumps(interrupted.snapshot().to_jsonable()))
+
+        resumed = _build_simulator(world, policy)
+        resumed.restore(
+            SimulatorSnapshot.from_jsonable(payload), [j.clone_pending() for j in trace]
+        )
+        assert _fingerprint(resumed.finalize()) == reference
+
+    @pytest.mark.parametrize(
+        "policy",
+        ["edf+backfill+carbon(cap=0.7)", "sjf+backfill+renewable(min_share=0.3)"],
+    )
+    @pytest.mark.parametrize("arrival", ["trace-order", "same-instant-ids-reversed"])
+    def test_non_submit_ordering_parity_on_a_deep_queue(self, world, policy, arrival):
+        """The restored queue keeps the policy's order, not the arrival order."""
+        trace = world.job_trace(n_jobs=600, horizon_h=HORIZON_H)
+        if arrival == "same-instant-ids-reversed":
+            # Submits floored to the hour, listed so that the jobs of one
+            # instant arrive in descending job id.
+            floored = [
+                dataclasses.replace(job, submit_time_h=float(math.floor(job.submit_time_h)))
+                for job in sorted(trace, key=lambda job: job.job_id, reverse=True)
+            ]
+            trace = sorted(floored, key=lambda job: job.submit_time_h)
+        reference = _fingerprint(
+            _build_simulator(world, policy).run([j.clone_pending() for j in trace])
+        )
+
+        interrupted = _build_simulator(world, policy)
+        interrupted.begin([j.clone_pending() for j in trace])
+        interrupted.advance(96.0)
+        assert interrupted.n_pending >= 15
         payload = json.loads(json.dumps(interrupted.snapshot().to_jsonable()))
 
         resumed = _build_simulator(world, policy)
