@@ -11,7 +11,9 @@ framework (Eq. 1) optimizes:
   controller used for the DeepMind-style cooling claim.
 * :mod:`~repro.cluster.simulator` — the cluster simulator that executes a job
   trace under a scheduling policy and produces hourly power series, job
-  statistics, and energy/cost/carbon totals.
+  statistics, and energy/cost/carbon totals.  Its
+  :class:`~repro.cluster.simulator.SimulationResult` is the one per-site
+  power account: fleet totals and reports sum over it.
 * :mod:`~repro.cluster.utilization` — utilization accounting helpers.
 
 Incremental state model
@@ -44,7 +46,6 @@ from .simulator import (
     JobRecord,
     SimulationConfig,
     SimulationResult,
-    SitePowerSummary,
 )
 from .utilization import UtilizationTracker, cluster_utilization_statistics, utilization_statistics
 
@@ -61,7 +62,6 @@ __all__ = [
     "ClusterSimulator",
     "SimulationConfig",
     "SimulationResult",
-    "SitePowerSummary",
     "JobRecord",
     "UtilizationTracker",
     "cluster_utilization_statistics",

@@ -82,7 +82,6 @@ __all__ = [
     "SimulationConfig",
     "JobRecord",
     "SimulationResult",
-    "SitePowerSummary",
     "SimulatorSnapshot",
     "SNAPSHOT_VERSION",
     "ClusterSimulator",
@@ -290,50 +289,6 @@ class SimulationResult:
 
 
 @dataclass(frozen=True)
-class SitePowerSummary:
-    """One site's tick-aligned power accounting, from a single API.
-
-    :meth:`ClusterSimulator.site_power_summary` builds this from the recorded
-    tick series (mid-run or after :meth:`~ClusterSimulator.finalize`), so
-    fleet routers, aggregators and reports read total IT + cooling power per
-    tick here instead of recomputing PUE products from raw series.
-    """
-
-    tick_times_h: np.ndarray
-    it_power_w: np.ndarray
-    pue: np.ndarray
-    facility_power_w: np.ndarray
-    tick_h: float
-
-    @property
-    def cooling_power_w(self) -> np.ndarray:
-        """Cooling / overhead power per tick (facility minus IT)."""
-        return self.facility_power_w - self.it_power_w
-
-    @property
-    def it_energy_kwh(self) -> float:
-        """Total IT energy over the recorded ticks in kWh."""
-        return float(np.sum(self.it_power_w) * self.tick_h / 1e3)
-
-    @property
-    def facility_energy_kwh(self) -> float:
-        """Total facility energy (IT + cooling) over the recorded ticks in kWh."""
-        return float(np.sum(self.facility_power_w) * self.tick_h / 1e3)
-
-    @property
-    def cooling_energy_kwh(self) -> float:
-        """Cooling / overhead energy over the recorded ticks in kWh."""
-        return self.facility_energy_kwh - self.it_energy_kwh
-
-    @property
-    def peak_facility_power_w(self) -> float:
-        """Largest facility power observed at any recorded tick."""
-        if self.facility_power_w.size == 0:
-            return 0.0
-        return float(np.max(self.facility_power_w))
-
-
-@dataclass(frozen=True)
 class SimulatorSnapshot:
     """A versioned, JSON-able capture of a mid-run simulator's dynamic state.
 
@@ -518,7 +473,6 @@ class ClusterSimulator:
         self._advanced_to = 0.0
         self._tick_times: list[float] = []
         self._tick_it_power: list[float] = []
-        self._power_summary: Optional[SitePowerSummary] = None
 
     def _build_hourly_context(self) -> list[tuple]:
         """One ``(carbon, price, renewable, temperature, pue)`` row per hour.
@@ -603,35 +557,6 @@ class ClusterSimulator:
         object the scheduler receives at a scheduling round.
         """
         return self._context(now_h)
-
-    def site_power_summary(self) -> SitePowerSummary:
-        """Tick-aligned IT / cooling / facility power recorded so far.
-
-        One API for per-site power accounting: valid mid-run (covering the
-        ticks processed up to now) and after :meth:`finalize` (covering the
-        whole horizon, returned from the finalize-time cache — the arrays are
-        shared with the :class:`SimulationResult`, not recomputed).  Fleet
-        aggregation and reports read this instead of recomputing PUE products
-        from raw series.
-        """
-        if self._power_summary is not None:
-            return self._power_summary
-        tick_times = np.asarray(self._tick_times, dtype=float)
-        it_power = np.asarray(self._tick_it_power, dtype=float)
-        if self._pue_hourly is not None and tick_times.size:
-            indices = np.minimum(
-                np.maximum(tick_times, 0.0), self.config.horizon_h
-            ).astype(int)
-            pue = np.asarray(self._pue_hourly[indices], dtype=float)
-        else:
-            pue = np.ones_like(tick_times)
-        return SitePowerSummary(
-            tick_times_h=tick_times,
-            it_power_w=it_power,
-            pue=pue,
-            facility_power_w=it_power * pue,
-            tick_h=self.config.tick_h,
-        )
 
     # ------------------------------------------------------------------
     # Power accounting
@@ -886,11 +811,16 @@ class ClusterSimulator:
             self._metrics_observer.publish()
 
         # PUE over the whole tick series in one vectorized lookup (the hourly
-        # curve was precomputed at construction).  The summary is cached: the
-        # result and later site_power_summary() calls share the same arrays.
-        power = self.site_power_summary()
-        self._power_summary = power
-        tick_times_arr = power.tick_times_h
+        # curve was precomputed at construction).
+        tick_times_arr = np.asarray(self._tick_times, dtype=float)
+        it_power = np.asarray(self._tick_it_power, dtype=float)
+        if self._pue_hourly is not None and tick_times_arr.size:
+            indices = np.minimum(
+                np.maximum(tick_times_arr, 0.0), config.horizon_h
+            ).astype(int)
+            pue = np.asarray(self._pue_hourly[indices], dtype=float)
+        else:
+            pue = np.ones_like(tick_times_arr)
 
         if self._carbon_hourly is not None:
             indices = np.clip(tick_times_arr.astype(int), 0, self._carbon_hourly.shape[0] - 1)
@@ -905,9 +835,9 @@ class ClusterSimulator:
             scheduler_name=self.scheduler.name,
             config=config,
             tick_times_h=tick_times_arr,
-            it_power_w=power.it_power_w,
-            facility_power_w=power.facility_power_w,
-            pue=power.pue,
+            it_power_w=it_power,
+            facility_power_w=it_power * pue,
+            pue=pue,
             carbon_intensity_g_per_kwh=carbon,
             price_per_mwh=price,
             job_records=records,

@@ -621,12 +621,7 @@ class CampaignResult:
             values = ordered
         else:
             values = list(values)
-        if keys:
-            groups: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
-            for row in rows:
-                groups.setdefault(tuple(row.get(key) for key in keys), []).append(row)
-        else:
-            groups = {(): rows}
+        groups = self.group_by(*keys) if keys else {(): rows}
         summary = []
         for group, group_rows in groups.items():
             record: dict[str, Any] = dict(zip(keys, group))

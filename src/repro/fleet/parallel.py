@@ -12,14 +12,13 @@ parallel runs bit-identical to serial ones:
   :func:`multiprocessing.Pipe`: ``begin`` / ``submit-batch`` / ``advance`` /
   ``snapshot`` / ``finalize`` / ``stop``.
 * The coordinator routes one hourly window at a time from the workers'
-  :class:`~repro.fleet.routing.SiteSnapshot` states, ships one batched
+  :class:`~repro.fleet.routing.SiteSnapshot`\\ s, ships one batched
   ``submit-batch`` message per worker per window, then pipelines the
   ``advance`` command behind it — pipes are ordered, so the submit lands
   first and no round trip is paid between the two.
-* The ``advance`` reply carries the post-advance snapshot state of every
-  hosted site, so routing the next window needs no extra exchange: steady
-  state is exactly two messages down and one message up, per worker, per
-  window.
+* The ``advance`` reply carries the post-advance snapshot of every hosted
+  site, so routing the next window needs no extra exchange: steady state is
+  exactly two messages down and one message up, per worker, per window.
 
 Routers (which may be stateful, e.g. ``round-robin``'s cursor) never cross
 the process boundary, job batches are routed in trace order, and workers
@@ -41,17 +40,17 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult, SitePowerSummary
+from ..cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult
 from ..core.levers import build_simulator
 from ..errors import FleetError, SimulationError
 from ..experiments.spec import ScenarioSpec
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import NULL_RECORDER, SpanRecord, TraceRecorder, get_recorder, set_recorder
 from ..scheduler.job import Job
+from .routing import SiteSnapshot
 
 __all__ = [
     "SitePayload",
-    "SiteState",
     "SiteFinal",
     "SiteHost",
     "FleetWorkerPool",
@@ -97,17 +96,10 @@ class SitePayload:
     grid: IsoNeLikeGrid
 
 
-#: Post-advance routing state of one site, as shipped over the pipe:
-#: ``(queue_length, running_jobs, free_gpus, it_power_w, carbon, price,
-#: renewable)`` — the per-site :class:`~repro.fleet.routing.SiteSnapshot`
-#: fields the coordinator cannot know without asking the simulator.
-SiteState = tuple  # noqa: UP006 - 7-tuple documented above
-
-
 @dataclass(frozen=True)
 class SiteFinal:
-    """One site's end-of-run payload: full result, power summary, and the
-    wall time spent advancing it.
+    """One site's end-of-run payload: its result and the wall time spent
+    advancing it.
 
     ``advance_wall_s`` is a plain ``perf_counter`` sum, kept whether or not
     tracing is on (:class:`~repro.fleet.result.FleetStepTimings` reads it).
@@ -116,7 +108,6 @@ class SiteFinal:
     """
 
     result: SimulationResult
-    power: SitePowerSummary
     advance_wall_s: float
     spans: tuple[SpanRecord, ...] = ()
 
@@ -140,24 +131,6 @@ def build_site_simulator(payload: SitePayload) -> ClusterSimulator:
             f"fleet member {payload.spec.name!r} cannot host a "
             f"{payload.horizon_h / 24.0:.1f}-day horizon: {exc}"
         ) from None
-
-
-def site_state(simulator: ClusterSimulator, now_h: float) -> SiteState:
-    """The routing-relevant state of ``simulator`` at ``now_h``.
-
-    Coordinator-side snapshots are built from this tuple in both stepping
-    modes, so serial and parallel routing see the same fields.
-    """
-    context = simulator.scheduling_context(now_h)
-    return (
-        simulator.n_pending,
-        simulator.n_running,
-        simulator.cluster.n_free_gpus,
-        simulator.current_it_power_w,
-        context.carbon_intensity_g_per_kwh,
-        context.price_per_mwh,
-        context.renewable_share,
-    )
 
 
 class SiteHost:
@@ -195,11 +168,14 @@ class SiteHost:
         """The hosted member indices, ascending."""
         return list(self._indices)
 
-    def snapshot(self, at_h: float) -> dict[int, SiteState]:
-        """Per-site states at ``at_h`` without advancing anything."""
-        return {index: site_state(self._sims[index], at_h) for index in self._indices}
+    def snapshot(self, at_h: float) -> dict[int, SiteSnapshot]:
+        """Per-site routing views at ``at_h`` without advancing anything."""
+        return {
+            index: SiteSnapshot.of(self._sims[index], index, self._names[index], at_h)
+            for index in self._indices
+        }
 
-    def begin(self) -> dict[int, SiteState]:
+    def begin(self) -> dict[int, SiteSnapshot]:
         for index in self._indices:
             self._sims[index].begin()
         return self.snapshot(0.0)
@@ -210,7 +186,7 @@ class SiteHost:
             for job in batches[index]:
                 simulator.submit(job)
 
-    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteState]:
+    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteSnapshot]:
         recorder = self._recorder
         for index in self._indices:
             start = time.perf_counter()
@@ -230,7 +206,6 @@ class SiteHost:
             simulator = self._sims[index]
             finals[index] = SiteFinal(
                 result=simulator.finalize(),
-                power=simulator.site_power_summary(),
                 advance_wall_s=self._advance_s[index],
                 spans=tuple(spans[index]),
             )
@@ -430,8 +405,8 @@ class FleetWorkerPool:
     # ------------------------------------------------------------------
     # Protocol operations (bulk, over all sites)
     # ------------------------------------------------------------------
-    def begin(self) -> dict[int, SiteState]:
-        """``begin`` every site; returns each site's state at hour 0."""
+    def begin(self) -> dict[int, SiteSnapshot]:
+        """``begin`` every site; returns each site's snapshot at hour 0."""
         for worker in self.workers:
             self._send(worker, ("begin",))
         return self._collect(self.workers)
@@ -452,20 +427,20 @@ class FleetWorkerPool:
             if worker_batches:
                 self._send(worker, ("submit-batch", worker_batches))
 
-    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteState]:
-        """Advance every site to ``until_h``; returns states at ``snapshot_h``."""
+    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteSnapshot]:
+        """Advance every site to ``until_h``; returns snapshots at ``snapshot_h``."""
         for worker in self.workers:
             self._send(worker, ("advance", until_h, snapshot_h))
         return self._collect(self.workers)
 
-    def snapshot(self, at_h: float) -> dict[int, SiteState]:
-        """Fresh per-site states at ``at_h`` without advancing anything."""
+    def snapshot(self, at_h: float) -> dict[int, SiteSnapshot]:
+        """Fresh per-site snapshots at ``at_h`` without advancing anything."""
         for worker in self.workers:
             self._send(worker, ("snapshot", at_h))
         return self._collect(self.workers)
 
     def finalize(self) -> dict[int, SiteFinal]:
-        """Finalize every site; returns results, power summaries and timings."""
+        """Finalize every site; returns results and timings."""
         for worker in self.workers:
             self._send(worker, ("finalize",))
         return self._collect(self.workers)

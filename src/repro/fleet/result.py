@@ -1,11 +1,11 @@
 """The aggregated outcome of one fleet co-simulation.
 
 A :class:`FleetResult` keeps every member site's full
-:class:`~repro.cluster.simulator.SimulationResult` (and its
-:class:`~repro.cluster.simulator.SitePowerSummary`) plus the job→site
-assignment table, and derives fleet-level totals **as sums over the member
-results** — so "fleet == Σ sites" holds bit-for-bit by construction, and the
-conservation tests verify it independently.
+:class:`~repro.cluster.simulator.SimulationResult` — the one per-site record
+of power, energy and jobs — plus the job→site assignment table, and derives
+fleet-level totals **as sums over the member results** — so "fleet == Σ
+sites" holds bit-for-bit by construction, and the conservation tests verify
+it independently.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.simulator import SimulationResult, SitePowerSummary
+from ..cluster.simulator import SimulationResult
 from ..config import config_to_jsonable
 from ..errors import FleetError
 from ..obs.profile import RunProfile
@@ -54,8 +54,9 @@ class FleetStepTimings:
     total_s:
         Wall time of the whole run (build + loop + finalize).
     route_s:
-        Coordinator time spent routing arrivals (snapshot build + router
-        selection + assignment bookkeeping), summed over windows.
+        Coordinator time spent routing arrivals (router selection and
+        assignment bookkeeping over the sites' snapshots, which the stepping
+        backend builds), summed over windows.
     advance_s:
         Coordinator wall time spent advancing the sites: the serial per-site
         advance loop, or — in parallel mode — the time waiting on the
@@ -109,10 +110,8 @@ class FleetResult:
     site_names:
         Member site labels, in member order.
     site_results:
-        One full single-site :class:`SimulationResult` per member.
-    site_power:
-        The members' :class:`SitePowerSummary` objects (the one per-site
-        power-accounting API; fleet aggregation reads these).
+        One full single-site :class:`SimulationResult` per member; every
+        fleet total and row is read from these.
     assignments:
         The job→site table, in dispatch order.
     step_timings:
@@ -129,16 +128,13 @@ class FleetResult:
     policy: str
     site_names: tuple[str, ...]
     site_results: tuple[SimulationResult, ...]
-    site_power: tuple[SitePowerSummary, ...]
     assignments: tuple[JobAssignment, ...]
     step_timings: Optional[FleetStepTimings] = None
     profile: Optional[RunProfile] = None
 
     def __post_init__(self) -> None:
-        if len(self.site_names) != len(self.site_results) or len(self.site_names) != len(
-            self.site_power
-        ):
-            raise FleetError("site_names, site_results and site_power must align")
+        if len(self.site_names) != len(self.site_results):
+            raise FleetError("site_names and site_results must align")
         if not self.site_names:
             raise FleetError("a fleet result needs at least one site")
 
@@ -158,17 +154,17 @@ class FleetResult:
     @property
     def it_energy_kwh(self) -> float:
         """Fleet IT energy: the sum of the member sites' totals."""
-        return sum(power.it_energy_kwh for power in self.site_power)
+        return sum(result.it_energy_kwh for result in self.site_results)
 
     @property
     def facility_energy_kwh(self) -> float:
         """Fleet facility energy: the sum of the member sites' totals."""
-        return sum(power.facility_energy_kwh for power in self.site_power)
+        return sum(result.facility_energy_kwh for result in self.site_results)
 
     @property
     def cooling_energy_kwh(self) -> float:
         """Fleet cooling energy: the sum of the member sites' totals."""
-        return sum(power.cooling_energy_kwh for power in self.site_power)
+        return sum(result.cooling_energy_kwh for result in self.site_results)
 
     @property
     def total_emissions_kg(self) -> float:
@@ -201,7 +197,7 @@ class FleetResult:
     @property
     def fleet_facility_power_w(self) -> np.ndarray:
         """The tick-aligned sum of the member sites' facility power series."""
-        return np.sum([power.facility_power_w for power in self.site_power], axis=0)
+        return np.sum([result.facility_power_w for result in self.site_results], axis=0)
 
     # ------------------------------------------------------------------
     # Service quality (over the union of all sites' job records)
@@ -258,13 +254,6 @@ class FleetResult:
             counts[assignment.site_name] += 1
         return counts
 
-    def assignment_for(self, job_id: str) -> JobAssignment:
-        """The routing decision for one job id."""
-        for assignment in self.assignments:
-            if assignment.job_id == job_id:
-                return assignment
-        raise FleetError(f"no assignment recorded for job {job_id!r}")
-
     # ------------------------------------------------------------------
     # Flat views
     # ------------------------------------------------------------------
@@ -294,14 +283,14 @@ class FleetResult:
         """One flat record per member site (summary + dispatch count)."""
         counts = self.dispatch_counts()
         rows = []
-        for name, result, power in zip(self.site_names, self.site_results, self.site_power):
+        for name, result in zip(self.site_names, self.site_results):
             row = {
                 "site": name,
                 "router": self.router,
                 "jobs_dispatched": counts[name],
-                "it_energy_kwh": power.it_energy_kwh,
-                "facility_energy_kwh": power.facility_energy_kwh,
-                "cooling_energy_kwh": power.cooling_energy_kwh,
+                "it_energy_kwh": result.it_energy_kwh,
+                "facility_energy_kwh": result.facility_energy_kwh,
+                "cooling_energy_kwh": result.cooling_energy_kwh,
                 "emissions_kg": result.total_emissions_kg,
                 "cost_usd": result.total_cost_usd,
                 "completed_jobs": float(result.completed_jobs),

@@ -37,12 +37,15 @@ any spec (or a :class:`Router` instance) everywhere a router is addressed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from ..errors import FleetError, SchedulingError
 from ..registry import Registry
 from ..scheduler.compose import PolicySpec, StageParam, StageSpec, TokenDefinition
 from ..scheduler.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.simulator import ClusterSimulator
 
 __all__ = [
     "SiteSnapshot",
@@ -64,10 +67,10 @@ __all__ = [
 class SiteSnapshot:
     """What a router sees of one member site at a dispatch instant.
 
-    Queue/occupancy state comes from the site's lockstepped
-    :class:`~repro.cluster.simulator.ClusterSimulator`; the grid signals are
-    the site's own hourly series evaluated at the dispatch hour.  Mutable on
-    purpose (and ``__slots__``-backed for cheap construction): the fleet
+    :meth:`of` builds it from the site's live
+    :class:`~repro.cluster.simulator.ClusterSimulator`: its queue and
+    occupancy, and its own hourly grid signals at the dispatch hour.
+    Mutable on purpose (and ``__slots__``-backed for cheap construction): the fleet
     dispatch loop bumps ``queue_length``/``dispatched`` in place as a
     window's arrivals land, so routers see in-flight dispatches without a
     rebuild per job.  ``dispatched`` is the site's cumulative dispatch count
@@ -87,6 +90,30 @@ class SiteSnapshot:
     price_per_mwh: Optional[float] = None
     renewable_share: Optional[float] = None
     dispatched: int = 0
+
+    @classmethod
+    def of(
+        cls, simulator: "ClusterSimulator", index: int, name: str, now_h: float
+    ) -> "SiteSnapshot":
+        """The routing view of a live ``simulator`` at ``now_h``.
+
+        Fleet sites (stepped in-process or on a worker) and the serve
+        daemon's live sessions are all seen through this one builder.
+        ``dispatched`` is left at 0: only the fleet coordinator knows it.
+        """
+        context = simulator.scheduling_context(now_h)
+        return cls(
+            index=index,
+            name=name,
+            queue_length=simulator.n_pending,
+            running_jobs=simulator.n_running,
+            free_gpus=simulator.cluster.n_free_gpus,
+            total_gpus=simulator.cluster.total_gpus,
+            it_power_w=simulator.current_it_power_w,
+            carbon_intensity_g_per_kwh=context.carbon_intensity_g_per_kwh,
+            price_per_mwh=context.price_per_mwh,
+            renewable_share=context.renewable_share,
+        )
 
 
 class Router:

@@ -39,7 +39,7 @@ from ..obs.profile import RunProfile
 from ..obs.recorder import get_recorder
 from ..parallel.pool import ParallelConfig
 from ..scheduler.job import Job
-from .parallel import FleetWorkerPool, SiteHost, SitePayload, SiteState
+from .parallel import FleetWorkerPool, SiteHost, SitePayload
 from .result import FleetResult, FleetStepTimings, JobAssignment
 from .routing import Router, SiteSnapshot, make_router
 from .spec import FleetSpec
@@ -174,37 +174,20 @@ class FleetSimulator:
         assignments: list[JobAssignment] = []
         self.router.begin_fleet(len(members))
 
-        def make_snapshots(states: Mapping[int, SiteState]) -> list[SiteSnapshot]:
-            snapshots = []
-            for index, member in enumerate(members):
-                queue, running, free, it_power, carbon, price, renewable = states[index]
-                snapshots.append(
-                    SiteSnapshot(
-                        index=index,
-                        name=member.name,
-                        queue_length=queue,
-                        running_jobs=running,
-                        free_gpus=free,
-                        total_gpus=member.facility.total_gpus,
-                        it_power_w=it_power,
-                        carbon_intensity_g_per_kwh=carbon,
-                        price_per_mwh=price,
-                        renewable_share=renewable,
-                        dispatched=dispatched[index],
-                    )
-                )
-            return snapshots
-
         def route_window(
-            window: Sequence[Job], states: Mapping[int, SiteState], now_h: float, hour: int
+            window: Sequence[Job], states: Mapping[int, SiteSnapshot], now_h: float, hour: int
         ) -> dict[int, list[Job]]:
             """Route one window's arrivals; returns per-site submit batches.
 
-            Snapshots are built once per window; the receiving site's snapshot
-            is bumped in place after each dispatch so routers see in-flight
-            arrivals — identical bookkeeping in serial and parallel mode.
+            ``states`` are the sites' fresh snapshots; each gets its
+            cumulative ``dispatched`` count here, and the receiving site's
+            snapshot is bumped in place after each dispatch so routers see
+            in-flight arrivals — identical bookkeeping in serial and parallel
+            mode.
             """
-            snapshots = make_snapshots(states)
+            snapshots = [states[index] for index in range(len(members))]
+            for snapshot in snapshots:
+                snapshot.dispatched = dispatched[snapshot.index]
             batches: dict[int, list[Job]] = {}
             for job in window:
                 index = self.router.select(job, snapshots, now_h)
@@ -309,7 +292,6 @@ class FleetSimulator:
             policy=self.policy,
             site_names=member_names,
             site_results=tuple(finals[i].result for i in range(len(members))),
-            site_power=tuple(finals[i].power for i in range(len(members))),
             assignments=tuple(assignments),
             step_timings=step_timings,
             profile=profile,

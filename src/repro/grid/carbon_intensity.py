@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..timeutils import SimulationCalendar
-from .fuel_mix import FUEL_TYPES, FuelMixModel, GenerationMix
+from .fuel_mix import FUEL_TYPES, GenerationMix
 
 __all__ = ["EMISSION_FACTORS_G_PER_KWH", "CarbonIntensityModel"]
 
@@ -88,12 +88,3 @@ class CarbonIntensityModel:
         intensity = self.intensity_series(mix)
         return float(np.average(intensity, weights=mix.demand_mw))
 
-    @classmethod
-    def default_series(
-        cls, calendar: SimulationCalendar, *, seed: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience: generate (hours, hourly intensity) with default models."""
-        model = FuelMixModel(seed=seed)
-        mix = model.generate(calendar)
-        intensity = cls().intensity_series(mix)
-        return mix.hours, intensity

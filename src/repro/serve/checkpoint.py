@@ -31,13 +31,17 @@ from ..artifacts.store import atomic_write_text
 from ..errors import CheckpointError
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["CHECKPOINT_FORMAT_VERSION", "CheckpointStore"]
+__all__ = ["CHECKPOINT_FORMAT_VERSION", "SESSION_ID", "CheckpointStore"]
 
 #: Version of the service checkpoint envelope (the simulator snapshot inside
 #: carries its own version).
 CHECKPOINT_FORMAT_VERSION = 2
 
-_FILENAME = re.compile(r"^(?P<session>[A-Za-z0-9_-]+)\.(?P<seq>\d{8})\.json$")
+#: The session ids a checkpoint file can be named after and listed again:
+#: ASCII letters and digits, ``-`` and ``_``.
+SESSION_ID = re.compile(r"[A-Za-z0-9_-]+")
+
+_FILENAME = re.compile(rf"^(?P<session>{SESSION_ID.pattern})\.(?P<seq>\d{{8}})\.json$")
 
 
 class CheckpointStore:

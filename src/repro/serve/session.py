@@ -6,13 +6,13 @@ it has streamed, guarded by a per-session lock so HTTP handler threads can
 submit jobs, advance time, stream ticks and checkpoint concurrently without
 corrupting the event loop.
 
-The :class:`SessionManager` keys shared substrate caches by scenario spec:
-two sessions over the same spec share one (thread-safe)
-:class:`~repro.experiments.ExperimentSession`, so their weather/trace/grid
-substrates are built once.  It also answers fleet-style *what-if* routing
-queries — "which of these live sessions should take this job?" — by building
-:class:`~repro.fleet.routing.SiteSnapshot`\\ s from each session's live
-queue/occupancy/grid state and running any router spec over them.
+The :class:`SessionManager` builds every session's substrates through one
+(thread-safe) :class:`~repro.experiments.ExperimentSession`, which caches
+them per scenario spec: two sessions over the same spec share one weather /
+trace / grid build.  It also answers fleet-style *what-if* routing queries —
+"which of these live sessions should take this job?" — by viewing each
+session's simulator as a :class:`~repro.fleet.routing.SiteSnapshot` and
+running any router spec over them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..experiments.session import ExperimentSession
 from ..experiments.spec import ScenarioSpec, get_scenario, get_site
 from ..fleet.routing import SiteSnapshot, make_router
 from ..scheduler.job import STATIC_FIELDS, Job
-from .checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
+from .checkpoint import CHECKPOINT_FORMAT_VERSION, SESSION_ID, CheckpointStore
 
 __all__ = [
     "UnknownSessionError",
@@ -231,7 +231,9 @@ class ServeSession:
                 world=world,
             )
             session.simulator.restore(snapshot, session._preload_trace(world))
-            session._ticks = session._rebuild_ticks(payload["ticks"])
+            session._ticks = session._rebuild_ticks(
+                snapshot.state["tick_times"], payload["ticks"]
+            )
             session.checkpoint_count = int(meta.get("checkpoint_count", 0))
         session.last_checkpoint_h = snapshot.now_h
         return session
@@ -247,9 +249,12 @@ class ServeSession:
         )
         return [job.clone_pending() for job in trace]
 
-    def _rebuild_ticks(self, counts: list) -> list[dict[str, Any]]:
-        """Telemetry rows from the envelope's ``[n_pending, n_running, it_power_w]``."""
-        tick_times = self.simulator.site_power_summary().tick_times_h.tolist()
+    def _rebuild_ticks(self, tick_times: list, counts: list) -> list[dict[str, Any]]:
+        """Telemetry rows, one per restored tick time.
+
+        ``counts`` holds the envelope's ``[n_pending, n_running, it_power_w]``
+        that each row sampled at its tick.
+        """
         if len(counts) != len(tick_times):
             raise CheckpointError(
                 f"checkpoint carries {len(counts)} telemetry rows for "
@@ -487,59 +492,21 @@ class ServeSession:
             self.last_checkpoint_h = snapshot.now_h
             return str(path)
 
-    # ------------------------------------------------------------------
-    # Routing snapshot (the what-if surface)
-    # ------------------------------------------------------------------
-    def site_snapshot(self, index: int) -> SiteSnapshot:
-        """This session's live state as a fleet-routing :class:`SiteSnapshot`."""
-        with self.lock:
-            simulator = self.simulator
-            context = simulator.scheduling_context(self.advanced_to_h)
-            return SiteSnapshot(
-                index=index,
-                name=self.session_id,
-                queue_length=simulator.n_pending,
-                running_jobs=simulator.n_running,
-                free_gpus=simulator.cluster.n_free_gpus,
-                total_gpus=simulator.cluster.total_gpus,
-                it_power_w=simulator.current_it_power_w,
-                carbon_intensity_g_per_kwh=context.carbon_intensity_g_per_kwh,
-                price_per_mwh=context.price_per_mwh,
-                renewable_share=context.renewable_share,
-            )
-
 
 class SessionManager:
-    """The daemon's session table plus the spec-keyed shared substrate caches."""
+    """The daemon's session table plus the one substrate cache all sessions share."""
 
     def __init__(self) -> None:
         self._sessions: dict[str, ServeSession] = {}
-        self._worlds: dict[ScenarioSpec, ExperimentSession] = {}
+        # Keyed by spec inside: sessions over identical specs get the same
+        # substrates, and its build lock serializes racing creations.
+        self._world = ExperimentSession()
         self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # Substrate sharing
-    # ------------------------------------------------------------------
-    def world_for(self, spec: ScenarioSpec) -> ExperimentSession:
-        """The shared (thread-safe) substrate cache for ``spec``.
-
-        Sessions over identical specs get the identical
-        :class:`ExperimentSession`, so concurrent creations build weather /
-        trace / grid once — the session's own build lock serializes the
-        racing builders.
-        """
-        with self._lock:
-            world = self._worlds.get(spec)
-            if world is None:
-                world = ExperimentSession(spec)
-                self._worlds[spec] = world
-            return world
 
     @property
     def n_worlds(self) -> int:
-        """Distinct substrate caches currently shared across sessions."""
-        with self._lock:
-            return len(self._worlds)
+        """Distinct scenario substrates built so far, shared across sessions."""
+        return self._world.scenario_builds
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -549,11 +516,9 @@ class SessionManager:
         if not isinstance(params, dict):
             raise ServeError("session creation body must be a JSON object")
         session_id = params.get("session_id") or f"s-{uuid.uuid4().hex[:12]}"
-        if not isinstance(session_id, str) or not session_id.replace("-", "").replace(
-            "_", ""
-        ).isalnum():
+        if not isinstance(session_id, str) or not SESSION_ID.fullmatch(session_id):
             raise ServeError(
-                f"session_id must be alphanumeric plus '-'/'_', got {session_id!r}"
+                f"session_id must be ASCII letters, digits, '-' or '_', got {session_id!r}"
             )
         scenario_name = params.get("scenario", "default")
         overrides = {
@@ -561,8 +526,6 @@ class SessionManager:
             for key in ("seed", "start_year", "n_months", "site")
             if params.get(key) is not None
         }
-        spec = resolve_spec(scenario_name, overrides)
-        world = self.world_for(spec)
         session = ServeSession.create(
             session_id=session_id,
             scenario_name=scenario_name,
@@ -573,7 +536,7 @@ class SessionManager:
             facility_power_budget_w=number_field(params, "facility_power_budget_w", float),
             power_cap_fraction=number_field(params, "power_cap_fraction", float),
             preload_jobs=number_field(params, "preload_jobs", int, 0),
-            world=world,
+            world=self._world,
         )
         with self._lock:
             if session_id in self._sessions:
@@ -583,10 +546,7 @@ class SessionManager:
 
     def restore_session(self, payload: dict) -> ServeSession:
         """Register a session rebuilt from a checkpoint payload."""
-        with checkpoint_fields("checkpoint"):
-            meta = payload["meta"]
-            spec = resolve_spec(meta["scenario"], meta.get("overrides", {}))
-        session = ServeSession.from_checkpoint(payload, self.world_for(spec))
+        session = ServeSession.from_checkpoint(payload, self._world)
         with self._lock:
             if session.session_id in self._sessions:
                 raise ServeError(f"session {session.session_id!r} already exists")
@@ -649,10 +609,11 @@ class SessionManager:
     ) -> dict[str, Any]:
         """Which live session would a fleet router send this job to?
 
-        Builds one :class:`SiteSnapshot` per candidate session from its live
-        queue / occupancy / grid signals and runs ``router_spec`` (any spec
-        in the :mod:`repro.fleet.routing` grammar) over them.  Purely
-        advisory: nothing is submitted.
+        Views each candidate session's simulator as a :class:`SiteSnapshot`
+        (its live queue / occupancy / grid signals, taken under the session
+        lock) and runs ``router_spec`` (any spec in the
+        :mod:`repro.fleet.routing` grammar) over them.  Purely advisory:
+        nothing is submitted.
         """
         job = ServeSession._build_job(job_data)
         if session_ids is None:
@@ -661,7 +622,14 @@ class SessionManager:
             candidates = [self.get(session_id) for session_id in session_ids]
         if not candidates:
             raise ServeError("no live sessions to route across")
-        snapshots = [session.site_snapshot(i) for i, session in enumerate(candidates)]
+        snapshots = []
+        for index, session in enumerate(candidates):
+            with session.lock:
+                snapshots.append(
+                    SiteSnapshot.of(
+                        session.simulator, index, session.session_id, session.advanced_to_h
+                    )
+                )
         router = make_router(router_spec)
         router.begin_fleet(len(snapshots))
         now_h = max(snapshot_session.advanced_to_h for snapshot_session in candidates)

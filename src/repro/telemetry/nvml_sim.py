@@ -205,25 +205,10 @@ class SimulatedNvml:
         self._check_initialized()
         return handle.measured_power_w()
 
-    def device_utilization(self, handle: SimulatedGpuDevice) -> float:
-        """Current compute utilization in [0, 1]."""
-        self._check_initialized()
-        return handle.utilization
-
-    def device_temperature_c(self, handle: SimulatedGpuDevice) -> float:
-        """Current device temperature in Celsius."""
-        self._check_initialized()
-        return handle.temperature_c
-
     def device_power_limit_w(self, handle: SimulatedGpuDevice) -> float:
         """Currently enforced power limit in watts."""
         self._check_initialized()
         return handle.effective_power_limit_w()
-
-    def device_total_energy_j(self, handle: SimulatedGpuDevice) -> float:
-        """Cumulative energy counter (``nvmlDeviceGetTotalEnergyConsumption``)."""
-        self._check_initialized()
-        return handle.cumulative_energy_j
 
     # ------------------------------------------------------------------
     # Per-device controls
@@ -274,11 +259,6 @@ class SimulatedNvml:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def total_power_w(self) -> float:
-        """Sum of noise-free power across all devices."""
-        self._check_initialized()
-        return float(sum(d.true_power_w() for d in self._devices))
-
     def total_energy_j(self) -> float:
         """Sum of cumulative energy across all devices."""
         self._check_initialized()

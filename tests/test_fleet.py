@@ -330,10 +330,13 @@ class TestFleetConservation:
         _, _, _, results = tri_world
         for result in results.values():
             assert result.it_energy_kwh == sum(
-                p.it_energy_kwh for p in result.site_power
+                r.it_energy_kwh for r in result.site_results
             )
             assert result.facility_energy_kwh == sum(
-                p.facility_energy_kwh for p in result.site_power
+                r.facility_energy_kwh for r in result.site_results
+            )
+            assert result.cooling_energy_kwh == sum(
+                r.cooling_energy_kwh for r in result.site_results
             )
             assert result.total_emissions_kg == sum(
                 r.total_emissions_kg for r in result.site_results
@@ -347,6 +350,17 @@ class TestFleetConservation:
             assert result.completed_jobs == sum(
                 r.completed_jobs for r in result.site_results
             )
+            # Element-wise, tick by tick, in member order.
+            expected_power = result.site_results[0].facility_power_w
+            for site_result in result.site_results[1:]:
+                expected_power = expected_power + site_result.facility_power_w
+            np.testing.assert_array_equal(result.fleet_facility_power_w, expected_power)
+            rows = result.site_rows()
+            assert [row["site"] for row in rows] == list(result.site_names)
+            for row, site_result in zip(rows, result.site_results):
+                assert row["it_energy_kwh"] == site_result.it_energy_kwh
+                assert row["facility_energy_kwh"] == site_result.facility_energy_kwh
+                assert row["cooling_energy_kwh"] == site_result.cooling_energy_kwh
 
     def test_assignment_table_matches_site_record_locations(self, tri_world):
         _, _, _, results = tri_world
@@ -395,21 +409,6 @@ class TestFleetConservation:
         _, _, trace, results = tri_world
         for result in results.values():
             assert sum(result.dispatch_counts().values()) == len(trace)
-
-    def test_site_power_summary_consistency(self, tri_world):
-        _, _, _, results = tri_world
-        result = results["round-robin"]
-        for site_result, power in zip(result.site_results, result.site_power):
-            np.testing.assert_array_equal(power.it_power_w, site_result.it_power_w)
-            np.testing.assert_array_equal(
-                power.facility_power_w, site_result.facility_power_w
-            )
-            np.testing.assert_allclose(
-                power.cooling_power_w,
-                site_result.facility_power_w - site_result.it_power_w,
-            )
-            assert power.it_energy_kwh == site_result.it_energy_kwh
-            assert power.facility_energy_kwh == site_result.facility_energy_kwh
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +518,6 @@ class TestSteppingApi:
             simulator.finalize()
         with pytest.raises(SimulationError, match="after finalize"):
             simulator.submit(_job())
-
-    def test_mid_run_site_power_summary_tracks_progress(self, stepping_world):
-        spec, scenario, trace = stepping_world
-        simulator = self._simulator(spec, scenario)
-        simulator.begin([job.clone_pending() for job in trace])
-        simulator.advance(10.0)
-        partial = simulator.site_power_summary()
-        assert partial.tick_times_h.size == 10  # ticks 0..9; tick 10 not drained yet
-        result = simulator.finalize()
-        full = simulator.site_power_summary()
-        assert full.tick_times_h.size == result.tick_times_h.size
-        np.testing.assert_array_equal(
-            full.facility_power_w, result.facility_power_w
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,9 @@ from repro.fleet.parallel import (
     SitePayload,
     build_site_simulator,
     fleet_start_method,
-    site_state,
 )
 from repro.fleet.result import FleetStepTimings
-from repro.fleet.routing import Router
+from repro.fleet.routing import Router, SiteSnapshot
 from repro.parallel import ParallelConfig
 from repro.scheduler.job import Job
 
@@ -284,7 +283,8 @@ class TestWorkerProtocol:
         with FleetWorkerPool(pool_payloads, 2) as pool:
             pool.begin()
             states = pool.advance(2.0, 2.0)
-        assert states[payload.index] == site_state(reference, 2.0)
+        expected = SiteSnapshot.of(reference, payload.index, payload.spec.name, 2.0)
+        assert states[payload.index] == expected
 
     def test_worker_count_capped_at_sites_and_close_idempotent(self, pool_payloads):
         pool = FleetWorkerPool(pool_payloads, 64)

@@ -98,8 +98,11 @@ class TestSessionLifecycle:
         _create(client, session_id="b", policy="carbon-aware")
         assert client.health()["worlds"] == 1
         assert {s["session_id"] for s in client.list_sessions()} == {"a", "b"}
-        world = daemon.manager.world_for(daemon.manager.get("a").spec)
-        assert world.scenario_builds == 1
+        first = daemon.manager.get("a").simulator
+        second = daemon.manager.get("b").simulator
+        assert first.weather_hourly_c is second.weather_hourly_c
+        _create(client, session_id="c", seed=99)
+        assert client.health()["worlds"] == 2
 
     def test_delete_session(self, client):
         _create(client)
@@ -122,6 +125,14 @@ class TestSessionLifecycle:
         client.finalize("s1")
         with pytest.raises(ServeError, match="400"):
             client.advance("s1", until_h=80.0)  # finalized
+
+    @pytest.mark.parametrize("session_id", ["café", "s١", "²"])
+    def test_ids_the_checkpoint_store_cannot_list_are_400(self, client, session_id):
+        # str.isalnum() accepts these, but their checkpoint files would never
+        # be listed again, so a restart would lose the session.
+        with pytest.raises(ServeError, match="400"):
+            _create(client, session_id=session_id, preload_jobs=0)
+        assert client.list_sessions() == []
 
     @pytest.mark.parametrize(
         "path, body",
