@@ -19,18 +19,19 @@ framework (Eq. 1) optimizes:
 Incremental state model
 -----------------------
 The cluster core is built around persistent, incrementally-maintained state
-rather than recomputation.  Per-GPU state (job id, from which "allocated" is
-derived, utilization and power cap) lives in plain list rows on
-:class:`~repro.cluster.resources.Cluster`; per-node free counters and
+rather than recomputation.  Each GPU's job id (from which "allocated" is
+derived) lives in a plain list row on
+:class:`~repro.cluster.resources.Cluster`, and each job's utilization, power
+cap and per-GPU power live once, on its
+:class:`~repro.cluster.resources.Allocation`.  Per-node free counters and
 cluster-wide occupancy totals are updated only for the nodes an
 ``allocate``/``release``/``drain`` actually touches, and the cluster's IT
 power is delta-maintained so the simulator reads it in O(1) at every tick and
-scheduling round.  The rows and counters are the only representation of the
-pool's state and change only through those methods; the public read of the
-per-GPU table is ``Cluster.snapshot_state``.  ``Cluster.recompute_it_power_w``
-is the vectorized full recompute retained as a debug/parity checkpoint (the
-simulator's ``parity_check=True`` verifies the incremental value against it
-after every allocation change), and ``tests/test_cluster_state_parity.py``
+scheduling round.  The rows, records and counters are the only
+representation of the pool's state and change only through those methods;
+their public read is ``Cluster.snapshot_state``.  ``Cluster.recompute_it_power_w``
+is the full recompute from the rows and records, the reference the tests
+compare the incremental value against, and ``tests/test_cluster_state_parity.py``
 pins the whole model — counters, power, and end-to-end ``SimulationResult``
 outputs — against an in-test reference pool and the pre-refactor
 implementation.  The

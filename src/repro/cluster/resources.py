@@ -13,13 +13,13 @@ ClusterSimulator`, which queries and mutates this pool millions of times per
 run, so the pool is built for O(1) hot-path queries instead of whole-cluster
 rescans:
 
-* **Per-GPU state lives in list rows.**  Three parallel list-of-lists
-  indexed ``[node][gpu]`` hold the job id (``None`` = free, so "allocated"
-  is derived from it), the utilization driven by the running job, and the
-  enforced power cap (NaN = uncapped).  Plain lists, not NumPy arrays: the
-  hot path writes a handful of scalars per allocation, and a list write
-  costs a fraction of a NumPy scalar write.  Only the vectorized
-  :meth:`Cluster.recompute_it_power_w` checkpoint builds arrays from them.
+* **One per-GPU row, one record per job.**  A list-of-lists indexed
+  ``[node][gpu]`` holds each GPU's job id (``None`` = free, so "allocated"
+  is derived from it).  Everything else about a job's GPUs is uniform across
+  them, so it is kept once, on the job's :class:`Allocation`: utilization,
+  cap and the per-GPU power they give.  Plain lists, not NumPy arrays: the
+  hot path writes one scalar per allocated GPU, and a list write costs a
+  fraction of a NumPy scalar write.
 * **Counters are maintained, not recomputed.**  Per-node free-GPU counts, the
   cluster-wide free/busy totals, and the occupied/drained node counts are
   updated by the few GPUs each ``allocate``/``release`` touches, so
@@ -33,23 +33,21 @@ rescans:
   free GPU indices from its job-id row, so an allocation costs O(nodes
   touched) instead of a whole-cluster scan.
 * **IT power is delta-maintained.**  Each allocation contributes
-  ``n_gpus x power_w(utilization, cap)`` (uniform across a job's GPUs by
-  construction); ``allocate``/``release``/``set_power_limit``/``drain_nodes``
+  ``n_gpus x per_gpu_power_w``; ``allocate``/``release``/``set_power_limit``
   adjust a running total so :meth:`Cluster.it_power_w` is an O(1) read.
-  :meth:`Cluster.recompute_it_power_w` is the vectorized full recompute kept
-  as a debug/parity checkpoint.
+  :meth:`Cluster.recompute_it_power_w` is the reference: a full recompute
+  from the job-id rows and each record's utilization and cap.
 
-The rows and counters are private to this module and change only through
-the methods above, so they are the one representation of the pool's state;
-:meth:`Cluster.snapshot_state` is the public read of the per-GPU table.
+The rows, records and counters are private to this module and change only
+through the methods above, so they are the one representation of the pool's
+state; :meth:`Cluster.snapshot_state` is the public read of it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,21 +58,21 @@ from ..telemetry.gpu_power import GpuPowerModel, GpuSpec, get_gpu_spec
 
 __all__ = ["Allocation", "Cluster"]
 
-#: The per-GPU cap value that means "uncapped" (runs at TDP).
-_UNCAPPED = math.nan
-
-
-def _cap_value(power_limit_w: Optional[float]) -> float:
-    """The per-GPU row value for a cap in watts (``None`` -> NaN = uncapped)."""
-    return _UNCAPPED if power_limit_w is None else float(power_limit_w)
-
-
 @dataclass(frozen=True)
 class Allocation:
-    """A successful placement of a job onto specific GPUs."""
+    """A job's placement onto specific GPUs, and the power facts of those GPUs.
+
+    A job's GPUs share one utilization and one cap (``None`` = uncapped, i.e.
+    TDP), so the record holds each once, with the per-GPU power they give.
+    :meth:`Cluster.set_power_limit` replaces the record.
+    """
 
     job_id: str
     gpu_locations: tuple[tuple[int, int], ...]  # (node_id, gpu_index) pairs
+    # Defaults let a bare placement be built from the two fields above.
+    utilization: float = 1.0
+    power_limit_w: Optional[float] = None
+    per_gpu_power_w: float = 0.0
 
     @property
     def n_gpus(self) -> int:
@@ -101,7 +99,7 @@ class Cluster:
         gpus_per_node = self.facility.gpus_per_node
         self._n_nodes = n_nodes
         self._gpus_per_node = gpus_per_node
-        self._reset_gpu_rows()
+        self._job_ids: list[list[Optional[str]]] = [[None] * gpus_per_node for _ in range(n_nodes)]
         # Incrementally maintained counters (plain ints: read per touched node).
         self._node_free: list[int] = [gpus_per_node] * n_nodes
         self._drained: list[bool] = [False] * n_nodes
@@ -110,9 +108,8 @@ class Cluster:
         self._busy_gpus = 0
         self._n_occupied = 0
         self._n_drained = 0
-        # Delta-maintained IT power: per-job per-GPU power and the busy total.
+        # Delta-maintained IT power of the busy GPUs.
         self._busy_power_w = 0.0
-        self._job_power_w: dict[str, float] = {}
         self._allocations: dict[str, Allocation] = {}
 
     # ------------------------------------------------------------------
@@ -163,7 +160,7 @@ class Cluster:
 
     def busy_utilizations(self) -> np.ndarray:
         """Utilizations of the currently-busy GPUs (node-major order)."""
-        return np.array(self._gpu_utilization, dtype=float)[self._allocated_mask()]
+        return np.array([record.utilization for record in self._held_records()], dtype=float)
 
     # ------------------------------------------------------------------
     # Allocation / release
@@ -220,15 +217,9 @@ class Cluster:
                 locations.append((node_id, free_indices[cursor]))
                 taken[node_id] = cursor + 1
                 free[node_id] -= 1
-        # Commit: per-GPU rows, then the touched nodes' counters and buckets.
-        utilization = float(utilization)
-        cap = None if power_limit_w is None else float(power_limit_w)
-        cap_value = _cap_value(cap)
-        utilizations, caps = self._gpu_utilization, self._gpu_cap_w
+        # Commit: the job-id rows, then the touched nodes' counters and buckets.
         for node_id, index in locations:
             job_ids[node_id][index] = job_id
-            utilizations[node_id][index] = utilization
-            caps[node_id][index] = cap_value
         gpus_per_node = self._gpus_per_node
         newly_occupied = 0
         for node_id, take in taken.items():
@@ -240,10 +231,11 @@ class Cluster:
         self._free_gpus_nondrained -= n_gpus
         self._busy_gpus += n_gpus
         self._n_occupied += newly_occupied
+        utilization = float(utilization)
+        cap = None if power_limit_w is None else float(power_limit_w)
         per_gpu_power = self.gpu_power_model.power_w_scalar(utilization, cap)
-        self._job_power_w[job_id] = per_gpu_power
         self._busy_power_w += n_gpus * per_gpu_power
-        allocation = Allocation(job_id=job_id, gpu_locations=tuple(locations))
+        allocation = Allocation(job_id, tuple(locations), utilization, cap, per_gpu_power)
         self._allocations[job_id] = allocation
         return allocation
 
@@ -256,12 +248,10 @@ class Cluster:
         allocation = self._allocations.pop(job_id, None)
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
-        job_ids, utilizations, caps = self._job_ids, self._gpu_utilization, self._gpu_cap_w
+        job_ids = self._job_ids
         freed: dict[int, int] = {}  # node id -> GPUs returned to it
         for node_id, index in allocation.gpu_locations:
             job_ids[node_id][index] = None
-            utilizations[node_id][index] = 0.0
-            caps[node_id][index] = _UNCAPPED
             freed[node_id] = freed.get(node_id, 0) + 1
         gpus_per_node = self._gpus_per_node
         node_free = self._node_free
@@ -278,8 +268,7 @@ class Cluster:
         self._free_gpus_nondrained += n_gpus
         self._busy_gpus -= n_gpus
         self._n_occupied -= newly_idle
-        per_gpu_power = self._job_power_w.pop(job_id, 0.0)
-        self._busy_power_w -= n_gpus * per_gpu_power
+        self._busy_power_w -= n_gpus * allocation.per_gpu_power_w
         if self._busy_gpus == 0:
             # Exact resynchronization point: an empty cluster has zero busy
             # power by definition, which also clears any summation drift.
@@ -292,18 +281,9 @@ class Cluster:
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
         cap = None if power_limit_w is None else float(power_limit_w)
-        cap_value = _cap_value(cap)
-        caps = self._gpu_cap_w
-        for node_id, index in allocation.gpu_locations:
-            caps[node_id][index] = cap_value
-        # A job's GPUs share one utilization by construction, so its power
-        # contribution is a single scalar delta.
-        first_node, first_index = allocation.gpu_locations[0]
-        utilization = self._gpu_utilization[first_node][first_index]
-        new_power = self.gpu_power_model.power_w_scalar(utilization, cap)
-        old_power = self._job_power_w.get(job_id, 0.0)
-        self._job_power_w[job_id] = new_power
-        self._busy_power_w += allocation.n_gpus * (new_power - old_power)
+        new_power = self.gpu_power_model.power_w_scalar(allocation.utilization, cap)
+        self._allocations[job_id] = replace(allocation, power_limit_w=cap, per_gpu_power_w=new_power)
+        self._busy_power_w += allocation.n_gpus * (new_power - allocation.per_gpu_power_w)
 
     def drain_nodes(self, n_nodes: int) -> int:
         """Administratively drain up to ``n_nodes`` currently idle nodes.
@@ -359,12 +339,12 @@ class Cluster:
         )
 
     def recompute_it_power_w(self) -> float:
-        """Vectorized full recompute of IT power from the per-GPU rows.
+        """Full recompute of IT power from the job-id rows and the records.
 
-        The debug/parity checkpoint for the delta-maintained value returned
-        by :meth:`it_power_w`: builds ``[node, gpu]`` arrays from the rows
-        and makes one pass over them, independent of the incremental
-        counters.
+        The reference for the delta-maintained value returned by
+        :meth:`it_power_w`: it counts nodes and GPUs from the job-id rows and
+        evaluates the power model on each held GPU's utilization and cap,
+        never reading the maintained counters or the records' stored power.
         """
         facility = self.facility
         live = ~np.array(self._drained, dtype=bool)
@@ -375,10 +355,11 @@ class Cluster:
             + facility.node_active_overhead_w * int(np.count_nonzero(allocated.any(axis=1)))
             + self.gpu_spec.idle_power_w * (allocated.size - n_busy)
         )
-        if n_busy:
-            utils = np.array(self._gpu_utilization, dtype=float)[live][allocated]
-            caps = np.array(self._gpu_cap_w, dtype=float)[live][allocated]
-            caps = np.where(np.isnan(caps), self.gpu_spec.tdp_w, caps)
+        held = self._held_records()
+        if held:
+            tdp_w = self.gpu_spec.tdp_w
+            utils = np.array([record.utilization for record in held])
+            caps = np.array([tdp_w if r.power_limit_w is None else r.power_limit_w for r in held])
             power += float(np.sum(self.gpu_power_model.power_w(utils, caps)))
         return float(power)
 
@@ -388,30 +369,24 @@ class Cluster:
     def snapshot_state(self) -> dict:
         """A JSON-able dict of the pool's dynamic state.
 
-        Captures the live allocations (locations, utilization, cap and the
-        delta-maintained per-GPU power), the drained-node set, and the
-        accumulated ``busy_power_w`` total.  The accumulated float is stored
-        verbatim — recomputing it as a fresh sum on restore could differ in
-        the last ulp from the incrementally-maintained original, breaking
-        bit-identical continuation.
-
-        Every held GPU belongs to exactly one allocation and shares its job's
-        utilization and cap, so the allocations plus the drained set are the
-        whole per-GPU table.
+        Captures the allocation records (locations, utilization, cap and
+        per-GPU power), the drained-node set, and the accumulated
+        ``busy_power_w`` total.  The accumulated float is stored verbatim —
+        recomputing it as a fresh sum on restore could differ in the last ulp
+        from the incrementally-maintained original, breaking bit-identical
+        continuation.  The records plus the drained set are the whole
+        per-GPU table.
         """
-        allocations = []
-        for job_id, allocation in self._allocations.items():
-            first_node, first_index = allocation.gpu_locations[0]
-            cap = self._gpu_cap_w[first_node][first_index]
-            allocations.append(
-                {
-                    "job_id": job_id,
-                    "locations": [list(loc) for loc in allocation.gpu_locations],
-                    "utilization": self._gpu_utilization[first_node][first_index],
-                    "power_limit_w": None if math.isnan(cap) else cap,
-                    "per_gpu_power_w": self._job_power_w[job_id],
-                }
-            )
+        allocations = [
+            {
+                "job_id": job_id,
+                "locations": [list(loc) for loc in allocation.gpu_locations],
+                "utilization": allocation.utilization,
+                "power_limit_w": allocation.power_limit_w,
+                "per_gpu_power_w": allocation.per_gpu_power_w,
+            }
+            for job_id, allocation in self._allocations.items()
+        ]
         return {
             "n_nodes": self._n_nodes,
             "gpus_per_node": self._gpus_per_node,
@@ -449,11 +424,11 @@ class Cluster:
                     raise CheckpointError(f"drained node {node_id} is outside the cluster")
                 drained[node_id] = True
             held: set[tuple[int, int]] = set()
-            entries: dict[str, tuple] = {}
+            records: dict[str, Allocation] = {}
             for entry in state["allocations"]:
                 job_id = entry["job_id"]
                 locations = tuple((int(n), int(i)) for n, i in entry["locations"])
-                if job_id in entries or not locations:
+                if job_id in records or not locations:
                     raise CheckpointError(f"allocation {job_id!r} is repeated or holds no GPUs")
                 for node_id, index in locations:
                     if not (0 <= node_id < n_nodes and 0 <= index < gpus_per_node):
@@ -467,27 +442,23 @@ class Cluster:
                             f"which is already held or on a drained node"
                         )
                     held.add((node_id, index))
-                entries[job_id] = (
+                cap = entry["power_limit_w"]
+                records[job_id] = Allocation(
+                    job_id,
                     locations,
                     float(entry["utilization"]),
-                    _cap_value(entry["power_limit_w"]),
+                    None if cap is None else float(cap),
                     float(entry["per_gpu_power_w"]),
                 )
             busy_power_w = float(state["busy_power_w"])
-        self._reset_gpu_rows()
-        job_ids, utilizations, caps = self._job_ids, self._gpu_utilization, self._gpu_cap_w
+        self._job_ids = job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]
         self._node_free = node_free = [gpus_per_node] * n_nodes
         self._drained = drained
-        self._allocations = {}
-        self._job_power_w = {}
-        for job_id, (locations, utilization, cap_value, per_gpu_power) in entries.items():
-            for node_id, index in locations:
+        self._allocations = records
+        for job_id, record in records.items():
+            for node_id, index in record.gpu_locations:
                 job_ids[node_id][index] = job_id
-                utilizations[node_id][index] = utilization
-                caps[node_id][index] = cap_value
                 node_free[node_id] -= 1
-            self._allocations[job_id] = Allocation(job_id=job_id, gpu_locations=locations)
-            self._job_power_w[job_id] = per_gpu_power
         # Derived counters and buckets, then the accumulated power total verbatim.
         self._busy_gpus = len(held)
         self._n_occupied = sum(1 for free in node_free if free < gpus_per_node)
@@ -499,14 +470,12 @@ class Cluster:
         self._busy_power_w = busy_power_w
 
     # ------------------------------------------------------------------
-    # Per-GPU rows, drain flags and free-count buckets
+    # Job-id rows, drain flags and free-count buckets
     # ------------------------------------------------------------------
-    def _reset_gpu_rows(self) -> None:
-        """Every GPU free: no job id, zero utilization, uncapped."""
-        n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
-        self._job_ids: list[list[Optional[str]]] = [[None] * gpus_per_node for _ in range(n_nodes)]
-        self._gpu_utilization: list[list[float]] = [[0.0] * gpus_per_node for _ in range(n_nodes)]
-        self._gpu_cap_w: list[list[float]] = [[_UNCAPPED] * gpus_per_node for _ in range(n_nodes)]
+    def _held_records(self) -> list[Allocation]:
+        """The allocation record of every held GPU, node-major."""
+        records = self._allocations
+        return [records[job_id] for row in self._job_ids for job_id in row if job_id is not None]
 
     def _allocated_mask(self) -> np.ndarray:
         """``[node, gpu]`` mask of the GPUs that hold a job."""

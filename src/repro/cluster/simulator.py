@@ -16,15 +16,14 @@ Design notes
   (carbon intensity, temperature) influence scheduling decisions.
 * IT power is delta-maintained by the cluster itself: each allocate/release/
   re-cap adjusts the running total by the affected job's own GPUs, so reading
-  it at a tick or scheduling round is O(1).  ``parity_check=True`` re-derives
-  the value from the per-GPU state (the vectorized debug checkpoint) after
-  every allocation change and raises on divergence.
-* The hourly PUE curve is evaluated once, vectorized over the whole weather
-  trace, at construction, and the tick-series PUE indexes into it.  The
-  scheduling context is precomputed too: one ``(carbon, price, renewable,
-  temperature, pue)`` row of Python floats per hour, so a round's context
-  costs one index computation and one tuple unpack instead of NumPy scalar
-  lookups.
+  it at a tick or scheduling round is O(1).
+  :meth:`~repro.cluster.resources.Cluster.recompute_it_power_w` re-derives
+  it from the allocation state, for tests to compare against.
+* The time-varying substrates are one table, built at construction: a
+  ``(carbon, price, renewable, temperature, pue)`` row of Python floats per
+  hour, with PUE evaluated in one vectorized pass over the weather trace.  A
+  round's context costs one index computation and one tuple unpack, and the
+  result's tick series read the same rows.
 * Events are plain named tuples compared by ``heapq`` in C; the loop reads
   the next event's time once per event and once per instant.
 * Scheduling happens after every batch of simultaneous events, so a finish
@@ -375,10 +374,6 @@ class ClusterSimulator:
         Optional cooling model; without one the facility runs at PUE = 1.
     grid:
         Optional grid model supplying hourly carbon intensity and price.
-    parity_check:
-        When true, cross-check the delta-maintained IT power against the
-        vectorized full recompute after every allocation change (debug aid;
-        raises :class:`~repro.errors.SimulationError` on divergence).
     observers:
         Lifecycle observers to attach; the scheduler's own
         :meth:`~repro.scheduler.base.Scheduler.observers` are appended
@@ -394,7 +389,6 @@ class ClusterSimulator:
         weather_hourly_c: Optional[np.ndarray] = None,
         cooling: Optional[CoolingModel] = None,
         grid: Optional[IsoNeLikeGrid] = None,
-        parity_check: bool = False,
         observers: Optional[Sequence[SimulatorObserver]] = None,
     ) -> None:
         self.cluster = cluster
@@ -402,7 +396,6 @@ class ClusterSimulator:
         self.config = config or SimulationConfig()
         self.cooling = cooling
         self.grid = grid
-        self.parity_check = bool(parity_check)
         self._recorder = get_recorder()
         self._observers: list[SimulatorObserver] = list(observers or ())
         self._observers.extend(scheduler.observers())
@@ -428,30 +421,15 @@ class ClusterSimulator:
             if cooling is not None:
                 raise SimulationError("a cooling model requires a weather trace")
             self.weather_hourly_c = None
-        if self.cooling is not None:
-            # One vectorized pass over the whole weather trace; every later
-            # PUE lookup (context, tick series) indexes into this.
-            self._pue_hourly: Optional[np.ndarray] = self.cooling.pue_series(
-                self.weather_hourly_c
-            )
-        else:
-            self._pue_hourly = None
+        self._carbon_threshold: Optional[float] = None
         if grid is not None:
             if grid.hours.shape[0] < n_hours_needed:
                 raise SimulationError(
                     "grid model horizon is shorter than the simulation horizon"
                 )
-            self._carbon_hourly = grid.carbon_intensity_g_per_kwh
-            self._price_hourly = grid.price_per_mwh
+            horizon_slice = grid.carbon_intensity_g_per_kwh[:n_hours_needed]
             quantile = self.config.carbon_threshold_quantile
-            horizon_slice = self._carbon_hourly[: n_hours_needed]
             self._carbon_threshold = float(np.quantile(horizon_slice, quantile))
-            self._renewable_hourly = grid.renewable_share
-        else:
-            self._carbon_hourly = None
-            self._price_hourly = None
-            self._carbon_threshold = None
-            self._renewable_hourly = None
         self._hourly_context = self._build_hourly_context()
 
         # Runtime state
@@ -477,10 +455,11 @@ class ClusterSimulator:
     def _build_hourly_context(self) -> list[tuple]:
         """One ``(carbon, price, renewable, temperature, pue)`` row per hour.
 
-        Rows cover hours ``0..int(horizon_h)``, the range a clamped
-        scheduling time can index.  Values are Python floats (``.tolist()``
-        gives the same value as ``float(series[hour])``), or ``None`` / a PUE
-        of 1.0 when the substrate is absent.
+        The only copy of the time-varying substrates.  Rows cover hours
+        ``0..int(horizon_h)``, the range a clamped scheduling time and every
+        tick can index.  Values are Python floats (``.tolist()`` gives the
+        same value as ``float(series[hour])``), or ``None`` / a PUE of 1.0
+        when the substrate is absent.
         """
         n_rows = int(self.config.horizon_h) + 1
 
@@ -489,13 +468,15 @@ class ClusterSimulator:
                 return [missing] * n_rows
             return np.asarray(series[:n_rows], dtype=float).tolist()
 
+        grid, weather = self.grid, self.weather_hourly_c
+        pue = None if self.cooling is None else self.cooling.pue_series(weather)
         return list(
             zip(
-                column(self._carbon_hourly, None),
-                column(self._price_hourly, None),
-                column(self._renewable_hourly, None),
-                column(self.weather_hourly_c, None),
-                column(self._pue_hourly, 1.0),
+                column(None if grid is None else grid.carbon_intensity_g_per_kwh, None),
+                column(None if grid is None else grid.price_per_mwh, None),
+                column(None if grid is None else grid.renewable_share, None),
+                column(weather, None),
+                column(pue, 1.0),
             )
         )
 
@@ -565,19 +546,9 @@ class ClusterSimulator:
         """Pull the cluster's delta-maintained IT power (O(1) read).
 
         Observers that change allocation power caps must call this so the
-        cached total reflects the change.  With ``parity_check`` enabled, the
-        value is verified against the vectorized full recompute from the
-        per-GPU state.
+        cached total reflects the change.
         """
-        power = self.cluster.it_power_w()
-        if self.parity_check:
-            expected = self.cluster.recompute_it_power_w()
-            if not np.isclose(power, expected, rtol=1e-9, atol=1e-6):
-                raise SimulationError(
-                    f"incremental IT power diverged from recompute: "
-                    f"{power!r} vs {expected!r}"
-                )
-        self._current_it_power_w = power
+        self._current_it_power_w = self.cluster.it_power_w()
 
     # ------------------------------------------------------------------
     # Context
@@ -810,31 +781,21 @@ class ClusterSimulator:
         if self._metrics_observer is not None:
             self._metrics_observer.publish()
 
-        # PUE over the whole tick series in one vectorized lookup (the hourly
-        # curve was precomputed at construction).
-        tick_times_arr = np.asarray(self._tick_times, dtype=float)
+        # Every tick lies in [0, horizon_h], so hour int(t) is its table row.
+        hourly = self._hourly_context
+        rows = [hourly[int(t)] for t in self._tick_times]
         it_power = np.asarray(self._tick_it_power, dtype=float)
-        if self._pue_hourly is not None and tick_times_arr.size:
-            indices = np.minimum(
-                np.maximum(tick_times_arr, 0.0), config.horizon_h
-            ).astype(int)
-            pue = np.asarray(self._pue_hourly[indices], dtype=float)
-        else:
-            pue = np.ones_like(tick_times_arr)
-
-        if self._carbon_hourly is not None:
-            indices = np.clip(tick_times_arr.astype(int), 0, self._carbon_hourly.shape[0] - 1)
-            carbon = self._carbon_hourly[indices]
-            price = self._price_hourly[indices]
-        else:
-            carbon = None
-            price = None
+        pue = np.array([row[4] for row in rows], dtype=float)
+        carbon = price = None
+        if self.grid is not None:
+            carbon = np.array([row[0] for row in rows], dtype=float)
+            price = np.array([row[1] for row in rows], dtype=float)
 
         records = [self._record_for(job) for job in self._all_jobs]
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             config=config,
-            tick_times_h=tick_times_arr,
+            tick_times_h=np.asarray(self._tick_times, dtype=float),
             it_power_w=it_power,
             facility_power_w=it_power * pue,
             pue=pue,
@@ -1062,7 +1023,6 @@ class ClusterSimulator:
             self._advanced_to = float(state["advanced_to"])
             self._begun = True
             self._finalized = False
-            self._power_summary = None
             for observer, observer_state in zip(durable_observers, observer_states):
                 observer.restore_state(observer_state)
 

@@ -116,11 +116,10 @@ def utilization_statistics(utilizations: Sequence[float] | np.ndarray) -> Utiliz
 def cluster_utilization_statistics(cluster: "Cluster") -> UtilizationSummary:
     """Distributional summary of the busy GPUs' utilizations, straight from state.
 
-    Reads the cluster's utilization array through
-    :meth:`~repro.cluster.resources.Cluster.busy_utilizations` — one
-    vectorized slice of the busy mask rather than a Python sweep over GPU
-    objects.  Raises :class:`~repro.errors.DataError` when no GPU is busy
-    (an idle cluster has no utilization distribution to summarise).
+    Reads the busy GPUs' utilizations through
+    :meth:`~repro.cluster.resources.Cluster.busy_utilizations`.  Raises
+    :class:`~repro.errors.DataError` when no GPU is busy (an idle cluster has
+    no utilization distribution to summarise).
     """
     busy = cluster.busy_utilizations()
     if busy.size == 0:

@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..errors import ConfigurationError
 
@@ -35,25 +35,16 @@ class ParallelConfig:
     min_tasks_for_processes:
         Below this many tasks the sweep runs serially regardless of
         ``n_workers`` (process start-up costs more than it saves).
-    chunksize:
-        Tasks submitted to each worker at a time; ``None`` (the default)
-        picks a chunk size automatically — about four chunks per worker,
-        which balances load against per-chunk dispatch overhead and lets
-        worker-local caches (e.g. a campaign's per-spec sessions) serve
-        several adjacent tasks.
     """
 
     n_workers: int = 1
     min_tasks_for_processes: int = 8
-    chunksize: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 0:
             raise ConfigurationError("n_workers must be >= 0")
         if self.min_tasks_for_processes < 0:
             raise ConfigurationError("min_tasks_for_processes must be >= 0")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1 (or None for automatic)")
 
     def resolved_workers(self) -> int:
         """The actual worker count (resolving 0 to the CPU count)."""
@@ -62,9 +53,12 @@ class ParallelConfig:
         return self.n_workers
 
     def resolved_chunksize(self, n_tasks: int) -> int:
-        """The chunk size used for ``n_tasks`` (resolving the automatic default)."""
-        if self.chunksize is not None:
-            return self.chunksize
+        """Tasks submitted to each worker at a time when mapping ``n_tasks``.
+
+        About four chunks per worker, which balances load against per-chunk
+        dispatch overhead and lets worker-local caches (e.g. a campaign's
+        per-spec sessions) serve several adjacent tasks.
+        """
         return max(1, math.ceil(n_tasks / (4 * self.resolved_workers())))
 
 

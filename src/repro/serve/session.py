@@ -60,7 +60,8 @@ def _spec_hash(spec: ScenarioSpec) -> str:
 def number_field(body: dict[str, Any], field: str, kind: type, default: Any = None) -> Any:
     """``body[field]`` as ``kind`` (``int`` or ``float``); ``default`` when absent or null.
 
-    A value that does not convert, or a non-finite float, raises
+    A value that does not convert, a boolean, a non-finite float, or a
+    non-integral number for an ``int`` field raises
     :class:`~repro.errors.ServeError` naming the field, which the daemon
     answers with a 400.
     """
@@ -68,8 +69,12 @@ def number_field(body: dict[str, Any], field: str, kind: type, default: Any = No
     if raw is None:
         return default
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         value = kind(raw)
         if kind is float and not math.isfinite(value):
+            raise ValueError
+        if kind is int and isinstance(raw, float) and value != raw:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a finite number"

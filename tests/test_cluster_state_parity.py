@@ -16,9 +16,9 @@ Three layers of evidence that the delta-maintained state model is exact:
    picks from the reference.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
-   implementation) under all five scheduling policies, with the power series
-   agreeing with the recompute checkpoint at every allocation change
-   (``parity_check=True``).
+   implementation) under all five scheduling policies, with the O(1) IT
+   power agreeing with the full recompute at every job start, finish,
+   scheduling round and tick (:class:`PowerParityObserver`).
 """
 
 import hashlib
@@ -28,6 +28,7 @@ import pytest
 
 from repro.climate.weather import WeatherModel
 from repro.cluster.cooling import CoolingModel
+from repro.cluster.observers import SimulatorObserver
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
@@ -120,6 +121,14 @@ class ReferencePool:
         ]
         self.drained.update(idle[:n_nodes])
         return len(idle[:n_nodes])
+
+    def busy_utilizations(self) -> list[float]:
+        """The busy GPUs' utilizations in node-major order."""
+        return [
+            self.utilization[location]
+            for location in sorted(self.job)
+            if self.job[location] is not None
+        ]
 
     def assert_matches(self, cluster: Cluster) -> None:
         """The cluster's public snapshot describes exactly this pool."""
@@ -278,6 +287,7 @@ def test_randomized_sequences_keep_state_exact(seed):
             cluster.recompute_it_power_w(), cluster.it_power_w(), rtol=1e-9, atol=1e-6
         )
         reference.assert_matches(cluster)
+        np.testing.assert_array_equal(cluster.busy_utilizations(), reference.busy_utilizations())
         if step % 10 == 0 or step > n_steps - 20:
             assert_state_parity(cluster, reference)
     # Drain the cluster empty: the busy-power accumulator must return to 0.
@@ -355,6 +365,38 @@ def parity_world():
     return weather, grid, jobs
 
 
+class PowerParityObserver(SimulatorObserver):
+    """Checks the O(1) IT power against the full recompute at every hook.
+
+    Runs at every job start and finish, scheduling round and tick, and
+    counts its checks so a test can assert that it ran.
+    """
+
+    transient = True
+
+    def __init__(self) -> None:
+        self.checks = 0
+
+    def _check(self, simulator) -> None:
+        cluster = simulator.cluster
+        np.testing.assert_allclose(
+            cluster.it_power_w(), cluster.recompute_it_power_w(), rtol=1e-9, atol=1e-6
+        )
+        self.checks += 1
+
+    def on_job_start(self, simulator, job, now_h):
+        self._check(simulator)
+
+    def on_job_finish(self, simulator, job, now_h, *, completed):
+        self._check(simulator)
+
+    def on_round(self, simulator, now_h, context, decisions):
+        self._check(simulator)
+
+    def on_tick(self, simulator, now_h, it_power_w):
+        self._check(simulator)
+
+
 def _records_fingerprint(result) -> str:
     records = [
         (
@@ -374,6 +416,7 @@ def _records_fingerprint(result) -> str:
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
 def test_end_to_end_matches_pre_refactor(policy, parity_world):
     weather, grid, jobs = parity_world
+    parity = PowerParityObserver()
     simulator = ClusterSimulator(
         Cluster(FACILITY),
         build_pipeline(SCHEDULERS[policy]),
@@ -381,9 +424,10 @@ def test_end_to_end_matches_pre_refactor(policy, parity_world):
         weather_hourly_c=weather,
         cooling=CoolingModel(),
         grid=grid,
-        parity_check=True,  # recompute checkpoint verified at every change
+        observers=[parity],
     )
     result = simulator.run([job.clone_pending() for job in jobs])
+    assert parity.checks > len(result.tick_times_h)
     it_kwh, facility_kwh, delivered, mean_wait = PRE_REFACTOR_METRICS[policy]
     assert result.delivered_gpu_hours == delivered
     assert result.mean_wait_h == mean_wait

@@ -31,8 +31,6 @@ class TestParallelConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ParallelConfig(n_workers=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(chunksize=0)
 
 
 class TestMapParallel:
@@ -52,7 +50,8 @@ class TestMapParallel:
         assert map_parallel(square, list(range(12)), config) == [i * i for i in range(12)]
 
     def test_process_pool_preserves_task_order_despite_uneven_durations(self):
-        config = ParallelConfig(n_workers=4, min_tasks_for_processes=2, chunksize=1)
+        # 8 tasks on 4 workers resolve to one task per chunk.
+        config = ParallelConfig(n_workers=4, min_tasks_for_processes=2)
         assert map_parallel(uneven_identity, list(range(8)), config) == list(range(8))
 
     def test_empty_tasks(self):
@@ -61,7 +60,6 @@ class TestMapParallel:
     def test_automatic_chunksize(self):
         assert ParallelConfig(n_workers=2).resolved_chunksize(100) == 13
         assert ParallelConfig(n_workers=2).resolved_chunksize(1) == 1
-        assert ParallelConfig(n_workers=2, chunksize=5).resolved_chunksize(100) == 5
 
 
 class TestGridPoints:

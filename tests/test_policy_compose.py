@@ -519,6 +519,7 @@ class TestLifecycleHooks:
         scheduler = make_scheduler("backfill+adaptive(budget_w=15000.0)")
         assert len(scheduler.observers()) == 1
         facility, weather, grid, jobs = compose_worlds["supercloud-small"]
+        parity = state_parity.PowerParityObserver()  # recap deltas must stay exact
         simulator = ClusterSimulator(
             Cluster(facility),
             scheduler,
@@ -526,10 +527,11 @@ class TestLifecycleHooks:
             weather_hourly_c=weather,
             cooling=CoolingModel(),
             grid=grid,
-            parity_check=True,  # recap deltas must stay exact
+            observers=[parity],
         )
         result = simulator.run([job.clone_pending() for job in jobs])
-        assert simulator.observers == scheduler.observers()
+        assert simulator.observers == (parity, *scheduler.observers())
+        assert parity.checks > len(result.tick_times_h)
         assert result.completed_jobs > 0
         # The controller tightened caps on running jobs through the hook API.
         assert any(r.power_cap_w is not None for r in result.job_records)

@@ -148,6 +148,8 @@ class TestSessionLifecycle:
             ("/sessions", {"n_months": "two"}),
             ("/sessions/s1/advance", {"until_h": "later"}),
             ("/sessions/s1/advance", {"until_h": 1.0, "deadline_s": "soon"}),
+            ("/sessions", {"preload_jobs": 2.5}),
+            ("/sessions", {"seed": True}),
         ],
     )
     def test_malformed_numbers_are_400(self, client, path, body):

@@ -196,17 +196,14 @@ def test_cluster_simulator_is_constructed_in_one_function():
     assert _simulator_constructions() == ["core/levers.py:build_simulator"]
 
 
-#: The cluster's per-GPU rows and maintained counters, private to resources.py.
+#: The cluster's job-id rows and maintained counters, private to resources.py.
 CLUSTER_STATE_NAMES = frozenset(
     {
         "_job_ids",
-        "_gpu_utilization",
-        "_gpu_cap_w",
         "_node_free",
         "_drained",
         "_buckets",
         "_busy_power_w",
-        "_job_power_w",
     }
 )
 
