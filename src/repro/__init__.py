@@ -44,8 +44,8 @@ Subpackages
     holding warm simulated worlds, with mid-run job submission, bounded
     ``advance`` requests, NDJSON per-tick telemetry streaming, what-if
     routing queries across live sessions, and periodic checkpoint/restore
-    built on the simulator's versioned
-    :class:`~repro.cluster.simulator.SimulatorSnapshot`.
+    built on the simulator's versioned snapshot
+    (:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`).
 ``repro.obs``
     Stdlib tracing and metrics: an ambient
     :class:`~repro.obs.TraceRecorder` of nested spans, a

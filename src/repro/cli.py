@@ -63,7 +63,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core.levers import registered_policies
 from .errors import ConfigurationError, GreenHPCError
@@ -81,19 +81,11 @@ from .experiments import (
     site_names,
 )
 from .experiments.campaign import split_value_list
+from .experiments.spec import SCENARIO_OVERRIDES
 from .fleet import list_router_definitions
 from .parallel import ParallelConfig
 
 __all__ = ["main", "build_parser"]
-
-#: Scenario-spec fields sweepable from the command line, with their parsers
-#: (``site`` values are registered site names, resolved at expansion time).
-SWEEPABLE_SPEC_FIELDS: Mapping[str, type] = {
-    "seed": int,
-    "start_year": int,
-    "n_months": int,
-    "site": str,
-}
 
 
 def _format_cell(value: object) -> str:
@@ -220,7 +212,7 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=V1,V2,...",
         help=(
             "one grid dimension; KEY is a scenario field "
-            f"({', '.join(SWEEPABLE_SPEC_FIELDS)}) or a parameter declared by a "
+            f"({', '.join(SCENARIO_OVERRIDES)}) or a parameter declared by a "
             "selected experiment; repeat for more dimensions"
         ),
     )
@@ -493,10 +485,10 @@ def _parse_grid_arguments(
 ) -> tuple[dict[str, list], dict[str, list]]:
     """Split repeated ``--grid key=v1,v2`` flags into scenario and param grids.
 
-    Scenario-field values are coerced by :data:`SWEEPABLE_SPEC_FIELDS`;
-    experiment-parameter values are coerced by the parameter's declared type,
-    so ``--grid deferrable=0.2,0.4`` produces floats exactly as
-    ``--deferrable`` would.
+    Scenario-field values are coerced by
+    :data:`~repro.experiments.spec.SCENARIO_OVERRIDES`; experiment-parameter
+    values are coerced by the parameter's declared type, so ``--grid
+    deferrable=0.2,0.4`` produces floats exactly as ``--deferrable`` would.
     """
     param_types: dict[str, type] = {}
     for name in experiments:
@@ -515,12 +507,12 @@ def _parse_grid_arguments(
                 f"with all its values comma-separated"
             )
         values = split_value_list(raw_values, f"--grid {key}")
-        if key in SWEEPABLE_SPEC_FIELDS:
-            coerce, target = SWEEPABLE_SPEC_FIELDS[key], scenario_grid
+        if key in SCENARIO_OVERRIDES:
+            coerce, target = SCENARIO_OVERRIDES[key], scenario_grid
         elif key in param_types:
             coerce, target = param_types[key], param_grid
         else:
-            valid = sorted(set(SWEEPABLE_SPEC_FIELDS) | set(param_types))
+            valid = sorted(set(SCENARIO_OVERRIDES) | set(param_types))
             raise ConfigurationError(
                 f"unknown grid key {key!r}; sweepable keys for this campaign: {valid}"
             )

@@ -369,9 +369,11 @@ class Cluster:
     def snapshot_state(self) -> dict:
         """A JSON-able dict of the pool's dynamic state.
 
-        Captures the allocation records (locations, utilization, cap and
-        per-GPU power), the drained-node set, and the accumulated
-        ``busy_power_w`` total.  The accumulated float is stored verbatim —
+        Captures the allocation records (locations, utilization and cap), the
+        drained-node set, and the accumulated ``busy_power_w`` total.  A
+        record's per-GPU power is a pure function of its utilization and cap,
+        so :meth:`restore_state` recomputes it with the call
+        :meth:`allocate` makes.  The accumulated float is stored verbatim —
         recomputing it as a fresh sum on restore could differ in the last ulp
         from the incrementally-maintained original, breaking bit-identical
         continuation.  The records plus the drained set are the whole
@@ -383,7 +385,6 @@ class Cluster:
                 "locations": [list(loc) for loc in allocation.gpu_locations],
                 "utilization": allocation.utilization,
                 "power_limit_w": allocation.power_limit_w,
-                "per_gpu_power_w": allocation.per_gpu_power_w,
             }
             for job_id, allocation in self._allocations.items()
         ]
@@ -442,13 +443,14 @@ class Cluster:
                             f"which is already held or on a drained node"
                         )
                     held.add((node_id, index))
-                cap = entry["power_limit_w"]
+                utilization = float(entry["utilization"])
+                cap = None if entry["power_limit_w"] is None else float(entry["power_limit_w"])
                 records[job_id] = Allocation(
                     job_id,
                     locations,
-                    float(entry["utilization"]),
-                    None if cap is None else float(cap),
-                    float(entry["per_gpu_power_w"]),
+                    utilization,
+                    cap,
+                    self.gpu_power_model.power_w_scalar(utilization, cap),
                 )
             busy_power_w = float(state["busy_power_w"])
         self._job_ids = job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]

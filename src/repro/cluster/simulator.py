@@ -51,6 +51,11 @@ Design notes
   lockstep and dispatch arriving jobs between them — the event order (and
   therefore every job record) is bit-identical to a monolithic ``run()``
   of the same per-site trace.
+* Checkpoints: :meth:`ClusterSimulator.snapshot` is one versioned, JSON-able
+  dict holding each fact once.  The :meth:`~ClusterSimulator.begin` trace is
+  referenced by count and digest, a submitted job is its static fields, and
+  every started job is one runtime row; :meth:`~ClusterSimulator.restore`
+  checks the version and adopts the dict on a fresh simulator.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -71,17 +76,13 @@ from ..scheduler.base import ScheduleDecision, Scheduler, SchedulingContext
 from ..scheduler.job import STATIC_FIELDS, Job, JobState
 from .cooling import CoolingModel
 from .events import Event, EventQueue, EventType
-from .observers import SimulatorObserver
+from .observers import MetricsObserver, SimulatorObserver
 from .resources import Cluster
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.observer import MetricsObserver
 
 __all__ = [
     "SimulationConfig",
     "JobRecord",
     "SimulationResult",
-    "SimulatorSnapshot",
     "SNAPSHOT_VERSION",
     "ClusterSimulator",
     "SimulatorObserver",
@@ -89,9 +90,10 @@ __all__ = [
 
 #: Version of the simulator snapshot payload format.  Bumped on any change to
 #: the layout produced by :meth:`ClusterSimulator.snapshot`; restore refuses
-#: payloads from a different version instead of mis-reading them.  Version 2
-#: references the :meth:`~ClusterSimulator.begin` trace instead of copying it.
-SNAPSHOT_VERSION = 2
+#: payloads from a different version instead of mis-reading them.  Version 3
+#: keeps one runtime row per started job, trace or submitted, and a submitted
+#: job's static fields.
+SNAPSHOT_VERSION = 3
 
 _JOB_FINISH = EventType.JOB_FINISH
 _JOB_SUBMIT = EventType.JOB_SUBMIT
@@ -287,72 +289,13 @@ class SimulationResult:
         }
 
 
-@dataclass(frozen=True)
-class SimulatorSnapshot:
-    """A versioned, JSON-able capture of a mid-run simulator's dynamic state.
-
-    Produced by :meth:`ClusterSimulator.snapshot` and consumed by
-    :meth:`ClusterSimulator.restore`.  The snapshot holds only state a
-    restore cannot rebuild: the event queue, pending/running sets, tick
-    series, cluster allocations and observer state.  The trace passed to
-    :meth:`~ClusterSimulator.begin` is *referenced*, not copied: the snapshot
-    keeps its length, a digest of its static fields and one runtime row
-    ``[index, state, start, finish, cap, actual_duration, energy]`` per job
-    that has started, and :meth:`~ClusterSimulator.restore` takes the same
-    jobs again.  Jobs fed in later with :meth:`~ClusterSimulator.submit` are
-    copied whole.  The static substrates (weather, cooling, grid, scheduler)
-    and the trace are rebuilt deterministically from the scenario spec by the
-    caller, which keeps checkpoints small and lets the service share cached
-    substrates across restored sessions.
-
-    Restoring at hour H and advancing to the horizon is **bit-identical** to
-    the uninterrupted run: accumulated floats (IT power totals) are stored
-    verbatim rather than recomputed, job floats round-trip exactly through
-    JSON, and event-queue tie-breaking sequence numbers are preserved.
-    """
-
-    version: int
-    scheduler_name: str
-    now_h: float
-    state: dict
-
-    def to_jsonable(self) -> dict:
-        """A plain-dict form safe for ``json.dumps`` (and bit-exact back)."""
-        return {
-            "version": self.version,
-            "scheduler_name": self.scheduler_name,
-            "now_h": self.now_h,
-            "state": self.state,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "SimulatorSnapshot":
-        """Rebuild a snapshot from :meth:`to_jsonable` output, checking the version."""
-        try:
-            version = int(data["version"])
-        except (KeyError, TypeError, ValueError):
-            raise CheckpointError("snapshot payload has no usable 'version' field") from None
-        if version != SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"snapshot version {version} is not supported "
-                f"(this build reads version {SNAPSHOT_VERSION})"
-            )
-        with checkpoint_fields("snapshot payload"):
-            return cls(
-                version=version,
-                scheduler_name=data["scheduler_name"],
-                now_h=float(data["now_h"]),
-                state=data["state"],
-            )
-
-
 class ClusterSimulator:
     """Runs a job trace through a scheduling policy on a simulated cluster.
 
     ``sim.begin``/``sim.advance``/``sim.finalize`` spans go to the ambient
     recorder (:func:`repro.obs.get_recorder`) read at construction.  When it
     is enabled a (checkpoint-transient)
-    :class:`~repro.obs.observer.MetricsObserver` is attached automatically,
+    :class:`~repro.cluster.observers.MetricsObserver` is attached automatically,
     publishing queue depth, IT power, GPU utilization and round/job counters
     into its metrics registry at the end of every :meth:`advance` and
     :meth:`finalize`; when disabled (the default) the observer list and the
@@ -401,10 +344,6 @@ class ClusterSimulator:
         self._observers.extend(scheduler.observers())
         self._metrics_observer: Optional[MetricsObserver] = None
         if self._recorder.enabled:
-            # Imported lazily: repro.obs.observer subclasses SimulatorObserver,
-            # so a module-level import would be circular.
-            from ..obs.observer import MetricsObserver
-
             self._metrics_observer = MetricsObserver(self._recorder.metrics)
             self._observers.append(self._metrics_observer)
         self._bind_hooks()
@@ -812,23 +751,33 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
-    def snapshot(self) -> SimulatorSnapshot:
-        """Capture the run's dynamic state as a :class:`SimulatorSnapshot`.
+    def snapshot(self) -> dict:
+        """Capture the run's dynamic state as one versioned, JSON-able dict.
 
         Valid any time between :meth:`begin` and :meth:`finalize` (typically
         at an hour boundary after :meth:`advance` returns).  Restoring the
         snapshot onto a freshly constructed simulator with the same
         substrates, config and scheduling policy, passing the jobs
         :meth:`begin` took, then advancing to the horizon, yields job records
-        bit-identical to the uninterrupted run.
+        bit-identical to the uninterrupted run: accumulated floats (IT power
+        totals) are stored verbatim rather than recomputed, floats round-trip
+        exactly through JSON, and event-queue tie-breaking sequence numbers
+        are preserved.
 
-        Events are stored with their payloads reduced to job ids.  The
-        :meth:`begin` trace is kept as its length, the digest of its static
-        fields (computed on the first snapshot) and one runtime row per job
-        that has started; jobs fed in with :meth:`submit` keep their whole
-        :meth:`~repro.scheduler.job.Job.to_snapshot` entry.  Observers
-        contribute their own state via
+        The snapshot holds only state a restore cannot rebuild.  The
+        :meth:`begin` trace is *referenced*, not copied: it is kept as its
+        length and the digest of its static fields (computed on the first
+        snapshot), and :meth:`restore` takes the same jobs again.  A job fed
+        in with :meth:`submit` is kept as its
+        :data:`~repro.scheduler.job.STATIC_FIELDS` dict.  Every job that has
+        started, trace or submitted, has one runtime row
+        ``[index, state, start, finish, cap, actual_duration, energy]``,
+        indexed over the trace followed by the submitted jobs.  Events are
+        stored with their payloads reduced to job ids.  Observers contribute
+        their own state via
         :meth:`~repro.cluster.observers.SimulatorObserver.snapshot_state`.
+        The static substrates (weather, cooling, grid, scheduler) are rebuilt
+        by the caller, which keeps snapshots small.
         """
         if not self._begun:
             raise SteppingError("snapshot() before begin(): there is no run to capture")
@@ -848,23 +797,22 @@ class ClusterSimulator:
                 [event.time_h, int(event.event_type), event.sequence, payload]
             )
         n_trace = self._n_trace_jobs
-        trace = self._all_jobs[:n_trace]
         if self._trace_digest is None:
-            self._trace_digest = _trace_digest(trace)
-        config = self.config
-        state = {
-            "config": {
-                "horizon_h": config.horizon_h,
-                "tick_h": config.tick_h,
-                "facility_power_budget_w": config.facility_power_budget_w,
-                "carbon_threshold_quantile": config.carbon_threshold_quantile,
-            },
+            self._trace_digest = _trace_digest(self._all_jobs[:n_trace])
+        return {
+            "version": SNAPSHOT_VERSION,
+            "scheduler_name": self.scheduler.name,
+            "config": asdict(self.config),
             "now_h": self._events.now_h,
             "advanced_to": self._advanced_to,
             "next_sequence": self._events.next_sequence,
             "events": events,
             "trace_jobs": n_trace,
             "trace_digest": self._trace_digest,
+            "jobs": [
+                {name: getattr(job, name) for name in STATIC_FIELDS} | {"tags": dict(job.tags)}
+                for job in self._all_jobs[n_trace:]
+            ],
             "started": [
                 [
                     index,
@@ -875,10 +823,9 @@ class ClusterSimulator:
                     job.actual_duration_h,
                     job.energy_j,
                 ]
-                for index, job in enumerate(trace)
+                for index, job in enumerate(self._all_jobs)
                 if job.state is not _PENDING
             ],
-            "jobs": [job.to_snapshot() for job in self._all_jobs[n_trace:]],
             "pending": [job.job_id for job in self._pending],
             "running": list(self._running),
             "tick_times": list(self._tick_times),
@@ -894,15 +841,9 @@ class ClusterSimulator:
                 if not observer.transient
             ],
         }
-        return SimulatorSnapshot(
-            version=SNAPSHOT_VERSION,
-            scheduler_name=self.scheduler.name,
-            now_h=self._events.now_h,
-            state=state,
-        )
 
-    def restore(self, snapshot: SimulatorSnapshot, jobs: Sequence[Job] = ()) -> None:
-        """Adopt a snapshot's dynamic state on this freshly constructed simulator.
+    def restore(self, snapshot: dict, jobs: Sequence[Job] = ()) -> None:
+        """Adopt a :meth:`snapshot` on this freshly constructed simulator.
 
         The simulator must have been built with the same substrates (weather,
         cooling, grid), configuration and scheduling policy as the one that
@@ -910,10 +851,10 @@ class ClusterSimulator:
         :meth:`restore` *is* its begin, and ``jobs`` are the jobs that run's
         :meth:`begin` took, as fresh PENDING copies.  The snapshot references
         them instead of copying them: restore checks their count and
-        static-field digest, then re-applies the runtime state of those that
-        had started.  On a mismatch it raises
-        :class:`~repro.errors.CheckpointError` and the simulator stays
-        un-begun.  After restoring, continue with
+        static-field digest, then re-applies the runtime rows of the jobs
+        that had started.  On a mismatch, a snapshot of another version or a
+        malformed field it raises :class:`~repro.errors.CheckpointError` and
+        the simulator stays un-begun.  After restoring, continue with
         :meth:`submit`/:meth:`advance`/:meth:`finalize` as usual.
         """
         if self._begun:
@@ -921,32 +862,25 @@ class ClusterSimulator:
                 "restore() on a simulator that already began a run; "
                 "construct a fresh simulator to restore into"
             )
-        if snapshot.version != SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"snapshot version {snapshot.version} is not supported "
-                f"(this build reads version {SNAPSHOT_VERSION})"
-            )
-        if snapshot.scheduler_name != self.scheduler.name:
-            raise CheckpointError(
-                f"scheduler mismatch: snapshot was taken under "
-                f"{snapshot.scheduler_name!r}, this simulator runs {self.scheduler.name!r}"
-            )
         with checkpoint_fields("simulator snapshot"):
-            state = snapshot.state
-            config = self.config
-            saved = state["config"]
-            for field_name in (
-                "horizon_h",
-                "tick_h",
-                "facility_power_budget_w",
-                "carbon_threshold_quantile",
-            ):
-                if getattr(config, field_name) != saved[field_name]:
+            if snapshot["version"] != SNAPSHOT_VERSION:
+                raise CheckpointError(
+                    f"snapshot version {snapshot['version']!r} is not supported "
+                    f"(this build reads version {SNAPSHOT_VERSION})"
+                )
+            if snapshot["scheduler_name"] != self.scheduler.name:
+                raise CheckpointError(
+                    f"scheduler mismatch: snapshot was taken under "
+                    f"{snapshot['scheduler_name']!r}, this simulator runs {self.scheduler.name!r}"
+                )
+            saved = snapshot["config"]
+            for field_name, value in asdict(self.config).items():
+                if value != saved[field_name]:
                     raise CheckpointError(
                         f"config mismatch on {field_name!r}: snapshot has "
-                        f"{saved[field_name]!r}, simulator has {getattr(config, field_name)!r}"
+                        f"{saved[field_name]!r}, simulator has {value!r}"
                     )
-            observer_states = state["observers"]
+            observer_states = snapshot["observers"]
             durable_observers = [obs for obs in self._observers if not obs.transient]
             if len(observer_states) != len(durable_observers):
                 raise CheckpointError(
@@ -956,7 +890,7 @@ class ClusterSimulator:
                 )
 
             trace = list(jobs)
-            n_trace = int(state["trace_jobs"])
+            n_trace = int(snapshot["trace_jobs"])
             if len(trace) != n_trace:
                 raise CheckpointError(
                     f"trace mismatch: the snapshot's run began with {n_trace} jobs, "
@@ -965,27 +899,29 @@ class ClusterSimulator:
             if any(job.state is not _PENDING for job in trace):
                 raise CheckpointError("restore() takes fresh PENDING jobs, as begin() does")
             digest = _trace_digest(trace)
-            if digest != state["trace_digest"]:
+            if digest != snapshot["trace_digest"]:
                 raise CheckpointError(
                     "trace mismatch: the jobs given to restore() are not the ones "
                     "the snapshot's run began with (static-field digest differs)"
                 )
+            all_jobs = trace + [
+                Job(**{name: data[name] for name in STATIC_FIELDS}) for data in snapshot["jobs"]
+            ]
             started = []
-            for index, job_state, start_h, finish_h, cap_w, duration_h, energy_j in state[
+            for index, job_state, start_h, finish_h, cap_w, duration_h, energy_j in snapshot[
                 "started"
             ]:
-                if not isinstance(index, int) or not 0 <= index < n_trace:
+                if not isinstance(index, int) or not 0 <= index < len(all_jobs):
                     raise CheckpointError(
-                        f"started row index {index!r} is outside the {n_trace}-job trace"
+                        f"started row index {index!r} is outside the {len(all_jobs)} jobs"
                     )
                 started.append(
-                    (trace[index], JobState(job_state), start_h, finish_h, cap_w,
+                    (all_jobs[index], JobState(job_state), start_h, finish_h, cap_w,
                      duration_h, float(energy_j))
                 )
-            all_jobs = trace + [Job.from_snapshot(data) for data in state["jobs"]]
             jobs_by_id = {job.job_id: job for job in all_jobs}
             events: list[Event] = []
-            for time_h, type_value, sequence, payload in state["events"]:
+            for time_h, type_value, sequence, payload in snapshot["events"]:
                 event_type = EventType(type_value)
                 if event_type is EventType.JOB_SUBMIT:
                     payload = jobs_by_id[payload]
@@ -998,10 +934,10 @@ class ClusterSimulator:
                         payload=payload,
                     )
                 )
-            pending = [jobs_by_id[job_id] for job_id in state["pending"]]
-            running = {job_id: jobs_by_id[job_id] for job_id in state["running"]}
+            pending = [jobs_by_id[job_id] for job_id in snapshot["pending"]]
+            running = {job_id: jobs_by_id[job_id] for job_id in snapshot["running"]}
 
-            self.cluster.restore_state(state["cluster"])
+            self.cluster.restore_state(snapshot["cluster"])
             for job, job_state, start_h, finish_h, cap_w, duration_h, energy_j in started:
                 job.state = job_state
                 job.start_time_h = start_h
@@ -1009,7 +945,7 @@ class ClusterSimulator:
                 job.assigned_power_cap_w = cap_w
                 job.actual_duration_h = duration_h
                 job.energy_j = energy_j
-            self._events.restore(events, float(state["now_h"]), int(state["next_sequence"]))
+            self._events.restore(events, float(snapshot["now_h"]), int(snapshot["next_sequence"]))
             self._all_jobs = all_jobs
             self._n_trace_jobs = n_trace
             self._trace_digest = digest
@@ -1017,10 +953,10 @@ class ClusterSimulator:
             for job in pending:
                 self._enqueue(job)
             self._running = running
-            self._tick_times = [float(t) for t in state["tick_times"]]
-            self._tick_it_power = [float(p) for p in state["tick_it_power"]]
-            self._current_it_power_w = float(state["current_it_power_w"])
-            self._advanced_to = float(state["advanced_to"])
+            self._tick_times = [float(t) for t in snapshot["tick_times"]]
+            self._tick_it_power = [float(p) for p in snapshot["tick_it_power"]]
+            self._current_it_power_w = float(snapshot["current_it_power_w"])
+            self._advanced_to = float(snapshot["advanced_to"])
             self._begun = True
             self._finalized = False
             for observer, observer_state in zip(durable_observers, observer_states):

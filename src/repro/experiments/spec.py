@@ -22,7 +22,7 @@ Both tables are :class:`~repro.registry.Registry` instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from ..config import (
     FacilityConfig,
@@ -41,6 +41,7 @@ __all__ = [
     "WorkloadSpec",
     "GridSpec",
     "ScenarioSpec",
+    "SCENARIO_OVERRIDES",
     "register_scenario",
     "get_scenario",
     "list_scenarios",
@@ -141,6 +142,17 @@ class ScenarioSpec:
     def to_dict(self) -> dict[str, Any]:
         """Deep, JSON-ready dictionary form of the spec."""
         return config_to_jsonable(self)
+
+
+#: The scalar scenario fields a caller may override by name, with their
+#: types: the CLI's ``--grid`` scenario keys and the serve API's scenario
+#: overrides.  ``site`` values are registered site names.
+SCENARIO_OVERRIDES: Mapping[str, type] = {
+    "seed": int,
+    "start_year": int,
+    "n_months": int,
+    "site": str,
+}
 
 
 # ---------------------------------------------------------------------------

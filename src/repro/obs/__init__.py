@@ -11,9 +11,9 @@ The subsystem has three pieces:
   the :class:`recording` context manager, or ``greenhpc --trace-out``) turns
   tracing on process-wide.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) holds counters, gauges
-  and histograms; :class:`MetricsObserver` bridges the existing simulator
-  observer hooks into it, and the serve daemon exposes its registry at
-  ``GET /metrics`` in Prometheus text format.
+  and histograms; :class:`~repro.cluster.observers.MetricsObserver` bridges
+  the simulator's observer hooks into it, and the serve daemon exposes its
+  registry at ``GET /metrics`` in Prometheus text format.
 * Exporters (:mod:`repro.obs.export`): :func:`write_trace` emits Chrome
   ``trace_event`` JSON (loadable in Perfetto) or an NDJSON event log by file
   suffix; :func:`load_trace`/:func:`summarize_trace` read either back for
@@ -29,7 +29,6 @@ them.
 
 from .export import chrome_trace, load_trace, summarize_trace, write_ndjson, write_trace
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
-from .observer import MetricsObserver
 from .profile import RunProfile, aggregate_spans
 from .recorder import (
     NULL_RECORDER,
@@ -54,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "MetricsObserver",
     "RunProfile",
     "aggregate_spans",
     "chrome_trace",

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..cluster.resources import Cluster
 from ..errors import SchedulingError
 from .job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.resources import Cluster
 
 __all__ = ["SchedulingContext", "ScheduleDecision", "Scheduler"]
 

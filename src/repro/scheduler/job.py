@@ -221,65 +221,6 @@ class Job:
             raise SchedulingError(f"job {self.job_id!r} is already finished")
         self.state = JobState.CANCELLED
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (checkpointing support)
-    # ------------------------------------------------------------------
-    def to_snapshot(self) -> dict[str, Any]:
-        """A JSON-able dict of the job's full state (static + runtime fields).
-
-        Together with :meth:`from_snapshot` this is the exact round-trip the
-        simulator's checkpoint/restore relies on: every field — including the
-        runtime state the simulator manages — survives bit-identically
-        (floats round-trip exactly through JSON's shortest-repr encoding).
-        """
-        return {
-            "job_id": self.job_id,
-            "user_id": self.user_id,
-            "n_gpus": self.n_gpus,
-            "duration_h": self.duration_h,
-            "submit_time_h": self.submit_time_h,
-            "utilization": self.utilization,
-            "priority": self.priority,
-            "deadline_h": self.deadline_h,
-            "deferrable": self.deferrable,
-            "max_defer_h": self.max_defer_h,
-            "queue_name": self.queue_name,
-            "power_cap_fraction": self.power_cap_fraction,
-            "tags": dict(self.tags),
-            "state": self.state.value,
-            "start_time_h": self.start_time_h,
-            "finish_time_h": self.finish_time_h,
-            "assigned_power_cap_w": self.assigned_power_cap_w,
-            "actual_duration_h": self.actual_duration_h,
-            "energy_j": self.energy_j,
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: dict[str, Any]) -> "Job":
-        """Rebuild a job (including its runtime state) from :meth:`to_snapshot`."""
-        job = cls(
-            job_id=data["job_id"],
-            user_id=data["user_id"],
-            n_gpus=int(data["n_gpus"]),
-            duration_h=float(data["duration_h"]),
-            submit_time_h=float(data["submit_time_h"]),
-            utilization=float(data["utilization"]),
-            priority=int(data["priority"]),
-            deadline_h=data["deadline_h"],
-            deferrable=bool(data["deferrable"]),
-            max_defer_h=float(data["max_defer_h"]),
-            queue_name=data["queue_name"],
-            power_cap_fraction=data["power_cap_fraction"],
-            tags=dict(data["tags"]),
-        )
-        job.state = JobState(data["state"])
-        job.start_time_h = data["start_time_h"]
-        job.finish_time_h = data["finish_time_h"]
-        job.assigned_power_cap_w = data["assigned_power_cap_w"]
-        job.actual_duration_h = data["actual_duration_h"]
-        job.energy_j = float(data["energy_j"])
-        return job
-
     def clone_pending(self) -> "Job":
         """A fresh PENDING copy of this job (same static fields, reset runtime).
 

@@ -16,7 +16,7 @@ live mid-run :class:`~repro.cluster.simulator.ClusterSimulator` sessions:
   sessions' queue/occupancy/grid snapshots without submitting anything.
 * **Checkpoint/restore** (:mod:`.checkpoint`) — periodic and
   SIGTERM-drain checkpoints of each session's exact simulator state
-  (:class:`~repro.cluster.simulator.SimulatorSnapshot`); a restarted daemon
+  (:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`); a restarted daemon
   pointed at the same directory resumes every session **bit-identically**.
 * **Client** (:mod:`.client`) — a pure-stdlib :class:`ServeClient`;
   ``examples/serve_client.py`` walks the whole lifecycle including a
@@ -35,7 +35,7 @@ Quick start::
 
     >>> from repro.serve import ServeClient           # doctest: +SKIP
     >>> client = ServeClient("http://127.0.0.1:8714") # doctest: +SKIP
-    >>> s = client.create_session(scenario="default", preload_jobs=100)
+    >>> s = client.create_session(scenario="default", preload_jobs=100)  # doctest: +SKIP
     >>> client.advance(s["session_id"], until_h=48.0) # doctest: +SKIP
 """
 

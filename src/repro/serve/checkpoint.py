@@ -6,10 +6,12 @@ One directory holds every session's checkpoints as JSON files named
 state, and only the newest ``keep`` checkpoints per session are retained.
 
 The payload written here is the service-level envelope: session metadata
-(scenario name, overrides, policy, horizon, preload size) next to the
-simulator's versioned :class:`~repro.cluster.simulator.SimulatorSnapshot`
-payload and one ``[n_pending, n_running, it_power_w]`` triple per telemetry
-row already streamed.  The rows themselves are not stored: a restore rebuilds
+(scenario name, overrides, policy, power cap, preload size) next to the
+simulator's versioned snapshot dict
+(:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`, which also holds
+the run's horizon, tick and power budget) and one
+``[n_pending, n_running, it_power_w]`` triple per telemetry row already
+streamed.  The rows themselves are not stored: a restore rebuilds
 them from the snapshot's tick series and the scenario's grid context, so a
 restarted daemon resumes both the simulation *and* the stream exactly where
 they stopped.
@@ -34,8 +36,9 @@ from ..obs.metrics import MetricsRegistry
 __all__ = ["CHECKPOINT_FORMAT_VERSION", "SESSION_ID", "CheckpointStore"]
 
 #: Version of the service checkpoint envelope (the simulator snapshot inside
-#: carries its own version).
-CHECKPOINT_FORMAT_VERSION = 2
+#: carries its own version).  Version 3 keeps the run config only in the
+#: snapshot.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: The session ids a checkpoint file can be named after and listed again:
 #: ASCII letters and digits, ``-`` and ``_``.

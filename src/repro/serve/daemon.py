@@ -45,6 +45,7 @@ requests — the kill-and-restart path the CI smoke exercises.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import socket
 import sys
@@ -420,10 +421,15 @@ class ServeDaemon:
             return self._handle_sessions(request, method, segments[1:], query)
         if method == "POST" and segments == ["route"]:
             body = request._read_json()
+            session_ids = body.get("sessions")
+            if session_ids is not None and not isinstance(session_ids, list):
+                raise ServeError(
+                    f"field 'sessions' must be a list of session ids, got {session_ids!r}"
+                )
             result = self.manager.route(
                 body.get("job", {}),
                 body.get("router", "round-robin"),
-                body.get("sessions"),
+                session_ids,
             )
             request._send_json(result)
             return True
@@ -549,13 +555,16 @@ class ServeDaemon:
         if cursor < 0:
             raise ServeError(f"query parameter 'since' must be >= 0, got {cursor}")
         follow = query.get("follow", "0") not in ("0", "false", "")
+        raw_wait = query.get("max_wait_s", "10")
         try:
-            max_wait_s = min(float(query.get("max_wait_s", 10.0)), self.request_timeout_s)
+            max_wait_s = float(raw_wait)
+            if not math.isfinite(max_wait_s):
+                raise ValueError
         except ValueError:
             raise ServeError(
-                f"query parameter 'max_wait_s' must be a number, "
-                f"got {query.get('max_wait_s')!r}"
+                f"query parameter 'max_wait_s' must be a finite number, got {raw_wait!r}"
             ) from None
+        max_wait_s = min(max_wait_s, self.request_timeout_s)
         request.send_response(200)
         request.send_header("Content-Type", "application/x-ndjson")
         request.send_header("Cache-Control", "no-store")

@@ -25,15 +25,11 @@ import uuid
 from typing import Any, Optional, Sequence
 
 from ..cluster.observers import SimulatorObserver
-from ..cluster.simulator import (
-    ClusterSimulator,
-    SimulationConfig,
-    SimulatorSnapshot,
-)
+from ..cluster.simulator import ClusterSimulator, SimulationConfig
 from ..core.levers import build_simulator
 from ..errors import CheckpointError, ServeError, checkpoint_fields
 from ..experiments.session import ExperimentSession
-from ..experiments.spec import ScenarioSpec, get_scenario, get_site
+from ..experiments.spec import SCENARIO_OVERRIDES, ScenarioSpec, get_scenario, get_site
 from ..fleet.routing import SiteSnapshot, make_router
 from ..scheduler.job import STATIC_FIELDS, Job
 from .checkpoint import CHECKPOINT_FORMAT_VERSION, SESSION_ID, CheckpointStore
@@ -46,6 +42,30 @@ __all__ = [
 ]
 
 _REQUIRED_JOB_FIELDS = ("job_id", "user_id", "n_gpus", "duration_h", "submit_time_h")
+
+#: A client job's numeric fields and their types.
+_JOB_NUMBER_FIELDS = {
+    "n_gpus": int,
+    "duration_h": float,
+    "submit_time_h": float,
+    "utilization": float,
+    "priority": int,
+    "deadline_h": float,
+    "max_defer_h": float,
+    "power_cap_fraction": float,
+}
+
+#: The numeric job fields for which null is a value (no deadline, no cap).
+_NULLABLE_JOB_FIELDS = ("deadline_h", "power_cap_fraction")
+
+#: A client job's other fields and the type each must have.
+_JOB_TYPED_FIELDS = {
+    "job_id": str,
+    "user_id": str,
+    "deferrable": bool,
+    "queue_name": str,
+    "tags": dict,
+}
 
 
 class UnknownSessionError(ServeError):
@@ -60,8 +80,8 @@ def _spec_hash(spec: ScenarioSpec) -> str:
 def number_field(body: dict[str, Any], field: str, kind: type, default: Any = None) -> Any:
     """``body[field]`` as ``kind`` (``int`` or ``float``); ``default`` when absent or null.
 
-    A value that does not convert, a boolean, a non-finite float, or a
-    non-integral number for an ``int`` field raises
+    A value that is not a JSON number (a string, a boolean, a list...), a
+    non-finite float, or a non-integral number for an ``int`` field raises
     :class:`~repro.errors.ServeError` naming the field, which the daemon
     answers with a 400.
     """
@@ -69,7 +89,7 @@ def number_field(body: dict[str, Any], field: str, kind: type, default: Any = No
     if raw is None:
         return default
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TypeError
         value = kind(raw)
         if kind is float and not math.isfinite(value):
@@ -86,23 +106,22 @@ def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
     """A registered scenario name plus simple overrides -> a concrete spec.
 
     Only the scalar overrides a checkpoint can faithfully replay are
-    accepted (``seed``, ``start_year``, ``n_months``, and a registered
-    ``site`` name) — the same surface the CLI's shared flags expose.
+    accepted: :data:`~repro.experiments.spec.SCENARIO_OVERRIDES`, the same
+    surface the CLI's ``--grid`` scenario keys expose.
     """
     spec = get_scenario(scenario)
-    changes: dict[str, Any] = {}
-    for field_name in ("seed", "start_year", "n_months"):
-        value = number_field(overrides, field_name, int)
-        if value is not None:
-            changes[field_name] = value
-    if overrides.get("site") is not None:
-        changes["site"] = get_site(overrides["site"])
-    unknown = set(overrides) - {"seed", "start_year", "n_months", "site"}
+    unknown = set(overrides) - set(SCENARIO_OVERRIDES)
     if unknown:
         raise ServeError(
             f"unsupported scenario overrides {sorted(unknown)}; "
-            f"supported: seed, start_year, n_months, site"
+            f"supported: {', '.join(SCENARIO_OVERRIDES)}"
         )
+    changes: dict[str, Any] = {}
+    for name, kind in SCENARIO_OVERRIDES.items():
+        if overrides.get(name) is not None:
+            changes[name] = (
+                get_site(overrides[name]) if name == "site" else number_field(overrides, name, kind)
+            )
     return spec.replace(**changes) if changes else spec
 
 
@@ -212,7 +231,8 @@ class ServeSession:
     def from_checkpoint(cls, payload: dict, world: ExperimentSession) -> "ServeSession":
         """Rebuild a session (simulator + telemetry backlog) from a checkpoint.
 
-        The preload trace is regenerated from the world (the same cached call
+        The simulation config is the snapshot's own ``config``, the preload
+        trace is regenerated from the world (the same cached call
         :meth:`create` makes) and the telemetry rows are rebuilt from the
         restored tick series plus the per-tick counts the envelope carries.
         Raises :class:`~repro.errors.CheckpointError` when the payload is
@@ -220,27 +240,21 @@ class ServeSession:
         """
         with checkpoint_fields("checkpoint"):
             meta = payload["meta"]
-            snapshot = SimulatorSnapshot.from_jsonable(payload["snapshot"])
+            snapshot = payload["snapshot"]
             session = cls(
                 session_id=meta["session_id"],
                 scenario_name=meta["scenario"],
                 overrides=meta["overrides"],
                 policy=meta["policy"],
-                config=SimulationConfig(
-                    horizon_h=float(meta["horizon_h"]),
-                    tick_h=float(meta["tick_h"]),
-                    facility_power_budget_w=meta["facility_power_budget_w"],
-                ),
+                config=SimulationConfig(**snapshot["config"]),
                 power_cap_fraction=meta["power_cap_fraction"],
                 preload_jobs=meta["preload_jobs"],
                 world=world,
             )
             session.simulator.restore(snapshot, session._preload_trace(world))
-            session._ticks = session._rebuild_ticks(
-                snapshot.state["tick_times"], payload["ticks"]
-            )
+            session._ticks = session._rebuild_ticks(snapshot["tick_times"], payload["ticks"])
             session.checkpoint_count = int(meta.get("checkpoint_count", 0))
-        session.last_checkpoint_h = snapshot.now_h
+            session.last_checkpoint_h = float(snapshot["now_h"])
         return session
 
     def _preload_trace(self, world: ExperimentSession) -> list[Job]:
@@ -354,7 +368,19 @@ class ServeSession:
             raise ServeError(
                 f"unknown job fields {sorted(unknown)}; accepted: {list(STATIC_FIELDS)}"
             )
-        return Job(**{name: data[name] for name in STATIC_FIELDS if name in data})
+        fields = {name: data[name] for name in STATIC_FIELDS if name in data}
+        # Checked here, not in Job.__post_init__, which every trace clone runs.
+        for name, kind in _JOB_NUMBER_FIELDS.items():
+            if name in fields:
+                fields[name] = number_field(fields, name, kind)
+                if fields[name] is None and name not in _NULLABLE_JOB_FIELDS:
+                    raise ServeError(f"field {name!r} must be a number, got None")
+        for name, kind in _JOB_TYPED_FIELDS.items():
+            if name in fields and not isinstance(fields[name], kind):
+                raise ServeError(
+                    f"field {name!r} must be of type {kind.__name__}, got {fields[name]!r}"
+                )
+        return Job(**fields)
 
     def advance_to(
         self,
@@ -476,14 +502,11 @@ class ServeSession:
                     "scenario": self.scenario_name,
                     "overrides": dict(self.overrides),
                     "policy": self.policy,
-                    "horizon_h": self.simulator.config.horizon_h,
-                    "tick_h": self.simulator.config.tick_h,
-                    "facility_power_budget_w": self.simulator.config.facility_power_budget_w,
                     "power_cap_fraction": self.power_cap_fraction,
                     "preload_jobs": self.preload_jobs,
                     "checkpoint_count": self.checkpoint_count,
                 },
-                "snapshot": snapshot.to_jsonable(),
+                "snapshot": snapshot,
                 # Rows are rebuilt on restore from the tick series; only what
                 # a row sampled at its tick is kept.  it_power_w stays because
                 # an earlier tick hook (an adaptive cap) can change power
@@ -494,7 +517,7 @@ class ServeSession:
                 ],
             }
             path = store.save(self.session_id, payload)
-            self.last_checkpoint_h = snapshot.now_h
+            self.last_checkpoint_h = snapshot["now_h"]
             return str(path)
 
 
@@ -527,9 +550,7 @@ class SessionManager:
             )
         scenario_name = params.get("scenario", "default")
         overrides = {
-            key: params[key]
-            for key in ("seed", "start_year", "n_months", "site")
-            if params.get(key) is not None
+            key: params[key] for key in SCENARIO_OVERRIDES if params.get(key) is not None
         }
         session = ServeSession.create(
             session_id=session_id,

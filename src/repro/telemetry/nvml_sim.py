@@ -8,8 +8,10 @@ drop-in simulated equivalent with the same call patterns:
 >>> nvml = SimulatedNvml.create(n_devices=4, gpu_model="V100", seed=0)
 >>> handle = nvml.get_handle(0)
 >>> nvml.set_utilization(handle, 0.9)
->>> nvml.device_power_usage_w(handle)     # poll like nvmlDeviceGetPowerUsage
+>>> round(nvml.device_power_usage_w(handle), 1)  # poll like nvmlDeviceGetPowerUsage
+229.1
 >>> nvml.device_set_power_limit_w(handle, 175.0)
+175.0
 
 The simulated devices keep an internal notion of time (advanced explicitly
 via :meth:`SimulatedNvml.advance_time` or implicitly by the

@@ -12,7 +12,8 @@ Usage mirrors CodeCarbon / Zeus against the *simulated* NVML layer:
 ...         nvml.set_utilization(handle, 0.9)
 ...     tracker.advance(3600.0)          # one simulated hour of training
 >>> report = tracker.report()
->>> report.energy_kwh, report.emissions_g
+>>> round(report.energy_kwh, 3), round(report.emissions_g, 1)
+(0.461, 123.4)
 
 Because time is simulated, the workload advances the clock explicitly via
 :meth:`EnergyTracker.advance`; everything else (per-device sampling, energy

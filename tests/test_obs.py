@@ -12,15 +12,18 @@ Covers the observability issue's acceptance bar end to end:
 * a warm cached campaign whose trace shows cache-hit point events and **no**
   ``campaign.simulate`` span;
 * parity: tracing must not change simulation results, and checkpoints taken
-  with tracing on must restore with tracing off (and vice versa).
+  with tracing on must restore with tracing off (and vice versa);
+* layering: no module under ``repro/obs`` imports ``repro.cluster``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,42 @@ def _ambient_off():
     set_recorder(NULL_RECORDER)
     yield
     set_recorder(NULL_RECORDER)
+
+
+# ---------------------------------------------------------------------------
+# Layering
+# ---------------------------------------------------------------------------
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """Absolute names of the modules ``path`` (a module of ``package``) imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1]) if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_obs_does_not_import_the_cluster_package():
+    """``repro.obs`` sits below the simulator: none of its modules imports ``repro.cluster``."""
+    import repro.obs
+
+    offenders = {}
+    for path in sorted(Path(repro.obs.__file__).parent.rglob("*.py")):
+        hits = [
+            name
+            for name in _imported_modules(path, "repro.obs")
+            if name == "repro.cluster" or name.startswith("repro.cluster.")
+        ]
+        if hits:
+            offenders[path.name] = sorted(hits)
+    assert offenders == {}
 
 
 # ---------------------------------------------------------------------------

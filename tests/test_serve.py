@@ -47,6 +47,13 @@ def client(daemon):
         yield client
 
 
+def _job_body(field, value):
+    """A one-job submission body whose last field is ``field = value``."""
+    job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0, "submit_time_h": 1.0}
+    job.pop(field, None)
+    return {"jobs": [{**job, field: value}]}
+
+
 def _create(client, session_id="s1", **extra):
     params = dict(
         session_id=session_id,
@@ -120,6 +127,9 @@ class TestSessionLifecycle:
         _create(client)
         with pytest.raises(ServeError, match="400"):
             client.submit_jobs("s1", [{"job_id": "x"}])  # missing required fields
+        for field, value in (("tags", "x"), ("deferrable", "no"), ("queue_name", ["q"])):
+            with pytest.raises(ServeError, match=f"400: field '{field}'"):
+                client.submit_jobs("s1", _job_body(field, value)["jobs"])  # wrong type
         with pytest.raises(ServeError, match="400"):
             client.create_session(session_id="s1")  # duplicate id
         client.finalize("s1")
@@ -150,11 +160,19 @@ class TestSessionLifecycle:
             ("/sessions/s1/advance", {"until_h": 1.0, "deadline_s": "soon"}),
             ("/sessions", {"preload_jobs": 2.5}),
             ("/sessions", {"seed": True}),
+            ("/sessions/s1/jobs", _job_body("n_gpus", 2.5)),
+            ("/sessions/s1/jobs", _job_body("n_gpus", "2")),
+            ("/sessions/s1/jobs", _job_body("n_gpus", True)),
+            ("/sessions/s1/jobs", _job_body("utilization", None)),
+            ("/sessions/s1/jobs", _job_body("submit_time_h", float("nan"))),
+            ("/route", {"job": _job_body("priority", 0)["jobs"][0], "sessions": 5}),
         ],
     )
     def test_malformed_numbers_are_400(self, client, path, body):
         _create(client, preload_jobs=0)
         bad_field = list(body)[-1]
+        if bad_field == "jobs":
+            bad_field = list(body["jobs"][0])[-1]
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", path, {"scenario": "supercloud-small", **body})
         message = str(excinfo.value)
@@ -222,6 +240,21 @@ class TestTelemetry:
             with pytest.raises(urlerror.HTTPError) as excinfo:
                 urlrequest.urlopen(url, timeout=10)
             assert excinfo.value.code == 400
+            excinfo.value.close()
+
+    def test_non_finite_max_wait_is_a_clean_400(self, client):
+        """A NaN wait would slip past the request-timeout cap and hold the stream open."""
+        from urllib import error as urlerror
+        from urllib import request as urlrequest
+
+        _create(client)
+        client.advance("s1", until_h=2.0)
+        for value in ("nan", "inf"):
+            url = f"{client.base_url}/sessions/s1/telemetry?follow=1&max_wait_s={value}"
+            with pytest.raises(urlerror.HTTPError) as excinfo:
+                urlrequest.urlopen(url, timeout=10)
+            assert excinfo.value.code == 400
+            assert b"max_wait_s" in excinfo.value.read()
             excinfo.value.close()
 
     def test_follow_sees_rows_from_concurrent_advance(self, client):
@@ -481,7 +514,7 @@ class TestTransport:
         assert time.perf_counter() - start < 5.0  # not the 30 s idle timeout
         assert not any(handler.is_alive() for handler in handlers)
         assert daemon.manager.get("drained").advanced_to_h == 6.0
-        assert daemon.store.latest("drained")["snapshot"]["state"]["advanced_to"] == 6.0
+        assert daemon.store.latest("drained")["snapshot"]["advanced_to"] == 6.0
         connection.close()
         client.close()
 
@@ -641,7 +674,7 @@ class TestCheckpointRestore:
         client.close()
         assert "drained" in daemon.store.session_ids()
         payload = daemon.store.latest("drained")
-        assert payload["snapshot"]["state"]["advanced_to"] == 12.0
+        assert payload["snapshot"]["advanced_to"] == 12.0
         # And a fresh daemon restores it.
         daemon2 = ServeDaemon(port=0, checkpoint_dir=ckpt)
         assert daemon2.restored == ["drained"]

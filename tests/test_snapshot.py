@@ -4,7 +4,7 @@ The headline property: restoring a mid-run snapshot onto a freshly built
 simulator and advancing to the horizon yields job records **bit-identical**
 to the uninterrupted run — across plain policies, stateful composed
 pipelines (the adaptive power-cap observer) and fleet member scenarios, and
-surviving a JSON round trip of the snapshot payload.
+surviving a JSON round trip of the snapshot dict.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ import pytest
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.observers import SimulatorObserver
 from repro.cluster.resources import Cluster
-from repro.cluster.simulator import (
-    ClusterSimulator,
-    SimulationConfig,
-    SimulatorSnapshot,
-    SNAPSHOT_VERSION,
-)
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig, SNAPSHOT_VERSION
 from repro.config import FacilityConfig
 from repro.core.levers import make_scheduler
 from repro.errors import CheckpointError, SimulationError, SteppingError
 from repro.experiments import ExperimentSession
 from repro.fleet import get_fleet
-from repro.scheduler.job import Job, JobState
+from repro.scheduler.job import STATIC_FIELDS, Job, JobState
 from repro.serve.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
 from repro.serve.session import SessionManager
 
@@ -100,12 +95,10 @@ class TestRestoreParity:
         interrupted = _build_simulator(world, policy)
         interrupted.begin([j.clone_pending() for j in trace])
         interrupted.advance(48.0)
-        payload = json.loads(json.dumps(interrupted.snapshot().to_jsonable()))
+        payload = json.loads(json.dumps(interrupted.snapshot()))
 
         resumed = _build_simulator(world, policy)
-        resumed.restore(
-            SimulatorSnapshot.from_jsonable(payload), [j.clone_pending() for j in trace]
-        )
+        resumed.restore(payload, [j.clone_pending() for j in trace])
         assert _fingerprint(resumed.finalize()) == reference
 
     @pytest.mark.parametrize(
@@ -132,12 +125,10 @@ class TestRestoreParity:
         interrupted.begin([j.clone_pending() for j in trace])
         interrupted.advance(96.0)
         assert interrupted.n_pending >= 15
-        payload = json.loads(json.dumps(interrupted.snapshot().to_jsonable()))
+        payload = json.loads(json.dumps(interrupted.snapshot()))
 
         resumed = _build_simulator(world, policy)
-        resumed.restore(
-            SimulatorSnapshot.from_jsonable(payload), [j.clone_pending() for j in trace]
-        )
+        resumed.restore(payload, [j.clone_pending() for j in trace])
         assert _fingerprint(resumed.finalize()) == reference
 
     def test_fleet_member_parity(self):
@@ -174,12 +165,12 @@ class TestRestoreParity:
         simulator = _build_simulator(world, "backfill")
         simulator.begin([j.clone_pending() for j in trace])
         simulator.advance(48.0)
-        first = simulator.snapshot().to_jsonable()
-        assert simulator.snapshot().to_jsonable() == first
-        pending = {event[2] for event in first["state"]["events"]}
+        first = simulator.snapshot()
+        assert simulator.snapshot() == first
+        pending = {event[2] for event in first["events"]}
         simulator.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=50.0))
-        pushed = {event[2] for event in simulator.snapshot().to_jsonable()["state"]["events"]}
-        assert pushed - pending == {first["state"]["next_sequence"]}
+        pushed = {event[2] for event in simulator.snapshot()["events"]}
+        assert pushed - pending == {first["next_sequence"]}
 
     def test_tick_series_preserved(self, world, trace):
         """The restored run's power series covers the whole horizon seamlessly."""
@@ -194,15 +185,45 @@ class TestRestoreParity:
         assert result.it_power_w.tolist() == reference.it_power_w.tolist()
         assert result.facility_energy_kwh == reference.facility_energy_kwh
 
+    @pytest.mark.parametrize("policy", ["backfill", "backfill+adaptive(budget_w=6000)"])
+    def test_submitted_jobs_restore_bit_identically(self, world, trace, policy):
+        """A submitted job finished before the snapshot hour, another runs across it."""
+
+        def run(snapshot_h=None):
+            simulator = _build_simulator(world, policy)
+            simulator.begin([j.clone_pending() for j in trace])
+            done = Job("sub-done", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0,
+                       tags={"kind": "inference"})
+            running = Job("sub-running", "u", n_gpus=2, duration_h=20.0, submit_time_h=40.0,
+                          utilization=0.6, deadline_h=120.0, power_cap_fraction=0.8)
+            simulator.submit(done)
+            simulator.submit(running)
+            if snapshot_h is not None:
+                simulator.advance(snapshot_h)
+                assert done.state is JobState.COMPLETED
+                assert running.state is JobState.RUNNING
+                payload = json.loads(json.dumps(simulator.snapshot()))
+                simulator = _build_simulator(world, policy)
+                simulator.restore(payload, [j.clone_pending() for j in trace])
+            return simulator.finalize()
+
+        reference = run()
+        resumed = run(snapshot_h=48.0)
+        assert resumed.job_records == reference.job_records
+        assert resumed.it_power_w.tolist() == reference.it_power_w.tolist()
+        assert resumed.facility_power_w.tolist() == reference.facility_power_w.tolist()
+
 
 class TestSnapshotValidation:
     def test_version_mismatch_rejected(self, world, trace):
         simulator = _build_simulator(world, "backfill")
         simulator.begin([j.clone_pending() for j in trace])
-        payload = simulator.snapshot().to_jsonable()
+        payload = simulator.snapshot()
         payload["version"] = SNAPSHOT_VERSION + 1
         with pytest.raises(CheckpointError, match="version"):
-            SimulatorSnapshot.from_jsonable(payload)
+            _build_simulator(world, "backfill").restore(
+                payload, [j.clone_pending() for j in trace]
+            )
 
     def test_scheduler_mismatch_rejected(self, world, trace):
         simulator = _build_simulator(world, "backfill")
@@ -247,24 +268,6 @@ class TestSnapshotValidation:
         with pytest.raises(SteppingError, match="after finalize"):
             simulator.snapshot()
 
-    def test_job_snapshot_round_trip(self):
-        job = Job(
-            "j1",
-            "u1",
-            n_gpus=4,
-            duration_h=3.0,
-            submit_time_h=1.5,
-            deadline_h=20.0,
-            deferrable=True,
-            max_defer_h=6.0,
-            power_cap_fraction=0.8,
-            tags={"kind": "training"},
-        )
-        job.mark_started(2.0, power_cap_w=200.0, duration_h=3.4)
-        restored = Job.from_snapshot(json.loads(json.dumps(job.to_snapshot())))
-        assert restored.state is JobState.RUNNING
-        assert restored.to_snapshot() == job.to_snapshot()
-
     def test_stateless_observer_rejects_foreign_state(self):
         observer = SimulatorObserver()
         assert observer.snapshot_state() is None
@@ -278,20 +281,24 @@ class TestCheckpointShape:
 
     @pytest.fixture()
     def mid_run(self, world, trace):
+        """A run 48 h in, and its trace jobs followed by the one submitted job."""
         jobs = [j.clone_pending() for j in trace]
+        late = Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0)
         simulator = _build_simulator(world, "backfill")
         simulator.begin(jobs)
-        simulator.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0))
+        simulator.submit(late)
         simulator.advance(48.0)
-        return simulator, jobs
+        return simulator, [*jobs, late]
 
     def test_trace_is_referenced_not_copied(self, mid_run, trace):
         simulator, jobs = mid_run
-        state = json.loads(json.dumps(simulator.snapshot().to_jsonable()))["state"]
-        assert [job["job_id"] for job in state["jobs"]] == ["late"]
+        state = json.loads(json.dumps(simulator.snapshot()))
+        late = jobs[-1]
+        assert state["jobs"] == [{name: getattr(late, name) for name in STATIC_FIELDS}]
         assert state["trace_jobs"] == len(trace)
         started = [i for i, job in enumerate(jobs) if job.state is not JobState.PENDING]
         assert 0 < len(started) < len(trace)
+        assert started[-1] == len(trace)  # the submitted job's row follows the trace's
         assert state["started"] == [
             [
                 i,
@@ -340,12 +347,14 @@ class TestCheckpointShape:
         resumed.restore(snapshot, [j.clone_pending() for j in trace])
         resumed.advance(49.0)
 
-    def test_version_1_payloads_are_refused(self, tmp_path, mid_run):
+    def test_version_1_payloads_are_refused(self, tmp_path, world, trace, mid_run):
         simulator, _ = mid_run
-        payload = simulator.snapshot().to_jsonable()
+        payload = simulator.snapshot()
         payload["version"] = 1
         with pytest.raises(CheckpointError, match="version 1 is not supported"):
-            SimulatorSnapshot.from_jsonable(payload)
+            _build_simulator(world, "backfill").restore(
+                payload, [j.clone_pending() for j in trace]
+            )
         store = CheckpointStore(tmp_path)
         path = store.save("a", {"format": 1, "meta": {}, "snapshot": payload, "ticks": []})
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -517,7 +526,7 @@ def _drop(*path):
 
 
 def _cluster_state(payload):
-    return payload["snapshot"]["state"]["cluster"]
+    return payload["snapshot"]["cluster"]
 
 
 def _far_location(payload):
@@ -525,12 +534,20 @@ def _far_location(payload):
 
 
 def _unknown_event_type(payload):
-    payload["snapshot"]["state"]["events"][0][1] = 99
+    payload["snapshot"]["events"][0][1] = 99
 
 
 def _shared_location(payload):
     first, second = _cluster_state(payload)["allocations"][:2]
     second["locations"][0] = first["locations"][0]
+
+
+def _version_2_snapshot(payload):
+    payload["snapshot"]["version"] = 2
+
+
+def _format_2_envelope(payload):
+    payload["format"] = 2
 
 
 class TestCorruptCheckpoints:
@@ -547,7 +564,7 @@ class TestCorruptCheckpoints:
         session.checkpoint(store)
         payload = store.latest("a")
         assert len(_cluster_state(payload)["allocations"]) >= 2
-        assert payload["snapshot"]["state"]["events"]
+        assert payload["snapshot"]["events"]
         return payload
 
     def _restore_all(self, tmp_path, payload):
@@ -565,8 +582,18 @@ class TestCorruptCheckpoints:
             _far_location,
             _unknown_event_type,
             _shared_location,
+            _version_2_snapshot,
+            _format_2_envelope,
         ],
-        ids=["no-snapshot", "no-policy", "far-location", "event-type-99", "shared-location"],
+        ids=[
+            "no-snapshot",
+            "no-policy",
+            "far-location",
+            "event-type-99",
+            "shared-location",
+            "snapshot-version-2",
+            "format-2",
+        ],
     )
     def test_bad_checkpoint_is_skipped(self, tmp_path, payload, mutate):
         bad = json.loads(json.dumps(payload))
@@ -585,7 +612,7 @@ class TestCorruptCheckpoints:
         assert store.checkpoints("a")[-1] == newest
         # Valid JSON in the current format, but its job table cannot be read.
         broken = json.loads(newest.read_text())
-        broken["snapshot"]["state"]["jobs"] = [{"job_id": "broken"}]
+        broken["snapshot"]["jobs"] = [{"job_id": "broken"}]
         newest.write_text(json.dumps(broken))
         manager = SessionManager()
         assert manager.restore_all(store) == ["a"]
@@ -617,6 +644,18 @@ class TestClusterRestoreValidation:
         with pytest.raises(CheckpointError):
             cluster.restore_state(state)
         assert cluster.snapshot_state() == before
+
+    def test_record_power_is_recomputed_on_restore(self, state):
+        assert all("per_gpu_power_w" not in entry for entry in state["allocations"])
+        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
+        cluster.allocate("a", 3, utilization=0.5)
+        cluster.allocate("b", 2, utilization=0.9)
+        cluster.set_power_limit("b", 200.0)
+        cluster.drain_nodes(1)
+        restored = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
+        restored.restore_state(state)
+        assert restored.allocations == cluster.allocations
+        assert restored.it_power_w() == cluster.it_power_w()
 
     def test_missing_field_and_repeated_job_rejected(self, state):
         cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
