@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..config import config_to_jsonable
 
@@ -37,8 +37,8 @@ __all__ = ["code_version", "stable_hash", "run_key", "derived_key"]
 #: Hex digest length of every artifact key (BLAKE2b-128).
 KEY_HEX_LENGTH = 32
 
-#: Environment override for the code-version cache-key component (tests use
-#: this to simulate a package upgrade without reinstalling).
+#: Environment override for the code-version cache-key component: the one
+#: lever that re-keys every artifact without reinstalling the package.
 CODE_VERSION_ENV = "GREENHPC_CODE_VERSION"
 
 
@@ -49,9 +49,10 @@ def code_version() -> str:
     ``repro.__version__`` (``pyproject.toml`` via ``importlib.metadata``,
     with the source-checkout fallback), so bumping the package version is
     what retires every previously cached artifact.  The
-    ``GREENHPC_CODE_VERSION`` environment variable overrides it — the
-    lever the cache-invalidation tests (and a cautious operator mid-
-    refactor) use to force a cold store.
+    ``GREENHPC_CODE_VERSION`` environment variable overrides it, and it is
+    the only override: :func:`run_key` and :func:`derived_key` read this
+    function on every call, so the cache-invalidation tests (and a cautious
+    operator mid-refactor) set the variable to force a cold store.
     """
     override = os.environ.get(CODE_VERSION_ENV, "").strip()
     if override:
@@ -79,7 +80,7 @@ def stable_hash(payload: Any) -> str:
     return h.hexdigest()
 
 
-def run_key(point: "CampaignPoint", *, version: Optional[str] = None) -> str:
+def run_key(point: "CampaignPoint") -> str:
     """The content address of one campaign point's run artifact.
 
     Hashes the complete identity of the simulation: (scenario spec,
@@ -94,14 +95,12 @@ def run_key(point: "CampaignPoint", *, version: Optional[str] = None) -> str:
             "spec": point.spec.to_dict(),
             "params": dict(point.params),
             "seed": point.seed,
-            "code": version if version is not None else code_version(),
+            "code": code_version(),
         }
     )
 
 
-def derived_key(
-    stage: str, upstream: Iterable[str], *, version: Optional[str] = None, **extra: Any
-) -> str:
+def derived_key(stage: str, upstream: Iterable[str], **extra: Any) -> str:
     """The content address of a derived-stage artifact.
 
     ``upstream`` are the artifact keys this stage consumes (order matters:
@@ -114,7 +113,7 @@ def derived_key(
         {
             "stage": stage,
             "upstream": list(upstream),
-            "code": version if version is not None else code_version(),
+            "code": code_version(),
             **extra,
         }
     )

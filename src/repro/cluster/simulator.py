@@ -64,7 +64,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -165,6 +165,42 @@ class JobRecord:
     missed_deadline: bool
 
 
+# Service-quality formulas over job records: a site passes its own records,
+# a fleet the records of every member site, a user profile that user's.
+
+
+def _waits(records: Iterable[JobRecord]) -> list[float]:
+    return [r.wait_time_h for r in records if r.wait_time_h is not None]
+
+
+def mean_wait(records: Iterable[JobRecord]) -> float:
+    """Mean queue wait in hours among jobs that started (NaN when none started)."""
+    waits = _waits(records)
+    return float(np.mean(waits)) if waits else float("nan")
+
+
+def p95_wait(records: Iterable[JobRecord]) -> float:
+    """95th-percentile queue wait in hours among jobs that started (NaN when none)."""
+    waits = _waits(records)
+    return float(np.percentile(waits, 95)) if waits else float("nan")
+
+
+def miss_rate(records: Iterable[JobRecord]) -> float:
+    """Fraction of deadline-carrying jobs that missed (or never met) their deadline."""
+    deadline_jobs = [r for r in records if r.had_deadline]
+    if not deadline_jobs:
+        return 0.0
+    missed = sum(1 for r in deadline_jobs if r.missed_deadline or not r.completed)
+    return missed / len(deadline_jobs)
+
+
+def energy_per_gpu_hour(facility_energy_kwh: float, delivered_gpu_hours: float) -> float:
+    """Facility kWh per delivered baseline GPU-hour (NaN when nothing was delivered)."""
+    if delivered_gpu_hours == 0:
+        return float("nan")
+    return facility_energy_kwh / delivered_gpu_hours
+
+
 @dataclass
 class SimulationResult:
     """Everything a policy-comparison experiment needs from one run."""
@@ -244,31 +280,22 @@ class SimulationResult:
     @property
     def mean_wait_h(self) -> float:
         """Mean queue wait among jobs that started (NaN when none started)."""
-        waits = [r.wait_time_h for r in self.job_records if r.wait_time_h is not None]
-        return float(np.mean(waits)) if waits else float("nan")
+        return mean_wait(self.job_records)
 
     @property
     def p95_wait_h(self) -> float:
         """95th-percentile queue wait among jobs that started."""
-        waits = [r.wait_time_h for r in self.job_records if r.wait_time_h is not None]
-        return float(np.percentile(waits, 95)) if waits else float("nan")
+        return p95_wait(self.job_records)
 
     @property
     def deadline_miss_rate(self) -> float:
         """Fraction of deadline-carrying jobs that missed (or never met) their deadline."""
-        deadline_jobs = [r for r in self.job_records if r.had_deadline]
-        if not deadline_jobs:
-            return 0.0
-        missed = sum(1 for r in deadline_jobs if r.missed_deadline or not r.completed)
-        return missed / len(deadline_jobs)
+        return miss_rate(self.job_records)
 
     @property
     def energy_per_gpu_hour_kwh(self) -> float:
         """Facility energy per delivered baseline GPU-hour (lower is better)."""
-        delivered = self.delivered_gpu_hours
-        if delivered == 0:
-            return float("nan")
-        return self.facility_energy_kwh / delivered
+        return energy_per_gpu_hour(self.facility_energy_kwh, self.delivered_gpu_hours)
 
     def summary(self) -> dict[str, float]:
         """A flat dictionary of the headline metrics (for tables and reports)."""

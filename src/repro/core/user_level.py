@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..cluster.simulator import SimulationResult
+from ..cluster.simulator import SimulationResult, energy_per_gpu_hour, mean_wait
 from ..errors import OptimizationError
 
 __all__ = ["UserProfile", "UserLevelAccounting", "per_user_decomposition"]
@@ -63,9 +63,7 @@ class UserProfile:
     @property
     def energy_per_gpu_hour_kwh(self) -> float:
         """Facility energy per delivered GPU-hour for this user."""
-        if self.delivered_gpu_hours == 0:
-            return float("nan")
-        return self.facility_energy_kwh / self.delivered_gpu_hours
+        return energy_per_gpu_hour(self.facility_energy_kwh, self.delivered_gpu_hours)
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,6 @@ def per_user_decomposition(result: SimulationResult) -> UserLevelAccounting:
         it_kwh = sum(r.energy_j for r in records) / 3.6e6
         share = it_kwh / total_it_attributed if total_it_attributed > 0 else 0.0
         facility_kwh = it_kwh + share * overhead_total
-        waits = [r.wait_time_h for r in records if r.wait_time_h is not None]
         profiles[user_id] = UserProfile(
             user_id=user_id,
             it_energy_kwh=it_kwh,
@@ -145,7 +142,7 @@ def per_user_decomposition(result: SimulationResult) -> UserLevelAccounting:
             ),
             n_jobs=len(records),
             completed_jobs=sum(1 for r in records if r.completed),
-            mean_wait_h=float(np.mean(waits)) if waits else float("nan"),
+            mean_wait_h=mean_wait(records),
         )
 
     attributed = sum(p.facility_energy_kwh for p in profiles.values())

@@ -5,13 +5,14 @@ object: a base :class:`~repro.experiments.spec.ScenarioSpec`, a grid over
 spec fields (``seed``, ``site``, ``n_months``, ...), a grid over experiment
 parameters, and one or more registered experiment names.  :meth:`CampaignSpec.
 expand` turns that description into an ordered list of
-:class:`CampaignPoint`\\ s — each with a reproducible derived seed obtained
-through :func:`~repro.parallel.sweep.grid_points`, so the points (and
-therefore every row of the output) are identical whether the campaign runs
-serially or across processes.
+:class:`CampaignPoint`\\ s — grid combination ``i`` (in product order) is
+seeded with ``derive_seed(seed, "sweep", i)``, so the points (and therefore
+every row of the output) are identical whether the campaign runs serially
+or across processes.
 
 :func:`run_campaign` executes the points with
-:func:`~repro.parallel.pool.map_parallel`.  Each worker process keeps one
+:func:`~repro.parallel.pool.map_parallel`, handing it the points grouped by
+scenario spec.  Each worker process keeps one
 :class:`~repro.experiments.session.ExperimentSession` per distinct scenario
 spec, so the expensive substrates (weather, load trace, grid series) are
 built once per world per worker and shared by every experiment/parameter
@@ -58,19 +59,18 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..artifacts.store import ArtifactStore
-
+from ..artifacts.keys import run_key
+from ..artifacts.store import ArtifactStore
 from ..config import config_to_jsonable
 from ..errors import ConfigurationError, DataError, SchedulingError
 from ..obs.profile import RunProfile
 from ..obs.recorder import get_recorder
 from ..parallel.pool import ParallelConfig, map_parallel
-from ..parallel.sweep import SweepPoint, grid_points
 from ..rng import derive_seed
 from ..scheduler.compose import split_top_level
 from .registry import get_experiment
@@ -132,12 +132,13 @@ class CampaignPoint:
         Experiment parameter overrides (only parameters the experiment
         declares).
     seed:
-        Seed derived from the campaign's master seed via ``grid_points`` and
-        the experiment name — the point's stable identity, recorded in result
-        rows as ``point_seed`` so two runs of the same campaign are verifiably
-        the same sweep.  Experiment randomness is governed by ``spec.seed``
-        (sweep the ``seed`` spec field to vary it); the derived seed is the
-        handle for point-level stochastic extensions (e.g. replica noise).
+        Seed derived from the campaign's master seed, the point's grid index
+        and the experiment name — the point's stable identity, recorded in
+        result rows as ``point_seed`` so two runs of the same campaign are
+        verifiably the same sweep.  Experiment randomness is governed by
+        ``spec.seed`` (sweep the ``seed`` spec field to vary it); the derived
+        seed is the handle for point-level stochastic extensions (e.g.
+        replica noise).
     varied:
         The grid values this point was built from, with human-readable labels
         (e.g. a swept site appears under its registered name) — these become
@@ -234,39 +235,35 @@ class CampaignSpec:
             resolved["site"] = get_site(resolved["site"])
         return self.base.replace(**resolved) if resolved else self.base
 
-    def _sweep_points(self) -> list[SweepPoint]:
-        """The combined scenario × parameter grid as seeded sweep points."""
-        grid: dict[str, Sequence[Any]] = {**self.scenario_grid, **self.param_grid}
-        if not grid:
-            # No grids: one point per experiment, seeded like a 1-point sweep.
-            return [SweepPoint(index=0, params={}, seed=derive_seed(self.seed, "sweep", 0))]
-        return grid_points(grid, seed=self.seed)
-
     def expand(self) -> list[CampaignPoint]:
         """All campaign points, in a deterministic, reproducible order.
 
         The order (experiments outermost, then the grid in product order) and
         each point's derived seed depend only on the campaign definition —
         never on how the campaign is later executed — which is what makes
-        serial and multi-process runs produce identical rows.  Experiments
-        that do not declare a swept parameter would see duplicate points;
-        those are dropped, keeping the first (lowest-index) occurrence.
+        serial and multi-process runs produce identical rows.  Grid
+        combination ``i`` is seeded with ``derive_seed(seed, "sweep", i)``; a
+        campaign without grids is the product's single empty combination.
+        Experiments that do not declare a swept parameter would see duplicate
+        points; those are dropped, keeping the first (lowest-index) occurrence.
         """
-        sweep_points = self._sweep_points()
+        grid = {**self.scenario_grid, **self.param_grid}
+        combinations = [
+            (dict(zip(grid, values)), derive_seed(self.seed, "sweep", i))
+            for i, values in enumerate(itertools.product(*grid.values()))
+        ]
         points: list[CampaignPoint] = []
         seen: set[tuple[str, ScenarioSpec, tuple[tuple[str, Any], ...]]] = set()
         index = 0
         for name in self.experiments:
             declared = {p.name for p in get_experiment(name).params}
-            for sweep_point in sweep_points:
+            for combination, grid_seed in combinations:
                 spec_changes = {
-                    key: value
-                    for key, value in sweep_point.params.items()
-                    if key in self.scenario_grid
+                    key: value for key, value in combination.items() if key in self.scenario_grid
                 }
                 params = {
                     key: value
-                    for key, value in sweep_point.params.items()
+                    for key, value in combination.items()
                     if key in self.param_grid and key in declared
                 }
                 spec = self._resolve_spec(spec_changes)
@@ -282,7 +279,7 @@ class CampaignSpec:
                         experiment=name,
                         spec=spec,
                         params=params,
-                        seed=derive_seed(sweep_point.seed, name),
+                        seed=derive_seed(grid_seed, name),
                         varied=varied,
                     )
                 )
@@ -315,8 +312,8 @@ class CampaignSpec:
 #: spec reuse the session's cached substrates instead of rebuilding them.
 _WORKER_SESSIONS: dict[tuple[ScenarioSpec, Optional[ParallelConfig]], ExperimentSession] = {}
 
-#: Cache bound: campaigns expand with same-spec points adjacent, so a small
-#: FIFO window keeps the reuse win while a serial driver process (or a
+#: Cache bound: ``run_campaign`` dispatches same-spec points adjacently, so a
+#: small FIFO window keeps the reuse win while a serial driver process (or a
 #: long-lived worker) cannot accumulate every world it ever built.
 _MAX_WORKER_SESSIONS = 8
 
@@ -341,7 +338,7 @@ def clear_worker_sessions() -> None:
 
 
 def _evaluate_campaign_point(
-    point: CampaignPoint, session_parallel: Optional[ParallelConfig] = None
+    point: CampaignPoint, parallel: Optional[ParallelConfig] = None
 ) -> ExperimentResult:
     """Run one campaign point on the worker-local session for its spec.
 
@@ -352,7 +349,7 @@ def _evaluate_campaign_point(
     with get_recorder().span(
         "campaign.evaluate", index=point.index, experiment=point.experiment
     ):
-        session = _worker_session(point.spec, session_parallel)
+        session = _worker_session(point.spec, parallel)
         return session.run(point.experiment, **dict(point.params))
 
 
@@ -394,10 +391,8 @@ def run_campaign(
     campaign: CampaignSpec,
     parallel: Optional[ParallelConfig] = None,
     *,
-    session_parallel: Optional[ParallelConfig] = None,
-    store: Optional["ArtifactStore"] = None,
+    store: Optional[ArtifactStore] = None,
     force: bool = False,
-    version: Optional[str] = None,
 ) -> "CampaignResult":
     """Expand ``campaign`` and evaluate every point, in processes when asked.
 
@@ -405,13 +400,15 @@ def run_campaign(
     returned :class:`CampaignResult` is byte-identical between serial and
     parallel runs of the same campaign.
 
-    ``parallel`` distributes the *points*; ``session_parallel`` is handed to
-    each point's worker-local session, where inner layers pick it up — most
-    notably the ``fleet`` experiment, whose member sites then step on worker
+    ``parallel`` distributes the *points*, and each point's worker-local
+    session receives it too, where inner layers pick it up — most notably
+    the ``fleet`` experiment, whose member sites then step on worker
     processes of their own (:mod:`repro.fleet.parallel`), so a router sweep
-    exploits both axes at once (points × sites).  It defaults to ``parallel``
-    itself when omitted; the two multiply, so a campaign over F-site fleets
-    with W workers can occupy up to W×(F+1) processes.
+    exploits both axes at once (points × sites).  The two multiply: a
+    campaign over F-site fleets with W workers can occupy up to W×(F+1)
+    processes.  Points are dispatched grouped by scenario spec (in order of
+    first appearance), so a world is built once per worker however many
+    experiments share it.
 
     ``store`` (an :class:`~repro.artifacts.ArtifactStore`) makes the run
     incremental: points whose :func:`~repro.artifacts.keys.run_key` is
@@ -419,86 +416,62 @@ def run_campaign(
     parallel dispatch) and are persisted.  ``force=True`` recomputes every
     point and overwrites its artifact.  With a store, every result — cached
     or fresh — is normalized through its stored JSON form, so warm and cold
-    runs of the same campaign yield byte-identical rows.  ``version``
-    overrides the code-version cache-key component (defaults to
-    :func:`~repro.artifacts.keys.code_version`); a :class:`~repro.
-    experiments.dag.CampaignDAG` passes its own so run keys and derived
-    keys always agree.
+    runs of the same campaign yield byte-identical rows.
     """
-    points = campaign.expand()
-    if session_parallel is None:
-        session_parallel = parallel
-    evaluate = functools.partial(_evaluate_campaign_point, session_parallel=session_parallel)
+    points = campaign.expand()  # point.index is the point's position
     recorder = get_recorder()
     mark = recorder.mark()
-
-    def campaign_profile(span: Any) -> Optional[RunProfile]:
-        if not recorder.enabled:
-            return None
-        return RunProfile.from_spans(
-            recorder.spans_since(mark),
-            total_s=span.record.wall_s,
-            metrics=recorder.metrics.snapshot(),
-        )
-
-    if store is None:
-        with recorder.span(
-            "campaign.run", n_points=len(points), cached=False
-        ) as run_span:
-            results = map_parallel(evaluate, points, parallel)
-        return CampaignResult(
-            campaign=campaign,
-            points=tuple(points),
-            results=tuple(results),
-            profile=campaign_profile(run_span),
-        )
-
-    from ..artifacts.keys import code_version, run_key
-
-    if version is None:
-        version = code_version()
-    with recorder.span("campaign.run", n_points=len(points), cached=True) as run_span:
-        key_by_index = {point.index: run_key(point, version=version) for point in points}
-        by_index: dict[int, ExperimentResult] = {}
-        if not force:
+    results: list[Optional[ExperimentResult]] = [None] * len(points)
+    with recorder.span(
+        "campaign.run", n_points=len(points), cached=store is not None
+    ) as run_span:
+        if store is not None:
+            keys = [run_key(point) for point in points]
             for point in points:
-                payload = store.get(key_by_index[point.index])
+                payload = None if force else store.get(keys[point.index])
                 if payload is not None:
-                    by_index[point.index] = result_from_payload(point, payload)
+                    results[point.index] = result_from_payload(point, payload)
                     recorder.event(
-                        "campaign.point",
-                        index=point.index,
-                        experiment=point.experiment,
-                        cache="hit",
+                        "campaign.point", index=point.index, experiment=point.experiment, cache="hit"
                     )
-        missed = [point for point in points if point.index not in by_index]
+        missed = [point for point in points if results[point.index] is None]
         if missed:
+            # Grouped by spec, first appearance first (sorted computes each
+            # key once, in list order), so no world is evicted from a
+            # worker's session cache before its last experiment has run.
+            rank: dict[ScenarioSpec, int] = {}
+            batch = sorted(missed, key=lambda point: rank.setdefault(point.spec, len(rank)))
             # Cache-hit points never enter this span: a warm trace shows
             # campaign.point hit markers and no campaign.simulate at all.
             with recorder.span("campaign.simulate", n_points=len(missed)):
-                fresh = map_parallel(evaluate, missed, parallel)
-        else:
-            fresh = []
-        for point, result in zip(missed, fresh):
-            payload = result_to_payload(result)
-            store.put(key_by_index[point.index], payload)
-            by_index[point.index] = result_from_payload(point, payload)
-            recorder.event(
-                "campaign.point",
-                index=point.index,
-                experiment=point.experiment,
-                cache="miss",
-            )
-        run_span.set("cache_hits", len(points) - len(missed))
-        run_span.set("cache_misses", len(missed))
-    results = tuple(by_index[point.index] for point in points)
+                evaluate = functools.partial(_evaluate_campaign_point, parallel=parallel)
+                fresh = map_parallel(evaluate, batch, parallel)
+            for point, result in zip(batch, fresh):
+                results[point.index] = result
+        if store is not None:
+            for point in missed:
+                payload = result_to_payload(results[point.index])
+                store.put(keys[point.index], payload)
+                results[point.index] = result_from_payload(point, payload)
+                recorder.event(
+                    "campaign.point", index=point.index, experiment=point.experiment, cache="miss"
+                )
+            run_span.set("cache_hits", len(points) - len(missed))
+            run_span.set("cache_misses", len(missed))
+    profile = None
+    if recorder.enabled:
+        profile = RunProfile.from_spans(
+            recorder.spans_since(mark),
+            total_s=run_span.record.wall_s,
+            metrics=recorder.metrics.snapshot(),
+        )
     return CampaignResult(
         campaign=campaign,
         points=tuple(points),
-        results=results,
-        cache_hits=len(points) - len(missed),
-        cache_misses=len(missed),
-        profile=campaign_profile(run_span),
+        results=tuple(results),
+        cache_hits=None if store is None else len(points) - len(missed),
+        cache_misses=None if store is None else len(missed),
+        profile=profile,
     )
 
 

@@ -36,9 +36,9 @@ with **zero** simulator executions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..artifacts.keys import code_version, derived_key, run_key
+from ..artifacts.keys import derived_key, run_key
 from ..artifacts.store import ArtifactStore
 from ..config import config_to_jsonable
 from ..errors import ArtifactError
@@ -184,28 +184,26 @@ class CampaignDAG:
         The declarative campaign to stage.
     store:
         The content-addressed store every stage reads from and writes to.
-    version:
-        Code-version cache-key component; defaults to
-        :func:`~repro.artifacts.keys.code_version` (i.e.
-        ``repro.__version__``).
+
+    Every key carries :func:`~repro.artifacts.keys.code_version`, read when
+    the DAG is built (the derived keys) and again when it materializes (the
+    run keys), so ``GREENHPC_CODE_VERSION`` — the one override — must hold
+    the same value for both.
     """
 
-    def __init__(
-        self,
-        campaign: CampaignSpec,
-        store: ArtifactStore,
-        *,
-        version: Optional[str] = None,
-    ) -> None:
+    def __init__(self, campaign: CampaignSpec, store: ArtifactStore) -> None:
         self.campaign = campaign
         self.store = store
-        self.version = version if version is not None else code_version()
         self.points = campaign.expand()
-        self.run_keys = tuple(run_key(point, version=self.version) for point in self.points)
-        self.summarize_key = derived_key("summarize", self.run_keys, version=self.version)
-        self.compare_key = derived_key("compare", (self.summarize_key,), version=self.version)
-        self.report_key = derived_key(
-            "report", (self.compare_key,), version=self.version, formats=list(REPORT_FORMATS)
+        self.run_keys = tuple(run_key(point) for point in self.points)
+        self.summarize_key = derived_key("summarize", self.run_keys)
+        self.compare_key = derived_key("compare", (self.summarize_key,))
+        self.report_key = derived_key("report", (self.compare_key,), formats=list(REPORT_FORMATS))
+        #: The derived stages in dependency order: (stage, key, upstream keys).
+        self.stages: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+            ("summarize", self.summarize_key, self.run_keys),
+            ("compare", self.compare_key, (self.summarize_key,)),
+            ("report", self.report_key, (self.compare_key,)),
         )
 
     # ------------------------------------------------------------------
@@ -217,29 +215,9 @@ class CampaignDAG:
             DagNode(stage="run", key=key, label=f"run[{point.index}]:{point.experiment}")
             for point, key in zip(self.points, self.run_keys)
         ]
-        nodes.append(
-            DagNode(
-                stage="summarize",
-                key=self.summarize_key,
-                label="summarize",
-                upstream=self.run_keys,
-            )
-        )
-        nodes.append(
-            DagNode(
-                stage="compare",
-                key=self.compare_key,
-                label="compare",
-                upstream=(self.summarize_key,),
-            )
-        )
-        nodes.append(
-            DagNode(
-                stage="report",
-                key=self.report_key,
-                label="report",
-                upstream=(self.compare_key,),
-            )
+        nodes.extend(
+            DagNode(stage=stage, key=key, label=stage, upstream=upstream)
+            for stage, key, upstream in self.stages
         )
         return nodes
 
@@ -264,11 +242,34 @@ class CampaignDAG:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
+    def _derive(
+        self,
+        stage: str,
+        key: str,
+        compute: Callable[[], Any],
+        force: bool,
+        required: Sequence[str] = (),
+    ) -> tuple[Any, str]:
+        """One derived stage: its payload and whether it was cached or computed.
+
+        The payload is read from the store under ``key`` unless ``force``;
+        a missing payload, or one lacking a ``required`` entry, is computed
+        and persisted.  The status also lands on the ``dag.<stage>`` span.
+        """
+        with get_recorder().span(f"dag.{stage}") as span:
+            payload = None if force else self.store.get(key)
+            status = "cached"
+            if payload is None or any(name not in payload for name in required):
+                payload = compute()
+                self.store.put(key, payload)
+                status = "computed"
+            span.set("status", status)
+        return payload, status
+
     def materialize(
         self,
         *,
         parallel: Optional[ParallelConfig] = None,
-        session_parallel: Optional[ParallelConfig] = None,
         simulate: bool = True,
         force: bool = False,
     ) -> DagOutcome:
@@ -282,7 +283,6 @@ class CampaignDAG:
         a hard no-resimulation guarantee.  ``force=True`` recomputes every
         stage, overwriting cached artifacts.
         """
-        stage_status: dict[str, str] = {}
         if not simulate and not force:
             missing = [
                 point.index
@@ -298,51 +298,25 @@ class CampaignDAG:
                 )
         elif not simulate and force:
             raise ArtifactError("cannot force-recompute a DAG with simulate=False")
-        result = run_campaign(
-            self.campaign,
-            parallel,
-            session_parallel=session_parallel,
-            store=self.store,
-            force=force,
-            version=self.version,
+        result = run_campaign(self.campaign, parallel, store=self.store, force=force)
+        stage_status = {"run": f"{result.cache_hits} cached, {result.cache_misses} simulated"}
+        summary, stage_status["summarize"] = self._derive(
+            "summarize", self.summarize_key, lambda: summarize_payload(result), force
         )
-        stage_status["run"] = f"{result.cache_hits} cached, {result.cache_misses} simulated"
-
-        recorder = get_recorder()
-        with recorder.span("dag.summarize") as span:
-            summary = None if force else self.store.get(self.summarize_key)
-            if summary is None:
-                summary = summarize_payload(result)
-                self.store.put(self.summarize_key, summary)
-                stage_status["summarize"] = "computed"
-            else:
-                stage_status["summarize"] = "cached"
-            span.set("status", stage_status["summarize"])
-
-        with recorder.span("dag.compare") as span:
-            comparison = None if force else self.store.get(self.compare_key)
-            if comparison is None:
-                comparison = compare_payload(summary)
-                self.store.put(self.compare_key, comparison)
-                stage_status["compare"] = "computed"
-            else:
-                stage_status["compare"] = "cached"
-            span.set("status", stage_status["compare"])
-
-        with recorder.span("dag.report") as span:
-            report = None if force else self.store.get(self.report_key)
-            if report is None or set(REPORT_FORMATS) - set(report):
-                title = self.campaign.base.name
-                report = {
-                    "markdown": render_markdown(comparison, title=title),
-                    "html": render_html(comparison, title=title),
-                }
-                self.store.put(self.report_key, report)
-                stage_status["report"] = "computed"
-            else:
-                stage_status["report"] = "cached"
-            span.set("status", stage_status["report"])
-
+        comparison, stage_status["compare"] = self._derive(
+            "compare", self.compare_key, lambda: compare_payload(summary), force
+        )
+        title = self.campaign.base.name
+        report, stage_status["report"] = self._derive(
+            "report",
+            self.report_key,
+            lambda: {
+                "markdown": render_markdown(comparison, title=title),
+                "html": render_html(comparison, title=title),
+            },
+            force,
+            required=REPORT_FORMATS,
+        )
         return DagOutcome(
             result=result,
             summary=summary,

@@ -10,13 +10,21 @@ it independently.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from ..cluster.simulator import SimulationResult
+from ..cluster.simulator import (
+    JobRecord,
+    SimulationResult,
+    energy_per_gpu_hour,
+    mean_wait,
+    miss_rate,
+    p95_wait,
+)
 from ..config import config_to_jsonable
 from ..errors import FleetError
 from ..obs.profile import RunProfile
@@ -202,47 +210,29 @@ class FleetResult:
     # ------------------------------------------------------------------
     # Service quality (over the union of all sites' job records)
     # ------------------------------------------------------------------
-    def _waits(self) -> list[float]:
-        return [
-            record.wait_time_h
-            for result in self.site_results
-            for record in result.job_records
-            if record.wait_time_h is not None
-        ]
+    def _records(self) -> Iterator[JobRecord]:
+        """Every member site's job records, sites in member order."""
+        return itertools.chain.from_iterable(r.job_records for r in self.site_results)
 
     @property
     def mean_wait_h(self) -> float:
         """Mean queue wait among started jobs, fleet-wide (NaN when none)."""
-        waits = self._waits()
-        return float(np.mean(waits)) if waits else float("nan")
+        return mean_wait(self._records())
 
     @property
     def p95_wait_h(self) -> float:
         """95th-percentile queue wait among started jobs, fleet-wide."""
-        waits = self._waits()
-        return float(np.percentile(waits, 95)) if waits else float("nan")
+        return p95_wait(self._records())
 
     @property
     def deadline_miss_rate(self) -> float:
         """Fraction of deadline-carrying jobs fleet-wide that missed."""
-        deadline_jobs = [
-            record
-            for result in self.site_results
-            for record in result.job_records
-            if record.had_deadline
-        ]
-        if not deadline_jobs:
-            return 0.0
-        missed = sum(1 for r in deadline_jobs if r.missed_deadline or not r.completed)
-        return missed / len(deadline_jobs)
+        return miss_rate(self._records())
 
     @property
     def energy_per_gpu_hour_kwh(self) -> float:
         """Fleet facility energy per delivered baseline GPU-hour."""
-        delivered = self.delivered_gpu_hours
-        if delivered == 0:
-            return float("nan")
-        return self.facility_energy_kwh / delivered
+        return energy_per_gpu_hour(self.facility_energy_kwh, self.delivered_gpu_hours)
 
     # ------------------------------------------------------------------
     # Assignment accounting

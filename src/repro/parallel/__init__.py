@@ -1,11 +1,12 @@
 """Parallel parameter-sweep harness.
 
-Policy comparisons, power-cap sweeps and stress tests evaluate the same
-simulation at many parameter points; :func:`~repro.parallel.pool.map_parallel`
-runs those points across processes (falling back to serial execution for
-small sweeps or when requested), and :mod:`~repro.parallel.sweep` gives each
-grid point a seed derived from the master seed so results do not depend on
-worker scheduling.
+Policy comparisons, power-cap sweeps, stress tests and campaigns evaluate the
+same simulation at many parameter points; :func:`~repro.parallel.pool.
+map_parallel` runs those points across processes (falling back to serial
+execution for small sweeps or when requested) and returns results in task
+order.  Campaigns seed their grid points themselves
+(:meth:`~repro.experiments.campaign.CampaignSpec.expand`), so results do not
+depend on worker scheduling.
 
 Scaling guide — two parallel axes
 ---------------------------------
@@ -30,11 +31,8 @@ sweep axis; few points over big fleets → fleet axis — rather than both.
 """
 
 from .pool import map_parallel, ParallelConfig
-from .sweep import SweepPoint, grid_points
 
 __all__ = [
     "map_parallel",
     "ParallelConfig",
-    "SweepPoint",
-    "grid_points",
 ]

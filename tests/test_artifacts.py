@@ -56,26 +56,25 @@ class TestKeys:
         monkeypatch.setenv(CODE_VERSION_ENV, "9.9.9-test")
         assert code_version() == "9.9.9-test"
 
-    def test_run_key_covers_every_identity_component(self):
+    def test_run_key_covers_every_identity_component(self, monkeypatch):
         points = CampaignSpec(**CHEAP).expand()
-        baseline = run_key(points[0], version="v1")
-        assert run_key(points[0], version="v1") == baseline      # stable
-        assert run_key(points[1], version="v1") != baseline      # other spec
-        assert run_key(points[2], version="v1") != baseline      # other experiment
-        assert run_key(points[0], version="v2") != baseline      # other code version
+        monkeypatch.setenv(CODE_VERSION_ENV, "v1")
+        baseline = run_key(points[0])
+        assert run_key(points[0]) == baseline      # stable
+        assert run_key(points[1]) != baseline      # other spec
+        assert run_key(points[2]) != baseline      # other experiment
+        monkeypatch.setenv(CODE_VERSION_ENV, "v2")
+        assert run_key(points[0]) != baseline      # other code version
 
     def test_run_key_identical_across_equal_campaigns(self):
         a = CampaignSpec(**CHEAP).expand()
         b = CampaignSpec(**CHEAP).expand()
         assert [run_key(p) for p in a] == [run_key(p) for p in b]
 
-    def test_derived_key_cascades_from_upstream(self):
-        assert derived_key("summarize", ["k1", "k2"], version="v") != derived_key(
-            "summarize", ["k1", "k3"], version="v"
-        )
-        assert derived_key("summarize", ["k1"], version="v") != derived_key(
-            "compare", ["k1"], version="v"
-        )
+    def test_derived_key_cascades_from_upstream(self, monkeypatch):
+        monkeypatch.setenv(CODE_VERSION_ENV, "v")
+        assert derived_key("summarize", ["k1", "k2"]) != derived_key("summarize", ["k1", "k3"])
+        assert derived_key("summarize", ["k1"]) != derived_key("compare", ["k1"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +221,20 @@ class TestCampaignDAG:
         assert outcome.stage_status["run"] == "2 cached, 2 simulated"
         assert outcome.stage_status["summarize"] == "computed"
 
-    def test_code_version_invalidates_everything(self, store):
+    def test_code_version_invalidates_everything(self, store, monkeypatch):
         spec = CampaignSpec(**CHEAP)
-        CampaignDAG(spec, store, version="v1").materialize()
-        outcome = CampaignDAG(spec, store, version="v2").materialize()
+        monkeypatch.setenv(CODE_VERSION_ENV, "v1")
+        CampaignDAG(spec, store).materialize()
+        monkeypatch.setenv(CODE_VERSION_ENV, "v2")
+        outcome = CampaignDAG(spec, store).materialize()
         assert outcome.stage_status["run"] == "0 cached, 4 simulated"
 
-    def test_gc_drops_superseded_artifacts(self, store):
+    def test_gc_drops_superseded_artifacts(self, store, monkeypatch):
         spec = CampaignSpec(**CHEAP)
-        CampaignDAG(spec, store, version="v1").materialize()
-        dag = CampaignDAG(spec, store, version="v2")
+        monkeypatch.setenv(CODE_VERSION_ENV, "v1")
+        CampaignDAG(spec, store).materialize()
+        monkeypatch.setenv(CODE_VERSION_ENV, "v2")
+        dag = CampaignDAG(spec, store)
         dag.materialize()
         assert store.stats().n_artifacts == 14  # both generations
         assert dag.gc() == 7

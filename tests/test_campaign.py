@@ -118,6 +118,23 @@ class TestExpansion:
         assert [p.spec for p in a] == [p.spec for p in b]
         assert all(pa.seed != pb.seed for pa, pb in zip(a, b))
 
+    def test_point_seeds_stable_across_runs_and_processes(self):
+        # Derived seeds are BLAKE2b-based, so they must match these pinned
+        # values in any process, interpreter session or Python version —
+        # a campaign re-run months later reproduces the same points.
+        gridded = CampaignSpec(
+            experiments=("table1",), scenario_grid={"seed": [1, 2], "n_months": [3, 4]}, seed=42
+        ).expand()
+        assert [p.seed for p in gridded] == [
+            5669766499693524767,
+            5764421787966673793,
+            8553186198149603170,
+            1724737155601483402,
+        ]
+        # No grid: every experiment runs at the one empty combination, index 0.
+        ungridded = CampaignSpec(experiments=("table1", "powercap"), seed=42).expand()
+        assert [p.seed for p in ungridded] == [5669766499693524767, 5039191506603648861]
+
 
 class TestRunCampaign:
     def test_serial_and_parallel_rows_identical(self):
@@ -160,6 +177,32 @@ class TestRunCampaign:
         run_campaign(campaign)
         assert len(_WORKER_SESSIONS) == 2
         clear_worker_sessions()
+
+    def test_each_world_built_once_across_experiments(self, monkeypatch):
+        # More worlds than the session cache holds: dispatching the points
+        # experiment by experiment would evict every world before the second
+        # experiment reached it and build each one twice.
+        from repro.analysis.figures import SuperCloudScenario
+
+        builds: list[int] = []
+        real = SuperCloudScenario.build
+
+        def counting(cls, *args, **kwargs):
+            builds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(SuperCloudScenario, "build", classmethod(counting))
+        clear_worker_sessions()
+        campaign = CampaignSpec(
+            experiments=("figures", "shifting"),
+            base=ScenarioSpec(n_months=3),
+            scenario_grid={"seed": list(range(9))},
+        )
+        result = run_campaign(campaign)
+        clear_worker_sessions()
+        assert sorted(builds) == list(range(9))
+        assert [p.index for p in result.points] == list(range(18))
+        assert result.column("experiment") == ["figures"] * 9 + ["shifting"] * 9
 
     def test_param_grid_reaches_experiment(self):
         campaign = CampaignSpec(
@@ -269,9 +312,9 @@ class TestCampaignCaching:
         indices: list[int] = []
         real = campaign_module._evaluate_campaign_point
 
-        def counting(point, session_parallel=None):
+        def counting(point, parallel=None):
             indices.append(point.index)
-            return real(point, session_parallel)
+            return real(point, parallel)
 
         monkeypatch.setattr(campaign_module, "_evaluate_campaign_point", counting)
         return indices

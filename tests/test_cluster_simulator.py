@@ -6,7 +6,15 @@ import pytest
 from repro.config import FacilityConfig
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
-from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.cluster.simulator import (
+    ClusterSimulator,
+    JobRecord,
+    SimulationConfig,
+    energy_per_gpu_hour,
+    mean_wait,
+    miss_rate,
+    p95_wait,
+)
 from repro.core.levers import make_scheduler
 from repro.errors import SimulationError
 from repro.scheduler.job import Job, JobState
@@ -162,6 +170,32 @@ class TestDeadlinesAndSummary:
     def test_energy_per_gpu_hour(self):
         result = run([make_job("a", 2, 4.0, 0.0)])
         assert result.energy_per_gpu_hour_kwh > 0
+
+    def test_record_formulas_on_hand_built_records(self):
+        def record(job_id, wait, *, completed=True, had_deadline=False, missed=False):
+            return JobRecord(
+                job_id=job_id, user_id="u", queue_name="q", n_gpus=1,
+                submit_time_h=0.0, start_time_h=wait, finish_time_h=None,
+                wait_time_h=wait, baseline_duration_h=1.0, actual_duration_h=None,
+                power_cap_w=None, energy_j=0.0, completed=completed,
+                had_deadline=had_deadline, missed_deadline=missed,
+            )
+
+        records = [
+            record("met", 1.0, had_deadline=True),
+            record("late", 3.0, had_deadline=True, missed=True),
+            record("unfinished", 5.0, completed=False, had_deadline=True),
+            record("free", 7.0),
+            record("queued", None),
+        ]
+        # Waits count only started jobs; an unfinished deadline job missed it.
+        assert mean_wait(records) == pytest.approx(4.0)
+        assert p95_wait(records) == pytest.approx(float(np.percentile([1.0, 3.0, 5.0, 7.0], 95)))
+        assert miss_rate(records) == pytest.approx(2 / 3)
+        assert miss_rate(records[3:]) == 0.0
+        assert np.isnan(mean_wait(records[4:])) and np.isnan(p95_wait([]))
+        assert energy_per_gpu_hour(10.0, 4.0) == 2.5
+        assert np.isnan(energy_per_gpu_hour(10.0, 0.0))
 
 
 class TestCarbonAwareIntegration:

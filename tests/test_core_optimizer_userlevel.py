@@ -1,5 +1,6 @@
 """Tests for the Eq. 1 optimizer and the Eq. 2 per-user decomposition."""
 
+import numpy as np
 import pytest
 
 from repro.config import FacilityConfig
@@ -130,3 +131,24 @@ class TestPerUserDecomposition:
         profile = next(iter(accounting.profiles.values()))
         assert profile.n_jobs >= profile.completed_jobs
         assert profile.it_energy_kwh <= profile.facility_energy_kwh + 1e-12
+
+    def test_per_user_wait_and_energy_intensity(self, result):
+        # Each profile's wait is over that user's started jobs only, and its
+        # energy intensity is its own facility energy per delivered GPU-hour.
+        accounting = per_user_decomposition(result)
+        for user_id, profile in accounting.profiles.items():
+            waits = [
+                r.wait_time_h
+                for r in result.job_records
+                if r.user_id == user_id and r.wait_time_h is not None
+            ]
+            if waits:
+                assert profile.mean_wait_h == float(np.mean(waits))
+            else:
+                assert np.isnan(profile.mean_wait_h)
+            if profile.delivered_gpu_hours > 0:
+                assert profile.energy_per_gpu_hour_kwh == (
+                    profile.facility_energy_kwh / profile.delivered_gpu_hours
+                )
+            else:
+                assert np.isnan(profile.energy_per_gpu_hour_kwh)

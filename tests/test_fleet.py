@@ -362,6 +362,23 @@ class TestFleetConservation:
                 assert row["facility_energy_kwh"] == site_result.facility_energy_kwh
                 assert row["cooling_energy_kwh"] == site_result.cooling_energy_kwh
 
+    def test_service_metrics_pool_every_site_record(self, tri_world):
+        # Waits and deadline misses are taken over the union of the sites'
+        # records, not averaged per site; energy per GPU-hour uses fleet totals.
+        _, _, _, results = tri_world
+        for result in results.values():
+            records = [rec for r in result.site_results for rec in r.job_records]
+            waits = [rec.wait_time_h for rec in records if rec.wait_time_h is not None]
+            assert result.mean_wait_h == float(np.mean(waits))
+            assert result.p95_wait_h == float(np.percentile(waits, 95))
+            deadline = [rec for rec in records if rec.had_deadline]
+            missed = [rec for rec in deadline if rec.missed_deadline or not rec.completed]
+            expected_miss = len(missed) / len(deadline) if deadline else 0.0
+            assert result.deadline_miss_rate == expected_miss
+            assert result.energy_per_gpu_hour_kwh == (
+                result.facility_energy_kwh / result.delivered_gpu_hours
+            )
+
     def test_assignment_table_matches_site_record_locations(self, tri_world):
         _, _, _, results = tri_world
         for result in results.values():

@@ -559,6 +559,20 @@ class TestCampaignInstrumentation:
         assert follow_up.rows == cold.rows
         assert follow_up.profile is None and "profile" not in follow_up.to_dict()
 
+    def test_uncached_traced_run_simulates_without_point_markers(self):
+        campaign = CampaignSpec(**self.CAMPAIGN)
+        rec = TraceRecorder()
+        with recording(rec):
+            result = run_campaign(campaign)
+        names = [s.name for s in rec.spans]
+        assert "campaign.simulate" in names
+        assert "campaign.point" not in names
+        run_span = next(s for s in rec.spans if s.name == "campaign.run")
+        assert run_span.attributes["cached"] is False
+        assert "cache_hits" not in run_span.attributes
+        assert result.cache_hits is None and result.cache_misses is None
+        assert result.profile is not None
+
 
 class TestCliTracing:
     def test_trace_out_and_obs_subcommand(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel.pool import ParallelConfig, map_parallel
-from repro.parallel.sweep import grid_points
 from repro.scheduler.powercap import powercap_energy_tradeoff
 
 
@@ -60,42 +59,6 @@ class TestMapParallel:
     def test_automatic_chunksize(self):
         assert ParallelConfig(n_workers=2).resolved_chunksize(100) == 13
         assert ParallelConfig(n_workers=2).resolved_chunksize(1) == 1
-
-
-class TestGridPoints:
-    def test_cartesian_product(self):
-        points = grid_points({"a": [1, 2], "b": [10, 20, 30]})
-        assert len(points) == 6
-        assert points[0].params == {"a": 1, "b": 10}
-        assert points[-1].params == {"a": 2, "b": 30}
-
-    def test_indices_and_seeds_unique(self):
-        points = grid_points({"a": [1, 2, 3]}, seed=5)
-        assert [p.index for p in points] == [0, 1, 2]
-        assert len({p.seed for p in points}) == 3
-
-    def test_seeds_reproducible(self):
-        a = grid_points({"a": [1, 2]}, seed=5)
-        b = grid_points({"a": [1, 2]}, seed=5)
-        assert [p.seed for p in a] == [p.seed for p in b]
-
-    def test_seeds_stable_across_runs_and_processes(self):
-        # Derived seeds are BLAKE2b-based, so they must match these pinned
-        # values in any process, interpreter session or Python version —
-        # a campaign re-run months later reproduces the same points.
-        points = grid_points({"a": [1, 2], "b": [10, 20]}, seed=42)
-        assert [p.seed for p in points] == [
-            4855536404127542885,
-            7525757399721297431,
-            8268158626854750867,
-            5970367624608819403,
-        ]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grid_points({})
-        with pytest.raises(ConfigurationError):
-            grid_points({"a": []})
 
 
 class TestPowercapSweep:
