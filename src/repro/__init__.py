@@ -43,9 +43,9 @@ Subpackages
     The long-running simulation service: a ``greenhpc serve`` HTTP daemon
     holding warm simulated worlds, with mid-run job submission, bounded
     ``advance`` requests, NDJSON per-tick telemetry streaming, what-if
-    routing queries across live sessions, and periodic checkpoint/restore
-    built on the simulator's versioned snapshot
-    (:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`).
+    routing queries across live sessions, and periodic checkpoints that
+    journal each session's inputs and restore by replaying them
+    (:mod:`repro.serve.checkpoint`).
 ``repro.obs``
     Stdlib tracing and metrics: an ambient
     :class:`~repro.obs.TraceRecorder` of nested spans, a
@@ -142,8 +142,8 @@ sessions (concurrent sessions over the same scenario share one cached
 substrate build), accepts job submissions and ``advance-to`` requests over a
 JSON/HTTP API, streams per-tick power telemetry as NDJSON, answers what-if
 routing queries with the fleet's router grammar, and checkpoints every
-session's exact simulator state to disk so month-long co-simulations survive
-a restart bit-identically::
+session's inputs (a journal of its client jobs) to disk so month-long
+co-simulations survive a restart bit-identically::
 
     greenhpc serve --port 8714 --checkpoint-dir ./ckpt
     python examples/serve_client.py      # submit, stream, kill, restore

@@ -97,35 +97,3 @@ class EventQueue:
     def clear(self) -> None:
         """Drop all pending events (the clock is left unchanged)."""
         self._heap.clear()
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (checkpointing support)
-    # ------------------------------------------------------------------
-    def pending_events(self) -> list[Event]:
-        """The not-yet-processed events in deterministic (sort-key) order.
-
-        Used by :meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`;
-        the heap's internal layout is not canonical, so the dump is sorted.
-        """
-        return sorted(self._heap)
-
-    def restore(self, events: list[Event], now_h: float, next_sequence: int) -> None:
-        """Replace the queue's entire state (events, clock, sequence counter).
-
-        ``next_sequence`` must exceed every restored event's sequence so
-        future pushes keep sorting after existing same-instant events —
-        exactly as they would have in the uninterrupted run.
-        """
-        if any(event.sequence >= next_sequence for event in events):
-            raise SimulationError(
-                "next_sequence must exceed every restored event's sequence"
-            )
-        self._heap = list(events)
-        heapq.heapify(self._heap)
-        self._sequence = int(next_sequence)
-        self._now_h = float(now_h)
-
-    @property
-    def next_sequence(self) -> int:
-        """The sequence number the next pushed event would receive (a pure read)."""
-        return self._sequence

@@ -36,7 +36,7 @@ imports at run time) so the simulator, the scheduler packages and
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
@@ -58,13 +58,6 @@ class SimulatorObserver:
     running allocations, sample state, or record series.
     """
 
-    #: Transient observers are pure telemetry sinks: they never influence the
-    #: simulation and are excluded from checkpoints entirely, so snapshots
-    #: taken with one attached (e.g. the tracing-mode
-    #: :class:`MetricsObserver`) restore cleanly onto a
-    #: simulator without it — and vice versa.
-    transient: bool = False
-
     def on_job_start(self, simulator: "ClusterSimulator", job: "Job", now_h: float) -> None:
         """A job just transitioned to RUNNING and holds its allocation."""
 
@@ -85,34 +78,6 @@ class SimulatorObserver:
     def on_tick(self, simulator: "ClusterSimulator", now_h: float, it_power_w: float) -> None:
         """The recording tick fired; ``it_power_w`` is the sample just taken."""
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (checkpointing support)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Any:
-        """JSON-able run-time state for checkpointing (``None`` = stateless).
-
-        Observers that carry state *across* scheduling rounds (e.g. the
-        adaptive power-cap stage's per-job cap fractions) must override this
-        pair so a restored run continues bit-identically; the default
-        declares the observer stateless.
-        """
-        return None
-
-    def restore_state(self, state: Any) -> None:
-        """Restore state captured by :meth:`snapshot_state`.
-
-        The default accepts only ``None``; receiving anything else means a
-        checkpoint carrying observer state was restored onto an observer
-        that does not implement the protocol.
-        """
-        if state is not None:
-            from ..errors import CheckpointError
-
-            raise CheckpointError(
-                f"observer {type(self).__name__} received checkpoint state "
-                f"but does not implement restore_state()"
-            )
-
 
 class MetricsObserver(SimulatorObserver):
     """Publishes simulator-loop telemetry into a :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -123,9 +88,7 @@ class MetricsObserver(SimulatorObserver):
     loops.  The hooks only tally into plain attributes; the simulator calls
     :meth:`publish` at the end of every ``advance`` and ``finalize``, which
     folds the tallies into the registry, so the traced hot path touches one
-    object per event instead of one per metric.  The observer is transient:
-    metric values are process-local telemetry, not simulation state, so
-    restored runs remain bit-identical.
+    object per event instead of one per metric.
 
     All metric handles are resolved once at construction so publishing does
     no registry lookups.  The hooks fire thousands of times per run on the
@@ -134,8 +97,6 @@ class MetricsObserver(SimulatorObserver):
     every decision of a round starts one job, so the per-round sizes give the
     start count and the simulator never dispatches the (no-op) start hook.
     """
-
-    transient = True
 
     def __init__(self, metrics: "MetricsRegistry") -> None:
         self.metrics = metrics

@@ -26,12 +26,12 @@ rescans:
   ``n_free_gpus`` / ``can_fit`` are O(1).
 * **Placement reads free-count buckets.**  Bucket ``k`` is the sorted list
   of non-drained node ids with exactly ``k`` free GPUs.  Every state change
-  (``allocate``, ``release``, ``drain_nodes``, ``undrain_all`` and
-  ``restore_state``) moves only the touched nodes between buckets, with
-  ``bisect``.  Pack placement walks buckets ``1..G`` in order, which is
-  fewest-free-first with ties by node id, and reads each touched node's
-  free GPU indices from its job-id row, so an allocation costs O(nodes
-  touched) instead of a whole-cluster scan.
+  (``allocate``, ``release``, ``drain_nodes`` and ``undrain_all``) moves
+  only the touched nodes between buckets, with ``bisect``.  Pack placement
+  walks buckets ``1..G`` in order, which is fewest-free-first with ties by
+  node id, and reads each touched node's free GPU indices from its job-id
+  row, so an allocation costs O(nodes touched) instead of a whole-cluster
+  scan.
 * **IT power is delta-maintained.**  Each allocation contributes
   ``n_gpus x per_gpu_power_w``; ``allocate``/``release``/``set_power_limit``
   adjust a running total so :meth:`Cluster.it_power_w` is an O(1) read.
@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import FacilityConfig
-from ..errors import CheckpointError, ResourceError, checkpoint_fields
+from ..errors import ResourceError
 from ..telemetry.gpu_power import GpuPowerModel, GpuSpec, get_gpu_spec
 
 __all__ = ["Allocation", "Cluster"]
@@ -364,20 +364,15 @@ class Cluster:
         return float(power)
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (checkpointing support)
+    # Public read of the whole state
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """A JSON-able dict of the pool's dynamic state.
 
-        Captures the allocation records (locations, utilization and cap), the
-        drained-node set, and the accumulated ``busy_power_w`` total.  A
-        record's per-GPU power is a pure function of its utilization and cap,
-        so :meth:`restore_state` recomputes it with the call
-        :meth:`allocate` makes.  The accumulated float is stored verbatim —
-        recomputing it as a fresh sum on restore could differ in the last ulp
-        from the incrementally-maintained original, breaking bit-identical
-        continuation.  The records plus the drained set are the whole
-        per-GPU table.
+        Holds the allocation records (locations, utilization and cap), the
+        drained-node set, and the accumulated ``busy_power_w`` total.  The
+        records plus the drained set are the whole per-GPU table, so two
+        pools with equal snapshots are in the same state.
         """
         allocations = [
             {
@@ -396,80 +391,6 @@ class Cluster:
             "allocations": allocations,
             "busy_power_w": self._busy_power_w,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Reset the pool to the state captured by :meth:`snapshot_state`.
-
-        The cluster must have been constructed with the same facility shape
-        and GPU model; all current allocations are discarded.  The snapshot
-        is checked in full before anything changes: a missing or mistyped
-        field, a shape or model mismatch, a location out of range or held
-        twice, an allocation with no GPUs or on a drained node raises
-        :class:`~repro.errors.CheckpointError` and leaves the pool as it was.
-        """
-        n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
-        with checkpoint_fields("cluster snapshot"):
-            if int(state["n_nodes"]) != n_nodes or int(state["gpus_per_node"]) != gpus_per_node:
-                raise CheckpointError(
-                    f"cluster shape mismatch: snapshot is {state['n_nodes']}x"
-                    f"{state['gpus_per_node']}, cluster is {n_nodes}x{gpus_per_node}"
-                )
-            if state["gpu_model"] != self.gpu_spec.name:
-                raise CheckpointError(
-                    f"GPU model mismatch: snapshot has {state['gpu_model']!r}, "
-                    f"cluster has {self.gpu_spec.name!r}"
-                )
-            drained = [False] * n_nodes
-            for node_id in map(int, state["drained"]):
-                if not 0 <= node_id < n_nodes:
-                    raise CheckpointError(f"drained node {node_id} is outside the cluster")
-                drained[node_id] = True
-            held: set[tuple[int, int]] = set()
-            records: dict[str, Allocation] = {}
-            for entry in state["allocations"]:
-                job_id = entry["job_id"]
-                locations = tuple((int(n), int(i)) for n, i in entry["locations"])
-                if job_id in records or not locations:
-                    raise CheckpointError(f"allocation {job_id!r} is repeated or holds no GPUs")
-                for node_id, index in locations:
-                    if not (0 <= node_id < n_nodes and 0 <= index < gpus_per_node):
-                        raise CheckpointError(
-                            f"allocation {job_id!r} holds GPU ({node_id}, {index}) outside "
-                            f"the {n_nodes}x{gpus_per_node} cluster"
-                        )
-                    if (node_id, index) in held or drained[node_id]:
-                        raise CheckpointError(
-                            f"allocation {job_id!r} holds GPU ({node_id}, {index}), "
-                            f"which is already held or on a drained node"
-                        )
-                    held.add((node_id, index))
-                utilization = float(entry["utilization"])
-                cap = None if entry["power_limit_w"] is None else float(entry["power_limit_w"])
-                records[job_id] = Allocation(
-                    job_id,
-                    locations,
-                    utilization,
-                    cap,
-                    self.gpu_power_model.power_w_scalar(utilization, cap),
-                )
-            busy_power_w = float(state["busy_power_w"])
-        self._job_ids = job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]
-        self._node_free = node_free = [gpus_per_node] * n_nodes
-        self._drained = drained
-        self._allocations = records
-        for job_id, record in records.items():
-            for node_id, index in record.gpu_locations:
-                job_ids[node_id][index] = job_id
-                node_free[node_id] -= 1
-        # Derived counters and buckets, then the accumulated power total verbatim.
-        self._busy_gpus = len(held)
-        self._n_occupied = sum(1 for free in node_free if free < gpus_per_node)
-        self._n_drained = sum(drained)
-        self._rebuild_buckets()
-        self._free_gpus_nondrained = sum(
-            free * len(bucket) for free, bucket in enumerate(self._buckets)
-        )
-        self._busy_power_w = busy_power_w
 
     # ------------------------------------------------------------------
     # Job-id rows, drain flags and free-count buckets

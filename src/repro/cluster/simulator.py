@@ -51,31 +51,28 @@ Design notes
   lockstep and dispatch arriving jobs between them — the event order (and
   therefore every job record) is bit-identical to a monolithic ``run()``
   of the same per-site trace.
-* Checkpoints: :meth:`ClusterSimulator.snapshot` is one versioned, JSON-able
-  dict holding each fact once.  The :meth:`~ClusterSimulator.begin` trace is
-  referenced by count and digest, a submitted job is its static fields, and
-  every started job is one runtime row; :meth:`~ClusterSimulator.restore`
-  checks the version and adopts the dict on a fresh simulator.
+* Checkpoints hold inputs, not state: a serve session journals the jobs it
+  was fed and replays them onto a fresh simulator
+  (:mod:`repro.serve.checkpoint`).  :meth:`ClusterSimulator.snapshot` is
+  only the run's O(1) cursor, which a replay checks itself against.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..config import FacilityConfig, require_positive
-from ..errors import CheckpointError, SimulationError, SteppingError, checkpoint_fields
+from ..errors import SimulationError, SteppingError
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import get_recorder
 from ..scheduler.base import ScheduleDecision, Scheduler, SchedulingContext
-from ..scheduler.job import STATIC_FIELDS, Job, JobState
+from ..scheduler.job import Job, JobState
 from .cooling import CoolingModel
-from .events import Event, EventQueue, EventType
+from .events import EventQueue, EventType
 from .observers import MetricsObserver, SimulatorObserver
 from .resources import Cluster
 
@@ -83,33 +80,13 @@ __all__ = [
     "SimulationConfig",
     "JobRecord",
     "SimulationResult",
-    "SNAPSHOT_VERSION",
     "ClusterSimulator",
     "SimulatorObserver",
 ]
 
-#: Version of the simulator snapshot payload format.  Bumped on any change to
-#: the layout produced by :meth:`ClusterSimulator.snapshot`; restore refuses
-#: payloads from a different version instead of mis-reading them.  Version 3
-#: keeps one runtime row per started job, trace or submitted, and a submitted
-#: job's static fields.
-SNAPSHOT_VERSION = 3
-
 _JOB_FINISH = EventType.JOB_FINISH
 _JOB_SUBMIT = EventType.JOB_SUBMIT
 _TICK = EventType.TICK
-_PENDING = JobState.PENDING
-
-
-def _trace_digest(jobs: Sequence[Job]) -> str:
-    """sha256 over the static fields of ``jobs``, in order.
-
-    Tag values JSON cannot encode are digested by ``repr``: the trace itself
-    is never written, so it need not be JSON-able.
-    """
-    rows = [[getattr(job, name) for name in STATIC_FIELDS] for job in jobs]
-    encoded = json.dumps(rows, separators=(",", ":"), default=repr)
-    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -321,7 +298,7 @@ class ClusterSimulator:
 
     ``sim.begin``/``sim.advance``/``sim.finalize`` spans go to the ambient
     recorder (:func:`repro.obs.get_recorder`) read at construction.  When it
-    is enabled a (checkpoint-transient)
+    is enabled a
     :class:`~repro.cluster.observers.MetricsObserver` is attached automatically,
     publishing queue depth, IT power, GPU utilization and round/job counters
     into its metrics registry at the end of every :meth:`advance` and
@@ -406,10 +383,6 @@ class ClusterSimulator:
         self._pending_keys: list[tuple] = []
         self._running: dict[str, Job] = {}
         self._all_jobs: list[Job] = []
-        # The first _n_trace_jobs of _all_jobs came in through begin(); their
-        # digest is computed on the first snapshot, not per save.
-        self._n_trace_jobs = 0
-        self._trace_digest: Optional[str] = None
         self._seen_ids: set[str] = set()
         self._current_it_power_w = self.cluster.it_power_w()
         self._begun = False
@@ -621,7 +594,6 @@ class ClusterSimulator:
             self._begun = True
             for job in jobs:
                 self.submit(job)
-            self._n_trace_jobs = len(self._all_jobs)
             config = self.config
             n_ticks = int(np.floor(config.horizon_h / config.tick_h)) + 1
             for k in range(n_ticks):
@@ -775,219 +747,24 @@ class ClusterSimulator:
         self.begin(jobs)
         return self.finalize()
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (checkpointing support)
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Capture the run's dynamic state as one versioned, JSON-able dict.
+        """The run's cursor as a small JSON-able dict, read in O(1).
 
-        Valid any time between :meth:`begin` and :meth:`finalize` (typically
-        at an hour boundary after :meth:`advance` returns).  Restoring the
-        snapshot onto a freshly constructed simulator with the same
-        substrates, config and scheduling policy, passing the jobs
-        :meth:`begin` took, then advancing to the horizon, yields job records
-        bit-identical to the uninterrupted run: accumulated floats (IT power
-        totals) are stored verbatim rather than recomputed, floats round-trip
-        exactly through JSON, and event-queue tie-breaking sequence numbers
-        are preserved.
-
-        The snapshot holds only state a restore cannot rebuild.  The
-        :meth:`begin` trace is *referenced*, not copied: it is kept as its
-        length and the digest of its static fields (computed on the first
-        snapshot), and :meth:`restore` takes the same jobs again.  A job fed
-        in with :meth:`submit` is kept as its
-        :data:`~repro.scheduler.job.STATIC_FIELDS` dict.  Every job that has
-        started, trace or submitted, has one runtime row
-        ``[index, state, start, finish, cap, actual_duration, energy]``,
-        indexed over the trace followed by the submitted jobs.  Events are
-        stored with their payloads reduced to job ids.  Observers contribute
-        their own state via
-        :meth:`~repro.cluster.observers.SimulatorObserver.snapshot_state`.
-        The static substrates (weather, cooling, grid, scheduler) are rebuilt
-        by the caller, which keeps snapshots small.
+        It names where the run stands, not how it got there: the advance
+        bound, the clock, the job, queue and tick counts, and the live IT
+        power.  Two runs fed the same inputs have equal snapshots at equal
+        bounds, so a journal replay checks itself against the snapshot taken
+        when its checkpoint was written.
         """
-        if not self._begun:
-            raise SteppingError("snapshot() before begin(): there is no run to capture")
-        if self._finalized:
-            raise SteppingError("snapshot() after finalize(): the run is already over")
-        events = []
-        for event in self._events.pending_events():
-            payload = event.payload
-            if event.event_type is EventType.JOB_SUBMIT:
-                payload = payload.job_id
-            elif payload is not None and not isinstance(payload, str):
-                raise CheckpointError(
-                    f"cannot snapshot {event.event_type.name} event with non-string "
-                    f"payload {payload!r}"
-                )
-            events.append(
-                [event.time_h, int(event.event_type), event.sequence, payload]
-            )
-        n_trace = self._n_trace_jobs
-        if self._trace_digest is None:
-            self._trace_digest = _trace_digest(self._all_jobs[:n_trace])
         return {
-            "version": SNAPSHOT_VERSION,
-            "scheduler_name": self.scheduler.name,
-            "config": asdict(self.config),
-            "now_h": self._events.now_h,
             "advanced_to": self._advanced_to,
-            "next_sequence": self._events.next_sequence,
-            "events": events,
-            "trace_jobs": n_trace,
-            "trace_digest": self._trace_digest,
-            "jobs": [
-                {name: getattr(job, name) for name in STATIC_FIELDS} | {"tags": dict(job.tags)}
-                for job in self._all_jobs[n_trace:]
-            ],
-            "started": [
-                [
-                    index,
-                    job.state.value,
-                    job.start_time_h,
-                    job.finish_time_h,
-                    job.assigned_power_cap_w,
-                    job.actual_duration_h,
-                    job.energy_j,
-                ]
-                for index, job in enumerate(self._all_jobs)
-                if job.state is not _PENDING
-            ],
-            "pending": [job.job_id for job in self._pending],
-            "running": list(self._running),
-            "tick_times": list(self._tick_times),
-            "tick_it_power": list(self._tick_it_power),
-            "current_it_power_w": self._current_it_power_w,
-            "cluster": self.cluster.snapshot_state(),
-            # Transient observers (pure telemetry, e.g. tracing-mode metrics)
-            # are invisible to checkpoints, so snapshots restore cleanly
-            # whether or not tracing is enabled on the restoring side.
-            "observers": [
-                observer.snapshot_state()
-                for observer in self._observers
-                if not observer.transient
-            ],
+            "now_h": self._events.now_h,
+            "jobs": len(self._all_jobs),
+            "pending": len(self._pending),
+            "running": len(self._running),
+            "ticks": len(self._tick_times),
+            "it_power_w": self._current_it_power_w,
         }
-
-    def restore(self, snapshot: dict, jobs: Sequence[Job] = ()) -> None:
-        """Adopt a :meth:`snapshot` on this freshly constructed simulator.
-
-        The simulator must have been built with the same substrates (weather,
-        cooling, grid), configuration and scheduling policy as the one that
-        produced the snapshot, and must not have :meth:`begin`\\ -ed yet —
-        :meth:`restore` *is* its begin, and ``jobs`` are the jobs that run's
-        :meth:`begin` took, as fresh PENDING copies.  The snapshot references
-        them instead of copying them: restore checks their count and
-        static-field digest, then re-applies the runtime rows of the jobs
-        that had started.  On a mismatch, a snapshot of another version or a
-        malformed field it raises :class:`~repro.errors.CheckpointError` and
-        the simulator stays un-begun.  After restoring, continue with
-        :meth:`submit`/:meth:`advance`/:meth:`finalize` as usual.
-        """
-        if self._begun:
-            raise SteppingError(
-                "restore() on a simulator that already began a run; "
-                "construct a fresh simulator to restore into"
-            )
-        with checkpoint_fields("simulator snapshot"):
-            if snapshot["version"] != SNAPSHOT_VERSION:
-                raise CheckpointError(
-                    f"snapshot version {snapshot['version']!r} is not supported "
-                    f"(this build reads version {SNAPSHOT_VERSION})"
-                )
-            if snapshot["scheduler_name"] != self.scheduler.name:
-                raise CheckpointError(
-                    f"scheduler mismatch: snapshot was taken under "
-                    f"{snapshot['scheduler_name']!r}, this simulator runs {self.scheduler.name!r}"
-                )
-            saved = snapshot["config"]
-            for field_name, value in asdict(self.config).items():
-                if value != saved[field_name]:
-                    raise CheckpointError(
-                        f"config mismatch on {field_name!r}: snapshot has "
-                        f"{saved[field_name]!r}, simulator has {value!r}"
-                    )
-            observer_states = snapshot["observers"]
-            durable_observers = [obs for obs in self._observers if not obs.transient]
-            if len(observer_states) != len(durable_observers):
-                raise CheckpointError(
-                    f"observer count mismatch: snapshot carries {len(observer_states)} "
-                    f"observer states, simulator has {len(durable_observers)} "
-                    f"checkpointed observers"
-                )
-
-            trace = list(jobs)
-            n_trace = int(snapshot["trace_jobs"])
-            if len(trace) != n_trace:
-                raise CheckpointError(
-                    f"trace mismatch: the snapshot's run began with {n_trace} jobs, "
-                    f"restore() was given {len(trace)}"
-                )
-            if any(job.state is not _PENDING for job in trace):
-                raise CheckpointError("restore() takes fresh PENDING jobs, as begin() does")
-            digest = _trace_digest(trace)
-            if digest != snapshot["trace_digest"]:
-                raise CheckpointError(
-                    "trace mismatch: the jobs given to restore() are not the ones "
-                    "the snapshot's run began with (static-field digest differs)"
-                )
-            all_jobs = trace + [
-                Job(**{name: data[name] for name in STATIC_FIELDS}) for data in snapshot["jobs"]
-            ]
-            started = []
-            for index, job_state, start_h, finish_h, cap_w, duration_h, energy_j in snapshot[
-                "started"
-            ]:
-                if not isinstance(index, int) or not 0 <= index < len(all_jobs):
-                    raise CheckpointError(
-                        f"started row index {index!r} is outside the {len(all_jobs)} jobs"
-                    )
-                started.append(
-                    (all_jobs[index], JobState(job_state), start_h, finish_h, cap_w,
-                     duration_h, float(energy_j))
-                )
-            jobs_by_id = {job.job_id: job for job in all_jobs}
-            events: list[Event] = []
-            for time_h, type_value, sequence, payload in snapshot["events"]:
-                event_type = EventType(type_value)
-                if event_type is EventType.JOB_SUBMIT:
-                    payload = jobs_by_id[payload]
-                events.append(
-                    Event(
-                        time_h=float(time_h),
-                        priority=int(event_type),
-                        sequence=int(sequence),
-                        event_type=event_type,
-                        payload=payload,
-                    )
-                )
-            pending = [jobs_by_id[job_id] for job_id in snapshot["pending"]]
-            running = {job_id: jobs_by_id[job_id] for job_id in snapshot["running"]}
-
-            self.cluster.restore_state(snapshot["cluster"])
-            for job, job_state, start_h, finish_h, cap_w, duration_h, energy_j in started:
-                job.state = job_state
-                job.start_time_h = start_h
-                job.finish_time_h = finish_h
-                job.assigned_power_cap_w = cap_w
-                job.actual_duration_h = duration_h
-                job.energy_j = energy_j
-            self._events.restore(events, float(snapshot["now_h"]), int(snapshot["next_sequence"]))
-            self._all_jobs = all_jobs
-            self._n_trace_jobs = n_trace
-            self._trace_digest = digest
-            self._seen_ids = set(jobs_by_id)
-            for job in pending:
-                self._enqueue(job)
-            self._running = running
-            self._tick_times = [float(t) for t in snapshot["tick_times"]]
-            self._tick_it_power = [float(p) for p in snapshot["tick_it_power"]]
-            self._current_it_power_w = float(snapshot["current_it_power_w"])
-            self._advanced_to = float(snapshot["advanced_to"])
-            self._begun = True
-            self._finalized = False
-            for observer, observer_state in zip(durable_observers, observer_states):
-                observer.restore_state(observer_state)
 
     @staticmethod
     def _record_for(job: Job) -> JobRecord:

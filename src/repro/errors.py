@@ -77,7 +77,7 @@ class ServeError(GreenHPCError, RuntimeError):
 
 
 class CheckpointError(GreenHPCError, RuntimeError):
-    """Raised when simulator state cannot be snapshotted, serialized or restored."""
+    """Raised when a checkpoint cannot be written, read or replayed."""
 
 
 class ArtifactError(GreenHPCError, RuntimeError):

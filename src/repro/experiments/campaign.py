@@ -67,7 +67,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from ..artifacts.keys import run_key
 from ..artifacts.store import ArtifactStore
 from ..config import config_to_jsonable
-from ..errors import ConfigurationError, DataError, SchedulingError
+from ..errors import ArtifactError, ConfigurationError, DataError, SchedulingError
 from ..obs.profile import RunProfile
 from ..obs.recorder import get_recorder
 from ..parallel.pool import ParallelConfig, map_parallel
@@ -393,6 +393,7 @@ def run_campaign(
     *,
     store: Optional[ArtifactStore] = None,
     force: bool = False,
+    simulate: bool = True,
 ) -> "CampaignResult":
     """Expand ``campaign`` and evaluate every point, in processes when asked.
 
@@ -416,7 +417,10 @@ def run_campaign(
     parallel dispatch) and are persisted.  ``force=True`` recomputes every
     point and overwrites its artifact.  With a store, every result — cached
     or fresh — is normalized through its stored JSON form, so warm and cold
-    runs of the same campaign yield byte-identical rows.
+    runs of the same campaign yield byte-identical rows.  ``simulate=False``
+    forbids simulation: when any point has no readable cached artifact it
+    raises :class:`~repro.errors.ArtifactError` naming them, before anything
+    runs.
     """
     points = campaign.expand()  # point.index is the point's position
     recorder = get_recorder()
@@ -435,6 +439,14 @@ def run_campaign(
                         "campaign.point", index=point.index, experiment=point.experiment, cache="hit"
                     )
         missed = [point for point in points if results[point.index] is None]
+        if missed and not simulate:
+            indices = [point.index for point in missed]
+            raise ArtifactError(
+                f"{len(missed)} of {len(points)} run artifact(s) missing from the "
+                f"artifact store (point indices {indices[:10]}"
+                f"{', ...' if len(indices) > 10 else ''}); run the sweep with "
+                f"--cache-dir first, or pass simulate=True (greenhpc report --simulate)"
+            )
         if missed:
             # Grouped by spec, first appearance first (sorted computes each
             # key once, in list order), so no world is evicted from a

@@ -277,28 +277,18 @@ class CampaignDAG:
 
         Each stage first consults the store under its content key; only
         invalidated stages recompute (and persist).  ``simulate=False``
-        forbids simulator executions: if any run artifact is missing the
-        call raises :class:`~repro.errors.ArtifactError` naming the gap —
-        this is what lets ``greenhpc report`` render from a warm store with
-        a hard no-resimulation guarantee.  ``force=True`` recomputes every
+        forbids simulator executions: if any run artifact is missing or
+        unreadable, :func:`~repro.experiments.campaign.run_campaign` raises
+        :class:`~repro.errors.ArtifactError` naming the gap before anything
+        runs — this is what lets ``greenhpc report`` render from a warm store
+        with a hard no-resimulation guarantee.  Each artifact is read once.  ``force=True`` recomputes every
         stage, overwriting cached artifacts.
         """
-        if not simulate and not force:
-            missing = [
-                point.index
-                for point, key in zip(self.points, self.run_keys)
-                if self.store.get(key) is None
-            ]
-            if missing:
-                raise ArtifactError(
-                    f"{len(missing)} of {len(self.points)} run artifact(s) missing from "
-                    f"the store at {self.store.root} (point indices {missing[:10]}"
-                    f"{', ...' if len(missing) > 10 else ''}); run the sweep with "
-                    f"--cache-dir first, or materialize with simulate=True"
-                )
-        elif not simulate and force:
+        if not simulate and force:
             raise ArtifactError("cannot force-recompute a DAG with simulate=False")
-        result = run_campaign(self.campaign, parallel, store=self.store, force=force)
+        result = run_campaign(
+            self.campaign, parallel, store=self.store, force=force, simulate=simulate
+        )
         stage_status = {"run": f"{result.cache_hits} cached, {result.cache_misses} simulated"}
         summary, stage_status["summarize"] = self._derive(
             "summarize", self.summarize_key, lambda: summarize_payload(result), force

@@ -629,22 +629,3 @@ class AdaptiveCapStage(PowerStage, SimulatorObserver):
         job.energy_j = accrued_j + self._segment_energy_j(
             job, simulator.cluster, since_h, now_h
         )
-
-    # -- checkpointing: the controller's caps and the accrual ledger are the
-    # only state that crosses scheduling rounds -----------------------------
-    def snapshot_state(self):
-        return {
-            "caps": dict(self.controller._current_caps),
-            "accrual": {job_id: list(entry) for job_id, entry in self._accrual.items()},
-        }
-
-    def restore_state(self, state) -> None:
-        if state is None:
-            return  # checkpoint taken before the stage accumulated any state
-        self.controller._current_caps = {
-            job_id: float(cap) for job_id, cap in state["caps"].items()
-        }
-        self._accrual = {
-            job_id: (float(since_h), float(accrued_j))
-            for job_id, (since_h, accrued_j) in state["accrual"].items()
-        }

@@ -15,9 +15,9 @@ live mid-run :class:`~repro.cluster.simulator.ClusterSimulator` sessions:
   router spec from the :mod:`repro.fleet.routing` grammar over the live
   sessions' queue/occupancy/grid snapshots without submitting anything.
 * **Checkpoint/restore** (:mod:`.checkpoint`) — periodic and
-  SIGTERM-drain checkpoints of each session's exact simulator state
-  (:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`); a restarted daemon
-  pointed at the same directory resumes every session **bit-identically**.
+  SIGTERM-drain checkpoints of each session's inputs (an append-only
+  journal of its client jobs); a restarted daemon pointed at the same
+  directory replays them and resumes every session **bit-identically**.
 * **Client** (:mod:`.client`) — a pure-stdlib :class:`ServeClient`;
   ``examples/serve_client.py`` walks the whole lifecycle including a
   kill-and-restore.

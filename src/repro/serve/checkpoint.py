@@ -5,16 +5,26 @@ One directory holds every session's checkpoints as JSON files named
 ``os.replace``) so a crash mid-write never corrupts the latest restorable
 state, and only the newest ``keep`` checkpoints per session are retained.
 
-The payload written here is the service-level envelope: session metadata
-(scenario name, overrides, policy, power cap, preload size) next to the
-simulator's versioned snapshot dict
-(:meth:`~repro.cluster.simulator.ClusterSimulator.snapshot`, which also holds
-the run's horizon, tick and power budget) and one
-``[n_pending, n_running, it_power_w]`` triple per telemetry row already
-streamed.  The rows themselves are not stored: a restore rebuilds
-them from the snapshot's tick series and the scenario's grid context, so a
-restarted daemon resumes both the simulation *and* the stream exactly where
-they stopped.
+A checkpoint holds a session's inputs, not its state.  The payload is:
+
+* ``meta``: the session's creation parameters (scenario name, overrides,
+  policy, horizon, tick, power budget and cap, preload size) and its
+  checkpoint count;
+* ``journal``: one ``[advanced_to_h, static fields]`` entry per client job
+  the session accepted, in submission order, where ``advanced_to_h`` is the
+  session's cursor when the job came in.  The journal only grows, so each
+  checkpoint's journal is a prefix of the next one's;
+* ``advanced_to_h``: how far the session had advanced;
+* ``cursor``: the simulator's O(1)
+  :meth:`~repro.cluster.simulator.ClusterSimulator.snapshot` at that bound.
+
+The preload trace is not stored: the meta regenerates it.  A
+restore (:meth:`~repro.serve.session.ServeSession.from_checkpoint`) builds
+the session again, replays the journal, advances to ``advanced_to_h`` and
+checks that it reached ``cursor``.  The telemetry rows are regenerated on
+the way, so a restarted daemon resumes both the simulation *and* the stream
+exactly where they stopped.  A save costs a few hundred bytes per client
+job; the cost of a restore is one uninterrupted run up to the cursor.
 
 With a :class:`~repro.obs.metrics.MetricsRegistry`, every save counts into
 ``serve_checkpoints_total`` and ``serve_checkpoint_bytes_total`` and
@@ -35,10 +45,9 @@ from ..obs.metrics import MetricsRegistry
 
 __all__ = ["CHECKPOINT_FORMAT_VERSION", "SESSION_ID", "CheckpointStore"]
 
-#: Version of the service checkpoint envelope (the simulator snapshot inside
-#: carries its own version).  Version 3 keeps the run config only in the
-#: snapshot.
-CHECKPOINT_FORMAT_VERSION = 3
+#: Version of the checkpoint payload.  Version 4 is the input journal; the
+#: simulator snapshots of versions 1-3 are refused.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: The session ids a checkpoint file can be named after and listed again:
 #: ASCII letters and digits, ``-`` and ``_``.

@@ -37,9 +37,15 @@ one — gets a 503 and its connection is closed, so no session moves past its
 drain checkpoint; :meth:`ServeDaemon.close` ends every connection still open.
 
 Robustness: every session is checkpointed periodically during ``advance``
-and on SIGTERM/SIGINT (graceful drain), and a restarting daemon pointed at
-the same ``--checkpoint-dir`` restores every session before accepting
-requests — the kill-and-restart path the CI smoke exercises.
+and on SIGTERM/SIGINT (graceful drain).  A checkpoint is the session's input
+journal (its creation parameters, the client jobs it accepted and the
+cursor each came in at, and how far it had advanced), a few hundred bytes
+per client job, so saving it costs no simulator snapshot.  A restarting
+daemon pointed at the same ``--checkpoint-dir`` restores every session
+before accepting requests by replaying its newest usable journal, falling
+back to an older checkpoint when the newest cannot be read or replayed;
+``serve_restore_seconds`` on ``/metrics`` times each replay.  A restore
+costs one uninterrupted run up to the session's cursor.
 """
 
 from __future__ import annotations
@@ -326,7 +332,7 @@ class ServeDaemon:
         self.verbose = bool(verbose)
         self.restored: list[str] = []
         if self.store is not None:
-            self.restored = self.manager.restore_all(self.store)
+            self.restored = self.manager.restore_all(self.store, metrics=self.metrics)
 
         handler = type("BoundHandler", (_JsonHandler,), {"daemon": self})
         accepted = self.metrics.counter(

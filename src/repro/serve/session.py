@@ -1,10 +1,10 @@
 """Live simulation sessions and the daemon's session manager.
 
 A :class:`ServeSession` is one warm world: a mid-run
-:class:`~repro.cluster.simulator.ClusterSimulator` plus the telemetry rows
-it has streamed, guarded by a per-session lock so HTTP handler threads can
-submit jobs, advance time, stream ticks and checkpoint concurrently without
-corrupting the event loop.
+:class:`~repro.cluster.simulator.ClusterSimulator`, the telemetry rows it
+has streamed and the journal of client jobs it was fed, guarded by a
+per-session lock so HTTP handler threads can submit jobs, advance time,
+stream ticks and checkpoint concurrently without corrupting the event loop.
 
 The :class:`SessionManager` builds every session's substrates through one
 (thread-safe) :class:`~repro.experiments.ExperimentSession`, which caches
@@ -31,6 +31,7 @@ from ..errors import CheckpointError, ServeError, checkpoint_fields
 from ..experiments.session import ExperimentSession
 from ..experiments.spec import SCENARIO_OVERRIDES, ScenarioSpec, get_scenario, get_site
 from ..fleet.routing import SiteSnapshot, make_router
+from ..obs.metrics import MetricsRegistry
 from ..scheduler.job import STATIC_FIELDS, Job
 from .checkpoint import CHECKPOINT_FORMAT_VERSION, SESSION_ID, CheckpointStore
 
@@ -70,11 +71,6 @@ _JOB_TYPED_FIELDS = {
 
 class UnknownSessionError(ServeError):
     """Raised when a request addresses a session id the daemon does not hold."""
-
-
-def _spec_hash(spec: ScenarioSpec) -> str:
-    """A short stable digest of a scenario spec (the substrate-sharing key)."""
-    return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
 def number_field(body: dict[str, Any], field: str, kind: type, default: Any = None) -> Any:
@@ -128,9 +124,8 @@ def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
 class TelemetryObserver(SimulatorObserver):
     """Feeds every recording tick into the owning session's stream buffer.
 
-    Stateless by design (the rows live on the session; the service checkpoint
-    carries what rebuilds them), so the base class's null snapshot protocol
-    applies.
+    Stateless by design: the rows live on the session, and a restore
+    regenerates them by replaying the session's inputs through this observer.
     """
 
     def __init__(self, session: "ServeSession") -> None:
@@ -144,10 +139,9 @@ class ServeSession:
     """One live, lockable simulation session held by the daemon.
 
     Build through :meth:`create` (fresh) or :meth:`from_checkpoint`
-    (restored).  Both go through this constructor, which builds the
-    simulator from the scenario's cached substrates — restoring must rebuild
-    it exactly as creation did so an adopted snapshot continues
-    bit-identically, and restarts share builds with surviving sessions.
+    (restored, which replays a checkpoint's journal on a :meth:`create`-d
+    session).  The simulator is built from the scenario's cached
+    substrates, so restarts share builds with surviving sessions.
     """
 
     def __init__(
@@ -166,6 +160,8 @@ class ServeSession:
         self.scenario_name = scenario_name
         self.overrides = dict(overrides)
         self.spec = resolve_spec(scenario_name, self.overrides)
+        #: Digest of the scenario spec (the substrate-sharing key).
+        self.spec_hash = hashlib.sha256(repr(self.spec).encode()).hexdigest()[:16]
         self.policy = policy
         self.power_cap_fraction = power_cap_fraction
         self.preload_jobs = int(preload_jobs)
@@ -177,6 +173,9 @@ class ServeSession:
         self.result = None  # SimulationResult after finalize()
         self.result_summary: Optional[dict[str, Any]] = None
         self._ticks: list[dict[str, Any]] = []
+        #: ``[advanced_to_h, static fields]`` of every client job the
+        #: simulator accepted, in submission order: the checkpoint's journal.
+        self._journal: list[list] = []
         self.lock = threading.RLock()
         #: Signals new telemetry rows / finalization to streaming readers.
         self.ticks_available = threading.Condition(self.lock)
@@ -229,32 +228,49 @@ class ServeSession:
 
     @classmethod
     def from_checkpoint(cls, payload: dict, world: ExperimentSession) -> "ServeSession":
-        """Rebuild a session (simulator + telemetry backlog) from a checkpoint.
+        """Rebuild a session by replaying a checkpoint's input journal.
 
-        The simulation config is the snapshot's own ``config``, the preload
-        trace is regenerated from the world (the same cached call
-        :meth:`create` makes) and the telemetry rows are rebuilt from the
-        restored tick series plus the per-tick counts the envelope carries.
-        Raises :class:`~repro.errors.CheckpointError` when the payload is
-        missing a field or holds a value this build cannot restore.
+        The session is built again with :meth:`create` from the checkpoint's
+        meta.  Each journal entry is replayed in order: advance to the cursor
+        the job was submitted at, then submit it.  Last, the session advances
+        to ``advanced_to_h``.  Replay writes no checkpoints, and the
+        telemetry observer regenerates every row as it goes.  Advancing to
+        each entry's own cursor keeps replay exact even when a job was
+        submitted at the instant of the last processed event, which a live
+        session then drains twice.
+
+        The replayed simulator's :meth:`~repro.cluster.simulator.
+        ClusterSimulator.snapshot` must equal the checkpoint's ``cursor``.
+        Raises :class:`~repro.errors.CheckpointError` when it does not, when
+        the payload is missing a field, or when it holds a value this build
+        cannot replay.
         """
         with checkpoint_fields("checkpoint"):
             meta = payload["meta"]
-            snapshot = payload["snapshot"]
-            session = cls(
+            session = cls.create(
                 session_id=meta["session_id"],
                 scenario_name=meta["scenario"],
                 overrides=meta["overrides"],
                 policy=meta["policy"],
-                config=SimulationConfig(**snapshot["config"]),
+                horizon_h=meta["horizon_h"],
+                tick_h=meta["tick_h"],
+                facility_power_budget_w=meta["facility_power_budget_w"],
                 power_cap_fraction=meta["power_cap_fraction"],
                 preload_jobs=meta["preload_jobs"],
                 world=world,
             )
-            session.simulator.restore(snapshot, session._preload_trace(world))
-            session._ticks = session._rebuild_ticks(snapshot["tick_times"], payload["ticks"])
-            session.checkpoint_count = int(meta.get("checkpoint_count", 0))
-            session.last_checkpoint_h = float(snapshot["now_h"])
+            for cursor_h, job in payload["journal"]:
+                session.advance_to(cursor_h)
+                session.submit_jobs([job])
+            session.advance_to(payload["advanced_to_h"])
+            replayed = session.simulator.snapshot()
+            if replayed != payload["cursor"]:
+                raise CheckpointError(
+                    f"replay of session {session.session_id!r} diverged: the checkpoint "
+                    f"was written at {payload['cursor']!r}, the replay reached {replayed!r}"
+                )
+            session.checkpoint_count = int(meta["checkpoint_count"])
+            session.last_checkpoint_h = session.advanced_to_h
         return session
 
     def _preload_trace(self, world: ExperimentSession) -> list[Job]:
@@ -268,32 +284,9 @@ class ServeSession:
         )
         return [job.clone_pending() for job in trace]
 
-    def _rebuild_ticks(self, tick_times: list, counts: list) -> list[dict[str, Any]]:
-        """Telemetry rows, one per restored tick time.
-
-        ``counts`` holds the envelope's ``[n_pending, n_running, it_power_w]``
-        that each row sampled at its tick.
-        """
-        if len(counts) != len(tick_times):
-            raise CheckpointError(
-                f"checkpoint carries {len(counts)} telemetry rows for "
-                f"{len(tick_times)} recorded ticks"
-            )
-        return [
-            self._tick_row(tick, now_h, it_power_w, n_pending, n_running)
-            for tick, (now_h, (n_pending, n_running, it_power_w)) in enumerate(
-                zip(tick_times, counts)
-            )
-        ]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def spec_hash(self) -> str:
-        """Digest of the session's scenario spec (the substrate-sharing key)."""
-        return _spec_hash(self.spec)
-
     @property
     def finalized(self) -> bool:
         """Whether the session's run has been finalized."""
@@ -353,6 +346,9 @@ class ServeSession:
                 raise ServeError(f"session {self.session_id!r} is finalized")
             for job in built:
                 self.simulator.submit(job)
+                self._journal.append(
+                    [self.advanced_to_h, {name: getattr(job, name) for name in STATIC_FIELDS}]
+                )
         return len(built)
 
     @staticmethod
@@ -487,13 +483,13 @@ class ServeSession:
     # Checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self, store: CheckpointStore) -> str:
-        """Write this session's full state to the store; returns the file path."""
+        """Write this session's inputs to the store; returns the file path."""
         with self.lock:
             if self.finalized:
                 raise ServeError(
                     f"session {self.session_id!r} is finalized; nothing left to checkpoint"
                 )
-            snapshot = self.simulator.snapshot()
+            config = self.simulator.config
             self.checkpoint_count += 1
             payload = {
                 "format": CHECKPOINT_FORMAT_VERSION,
@@ -502,22 +498,20 @@ class ServeSession:
                     "scenario": self.scenario_name,
                     "overrides": dict(self.overrides),
                     "policy": self.policy,
+                    "horizon_h": config.horizon_h,
+                    "tick_h": config.tick_h,
+                    "facility_power_budget_w": config.facility_power_budget_w,
                     "power_cap_fraction": self.power_cap_fraction,
                     "preload_jobs": self.preload_jobs,
                     "checkpoint_count": self.checkpoint_count,
                 },
-                "snapshot": snapshot,
-                # Rows are rebuilt on restore from the tick series; only what
-                # a row sampled at its tick is kept.  it_power_w stays because
-                # an earlier tick hook (an adaptive cap) can change power
-                # after the simulator's tick series records it.
-                "ticks": [
-                    [row["n_pending"], row["n_running"], row["it_power_w"]]
-                    for row in self._ticks
-                ],
+                "journal": self._journal,
+                "advanced_to_h": self.advanced_to_h,
+                # What the replay must reach, as a check on it.
+                "cursor": self.simulator.snapshot(),
             }
             path = store.save(self.session_id, payload)
-            self.last_checkpoint_h = snapshot["now_h"]
+            self.last_checkpoint_h = self.advanced_to_h
             return str(path)
 
 
@@ -579,8 +573,20 @@ class SessionManager:
             self._sessions[session.session_id] = session
         return session
 
-    def restore_all(self, store: CheckpointStore) -> list[str]:
-        """Restore every session with a usable checkpoint; returns restored ids."""
+    def restore_all(
+        self, store: CheckpointStore, *, metrics: Optional[MetricsRegistry] = None
+    ) -> list[str]:
+        """Restore every session with a usable checkpoint; returns restored ids.
+
+        With ``metrics``, each restored session's replay time is observed in
+        the ``serve_restore_seconds`` histogram.
+        """
+        seconds = None
+        if metrics is not None:
+            seconds = metrics.histogram(
+                "serve_restore_seconds",
+                help="Time to restore one session by replaying its checkpoint journal",
+            )
         restored = []
         for session_id in store.session_ids():
             with self._lock:
@@ -589,10 +595,13 @@ class SessionManager:
             # Newest first: a checkpoint that parses but does not restore
             # falls back to an older one.  Unrestorable files are left be.
             for path in reversed(store.checkpoints(session_id)):
+                start = time.perf_counter()
                 try:
                     self.restore_session(store.load(path))
                 except CheckpointError:
                     continue
+                if seconds is not None:
+                    seconds.observe(time.perf_counter() - start)
                 restored.append(session_id)
                 break
         return restored

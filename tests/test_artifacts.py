@@ -205,6 +205,30 @@ class TestCampaignDAG:
         assert "# Campaign report" in outcome.report_markdown
         assert "<svg" in outcome.report_html
 
+    def test_simulate_false_reads_each_artifact_once(self, store, monkeypatch):
+        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
+        dag.materialize()
+        reads = []
+        get = ArtifactStore.get
+
+        def counted(self, key):
+            reads.append(key)
+            return get(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "get", counted)
+        dag.materialize(simulate=False)
+        keys = [*dag.run_keys, dag.summarize_key, dag.compare_key, dag.report_key]
+        assert sorted(reads) == sorted(keys)
+        assert len(reads) == 7
+
+    def test_simulate_false_refuses_an_unreadable_run_artifact(self, store):
+        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
+        dag.materialize()
+        store.path_for(dag.run_keys[2]).write_text("{truncated")
+        with pytest.raises(ArtifactError, match=r"1 of 4 .* indices \[2\]"):
+            dag.materialize(simulate=False)
+        assert store.get(dag.run_keys[2]) is None  # nothing was re-simulated
+
     def test_editing_one_grid_value_invalidates_only_that_subgraph(self, store):
         dag = CampaignDAG(CampaignSpec(**CHEAP), store)
         dag.materialize()

@@ -51,6 +51,8 @@ from repro.obs import (
 )
 from repro.parallel import ParallelConfig
 from repro.scheduler.job import Job
+from repro.serve.checkpoint import CheckpointStore
+from repro.serve.session import SessionManager
 
 
 @pytest.fixture(autouse=True)
@@ -406,25 +408,39 @@ class TestSimulatorInstrumentation:
         assert traced.job_records == untraced.job_records
         assert traced.it_energy_kwh == untraced.it_energy_kwh
 
-    def test_snapshot_portable_across_tracing_modes(self):
+    def test_snapshot_portable_across_tracing_modes(self, tmp_path):
+        def session(manager):
+            return manager.create_session(
+                {"session_id": "a", "scenario": "supercloud-small", "horizon_h": 24,
+                 "preload_jobs": 30}
+            )
+
+        def checkpointed(directory):
+            store = CheckpointStore(directory)
+            live = session(SessionManager())
+            live.advance_to(6.0)
+            live.checkpoint(store)
+            return store
+
+        def restored(store):
+            manager = SessionManager()
+            assert manager.restore_all(store) == ["a"]
+            return manager.get("a")
+
+        reference = session(SessionManager())
+        reference.finalize()
         # Checkpoint with tracing ON (a transient MetricsObserver attached)...
         with recording(TraceRecorder()):
-            source = _simulator()
-            source.begin(_jobs())
-            source.advance(6.0)
-            snapshot = source.snapshot()
+            traced_store = checkpointed(tmp_path / "traced")
         # ...must restore with tracing OFF (no MetricsObserver), and vice versa.
-        plain = _simulator()
-        plain.restore(snapshot, _jobs())
-        resumed = plain.finalize()
-        reference = _simulator().run(_jobs())
-        assert resumed.job_records == reference.job_records
-        plain2 = _simulator()
-        plain2.begin(_jobs())
-        plain2.advance(6.0)
+        plain = restored(traced_store)
+        plain.finalize()
+        assert plain.result.job_records == reference.result.job_records
+        plain_store = checkpointed(tmp_path / "plain")
         with recording(TraceRecorder()):
-            traced2 = _simulator()
-            traced2.restore(plain2.snapshot(), _jobs())
+            traced = restored(plain_store)
+            traced.finalize()
+        assert traced.result.job_records == reference.result.job_records
 
 
 class TestFleetInstrumentation:

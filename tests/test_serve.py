@@ -514,7 +514,7 @@ class TestTransport:
         assert time.perf_counter() - start < 5.0  # not the 30 s idle timeout
         assert not any(handler.is_alive() for handler in handlers)
         assert daemon.manager.get("drained").advanced_to_h == 6.0
-        assert daemon.store.latest("drained")["snapshot"]["advanced_to"] == 6.0
+        assert daemon.store.latest("drained")["advanced_to_h"] == 6.0
         connection.close()
         client.close()
 
@@ -601,15 +601,15 @@ def _rows_as_json(rows) -> str:
 class TestCheckpointRestore:
     @pytest.mark.parametrize(
         "policy",
-        # The adaptive cap's controller state rides in the snapshot, and its
-        # budget binds on this trace.
+        # The adaptive cap's controller state is rebuilt by the replay, and
+        # its budget binds on this trace.
         ["backfill", "backfill+adaptive(budget_w=6000)"],
     )
     def test_restart_resumes_bit_identically(self, tmp_path, policy):
         """The acceptance gate: kill at hour 36, restore, finish — same summary and stream."""
         ckpt = str(tmp_path / "ckpt")
         # A client job that is not in the preload trace: restore cannot
-        # regenerate it, so the checkpoint must carry it whole.
+        # regenerate it, so the checkpoint's journal must carry it.
         late = {
             "job_id": "client-late",
             "user_id": "u",
@@ -674,11 +674,46 @@ class TestCheckpointRestore:
         client.close()
         assert "drained" in daemon.store.session_ids()
         payload = daemon.store.latest("drained")
-        assert payload["snapshot"]["advanced_to"] == 12.0
+        assert payload["advanced_to_h"] == 12.0
         # And a fresh daemon restores it.
         daemon2 = ServeDaemon(port=0, checkpoint_dir=ckpt)
         assert daemon2.restored == ["drained"]
         daemon2.close()
+
+    def test_restore_time_is_on_metrics(self, tmp_path):
+        """A restarted daemon observes one replay time per restored session."""
+        from urllib import request as urlrequest
+
+        ckpt = str(tmp_path / "ckpt")
+        daemon = ServeDaemon(port=0, checkpoint_dir=ckpt)
+        manager = daemon.manager
+        for session_id in ("r1", "r2"):
+            session = manager.create_session(
+                {"session_id": session_id, "scenario": "supercloud-small", "preload_jobs": 30}
+            )
+            session.advance_to(24.0)
+            session.checkpoint(daemon.store)
+        daemon.close()
+
+        daemon = ServeDaemon(port=0, checkpoint_dir=ckpt)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert daemon.restored == ["r1", "r2"]
+            url = f"http://127.0.0.1:{daemon.port}/metrics"
+            with urlrequest.urlopen(url, timeout=10) as resp:
+                text = resp.read().decode()
+        finally:
+            daemon._server.shutdown()
+            daemon.close()
+            thread.join(timeout=5)
+        values = dict(
+            line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+        )
+        assert "# TYPE serve_restore_seconds histogram" in text
+        assert values["serve_restore_seconds_count"] == "2"
+        assert values['serve_restore_seconds_bucket{le="+Inf"}'] == "2"
+        assert float(values["serve_restore_seconds_sum"]) > 0.0
 
     def test_checkpoint_disabled_without_dir(self):
         daemon = ServeDaemon(port=0, checkpoint_dir=None)

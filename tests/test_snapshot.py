@@ -1,16 +1,19 @@
-"""Simulator checkpoint/restore, corrupt checkpoints, stepping-API misuse, and session thread safety.
+"""Serve checkpoints as input journals: replay parity, failure paths, stepping misuse.
 
-The headline property: restoring a mid-run snapshot onto a freshly built
-simulator and advancing to the horizon yields job records **bit-identical**
-to the uninterrupted run — across plain policies, stateful composed
-pipelines (the adaptive power-cap observer) and fleet member scenarios, and
-surviving a JSON round trip of the snapshot dict.
+The headline property: a session checkpointed mid-run and restored by
+replaying its journal on a fresh session manager (a restarted daemon), then
+advanced to the horizon, equals the uninterrupted session bit for bit: its
+job records, IT and facility power series, tick times and every telemetry
+row.  This holds across plain policies, stateful composed pipelines (the
+adaptive power-cap observer), a deep client-submitted queue in either
+arrival order, a session at a fleet member's site, client jobs with future
+submit times, a job submitted at the instant of the last processed event,
+and submissions after a restore.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import threading
@@ -19,35 +22,28 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.cooling import CoolingModel
-from repro.cluster.observers import SimulatorObserver
 from repro.cluster.resources import Cluster
-from repro.cluster.simulator import ClusterSimulator, SimulationConfig, SNAPSHOT_VERSION
-from repro.config import FacilityConfig
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.levers import make_scheduler
 from repro.errors import CheckpointError, SimulationError, SteppingError
 from repro.experiments import ExperimentSession
 from repro.fleet import get_fleet
-from repro.scheduler.job import STATIC_FIELDS, Job, JobState
+from repro.scheduler.job import STATIC_FIELDS, Job
 from repro.serve.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
-from repro.serve.session import SessionManager
+from repro.serve.session import ServeSession, SessionManager
 
 HORIZON_H = 7 * 24.0
 
+#: The horizon of the replayed serve sessions.
+SESSION_HORIZON_H = 96
 
-def _fingerprint(result) -> str:
-    """sha256 over the full job-record table (the bit-identity witness)."""
-    records = tuple(
-        (
-            r.job_id,
-            r.start_time_h,
-            r.finish_time_h,
-            r.energy_j,
-            r.power_cap_w,
-            r.completed,
-        )
-        for r in result.job_records
-    )
-    return hashlib.sha256(repr(records).encode()).hexdigest()
+POLICIES = [
+    "backfill",
+    "backfill+adaptive(budget_w=6000)",
+    "edf+backfill+carbon(cap=0.7)",
+    "sjf+backfill+renewable(min_share=0.3)+cap(fraction=0.75)",
+    "backfill+carbon(cap=0.7)+budget",
+]
 
 
 def _build_simulator(world: ExperimentSession, policy: str) -> ClusterSimulator:
@@ -68,46 +64,193 @@ def world() -> ExperimentSession:
     return ExperimentSession("supercloud-small")
 
 
-@pytest.fixture(scope="module")
-def trace(world):
-    return world.job_trace(n_jobs=150, horizon_h=HORIZON_H)
+def _job(job_id, submit_time_h, **fields):
+    return {
+        "job_id": job_id,
+        "user_id": "client",
+        "n_gpus": 4,
+        "duration_h": 6.0,
+        "submit_time_h": submit_time_h,
+        **fields,
+    }
+
+
+def _now_h(session: ServeSession) -> float:
+    """The instant of the session's last processed event."""
+    return session.simulator.snapshot()["now_h"]
+
+
+#: Client submissions made just before advancing to the keyed hour, as
+#: functions of the live session.  Hours 10 and 20 submit before the
+#: restore at hour 48, hours 55 and 70 after it.
+CLIENT_JOBS = {
+    # Future submit times, one with a deadline, one capped and deferrable.
+    10: lambda s: [
+        _job("future-a", 30.0, deadline_h=60.0, tags={"kind": "training"}),
+        _job("future-b", 44.5, n_gpus=8, utilization=0.6, power_cap_fraction=0.8,
+             deferrable=True, max_defer_h=12.0),
+    ],
+    # At the instant of the last processed event: that instant drains twice.
+    20: lambda s: [_job("same-instant", _now_h(s), n_gpus=16, duration_h=3.0)],
+    # After the restore: one at the last instant, one in the future.
+    55: lambda s: [_job("after-restore", _now_h(s), n_gpus=2), _job("late", 80.0)],
+    70: lambda s: [_job("last", 75.25, priority=3, queue_name="debug")],
+}
+
+
+def _drive(policy: str, store_dir: Path, *, restore_at=None):
+    """A serve session advanced hour by hour with CLIENT_JOBS, then finalized.
+
+    With ``restore_at`` the session is checkpointed at that hour and the
+    rest runs on the session a fresh manager (a restarted daemon) restores.
+    Returns the final session.
+    """
+    manager = SessionManager()
+    session = manager.create_session(
+        {
+            "session_id": "replayed",
+            "scenario": "supercloud-small",
+            "policy": policy,
+            "horizon_h": SESSION_HORIZON_H,
+            "preload_jobs": 150,
+        }
+    )
+    store = CheckpointStore(store_dir, keep=100)
+    for hour in range(1, SESSION_HORIZON_H + 1):
+        if hour in CLIENT_JOBS:
+            session.submit_jobs(CLIENT_JOBS[hour](session))
+        session.advance_to(float(hour))
+        if hour == restore_at:
+            session.checkpoint(store)
+            manager = SessionManager()
+            assert manager.restore_all(store) == ["replayed"]
+            session = manager.get("replayed")
+            assert session.advanced_to_h == float(hour)
+    session.finalize()
+    return session
+
+
+def _assert_same_run(resumed: ServeSession, reference: ServeSession) -> None:
+    got, want = resumed.result, reference.result
+    assert got.job_records == want.job_records
+    assert got.it_power_w.tolist() == want.it_power_w.tolist()
+    assert got.facility_power_w.tolist() == want.facility_power_w.tolist()
+    assert got.tick_times_h.tolist() == want.tick_times_h.tolist()
+    assert resumed.ticks_since(0) == reference.ticks_since(0)
+    assert resumed.result_summary == reference.result_summary
+
+
+class TestReplayParity:
+    """A replayed restore equals the uninterrupted session, bit for bit."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_restored_equals_uninterrupted(self, tmp_path, policy):
+        reference = _drive(policy, tmp_path / "reference")
+        resumed = _drive(policy, tmp_path / "resumed", restore_at=48)
+        # Every client job ran, so each one's replay shows in the records.
+        started = {r.job_id for r in reference.result.job_records if r.start_time_h is not None}
+        client_ids = [fields["job_id"] for _, fields in reference._journal]
+        assert len(client_ids) == 6 and set(client_ids) <= started
+        assert len(reference.ticks_since(0)) == SESSION_HORIZON_H + 1
+        _assert_same_run(resumed, reference)
+
+    def test_a_restore_at_a_submit_hour_replays_that_submit(self, tmp_path):
+        """The checkpoint hour's own client job is the journal's last entry."""
+        reference = _drive("backfill", tmp_path / "reference")
+        resumed = _drive("backfill", tmp_path / "resumed", restore_at=20)
+        _assert_same_run(resumed, reference)
+
+    def test_replay_needs_each_entry_at_its_own_cursor(self, tmp_path):
+        """Submitting the journal up front would drain a same-instant job's instant once.
+
+        The live session submits a job at t=0 after advancing to t=1, so the
+        tick at t=0 has already sampled an idle cluster and the job starts
+        in a second round at t=0.  The replay reproduces that; a run given
+        the job before advancing samples it running at t=0.
+        """
+
+        def session(manager):
+            return manager.create_session(
+                {"session_id": "a", "scenario": "supercloud-small", "horizon_h": 6}
+            )
+
+        live = session(SessionManager())
+        live.advance_to(1.0)
+        assert _now_h(live) == 0.0
+        live.submit_jobs([_job("c1", 0.0)])
+        live.advance_to(4.0)
+        store = CheckpointStore(tmp_path)
+        live.checkpoint(store)
+        manager = SessionManager()
+        assert manager.restore_all(store) == ["a"]
+        assert manager.get("a").ticks_since(0) == live.ticks_since(0)
+        assert live.ticks_since(0)[0]["n_running"] == 0
+
+        upfront = session(SessionManager())
+        upfront.submit_jobs([_job("c1", 0.0)])
+        upfront.advance_to(4.0)
+        assert upfront.ticks_since(0)[0]["n_running"] == 1
+        assert upfront.ticks_since(0)[1:] == live.ticks_since(0)[1:]
+
+
+
+def _restarted(session: ServeSession, store_dir: Path) -> ServeSession:
+    """``session`` checkpointed and restored by a fresh manager (a restarted daemon)."""
+    store = CheckpointStore(store_dir)
+    session.checkpoint(store)
+    manager = SessionManager()
+    assert manager.restore_all(store) == [session.session_id]
+    restored = manager.get(session.session_id)
+    assert restored.advanced_to_h == session.advanced_to_h
+    return restored
+
+
+def _client_fields(job: Job) -> dict:
+    return {name: getattr(job, name) for name in STATIC_FIELDS}
+
+
+def _session(policy="backfill", preload_jobs=150, **params) -> ServeSession:
+    return SessionManager().create_session(
+        {
+            "session_id": "a",
+            "scenario": "supercloud-small",
+            "policy": policy,
+            "horizon_h": HORIZON_H,
+            "preload_jobs": preload_jobs,
+            **params,
+        }
+    )
 
 
 class TestRestoreParity:
-    """restore(snapshot) + finalize == uninterrupted run, bit for bit."""
+    """restore + finalize == the uninterrupted session, over a week's horizon."""
 
     @pytest.mark.parametrize(
         "policy",
         [
             "backfill",
             "carbon-aware",
-            # A composed pipeline whose adaptive-cap stage is a *stateful*
-            # observer: its controller caps and energy-accrual ledger must
-            # ride along in the snapshot.
+            # A composed pipeline whose adaptive-cap stage is a stateful
+            # observer: replay must rebuild its caps and energy ledger.
             "backfill+adaptive(budget_w=25000)",
         ],
     )
-    def test_policy_parity_through_json(self, world, trace, policy):
-        reference = _fingerprint(
-            _build_simulator(world, policy).run([j.clone_pending() for j in trace])
-        )
-
-        interrupted = _build_simulator(world, policy)
-        interrupted.begin([j.clone_pending() for j in trace])
-        interrupted.advance(48.0)
-        payload = json.loads(json.dumps(interrupted.snapshot()))
-
-        resumed = _build_simulator(world, policy)
-        resumed.restore(payload, [j.clone_pending() for j in trace])
-        assert _fingerprint(resumed.finalize()) == reference
+    def test_policy_parity_through_json(self, tmp_path, policy):
+        reference = _session(policy)
+        reference.finalize()
+        interrupted = _session(policy)
+        interrupted.advance_to(48.0)
+        resumed = _restarted(interrupted, tmp_path)
+        resumed.finalize()
+        _assert_same_run(resumed, reference)
 
     @pytest.mark.parametrize(
         "policy",
         ["edf+backfill+carbon(cap=0.7)", "sjf+backfill+renewable(min_share=0.3)"],
     )
     @pytest.mark.parametrize("arrival", ["trace-order", "same-instant-ids-reversed"])
-    def test_non_submit_ordering_parity_on_a_deep_queue(self, world, policy, arrival):
-        """The restored queue keeps the policy's order, not the arrival order."""
+    def test_non_submit_ordering_parity_on_a_deep_queue(self, world, tmp_path, policy, arrival):
+        """The replayed queue keeps the policy's order, not the arrival order."""
         trace = world.job_trace(n_jobs=600, horizon_h=HORIZON_H)
         if arrival == "same-instant-ids-reversed":
             # Submits floored to the hour, listed so that the jobs of one
@@ -117,249 +260,333 @@ class TestRestoreParity:
                 for job in sorted(trace, key=lambda job: job.job_id, reverse=True)
             ]
             trace = sorted(floored, key=lambda job: job.submit_time_h)
-        reference = _fingerprint(
-            _build_simulator(world, policy).run([j.clone_pending() for j in trace])
-        )
+        jobs = [_client_fields(job) for job in trace]
 
-        interrupted = _build_simulator(world, policy)
-        interrupted.begin([j.clone_pending() for j in trace])
-        interrupted.advance(96.0)
-        assert interrupted.n_pending >= 15
-        payload = json.loads(json.dumps(interrupted.snapshot()))
+        reference = _session(policy, preload_jobs=0)
+        reference.submit_jobs(jobs)
+        reference.finalize()
+        interrupted = _session(policy, preload_jobs=0)
+        interrupted.submit_jobs(jobs)
+        interrupted.advance_to(96.0)
+        assert interrupted.simulator.n_pending >= 15
+        resumed = _restarted(interrupted, tmp_path)
+        resumed.finalize()
+        _assert_same_run(resumed, reference)
 
-        resumed = _build_simulator(world, policy)
-        resumed.restore(payload, [j.clone_pending() for j in trace])
-        assert _fingerprint(resumed.finalize()) == reference
-
-    def test_fleet_member_parity(self):
-        """A fleet member spec (relocated scenario) restores bit-identically too."""
+    def test_fleet_member_parity(self, tmp_path):
+        """A session relocated to a fleet member's site restores bit-identically too."""
         member = get_fleet("duo-climate-small").members[1]  # the desert twin
-        world = ExperimentSession(member)
-        trace = world.job_trace(n_jobs=100, horizon_h=HORIZON_H)
-        reference = _fingerprint(
-            _build_simulator(world, "backfill").run([j.clone_pending() for j in trace])
-        )
-        interrupted = _build_simulator(world, "backfill")
-        interrupted.begin([j.clone_pending() for j in trace])
-        interrupted.advance(24.0)
-        snapshot = interrupted.snapshot()
-        resumed = _build_simulator(world, "backfill")
-        resumed.restore(snapshot, [j.clone_pending() for j in trace])
-        assert _fingerprint(resumed.finalize()) == reference
+        reference = _session(preload_jobs=100, site="phoenix-az")
+        assert reference.spec.site == member.site != _session().spec.site
+        reference.finalize()
+        interrupted = _session(preload_jobs=100, site="phoenix-az")
+        interrupted.advance_to(24.0)
+        resumed = _restarted(interrupted, tmp_path)
+        resumed.finalize()
+        _assert_same_run(resumed, reference)
 
-    def test_restore_then_submit_continues(self, world, trace):
-        """A restored run accepts further mid-run submissions."""
-        interrupted = _build_simulator(world, "backfill")
-        interrupted.begin([j.clone_pending() for j in trace])
-        interrupted.advance(24.0)
-        snapshot = interrupted.snapshot()
-        resumed = _build_simulator(world, "backfill")
-        resumed.restore(snapshot, [j.clone_pending() for j in trace])
-        resumed.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0))
-        result = resumed.finalize()
-        late = next(r for r in result.job_records if r.job_id == "late")
+    def test_restore_then_submit_continues(self, tmp_path):
+        """A restored session accepts further submissions, and journals them."""
+        interrupted = _session()
+        interrupted.advance_to(24.0)
+        resumed = _restarted(interrupted, tmp_path)
+        assert resumed.submit_jobs([_job("late", 30.0, n_gpus=1, duration_h=2.0)]) == 1
+        assert [fields["job_id"] for _, fields in resumed._journal] == ["late"]
+        resumed.finalize()
+        late = next(r for r in resumed.result.job_records if r.job_id == "late")
         assert late.completed
 
-    def test_snapshot_is_a_pure_read(self, world, trace):
-        """Taking a snapshot does not move the run it captures."""
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin([j.clone_pending() for j in trace])
-        simulator.advance(48.0)
-        first = simulator.snapshot()
-        assert simulator.snapshot() == first
-        pending = {event[2] for event in first["events"]}
-        simulator.submit(Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=50.0))
-        pushed = {event[2] for event in simulator.snapshot()["events"]}
-        assert pushed - pending == {first["next_sequence"]}
-
-    def test_tick_series_preserved(self, world, trace):
+    def test_tick_series_preserved(self, tmp_path):
         """The restored run's power series covers the whole horizon seamlessly."""
-        uninterrupted = _build_simulator(world, "backfill")
-        reference = uninterrupted.run([j.clone_pending() for j in trace])
-        interrupted = _build_simulator(world, "backfill")
-        interrupted.begin([j.clone_pending() for j in trace])
-        interrupted.advance(60.0)
-        resumed = _build_simulator(world, "backfill")
-        resumed.restore(interrupted.snapshot(), [j.clone_pending() for j in trace])
-        result = resumed.finalize()
-        assert result.it_power_w.tolist() == reference.it_power_w.tolist()
-        assert result.facility_energy_kwh == reference.facility_energy_kwh
+        reference = _session()
+        reference.finalize()
+        interrupted = _session()
+        interrupted.advance_to(60.0)
+        resumed = _restarted(interrupted, tmp_path)
+        resumed.finalize()
+        assert len(resumed.result.it_power_w) == HORIZON_H + 1
+        assert resumed.result.it_power_w.tolist() == reference.result.it_power_w.tolist()
+        assert resumed.result.facility_energy_kwh == reference.result.facility_energy_kwh
 
     @pytest.mark.parametrize("policy", ["backfill", "backfill+adaptive(budget_w=6000)"])
-    def test_submitted_jobs_restore_bit_identically(self, world, trace, policy):
-        """A submitted job finished before the snapshot hour, another runs across it."""
-
-        def run(snapshot_h=None):
-            simulator = _build_simulator(world, policy)
-            simulator.begin([j.clone_pending() for j in trace])
-            done = Job("sub-done", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0,
-                       tags={"kind": "inference"})
-            running = Job("sub-running", "u", n_gpus=2, duration_h=20.0, submit_time_h=40.0,
-                          utilization=0.6, deadline_h=120.0, power_cap_fraction=0.8)
-            simulator.submit(done)
-            simulator.submit(running)
-            if snapshot_h is not None:
-                simulator.advance(snapshot_h)
-                assert done.state is JobState.COMPLETED
-                assert running.state is JobState.RUNNING
-                payload = json.loads(json.dumps(simulator.snapshot()))
-                simulator = _build_simulator(world, policy)
-                simulator.restore(payload, [j.clone_pending() for j in trace])
-            return simulator.finalize()
-
-        reference = run()
-        resumed = run(snapshot_h=48.0)
-        assert resumed.job_records == reference.job_records
-        assert resumed.it_power_w.tolist() == reference.it_power_w.tolist()
-        assert resumed.facility_power_w.tolist() == reference.facility_power_w.tolist()
-
-
-class TestSnapshotValidation:
-    def test_version_mismatch_rejected(self, world, trace):
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin([j.clone_pending() for j in trace])
-        payload = simulator.snapshot()
-        payload["version"] = SNAPSHOT_VERSION + 1
-        with pytest.raises(CheckpointError, match="version"):
-            _build_simulator(world, "backfill").restore(
-                payload, [j.clone_pending() for j in trace]
-            )
-
-    def test_scheduler_mismatch_rejected(self, world, trace):
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin([j.clone_pending() for j in trace])
-        snapshot = simulator.snapshot()
-        other = _build_simulator(world, "fifo")
-        with pytest.raises(CheckpointError, match="scheduler"):
-            other.restore(snapshot, [j.clone_pending() for j in trace])
-
-    def test_config_mismatch_rejected(self, world, trace):
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin([j.clone_pending() for j in trace])
-        snapshot = simulator.snapshot()
-        spec = world.spec
-        scenario = world.scenario()
-        other = ClusterSimulator(
-            Cluster(spec.facility, gpu_model=spec.workload.gpu_model),
-            make_scheduler("backfill"),
-            SimulationConfig(horizon_h=HORIZON_H, tick_h=0.5),
-            weather_hourly_c=scenario.weather_hourly_c,
-            cooling=CoolingModel(),
-            grid=scenario.grid,
-        )
-        with pytest.raises(CheckpointError, match="tick_h"):
-            other.restore(snapshot, [j.clone_pending() for j in trace])
-
-    def test_restore_onto_begun_simulator_rejected(self, world, trace):
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin([j.clone_pending() for j in trace])
-        snapshot = simulator.snapshot()
-        begun = _build_simulator(world, "backfill")
-        begun.begin()
-        with pytest.raises(SteppingError, match="already began"):
-            begun.restore(snapshot, [j.clone_pending() for j in trace])
-
-    def test_snapshot_requires_running_run(self, world):
-        simulator = _build_simulator(world, "backfill")
-        with pytest.raises(SteppingError, match="before begin"):
-            simulator.snapshot()
-        simulator.begin()
-        simulator.finalize()
-        with pytest.raises(SteppingError, match="after finalize"):
-            simulator.snapshot()
-
-    def test_stateless_observer_rejects_foreign_state(self):
-        observer = SimulatorObserver()
-        assert observer.snapshot_state() is None
-        observer.restore_state(None)  # the no-op round trip
-        with pytest.raises(CheckpointError):
-            observer.restore_state({"unexpected": 1})
-
-
-class TestCheckpointShape:
-    """A checkpoint carries what restore cannot rebuild, and refuses a foreign trace."""
-
-    @pytest.fixture()
-    def mid_run(self, world, trace):
-        """A run 48 h in, and its trace jobs followed by the one submitted job."""
-        jobs = [j.clone_pending() for j in trace]
-        late = Job("late", "u", n_gpus=1, duration_h=2.0, submit_time_h=30.0)
-        simulator = _build_simulator(world, "backfill")
-        simulator.begin(jobs)
-        simulator.submit(late)
-        simulator.advance(48.0)
-        return simulator, [*jobs, late]
-
-    def test_trace_is_referenced_not_copied(self, mid_run, trace):
-        simulator, jobs = mid_run
-        state = json.loads(json.dumps(simulator.snapshot()))
-        late = jobs[-1]
-        assert state["jobs"] == [{name: getattr(late, name) for name in STATIC_FIELDS}]
-        assert state["trace_jobs"] == len(trace)
-        started = [i for i, job in enumerate(jobs) if job.state is not JobState.PENDING]
-        assert 0 < len(started) < len(trace)
-        assert started[-1] == len(trace)  # the submitted job's row follows the trace's
-        assert state["started"] == [
-            [
-                i,
-                jobs[i].state.value,
-                jobs[i].start_time_h,
-                jobs[i].finish_time_h,
-                jobs[i].assigned_power_cap_w,
-                jobs[i].actual_duration_h,
-                jobs[i].energy_j,
-            ]
-            for i in started
+    def test_submitted_jobs_restore_bit_identically(self, tmp_path, policy):
+        """A submitted job finished before the checkpoint hour, another runs across it."""
+        submitted = [
+            _job("sub-done", 30.0, n_gpus=1, duration_h=2.0, tags={"kind": "inference"}),
+            _job("sub-running", 40.0, n_gpus=2, duration_h=20.0, utilization=0.6,
+                 deadline_h=120.0, power_cap_fraction=0.8),
         ]
+        reference = _session(policy)
+        reference.submit_jobs(submitted)
+        reference.finalize()
+        records = {r.job_id: r for r in reference.result.job_records}
+        assert records["sub-done"].finish_time_h < 48.0
+        assert records["sub-running"].start_time_h < 48.0 < records["sub-running"].finish_time_h
 
-    def test_envelope_carries_tick_counts_not_rows(self, tmp_path):
+        interrupted = _session(policy)
+        interrupted.submit_jobs(submitted)
+        interrupted.advance_to(48.0)
+        resumed = _restarted(interrupted, tmp_path)
+        resumed.finalize()
+        _assert_same_run(resumed, reference)
+
+
+class TestJournalShape:
+    """A checkpoint carries the client jobs and the cursor, never simulator state."""
+
+    def test_journal_holds_client_jobs_at_their_cursors(self, tmp_path):
         manager = SessionManager()
         session = manager.create_session(
             {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 100}
         )
+        session.advance_to(5.0)
+        session.submit_jobs([_job("c1", 7.0)])
         session.advance_to(12.0)
         store = CheckpointStore(tmp_path)
         payload = store.load(session.checkpoint(store))
-        rows = session.ticks_since(0)
-        assert len(payload["ticks"]) == len(rows) == 12
-        assert payload["ticks"] == [
-            [row["n_pending"], row["n_running"], row["it_power_w"]] for row in rows
+        assert payload["format"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert set(payload) == {"format", "meta", "journal", "advanced_to_h", "cursor"}
+        (entry,) = payload["journal"]
+        assert entry[0] == 5.0
+        assert list(entry[1]) == list(STATIC_FIELDS)
+        assert entry[1]["job_id"] == "c1" and entry[1]["submit_time_h"] == 7.0
+        assert payload["advanced_to_h"] == 12.0
+        assert payload["cursor"] == session.simulator.snapshot()
+        assert payload["cursor"]["ticks"] == len(session.ticks_since(0)) == 12
+        # No preload job, event or telemetry row is written.
+        assert len(json.dumps(payload)) < 2000
+
+    def test_each_journal_is_a_prefix_of_the_next(self, tmp_path):
+        session = SessionManager().create_session(
+            {
+                "session_id": "a",
+                "scenario": "supercloud-small",
+                "horizon_h": SESSION_HORIZON_H,
+                "preload_jobs": 150,
+            }
+        )
+        store = CheckpointStore(tmp_path, keep=100)
+        for hour in range(1, SESSION_HORIZON_H):
+            if hour in CLIENT_JOBS:
+                session.submit_jobs(CLIENT_JOBS[hour](session))
+            session.advance_to(float(hour), checkpoint_every_h=8.0, store=store)
+        journals = [store.load(path)["journal"] for path in store.checkpoints("a")]
+        assert len(journals) == 11
+        for earlier, later in zip(journals, journals[1:]):
+            assert later[: len(earlier)] == earlier
+        assert [fields["job_id"] for _, fields in journals[-1]] == [
+            "future-a", "future-b", "same-instant", "after-restore", "late", "last"
         ]
 
-    @pytest.mark.parametrize("foreign", ["other-seed", "one-short"])
-    def test_foreign_trace_is_refused_and_leaves_the_simulator_unbegun(
-        self, world, trace, mid_run, foreign
-    ):
-        simulator, _ = mid_run
-        snapshot = simulator.snapshot()
-        if foreign == "other-seed":
-            other = ExperimentSession("supercloud-small", seed=world.spec.seed + 1)
-            jobs = other.job_trace(n_jobs=len(trace), horizon_h=HORIZON_H)
-            assert len(jobs) == len(trace)
-        else:
-            jobs = trace[:-1]
-        resumed = _build_simulator(world, "backfill")
-        with pytest.raises(CheckpointError, match="trace mismatch"):
-            resumed.restore(snapshot, [j.clone_pending() for j in jobs])
-        with pytest.raises(SteppingError, match="before begin"):
-            resumed.advance(49.0)
-        # Nothing was adopted: the right trace still restores onto it.
-        resumed.restore(snapshot, [j.clone_pending() for j in trace])
-        resumed.advance(49.0)
-
-    def test_version_1_payloads_are_refused(self, tmp_path, world, trace, mid_run):
-        simulator, _ = mid_run
-        payload = simulator.snapshot()
-        payload["version"] = 1
-        with pytest.raises(CheckpointError, match="version 1 is not supported"):
-            _build_simulator(world, "backfill").restore(
-                payload, [j.clone_pending() for j in trace]
-            )
+    def test_replay_writes_no_checkpoints(self, tmp_path):
+        manager = SessionManager()
+        session = manager.create_session(
+            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 50}
+        )
+        session.submit_jobs([_job("c1", 3.0)])
+        session.advance_to(30.0)
         store = CheckpointStore(tmp_path)
-        path = store.save("a", {"format": 1, "meta": {}, "snapshot": payload, "ticks": []})
-        with pytest.raises(CheckpointError, match="format version 1"):
-            store.load(path)
+        session.checkpoint(store)
+        before = sorted(tmp_path.iterdir())
+        restored = SessionManager()
+        assert restored.restore_all(store) == ["a"]
+        assert sorted(tmp_path.iterdir()) == before
+        assert restored.get("a").checkpoint_count == 1
+        assert restored.get("a").last_checkpoint_h == 30.0
+
+    def test_snapshot_is_a_pure_cursor_read(self, world):
+        simulator = _build_simulator(world, "backfill")
+        simulator.begin(world.job_trace(n_jobs=150, horizon_h=HORIZON_H))
+        simulator.advance(48.0)
+        first = simulator.snapshot()
+        assert simulator.snapshot() == first
+        assert first["advanced_to"] == 48.0 and first["ticks"] == 48
+        assert first["jobs"] == 150
+        assert first["pending"] == simulator.n_pending
+        assert first["running"] == simulator.n_running
+        assert first["it_power_w"] == simulator.current_it_power_w
+
+
+def _checkpointed(tmp_path, hours=(24.0, 48.0)):
+    """A store holding one checkpoint of session ``a`` per hour in ``hours``."""
+    session = SessionManager().create_session(
+        {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 100}
+    )
+    store = CheckpointStore(tmp_path)
+    session.submit_jobs([_job("c1", 30.0)])
+    for hour in hours:
+        session.advance_to(hour)
+        session.checkpoint(store)
+    return store
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _garbage(path):
+    path.write_bytes(b"\x00\xffnot json at all")
+
+
+def _format_3(path):
+    """The simulator-snapshot envelope of format 3, which this build refuses."""
+    meta = json.loads(path.read_text())["meta"]
+    envelope = {"format": 3, "meta": meta, "snapshot": {"version": 3}, "ticks": []}
+    path.write_text(json.dumps(envelope))
+
+
+def _rewrite(mutate):
+    def apply(path):
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+
+    return apply
+
+
+def _no_meta_policy(payload):
+    del payload["meta"]["policy"]
+
+
+def _foreign_cursor(payload):
+    payload["cursor"]["running"] += 1
+
+
+def _invalid_journal_job(payload):
+    payload["journal"][0][1]["n_gpus"] = "many"
+
+
+def _journal_job_in_the_past(payload):
+    payload["journal"][0][0] = 40.0  # replay would now submit c1 at t=30 after t=40
+
+
+class TestFailurePaths:
+    """A bad newest checkpoint falls back to an older one; a bad only one is skipped."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _truncate,
+            _garbage,
+            _format_3,
+            _rewrite(_no_meta_policy),
+            _rewrite(_foreign_cursor),
+            _rewrite(_invalid_journal_job),
+            _rewrite(_journal_job_in_the_past),
+        ],
+        ids=[
+            "truncated",
+            "garbage",
+            "format-3",
+            "no-policy",
+            "diverged-cursor",
+            "invalid-job",
+            "job-in-the-past",
+        ],
+    )
+    def test_unrestorable_newest_falls_back_to_an_older_checkpoint(self, tmp_path, corrupt):
+        store = _checkpointed(tmp_path)
+        newest = store.checkpoints("a")[-1]
+        corrupt(newest)
+        manager = SessionManager()
+        assert manager.restore_all(store) == ["a"]
+        assert manager.get("a").advanced_to_h == 24.0
+        # Unrestorable files are left on disk.
+        assert newest.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt", [_truncate, _garbage, _format_3], ids=["truncated", "garbage", "format-3"]
+    )
+    def test_the_only_checkpoint_unreadable_restores_nothing(self, tmp_path, corrupt):
+        store = _checkpointed(tmp_path, hours=(24.0,))
+        corrupt(store.checkpoints("a")[0])
         assert SessionManager().restore_all(store) == []
+
+    def test_format_3_is_refused_with_a_typed_error(self, tmp_path):
+        store = _checkpointed(tmp_path, hours=(24.0,))
+        (path,) = store.checkpoints("a")
+        _format_3(path)
+        with pytest.raises(CheckpointError, match="format version 3"):
+            store.load(path)
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (_no_meta_policy, "malformed checkpoint"),
+            (_foreign_cursor, "diverged"),
+            (_invalid_journal_job, "malformed checkpoint"),
+            (_journal_job_in_the_past, "malformed checkpoint"),
+        ],
+        ids=["no-policy", "diverged-cursor", "invalid-job", "job-in-the-past"],
+    )
+    def test_from_checkpoint_raises_checkpoint_error(self, tmp_path, mutate, match):
+        store = _checkpointed(tmp_path, hours=(24.0,))
+        payload = store.latest("a")
+        mutate(payload)
+        with pytest.raises(CheckpointError, match=match):
+            ServeSession.from_checkpoint(payload, ExperimentSession())
+
+
+class TestCheckpointShape:
+    def test_version_1_payloads_are_refused(self, tmp_path):
+        """The simulator-snapshot envelopes of formats 1 and 2 are refused like format 3."""
+        for version in (1, 2):
+            store = CheckpointStore(tmp_path / f"format-{version}")
+            envelope = {"format": version, "meta": {}, "snapshot": {"version": version}, "ticks": []}
+            path = store.save("a", envelope)
+            with pytest.raises(CheckpointError, match=f"format version {version}"):
+                store.load(path)
+            assert SessionManager().restore_all(store) == []
+
+
+def _drop(*path):
+    """Mutation deleting the field at ``path`` of a checkpoint payload."""
+
+    def mutate(payload):
+        *parents, key = path
+        for parent in parents:
+            payload = payload[parent]
+        del payload[key]
+
+    return mutate
+
+
+def _format_2_envelope(payload):
+    payload["format"] = 2
+
+
+class TestCorruptCheckpoints:
+    """A structurally bad checkpoint is skipped, never a crash at daemon start."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        session = SessionManager().create_session(
+            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 200}
+        )
+        session.submit_jobs([_job("c1", 30.0)])
+        session.advance_to(48.0)
+        store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
+        session.checkpoint(store)
+        payload = store.latest("a")
+        assert payload["journal"] and payload["cursor"]["running"]
+        return payload
+
+    def _restore_all(self, tmp_path, payload):
+        (tmp_path / "a.00000000.json").write_text(json.dumps(payload))
+        return SessionManager().restore_all(CheckpointStore(tmp_path))
+
+    def test_intact_checkpoint_restores(self, tmp_path, payload):
+        assert self._restore_all(tmp_path, payload) == ["a"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_drop("meta", "policy"), _format_2_envelope, _drop("journal"), _drop("cursor")],
+        ids=["no-policy", "format-2", "no-journal", "no-cursor"],
+    )
+    def test_bad_checkpoint_is_skipped(self, tmp_path, payload, mutate):
+        bad = json.loads(json.dumps(payload))
+        mutate(bad)
+        assert self._restore_all(tmp_path, bad) == []
 
 
 class TestSteppingErrors:
@@ -470,8 +697,8 @@ class TestCheckpointStore:
         payload = {
             "format": CHECKPOINT_FORMAT_VERSION,
             "meta": {"session_id": "a"},
-            "snapshot": {},
-            "ticks": [],
+            "journal": [],
+            "advanced_to_h": 0.0,
         }
         path = store.save("a", payload)
         assert store.load(path) == payload
@@ -511,158 +738,3 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="format"):
             store.load(path)
         assert store.latest("a") is None
-
-
-def _drop(*path):
-    """Mutation deleting the field at ``path`` of a checkpoint payload."""
-
-    def mutate(payload):
-        *parents, key = path
-        for parent in parents:
-            payload = payload[parent]
-        del payload[key]
-
-    return mutate
-
-
-def _cluster_state(payload):
-    return payload["snapshot"]["cluster"]
-
-
-def _far_location(payload):
-    _cluster_state(payload)["allocations"][0]["locations"][0] = [1000000, 0]
-
-
-def _unknown_event_type(payload):
-    payload["snapshot"]["events"][0][1] = 99
-
-
-def _shared_location(payload):
-    first, second = _cluster_state(payload)["allocations"][:2]
-    second["locations"][0] = first["locations"][0]
-
-
-def _version_2_snapshot(payload):
-    payload["snapshot"]["version"] = 2
-
-
-def _format_2_envelope(payload):
-    payload["format"] = 2
-
-
-class TestCorruptCheckpoints:
-    """A structurally bad checkpoint is skipped, never a crash at daemon start."""
-
-    @pytest.fixture(scope="class")
-    def payload(self, tmp_path_factory):
-        manager = SessionManager()
-        session = manager.create_session(
-            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 200}
-        )
-        session.advance_to(48.0)
-        store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-        session.checkpoint(store)
-        payload = store.latest("a")
-        assert len(_cluster_state(payload)["allocations"]) >= 2
-        assert payload["snapshot"]["events"]
-        return payload
-
-    def _restore_all(self, tmp_path, payload):
-        (tmp_path / "a.00000000.json").write_text(json.dumps(payload))
-        return SessionManager().restore_all(CheckpointStore(tmp_path))
-
-    def test_intact_checkpoint_restores(self, tmp_path, payload):
-        assert self._restore_all(tmp_path, payload) == ["a"]
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            _drop("snapshot"),
-            _drop("meta", "policy"),
-            _far_location,
-            _unknown_event_type,
-            _shared_location,
-            _version_2_snapshot,
-            _format_2_envelope,
-        ],
-        ids=[
-            "no-snapshot",
-            "no-policy",
-            "far-location",
-            "event-type-99",
-            "shared-location",
-            "snapshot-version-2",
-            "format-2",
-        ],
-    )
-    def test_bad_checkpoint_is_skipped(self, tmp_path, payload, mutate):
-        bad = json.loads(json.dumps(payload))
-        mutate(bad)
-        assert self._restore_all(tmp_path, bad) == []
-
-    def test_unrestorable_newest_falls_back_to_an_older_checkpoint(self, tmp_path):
-        session = SessionManager().create_session(
-            {"session_id": "a", "scenario": "supercloud-small", "preload_jobs": 100}
-        )
-        store = CheckpointStore(tmp_path)
-        session.advance_to(24.0)
-        session.checkpoint(store)
-        session.advance_to(48.0)
-        newest = Path(session.checkpoint(store))
-        assert store.checkpoints("a")[-1] == newest
-        # Valid JSON in the current format, but its job table cannot be read.
-        broken = json.loads(newest.read_text())
-        broken["snapshot"]["jobs"] = [{"job_id": "broken"}]
-        newest.write_text(json.dumps(broken))
-        manager = SessionManager()
-        assert manager.restore_all(store) == ["a"]
-        assert manager.get("a").advanced_to_h == 24.0
-
-
-class TestClusterRestoreValidation:
-    """``Cluster.restore_state`` rejects impossible state and leaves the pool as it was."""
-
-    @pytest.fixture()
-    def state(self):
-        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
-        cluster.allocate("a", 3, utilization=0.5)
-        cluster.allocate("b", 2, utilization=0.9, power_limit_w=200.0)
-        cluster.drain_nodes(1)
-        return json.loads(json.dumps(cluster.snapshot_state()))
-
-    @pytest.mark.parametrize(
-        "locations",
-        [[[1000000, 0]], [[0, 2]], [[-1, 0]], [[0, 0]], [[3, 0]], []],
-        ids=["far-node", "far-index", "negative", "held-twice", "drained-node", "empty"],
-    )
-    def test_bad_locations_rejected(self, state, locations):
-        assert state["drained"] == [3]
-        state["allocations"][1]["locations"] = locations
-        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
-        cluster.allocate("c", 1)
-        before = cluster.snapshot_state()
-        with pytest.raises(CheckpointError):
-            cluster.restore_state(state)
-        assert cluster.snapshot_state() == before
-
-    def test_record_power_is_recomputed_on_restore(self, state):
-        assert all("per_gpu_power_w" not in entry for entry in state["allocations"])
-        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
-        cluster.allocate("a", 3, utilization=0.5)
-        cluster.allocate("b", 2, utilization=0.9)
-        cluster.set_power_limit("b", 200.0)
-        cluster.drain_nodes(1)
-        restored = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
-        restored.restore_state(state)
-        assert restored.allocations == cluster.allocations
-        assert restored.it_power_w() == cluster.it_power_w()
-
-    def test_missing_field_and_repeated_job_rejected(self, state):
-        cluster = Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2))
-        with pytest.raises(CheckpointError):
-            cluster.restore_state({**state, "busy_power_w": None})
-        with pytest.raises(CheckpointError):
-            cluster.restore_state({key: value for key, value in state.items() if key != "drained"})
-        state["allocations"][1]["job_id"] = "a"
-        with pytest.raises(CheckpointError):
-            cluster.restore_state(state)
