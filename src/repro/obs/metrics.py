@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 
@@ -193,6 +193,17 @@ class MetricsRegistry:
     ) -> Histogram:
         """The histogram ``name`` for this label set (created on first use)."""
         return self._child(name, "histogram", help, labels, buckets=buckets)
+
+    def retain(self, name: str, label: str, values: Collection[str]) -> None:
+        """Drop every ``name`` series whose ``label`` is not one of ``values``."""
+        with self._lock:
+            family = self._families.get(name)
+            if family is not None:
+                family.children = {
+                    key: child
+                    for key, child in family.children.items()
+                    if child.labels.get(label) in values
+                }
 
     def __len__(self) -> int:
         with self._lock:

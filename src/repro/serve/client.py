@@ -1,12 +1,17 @@
 """A pure-stdlib client for the ``greenhpc serve`` daemon.
 
-:mod:`http.client` over persistent HTTP/1.1 connections — one method per
-endpoint plus a generator over the NDJSON telemetry stream.  Each thread
-that uses a client keeps one connection to the daemon and sends every
-request over it; :meth:`ServeClient.close` (or leaving a ``with`` block)
-closes them all.  A telemetry stream gets a connection of its own, closed
-when the generator ends or is closed, so other calls can be interleaved
-while iterating it.
+HTTP/1.1 over plain sockets (wrapped by :mod:`ssl` for ``https://`` URLs):
+one method per endpoint plus a generator over the NDJSON telemetry stream.
+Each thread that uses a client keeps one connection to the daemon and sends
+every request over it, request line, headers and body in one write; the
+reply is read through one buffered reader that lives as long as the
+connection.  Replies must be framed by ``Content-Length`` or by the end of
+the connection; a ``Transfer-Encoding`` reply is refused.
+:meth:`ServeClient.close` (or leaving a ``with`` block) closes every
+connection.  A telemetry read without ``follow`` is one request on the
+thread's connection.  A ``follow=True`` stream gets a connection of its own,
+closed when the generator ends or is closed, so other calls can be
+interleaved while iterating it.
 
 A reused connection the daemon has meanwhile closed (it drops idle
 connections after its ``request_timeout_s``, and a restarted daemon has
@@ -29,17 +34,143 @@ validation failures the same way it handles local ones.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 import threading
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 from urllib.parse import urlencode, urlsplit
 
 from ..errors import ServeError
 
 __all__ = ["ServeClient"]
 
-_CONNECTION_TYPES = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+#: Longest status or header line read, and most header lines per reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: Anything but visible ASCII would break (or smuggle into) the request line.
+_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
+
+
+class _Reply:
+    """One reply: its status, reason, ``Content-Length``, whether the
+    connection ends after it, and (once read) its body."""
+
+    __slots__ = ("status", "reason", "length", "closes", "body")
+
+    def __init__(self, status: int, reason: str, length: Optional[str], closes: bool) -> None:
+        self.status = status
+        self.reason = reason
+        self.length = length
+        self.closes = closes
+        self.body = b""
+
+    def error(self) -> ServeError:
+        try:
+            return ServeError(f"{self.status}: {json.loads(self.body)['error']}")
+        except (ValueError, KeyError, TypeError):
+            return ServeError(f"{self.status}: {self.reason}")
+
+
+class _Connection:
+    """One HTTP/1.1 connection, opened on first use and again after a close.
+
+    ``reused`` says whether the open socket has carried a reply before, so
+    that the daemon may have closed it meanwhile.
+    """
+
+    def __init__(self, open_socket: Callable[[float], socket.socket]) -> None:
+        self._open_socket = open_socket
+        self.sock: Optional[socket.socket] = None
+        self.reader: Any = None
+        self.reused = False
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+        self.sock = self.reader = None
+        self.reused = False
+
+    def send(self, message: bytes, timeout_s: float) -> bool:
+        """Send one request; ``False`` when a reused connection was already closed."""
+        if self.sock is None:
+            self.sock = self._open_socket(timeout_s)
+            self.reader = self.sock.makefile("rb")
+        else:
+            self.sock.settimeout(timeout_s)
+        try:
+            self.sock.sendall(message)
+        except (BrokenPipeError, ConnectionResetError):
+            if self.reused:
+                return False
+            raise
+        return True
+
+    def read_head(self) -> Optional[_Reply]:
+        """The status line and headers; ``None`` when a reused connection
+        ended before any status line arrived."""
+        try:
+            line = self.reader.readline(_MAX_LINE + 1)
+        except ConnectionResetError:
+            if not self.reused:
+                raise
+            line = b""
+        if not line:
+            if self.reused:
+                return None
+            raise ConnectionError("the daemon closed the connection without replying")
+        version, _, rest = _decode_line(line).partition(" ")
+        code, _, reason = rest.partition(" ")
+        if not version.startswith("HTTP/1.") or len(code) != 3 or not code.isdigit():
+            raise ServeError(f"malformed status line from the daemon: {line[:80]!r}")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            line = self.reader.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = _decode_line(line).partition(":")
+            if not colon:
+                raise ServeError(f"malformed reply header from the daemon: {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ServeError(f"reply has more than {_MAX_HEADERS} header lines")
+        if "transfer-encoding" in headers:
+            raise ServeError(
+                f"reply framed with Transfer-Encoding: {headers['transfer-encoding']}; "
+                "only Content-Length framing is supported"
+            )
+        self.reused = True
+        tokens = headers.get("connection", "").lower()
+        closes = "close" in tokens or (version == "HTTP/1.0" and "keep-alive" not in tokens)
+        return _Reply(int(code), reason.strip(), headers.get("content-length"), closes)
+
+    def read_body(self, reply: _Reply) -> None:
+        """Read the body ``reply`` declares; the connection closes after it if it must."""
+        declared = reply.length
+        if declared is None:
+            reply.body = self.reader.read()  # framed by the end of the connection
+            self.close()
+            return
+        if not declared.isdigit():
+            raise ServeError(f"invalid Content-Length {declared!r} in the daemon's reply")
+        length = int(declared)
+        reply.body = self.reader.read(length)
+        if len(reply.body) != length:
+            raise ConnectionError(f"reply is shorter than its Content-Length {length}")
+        if reply.closes:
+            self.close()
+
+
+def _decode_line(line: bytes) -> str:
+    if len(line) > _MAX_LINE:
+        raise ServeError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ConnectionError("the daemon closed the connection inside the reply headers")
+    return line.decode("latin-1").rstrip("\r\n")
 
 
 class ServeClient:
@@ -52,14 +183,23 @@ class ServeClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = float(timeout_s)
         parts = urlsplit(self.base_url)
-        if parts.scheme not in _CONNECTION_TYPES or not parts.hostname:
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
             raise ServeError(f"not an http(s) daemon URL: {base_url!r}")
-        self._connection_type = _CONNECTION_TYPES[parts.scheme]
-        self._address = (parts.hostname, parts.port)
+        try:
+            port = parts.port or _DEFAULT_PORTS[parts.scheme]
+        except ValueError as exc:
+            raise ServeError(f"not an http(s) daemon URL: {base_url!r} ({exc})") from None
+        self._address = (parts.hostname, port)
+        self._host_header = parts.netloc.rpartition("@")[2]
         self._prefix = parts.path
+        self._tls: Any = None
+        if parts.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._open: list[http.client.HTTPConnection] = []
+        self._open: list[_Connection] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -81,50 +221,57 @@ class ServeClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connect(self, timeout_s: float) -> http.client.HTTPConnection:
-        host, port = self._address
-        return self._connection_type(host, port, timeout=timeout_s)
+    def _open_socket(self, timeout_s: float) -> socket.socket:
+        sock = socket.create_connection(self._address, timeout=timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
-    def _pooled(self) -> http.client.HTTPConnection:
+    def _pooled(self) -> _Connection:
         """This thread's persistent connection (created on first use)."""
         with self._lock:
             local = self._local
             connection = getattr(local, "connection", None)
             if connection is None:
-                connection = local.connection = self._connect(self.timeout_s)
+                connection = local.connection = _Connection(self._open_socket)
                 self._open.append(connection)
         return connection
 
     def _unreachable(self, exc: BaseException) -> ServeError:
         return ServeError(f"cannot reach daemon at {self.base_url}: {exc}")
 
-    def _exchange(
-        self,
-        connection: http.client.HTTPConnection,
-        method: str,
-        path: str,
-        data: Optional[bytes],
-        timeout_s: float,
-    ) -> Optional[tuple[http.client.HTTPResponse, bytes]]:
-        """One request/response; ``None`` when a reused connection was already closed."""
-        reused = connection.sock is not None
-        connection.timeout = timeout_s  # applies to a (re)connect
-        if reused:
-            connection.sock.settimeout(timeout_s)
-        headers = {"Content-Type": "application/json"} if data else {}
+    def _message(self, method: str, path: str, data: Optional[bytes]) -> bytes:
+        """One request, request line to body, ready for a single write."""
+        target = self._prefix + path
+        if _UNSAFE_TARGET.search(target):
+            raise ServeError(f"request path must be visible ASCII: {target!r}")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+        if data is None:
+            return (head + "\r\n").encode()
+        head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
+        return head.encode() + data
+
+    def _exchange(self, connection: _Connection, message: bytes, timeout_s: float) -> _Reply:
+        """Send ``message`` and read the whole reply, retrying once on a stale connection."""
         try:
-            connection.request(method, self._prefix + path, data, headers)
-        except (ConnectionResetError, BrokenPipeError):
-            if reused:
-                return None
+            reply = connection.read_head() if connection.send(message, timeout_s) else None
+            if reply is None:  # closed by the daemon before any status line
+                connection.close()
+                connection.send(message, timeout_s)
+                reply = connection.read_head()
+            connection.read_body(reply)
+        except OSError as exc:
+            connection.close()
+            raise self._unreachable(exc) from None
+        except ServeError:
+            connection.close()
             raise
-        try:
-            response = connection.getresponse()
-        except http.client.RemoteDisconnected:
-            if reused:
-                return None
-            raise
-        return response, response.read()
+        return reply
 
     def _request(
         self,
@@ -135,27 +282,11 @@ class ServeClient:
         timeout_s: Optional[float] = None,
     ) -> Any:
         data = None if body is None else json.dumps(body).encode()
-        timeout = timeout_s or self.timeout_s
-        connection = self._pooled()
-        try:
-            exchange = self._exchange(connection, method, path, data, timeout)
-            if exchange is None:  # closed by the daemon before any status line
-                connection.close()
-                exchange = self._exchange(connection, method, path, data, timeout)
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()
-            raise self._unreachable(exc) from None
-        response, payload = exchange
-        if response.status >= 400:
-            raise ServeError(self._error_message(response, payload))
-        return json.loads(payload)
-
-    @staticmethod
-    def _error_message(response: http.client.HTTPResponse, payload: bytes) -> str:
-        try:
-            return f"{response.status}: {json.loads(payload)['error']}"
-        except (ValueError, KeyError, TypeError):
-            return f"{response.status}: {response.reason}"
+        message = self._message(method, path, data)
+        reply = self._exchange(self._pooled(), message, timeout_s or self.timeout_s)
+        if reply.status >= 400:
+            raise reply.error()
+        return json.loads(reply.body)
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -231,26 +362,35 @@ class ServeClient:
     ) -> Iterator[dict]:
         """Yield tick rows from the NDJSON stream, starting at row ``since``.
 
-        With ``follow=True`` the daemon holds the connection open waiting for
-        new rows (up to ``max_wait_s`` of idleness); resume an interrupted
-        stream by passing the last row count as ``since``.  The stream runs
-        on its own connection, closed when the generator ends or is closed.
+        Without ``follow`` the rows recorded so far come back as one reply
+        on this thread's connection.  With ``follow=True`` the daemon holds
+        a connection of its own open waiting for new rows (up to
+        ``max_wait_s`` of idleness), closed when the generator ends or is
+        closed; resume an interrupted stream by passing the last row count
+        as ``since``.
         """
         query = urlencode(
             {"since": since, "follow": int(follow), "max_wait_s": max_wait_s}
         )
-        path = f"{self._prefix}/sessions/{session_id}/telemetry?{query}"
-        connection = self._connect(self.timeout_s + (max_wait_s if follow else 0.0))
+        message = self._message("GET", f"/sessions/{session_id}/telemetry?{query}", None)
+        if not follow:
+            reply = self._exchange(self._pooled(), message, self.timeout_s)
+            if reply.status >= 400:
+                raise reply.error()
+            yield from map(json.loads, reply.body.splitlines())
+            return
+        connection = _Connection(self._open_socket)
         try:
-            connection.request("GET", path)
-            with connection.getresponse() as response:
-                if response.status >= 400:
-                    raise ServeError(self._error_message(response, response.read()))
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
-        except (OSError, http.client.HTTPException) as exc:
+            connection.send(message, self.timeout_s + max_wait_s)
+            reply = connection.read_head()
+            if reply.status >= 400:
+                connection.read_body(reply)
+                raise reply.error()
+            for line in connection.reader:
+                line = line.strip()
+                if line:
+                    yield json.loads(line)
+        except OSError as exc:
             raise self._unreachable(exc) from None
         finally:
             connection.close()

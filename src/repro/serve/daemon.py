@@ -30,8 +30,12 @@ Connections: HTTP/1.1 keep-alive.  A client sends request after request over
 one connection; every request's ``Content-Length`` body is read before
 routing, so each route leaves the connection at the next request (a body
 over the limit, or framed with ``Transfer-Encoding``, gets a 400 and the
-connection is closed).  A telemetry stream ends its connection when it is
-done.  A connection idle for ``request_timeout_s`` is closed.  Once the
+connection is closed).  A response is held until its request has been
+traced and counted on ``serve_requests_total``, then leaves in one write,
+so a client that has its reply is already counted.  A telemetry read is a
+``Content-Length`` reply on the same connection; only ``follow=1`` streams
+rows as they come, one write per batch, and closes its connection when it
+is done.  A connection idle for ``request_timeout_s`` is closed.  Once the
 graceful drain has started, every request — on an open connection or a new
 one — gets a 503 and its connection is closed, so no session moves past its
 drain checkpoint; :meth:`ServeDaemon.close` ends every connection still open.
@@ -50,6 +54,7 @@ costs one uninterrupted run up to the session's cursor.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import signal
@@ -78,6 +83,17 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 _KNOWN_ROUTES = ("health", "version", "sessions", "route", "metrics")
 
 
+#: The per-session gauges a ``/metrics`` scrape reports: name -> (help,
+#: session attribute).  A deleted session's series are dropped.
+_SESSION_GAUGES = {
+    "serve_session_uptime_seconds": (
+        "Seconds since the session was created (monotonic)", "uptime_s"
+    ),
+    "serve_session_requests": ("API requests addressed to the session", "request_count"),
+    "serve_session_now_h": ("Simulated hours the session has advanced to", "advanced_to_h"),
+}
+
+
 def _route_label(segments: list[str]) -> str:
     """A bounded-cardinality route label (session ids become ``{id}``)."""
     if not segments:
@@ -99,6 +115,28 @@ class _Refused(ServeError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+class _ResponseWriter(io.BufferedIOBase):
+    """A handler's ``wfile``: keeps what is written until :meth:`flush` sends it in one write."""
+
+    def __init__(self, connection: socket.socket) -> None:
+        self._connection = connection
+        self._pending: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data: bytes) -> int:
+        if data:
+            self._pending.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._pending:
+            data = b"".join(self._pending)
+            self._pending.clear()
+            self._connection.sendall(data)
 
 
 class _Server(ThreadingHTTPServer):
@@ -162,8 +200,9 @@ class _JsonHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the daemon's session manager."""
 
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; with Nagle's algorithm on, the
-    # body would wait for the client's delayed ACK on a kept-alive connection.
+    # A response is one write, but a follow stream's batches are several;
+    # with Nagle's algorithm on, a small batch would wait for the client's
+    # delayed ACK.
     disable_nagle_algorithm = True
     daemon: "ServeDaemon"  # set on the handler class per server
 
@@ -176,8 +215,15 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         super().setup()
+        self.wfile = _ResponseWriter(self.connection)
         # A stuck client must not pin a handler thread forever.
         self.connection.settimeout(self.daemon.request_timeout_s)
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now: a client waits for it before its body."""
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _read_body(self) -> bytes:
         """The whole declared body, read before routing to keep the stream framed."""
@@ -212,72 +258,74 @@ class _JsonHandler(BaseHTTPRequestHandler):
             raise ServeError("request body must be a JSON object")
         return body
 
-    def _send_json(self, payload: Any, status: int = 200, *, close: bool = False) -> None:
-        encoded = json.dumps(payload).encode() + b"\n"
+    def _send(
+        self, body: bytes, content_type: str, status: int = 200, *, close: bool = False
+    ) -> None:
+        """Queue one ``Content-Length`` response; ``_dispatch`` sends it."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Cache-Control", "no-store")
         if close:
             self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
-        self.wfile.write(encoded)
+        self.wfile.write(body)
         self._status = status
 
-    def _send_text(self, text: str, status: int = 200, content_type: str = "text/plain; version=0.0.4; charset=utf-8") -> None:
-        encoded = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-        self._status = status
+    def _send_json(self, payload: Any, status: int = 200, *, close: bool = False) -> None:
+        self._send(json.dumps(payload).encode() + b"\n", "application/json", status, close=close)
 
     def _dispatch(self, method: str) -> None:
         parts = urlsplit(self.path)
         segments = [segment for segment in parts.path.split("/") if segment]
         query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
         route = _route_label(segments)
-        self._status = 200  # updated by the _send_* helpers
-        with self.server.answering(self.connection), get_recorder().span(
-            "serve.request", method=method, route=route
-        ) as span:
-            try:
-                self._body = self._read_body()
-                if self.daemon._shutdown_started.is_set():
-                    raise _Refused(503, "daemon is shutting down")
-                handled = self.daemon.handle(self, method, segments, query)
-            except _Refused as exc:
-                self._send_json({"error": str(exc)}, status=exc.status, close=True)
-            except UnknownSessionError as exc:
-                self._send_json({"error": str(exc)}, status=404)
-            except GreenHPCError as exc:
-                self._send_json({"error": str(exc)}, status=400)
-            except (BrokenPipeError, ConnectionResetError):
-                self._status = 0  # client went away mid-response; nothing to answer
-            except Exception as exc:  # noqa: BLE001 - the daemon must not die on a request
-                request_id = uuid.uuid4().hex
-                sys.stderr.write(
-                    f"greenhpc serve: request {request_id} ({method} {parts.path}) "
-                    f"failed\n{traceback.format_exc()}"
-                )
-                span.set("request_id", request_id)
-                self._send_json(
-                    {"error": f"{type(exc).__name__}: {exc}", "request_id": request_id},
-                    status=500,
-                )
-            else:
-                if not handled:
-                    self._send_json(
-                        {"error": f"no route for {method} {parts.path}"}, status=404
+        self._status = 200  # updated by _send
+        with self.server.answering(self.connection):
+            with get_recorder().span("serve.request", method=method, route=route) as span:
+                try:
+                    self._body = self._read_body()
+                    if self.daemon._shutdown_started.is_set():
+                        raise _Refused(503, "daemon is shutting down")
+                    handled = self.daemon.handle(self, method, segments, query)
+                except _Refused as exc:
+                    self._send_json({"error": str(exc)}, status=exc.status, close=True)
+                except UnknownSessionError as exc:
+                    self._send_json({"error": str(exc)}, status=404)
+                except GreenHPCError as exc:
+                    self._send_json({"error": str(exc)}, status=400)
+                except (BrokenPipeError, ConnectionResetError):
+                    self._status = 0  # the client went away; nothing to answer
+                except Exception as exc:  # noqa: BLE001 - the daemon must not die on a request
+                    request_id = uuid.uuid4().hex
+                    sys.stderr.write(
+                        f"greenhpc serve: request {request_id} ({method} {parts.path}) "
+                        f"failed\n{traceback.format_exc()}"
                     )
-            span.set("status", self._status)
-        self.daemon.metrics.counter(
-            "serve_requests_total",
-            help="API requests handled, by method/route/status",
-            method=method,
-            route=route,
-            status=str(self._status),
-        ).inc()
+                    span.set("request_id", request_id)
+                    self._send_json(
+                        {"error": f"{type(exc).__name__}: {exc}", "request_id": request_id},
+                        status=500,
+                    )
+                else:
+                    if not handled:
+                        self._send_json(
+                            {"error": f"no route for {method} {parts.path}"}, status=404
+                        )
+                span.set("status", self._status)
+            self.daemon.metrics.counter(
+                "serve_requests_total",
+                help="API requests handled, by method/route/status",
+                method=method,
+                route=route,
+                status=str(self._status),
+            ).inc()
+            # Only now does the response leave: a client holding its reply
+            # finds the request already traced and counted.
+            try:
+                self.wfile.flush()
+            except OSError:
+                self.close_connection = True  # the client went away
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch("GET")
@@ -416,7 +464,10 @@ class ServeDaemon:
             return True
         if method == "GET" and segments == ["metrics"]:
             self._publish_session_gauges()
-            request._send_text(self.metrics.to_prometheus())
+            request._send(
+                self.metrics.to_prometheus().encode(),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
             return True
         if method == "GET" and segments == ["version"]:
             from .. import __version__
@@ -450,23 +501,13 @@ class ServeDaemon:
         self.metrics.gauge("serve_worlds", help="Cached substrate worlds").set(
             self.manager.n_worlds
         )
-        for session in sessions:
-            labels = {"session": session.session_id}
-            self.metrics.gauge(
-                "serve_session_uptime_seconds",
-                help="Seconds since the session was created (monotonic)",
-                **labels,
-            ).set(session.uptime_s)
-            self.metrics.gauge(
-                "serve_session_requests",
-                help="API requests addressed to the session",
-                **labels,
-            ).set(session.request_count)
-            self.metrics.gauge(
-                "serve_session_now_h",
-                help="Simulated hours the session has advanced to",
-                **labels,
-            ).set(session.advanced_to_h)
+        live = {session.session_id for session in sessions}
+        for name, (help, attribute) in _SESSION_GAUGES.items():
+            self.metrics.retain(name, "session", live)
+            for session in sessions:
+                self.metrics.gauge(name, help=help, session=session.session_id).set(
+                    getattr(session, attribute)
+                )
 
     def _handle_sessions(
         self,
@@ -541,12 +582,14 @@ class ServeDaemon:
     def _stream_telemetry(
         self, request: _JsonHandler, session: Any, query: dict[str, str]
     ) -> None:
-        """Stream tick rows as NDJSON from ``since`` on; ``follow=1`` waits for more.
+        """Send tick rows as NDJSON from ``since`` on; ``follow=1`` waits for more.
 
         Rows are copied out under the session lock and written outside it, so
-        a slow reader never stalls the simulation.  The response closes the
-        connection (no chunked framing needed on HTTP/1.1), so a client
-        streams on a connection of its own.
+        a slow reader never stalls the simulation.  Without ``follow`` the
+        rows are one ``Content-Length`` reply on the kept-alive connection.
+        A follow stream is sent batch by batch and closes its connection (no
+        chunked framing needed on HTTP/1.1), so a client follows on a
+        connection of its own.
         """
         # Validate the query BEFORE any response bytes go out: a bad value
         # must surface as a clean 400 (via the dispatch error mapping), not
@@ -571,26 +614,30 @@ class ServeDaemon:
                 f"query parameter 'max_wait_s' must be a finite number, got {raw_wait!r}"
             ) from None
         max_wait_s = min(max_wait_s, self.request_timeout_s)
+        if not follow:
+            request._send(_ndjson(session.ticks_since(cursor)), "application/x-ndjson")
+            return
         request.send_response(200)
         request.send_header("Content-Type", "application/x-ndjson")
         request.send_header("Cache-Control", "no-store")
-        request.send_header("Connection", "close")
+        request.send_header("Connection", "close")  # also sets close_connection
         request.end_headers()
         try:
             while True:
                 rows = session.ticks_since(cursor)
-                if rows:
-                    request.wfile.write(
-                        b"".join(json.dumps(row).encode() + b"\n" for row in rows)
-                    )
+                request.wfile.write(_ndjson(rows))
+                request.wfile.flush()
                 cursor += len(rows)
-                if not follow or session.finalized:
+                if session.finalized:
                     break
                 if not session.wait_for_ticks(cursor, max_wait_s):
                     break  # idle long enough; let the client re-poll with ?since=
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # reader went away; the stream is resumable via ?since=
-        request.close_connection = True
+        except OSError:
+            pass  # reader went away or stopped reading; resumable via ?since=
+
+
+def _ndjson(rows: list[dict[str, Any]]) -> bytes:
+    return b"".join(json.dumps(row).encode() + b"\n" for row in rows)
 
 
 def run_serve(args: Any) -> int:

@@ -122,17 +122,43 @@ def resolve_spec(scenario: str, overrides: dict[str, Any]) -> ScenarioSpec:
 
 
 class TelemetryObserver(SimulatorObserver):
-    """Feeds every recording tick into the owning session's stream buffer.
+    """Appends one stream row per recording tick to a session's row list.
 
-    Stateless by design: the rows live on the session, and a restore
-    regenerates them by replaying the session's inputs through this observer.
+    It holds the row list and the condition it notifies, not the session:
+    the session owns the simulator that owns this observer, so a reference
+    back would make a cycle that only a full garbage collection frees.  A
+    restore regenerates the rows by replaying the session's inputs through
+    this observer.
     """
 
-    def __init__(self, session: "ServeSession") -> None:
-        self._session = session
+    def __init__(
+        self, session_id: str, rows: list[dict[str, Any]], ticks_available: threading.Condition
+    ) -> None:
+        self._session_id = session_id
+        self._rows = rows
+        self._ticks_available = ticks_available
 
     def on_tick(self, simulator: ClusterSimulator, now_h: float, it_power_w: float) -> None:
-        self._session._record_tick(simulator, now_h, it_power_w)
+        """Append one row (the session lock is held): the sampled counts and
+        power plus the hour's grid context."""
+        context = simulator.scheduling_context(now_h)
+        pue = context.current_pue
+        self._rows.append(
+            {
+                "tick": len(self._rows),
+                "session_id": self._session_id,
+                "now_h": now_h,
+                "it_power_w": it_power_w,
+                "pue": pue,
+                "facility_power_w": it_power_w * pue,
+                "carbon_intensity_g_per_kwh": context.carbon_intensity_g_per_kwh,
+                "price_per_mwh": context.price_per_mwh,
+                "renewable_share": context.renewable_share,
+                "n_pending": simulator.n_pending,
+                "n_running": simulator.n_running,
+            }
+        )
+        self._ticks_available.notify_all()
 
 
 class ServeSession:
@@ -187,7 +213,7 @@ class ServeSession:
             policy,
             config,
             power_cap_fraction=power_cap_fraction,
-            observers=[TelemetryObserver(self)],
+            observers=[TelemetryObserver(session_id, self._ticks, self.ticks_available)],
         )
 
     # ------------------------------------------------------------------
@@ -431,35 +457,6 @@ class ServeSession:
     # ------------------------------------------------------------------
     # Telemetry stream
     # ------------------------------------------------------------------
-    def _record_tick(self, simulator: ClusterSimulator, now_h: float, it_power_w: float) -> None:
-        """Observer callback: append one stream row (under the session lock)."""
-        self._ticks.append(
-            self._tick_row(
-                len(self._ticks), now_h, it_power_w, simulator.n_pending, simulator.n_running
-            )
-        )
-        self.ticks_available.notify_all()
-
-    def _tick_row(
-        self, tick: int, now_h: float, it_power_w: float, n_pending: int, n_running: int
-    ) -> dict[str, Any]:
-        """One stream row: the sampled counts and power plus the hour's grid context."""
-        context = self.simulator.scheduling_context(now_h)
-        pue = context.current_pue
-        return {
-            "tick": tick,
-            "session_id": self.session_id,
-            "now_h": now_h,
-            "it_power_w": it_power_w,
-            "pue": pue,
-            "facility_power_w": it_power_w * pue,
-            "carbon_intensity_g_per_kwh": context.carbon_intensity_g_per_kwh,
-            "price_per_mwh": context.price_per_mwh,
-            "renewable_share": context.renewable_share,
-            "n_pending": n_pending,
-            "n_running": n_running,
-        }
-
     def ticks_since(self, cursor: int) -> list[dict[str, Any]]:
         """Stream rows from ``cursor`` on (a copy, safe to write outside the lock)."""
         with self.lock:

@@ -10,10 +10,16 @@ must equal the uninterrupted session's bit for bit.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
+import socket
+import struct
 import threading
 import time
+import weakref
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +122,24 @@ class TestSessionLifecycle:
         client.delete_session("s1")
         with pytest.raises(ServeError, match="404"):
             client.session_status("s1")
+
+    def test_removed_session_is_freed_without_a_full_collection(self):
+        from repro.serve import SessionManager
+
+        manager = SessionManager()
+        session = manager.create_session(
+            {"session_id": "gone", "scenario": "supercloud-small", "horizon_h": HORIZON_H,
+             "preload_jobs": 20}
+        )
+        session.advance_to(6.0)
+        freed = weakref.ref(session), weakref.ref(session.simulator)
+        del session
+        gc.disable()
+        try:
+            manager.remove("gone")
+            assert [ref() for ref in freed] == [None, None]
+        finally:
+            gc.enable()
 
     def test_unknown_session_is_404(self, client):
         with pytest.raises(ServeError, match="404"):
@@ -323,6 +347,21 @@ class TestObservability:
             again = resp.read().decode()
         assert again.count("# TYPE serve_sessions gauge") == 1
 
+    def test_deleted_sessions_leave_the_per_session_gauges(self, daemon, client):
+        connection = _raw(daemon)
+        try:
+            for session_id in ("a", "b", "c"):
+                _create(client, session_id=session_id, preload_jobs=0)
+            text = _exchange(connection, "GET", "/metrics")[2].decode()
+            assert text.count('serve_session_now_h{session="') == 3
+            for session_id in ("a", "b", "c"):
+                client.delete_session(session_id)
+            text = _exchange(connection, "GET", "/metrics")[2].decode()
+        finally:
+            connection.close()
+        assert "serve_sessions 0.0" in text
+        assert 'session="' not in text
+
     def test_unknown_routes_share_one_metric_label(self, daemon, client):
         from urllib import error as urlerror
         from urllib import request as urlrequest
@@ -451,6 +490,45 @@ class TestTransport:
         assert seen == [float(hour) for hour in range(8)]
         assert client.health()["status"] == "ok"
 
+    def test_a_request_is_counted_before_its_reply_arrives(self, daemon, client, monkeypatch):
+        class SlowSpans:
+            """Spans that end 5 ms late, as on a loaded host."""
+
+            @contextmanager
+            def span(self, name, **attributes):
+                yield self
+                time.sleep(0.005)
+
+            def set(self, key, value):
+                pass
+
+        _create(client)
+        monkeypatch.setattr("repro.serve.daemon.get_recorder", SlowSpans)
+
+        def served(route):
+            return daemon.metrics.counter(
+                "serve_requests_total", method="GET", route=route, status="200"
+            ).value
+
+        for call in range(1, 51):
+            client.session_status("s1")
+            assert served("sessions/{id}") == call
+            client.health()
+            assert served("health") == call
+
+    def test_telemetry_reads_reuse_the_connection(self, daemon, client):
+        _create(client)
+        before = _connections(daemon)
+        rows = 0
+        for hour in range(1, 11):
+            client.advance("s1", until_h=float(hour))
+            rows += len(list(client.stream_telemetry("s1", since=rows)))
+        assert rows == 10
+        assert _connections(daemon) - before == 0.0
+        stream = client.stream_telemetry("s1", since=9, follow=True, max_wait_s=0.1)
+        assert [row["tick"] for row in stream] == [9]
+        assert _connections(daemon) - before == 1.0  # the follow stream's own
+
     def test_idle_connection_closed_by_daemon_is_retried_once(self, tmp_path):
         daemon = ServeDaemon(port=0, request_timeout_s=0.2)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
@@ -486,6 +564,21 @@ class TestTransport:
         finally:
             connection.close()
 
+    def test_expect_100_continue_is_answered_before_the_body(self, daemon):
+        body = json.dumps({"session_id": "e", "scenario": "supercloud-small", "preload_jobs": 0})
+        head = (
+            "POST /sessions HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(head.encode())
+            assert reader.readline().startswith(b"HTTP/1.1 100 ")  # before any body
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body.encode())
+            assert reader.readline().startswith(b"HTTP/1.1 201 ")
+            reader.close()
+
     def test_drain_refuses_requests_on_open_connections(self, tmp_path):
         existing = set(threading.enumerate())
         daemon = ServeDaemon(port=0, checkpoint_dir=str(tmp_path / "ckpt"))
@@ -517,6 +610,168 @@ class TestTransport:
         assert daemon.store.latest("drained")["advanced_to_h"] == 6.0
         connection.close()
         client.close()
+
+
+class _ScriptedPeer:
+    """A socket server that answers each request with the next scripted reply.
+
+    ``replies`` holds ``(raw bytes, then)`` pairs: after sending the bytes
+    it keeps the connection (``"keep"``), closes it (``"close"``), or waits
+    a moment and resets it (``"reset"``).  ``requests`` lists the request
+    lines it read and ``connections`` counts the connections it accepted.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self.replies:
+            try:
+                connection, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with connection, connection.makefile("rb") as reader:
+                while self.replies and self._answer(connection, reader):
+                    pass
+
+    def _answer(self, connection, reader):
+        """Read one request and send its reply; whether the connection is kept."""
+        line = reader.readline()
+        if not line:
+            return False
+        length = 0
+        for header in iter(reader.readline, b"\r\n"):
+            name, _, value = header.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        reader.read(length)
+        self.requests.append(line.decode().strip())
+        raw, then = self.replies.pop(0)
+        connection.sendall(raw)
+        if then == "reset":
+            time.sleep(0.2)  # the client has read what was sent
+            connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        return then == "keep"
+
+    def close(self):
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass  # not listening any more
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+_OK = b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 12\r\n\r\n{"ok": true}'
+
+
+class TestClientFraming:
+    """ServeClient against replies the daemon never sends."""
+
+    def test_reply_without_content_length_is_read_to_the_end(self):
+        unframed = b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"ok": "eof"}'
+        peer = _ScriptedPeer([(unframed, "close"), (_OK, "keep")])
+        try:
+            with ServeClient(peer.url) as client:
+                assert client.health() == {"ok": "eof"}
+                assert client._pooled().sock is None  # closed, not kept for the next call
+                assert client.health() == {"ok": True}
+        finally:
+            peer.close()
+        assert peer.connections == 2
+
+    def test_connection_close_reply_ends_the_pooled_connection(self):
+        closing = _OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        # The peer keeps its end open: the client must not wait on it.
+        peer = _ScriptedPeer([(closing, "keep"), (_OK, "keep")])
+        try:
+            with ServeClient(peer.url, timeout_s=5) as client:
+                assert client.health() == {"ok": True}
+                assert client.health() == {"ok": True}
+        finally:
+            peer.close()
+        assert peer.connections == 2
+
+    def test_chunked_reply_is_refused(self):
+        chunked = b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nc\r\n{"ok": true}\r\n0\r\n\r\n'
+        peer = _ScriptedPeer([(chunked, "keep")])
+        try:
+            with ServeClient(peer.url) as client:
+                with pytest.raises(ServeError, match="Transfer-Encoding"):
+                    client.health()
+        finally:
+            peer.close()
+
+    def test_reset_after_the_status_line_is_not_retried(self):
+        peer = _ScriptedPeer([(_OK, "keep"), (b"HTTP/1.1 200 OK\r\n", "reset"), (_OK, "keep")])
+        try:
+            with ServeClient(peer.url) as client:
+                assert client.health() == {"ok": True}
+                with pytest.raises(ServeError, match="cannot reach daemon"):
+                    client.advance("s1", until_h=1.0)
+        finally:
+            peer.close()
+        assert peer.requests == ["GET /health HTTP/1.1", "POST /sessions/s1/advance HTTP/1.1"]
+
+    def test_reused_connection_closed_before_replying_is_retried_once(self):
+        peer = _ScriptedPeer([(_OK, "close"), (_OK, "keep")])
+        try:
+            with ServeClient(peer.url) as client:
+                assert client.health() == {"ok": True}
+                time.sleep(0.1)  # the peer has closed the kept connection
+                assert client.advance("s1", until_h=1.0) == {"ok": True}
+        finally:
+            peer.close()
+        assert peer.connections == 2
+        assert len(peer.requests) == 2
+
+    def test_https_urls_speak_tls(self, daemon):
+        ssl = pytest.importorskip("ssl")
+        import test as cpython_tests
+
+        # CPython's self-signed test certificate for "localhost".
+        root = Path(cpython_tests.__file__).parent
+        certfile = next(
+            (path for path in (root / "certdata" / "keycert.pem", root / "keycert.pem")
+             if path.exists()),
+            None,
+        )
+        if certfile is None:
+            pytest.skip("no CPython test certificate in this installation")
+        server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        server_context.load_cert_chain(certfile)
+        server = daemon._server
+        server.socket = server_context.wrap_socket(server.socket, server_side=True)
+        with ServeClient(f"https://localhost:{daemon.port}") as client:
+            client._tls = ssl.create_default_context(cafile=str(certfile))
+            for _ in range(3):
+                assert client.health()["status"] == "ok"
+            _create(client, preload_jobs=0)
+            client.advance("s1", until_h=3.0)
+            assert len(list(client.stream_telemetry("s1"))) == 3
+        assert _connections(daemon) == 1.0
+        with ServeClient(f"https://localhost:{daemon.port}") as client:
+            with pytest.raises(ServeError, match="cannot reach daemon.*CERTIFICATE_VERIFY_FAILED"):
+                client.health()  # the default context does not trust the test certificate
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1:21", "127.0.0.1:8714", "http://"])
+    def test_non_http_urls_are_refused(self, url):
+        with pytest.raises(ServeError, match="not an http"):
+            ServeClient(url)
+
+    def test_paths_that_would_break_the_request_line_are_refused(self):
+        with ServeClient("http://127.0.0.1:9") as client:
+            for session_id in ("a b", "a\r\nX-Injected: 1", "café"):
+                with pytest.raises(ServeError, match="visible ASCII"):
+                    client.session_status(session_id)
 
 
 class TestDiagnostics:
