@@ -8,7 +8,7 @@ substrates, plus the summary statistics (correlations, ranges) that the
 benchmarks compare against the paper's qualitative claims.
 """
 
-from .monthly import MonthlySeries, monthly_frame, align_monthly
+from .monthly import MonthlySeries
 from .correlation import (
     pearson_correlation,
     spearman_correlation,
@@ -32,8 +32,6 @@ from .tables import Table1Result, table1_conferences
 
 __all__ = [
     "MonthlySeries",
-    "monthly_frame",
-    "align_monthly",
     "pearson_correlation",
     "spearman_correlation",
     "lagged_cross_correlation",

@@ -1,22 +1,20 @@
-"""Monthly aggregation containers.
+"""Monthly aggregation container.
 
 All of the paper's empirical figures are monthly series over the 2020-2021
 window.  :class:`MonthlySeries` is a small labelled container for one such
-series, and :func:`monthly_frame` / :func:`align_monthly` combine several of
-them into a column-aligned table ready for correlation analysis or printing.
+series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DataError
 from ..timeutils import SimulationCalendar
 
-__all__ = ["MonthlySeries", "monthly_frame", "align_monthly"]
+__all__ = ["MonthlySeries"]
 
 
 @dataclass(frozen=True)
@@ -86,35 +84,3 @@ class MonthlySeries:
     def argmin_label(self) -> str:
         """Label of the month with the smallest value."""
         return self.month_labels[int(np.argmin(self.values))]
-
-
-def align_monthly(series: Sequence[MonthlySeries]) -> list[MonthlySeries]:
-    """Validate that several monthly series share the same months, returning them.
-
-    Raises :class:`DataError` when lengths or labels differ, which catches the
-    common mistake of mixing 12- and 24-month horizons.
-    """
-    if not series:
-        raise DataError("align_monthly requires at least one series")
-    reference = series[0].month_labels
-    for s in series[1:]:
-        if s.month_labels != reference:
-            raise DataError(
-                f"monthly series {s.name!r} has different months than {series[0].name!r}"
-            )
-    return list(series)
-
-
-def monthly_frame(series: Sequence[MonthlySeries]) -> Mapping[str, np.ndarray]:
-    """Combine aligned monthly series into a dict-of-columns 'frame'.
-
-    The first column is ``"month"`` (labels); remaining columns are the series
-    values keyed by their names.
-    """
-    aligned = align_monthly(series)
-    frame: dict[str, np.ndarray] = {"month": np.asarray(aligned[0].month_labels, dtype=object)}
-    for s in aligned:
-        if s.name in frame:
-            raise DataError(f"duplicate series name {s.name!r}")
-        frame[s.name] = s.values
-    return frame

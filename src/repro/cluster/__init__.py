@@ -1,4 +1,4 @@
-"""Cluster substrate: resources, discrete-event simulation, cooling, utilization.
+"""Cluster substrate: resources, discrete-event simulation and cooling.
 
 This package models the datacenter/HPC system whose energy the paper's
 framework (Eq. 1) optimizes:
@@ -14,7 +14,6 @@ framework (Eq. 1) optimizes:
   statistics, and energy/cost/carbon totals.  Its
   :class:`~repro.cluster.simulator.SimulationResult` is the one per-site
   power account: fleet totals and reports sum over it.
-* :mod:`~repro.cluster.utilization` — utilization accounting helpers.
 
 Incremental state model
 -----------------------
@@ -48,7 +47,6 @@ from .simulator import (
     SimulationConfig,
     SimulationResult,
 )
-from .utilization import UtilizationTracker, cluster_utilization_statistics, utilization_statistics
 
 __all__ = [
     "Cluster",
@@ -64,7 +62,4 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "JobRecord",
-    "UtilizationTracker",
-    "cluster_utilization_statistics",
-    "utilization_statistics",
 ]

@@ -12,7 +12,6 @@ NumPy-only models:
   seasonal-naive/persistence models;
 * :mod:`~repro.forecasting.wind` — a synthetic wind farm plus the 36 h-ahead
   forecasting task (CLAIM-WIND);
-* :mod:`~repro.forecasting.demand` — cluster demand / energy-price forecasting;
 * :mod:`~repro.forecasting.evaluation` — MAE/RMSE/MAPE/skill metrics and
   backtesting.
 """
@@ -20,7 +19,6 @@ NumPy-only models:
 from .features import make_lag_matrix, make_seasonal_features, train_test_split_series
 from .linear import RidgeRegressor, AutoregressiveForecaster, PersistenceForecaster, SeasonalNaiveForecaster
 from .wind import WindFarmConfig, WindFarmSimulator, WindPowerForecaster
-from .demand import DemandForecaster, PriceForecaster
 from .evaluation import ForecastMetrics, evaluate_forecast, forecast_skill
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "WindFarmConfig",
     "WindFarmSimulator",
     "WindPowerForecaster",
-    "DemandForecaster",
-    "PriceForecaster",
     "ForecastMetrics",
     "evaluate_forecast",
     "forecast_skill",

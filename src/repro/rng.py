@@ -12,11 +12,11 @@ traces (the ablation benchmarks rely on this).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "derive_seed", "make_rng", "RngStreams", "spawn_rngs"]
+__all__ = ["SeedLike", "derive_seed", "make_rng"]
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -63,60 +63,3 @@ def make_rng(seed: SeedLike = None, *names: Union[str, int]) -> np.random.Genera
     if names:
         base = derive_seed(base, *names)
     return np.random.default_rng(base)
-
-
-def spawn_rngs(seed: SeedLike, count: int, prefix: str = "task") -> list[np.random.Generator]:
-    """Spawn ``count`` independent generators, e.g. one per parallel sweep task."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [make_rng(seed, prefix, index) for index in range(count)]
-
-
-class RngStreams:
-    """A registry of named, independent random streams derived from one seed.
-
-    Example
-    -------
-    >>> streams = RngStreams(seed=7)
-    >>> weather_rng = streams.get("weather")
-    >>> workload_rng = streams.get("workload")
-
-    Repeated calls with the same name return the *same* generator object so a
-    component can keep drawing from its stream across calls.
-    """
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        if isinstance(seed, np.random.Generator):
-            # Freeze the state of an externally supplied generator into a seed.
-            self._base_seed = int(seed.integers(0, 2**63))
-        else:
-            self._base_seed = DEFAULT_SEED if seed is None else int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    @property
-    def base_seed(self) -> int:
-        """The base seed from which all streams are derived."""
-        return self._base_seed
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the generator for stream ``name``, creating it on first use."""
-        if name not in self._streams:
-            self._streams[name] = np.random.default_rng(derive_seed(self._base_seed, name))
-        return self._streams[name]
-
-    def reset(self, name: Optional[str] = None) -> None:
-        """Reset one stream (or all streams when ``name`` is ``None``) to its initial state."""
-        if name is None:
-            self._streams.clear()
-        else:
-            self._streams.pop(name, None)
-
-    def names(self) -> Sequence[str]:
-        """Names of streams instantiated so far, in creation order."""
-        return tuple(self._streams)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._streams)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStreams(base_seed={self._base_seed}, streams={list(self._streams)})"

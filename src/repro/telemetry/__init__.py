@@ -1,4 +1,4 @@
-"""Simulated hardware telemetry: GPU/CPU power models and power sampling.
+"""Simulated hardware telemetry: the GPU power model and power sampling.
 
 The paper's measurement story ("needs a GPU, nvidia-smi power hooks")
 is reproduced here with a simulated NVML layer.  The public surface mirrors
@@ -12,37 +12,21 @@ how real NVML-based tooling (nvidia-smi, Zeus, CodeCarbon) is used:
   ``utilization``) that higher layers poll exactly as they would poll NVML.
 * :class:`~repro.telemetry.sampler.PowerSampler` — periodic polling and
   trapezoidal energy integration.
-* :mod:`~repro.telemetry.metrics` — PUE and related facility metrics.
 """
 
 from .gpu_power import GpuSpec, GpuPowerModel, KNOWN_GPUS, get_gpu_spec
-from .cpu_power import CpuSpec, CpuPowerModel, KNOWN_CPUS, get_cpu_spec
 from .nvml_sim import SimulatedGpuDevice, SimulatedNvml, NvmlNotInitializedError
 from .sampler import PowerSample, PowerSampler, EnergyIntegrator
-from .metrics import (
-    power_usage_effectiveness,
-    carbon_usage_effectiveness,
-    energy_reuse_effectiveness,
-    it_power_from_facility,
-)
 
 __all__ = [
     "GpuSpec",
     "GpuPowerModel",
     "KNOWN_GPUS",
     "get_gpu_spec",
-    "CpuSpec",
-    "CpuPowerModel",
-    "KNOWN_CPUS",
-    "get_cpu_spec",
     "SimulatedGpuDevice",
     "SimulatedNvml",
     "NvmlNotInitializedError",
     "PowerSample",
     "PowerSampler",
     "EnergyIntegrator",
-    "power_usage_effectiveness",
-    "carbon_usage_effectiveness",
-    "energy_reuse_effectiveness",
-    "it_power_from_facility",
 ]

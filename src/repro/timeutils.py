@@ -19,21 +19,13 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "MONTH_NAMES",
     "MONTH_ABBREVIATIONS",
     "is_leap_year",
     "days_in_month",
-    "days_in_year",
     "hours_in_month",
-    "hours_in_year",
     "MonthIndex",
     "SimulationCalendar",
 ]
-
-MONTH_NAMES: tuple[str, ...] = (
-    "January", "February", "March", "April", "May", "June",
-    "July", "August", "September", "October", "November", "December",
-)
 
 MONTH_ABBREVIATIONS: tuple[str, ...] = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -57,19 +49,9 @@ def days_in_month(year: int, month: int) -> int:
     return _DAYS_IN_MONTH[month - 1]
 
 
-def days_in_year(year: int) -> int:
-    """Number of days in ``year``."""
-    return 366 if is_leap_year(year) else 365
-
-
 def hours_in_month(year: int, month: int) -> int:
     """Number of hours in ``month`` of ``year``."""
     return days_in_month(year, month) * 24
-
-
-def hours_in_year(year: int) -> int:
-    """Number of hours in ``year``."""
-    return days_in_year(year) * 24
 
 
 @dataclass(frozen=True)

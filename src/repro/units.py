@@ -1,29 +1,16 @@
-"""Units and conversions used throughout the toolkit.
+"""Unit conversions shared across the toolkit.
 
-The paper (and the energy-efficiency literature it draws on) mixes several
-unit systems: instantaneous power in watts and kilowatts, energy in joules
-and kilowatt-hours, carbon in grams/kilograms/metric tons of CO2-equivalent,
-electricity prices in $/MWh, and compute in petaflop/s-days (Fig. 1).  This
-module centralizes those conversions so that the rest of the code can be
-written against a single canonical set:
-
-* power      — watts (W)
-* energy     — joules (J)
-* carbon     — grams CO2e (g)
-* money      — US dollars ($)
-* compute    — floating point operations (FLOPs)
-* time       — seconds (s)
-
-Helper functions convert to and from the human-facing units used in the
-paper's figures (kW, kWh, MWh, $/MWh, gCO2/kWh, petaflop/s-days).
+The simulation works in SI units: power in watts, energy in joules and time
+in seconds.  This module holds the few conversions the rest of the code
+needs: joules to kilowatt-hours (the unit of carbon intensities, in
+gCO2e/kWh), trapezoidal integration of a sampled power trace into joules,
+and Celsius to Fahrenheit (Fig. 4's axis).
 
 All functions accept scalars or NumPy arrays and are fully vectorized.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -32,71 +19,15 @@ from .errors import UnitError
 
 __all__ = [
     "ArrayLike",
-    "SECONDS_PER_MINUTE",
-    "SECONDS_PER_HOUR",
-    "SECONDS_PER_DAY",
-    "SECONDS_PER_YEAR",
-    "HOURS_PER_YEAR",
     "JOULES_PER_KWH",
-    "JOULES_PER_MWH",
-    "WATTS_PER_KILOWATT",
-    "WATTS_PER_MEGAWATT",
-    "GRAMS_PER_KG",
-    "GRAMS_PER_METRIC_TON",
-    "FLOPS_PER_PFLOP_S_DAY",
-    "watts_to_kilowatts",
-    "kilowatts_to_watts",
-    "megawatts_to_watts",
-    "watts_to_megawatts",
     "joules_to_kwh",
-    "kwh_to_joules",
-    "joules_to_mwh",
-    "mwh_to_joules",
-    "kwh_to_mwh",
-    "mwh_to_kwh",
-    "energy_from_power",
-    "average_power",
     "integrate_power",
-    "carbon_from_energy",
-    "grams_to_kg",
-    "grams_to_metric_tons",
-    "kg_to_grams",
-    "dollars_per_mwh_to_per_joule",
-    "cost_from_energy",
-    "flops_to_pflops_days",
-    "pflops_days_to_flops",
     "celsius_to_fahrenheit",
-    "fahrenheit_to_celsius",
-    "EnergyBreakdown",
-    "format_energy",
-    "format_power",
-    "format_carbon",
 ]
 
 ArrayLike = Union[float, int, np.ndarray]
 
-# ---------------------------------------------------------------------------
-# Canonical constants
-# ---------------------------------------------------------------------------
-
-SECONDS_PER_MINUTE = 60.0
-SECONDS_PER_HOUR = 3600.0
-SECONDS_PER_DAY = 86400.0
-SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
-HOURS_PER_YEAR = 8760.0
-
 JOULES_PER_KWH = 3.6e6
-JOULES_PER_MWH = 3.6e9
-
-WATTS_PER_KILOWATT = 1e3
-WATTS_PER_MEGAWATT = 1e6
-
-GRAMS_PER_KG = 1e3
-GRAMS_PER_METRIC_TON = 1e6
-
-#: One petaflop/s-day expressed in floating point operations, the unit used by
-#: the OpenAI "AI and Compute" analysis reproduced in Fig. 1.
-FLOPS_PER_PFLOP_S_DAY = 1e15 * SECONDS_PER_DAY
 
 
 def _check_nonnegative(value: ArrayLike, name: str) -> None:
@@ -106,76 +37,9 @@ def _check_nonnegative(value: ArrayLike, name: str) -> None:
         raise UnitError(f"{name} must be non-negative, got {value!r}")
 
 
-# ---------------------------------------------------------------------------
-# Power
-# ---------------------------------------------------------------------------
-
-def watts_to_kilowatts(watts: ArrayLike) -> ArrayLike:
-    """Convert watts to kilowatts."""
-    return np.asarray(watts, dtype=float) / WATTS_PER_KILOWATT
-
-
-def kilowatts_to_watts(kilowatts: ArrayLike) -> ArrayLike:
-    """Convert kilowatts to watts."""
-    return np.asarray(kilowatts, dtype=float) * WATTS_PER_KILOWATT
-
-
-def megawatts_to_watts(megawatts: ArrayLike) -> ArrayLike:
-    """Convert megawatts to watts."""
-    return np.asarray(megawatts, dtype=float) * WATTS_PER_MEGAWATT
-
-
-def watts_to_megawatts(watts: ArrayLike) -> ArrayLike:
-    """Convert watts to megawatts."""
-    return np.asarray(watts, dtype=float) / WATTS_PER_MEGAWATT
-
-
-# ---------------------------------------------------------------------------
-# Energy
-# ---------------------------------------------------------------------------
-
 def joules_to_kwh(joules: ArrayLike) -> ArrayLike:
     """Convert joules to kilowatt-hours."""
     return np.asarray(joules, dtype=float) / JOULES_PER_KWH
-
-
-def kwh_to_joules(kwh: ArrayLike) -> ArrayLike:
-    """Convert kilowatt-hours to joules."""
-    return np.asarray(kwh, dtype=float) * JOULES_PER_KWH
-
-
-def joules_to_mwh(joules: ArrayLike) -> ArrayLike:
-    """Convert joules to megawatt-hours."""
-    return np.asarray(joules, dtype=float) / JOULES_PER_MWH
-
-
-def mwh_to_joules(mwh: ArrayLike) -> ArrayLike:
-    """Convert megawatt-hours to joules."""
-    return np.asarray(mwh, dtype=float) * JOULES_PER_MWH
-
-
-def kwh_to_mwh(kwh: ArrayLike) -> ArrayLike:
-    """Convert kilowatt-hours to megawatt-hours."""
-    return np.asarray(kwh, dtype=float) / 1e3
-
-
-def mwh_to_kwh(mwh: ArrayLike) -> ArrayLike:
-    """Convert megawatt-hours to kilowatt-hours."""
-    return np.asarray(mwh, dtype=float) * 1e3
-
-
-def energy_from_power(power_w: ArrayLike, duration_s: ArrayLike) -> ArrayLike:
-    """Energy in joules for constant power ``power_w`` over ``duration_s`` seconds."""
-    _check_nonnegative(duration_s, "duration_s")
-    return np.asarray(power_w, dtype=float) * np.asarray(duration_s, dtype=float)
-
-
-def average_power(energy_j: ArrayLike, duration_s: ArrayLike) -> ArrayLike:
-    """Average power in watts given energy in joules over ``duration_s`` seconds."""
-    duration = np.asarray(duration_s, dtype=float)
-    if np.any(duration <= 0):
-        raise UnitError(f"duration_s must be positive, got {duration_s!r}")
-    return np.asarray(energy_j, dtype=float) / duration
 
 
 def integrate_power(power_w: np.ndarray, timestamps_s: np.ndarray) -> float:
@@ -203,157 +67,6 @@ def integrate_power(power_w: np.ndarray, timestamps_s: np.ndarray) -> float:
     return float(np.trapezoid(power, times))
 
 
-# ---------------------------------------------------------------------------
-# Carbon
-# ---------------------------------------------------------------------------
-
-def carbon_from_energy(energy_j: ArrayLike, intensity_g_per_kwh: ArrayLike) -> ArrayLike:
-    """Carbon emissions in grams CO2e for the given energy and carbon intensity.
-
-    ``intensity_g_per_kwh`` is the grid carbon intensity in gCO2e per kWh,
-    the standard unit reported by grid operators and by tools such as
-    CodeCarbon.
-    """
-    _check_nonnegative(intensity_g_per_kwh, "intensity_g_per_kwh")
-    return joules_to_kwh(energy_j) * np.asarray(intensity_g_per_kwh, dtype=float)
-
-
-def grams_to_kg(grams: ArrayLike) -> ArrayLike:
-    """Convert grams to kilograms."""
-    return np.asarray(grams, dtype=float) / GRAMS_PER_KG
-
-
-def grams_to_metric_tons(grams: ArrayLike) -> ArrayLike:
-    """Convert grams to metric tons."""
-    return np.asarray(grams, dtype=float) / GRAMS_PER_METRIC_TON
-
-
-def kg_to_grams(kg: ArrayLike) -> ArrayLike:
-    """Convert kilograms to grams."""
-    return np.asarray(kg, dtype=float) * GRAMS_PER_KG
-
-
-# ---------------------------------------------------------------------------
-# Money
-# ---------------------------------------------------------------------------
-
-def dollars_per_mwh_to_per_joule(price_per_mwh: ArrayLike) -> ArrayLike:
-    """Convert a $/MWh price (the LMP unit in Fig. 3) to $/J."""
-    return np.asarray(price_per_mwh, dtype=float) / JOULES_PER_MWH
-
-
-def cost_from_energy(energy_j: ArrayLike, price_per_mwh: ArrayLike) -> ArrayLike:
-    """Dollar cost of ``energy_j`` joules at ``price_per_mwh`` $/MWh."""
-    return joules_to_mwh(energy_j) * np.asarray(price_per_mwh, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Compute (Fig. 1)
-# ---------------------------------------------------------------------------
-
-def flops_to_pflops_days(flops: ArrayLike) -> ArrayLike:
-    """Convert raw FLOPs to petaflop/s-days (the y-axis of Fig. 1)."""
-    _check_nonnegative(flops, "flops")
-    return np.asarray(flops, dtype=float) / FLOPS_PER_PFLOP_S_DAY
-
-
-def pflops_days_to_flops(pflops_days: ArrayLike) -> ArrayLike:
-    """Convert petaflop/s-days to raw FLOPs."""
-    _check_nonnegative(pflops_days, "pflops_days")
-    return np.asarray(pflops_days, dtype=float) * FLOPS_PER_PFLOP_S_DAY
-
-
-# ---------------------------------------------------------------------------
-# Temperature (Fig. 4 uses Fahrenheit; the climate model works in Celsius)
-# ---------------------------------------------------------------------------
-
 def celsius_to_fahrenheit(celsius: ArrayLike) -> ArrayLike:
     """Convert degrees Celsius to Fahrenheit."""
     return np.asarray(celsius, dtype=float) * 9.0 / 5.0 + 32.0
-
-
-def fahrenheit_to_celsius(fahrenheit: ArrayLike) -> ArrayLike:
-    """Convert degrees Fahrenheit to Celsius."""
-    return (np.asarray(fahrenheit, dtype=float) - 32.0) * 5.0 / 9.0
-
-
-# ---------------------------------------------------------------------------
-# Aggregates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Immutable record splitting facility energy into IT and overhead components.
-
-    Attributes
-    ----------
-    it_energy_j:
-        Energy consumed by IT equipment (GPUs, CPUs, memory, network).
-    overhead_energy_j:
-        Energy consumed by cooling, power distribution and other facility
-        overheads.
-    """
-
-    it_energy_j: float
-    overhead_energy_j: float
-
-    def __post_init__(self) -> None:
-        if self.it_energy_j < 0 or self.overhead_energy_j < 0:
-            raise UnitError("energy components must be non-negative")
-
-    @property
-    def total_energy_j(self) -> float:
-        """Total facility energy in joules."""
-        return self.it_energy_j + self.overhead_energy_j
-
-    @property
-    def pue(self) -> float:
-        """Power usage effectiveness = total facility energy / IT energy.
-
-        Returns ``nan`` when no IT energy was consumed (PUE undefined).
-        """
-        if self.it_energy_j == 0:
-            return math.nan
-        return self.total_energy_j / self.it_energy_j
-
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        if not isinstance(other, EnergyBreakdown):
-            return NotImplemented
-        return EnergyBreakdown(
-            it_energy_j=self.it_energy_j + other.it_energy_j,
-            overhead_energy_j=self.overhead_energy_j + other.overhead_energy_j,
-        )
-
-
-def format_energy(energy_j: float) -> str:
-    """Render an energy value with an appropriate human unit (J, kWh or MWh)."""
-    if energy_j < 0:
-        raise UnitError(f"energy must be non-negative, got {energy_j!r}")
-    if energy_j < JOULES_PER_KWH:
-        return f"{energy_j:.1f} J"
-    kwh = joules_to_kwh(energy_j)
-    if kwh < 1e3:
-        return f"{float(kwh):.2f} kWh"
-    return f"{float(kwh_to_mwh(kwh)):.2f} MWh"
-
-
-def format_power(power_w: float) -> str:
-    """Render a power value with an appropriate human unit (W, kW or MW)."""
-    if power_w < 0:
-        raise UnitError(f"power must be non-negative, got {power_w!r}")
-    if power_w < WATTS_PER_KILOWATT:
-        return f"{power_w:.1f} W"
-    if power_w < WATTS_PER_MEGAWATT:
-        return f"{float(watts_to_kilowatts(power_w)):.2f} kW"
-    return f"{float(watts_to_megawatts(power_w)):.2f} MW"
-
-
-def format_carbon(grams: float) -> str:
-    """Render a carbon mass with an appropriate human unit (g, kg or t CO2e)."""
-    if grams < 0:
-        raise UnitError(f"carbon mass must be non-negative, got {grams!r}")
-    if grams < GRAMS_PER_KG:
-        return f"{grams:.1f} gCO2e"
-    if grams < GRAMS_PER_METRIC_TON:
-        return f"{float(grams_to_kg(grams)):.2f} kgCO2e"
-    return f"{float(grams_to_metric_tons(grams)):.2f} tCO2e"

@@ -18,7 +18,7 @@ from repro.analysis.figures import (
     fig4_power_vs_temperature,
     fig5_energy_vs_deadlines,
 )
-from repro.analysis.monthly import MonthlySeries, align_monthly, monthly_frame
+from repro.analysis.monthly import MonthlySeries
 from repro.analysis.tables import table1_conferences
 from repro.errors import DataError
 
@@ -53,18 +53,6 @@ class TestMonthlySeries:
     def test_label_mismatch_rejected(self):
         with pytest.raises(DataError):
             MonthlySeries("x", np.array([1.0, 2.0]), ("Jan 2020",))
-
-    def test_align_and_frame(self):
-        labels = ("Jan 2020", "Feb 2020")
-        a = MonthlySeries("a", np.array([1.0, 2.0]), labels)
-        b = MonthlySeries("b", np.array([3.0, 4.0]), labels)
-        frame = monthly_frame([a, b])
-        assert set(frame) == {"month", "a", "b"}
-        with pytest.raises(DataError):
-            align_monthly([a, MonthlySeries("c", np.array([1.0]), ("Jan 2020",))])
-        with pytest.raises(DataError):
-            monthly_frame([a, MonthlySeries("a", np.array([5.0, 6.0]), labels)])
-
 
 class TestCorrelation:
     def test_pearson_perfect(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ForecastError
-from repro.forecasting.demand import DemandForecaster, PriceForecaster
 from repro.forecasting.evaluation import evaluate_forecast, forecast_skill
 from repro.forecasting.features import make_lag_matrix, make_seasonal_features, train_test_split_series
 from repro.forecasting.linear import (
@@ -190,32 +189,3 @@ class TestWind:
     def test_config_validation(self):
         with pytest.raises(Exception):
             WindFarmConfig(cut_in_ms=15.0, rated_ms=12.0)
-
-
-class TestDemandAndPriceForecasters:
-    def test_demand_forecaster_backtest(self, year_grid):
-        # Forecast the renewable share series as a stand-in occupancy signal.
-        series = year_grid.renewable_share[: 24 * 200]
-        forecaster = DemandForecaster(horizon=24)
-        metrics = forecaster.evaluate(series)
-        assert metrics.mae >= 0
-        assert metrics.n_samples > 100
-
-    def test_price_forecaster_uses_exogenous_renewables(self, year_grid):
-        n = 24 * 200
-        prices = year_grid.price_per_mwh[:n]
-        renewables = year_grid.renewable_share[:n]
-        with_exo = PriceForecaster(horizon=24).evaluate(prices, renewables)
-        without = PriceForecaster(horizon=24).evaluate(prices)
-        assert with_exo.mae <= without.mae * 1.05
-
-    def test_deadline_pressure_feature(self):
-        pressure = DemandForecaster.deadline_pressure([("X", 100.0)], n_hours=200, window_days=2.0)
-        assert pressure.shape == (200,)
-        assert pressure[90] == 1.0
-        assert pressure[40] == 0.0
-        assert pressure[150] == 0.0
-
-    def test_backtest_too_short(self):
-        with pytest.raises(ForecastError):
-            DemandForecaster(horizon=24).backtest(np.arange(50.0))

@@ -10,7 +10,7 @@ from repro.core.policies import LoadShiftingPolicy, _shift_load
 from repro.grid.storage import BatteryStorage, StorageConfig
 from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 from repro.timeutils import SimulationCalendar
-from repro.units import carbon_from_energy, joules_to_kwh, kwh_to_joules
+from repro.units import JOULES_PER_KWH, joules_to_kwh
 
 
 MODEL = GpuPowerModel(get_gpu_spec("V100"))
@@ -19,17 +19,7 @@ MODEL = GpuPowerModel(get_gpu_spec("V100"))
 class TestUnitProperties:
     @given(st.floats(min_value=0.0, max_value=1e15, allow_nan=False))
     def test_kwh_joules_roundtrip(self, kwh):
-        assert float(joules_to_kwh(kwh_to_joules(kwh))) == pytest.approx(kwh, rel=1e-12)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1e12),
-        st.floats(min_value=0.0, max_value=2000.0),
-    )
-    def test_carbon_non_negative_and_linear(self, energy_j, intensity):
-        single = float(carbon_from_energy(energy_j, intensity))
-        double = float(carbon_from_energy(2.0 * energy_j, intensity))
-        assert single >= 0.0
-        assert double == pytest.approx(2.0 * single, rel=1e-9)
+        assert float(joules_to_kwh(kwh * JOULES_PER_KWH)) == pytest.approx(kwh, rel=1e-12)
 
 
 class TestGpuPowerProperties:

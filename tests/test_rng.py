@@ -1,9 +1,8 @@
 """Tests for repro.rng (seed derivation and named streams)."""
 
 import numpy as np
-import pytest
 
-from repro.rng import DEFAULT_SEED, RngStreams, derive_seed, make_rng, spawn_rngs
+from repro.rng import DEFAULT_SEED, derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -50,54 +49,3 @@ class TestMakeRng:
         gen = np.random.default_rng(0)
         child = make_rng(gen, "x")
         assert child is not gen
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = spawn_rngs(3, 4)
-        assert len(rngs) == 4
-
-    def test_streams_independent(self):
-        rngs = spawn_rngs(3, 2)
-        a = rngs[0].uniform(size=10)
-        b = rngs[1].uniform(size=10)
-        assert not np.allclose(a, b)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(3, -1)
-
-
-class TestRngStreams:
-    def test_same_name_returns_same_generator(self):
-        streams = RngStreams(5)
-        assert streams.get("weather") is streams.get("weather")
-
-    def test_different_names_return_different_generators(self):
-        streams = RngStreams(5)
-        assert streams.get("a") is not streams.get("b")
-
-    def test_reset_single_stream(self):
-        streams = RngStreams(5)
-        first = streams.get("a").uniform(size=3)
-        streams.reset("a")
-        second = streams.get("a").uniform(size=3)
-        np.testing.assert_allclose(first, second)
-
-    def test_reset_all(self):
-        streams = RngStreams(5)
-        streams.get("a")
-        streams.get("b")
-        streams.reset()
-        assert list(streams.names()) == []
-
-    def test_names_in_creation_order(self):
-        streams = RngStreams(5)
-        streams.get("z")
-        streams.get("a")
-        assert list(streams.names()) == ["z", "a"]
-
-    def test_reproducible_across_instances(self):
-        a = RngStreams(11).get("demand").normal(size=4)
-        b = RngStreams(11).get("demand").normal(size=4)
-        np.testing.assert_allclose(a, b)

@@ -1,57 +1,10 @@
-"""Tests for the simulated NVML layer and the CPU power model."""
+"""Tests for the simulated NVML layer."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TelemetryError
-from repro.telemetry.cpu_power import KNOWN_CPUS, CpuPowerModel, CpuSpec, get_cpu_spec
+from repro.errors import TelemetryError
 from repro.telemetry.nvml_sim import NvmlNotInitializedError, SimulatedNvml
-
-
-class TestCpuPowerModel:
-    def test_known_cpus_consistent(self):
-        for spec in KNOWN_CPUS.values():
-            assert 0 <= spec.idle_power_w < spec.tdp_w
-
-    def test_lookup(self):
-        assert get_cpu_spec("xeon-8260").name == "XEON-8260"
-        with pytest.raises(TelemetryError):
-            get_cpu_spec("z80")
-
-    def test_idle_and_full_load(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-8260"))
-        assert float(model.power_w(0.0)) == pytest.approx(model.spec.idle_power_w)
-        assert float(model.power_w(1.0)) == pytest.approx(model.spec.tdp_w)
-
-    def test_monotone_in_load(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-6248"))
-        loads = np.linspace(0, 1, 11)
-        powers = np.asarray(model.power_w(loads))
-        assert np.all(np.diff(powers) >= 0)
-
-    def test_dram_term(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-8260"))
-        with_dram = float(model.power_w(0.5, dram_gb_active=256.0))
-        without = float(model.power_w(0.5))
-        assert with_dram > without
-
-    def test_negative_dram_rejected(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-8260"))
-        with pytest.raises(TelemetryError):
-            model.power_w(0.5, dram_gb_active=-1.0)
-
-    def test_energy(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-8260"))
-        assert float(model.energy_j(0.0, 10.0)) == pytest.approx(model.spec.idle_power_w * 10.0)
-
-    def test_load_for_power_inverts(self):
-        model = CpuPowerModel(get_cpu_spec("XEON-8260"))
-        power = float(model.power_w(0.6))
-        assert float(model.load_for_power(power)) == pytest.approx(0.6, abs=1e-9)
-
-    def test_invalid_spec(self):
-        with pytest.raises(ConfigurationError):
-            CpuSpec(name="bad", tdp_w=100.0, idle_power_w=150.0, n_cores=8)
 
 
 class TestSimulatedNvml:

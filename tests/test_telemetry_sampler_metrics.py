@@ -1,16 +1,9 @@
-"""Tests for the power sampler, energy integrator and facility metrics."""
+"""Tests for the power sampler and energy integrator."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DataError, TelemetryError
-from repro.telemetry.metrics import (
-    carbon_usage_effectiveness,
-    energy_reuse_effectiveness,
-    it_power_from_facility,
-    power_usage_effectiveness,
-    water_usage_effectiveness,
-)
+from repro.errors import TelemetryError
 from repro.telemetry.nvml_sim import SimulatedNvml
 from repro.telemetry.sampler import EnergyIntegrator, PowerSampler
 
@@ -104,37 +97,3 @@ class TestPowerSampler:
         times, powers = sampler.power_trace()
         assert times.shape == powers.shape
         assert times.shape[0] == len(sampler.samples)
-
-
-class TestFacilityMetrics:
-    def test_pue_basic(self):
-        assert power_usage_effectiveness(130.0, 100.0) == pytest.approx(1.3)
-
-    def test_pue_rejects_impossible(self):
-        with pytest.raises(DataError):
-            power_usage_effectiveness(90.0, 100.0)
-        with pytest.raises(DataError):
-            power_usage_effectiveness(100.0, 0.0)
-
-    def test_it_power_from_facility(self):
-        assert it_power_from_facility(130.0, 1.3) == pytest.approx(100.0)
-        with pytest.raises(DataError):
-            it_power_from_facility(130.0, 0.9)
-
-    def test_cue(self):
-        assert carbon_usage_effectiveness(300.0, 1.0) == pytest.approx(300.0)
-        with pytest.raises(DataError):
-            carbon_usage_effectiveness(-1.0, 1.0)
-
-    def test_ere_can_go_below_one(self):
-        ere = energy_reuse_effectiveness(130.0, 50.0, 100.0)
-        assert ere == pytest.approx(0.8)
-
-    def test_ere_rejects_reuse_above_facility(self):
-        with pytest.raises(DataError):
-            energy_reuse_effectiveness(100.0, 150.0, 100.0)
-
-    def test_wue(self):
-        assert water_usage_effectiveness(180.0, 100.0) == pytest.approx(1.8)
-        with pytest.raises(DataError):
-            water_usage_effectiveness(-1.0, 100.0)

@@ -8,9 +8,7 @@ from repro.timeutils import (
     MonthIndex,
     SimulationCalendar,
     days_in_month,
-    days_in_year,
     hours_in_month,
-    hours_in_year,
     is_leap_year,
 )
 
@@ -29,14 +27,6 @@ class TestLeapYears:
     def test_february_lengths(self):
         assert days_in_month(2020, 2) == 29
         assert days_in_month(2021, 2) == 28
-
-    def test_days_in_year(self):
-        assert days_in_year(2020) == 366
-        assert days_in_year(2021) == 365
-
-    def test_hours_in_year(self):
-        assert hours_in_year(2021) == 8760
-        assert hours_in_year(2020) == 8784
 
     def test_invalid_month_rejected(self):
         with pytest.raises(DataError):
@@ -58,7 +48,7 @@ class TestMonthIndex:
 class TestSimulationCalendar:
     def test_total_hours_two_years(self):
         cal = SimulationCalendar(2020, 24)
-        assert cal.total_hours == hours_in_year(2020) + hours_in_year(2021)
+        assert cal.total_hours == (366 + 365) * 24
 
     def test_month_count(self):
         cal = SimulationCalendar(2020, 5)

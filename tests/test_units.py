@@ -1,7 +1,5 @@
 """Tests for repro.units."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,46 +7,14 @@ from repro import units
 from repro.errors import UnitError
 
 
-class TestPowerConversions:
-    def test_watts_kilowatts_roundtrip(self):
-        assert units.watts_to_kilowatts(1500.0) == pytest.approx(1.5)
-        assert units.kilowatts_to_watts(1.5) == pytest.approx(1500.0)
+class TestConversions:
+    def test_joules_to_kwh(self):
+        assert units.joules_to_kwh(units.JOULES_PER_KWH) == pytest.approx(1.0)
+        np.testing.assert_allclose(units.joules_to_kwh(np.array([3.6e6, 7.2e6])), [1.0, 2.0])
 
-    def test_megawatt_conversions(self):
-        assert units.megawatts_to_watts(2.0) == pytest.approx(2e6)
-        assert units.watts_to_megawatts(5e5) == pytest.approx(0.5)
-
-    def test_vectorized(self):
-        out = units.watts_to_kilowatts(np.array([1000.0, 2000.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0])
-
-
-class TestEnergyConversions:
-    def test_kwh_joules_roundtrip(self):
-        assert units.kwh_to_joules(1.0) == pytest.approx(3.6e6)
-        assert units.joules_to_kwh(3.6e6) == pytest.approx(1.0)
-
-    def test_mwh_joules(self):
-        assert units.mwh_to_joules(1.0) == pytest.approx(3.6e9)
-        assert units.joules_to_mwh(7.2e9) == pytest.approx(2.0)
-
-    def test_kwh_mwh(self):
-        assert units.kwh_to_mwh(2500.0) == pytest.approx(2.5)
-        assert units.mwh_to_kwh(2.5) == pytest.approx(2500.0)
-
-    def test_energy_from_power(self):
-        assert units.energy_from_power(100.0, 3600.0) == pytest.approx(360000.0)
-
-    def test_energy_from_power_rejects_negative_duration(self):
-        with pytest.raises(UnitError):
-            units.energy_from_power(100.0, -1.0)
-
-    def test_average_power(self):
-        assert units.average_power(3.6e6, 3600.0) == pytest.approx(1000.0)
-
-    def test_average_power_rejects_zero_duration(self):
-        with pytest.raises(UnitError):
-            units.average_power(100.0, 0.0)
+    def test_celsius_to_fahrenheit(self):
+        assert units.celsius_to_fahrenheit(100.0) == pytest.approx(212.0)
+        assert units.celsius_to_fahrenheit(-40.0) == pytest.approx(-40.0)
 
 
 class TestIntegratePower:
@@ -77,88 +43,3 @@ class TestIntegratePower:
     def test_rejects_negative_power(self):
         with pytest.raises(UnitError):
             units.integrate_power(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
-
-
-class TestCarbonAndMoney:
-    def test_carbon_from_energy(self):
-        # 1 kWh at 300 g/kWh = 300 g
-        assert units.carbon_from_energy(3.6e6, 300.0) == pytest.approx(300.0)
-
-    def test_carbon_rejects_negative_intensity(self):
-        with pytest.raises(UnitError):
-            units.carbon_from_energy(3.6e6, -1.0)
-
-    def test_gram_conversions(self):
-        assert units.grams_to_kg(2500.0) == pytest.approx(2.5)
-        assert units.grams_to_metric_tons(3e6) == pytest.approx(3.0)
-        assert units.kg_to_grams(1.2) == pytest.approx(1200.0)
-
-    def test_cost_from_energy(self):
-        # 1 MWh at $40/MWh = $40
-        assert units.cost_from_energy(3.6e9, 40.0) == pytest.approx(40.0)
-
-    def test_dollars_per_mwh_to_per_joule(self):
-        assert units.dollars_per_mwh_to_per_joule(36.0) == pytest.approx(1e-8)
-
-
-class TestComputeAndTemperature:
-    def test_pflops_days_roundtrip(self):
-        flops = units.pflops_days_to_flops(2.0)
-        assert units.flops_to_pflops_days(flops) == pytest.approx(2.0)
-
-    def test_pflops_rejects_negative(self):
-        with pytest.raises(UnitError):
-            units.flops_to_pflops_days(-1.0)
-
-    def test_celsius_fahrenheit_roundtrip(self):
-        assert units.celsius_to_fahrenheit(100.0) == pytest.approx(212.0)
-        assert units.fahrenheit_to_celsius(32.0) == pytest.approx(0.0)
-        value = 17.3
-        assert units.fahrenheit_to_celsius(units.celsius_to_fahrenheit(value)) == pytest.approx(value)
-
-
-class TestEnergyBreakdown:
-    def test_pue(self):
-        breakdown = units.EnergyBreakdown(it_energy_j=100.0, overhead_energy_j=30.0)
-        assert breakdown.total_energy_j == pytest.approx(130.0)
-        assert breakdown.pue == pytest.approx(1.3)
-
-    def test_pue_nan_when_no_it_energy(self):
-        breakdown = units.EnergyBreakdown(it_energy_j=0.0, overhead_energy_j=10.0)
-        assert math.isnan(breakdown.pue)
-
-    def test_addition(self):
-        a = units.EnergyBreakdown(100.0, 20.0)
-        b = units.EnergyBreakdown(50.0, 10.0)
-        combined = a + b
-        assert combined.it_energy_j == pytest.approx(150.0)
-        assert combined.overhead_energy_j == pytest.approx(30.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(UnitError):
-            units.EnergyBreakdown(-1.0, 0.0)
-
-
-class TestFormatting:
-    def test_format_energy_units(self):
-        assert units.format_energy(10.0).endswith("J")
-        assert "kWh" in units.format_energy(5e6)
-        assert "MWh" in units.format_energy(5e9)
-
-    def test_format_power_units(self):
-        assert units.format_power(500.0).endswith("W")
-        assert "kW" in units.format_power(5e3)
-        assert "MW" in units.format_power(5e6)
-
-    def test_format_carbon_units(self):
-        assert "gCO2e" in units.format_carbon(10.0)
-        assert "kgCO2e" in units.format_carbon(5e3)
-        assert "tCO2e" in units.format_carbon(5e6)
-
-    def test_format_rejects_negative(self):
-        with pytest.raises(UnitError):
-            units.format_energy(-1.0)
-        with pytest.raises(UnitError):
-            units.format_power(-1.0)
-        with pytest.raises(UnitError):
-            units.format_carbon(-1.0)
