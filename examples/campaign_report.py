@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Incremental campaigns: the artifact store, the DAG and the report battery.
+"""Incremental campaigns: the artifact store and the report battery.
 
 A campaign run against a content-addressed `ArtifactStore` becomes
 *incremental*: every point is cached under a stable hash of (scenario spec,
 experiment, params, derived seed, code version), so an unchanged re-sweep
 performs zero simulator executions and returns byte-identical rows, while
-editing one grid value reruns only the affected points.  The `CampaignDAG`
-chains cached `summarize` -> `compare` -> `report` stages on top and renders
-a figure battery (markdown + embedded-SVG HTML) straight from the store.
+editing one grid value reruns only the affected points.  `campaign_report`
+reads those run artifacts and renders a figure battery (markdown +
+embedded-SVG HTML) from them in memory; the store holds nothing else.
 
 Run with::
 
@@ -29,7 +29,7 @@ import pathlib
 import tempfile
 
 from repro.artifacts import ArtifactStore
-from repro.experiments import CampaignDAG, CampaignSpec, ScenarioSpec, run_campaign
+from repro.experiments import CampaignSpec, ScenarioSpec, campaign_report, run_campaign
 
 
 def build_campaign() -> CampaignSpec:
@@ -64,34 +64,32 @@ def sweep_cold_then_warm(campaign: CampaignSpec, store: ArtifactStore) -> None:
     print()
 
 
-def materialize_report(campaign: CampaignSpec, store: ArtifactStore) -> None:
-    dag = CampaignDAG(campaign, store)
-    print("DAG nodes:", [node.label for node in dag.nodes()])
-
+def render_report(campaign: CampaignSpec, store: ArtifactStore) -> None:
     # Every run artifact is already in the store, so the report renders with
     # a hard no-resimulation guarantee (simulate=False raises on any gap).
-    outcome = dag.materialize(simulate=False)
-    print("stage status:", dict(outcome.stage_status))
+    report = campaign_report(campaign, store, simulate=False)
+    result = report.result
+    print(f"report:      {result.cache_hits} cached, {result.cache_misses} simulated")
     print()
 
     out = pathlib.Path(tempfile.mkdtemp(prefix="campaign-report-"))
-    (out / "report.md").write_text(outcome.report_markdown)
-    (out / "report.html").write_text(outcome.report_html)
+    (out / "report.md").write_text(report.markdown)
+    (out / "report.html").write_text(report.html)
     print(f"report written to {out}/report.md and {out}/report.html")
     print()
     print("markdown preview:")
-    print("\n".join(outcome.report_markdown.splitlines()[:14]))
+    print("\n".join(report.markdown.splitlines()[:14]))
 
 
 def main() -> None:
     print("=" * 72)
-    print("Incremental campaigns: artifact store, campaign DAG, report battery")
+    print("Incremental campaigns: artifact store and report battery")
     print("=" * 72)
     campaign = build_campaign()
     with tempfile.TemporaryDirectory(prefix="campaign-cache-") as cache_dir:
         store = ArtifactStore(cache_dir)
         sweep_cold_then_warm(campaign, store)
-        materialize_report(campaign, store)
+        render_report(campaign, store)
         stats = store.stats()
         print()
         print(

@@ -27,7 +27,7 @@ Subpackages
     Content-addressed artifact caching: an on-disk :class:`~repro.artifacts.
     ArtifactStore` keyed by stable hashes of (scenario spec, experiment,
     params, derived seed, code version), the persistence layer behind
-    incremental campaigns and the campaign-DAG reporting pipeline.
+    incremental campaigns and the campaign reports rendered from it.
 ``repro.experiments``
     The unified experiment API: declarative scenarios, the experiment
     registry, the substrate-caching session behind the ``greenhpc`` CLI,
@@ -110,10 +110,9 @@ Campaigns re-run *incrementally* against a content-addressed artifact
 store: ``run_campaign(campaign, store=ArtifactStore("./cache"))`` (or
 ``greenhpc sweep --cache-dir ./cache``) serves unchanged points from disk
 — an unchanged re-sweep performs zero simulator executions and returns
-byte-identical rows — and a :class:`~repro.experiments.CampaignDAG` chains
-cached ``summarize`` → ``compare`` → ``report`` stages on top, ending in a
-browsable figure battery (``greenhpc report``) rendered without
-re-simulating anything.
+byte-identical rows — and :func:`~repro.experiments.campaign_report`
+renders a browsable figure battery (``greenhpc report``) from those run
+artifacts without re-simulating anything.
 
 Fleets
 ------
@@ -180,12 +179,13 @@ from .artifacts import ArtifactStore
 from .config import FacilityConfig, SiteConfig
 from .errors import GreenHPCError
 from .experiments import (
-    CampaignDAG,
+    CampaignReport,
     CampaignResult,
     CampaignSpec,
     ExperimentResult,
     ExperimentSession,
     ScenarioSpec,
+    campaign_report,
     get_scenario,
     list_experiments,
     list_scenarios,
@@ -243,8 +243,9 @@ __all__ = [
     "ScenarioSpec",
     "CampaignSpec",
     "CampaignResult",
-    "CampaignDAG",
+    "CampaignReport",
     "ArtifactStore",
+    "campaign_report",
     "run_campaign",
     "register_scenario",
     "get_scenario",

@@ -4,17 +4,14 @@ This package is the persistence layer behind incremental campaigns: an
 on-disk :class:`ArtifactStore` maps stable content keys to JSON payloads,
 and :mod:`repro.artifacts.keys` defines how those keys are derived —
 :func:`run_key` hashes one campaign point's complete identity (scenario
-spec, experiment, resolved params, derived seed, :func:`code_version`),
-while :func:`derived_key` hashes a stage's *upstream keys*, so editing one
-grid value re-keys exactly the subgraph that depends on it.
+spec, experiment, resolved params, derived seed, :func:`code_version`), so
+editing one grid value re-keys exactly the points it changes.
 
 The store itself is deliberately dumb: ``get`` (anything unreadable is a
-miss), atomic ``put`` (temp file + ``os.replace``), ``gc`` against a
-caller-supplied live set, and ``stats``.  All policy — what to cache, when
-a key is stale, what a payload means — lives with the callers:
-:func:`repro.experiments.run_campaign` caches per-point run artifacts, and
-:class:`repro.experiments.dag.CampaignDAG` chains the derived
-``summarize`` → ``compare`` → ``report`` stages on top.
+miss), atomic ``put`` (temp file + ``os.replace``) and ``stats``.  All
+policy — what to cache, when a key is stale, what a payload means — lives
+with the one caller, :func:`repro.experiments.run_campaign`, which caches
+per-point run artifacts; campaign reports are rendered from those.
 
 >>> from repro.artifacts import ArtifactStore, stable_hash
 >>> import tempfile
@@ -25,7 +22,7 @@ a key is stale, what a payload means — lives with the callers:
 42
 """
 
-from .keys import code_version, derived_key, run_key, stable_hash
+from .keys import code_version, run_key, stable_hash
 from .store import ARTIFACT_FORMAT_VERSION, ArtifactStore, ArtifactStoreStats
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "ArtifactStore",
     "ArtifactStoreStats",
     "code_version",
-    "derived_key",
     "run_key",
     "stable_hash",
 ]

@@ -15,9 +15,6 @@ sound cache identity:
   :func:`code_version` of the package that produced it.  Upgrading the
   package therefore invalidates stale artifacts instead of silently
   serving results computed by older code.
-* **Cascading** — a derived stage's key (:func:`derived_key`) hashes its
-  *upstream artifact keys*, so invalidating one run point re-keys (and
-  thereby invalidates) exactly the downstream subgraph that depends on it.
 """
 
 from __future__ import annotations
@@ -25,14 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..config import config_to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.campaign import CampaignPoint
 
-__all__ = ["code_version", "stable_hash", "run_key", "derived_key"]
+__all__ = ["code_version", "stable_hash", "run_key"]
 
 #: Hex digest length of every artifact key (BLAKE2b-128).
 KEY_HEX_LENGTH = 32
@@ -50,8 +47,7 @@ def code_version() -> str:
     with the source-checkout fallback), so bumping the package version is
     what retires every previously cached artifact.  The
     ``GREENHPC_CODE_VERSION`` environment variable overrides it, and it is
-    the only override: :func:`run_key` and :func:`derived_key` read this
-    function on every call, so the cache-invalidation tests (and a cautious
+    the only override: :func:`run_key` reads this function on every call, so the cache-invalidation tests (and a cautious
     operator mid-refactor) set the variable to force a cold store.
     """
     override = os.environ.get(CODE_VERSION_ENV, "").strip()
@@ -96,24 +92,5 @@ def run_key(point: "CampaignPoint") -> str:
             "params": dict(point.params),
             "seed": point.seed,
             "code": code_version(),
-        }
-    )
-
-
-def derived_key(stage: str, upstream: Iterable[str], **extra: Any) -> str:
-    """The content address of a derived-stage artifact.
-
-    ``upstream`` are the artifact keys this stage consumes (order matters:
-    it mirrors point order); changing any upstream key changes this key,
-    which is what makes invalidation cascade down the DAG without any
-    bookkeeping.  ``extra`` carries stage configuration that shapes the
-    output (e.g. the report format).
-    """
-    return stable_hash(
-        {
-            "stage": stage,
-            "upstream": list(upstream),
-            "code": code_version(),
-            **extra,
         }
     )

@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..errors import ArtifactError
 
@@ -199,26 +199,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def gc(self, live: Iterable[str]) -> int:
-        """Delete every artifact whose key is not in ``live``; return the count.
-
-        The caller names the keys that are still reachable (e.g. a
-        :class:`~repro.experiments.dag.CampaignDAG`'s full key set); the
-        store has no notion of liveness of its own.  Stray non-artifact
-        files are left alone.
-        """
-        keep = {_validate_key(key) for key in live}
-        removed = 0
-        for key in list(self.keys()):
-            if key in keep:
-                continue
-            try:
-                self.path_for(key).unlink()
-                removed += 1
-            except OSError:
-                pass  # best effort: a vanished file is already collected
-        return removed
-
     def stats(self) -> ArtifactStoreStats:
         """Current population and traffic counters."""
         n_artifacts = 0

@@ -598,7 +598,7 @@ def _run_sweep(args: argparse.Namespace, parallel: ParallelConfig | None, base_s
 
 def _run_report(args: argparse.Namespace, parallel: ParallelConfig | None, base_spec) -> int:
     """The ``greenhpc report`` subcommand: the figure battery from the store."""
-    from .experiments.dag import CampaignDAG
+    from .experiments.report import campaign_report
 
     campaign = _build_campaign(args, base_spec)
     store = _resolve_store(args)
@@ -607,9 +607,12 @@ def _run_report(args: argparse.Namespace, parallel: ParallelConfig | None, base_
             "report needs an artifact store: pass --cache-dir DIR (or set "
             "GREENHPC_CACHE_DIR) pointing at a directory a sweep populated"
         )
-    dag = CampaignDAG(campaign, store)
-    outcome = dag.materialize(
-        parallel=parallel, simulate=args.simulate or args.force, force=args.force
+    report = campaign_report(
+        campaign,
+        store,
+        parallel=parallel,
+        simulate=args.simulate or args.force,
+        force=args.force,
     )
     written: list[str] = []
     if args.out is not None:
@@ -617,28 +620,25 @@ def _run_report(args: argparse.Namespace, parallel: ParallelConfig | None, base_
 
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in (
-            ("report.md", outcome.report_markdown),
-            ("report.html", outcome.report_html),
-        ):
+        for name, text in (("report.md", report.markdown), ("report.html", report.html)):
             path = out_dir / name
             path.write_text(text)
             written.append(str(path))
     if args.json:
         import json
 
-        payload = outcome.to_dict()
+        payload = report.to_dict()
         payload["written"] = written
         print(json.dumps(payload, indent=2))
     elif written:
-        for line in (
-            f"{stage}: {status}" for stage, status in outcome.stage_status.items()
-        ):
-            print(line)
+        print(
+            f"artifact cache: {report.result.cache_hits} hit(s), "
+            f"{report.result.cache_misses} simulated ({store.root})"
+        )
         for path in written:
             print(f"wrote {path}")
     else:
-        print(outcome.report_markdown)
+        print(report.markdown)
     return 0
 
 

@@ -81,11 +81,11 @@ class CheckpointError(GreenHPCError, RuntimeError):
 
 
 class ArtifactError(GreenHPCError, RuntimeError):
-    """Raised by the content-addressed artifact store and the campaign DAG.
+    """Raised by the content-addressed artifact store and cached campaigns.
 
-    Covers malformed keys, unwritable artifacts, and a DAG asked to
-    materialize from cache (``simulate=False``) while run artifacts are
-    missing.  Corrupt or truncated artifact *files* never raise — they read
+    Covers malformed keys, unwritable artifacts, and a campaign asked to
+    run from cache (``simulate=False``) without a store, with ``force``, or
+    while run artifacts are missing.  Corrupt or truncated artifact *files* never raise — they read
     as cache misses.
     """
 

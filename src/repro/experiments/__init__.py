@@ -42,12 +42,11 @@ Campaigns become *incremental* when run against a content-addressed
 store=...)`` serves already-computed points from disk (zero simulator
 executions on an unchanged re-sweep, rows byte-identical to the cold run)
 and simulates only points whose cache key — a stable hash of (scenario
-spec, experiment, params, derived seed, code version) — is new.  The
-:class:`~repro.experiments.dag.CampaignDAG` layer chains cached derived
-stages on top (``run`` → ``summarize`` → ``compare`` → ``report``), each
-keyed by its upstream keys so edits invalidate exactly the affected
-subgraph, and ends in a rendered figure battery (markdown + embedded-SVG
-HTML; :mod:`repro.experiments.report`).  From the command line::
+spec, experiment, params, derived seed, code version) — is new.
+:func:`~repro.experiments.report.campaign_report` runs a campaign through
+the store and renders its comparison across every swept dimension as a
+figure battery (markdown + embedded-SVG HTML).  Only the run artifacts are
+stored; the report is rebuilt from them in memory.  From the command line::
 
     greenhpc sweep --experiments table1 --grid seed=0,1 --cache-dir ./cache
     greenhpc sweep --experiments table1 --grid seed=0,1 --cache-dir ./cache
@@ -81,15 +80,14 @@ from .spec import (
 )
 from . import builtin as _builtin  # noqa: F401 - populates the registry on import
 from .campaign import CampaignPoint, CampaignResult, CampaignSpec, run_campaign
-from .dag import CampaignDAG, DagNode, DagOutcome
+from .report import CampaignReport, campaign_report
 
 __all__ = [
     "CampaignPoint",
     "CampaignResult",
     "CampaignSpec",
-    "CampaignDAG",
-    "DagNode",
-    "DagOutcome",
+    "CampaignReport",
+    "campaign_report",
     "run_campaign",
     "ScenarioSpec",
     "WorkloadSpec",

@@ -36,8 +36,8 @@ upgrading the package changes only the affected keys, so only that
 subgraph reruns.  Hit/miss counts surface as
 :attr:`CampaignResult.cache_hits` / :attr:`CampaignResult.cache_misses`,
 and the ``greenhpc sweep --cache-dir`` flag wires the same store through
-the CLI.  Derived stages (summarize → compare → report) chain on top in
-:mod:`repro.experiments.dag`.
+the CLI.  :func:`~repro.experiments.report.campaign_report` renders a
+campaign's report from the same run artifacts.
 
 >>> from repro.experiments import CampaignSpec, run_campaign
 >>> campaign = CampaignSpec(
@@ -61,6 +61,7 @@ import functools
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -418,10 +419,17 @@ def run_campaign(
     point and overwrites its artifact.  With a store, every result — cached
     or fresh — is normalized through its stored JSON form, so warm and cold
     runs of the same campaign yield byte-identical rows.  ``simulate=False``
-    forbids simulation: when any point has no readable cached artifact it
-    raises :class:`~repro.errors.ArtifactError` naming them, before anything
-    runs.
+    forbids simulation: it needs a ``store`` and refuses ``force``, and when
+    any point has no readable cached artifact it raises
+    :class:`~repro.errors.ArtifactError` naming them, before anything runs.
     """
+    if not simulate:
+        if store is None:
+            raise ArtifactError(
+                "simulate=False needs an artifact store to read the run artifacts from"
+            )
+        if force:
+            raise ArtifactError("cannot force-recompute a campaign with simulate=False")
     points = campaign.expand()  # point.index is the point's position
     recorder = get_recorder()
     mark = recorder.mark()
@@ -493,7 +501,10 @@ def run_campaign(
 
 
 def _is_numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number; NaN and ±inf count as missing, as in the stored rows."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -579,6 +590,9 @@ class CampaignResult:
         self, *keys: str, values: Optional[Iterable[str]] = None
     ) -> list[dict[str, Any]]:
         """Per-group ``mean``/``min``/``max`` of numeric columns.
+
+        Non-finite values (NaN, ±inf) count as missing, so a campaign
+        summarizes the same whether or not its rows went through a store.
 
         Parameters
         ----------

@@ -1,8 +1,10 @@
-"""The campaign reporting battery: markdown + embedded-SVG HTML, stdlib only.
+"""Campaign reports: markdown + embedded-SVG HTML, stdlib only.
 
-Renders the compare-stage payload of a :class:`~repro.experiments.dag.
-CampaignDAG` — per-metric comparison grids across every swept dimension
-(policies, routers, sites, fleets, seeds, ...) — into two artifacts:
+:func:`campaign_report` runs a campaign through an
+:class:`~repro.artifacts.ArtifactStore`, builds its comparison
+(:func:`compare_payload`: per-metric grids across every swept dimension —
+policies, routers, sites, fleets, seeds, ...) and renders it in memory into
+two texts:
 
 * :func:`render_markdown` — one section per metric with a comparison table
   per dimension, pasteable into issues and PRs;
@@ -10,17 +12,31 @@ CampaignDAG` — per-metric comparison grids across every swept dimension
   charts (:func:`svg_bar_chart`), a self-contained single file with no
   external assets, scripts or plotting dependencies.
 
-Both renderings are deterministic functions of the payload (no timestamps,
-no environment), which is what lets the DAG cache the report itself under a
-content key.
+Only the run artifacts are stored; the comparison and both renderings are
+deterministic functions of the run results (no timestamps, no environment),
+so a warm report renders the same bytes as the cold one without caching
+anything of its own.
 """
 
 from __future__ import annotations
 
 import html
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-__all__ = ["render_markdown", "render_html", "svg_bar_chart"]
+from ..artifacts.store import ArtifactStore
+from ..config import config_to_jsonable
+from ..parallel.pool import ParallelConfig
+from .campaign import CampaignResult, CampaignSpec, run_campaign
+
+__all__ = [
+    "CampaignReport",
+    "campaign_report",
+    "compare_payload",
+    "render_markdown",
+    "render_html",
+    "svg_bar_chart",
+]
 
 #: Colorblind-safe series palette (cycled when a campaign has more experiments).
 PALETTE = (
@@ -184,9 +200,11 @@ def _chart_inputs(
 
 
 def _iter_grids(comparison: Mapping[str, Any]):
-    """Yield (metric, dimension, entries) in metric-major order, skipping
-    the degenerate repeat of the ``experiment`` grid when a dimension grid
-    exists for the same metric with more detail."""
+    """Yield (metric, dimension, entries) in metric-major order.
+
+    Every non-empty grid is yielded, the ``experiment`` grid included, so a
+    metric's section opens with its per-experiment totals and then breaks
+    them down by each swept dimension."""
     tables = dict(comparison.get("tables", {}))
     for metric in comparison.get("metrics", []):
         for dimension in comparison.get("dimensions", []):
@@ -281,3 +299,111 @@ def render_html(comparison: Mapping[str, Any], *, title: str) -> str:
         )
     parts.append("</body></html>")
     return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Comparison and report
+# ---------------------------------------------------------------------------
+
+
+def _metric_names(records: Sequence[Mapping[str, Any]]) -> list[str]:
+    """Base metric names aggregated in summarize records, in first-seen order."""
+    metrics: list[str] = []
+    for record in records:
+        for column in record:
+            if column.endswith("_mean"):
+                base = column[: -len("_mean")]
+                if base not in metrics:
+                    metrics.append(base)
+    return metrics
+
+
+def compare_payload(result: CampaignResult) -> dict[str, Any]:
+    """Per-metric comparison grids across every dimension of a campaign.
+
+    ``experiment`` is always the first dimension; each swept grid dimension
+    adds a grid whose entries carry the experiment, the dimension value's
+    label and the metric's mean/min/max over the matching points.  The
+    payload is strict JSON (non-finite values become ``None``).
+    """
+    campaign = result.campaign
+    grids = {"experiment": result.summarize("experiment")}
+    for dimension in [*campaign.scenario_grid, *campaign.param_grid]:
+        grids[dimension] = result.summarize("experiment", dimension)
+    tables: dict[str, dict[str, list[dict[str, Any]]]] = {}
+    metrics: list[str] = []
+    for dimension, records in grids.items():
+        records = config_to_jsonable(records)
+        table: dict[str, list[dict[str, Any]]] = {}
+        for metric in _metric_names(records):
+            if metric not in metrics:
+                metrics.append(metric)
+            table[metric] = [
+                {
+                    "experiment": record.get("experiment"),
+                    "label": record.get(dimension, record.get("experiment")),
+                    "mean": record.get(f"{metric}_mean"),
+                    "min": record.get(f"{metric}_min"),
+                    "max": record.get(f"{metric}_max"),
+                    "n_points": record.get("n_points"),
+                }
+                for record in records
+                if f"{metric}_mean" in record
+            ]
+        tables[dimension] = table
+    return {
+        "experiments": list(campaign.experiments),
+        "dimensions": list(grids),
+        "metrics": metrics,
+        "n_points": len(result),
+        "tables": tables,
+    }
+
+
+@dataclass(frozen=True)
+class CampaignReport:
+    """A campaign's run results, their comparison and both renderings."""
+
+    result: CampaignResult
+    comparison: Mapping[str, Any]
+    markdown: str
+    html: str
+
+    def to_dict(self) -> dict[str, Any]:
+        """Strict-JSON-ready status view (rows and renderings stay separate)."""
+        return {
+            "n_points": len(self.result),
+            "cache_hits": self.result.cache_hits,
+            "cache_misses": self.result.cache_misses,
+            "metrics": list(self.comparison["metrics"]),
+            "dimensions": list(self.comparison["dimensions"]),
+        }
+
+
+def campaign_report(
+    campaign: CampaignSpec,
+    store: ArtifactStore,
+    *,
+    parallel: Optional[ParallelConfig] = None,
+    simulate: bool = True,
+    force: bool = False,
+) -> CampaignReport:
+    """Run ``campaign`` through ``store`` and render its report.
+
+    The run goes through :func:`~repro.experiments.campaign.run_campaign`,
+    which reads each point's artifact once and stores the points it
+    simulates; nothing else touches the store.  ``simulate=False`` forbids
+    simulator executions, so a missing or unreadable run artifact raises
+    :class:`~repro.errors.ArtifactError` naming the gap before anything
+    runs — ``greenhpc report`` relies on that to render from a warm store.
+    ``force=True`` re-simulates every point and overwrites its artifact.
+    """
+    result = run_campaign(campaign, parallel, store=store, force=force, simulate=simulate)
+    comparison = compare_payload(result)
+    title = campaign.base.name
+    return CampaignReport(
+        result=result,
+        comparison=comparison,
+        markdown=render_markdown(comparison, title=title),
+        html=render_html(comparison, title=title),
+    )

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.artifacts` and the campaign DAG layer."""
+"""Tests for :mod:`repro.artifacts`, cached campaigns and campaign reports."""
 
 import json
 
@@ -7,21 +7,21 @@ import pytest
 from repro.artifacts import (
     ArtifactStore,
     code_version,
-    derived_key,
     run_key,
     stable_hash,
 )
 from repro.artifacts.keys import CODE_VERSION_ENV
 from repro.errors import ArtifactError, CheckpointError
-from repro.experiments import CampaignSpec, ScenarioSpec
-from repro.experiments.dag import CampaignDAG, compare_payload, summarize_payload
-from repro.experiments.report import render_html, render_markdown, svg_bar_chart
+from repro.experiments import CampaignSpec, ScenarioSpec, campaign_report, run_campaign
+from repro.experiments.campaign import CampaignResult, result_from_payload, result_to_payload
+from repro.experiments.report import compare_payload, render_html, render_markdown, svg_bar_chart
+from repro.experiments.result import ExperimentResult
 from repro.serve.checkpoint import CheckpointStore
 
 #: A cheap campaign: short horizon, cheap experiments, 2 worlds x 2 experiments.
 CHEAP = dict(
     experiments=("table1", "powercap"),
-    base=ScenarioSpec(name="dag-unit", n_months=3),
+    base=ScenarioSpec(name="report-unit", n_months=3),
     scenario_grid={"seed": [0, 1]},
 )
 
@@ -71,11 +71,6 @@ class TestKeys:
         b = CampaignSpec(**CHEAP).expand()
         assert [run_key(p) for p in a] == [run_key(p) for p in b]
 
-    def test_derived_key_cascades_from_upstream(self, monkeypatch):
-        monkeypatch.setenv(CODE_VERSION_ENV, "v")
-        assert derived_key("summarize", ["k1", "k2"]) != derived_key("summarize", ["k1", "k3"])
-        assert derived_key("summarize", ["k1"]) != derived_key("compare", ["k1"])
-
 
 # ---------------------------------------------------------------------------
 # Store
@@ -122,14 +117,6 @@ class TestArtifactStore:
         store.path_for(self.KEY).write_text(store.path_for(other).read_text())
         assert store.get(self.KEY) is None
 
-    def test_gc_keeps_only_live_keys(self, store):
-        live, stale = "ab" * 16, "cd" * 16
-        store.put(live, {"v": 1})
-        store.put(stale, {"v": 2})
-        assert store.gc([live]) == 1
-        assert store.get(live) == {"v": 1}
-        assert stale not in store
-
     def test_stats_counts_population_and_traffic(self, store):
         store.put(self.KEY, {"v": 1})
         store.get(self.KEY)
@@ -166,49 +153,76 @@ class TestAtomicWrites:
 
 
 # ---------------------------------------------------------------------------
-# Campaign DAG
+# Cached campaigns: flag errors and non-finite values
 # ---------------------------------------------------------------------------
 
 
-class TestCampaignDAG:
-    def test_nodes_in_dependency_order(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        stages = [node.stage for node in dag.nodes()]
-        assert stages == ["run"] * 4 + ["summarize", "compare", "report"]
-        assert dag.nodes()[4].upstream == dag.run_keys
-        assert dag.nodes()[5].upstream == (dag.summarize_key,)
-        assert dag.nodes()[6].upstream == (dag.compare_key,)
+class TestRunCampaignFlags:
+    def test_simulate_false_needs_a_store(self):
+        with pytest.raises(ArtifactError, match="needs an artifact store"):
+            run_campaign(CampaignSpec(**CHEAP), simulate=False)
 
-    def test_materialize_then_rematerialize_all_cached(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        first = dag.materialize()
-        assert first.stage_status["run"] == "0 cached, 4 simulated"
-        assert first.stage_status["summarize"] == "computed"
-        second = dag.materialize()
-        assert second.stage_status["run"] == "4 cached, 0 simulated"
-        assert second.stage_status["summarize"] == "cached"
-        assert second.stage_status["compare"] == "cached"
-        assert second.stage_status["report"] == "cached"
-        assert second.report_markdown == first.report_markdown
-        assert second.report_html == first.report_html
+    def test_simulate_false_refuses_force_on_a_warm_store(self, store):
+        campaign = CampaignSpec(**{**CHEAP, "experiments": ("table1",)})
+        run_campaign(campaign, store=store)
+        with pytest.raises(ArtifactError, match="cannot force-recompute"):
+            run_campaign(campaign, store=store, force=True, simulate=False)
 
+
+class TestSummarizeNonFinite:
+    @pytest.mark.parametrize(
+        "scalars", [(float("nan"), 1.0), (1.0, float("nan"))], ids=["nan-first", "nan-last"]
+    )
+    def test_uncached_and_stored_summaries_agree(self, scalars):
+        campaign = CampaignSpec(**{**CHEAP, "experiments": ("table1",)})
+        points = campaign.expand()
+        results = [
+            ExperimentResult(name="table1", spec=point.spec, scalars={"x": value})
+            for point, value in zip(points, scalars)
+        ]
+        stored = [
+            result_from_payload(point, result_to_payload(result))
+            for point, result in zip(points, results)
+        ]
+        uncached = CampaignResult(campaign, tuple(points), tuple(results)).summarize("experiment")
+        cached = CampaignResult(campaign, tuple(points), tuple(stored)).summarize("experiment")
+        assert uncached == cached
+        assert (cached[0]["x_mean"], cached[0]["x_min"], cached[0]["x_max"]) == (1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Campaign reports
+# ---------------------------------------------------------------------------
+
+
+def _run_keys(campaign: CampaignSpec) -> list[str]:
+    return [run_key(point) for point in campaign.expand()]
+
+
+def _files(store: ArtifactStore) -> set:
+    return {path for path in store.root.rglob("*") if path.is_file()}
+
+
+class TestCampaignReport:
     def test_simulate_false_on_cold_store_raises(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
         with pytest.raises(ArtifactError, match="missing from"):
-            dag.materialize(simulate=False)
+            campaign_report(CampaignSpec(**CHEAP), store, simulate=False)
 
-    def test_simulate_false_on_warm_store_renders(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        dag.materialize()
-        outcome = dag.materialize(simulate=False)
-        assert outcome.result.cache_misses == 0
-        assert "# Campaign report" in outcome.report_markdown
-        assert "<svg" in outcome.report_html
+    def test_cold_report_stores_only_run_artifacts(self, store):
+        campaign = CampaignSpec(**CHEAP)
+        report = campaign_report(campaign, store)
+        assert (report.result.cache_hits, report.result.cache_misses) == (0, 4)
+        assert sorted(store.keys()) == sorted(_run_keys(campaign))
+        assert "# Campaign report" in report.markdown
+        assert "<svg" in report.html
 
-    def test_simulate_false_reads_each_artifact_once(self, store, monkeypatch):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        dag.materialize()
-        reads = []
+    def test_warm_report_reads_each_run_artifact_once_and_writes_nothing(
+        self, store, monkeypatch
+    ):
+        campaign = CampaignSpec(**CHEAP)
+        cold = campaign_report(campaign, store)
+        files = _files(store)
+        reads, writes = [], []
         get = ArtifactStore.get
 
         def counted(self, key):
@@ -216,79 +230,54 @@ class TestCampaignDAG:
             return get(self, key)
 
         monkeypatch.setattr(ArtifactStore, "get", counted)
-        dag.materialize(simulate=False)
-        keys = [*dag.run_keys, dag.summarize_key, dag.compare_key, dag.report_key]
-        assert sorted(reads) == sorted(keys)
-        assert len(reads) == 7
+        monkeypatch.setattr(ArtifactStore, "put", lambda self, key, payload: writes.append(key))
+        warm = campaign_report(campaign, store, simulate=False)
+        assert sorted(reads) == sorted(_run_keys(campaign))
+        assert writes == []
+        assert _files(store) == files
+        assert (warm.result.cache_hits, warm.result.cache_misses) == (4, 0)
+        assert warm.markdown == cold.markdown
+        assert warm.html == cold.html
 
     def test_simulate_false_refuses_an_unreadable_run_artifact(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        dag.materialize()
-        store.path_for(dag.run_keys[2]).write_text("{truncated")
+        campaign = CampaignSpec(**CHEAP)
+        campaign_report(campaign, store)
+        keys = _run_keys(campaign)
+        store.path_for(keys[2]).write_text("{truncated")
         with pytest.raises(ArtifactError, match=r"1 of 4 .* indices \[2\]"):
-            dag.materialize(simulate=False)
-        assert store.get(dag.run_keys[2]) is None  # nothing was re-simulated
+            campaign_report(campaign, store, simulate=False)
+        assert store.get(keys[2]) is None  # nothing was re-simulated
 
-    def test_editing_one_grid_value_invalidates_only_that_subgraph(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        dag.materialize()
-        edited = CampaignDAG(
-            CampaignSpec(**{**CHEAP, "scenario_grid": {"seed": [0, 7]}}), store
-        )
-        # Shared seed-0 run keys survive; seed-1 keys and all derived keys change.
-        assert edited.run_keys[0] == dag.run_keys[0]
-        assert edited.run_keys[1] != dag.run_keys[1]
-        assert edited.summarize_key != dag.summarize_key
-        assert edited.compare_key != dag.compare_key
-        assert edited.report_key != dag.report_key
-        outcome = edited.materialize()
-        assert outcome.stage_status["run"] == "2 cached, 2 simulated"
-        assert outcome.stage_status["summarize"] == "computed"
+    def test_editing_one_grid_value_simulates_only_the_new_points(self, store):
+        campaign = CampaignSpec(**CHEAP)
+        campaign_report(campaign, store)
+        edited = CampaignSpec(**{**CHEAP, "scenario_grid": {"seed": [0, 7]}})
+        # Shared seed-0 run keys survive; seed-1 keys change.
+        assert _run_keys(edited)[0] == _run_keys(campaign)[0]
+        assert _run_keys(edited)[1] != _run_keys(campaign)[1]
+        report = campaign_report(edited, store)
+        assert (report.result.cache_hits, report.result.cache_misses) == (2, 2)
 
-    def test_code_version_invalidates_everything(self, store, monkeypatch):
-        spec = CampaignSpec(**CHEAP)
+    def test_code_version_rekeys_every_point(self, store, monkeypatch):
+        campaign = CampaignSpec(**CHEAP)
         monkeypatch.setenv(CODE_VERSION_ENV, "v1")
-        CampaignDAG(spec, store).materialize()
+        campaign_report(campaign, store)
         monkeypatch.setenv(CODE_VERSION_ENV, "v2")
-        outcome = CampaignDAG(spec, store).materialize()
-        assert outcome.stage_status["run"] == "0 cached, 4 simulated"
+        report = campaign_report(campaign, store)
+        assert (report.result.cache_hits, report.result.cache_misses) == (0, 4)
 
-    def test_gc_drops_superseded_artifacts(self, store, monkeypatch):
-        spec = CampaignSpec(**CHEAP)
-        monkeypatch.setenv(CODE_VERSION_ENV, "v1")
-        CampaignDAG(spec, store).materialize()
-        monkeypatch.setenv(CODE_VERSION_ENV, "v2")
-        dag = CampaignDAG(spec, store)
-        dag.materialize()
-        assert store.stats().n_artifacts == 14  # both generations
-        assert dag.gc() == 7
-        assert sorted(store.keys()) == sorted(dag.keys())
+    def test_force_recomputes_every_point(self, store):
+        campaign = CampaignSpec(**CHEAP)
+        campaign_report(campaign, store)
+        report = campaign_report(campaign, store, force=True)
+        assert (report.result.cache_hits, report.result.cache_misses) == (0, 4)
 
-    def test_status_by_stage(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        assert dag.status()["run"] == {"cached": 0, "total": 4}
-        dag.materialize()
-        assert dag.status() == {
-            "run": {"cached": 4, "total": 4},
-            "summarize": {"cached": 1, "total": 1},
-            "compare": {"cached": 1, "total": 1},
-            "report": {"cached": 1, "total": 1},
-        }
-
-    def test_force_recomputes_every_stage(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        dag.materialize()
-        outcome = dag.materialize(force=True)
-        assert outcome.stage_status["run"] == "0 cached, 4 simulated"
-        assert outcome.stage_status["report"] == "computed"
-
-    def test_payloads_are_strict_json_and_chained(self, store):
-        dag = CampaignDAG(CampaignSpec(**CHEAP), store)
-        outcome = dag.materialize()
-        summary = summarize_payload(outcome.result)
-        assert json.dumps(summary, allow_nan=False)
-        comparison = compare_payload(summary)
+    def test_comparison_is_strict_json(self, store):
+        report = campaign_report(CampaignSpec(**CHEAP), store)
+        comparison = compare_payload(report.result)
+        assert comparison == report.comparison
         assert json.dumps(comparison, allow_nan=False)
+        assert json.dumps(report.to_dict(), allow_nan=False)
         assert comparison["dimensions"] == ["experiment", "seed"]
         assert comparison["metrics"]  # at least one aggregated metric
         for metric, table in comparison["tables"]["seed"].items():
@@ -411,7 +400,7 @@ class TestCachedCLI:
         assert main(["report", *SWEEP, "--cache-dir", cache, "--out", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache_misses"] == 0
-        assert payload["stage_status"]["run"] == "2 cached, 0 simulated"
+        assert payload["cache_hits"] == 2
         assert (out / "report.md").read_text().startswith("# Campaign report")
         assert "<svg" in (out / "report.html").read_text()
 
