@@ -16,6 +16,7 @@ from repro.experiments import CampaignSpec, ScenarioSpec, campaign_report, run_c
 from repro.experiments.campaign import CampaignResult, result_from_payload, result_to_payload
 from repro.experiments.report import compare_payload, render_html, render_markdown, svg_bar_chart
 from repro.experiments.result import ExperimentResult
+from repro.parallel.pool import ParallelConfig
 from repro.serve.checkpoint import CheckpointStore
 
 #: A cheap campaign: short horizon, cheap experiments, 2 worlds x 2 experiments.
@@ -171,7 +172,9 @@ class TestRunCampaignFlags:
 
 class TestSummarizeNonFinite:
     @pytest.mark.parametrize(
-        "scalars", [(float("nan"), 1.0), (1.0, float("nan"))], ids=["nan-first", "nan-last"]
+        "scalars",
+        [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("-inf"))],
+        ids=["nan-first", "nan-last", "inf-first", "neg-inf-last"],
     )
     def test_uncached_and_stored_summaries_agree(self, scalars):
         campaign = CampaignSpec(**{**CHEAP, "experiments": ("table1",)})
@@ -272,6 +275,29 @@ class TestCampaignReport:
         report = campaign_report(campaign, store, force=True)
         assert (report.result.cache_hits, report.result.cache_misses) == (0, 4)
 
+    def test_parallel_report_renders_the_serial_bytes(self, store, tmp_path):
+        campaign = CampaignSpec(**CHEAP)
+        serial = campaign_report(campaign, store)
+        parallel = campaign_report(
+            campaign,
+            ArtifactStore(tmp_path / "parallel-cache"),
+            parallel=ParallelConfig(n_workers=2, min_tasks_for_processes=0),
+        )
+        assert (parallel.result.cache_hits, parallel.result.cache_misses) == (0, 4)
+        assert parallel.markdown == serial.markdown
+        assert parallel.html == serial.html
+
+    def test_package_exports_the_report_function_only(self):
+        import repro
+        import repro.artifacts
+        import repro.experiments
+
+        assert repro.campaign_report is repro.experiments.campaign_report is campaign_report
+        for module in (repro, repro.experiments, repro.artifacts):
+            for name in ("CampaignDAG", "DagNode", "DagOutcome", "derived_key"):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(ArtifactStore, "gc")
+
     def test_comparison_is_strict_json(self, store):
         report = campaign_report(CampaignSpec(**CHEAP), store)
         comparison = compare_payload(report.result)
@@ -330,6 +356,16 @@ class TestReportRendering:
         assert html_text.count("<svg") == 2  # one chart per (metric, dimension)
         assert "<script" not in html_text
         assert "carbon-min" in html_text
+
+    def test_every_non_empty_grid_is_rendered_experiment_grid_first(self):
+        comparison = {
+            **self.COMPARISON,
+            "dimensions": ["experiment", "router", "site"],
+            "tables": {**self.COMPARISON["tables"], "site": {"carbon_kg": []}},
+        }
+        text = render_markdown(comparison, title="demo")
+        headings = [l for l in text.splitlines() if l.startswith("### by ")]
+        assert headings == ["### by experiment", "### by router"]  # empty site grid skipped
 
     def test_svg_bar_chart_handles_negatives_and_gaps(self):
         svg = svg_bar_chart("m", ["a", "b", "c"], {"x": [1.0, None, -2.0]})
@@ -403,6 +439,27 @@ class TestCachedCLI:
         assert payload["cache_hits"] == 2
         assert (out / "report.md").read_text().startswith("# Campaign report")
         assert "<svg" in (out / "report.html").read_text()
+
+    def test_report_rerun_writes_nothing_and_renders_the_same_bytes(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        assert main(["sweep", *SWEEP, "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        files = {path for path in cache.rglob("*") if path.is_file()}
+        texts = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            argv = ["report", *SWEEP, "--cache-dir", str(cache), "--out", str(out), "--json"]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload) == {
+                "n_points", "cache_hits", "cache_misses", "metrics", "dimensions", "written"
+            }
+            assert payload["cache_misses"] == 0
+            texts.append([(out / name).read_bytes() for name in ("report.md", "report.html")])
+        assert {path for path in cache.rglob("*") if path.is_file()} == files
+        assert texts[0] == texts[1]
 
     def test_report_simulate_flag_fills_the_store(self, tmp_path, capsys):
         from repro.cli import main
