@@ -64,7 +64,7 @@ def sweep_cold_then_warm(campaign: CampaignSpec, store: ArtifactStore) -> None:
     print()
 
 
-def render_report(campaign: CampaignSpec, store: ArtifactStore) -> None:
+def render_report(campaign: CampaignSpec, store: ArtifactStore, out: pathlib.Path) -> None:
     # Every run artifact is already in the store, so the report renders with
     # a hard no-resimulation guarantee (simulate=False raises on any gap).
     report = campaign_report(campaign, store, simulate=False)
@@ -72,7 +72,6 @@ def render_report(campaign: CampaignSpec, store: ArtifactStore) -> None:
     print(f"report:      {result.cache_hits} cached, {result.cache_misses} simulated")
     print()
 
-    out = pathlib.Path(tempfile.mkdtemp(prefix="campaign-report-"))
     (out / "report.md").write_text(report.markdown)
     (out / "report.html").write_text(report.html)
     print(f"report written to {out}/report.md and {out}/report.html")
@@ -86,10 +85,13 @@ def main() -> None:
     print("Incremental campaigns: artifact store and report battery")
     print("=" * 72)
     campaign = build_campaign()
-    with tempfile.TemporaryDirectory(prefix="campaign-cache-") as cache_dir:
+    with (
+        tempfile.TemporaryDirectory(prefix="campaign-cache-") as cache_dir,
+        tempfile.TemporaryDirectory(prefix="campaign-report-") as report_dir,
+    ):
         store = ArtifactStore(cache_dir)
         sweep_cold_then_warm(campaign, store)
-        render_report(campaign, store)
+        render_report(campaign, store, pathlib.Path(report_dir))
         stats = store.stats()
         print()
         print(

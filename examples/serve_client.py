@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -78,15 +79,14 @@ def main() -> int:
     args = parser.parse_args()
 
     external = args.external_url is not None
-    checkpoint_dir = tempfile.mkdtemp(prefix="greenhpc-serve-")
-    process = None
-    if external:
-        url = args.external_url
-    else:
-        process, url = start_daemon(checkpoint_dir)
-    client = ServeClient(url)
-
+    checkpoint_dir = None if external else tempfile.mkdtemp(prefix="greenhpc-serve-")
+    process = client = None
     try:
+        if external:
+            url = args.external_url
+        else:
+            process, url = start_daemon(checkpoint_dir)
+        client = ServeClient(url)
         print(f"daemon: {url}  ({client.version()['version']})")
 
         # 1. A warm session, preloaded with a SuperCloud-like trace.
@@ -166,10 +166,13 @@ def main() -> int:
               f"{summary['emissions_kg']:.1f} kg CO2e")
         return 0
     finally:
-        client.close()
+        if client is not None:
+            client.close()
         if process is not None:
             process.terminate()
             process.wait(timeout=10)
+        if checkpoint_dir is not None:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

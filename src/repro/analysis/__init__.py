@@ -1,4 +1,4 @@
-"""Analysis layer: monthly aggregation, correlations, and the paper's figures/tables.
+"""Analysis layer: correlations and the paper's figures/tables.
 
 The figure builders in :mod:`~repro.analysis.figures` are the single source of
 truth for "what does Figure N plot": each returns a small dataclass holding
@@ -8,13 +8,11 @@ substrates, plus the summary statistics (correlations, ranges) that the
 benchmarks compare against the paper's qualitative claims.
 """
 
-from .monthly import MonthlySeries
 from .correlation import (
     pearson_correlation,
     spearman_correlation,
     lagged_cross_correlation,
     best_lag,
-    is_monotonic_relationship,
 )
 from .figures import (
     Fig1Result,
@@ -31,12 +29,10 @@ from .figures import (
 from .tables import Table1Result, table1_conferences
 
 __all__ = [
-    "MonthlySeries",
     "pearson_correlation",
     "spearman_correlation",
     "lagged_cross_correlation",
     "best_lag",
-    "is_monotonic_relationship",
     "Fig1Result",
     "Fig2Result",
     "Fig3Result",

@@ -20,7 +20,6 @@ __all__ = [
     "spearman_correlation",
     "lagged_cross_correlation",
     "best_lag",
-    "is_monotonic_relationship",
 ]
 
 
@@ -100,14 +99,3 @@ def best_lag(x: np.ndarray, y: np.ndarray, max_lag: int = 6) -> tuple[int, float
         raise DataError("no finite lagged correlations")
     lag = max(finite, key=lambda k: abs(finite[k]))
     return lag, finite[lag]
-
-
-def is_monotonic_relationship(x: np.ndarray, y: np.ndarray, *, threshold: float = 0.9) -> bool:
-    """Whether y is (nearly) monotone in x: |Spearman rho| >= threshold.
-
-    Fig. 4's claim is a "near one-to-one, monotonic relationship" between
-    monthly temperature and power; this is the corresponding test.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise DataError("threshold must lie in (0, 1]")
-    return abs(spearman_correlation(x, y)) >= threshold

@@ -47,7 +47,6 @@ from ..workloads.supercloud import (
 from ..workloads.trends import ComputeTrendModel, EraFit
 from ..cluster.cooling import CoolingModel
 from .correlation import best_lag, pearson_correlation, spearman_correlation
-from .monthly import MonthlySeries
 
 __all__ = [
     "SuperCloudScenario",
@@ -140,15 +139,6 @@ class Fig1Result:
     modern_fit: EraFit
     growth_acceleration: float
 
-    def summary(self) -> dict[str, float]:
-        """Headline numbers: doubling times per era and their ratio."""
-        return {
-            "pre2012_doubling_months": self.pre2012_fit.doubling_time_months,
-            "modern_doubling_months": self.modern_fit.doubling_time_months,
-            "growth_acceleration": self.growth_acceleration,
-            "n_systems": float(self.years.shape[0]),
-        }
-
 
 def fig1_compute_trends(model: Optional[ComputeTrendModel] = None) -> Fig1Result:
     """Reproduce Fig. 1: compute-demand scatter and per-era growth fits."""
@@ -179,18 +169,6 @@ class Fig2Result:
     correlation: float
     power_peak_month: str
     renewable_peak_month: str
-
-    def series(self) -> list[MonthlySeries]:
-        """The two plotted series as labelled monthly series."""
-        return [
-            MonthlySeries("avg_power_kw", self.monthly_power_kw, self.month_labels, unit="kW"),
-            MonthlySeries(
-                "solar_wind_share_pct",
-                self.monthly_renewable_share_pct,
-                self.month_labels,
-                unit="%",
-            ),
-        ]
 
     def mismatch_opportunity(self) -> float:
         """How much greener the greenest quartile of months is than the months

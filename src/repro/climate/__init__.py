@@ -24,7 +24,7 @@ from .scenarios import (
     ColdSnapScenario,
     CompositeScenario,
 )
-from .stress_scenarios import StressScenarioSpec, STANDARD_STRESS_SCENARIOS, get_stress_scenario
+from .stress_scenarios import StressScenarioSpec, STANDARD_STRESS_SCENARIOS
 
 __all__ = [
     "WeatherConfig",
@@ -37,5 +37,4 @@ __all__ = [
     "CompositeScenario",
     "StressScenarioSpec",
     "STANDARD_STRESS_SCENARIOS",
-    "get_stress_scenario",
 ]

@@ -12,10 +12,10 @@ out: weather, user demand, and energy-market conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import require_positive
-from ..errors import ConfigurationError, DataError
+from ..errors import ConfigurationError
 from .scenarios import (
     AmplifiedSeasonsScenario,
     ClimateScenario,
@@ -25,7 +25,7 @@ from .scenarios import (
     UniformWarmingScenario,
 )
 
-__all__ = ["StressScenarioSpec", "STANDARD_STRESS_SCENARIOS", "get_stress_scenario"]
+__all__ = ["StressScenarioSpec", "STANDARD_STRESS_SCENARIOS"]
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,3 @@ STANDARD_STRESS_SCENARIOS: tuple[StressScenarioSpec, ...] = (
         severity=3,
     ),
 )
-
-
-def get_stress_scenario(name: str) -> StressScenarioSpec:
-    """Look up a scenario in the standard catalogue by name."""
-    for spec in STANDARD_STRESS_SCENARIOS:
-        if spec.name == name:
-            return spec
-    raise DataError(
-        f"unknown stress scenario {name!r}; available: {[s.name for s in STANDARD_STRESS_SCENARIOS]}"
-    )

@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..config import FacilityConfig, require_positive
+from ..config import require_positive
 from ..errors import SimulationError, SteppingError
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import get_recorder

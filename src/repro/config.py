@@ -25,7 +25,6 @@ __all__ = [
     "require_in_range",
     "SiteConfig",
     "FacilityConfig",
-    "config_to_dict",
     "config_to_jsonable",
     "config_replace",
 ]
@@ -151,13 +150,6 @@ class FacilityConfig:
     def total_gpus(self) -> int:
         """Total number of GPUs across the facility."""
         return self.n_nodes * self.gpus_per_node
-
-
-def config_to_dict(config: Any) -> dict[str, Any]:
-    """Convert any dataclass config into a plain dictionary (shallow)."""
-    if not hasattr(config, "__dataclass_fields__"):
-        raise ConfigurationError(f"expected a dataclass config, got {type(config)!r}")
-    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def config_to_jsonable(value: Any) -> Any:

@@ -11,7 +11,6 @@ it independently.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
@@ -25,7 +24,6 @@ from ..cluster.simulator import (
     miss_rate,
     p95_wait,
 )
-from ..config import config_to_jsonable
 from ..errors import FleetError
 from ..obs.profile import RunProfile
 
@@ -87,23 +85,6 @@ class FleetStepTimings:
     def max_site_advance_s(self) -> float:
         """The slowest site's cumulative advance time (parallel critical path)."""
         return max(self.site_advance_s) if self.site_advance_s else 0.0
-
-    @property
-    def sum_site_advance_s(self) -> float:
-        """All sites' advance time summed (what a serial loop must pay)."""
-        return float(sum(self.site_advance_s))
-
-    def to_dict(self) -> dict[str, Any]:
-        """Strict-JSON-ready dictionary form of the timing breakdown."""
-        return {
-            "mode": self.mode,
-            "n_workers": self.n_workers,
-            "n_windows": self.n_windows,
-            "total_s": self.total_s,
-            "route_s": self.route_s,
-            "advance_s": self.advance_s,
-            "site_advance_s": list(self.site_advance_s),
-        }
 
 
 @dataclass(frozen=True)
@@ -289,38 +270,3 @@ class FleetResult:
             }
             rows.append(row)
         return rows
-
-    def to_dict(self, *, include_assignments: bool = True) -> dict[str, Any]:
-        """Strict-JSON-ready dictionary form of the fleet outcome."""
-        payload: dict[str, Any] = {
-            "fleet": self.fleet_name,
-            "router": self.router,
-            "policy": self.policy,
-            "summary": config_to_jsonable(self.summary()),
-            "sites": config_to_jsonable(self.site_rows()),
-            "dispatch_counts": self.dispatch_counts(),
-        }
-        if self.step_timings is not None:
-            payload["step_timings"] = self.step_timings.to_dict()
-        if self.profile is not None:
-            payload["profile"] = self.profile.to_dict()
-        if include_assignments:
-            payload["assignments"] = [
-                {
-                    "job_id": a.job_id,
-                    "site": a.site_name,
-                    "site_index": a.site_index,
-                    "submit_time_h": a.submit_time_h,
-                    "dispatch_hour": a.dispatch_hour,
-                }
-                for a in self.assignments
-            ]
-        return payload
-
-    def to_json(self, *, indent: Optional[int] = None, include_assignments: bool = True) -> str:
-        """Serialize :meth:`to_dict` as strict JSON text."""
-        return json.dumps(
-            config_to_jsonable(self.to_dict(include_assignments=include_assignments)),
-            indent=indent,
-            allow_nan=False,
-        )

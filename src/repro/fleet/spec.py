@@ -20,10 +20,10 @@ used throughout the examples and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Union
 
-from ..config import config_replace, config_to_jsonable
+from ..config import config_replace
 from ..errors import ConfigurationError
 from ..experiments.spec import GridSpec, ScenarioSpec, get_scenario, get_site
 from ..grid.fuel_mix import FuelMixConfig
@@ -272,10 +272,6 @@ class FleetSpec:
         reach all sites of a fleet uniformly.
         """
         return self.replace(members=tuple(m.replace(**changes) for m in self.members))
-
-    def to_dict(self) -> dict[str, Any]:
-        """Deep, JSON-ready dictionary form of the spec."""
-        return config_to_jsonable(self)
 
 
 # ---------------------------------------------------------------------------

@@ -7,32 +7,26 @@ Section IV.C highlights DeepMind's 36-hour-ahead wind-power forecasts as a
 concrete success.  This package implements the forecasting stack with
 NumPy-only models:
 
-* :mod:`~repro.forecasting.features` — lag/seasonal feature construction;
-* :mod:`~repro.forecasting.linear` — ridge regression, autoregressive and
-  seasonal-naive/persistence models;
+* :mod:`~repro.forecasting.features` — lagged feature construction;
+* :mod:`~repro.forecasting.linear` — ridge regression and the persistence
+  baseline;
 * :mod:`~repro.forecasting.wind` — a synthetic wind farm plus the 36 h-ahead
   forecasting task (CLAIM-WIND);
-* :mod:`~repro.forecasting.evaluation` — MAE/RMSE/MAPE/skill metrics and
-  backtesting.
+* :mod:`~repro.forecasting.evaluation` — MAE/RMSE/MAPE/bias metrics.
 """
 
-from .features import make_lag_matrix, make_seasonal_features, train_test_split_series
-from .linear import RidgeRegressor, AutoregressiveForecaster, PersistenceForecaster, SeasonalNaiveForecaster
+from .features import make_lag_matrix
+from .linear import RidgeRegressor, PersistenceForecaster
 from .wind import WindFarmConfig, WindFarmSimulator, WindPowerForecaster
-from .evaluation import ForecastMetrics, evaluate_forecast, forecast_skill
+from .evaluation import ForecastMetrics, evaluate_forecast
 
 __all__ = [
     "make_lag_matrix",
-    "make_seasonal_features",
-    "train_test_split_series",
     "RidgeRegressor",
-    "AutoregressiveForecaster",
     "PersistenceForecaster",
-    "SeasonalNaiveForecaster",
     "WindFarmConfig",
     "WindFarmSimulator",
     "WindPowerForecaster",
     "ForecastMetrics",
     "evaluate_forecast",
-    "forecast_skill",
 ]

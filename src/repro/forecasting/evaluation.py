@@ -1,9 +1,9 @@
 """Forecast evaluation metrics.
 
-Provides the standard point-forecast metrics (MAE, RMSE, MAPE, bias) plus the
-*skill score* relative to a baseline forecast — the quantity that makes the
-CLAIM-WIND benchmark meaningful ("the learned 36 h forecast is X% better than
-persistence"), mirroring how operational forecast quality is reported.
+Provides the standard point-forecast metrics (MAE, RMSE, MAPE, bias).  The
+CLAIM-WIND study scores its forecast against persistence with them ("the
+learned 36 h forecast is X% better than persistence"), mirroring how
+operational forecast quality is reported.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ForecastError
 
-__all__ = ["ForecastMetrics", "evaluate_forecast", "forecast_skill"]
+__all__ = ["ForecastMetrics", "evaluate_forecast"]
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,6 @@ class ForecastMetrics:
     mape_pct: float
     bias: float
     n_samples: int
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat dictionary form for reports."""
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape_pct": self.mape_pct,
-            "bias": self.bias,
-            "n_samples": float(self.n_samples),
-        }
 
 
 def _validate(predictions: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,22 +59,3 @@ def evaluate_forecast(predictions: np.ndarray, truth: np.ndarray) -> ForecastMet
         mape = float("nan")
     bias = float(np.mean(errors))
     return ForecastMetrics(mae=mae, rmse=rmse, mape_pct=mape, bias=bias, n_samples=pred.size)
-
-
-def forecast_skill(
-    predictions: np.ndarray, truth: np.ndarray, baseline_predictions: np.ndarray, *, metric: str = "mae"
-) -> float:
-    """Skill score of a forecast relative to a baseline: 1 - err / err_baseline.
-
-    Positive values mean the forecast beats the baseline; 0 means no better;
-    negative means worse.  ``metric`` is ``"mae"`` or ``"rmse"``.
-    """
-    model_metrics = evaluate_forecast(predictions, truth)
-    baseline_metrics = evaluate_forecast(baseline_predictions, truth)
-    if metric not in ("mae", "rmse"):
-        raise ForecastError(f"metric must be 'mae' or 'rmse', got {metric!r}")
-    model_err = getattr(model_metrics, metric)
-    baseline_err = getattr(baseline_metrics, metric)
-    if baseline_err == 0:
-        raise ForecastError("baseline error is zero; skill is undefined")
-    return 1.0 - model_err / baseline_err

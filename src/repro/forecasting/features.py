@@ -1,10 +1,7 @@
 """Feature construction for time-series forecasting.
 
-All forecasters in this package are linear models over hand-built features:
-lagged values of the target, optional exogenous series (weather forecasts),
-and seasonal harmonics (daily/annual sine-cosine pairs).  Keeping feature
-construction in one place lets every model and test share the same, well-
-validated code path.
+The wind forecaster is a linear model over hand-built features: lagged
+values of the target plus optional exogenous series (weather forecasts).
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import numpy as np
 
 from ..errors import ForecastError
 
-__all__ = ["make_lag_matrix", "make_seasonal_features", "train_test_split_series"]
+__all__ = ["make_lag_matrix"]
 
 
 def make_lag_matrix(
@@ -66,43 +63,3 @@ def make_lag_matrix(
         features = np.column_stack([features, exo[rows + horizon - 1]])
     targets = y[rows + horizon - 1]
     return features, targets
-
-
-def make_seasonal_features(
-    t: np.ndarray, periods: Sequence[float], *, include_bias: bool = True
-) -> np.ndarray:
-    """Sine/cosine harmonics at the given periods evaluated at times ``t``.
-
-    ``periods`` are in the same unit as ``t`` (e.g. 24 and 8760 for daily and
-    annual cycles on an hourly index).
-    """
-    times = np.asarray(t, dtype=float)
-    if times.ndim != 1:
-        raise ForecastError("t must be 1-D")
-    if not periods or any(p <= 0 for p in periods):
-        raise ForecastError("periods must be a non-empty sequence of positive numbers")
-    columns = []
-    if include_bias:
-        columns.append(np.ones_like(times))
-    for period in periods:
-        angle = 2.0 * np.pi * times / period
-        columns.append(np.sin(angle))
-        columns.append(np.cos(angle))
-    return np.column_stack(columns)
-
-
-def train_test_split_series(
-    features: np.ndarray, targets: np.ndarray, *, test_fraction: float = 0.25
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chronological train/test split (no shuffling — this is a time series)."""
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ForecastError("features and targets must have the same number of rows")
-    if not 0.0 < test_fraction < 1.0:
-        raise ForecastError("test_fraction must lie in (0, 1)")
-    n = X.shape[0]
-    split = int(round(n * (1.0 - test_fraction)))
-    if split < 1 or split >= n:
-        raise ForecastError("split produces an empty train or test set")
-    return X[:split], y[:split], X[split:], y[split:]

@@ -2,27 +2,20 @@
 
 The forecasting needs of the paper's decision problems are modest: relate
 energy prices, fuel mix, demand and weather to one another well enough to
-schedule purchases and anticipate load.  Ridge regression over lag/seasonal
-features, a small autoregressive wrapper, and the persistence / seasonal-naive
-baselines every forecast must beat are sufficient — and keep the package free
-of ML-framework dependencies.
+schedule purchases and anticipate load.  Ridge regression over lagged
+features and the persistence baseline every forecast must beat are
+sufficient — and keep the package free of ML-framework dependencies.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ForecastError
-from .features import make_lag_matrix
 
-__all__ = [
-    "RidgeRegressor",
-    "AutoregressiveForecaster",
-    "PersistenceForecaster",
-    "SeasonalNaiveForecaster",
-]
+__all__ = ["RidgeRegressor", "PersistenceForecaster"]
 
 
 class RidgeRegressor:
@@ -81,87 +74,6 @@ class RidgeRegressor:
         Xs = (X - self._mean) / self._scale
         return Xs @ self.coef_ + self.intercept_
 
-    def score_r2(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination on the given data."""
-        y = np.asarray(y, dtype=float)
-        pred = self.predict(X)
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        if ss_tot == 0:
-            return 1.0 if ss_res == 0 else 0.0
-        return 1.0 - ss_res / ss_tot
-
-
-class AutoregressiveForecaster:
-    """AR(p) forecaster built on :class:`RidgeRegressor` over lagged values.
-
-    Parameters
-    ----------
-    lags:
-        The autoregressive lags to use (e.g. ``(1, 2, 3, 24)`` for hourly data
-        with a daily component).
-    horizon:
-        Forecast horizon in steps (direct, not recursive, forecasting).
-    alpha:
-        Ridge penalty.
-    """
-
-    def __init__(self, lags: Sequence[int] = (1, 2, 3, 24), *, horizon: int = 1, alpha: float = 1e-3) -> None:
-        self.lags = tuple(int(l) for l in lags)
-        if not self.lags or any(l < 1 for l in self.lags):
-            raise ForecastError("lags must be positive integers")
-        if horizon < 1:
-            raise ForecastError("horizon must be >= 1")
-        self.horizon = int(horizon)
-        self.model = RidgeRegressor(alpha=alpha)
-        self._history: Optional[np.ndarray] = None
-
-    def fit(self, series: np.ndarray, exogenous: Optional[np.ndarray] = None) -> "AutoregressiveForecaster":
-        """Fit the AR model on a historical series (plus optional exogenous features)."""
-        series = np.asarray(series, dtype=float)
-        X, y = make_lag_matrix(series, self.lags, horizon=self.horizon, exogenous=exogenous)
-        self.model.fit(X, y)
-        self._history = series.copy()
-        return self
-
-    def predict_from_history(
-        self, history: np.ndarray, exogenous_future: Optional[np.ndarray] = None
-    ) -> float:
-        """One direct ``horizon``-step-ahead forecast from the end of ``history``."""
-        if not self.model.is_fitted:
-            raise ForecastError("fit() must be called before forecasting")
-        history = np.asarray(history, dtype=float)
-        max_lag = max(self.lags)
-        if history.shape[0] < max_lag:
-            raise ForecastError(f"history must contain at least {max_lag} observations")
-        features = [history[-lag] for lag in self.lags]
-        if exogenous_future is not None:
-            exo = np.atleast_1d(np.asarray(exogenous_future, dtype=float))
-            features = list(features) + list(exo)
-        return float(self.model.predict(np.asarray(features)[None, :])[0])
-
-    def backtest(
-        self, series: np.ndarray, exogenous: Optional[np.ndarray] = None, *, test_fraction: float = 0.25
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fit on the head of ``series`` and forecast the tail, returning (predictions, truth)."""
-        series = np.asarray(series, dtype=float)
-        n = series.shape[0]
-        split = int(round(n * (1.0 - test_fraction)))
-        max_lag = max(self.lags)
-        if split <= max_lag + self.horizon:
-            raise ForecastError("series too short for the requested backtest")
-        exo = None if exogenous is None else np.asarray(exogenous, dtype=float)
-        train_exo = None if exo is None else exo[:split]
-        self.fit(series[:split], train_exo)
-        predictions = []
-        truth = []
-        for t in range(split, n - self.horizon + 1):
-            history = series[:t]
-            exo_future = None if exo is None else exo[t + self.horizon - 1]
-            predictions.append(self.predict_from_history(history, exo_future))
-            truth.append(series[t + self.horizon - 1])
-        return np.asarray(predictions), np.asarray(truth)
-
 
 class PersistenceForecaster:
     """The persistence baseline: forecast = last observed value.
@@ -187,29 +99,4 @@ class PersistenceForecaster:
         for t in range(split, n - self.horizon + 1):
             predictions.append(series[t - 1])
             truth.append(series[t + self.horizon - 1])
-        return np.asarray(predictions), np.asarray(truth)
-
-
-class SeasonalNaiveForecaster:
-    """Seasonal-naive baseline: forecast = value one season (e.g. 24 h) ago."""
-
-    def __init__(self, season_length: int = 24, horizon: int = 1) -> None:
-        if season_length < 1 or horizon < 1:
-            raise ForecastError("season_length and horizon must be >= 1")
-        self.season_length = int(season_length)
-        self.horizon = int(horizon)
-
-    def backtest(self, series: np.ndarray, *, test_fraction: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
-        """Seasonal-naive forecasts over the tail, returning (predictions, truth)."""
-        series = np.asarray(series, dtype=float)
-        n = series.shape[0]
-        split = int(round(n * (1.0 - test_fraction)))
-        if split <= self.season_length:
-            raise ForecastError("series too short for the requested backtest")
-        predictions = []
-        truth = []
-        for t in range(split, n - self.horizon + 1):
-            target_index = t + self.horizon - 1
-            predictions.append(series[target_index - self.season_length])
-            truth.append(series[target_index])
         return np.asarray(predictions), np.asarray(truth)

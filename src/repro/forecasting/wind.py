@@ -9,8 +9,8 @@ day-ahead delivery commitments.  The reproduction:
   turbine power curve (cut-in / rated / cut-out).
 * :class:`WindPowerForecaster` — a ridge model over lagged power and an
   (imperfect) weather forecast of future wind speed, issuing direct 36 h
-  forecasts, evaluated against persistence with
-  :func:`~repro.forecasting.evaluation.forecast_skill`.
+  forecasts, scored by its skill against persistence
+  (``1 - MAE / MAE_persistence``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from ..config import require_fraction, require_non_negative, require_positive
 from ..errors import ConfigurationError, ForecastError
 from ..rng import SeedLike, make_rng
-from .evaluation import ForecastMetrics, evaluate_forecast, forecast_skill
+from .evaluation import ForecastMetrics, evaluate_forecast
 from .features import make_lag_matrix
 from .linear import PersistenceForecaster, RidgeRegressor
 

@@ -20,7 +20,6 @@ seasonal shape and relative magnitudes, not a dispatch simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 

@@ -115,33 +115,5 @@ class IsoNeLikeGrid:
             price_per_mwh=self.price_model.monthly_average_price(cal, self.mix, self.price_per_mwh),
         )
 
-    # ------------------------------------------------------------------
-    # Point queries used by schedulers
-    # ------------------------------------------------------------------
-    def state_at_hour(self, hour: float) -> dict[str, float]:
-        """Grid state (renewable share, intensity, price) at a simulated hour."""
-        index = int(np.clip(np.searchsorted(self.hours, hour, side="right") - 1, 0, self.hours.shape[0] - 1))
-        return {
-            "hour": float(self.hours[index]),
-            "renewable_share": float(self.renewable_share[index]),
-            "carbon_intensity_g_per_kwh": float(self.carbon_intensity_g_per_kwh[index]),
-            "price_per_mwh": float(self.price_per_mwh[index]),
-        }
-
-    def carbon_intensity_at(self, hour: float) -> float:
-        """Carbon intensity (gCO2e/kWh) at a simulated hour."""
-        return self.state_at_hour(hour)["carbon_intensity_g_per_kwh"]
-
-    def price_at(self, hour: float) -> float:
-        """Price ($/MWh) at a simulated hour."""
-        return self.state_at_hour(hour)["price_per_mwh"]
-
-    def greenest_hours(self, n: int) -> np.ndarray:
-        """Indices of the ``n`` hours with the highest renewable share."""
-        if n <= 0:
-            raise DataError(f"n must be positive, got {n!r}")
-        n = min(n, self.hours.shape[0])
-        return np.argsort(self.renewable_share)[::-1][:n]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IsoNeLikeGrid(n_months={self.calendar.n_months})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import require_fraction, require_non_negative, require_positive
+from ..config import require_fraction, require_positive
 from ..errors import ConfigurationError, SimulationError
 
 __all__ = ["StorageConfig", "BatteryStorage"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 

@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from .metrics import MetricsRegistry
 

@@ -12,7 +12,7 @@ queue objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..config import require_non_negative

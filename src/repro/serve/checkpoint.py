@@ -166,17 +166,3 @@ class CheckpointStore:
                 f"this build reads version {CHECKPOINT_FORMAT_VERSION}"
             )
         return payload
-
-    def latest(self, session_id: str) -> Optional[dict]:
-        """The newest restorable checkpoint payload for ``session_id``.
-
-        Corrupt or partially written files are skipped (newest first), so a
-        crash during a save falls back to the previous durable checkpoint;
-        returns ``None`` when nothing restorable exists.
-        """
-        for path in reversed(self.checkpoints(session_id)):
-            try:
-                return self.load(path)
-            except CheckpointError:
-                continue
-        return None

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from ..config import require_fraction, require_positive
+from ..config import require_positive
 from ..errors import ConfigurationError, TelemetryError
 
 __all__ = ["GpuSpec", "GpuPowerModel", "KNOWN_GPUS", "get_gpu_spec"]
@@ -268,12 +268,6 @@ class GpuPowerModel:
         """Multiplicative job-duration factor induced by a power cap (>= 1)."""
         return 1.0 / self.relative_throughput(power_limit_w, utilization)
 
-    def effective_clock_mhz(self, power_limit_w: ArrayLike, utilization: ArrayLike = 1.0) -> ArrayLike:
-        """Sustained clock under the cap, interpolating base..boost clocks."""
-        rel = self.relative_throughput(power_limit_w, utilization)
-        clock = self.spec.max_boost_clock_mhz * rel
-        return np.maximum(clock, 0.35 * self.spec.base_clock_mhz)
-
     # ------------------------------------------------------------------
     # Energy of a fixed amount of work
     # ------------------------------------------------------------------
@@ -299,31 +293,6 @@ class GpuPowerModel:
         slowdown = self.slowdown_factor(power_limit_w, utilization)
         power = self.power_w(utilization, power_limit_w)
         return power * duration * slowdown
-
-    def energy_savings_fraction(
-        self, power_limit_w: ArrayLike, utilization: ArrayLike = 1.0
-    ) -> ArrayLike:
-        """Fractional energy savings vs. running uncapped, for fixed work."""
-        base = self.energy_for_work(1.0, utilization, None)
-        capped = self.energy_for_work(1.0, utilization, power_limit_w)
-        return 1.0 - capped / base
-
-    def utilization_for_power(self, power_w: ArrayLike) -> ArrayLike:
-        """Invert the power model: utilization that would produce ``power_w``.
-
-        Values outside the achievable power range are clipped into [0, 1].
-        Useful for calibrating synthetic traces against target power levels.
-        """
-        power = np.asarray(power_w, dtype=float)
-        dynamic_range = self.spec.tdp_w - self.spec.idle_power_w
-        frac = np.clip((power - self.spec.idle_power_w) / dynamic_range, 0.0, 1.0)
-        return frac ** (1.0 / self.utilization_exponent)
-
-    def achieved_tflops(self, utilization: ArrayLike, power_limit_w: ArrayLike | None = None) -> ArrayLike:
-        """Delivered TFLOP/s for the given utilization and cap."""
-        util = np.clip(np.asarray(utilization, dtype=float), 0.0, 1.0)
-        rel = 1.0 if power_limit_w is None else self.relative_throughput(power_limit_w, util)
-        return self.spec.peak_fp16_tflops * util * rel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GpuPowerModel(spec={self.spec.name!r})"

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import TelemetryError
 from ..units import integrate_power
-from .nvml_sim import SimulatedGpuDevice, SimulatedNvml
+from .nvml_sim import SimulatedNvml
 
 __all__ = ["PowerSample", "EnergyIntegrator", "PowerSampler"]
 

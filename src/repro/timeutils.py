@@ -73,11 +73,6 @@ class MonthIndex:
         """Short label such as ``"Jul 2020"`` for reports and figure axes."""
         return f"{MONTH_ABBREVIATIONS[self.month - 1]} {self.year}"
 
-    @property
-    def month_of_year(self) -> int:
-        """The 1-12 month number, independent of year (x-axis of Figs. 2-4)."""
-        return self.month
-
     def next(self) -> "MonthIndex":
         """The month immediately following this one."""
         if self.month == 12:
@@ -151,20 +146,11 @@ class SimulationCalendar:
         month = self._months[self._check_index(index)]
         return hours_in_month(month.year, month.month)
 
-    def month_of_hour(self, hour: float) -> int:
-        """0-based month index containing simulated ``hour``.
-
-        Hours beyond the horizon raise :class:`DataError`; fractional hours
-        are allowed.
-        """
-        if hour < 0 or hour >= self._total_hours:
-            raise DataError(
-                f"hour {hour!r} outside the simulated horizon [0, {self._total_hours})"
-            )
-        return int(np.searchsorted(self._start_hours_array, hour, side="right") - 1)
-
     def month_indices_for_hours(self, hours: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`month_of_hour` for an array of hour values."""
+        """0-based month index containing each simulated hour (fractional hours allowed).
+
+        Hours outside the horizon raise :class:`DataError`.
+        """
         arr = np.asarray(hours, dtype=float)
         if arr.size and (arr.min() < 0 or arr.max() >= self._total_hours):
             raise DataError("hours outside the simulated horizon")
@@ -176,28 +162,15 @@ class SimulationCalendar:
             raise DataError(f"step_hours must be positive, got {step_hours!r}")
         return np.arange(0.0, float(self._total_hours), float(step_hours))
 
-    def hour_of_year(self, hour: float) -> float:
-        """Hour within its calendar year (0-based), used for seasonal models."""
-        index = self.month_of_hour(hour)
-        return self._year_offset_hours[index] + (hour - self._month_start_hours[index])
-
-    def day_of_year(self, hour: float) -> float:
-        """Fractional day of year (0-based) for seasonal temperature models."""
-        return self.hour_of_year(hour) / 24.0
-
     def day_of_year_array(self, hours: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`day_of_year`, bit-identical element by element.
+        """Fractional day of year (0-based) of each simulated hour.
 
-        Performs the scalar method's float operations on whole arrays, so
-        hourly substrate series cost one pass instead of one call per hour.
+        The hour within its calendar year divided by 24, for the seasonal
+        weather, fuel-mix and demand models; one array pass per series.
         """
         arr = np.asarray(hours, dtype=float)
         index = self.month_indices_for_hours(arr)
         return (self._year_offset_array[index] + (arr - self._start_hours_array[index])) / 24.0
-
-    def hour_of_day(self, hour: float) -> float:
-        """Hour within the simulated day in [0, 24)."""
-        return float(hour) % 24.0
 
     def month_of_year_array(self) -> np.ndarray:
         """1-12 month-of-year number for every month in the horizon."""

@@ -17,7 +17,7 @@ package is the measurement toolchain the paper asks facilities to provide:
 """
 
 from .tracker import EnergyTracker, TrackerReport
-from .emissions import EmissionFactor, REGIONAL_EMISSION_FACTORS, emissions_from_energy, equivalent_miles_driven, equivalent_homes_powered_for_a_year
+from .emissions import EmissionFactor, REGIONAL_EMISSION_FACTORS, emissions_from_energy, equivalent_miles_driven
 from .reporting import ExperimentReport, ReportCollection
 from .lifecycle import LifecycleStage, LifecycleCostModel, LifecycleBreakdown
 from .embodied import HardwareFootprint, HARDWARE_FOOTPRINTS, EmbodiedCarbonModel, TotalFootprint
@@ -29,7 +29,6 @@ __all__ = [
     "REGIONAL_EMISSION_FACTORS",
     "emissions_from_energy",
     "equivalent_miles_driven",
-    "equivalent_homes_powered_for_a_year",
     "ExperimentReport",
     "ReportCollection",
     "LifecycleStage",

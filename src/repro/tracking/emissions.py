@@ -1,7 +1,7 @@
 """Emission factors and energy-to-carbon conversion.
 
 Converts measured energy into CO2-equivalent emissions under a regional grid
-mix, and provides the everyday equivalences (miles driven, homes powered)
+mix, and provides the everyday equivalence (miles driven)
 that papers such as Strubell et al. [24] popularized and that the paper's
 reporting discussion references.
 """
@@ -21,16 +21,12 @@ __all__ = [
     "REGIONAL_EMISSION_FACTORS",
     "emissions_from_energy",
     "equivalent_miles_driven",
-    "equivalent_homes_powered_for_a_year",
 ]
 
 ArrayLike = Union[float, np.ndarray]
 
 #: Average passenger-vehicle emissions (EPA figure): ~404 gCO2e per mile.
 GRAMS_CO2_PER_MILE = 404.0
-
-#: Average U.S. household electricity use: ~10,600 kWh per year.
-HOUSEHOLD_KWH_PER_YEAR = 10_600.0
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,3 @@ def equivalent_miles_driven(grams_co2e: ArrayLike) -> ArrayLike:
     if np.any(grams < 0):
         raise DataError("grams_co2e must be non-negative")
     return grams / GRAMS_CO2_PER_MILE
-
-
-def equivalent_homes_powered_for_a_year(energy_j: ArrayLike) -> ArrayLike:
-    """How many average U.S. homes the energy would power for a year."""
-    kwh = np.asarray(joules_to_kwh(energy_j), dtype=float)
-    if np.any(kwh < 0):
-        raise DataError("energy must be non-negative")
-    return kwh / HOUSEHOLD_KWH_PER_YEAR

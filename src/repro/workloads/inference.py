@@ -168,25 +168,3 @@ class InferenceFleetModel:
             gpu_energy_kwh=gpu_energy_kwh,
             host_energy_kwh=host_energy_kwh,
         )
-
-    def consolidation_savings(self, period_days: float = 30.0) -> dict[str, float]:
-        """Energy saved by right-sizing the fleet to the mean rate (an ablation).
-
-        Compares the peak-provisioned fleet against a fleet sized for the
-        mean arrival rate (accepting queueing at peaks) — the utilization /
-        energy trade the paper's inference discussion gestures at.
-        """
-        provisioned = self.serve(period_days)
-        effective = self.spec.queries_per_gpu_s_at_full_util * self.spec.utilization_at_saturation
-        lean_fleet = max(1, int(np.ceil(self.spec.mean_queries_per_s / effective)))
-        lean = self.serve(period_days, n_gpus=lean_fleet)
-        savings = 1.0 - lean.total_energy_kwh / provisioned.total_energy_kwh
-        return {
-            "provisioned_gpus": float(provisioned.n_gpus),
-            "lean_gpus": float(lean.n_gpus),
-            "provisioned_energy_kwh": provisioned.total_energy_kwh,
-            "lean_energy_kwh": lean.total_energy_kwh,
-            "energy_savings_fraction": float(savings),
-            "provisioned_mean_utilization": provisioned.mean_utilization,
-            "lean_mean_utilization": lean.mean_utilization,
-        }

@@ -169,40 +169,6 @@ class TrainingJobModel:
             host_energy_kwh=host_energy_kwh,
         )
 
-    def sweep_power_caps(
-        self, n_gpus: int, cap_fractions: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
-    ) -> list[TrainingRunResult]:
-        """Run the same workload under a sweep of power caps."""
-        results = []
-        for fraction in cap_fractions:
-            cap = None if fraction >= 1.0 else fraction
-            results.append(self.run(n_gpus, cap))
-        return results
-
-    def sweep_gpu_counts(
-        self, gpu_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32), power_cap_fraction: Optional[float] = None
-    ) -> list[TrainingRunResult]:
-        """Run the same workload across GPU counts (scaling study)."""
-        return [self.run(n, power_cap_fraction) for n in gpu_counts]
-
-    def equivalent_gpu_trade(
-        self, base_gpus: int, cap_fraction: float
-    ) -> int:
-        """GPUs needed under ``cap_fraction`` to match the uncapped wall-clock time.
-
-        The quantitative heart of the paper's two-part mechanism: how many
-        extra GPUs compensate a user for accepting a stricter cap.  Returns
-        the smallest GPU count whose capped wall-clock time is no longer than
-        the uncapped time on ``base_gpus`` GPUs (capped at 4x the base).
-        """
-        if not 0.0 < cap_fraction <= 1.0:
-            raise ConfigurationError("cap_fraction must lie in (0, 1]")
-        target_hours = self.wall_clock_hours(base_gpus, None)
-        for n in range(base_gpus, base_gpus * 4 + 1):
-            if self.wall_clock_hours(n, cap_fraction) <= target_hours + 1e-9:
-                return n
-        return base_gpus * 4
-
 
 #: A small catalogue of representative training workloads used by examples
 #: and benchmarks (single-GPU hours are order-of-magnitude realistic).

@@ -1,11 +1,10 @@
-"""Tests for the analysis layer: monthly containers, correlations, figures, Table I."""
+"""Tests for the analysis layer: correlations, figures, Table I."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.correlation import (
     best_lag,
-    is_monotonic_relationship,
     lagged_cross_correlation,
     pearson_correlation,
     spearman_correlation,
@@ -18,7 +17,6 @@ from repro.analysis.figures import (
     fig4_power_vs_temperature,
     fig5_energy_vs_deadlines,
 )
-from repro.analysis.monthly import MonthlySeries
 from repro.analysis.tables import table1_conferences
 from repro.errors import DataError
 
@@ -27,32 +25,6 @@ from repro.errors import DataError
 def scenario():
     return SuperCloudScenario.build(seed=0)
 
-
-class TestMonthlySeries:
-    def test_from_hourly(self, small_calendar):
-        hourly = np.ones(small_calendar.total_hours) * 3.0
-        series = MonthlySeries.from_hourly("x", hourly, small_calendar, how="mean")
-        np.testing.assert_allclose(series.values, 3.0)
-        assert len(series) == 2
-
-    def test_from_hourly_sum(self, small_calendar):
-        hourly = np.ones(small_calendar.total_hours)
-        series = MonthlySeries.from_hourly("x", hourly, small_calendar, how="sum")
-        assert series.values[0] == pytest.approx(31 * 24)
-
-    def test_invalid_how(self, small_calendar):
-        with pytest.raises(DataError):
-            MonthlySeries.from_hourly("x", np.ones(small_calendar.total_hours), small_calendar, how="median")
-
-    def test_describe_and_argmax(self):
-        series = MonthlySeries("x", np.array([1.0, 5.0, 2.0]), ("Jan 2020", "Feb 2020", "Mar 2020"))
-        assert series.describe()["max"] == 5.0
-        assert series.argmax_label() == "Feb 2020"
-        assert series.argmin_label() == "Jan 2020"
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            MonthlySeries("x", np.array([1.0, 2.0]), ("Jan 2020",))
 
 class TestCorrelation:
     def test_pearson_perfect(self):
@@ -95,23 +67,12 @@ class TestCorrelation:
         assert value == pytest.approx(1.0)
         assert correlations[-3] == pytest.approx(1.0)
 
-    def test_is_monotonic_relationship(self):
-        x = np.arange(12.0)
-        assert is_monotonic_relationship(x, x**2)
-        rng = np.random.default_rng(1)
-        assert not is_monotonic_relationship(x, rng.normal(size=12))
-
-    def test_monotonic_threshold_validation(self):
-        with pytest.raises(DataError):
-            is_monotonic_relationship(np.arange(5.0), np.arange(5.0), threshold=0.0)
-
 
 class TestFig1:
     def test_doubling_times(self):
         result = fig1_compute_trends()
-        summary = result.summary()
-        assert summary["modern_doubling_months"] < 12.0
-        assert summary["pre2012_doubling_months"] > 12.0
+        assert result.modern_fit.doubling_time_months < 12.0
+        assert result.pre2012_fit.doubling_time_months > 12.0
         assert result.growth_acceleration > 1.0
 
     def test_scatter_aligned(self):
@@ -134,10 +95,6 @@ class TestFig2(object):
 
     def test_mismatch_opportunity_positive(self, scenario):
         assert fig2_power_vs_green_share(scenario).mismatch_opportunity() > 0
-
-    def test_series_helper(self, scenario):
-        series = fig2_power_vs_green_share(scenario).series()
-        assert [s.name for s in series] == ["avg_power_kw", "solar_wind_share_pct"]
 
 
 class TestFig3:

@@ -10,7 +10,7 @@ from repro.climate.scenarios import (
     HeatWaveScenario,
     UniformWarmingScenario,
 )
-from repro.climate.stress_scenarios import STANDARD_STRESS_SCENARIOS, get_stress_scenario
+from repro.climate.stress_scenarios import STANDARD_STRESS_SCENARIOS
 from repro.climate.weather import WeatherConfig, WeatherModel
 from repro.config import SiteConfig
 from repro.errors import ConfigurationError, DataError
@@ -156,15 +156,6 @@ class TestStressCatalogue:
     def test_severities_ordered(self):
         severities = [s.severity for s in STANDARD_STRESS_SCENARIOS]
         assert severities == sorted(severities)
-
-    def test_lookup(self):
-        spec = get_stress_scenario("severely-adverse")
-        assert spec.severity == 3
-        assert spec.cooling_capacity_fraction < 1.0
-
-    def test_unknown_scenario(self):
-        with pytest.raises(DataError):
-            get_stress_scenario("zombie-apocalypse")
 
     def test_spec_validation(self):
         from repro.climate.stress_scenarios import StressScenarioSpec

@@ -6,7 +6,6 @@ from repro.config import (
     FacilityConfig,
     SiteConfig,
     config_replace,
-    config_to_dict,
     require_fraction,
     require_in_range,
     require_non_negative,
@@ -81,14 +80,6 @@ class TestFacilityConfig:
 
 
 class TestConfigHelpers:
-    def test_config_to_dict(self):
-        d = config_to_dict(FacilityConfig(n_nodes=3, gpus_per_node=2))
-        assert d["n_nodes"] == 3
-        assert d["gpus_per_node"] == 2
-
-    def test_config_to_dict_rejects_non_dataclass(self):
-        with pytest.raises(ConfigurationError):
-            config_to_dict({"a": 1})
 
     def test_config_replace(self):
         original = FacilityConfig(n_nodes=3, gpus_per_node=2)

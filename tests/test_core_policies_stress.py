@@ -10,7 +10,7 @@ from repro.core.policies import (
     evaluate_load_shifting,
 )
 from repro.core.stress import StressTestHarness
-from repro.climate.stress_scenarios import STANDARD_STRESS_SCENARIOS, get_stress_scenario
+from repro.climate.stress_scenarios import STANDARD_STRESS_SCENARIOS
 from repro.errors import OptimizationError
 from repro.workloads.supercloud import SuperCloudTraceConfig
 from repro.config import FacilityConfig
@@ -173,6 +173,7 @@ class TestStressHarness:
             StressTestHarness.degradation_table(partial)
 
     def test_single_scenario(self, harness):
-        result = harness.run_scenario(get_stress_scenario("winter-gas-crisis"))
+        spec = next(s for s in STANDARD_STRESS_SCENARIOS if s.name == "winter-gas-crisis")
+        result = harness.run_scenario(spec)
         assert result.total_cost_kusd > 0
         assert result.severity == 2

@@ -299,10 +299,6 @@ class TestFleetSpec:
         assert all(m.n_months == 3 and m.seed == 11 for m in fleet.members)
         assert fleet.member_names == get_fleet("tri-site-small").member_names
 
-    def test_to_dict_is_json_ready(self):
-        payload = json.dumps(get_fleet("tri-site-small").to_dict())
-        assert "supercloud-small@phoenix-az" in payload
-
 
 # ---------------------------------------------------------------------------
 # Conservation, pins, and router distinctness on the seeded tri-site world

@@ -37,7 +37,6 @@ from repro.fleet.parallel import (
     build_site_simulator,
     fleet_start_method,
 )
-from repro.fleet.result import FleetStepTimings
 from repro.fleet.routing import Router, SiteSnapshot
 from repro.parallel import ParallelConfig
 from repro.scheduler.job import Job
@@ -326,28 +325,6 @@ class TestStepTimings:
             assert timings.total_s > 0
             assert timings.total_s >= timings.route_s
             assert timings.max_site_advance_s == max(timings.site_advance_s)
-            assert timings.sum_site_advance_s == pytest.approx(
-                sum(timings.site_advance_s)
-            )
-
-    def test_to_dict_json_round_trip(self, tri_world):
-        fleet, session, trace = tri_world
-        result = _run(fleet, session, trace, router="round-robin", workers=WORKERS)
-        payload = json.loads(json.dumps(result.to_dict()))
-        timings = payload["step_timings"]
-        assert timings["mode"] == "parallel"
-        assert timings["n_workers"] == min(WORKERS, fleet.n_sites)
-        assert len(timings["site_advance_s"]) == fleet.n_sites
-        rebuilt = FleetStepTimings(
-            mode=timings["mode"],
-            n_workers=timings["n_workers"],
-            n_windows=timings["n_windows"],
-            total_s=timings["total_s"],
-            route_s=timings["route_s"],
-            advance_s=timings["advance_s"],
-            site_advance_s=tuple(timings["site_advance_s"]),
-        )
-        assert rebuilt.to_dict() == timings
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ForecastError
-from repro.forecasting.evaluation import evaluate_forecast, forecast_skill
-from repro.forecasting.features import make_lag_matrix, make_seasonal_features, train_test_split_series
-from repro.forecasting.linear import (
-    AutoregressiveForecaster,
-    PersistenceForecaster,
-    RidgeRegressor,
-    SeasonalNaiveForecaster,
-)
+from repro.forecasting.evaluation import evaluate_forecast
+from repro.forecasting.features import make_lag_matrix
+from repro.forecasting.linear import PersistenceForecaster, RidgeRegressor
 from repro.forecasting.wind import WindFarmConfig, WindFarmSimulator, WindForecastStudy
 
 
@@ -45,27 +40,6 @@ class TestFeatures:
         with pytest.raises(ForecastError):
             make_lag_matrix(np.arange(10.0), lags=[1], horizon=0)
 
-    def test_seasonal_features_shape(self):
-        features = make_seasonal_features(np.arange(48.0), periods=[24.0], include_bias=True)
-        assert features.shape == (48, 3)
-        np.testing.assert_allclose(features[:, 0], 1.0)
-
-    def test_seasonal_features_periodicity(self):
-        features = make_seasonal_features(np.arange(48.0), periods=[24.0], include_bias=False)
-        np.testing.assert_allclose(features[0], features[24], atol=1e-9)
-
-    def test_train_test_split_chronological(self):
-        X = np.arange(20.0)[:, None]
-        y = np.arange(20.0)
-        X_train, y_train, X_test, y_test = train_test_split_series(X, y, test_fraction=0.25)
-        assert X_train.shape[0] == 15
-        assert X_test.shape[0] == 5
-        assert y_test[0] == 15.0
-
-    def test_split_validation(self):
-        with pytest.raises(ForecastError):
-            train_test_split_series(np.ones((5, 1)), np.ones(4))
-
 
 class TestRidge:
     def test_recovers_linear_relationship(self):
@@ -73,7 +47,7 @@ class TestRidge:
         X = rng.normal(size=(200, 3))
         y = 2.0 * X[:, 0] - 1.0 * X[:, 1] + 0.5 + rng.normal(scale=0.01, size=200)
         model = RidgeRegressor(alpha=1e-6).fit(X, y)
-        assert model.score_r2(X, y) > 0.99
+        np.testing.assert_allclose(model.predict(X), y, atol=0.05)
 
     def test_regularisation_shrinks_coefficients(self):
         rng = np.random.default_rng(1)
@@ -95,7 +69,7 @@ class TestRidge:
             model.predict(np.ones((2, 3)))
 
 
-class TestBaselinesAndAr:
+class TestBaselines:
     def _seasonal_series(self, n=600):
         t = np.arange(n, dtype=float)
         rng = np.random.default_rng(2)
@@ -105,29 +79,6 @@ class TestBaselinesAndAr:
         series = self._seasonal_series()
         pred, truth = PersistenceForecaster(horizon=1).backtest(series)
         assert pred.shape == truth.shape
-
-    def test_seasonal_naive_beats_persistence_on_seasonal_series(self):
-        series = self._seasonal_series()
-        p_pred, p_truth = PersistenceForecaster(horizon=12).backtest(series)
-        s_pred, s_truth = SeasonalNaiveForecaster(season_length=24, horizon=12).backtest(series)
-        assert evaluate_forecast(s_pred, s_truth).mae < evaluate_forecast(p_pred, p_truth).mae
-
-    def test_ar_forecaster_beats_persistence(self):
-        series = self._seasonal_series()
-        ar = AutoregressiveForecaster(lags=(1, 2, 24), horizon=12)
-        a_pred, a_truth = ar.backtest(series)
-        p_pred, p_truth = PersistenceForecaster(horizon=12).backtest(series)
-        n = min(a_pred.shape[0], p_pred.shape[0])
-        skill = forecast_skill(a_pred[-n:], a_truth[-n:], p_pred[-n:])
-        assert skill > 0.2
-
-    def test_ar_requires_fit_before_predict(self):
-        with pytest.raises(ForecastError):
-            AutoregressiveForecaster().predict_from_history(np.arange(50.0))
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(ForecastError):
-            AutoregressiveForecaster(lags=(1, 24), horizon=1).fit(np.arange(10.0))
 
 
 class TestEvaluation:
@@ -148,13 +99,6 @@ class TestEvaluation:
             evaluate_forecast(np.ones(3), np.ones(4))
         with pytest.raises(ForecastError):
             evaluate_forecast(np.array([np.nan, 1.0]), np.array([1.0, 1.0]))
-
-    def test_skill_metric_validation(self):
-        truth = np.arange(5.0)
-        with pytest.raises(ForecastError):
-            forecast_skill(truth, truth, truth, metric="mape")
-        with pytest.raises(ForecastError):
-            forecast_skill(truth, truth, truth)  # baseline error zero
 
 
 class TestWind:

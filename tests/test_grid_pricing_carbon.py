@@ -112,23 +112,6 @@ class TestIsoNeLikeGrid:
         assert len(monthly.month_labels) == 12
         assert monthly.renewable_share_pct.min() > 0
 
-    def test_state_at_hour_fields(self, year_grid):
-        state = year_grid.state_at_hour(100.5)
-        assert set(state) == {"hour", "renewable_share", "carbon_intensity_g_per_kwh", "price_per_mwh"}
-        assert state["carbon_intensity_g_per_kwh"] == pytest.approx(
-            year_grid.carbon_intensity_at(100.5)
-        )
-
-    def test_greenest_hours(self, year_grid):
-        top = year_grid.greenest_hours(10)
-        assert top.shape == (10,)
-        threshold = np.sort(year_grid.renewable_share)[-10]
-        assert np.all(year_grid.renewable_share[top] >= threshold - 1e-12)
-
-    def test_greenest_hours_rejects_nonpositive(self, year_grid):
-        with pytest.raises(DataError):
-            year_grid.greenest_hours(0)
-
     def test_carbon_anticorrelated_with_renewable_share(self, year_grid):
         corr = pearson_correlation(
             year_grid.monthly.carbon_intensity_g_per_kwh, year_grid.monthly.renewable_share_pct

@@ -132,7 +132,15 @@ class TestCalendarProperties:
         calendar = SimulationCalendar(start_year, n_months)
         last = np.nextafter(calendar.total_hours, 0.0)
         hours = np.minimum(np.asarray(fractions) * calendar.total_hours, last)
-        scalar = np.asarray([calendar.day_of_year(h) for h in hours])
+
+        def day_of_year(hour):
+            # The horizon starts in January, so a year starts month - 1 months back.
+            index = max(i for i in range(n_months) if calendar.month_start_hour(i) <= hour)
+            start = calendar.month_start_hour(index)
+            year_start = calendar.month_start_hour(index - calendar.months[index].month + 1)
+            return ((start - year_start) + (hour - start)) / 24.0
+
+        scalar = np.asarray([day_of_year(h) for h in hours])
         assert calendar.day_of_year_array(hours).tobytes() == scalar.tobytes()
 
     @given(st.integers(min_value=1, max_value=24))

@@ -1,10 +1,17 @@
-"""Every ``src/repro`` module is reached from code that is not a test.
+"""Every ``src/repro`` module, public name and import is used outside tests.
 
-A module that only its own tests import is code the toolkit does not run:
-no CLI path, library caller, benchmark, example or perfbench workload
-depends on it.  This guard reads imports with :mod:`ast` only (nothing of
-``repro`` is imported) and fails on any such module, so new code arrives
-with a caller or is deleted.
+A module or function that only its own tests reach is code the toolkit does
+not run: no CLI path, library caller, benchmark, example or perfbench
+workload depends on it.  These guards read source with :mod:`ast` only
+(nothing of ``repro`` is imported) and fail, one case per module, on
+
+* a module no non-test file reaches (below);
+* a public top-level function or class no non-test file names.  A name
+  counts when it appears as a name, an attribute or an imported name in a
+  non-test file; an import in a package ``__init__`` (a re-export) and an
+  entry of ``__all__`` do not count;
+* a module-level import the module never uses.  An unused import would
+  otherwise make the imported name look used to the check above.
 
 A module M counts as reached when a non-test file
 
@@ -68,7 +75,7 @@ def _imports(path: pathlib.Path, importer: str | None) -> list[tuple[str, str | 
     """``(module, name)`` pairs one file imports; ``name`` is None for ``import x``."""
     is_package = path.name == "__init__.py"
     found: list[tuple[str, str | None]] = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             found.extend((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -77,6 +84,10 @@ def _imports(path: pathlib.Path, importer: str | None) -> list[tuple[str, str | 
             module = _resolve_from(importer or "", is_package, node)
             found.extend((module, alias.name) for alias in node.names)
     return found
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 #: For each package, the module each name its ``__init__`` imports comes from.
@@ -128,6 +139,102 @@ def unreached_modules() -> frozenset[str]:
     return frozenset(MODULES) - reached
 
 
+#: Decorators that register what they decorate, so the registry is its caller.
+REGISTERING_DECORATORS = frozenset({"experiment"})
+
+
+def _registered(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) -> bool:
+    return any(
+        isinstance(decorator, ast.Call)
+        and isinstance(decorator.func, ast.Name)
+        and decorator.func.id in REGISTERING_DECORATORS
+        for decorator in node.decorator_list
+    )
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes one module defines, bar registered ones."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not _registered(node)
+    ]
+
+
+def names_used(tree: ast.Module, *, is_package: bool) -> set[str]:
+    """Every name one file mentions; a package ``__init__``'s imports do not count."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not is_package:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@functools.cache
+def names_used_outside_tests() -> frozenset[str]:
+    names: set[str] = set()
+    for directory in NON_TEST_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            names |= names_used(_parse(path), is_package=path.name == "__init__.py")
+    return frozenset(names)
+
+
+def _module_level(body: list[ast.stmt]):
+    """Statements at module level, including those under ``if``/``try``."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.If, ast.Try)):
+            for block in (stmt.body, stmt.orelse, getattr(stmt, "finalbody", [])):
+                yield from _module_level(block)
+            for handler in getattr(stmt, "handlers", []):
+                yield from _module_level(handler.body)
+
+
+def _quoted_annotation_names(tree: ast.Module) -> set[str]:
+    """Names inside string annotations (``simulator: "ClusterSimulator"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names: set[str] = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports the module never uses (``__all__`` entries count as use)."""
+    bound: dict[str, int] = {}
+    for stmt in _module_level(tree.body):
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                bound[alias.asname or alias.name] = stmt.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _quoted_annotation_names(tree)
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+        ):
+            used.update(ast.literal_eval(stmt.value))
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in used]
+
+
 class TestReach:
     def test_module_list_is_read_from_src(self):
         # An empty glob would leave the parametrized cases below with
@@ -147,3 +254,52 @@ class TestReach:
         assert module in unreached_modules(), (
             f"exempt module {module} is now reached; drop it from EXEMPT"
         )
+
+    def test_definition_and_import_lists_are_read_from_src(self):
+        # Both checks below pass vacuously on empty inputs; pin a few names
+        # and imports every layer depends on.
+        assert "main" in public_definitions(_parse(SRC_FILES["repro.cli"]))
+        assert "ServeClient" in public_definitions(_parse(SRC_FILES["repro.serve.client"]))
+        assert {"main", "ServeClient", "run_campaign"} <= names_used_outside_tests()
+        cli = _parse(SRC_FILES["repro.cli"])
+        assert any(isinstance(stmt, ast.ImportFrom) for stmt in _module_level(cli.body))
+
+    def test_checks_flag_a_synthetic_unused_definition_and_import(self):
+        tree = ast.parse(
+            "import os\n"
+            "from typing import Optional\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from .sim import Simulator\n"
+            "def used(x: Optional[int], sim: 'Simulator') -> int:\n"
+            "    return x\n"
+            "def orphan():\n"
+            "    return used(1)\n"
+        )
+        assert unused_imports(tree) == ["os (line 1)"]
+        named = names_used(tree, is_package=False)
+        assert [n for n in public_definitions(tree) if n not in named] == ["orphan"]
+        # A package __init__'s re-export does not name what it imports.
+        reexport = ast.parse("from .mod import orphan\n")
+        assert "orphan" not in names_used(reexport, is_package=True)
+        assert "orphan" in names_used(reexport, is_package=False)
+        # A definition that a decorator registers is used by its registry.
+        registered = ast.parse("@experiment('demo')\ndef run_demo(session):\n    pass\n")
+        assert public_definitions(registered) == []
+
+    @pytest.mark.parametrize("module", sorted(set(MODULES) - EXEMPT))
+    def test_public_names_are_named_outside_tests(self, module):
+        unnamed = [
+            name
+            for name in public_definitions(_parse(SRC_FILES[module]))
+            if name not in names_used_outside_tests()
+        ]
+        assert not unnamed, (
+            f"{module}: {', '.join(unnamed)} named only by tests; "
+            "give each a caller outside tests/ or delete it"
+        )
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_module_has_no_unused_imports(self, module):
+        unused = unused_imports(_parse(SRC_FILES[module]))
+        assert not unused, f"{module} never uses its imports {', '.join(unused)}"

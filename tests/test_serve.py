@@ -607,7 +607,8 @@ class TestTransport:
         assert time.perf_counter() - start < 5.0  # not the 30 s idle timeout
         assert not any(handler.is_alive() for handler in handlers)
         assert daemon.manager.get("drained").advanced_to_h == 6.0
-        assert daemon.store.latest("drained")["advanced_to_h"] == 6.0
+        store = daemon.store
+        assert store.load(store.checkpoints("drained")[-1])["advanced_to_h"] == 6.0
         connection.close()
         client.close()
 
@@ -928,7 +929,7 @@ class TestCheckpointRestore:
         daemon.close()
         client.close()
         assert "drained" in daemon.store.session_ids()
-        payload = daemon.store.latest("drained")
+        payload = daemon.store.load(daemon.store.checkpoints("drained")[-1])
         assert payload["advanced_to_h"] == 12.0
         # And a fresh daemon restores it.
         daemon2 = ServeDaemon(port=0, checkpoint_dir=ckpt)

@@ -193,7 +193,6 @@ class TestReplayParity:
         assert upfront.ticks_since(0)[1:] == live.ticks_since(0)[1:]
 
 
-
 def _restarted(session: ServeSession, store_dir: Path) -> ServeSession:
     """``session`` checkpointed and restored by a fresh manager (a restarted daemon)."""
     store = CheckpointStore(store_dir)
@@ -521,7 +520,7 @@ class TestFailurePaths:
     )
     def test_from_checkpoint_raises_checkpoint_error(self, tmp_path, mutate, match):
         store = _checkpointed(tmp_path, hours=(24.0,))
-        payload = store.latest("a")
+        payload = store.load(store.checkpoints("a")[-1])
         mutate(payload)
         with pytest.raises(CheckpointError, match=match):
             ServeSession.from_checkpoint(payload, ExperimentSession())
@@ -567,7 +566,7 @@ class TestCorruptCheckpoints:
         session.advance_to(48.0)
         store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
         session.checkpoint(store)
-        payload = store.latest("a")
+        payload = store.load(store.checkpoints("a")[-1])
         assert payload["journal"] and payload["cursor"]["running"]
         return payload
 
@@ -702,7 +701,6 @@ class TestCheckpointStore:
         }
         path = store.save("a", payload)
         assert store.load(path) == payload
-        assert store.latest("a") == payload
 
     def test_pruning_keeps_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
@@ -710,14 +708,7 @@ class TestCheckpointStore:
             store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": index})
         remaining = store.checkpoints("a")
         assert len(remaining) == 2
-        assert store.latest("a")["index"] == 4
-
-    def test_corrupt_latest_falls_back(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": 0})
-        newest = store.save("a", {"format": CHECKPOINT_FORMAT_VERSION, "index": 1})
-        newest.write_text("{truncated")  # a crash mid-write
-        assert store.latest("a")["index"] == 0
+        assert store.load(remaining[-1])["index"] == 4
 
     def test_unserializable_payload_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -737,4 +728,3 @@ class TestCheckpointStore:
         path = store.save("a", {"format": 999})
         with pytest.raises(CheckpointError, match="format"):
             store.load(path)
-        assert store.latest("a") is None

@@ -69,11 +69,6 @@ class TestPowerCurve:
         assert v100_model.clamp_power_limit(10.0) == pytest.approx(spec.min_power_limit_w)
         assert v100_model.clamp_power_limit(1e4) == pytest.approx(spec.tdp_w)
 
-    def test_utilization_for_power_inverts(self, v100_model):
-        for util in (0.2, 0.5, 0.9):
-            power = float(v100_model.power_w(util))
-            assert v100_model.utilization_for_power(power) == pytest.approx(util, abs=1e-6)
-
 
 class TestThroughputUnderCaps:
     def test_no_cap_no_slowdown(self, v100_model):
@@ -97,12 +92,9 @@ class TestThroughputUnderCaps:
         """Moderate caps save more energy than they cost in runtime (the [15] claim)."""
         cap = 0.8 * v100_model.spec.tdp_w
         slowdown = float(v100_model.slowdown_factor(cap, 1.0))
-        savings = float(v100_model.energy_savings_fraction(cap, 1.0))
+        capped = float(v100_model.energy_for_work(1.0, 1.0, cap))
+        savings = 1.0 - capped / float(v100_model.energy_for_work(1.0, 1.0))
         assert savings > (slowdown - 1.0)
-
-    def test_effective_clock_bounded(self, v100_model):
-        clock = float(v100_model.effective_clock_mhz(v100_model.spec.min_power_limit_w))
-        assert 0 < clock <= v100_model.spec.max_boost_clock_mhz
 
 
 class TestEnergyForWork:
@@ -115,20 +107,10 @@ class TestEnergyForWork:
         capped = float(v100_model.energy_for_work(3600.0, 1.0, 0.7 * v100_model.spec.tdp_w))
         assert capped < uncapped
 
-    def test_energy_savings_fraction_positive_for_saturating_job(self, v100_model):
-        savings = float(v100_model.energy_savings_fraction(0.6 * v100_model.spec.tdp_w, 1.0))
-        assert 0.0 < savings < 1.0
-
     def test_energy_savings_zero_when_cap_not_binding(self, v100_model):
-        savings = float(v100_model.energy_savings_fraction(240.0, 0.2))
-        assert savings == pytest.approx(0.0, abs=1e-9)
+        capped = float(v100_model.energy_for_work(3600.0, 0.2, 240.0))
+        assert capped == pytest.approx(float(v100_model.energy_for_work(3600.0, 0.2)), rel=1e-9)
 
     def test_negative_duration_rejected(self, v100_model):
         with pytest.raises(TelemetryError):
             v100_model.energy_for_work(-1.0, 1.0)
-
-    def test_achieved_tflops_scales_with_utilization(self, v100_model):
-        full = float(v100_model.achieved_tflops(1.0))
-        half = float(v100_model.achieved_tflops(0.5))
-        assert full == pytest.approx(v100_model.spec.peak_fp16_tflops)
-        assert half == pytest.approx(0.5 * full)

@@ -62,24 +62,11 @@ class TestSimulationCalendar:
         assert starts[0] == 0
         assert starts[1] == 31 * 24
 
-    def test_month_of_hour(self):
-        cal = SimulationCalendar(2020, 3)
-        assert cal.month_of_hour(0.0) == 0
-        assert cal.month_of_hour(31 * 24) == 1
-        assert cal.month_of_hour(31 * 24 - 0.5) == 0
-
-    def test_month_of_hour_out_of_range(self):
-        cal = SimulationCalendar(2020, 2)
-        with pytest.raises(DataError):
-            cal.month_of_hour(cal.total_hours)
-        with pytest.raises(DataError):
-            cal.month_of_hour(-1.0)
-
     def test_month_indices_vectorized_matches_scalar(self):
         cal = SimulationCalendar(2020, 6)
         hours = np.linspace(0, cal.total_hours - 1, 50)
         vectorized = cal.month_indices_for_hours(hours)
-        scalar = np.array([cal.month_of_hour(h) for h in hours])
+        scalar = np.array([_month_of_hour(cal, h) for h in hours])
         np.testing.assert_array_equal(vectorized, scalar)
 
     def test_hour_grid_length(self):
@@ -89,20 +76,6 @@ class TestSimulationCalendar:
     def test_hour_grid_rejects_bad_step(self):
         with pytest.raises(DataError):
             SimulationCalendar(2020, 1).hour_grid(0.0)
-
-    def test_hour_of_year_resets_in_second_year(self):
-        cal = SimulationCalendar(2020, 24)
-        first_hour_2021 = cal.month_start_hour(12)
-        assert cal.hour_of_year(first_hour_2021) == pytest.approx(0.0)
-
-    def test_day_of_year(self):
-        cal = SimulationCalendar(2020, 12)
-        assert cal.day_of_year(0.0) == pytest.approx(0.0)
-        assert cal.day_of_year(48.0) == pytest.approx(2.0)
-
-    def test_hour_of_day(self):
-        cal = SimulationCalendar(2020, 1)
-        assert cal.hour_of_day(25.5) == pytest.approx(1.5)
 
     def test_monthly_mean_constant_series(self):
         cal = SimulationCalendar(2020, 3)
@@ -133,15 +106,21 @@ class TestSimulationCalendar:
             SimulationCalendar(2020, 0)
 
 
+def _month_of_hour(cal, hour):
+    """The 0-based month containing ``hour``, by a scan of the month starts."""
+    return max(i for i in range(cal.n_months) if cal.month_start_hour(i) <= hour)
+
+
 def _summed_day_of_year(cal, hour):
     """Day of year from first principles: sum the month lengths since Jan 1."""
-    month = cal.months[cal.month_of_hour(hour)]
+    index = _month_of_hour(cal, hour)
+    month = cal.months[index]
     offset = sum(hours_in_month(month.year, m) for m in range(1, month.month))
-    return (offset + (hour - cal.month_start_hour(cal.month_of_hour(hour)))) / 24.0
+    return (offset + (hour - cal.month_start_hour(index))) / 24.0
 
 
 class TestDayOfYearArray:
-    """The vectorized day of year is the scalar one, byte for byte."""
+    """The vectorized day of year is a per-hour reference, byte for byte."""
 
     START_YEARS = (2020, 2019, 2000, 1900)
 
@@ -161,7 +140,7 @@ class TestDayOfYearArray:
     def test_byte_equal_to_scalar_loop(self, start_year, n_months):
         cal = SimulationCalendar(start_year, n_months)
         for hours in self._grids(cal):
-            scalar = np.asarray([cal.day_of_year(h) for h in hours])
+            scalar = np.asarray([_summed_day_of_year(cal, h) for h in hours])
             assert cal.day_of_year_array(hours).tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("start_year", START_YEARS)
@@ -184,44 +163,12 @@ class TestDayOfYearArray:
         assert SimulationCalendar(2020, 1).day_of_year_array([]).shape == (0,)
 
     @pytest.mark.parametrize("hour", [-0.5, -1e-9])
-    def test_negative_hours_raise_like_scalar(self, hour):
+    def test_negative_hours_raise(self, hour):
         cal = SimulationCalendar(2020, 2)
-        with pytest.raises(DataError):
-            cal.day_of_year(hour)
         with pytest.raises(DataError):
             cal.day_of_year_array([0.0, hour])
 
-    def test_hours_past_horizon_raise_like_scalar(self):
+    def test_hours_past_horizon_raise(self):
         cal = SimulationCalendar(2019, 3)
         with pytest.raises(DataError):
-            cal.day_of_year(float(cal.total_hours))
-        with pytest.raises(DataError):
             cal.day_of_year_array(np.append(cal.hour_grid(1.0), cal.total_hours))
-
-
-class TestSubstrateSeriesAreVectorized:
-    """Scenario builds derive calendar series as arrays, never hour by hour.
-
-    A per-hour ``day_of_year`` comprehension over a 24-month horizon is
-    17 544 Python calls per series; it made every cold scenario build (and
-    every forked fleet worker's grid) cost most of a second.
-    """
-
-    def test_scenario_build_makes_no_scalar_calendar_call(self, monkeypatch):
-        from repro.experiments import ExperimentSession, get_scenario
-        from repro.fleet import get_fleet
-
-        def per_hour_call(self, hour):
-            raise AssertionError("per-hour calendar call while building substrates")
-
-        monkeypatch.setattr(SimulationCalendar, "day_of_year", per_hour_call)
-        monkeypatch.setattr(SimulationCalendar, "hour_of_year", per_hour_call)
-        specs = [get_scenario("supercloud-small"), get_fleet("deca-continental-small").members[3]]
-        session = ExperimentSession(specs[0])
-        for spec in specs:
-            scenario = session.scenario(spec)
-            assert scenario.weather_hourly_c.shape == (scenario.calendar.total_hours,)
-            assert scenario.grid.carbon_intensity_g_per_kwh.shape == (
-                scenario.calendar.total_hours,
-            )
-            assert scenario.grid.price_per_mwh.shape == (scenario.calendar.total_hours,)

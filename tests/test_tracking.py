@@ -9,7 +9,6 @@ from repro.telemetry.nvml_sim import SimulatedNvml
 from repro.tracking.emissions import (
     REGIONAL_EMISSION_FACTORS,
     emissions_from_energy,
-    equivalent_homes_powered_for_a_year,
     equivalent_miles_driven,
     get_emission_factor,
 )
@@ -44,7 +43,6 @@ class TestEmissions:
 
     def test_equivalences(self):
         assert float(equivalent_miles_driven(404.0)) == pytest.approx(1.0)
-        assert float(equivalent_homes_powered_for_a_year(10_600 * 3.6e6)) == pytest.approx(1.0)
         with pytest.raises(DataError):
             equivalent_miles_driven(-1.0)
 

@@ -61,30 +61,11 @@ class TestTrainingJobModel:
         assert capped.gpu_energy_kwh < uncapped.gpu_energy_kwh
         assert capped.wall_clock_hours > uncapped.wall_clock_hours
 
-    def test_sweep_power_caps_treats_one_as_uncapped(self, model):
-        results = model.sweep_power_caps(4, (1.0, 0.8))
-        assert results[0].power_cap_fraction is None
-        assert results[1].power_cap_fraction == pytest.approx(0.8)
-
-    def test_sweep_gpu_counts(self, model):
-        results = model.sweep_gpu_counts((1, 2, 4))
-        hours = [r.wall_clock_hours for r in results]
-        assert hours == sorted(hours, reverse=True)
-
     def test_more_gpus_cost_more_energy(self, model):
         """Parallelism is paid for: total energy grows with GPU count (efficiency loss)."""
         small = model.run(2)
         large = model.run(16)
         assert large.total_energy_kwh > small.total_energy_kwh
-
-    def test_equivalent_gpu_trade(self, model):
-        equivalent = model.equivalent_gpu_trade(4, 0.7)
-        assert equivalent >= 4
-        assert model.wall_clock_hours(equivalent, 0.7) <= model.wall_clock_hours(4, None) + 1e-9
-
-    def test_equivalent_gpu_trade_validates(self, model):
-        with pytest.raises(ConfigurationError):
-            model.equivalent_gpu_trade(4, 0.0)
 
     def test_standard_workload_catalogue(self):
         assert "imagenet-resnet50" in STANDARD_WORKLOADS
@@ -124,12 +105,6 @@ class TestInferenceFleet:
         lean = model.serve(period_days=7.0, n_gpus=max(1, provisioned.n_gpus // 2))
         assert lean.mean_utilization > provisioned.mean_utilization
         assert lean.total_energy_kwh < provisioned.total_energy_kwh
-
-    def test_consolidation_savings(self, model):
-        savings = model.consolidation_savings(period_days=7.0)
-        assert savings["lean_gpus"] <= savings["provisioned_gpus"]
-        assert 0.0 <= savings["energy_savings_fraction"] < 1.0
-        assert savings["lean_mean_utilization"] >= savings["provisioned_mean_utilization"]
 
     def test_hourly_rate_diurnal(self, model):
         rates = model.hourly_query_rate(48)
