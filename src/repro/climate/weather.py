@@ -143,12 +143,3 @@ class WeatherModel:
         return np.asarray(
             celsius_to_fahrenheit(self.monthly_mean_temperature_c(calendar, hourly_c))
         )
-
-    def degree_hours_above(
-        self, calendar: SimulationCalendar, threshold_c: float, hourly_c: np.ndarray | None = None
-    ) -> float:
-        """Cooling degree-hours above ``threshold_c`` over the horizon."""
-        if hourly_c is None:
-            hourly_c = self.hourly_temperature_c(calendar)
-        hourly_c = np.asarray(hourly_c, dtype=float)
-        return float(np.clip(hourly_c - threshold_c, 0.0, None).sum())

@@ -12,19 +12,16 @@ Two questions from the paper live here:
    overhead sized for the design-day), and :class:`OptimizedCoolingController`
    models a controller that tracks the weather-dependent optimum with a small
    margin; the CLAIM-COOLING benchmark measures the achieved reduction.
-
-The model also reports cooling *water* use so the analysis layer can surface
-the water-footprint point the introduction makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from ..config import FacilityConfig, require_non_negative, require_positive
+from ..config import require_non_negative, require_positive
 from ..errors import ConfigurationError, DataError
 
 __all__ = ["CoolingConfig", "CoolingModel", "FixedOverheadCooling", "OptimizedCoolingController"]
@@ -50,8 +47,6 @@ class CoolingConfig:
     free_cooling_threshold_c:
         Below this outdoor temperature the facility can rely almost entirely
         on economizers; the overhead approaches ``min_pue``.
-    water_liters_per_kwh_cooling:
-        Evaporative water use per kWh of *cooling* (overhead) energy.
     cooling_capacity_kw:
         Maximum heat-rejection capacity; IT loads whose cooling demand
         exceeds it force either throttling or an emergency overhead penalty.
@@ -62,7 +57,6 @@ class CoolingConfig:
     pue_temperature_slope_per_c: float = 0.010
     min_pue: float = 1.06
     free_cooling_threshold_c: float = 2.0
-    water_liters_per_kwh_cooling: float = 1.8
     cooling_capacity_kw: float = 1200.0
 
     def __post_init__(self) -> None:
@@ -71,20 +65,7 @@ class CoolingConfig:
         if self.min_pue > self.baseline_pue:
             raise ConfigurationError("min_pue cannot exceed baseline_pue")
         require_non_negative(self.pue_temperature_slope_per_c, "pue_temperature_slope_per_c")
-        require_non_negative(self.water_liters_per_kwh_cooling, "water_liters_per_kwh_cooling")
         require_positive(self.cooling_capacity_kw, "cooling_capacity_kw")
-
-    @classmethod
-    def from_facility(cls, facility: FacilityConfig, **overrides: float) -> "CoolingConfig":
-        """Build a cooling config consistent with a facility description."""
-        kwargs = dict(
-            baseline_pue=facility.baseline_pue,
-            reference_temperature_c=facility.reference_temperature_c,
-            pue_temperature_slope_per_c=facility.pue_temperature_slope_per_c,
-            min_pue=facility.min_pue,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 class CoolingModel:
@@ -123,7 +104,7 @@ class CoolingModel:
         return np.asarray(self.pue(temperatures), dtype=float)
 
     # ------------------------------------------------------------------
-    # Power / water
+    # Power
     # ------------------------------------------------------------------
     def cooling_power_w(self, it_power_w: ArrayLike, outdoor_temperature_c: ArrayLike) -> ArrayLike:
         """Cooling + distribution overhead power for a given IT load."""
@@ -143,13 +124,6 @@ class CoolingModel:
         it = np.asarray(it_power_w, dtype=float)
         return it + np.asarray(self.cooling_power_w(it, outdoor_temperature_c))
 
-    def water_use_liters(self, cooling_energy_kwh: ArrayLike) -> ArrayLike:
-        """Evaporative water use for a given amount of cooling energy."""
-        energy = np.asarray(cooling_energy_kwh, dtype=float)
-        if np.any(energy < 0):
-            raise DataError("cooling_energy_kwh must be non-negative")
-        return energy * self.config.water_liters_per_kwh_cooling
-
     def is_overloaded(self, it_power_w: ArrayLike, outdoor_temperature_c: ArrayLike) -> ArrayLike:
         """Whether the required cooling exceeds installed capacity."""
         it = np.asarray(it_power_w, dtype=float)
@@ -164,16 +138,7 @@ class CoolingModel:
         if not 0.0 < fraction <= 1.0:
             raise DataError("fraction must lie in (0, 1]")
         cfg = self.config
-        reduced = CoolingConfig(
-            baseline_pue=cfg.baseline_pue,
-            reference_temperature_c=cfg.reference_temperature_c,
-            pue_temperature_slope_per_c=cfg.pue_temperature_slope_per_c,
-            min_pue=cfg.min_pue,
-            free_cooling_threshold_c=cfg.free_cooling_threshold_c,
-            water_liters_per_kwh_cooling=cfg.water_liters_per_kwh_cooling,
-            cooling_capacity_kw=cfg.cooling_capacity_kw * fraction,
-        )
-        return CoolingModel(reduced)
+        return CoolingModel(replace(cfg, cooling_capacity_kw=cfg.cooling_capacity_kw * fraction))
 
 
 class FixedOverheadCooling(CoolingModel):
@@ -197,11 +162,6 @@ class FixedOverheadCooling(CoolingModel):
         require_non_negative(safety_margin, "safety_margin")
         base = CoolingModel(self.config)
         self._fixed_pue = float(np.asarray(base.pue(design_day_temperature_c))) + safety_margin
-
-    @property
-    def fixed_pue(self) -> float:
-        """The constant PUE this plant runs at."""
-        return self._fixed_pue
 
     def pue(self, outdoor_temperature_c: ArrayLike) -> ArrayLike:
         temp = np.asarray(outdoor_temperature_c, dtype=float)
@@ -227,14 +187,10 @@ class OptimizedCoolingController(CoolingModel):
         max_pue: float = 1.45,
     ) -> None:
         base_cfg = config or CoolingConfig()
-        improved = CoolingConfig(
-            baseline_pue=base_cfg.baseline_pue,
-            reference_temperature_c=base_cfg.reference_temperature_c,
+        improved = replace(
+            base_cfg,
             pue_temperature_slope_per_c=base_cfg.pue_temperature_slope_per_c * 0.8,
-            min_pue=base_cfg.min_pue,
             free_cooling_threshold_c=free_cooling_threshold_c,
-            water_liters_per_kwh_cooling=base_cfg.water_liters_per_kwh_cooling,
-            cooling_capacity_kw=base_cfg.cooling_capacity_kw,
         )
         super().__init__(improved)
         require_non_negative(tracking_margin, "tracking_margin")

@@ -14,7 +14,7 @@ loop itself:
   the next tick on (measure, then actuate).
 
 Observers are attached either explicitly (``ClusterSimulator(...,
-observers=[...])`` / ``add_observer``) or implicitly by the scheduling policy:
+observers=[...])``) or implicitly by the scheduling policy:
 the simulator asks its scheduler for :meth:`~repro.scheduler.base.Scheduler.
 observers` at construction, which is how pipeline stages that carry run-time
 state (e.g. the adaptive power-cap stage) get wired into the loop they need.

@@ -36,8 +36,8 @@ Design notes
 * Lifecycle hooks: :class:`~repro.cluster.observers.SimulatorObserver`\\ s
   receive ``on_job_start`` / ``on_job_finish`` / ``on_round`` / ``on_tick``
   callbacks, so adaptive controllers and telemetry live outside the loop.
-  Observers are attached explicitly (``observers=`` / :meth:`ClusterSimulator.
-  add_observer`) or implicitly by the scheduling policy via
+  Observers are attached explicitly (``observers=``) or implicitly by the
+  scheduling policy via
   :meth:`~repro.scheduler.base.Scheduler.observers`.  Each hook site loops
   over the bound methods of the observers that override that hook, so with
   no observers it is an empty loop and the hot path is unchanged.
@@ -422,12 +422,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
-    def add_observer(self, observer: SimulatorObserver) -> SimulatorObserver:
-        """Attach a lifecycle observer (returned for chaining)."""
-        self._observers.append(observer)
-        self._bind_hooks()
-        return observer
-
     def _bind_hooks(self) -> None:
         """Bind each per-event hook to the observers that override it.
 

@@ -65,10 +65,6 @@ class QueueChoiceOutcome:
     misreport_rate: float
     expected_urgent_wait_penalty_h: float
 
-    def is_degraded(self, imbalance_threshold: float = 1.6) -> bool:
-        """Whether the regime exhibits the clogged/idle pattern the paper warns about."""
-        return self.imbalance >= imbalance_threshold
-
 
 class AdverseSelectionStudy:
     """Simulates queue self-selection under different behavioural regimes.

@@ -82,9 +82,3 @@ class CarbonIntensityModel:
                 raise DataError(f"no hours found for month index {i}")
             out[i] = float(np.average(intensity[mask], weights=mix.demand_mw[mask]))
         return out
-
-    def annual_average(self, mix: GenerationMix) -> float:
-        """Demand-weighted average carbon intensity over the whole horizon."""
-        intensity = self.intensity_series(mix)
-        return float(np.average(intensity, weights=mix.demand_mw))
-

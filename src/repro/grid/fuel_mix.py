@@ -135,15 +135,6 @@ class GenerationMix:
         """Hourly solar + wind share (the quantity plotted in Figs. 2-3)."""
         return self.share_of("solar") + self.share_of("wind")
 
-    def low_carbon_share(self) -> np.ndarray:
-        """Hourly solar + wind + hydro + nuclear share."""
-        return (
-            self.share_of("solar")
-            + self.share_of("wind")
-            + self.share_of("hydro")
-            + self.share_of("nuclear")
-        )
-
 
 class FuelMixModel:
     """Generates hourly fuel-mix series for a simulation horizon."""

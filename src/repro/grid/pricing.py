@@ -125,15 +125,3 @@ class LmpPriceModel:
                 raise DataError(f"no hours found for month index {i}")
             out[i] = float(np.mean(prices[mask]))
         return out
-
-    def cost_of_hourly_load(
-        self, prices_per_mwh: np.ndarray, load_energy_mwh: np.ndarray
-    ) -> float:
-        """Total dollar cost of an hourly energy profile at hourly prices."""
-        prices = np.asarray(prices_per_mwh, dtype=float)
-        load = np.asarray(load_energy_mwh, dtype=float)
-        if prices.shape != load.shape:
-            raise DataError("price and load series must have the same shape")
-        if np.any(load < 0):
-            raise DataError("load energy must be non-negative")
-        return float(np.sum(prices * load))

@@ -76,11 +76,6 @@ class BatteryStorage:
         return self._soc_kwh
 
     @property
-    def soc_fraction(self) -> float:
-        """Current state of charge as a fraction of capacity."""
-        return self._soc_kwh / self.config.capacity_kwh
-
-    @property
     def headroom_kwh(self) -> float:
         """How much more energy the battery could absorb (post-efficiency)."""
         return self.config.capacity_kwh - self._soc_kwh

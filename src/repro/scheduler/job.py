@@ -135,27 +135,11 @@ class Job:
         """Whether the job is waiting to be scheduled."""
         return self.state is JobState.PENDING
 
-    @property
-    def is_running(self) -> bool:
-        """Whether the job is currently running."""
-        return self.state is JobState.RUNNING
-
-    @property
-    def is_finished(self) -> bool:
-        """Whether the job reached a terminal state."""
-        return self.state in (JobState.COMPLETED, JobState.CANCELLED)
-
     def wait_time_h(self) -> Optional[float]:
         """Time spent waiting in queue, or ``None`` if never started."""
         if self.start_time_h is None:
             return None
         return self.start_time_h - self.submit_time_h
-
-    def turnaround_h(self) -> Optional[float]:
-        """Submit-to-finish time, or ``None`` if not finished."""
-        if self.finish_time_h is None:
-            return None
-        return self.finish_time_h - self.submit_time_h
 
     def latest_start_for_deadline(self, slowdown_factor: float = 1.0) -> Optional[float]:
         """Latest start time that still meets the deadline at the given slowdown."""
@@ -214,12 +198,6 @@ class Job:
         self.state = JobState.CANCELLED
         self.finish_time_h = float(time_h)
         self.energy_j = float(energy_j)
-
-    def mark_cancelled(self) -> None:
-        """Transition any non-terminal state -> CANCELLED."""
-        if self.is_finished:
-            raise SchedulingError(f"job {self.job_id!r} is already finished")
-        self.state = JobState.CANCELLED
 
     def clone_pending(self) -> "Job":
         """A fresh PENDING copy of this job (same static fields, reset runtime).

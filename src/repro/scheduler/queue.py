@@ -13,7 +13,7 @@ queue objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..config import require_non_negative
 from ..errors import ConfigurationError, SchedulingError
@@ -98,13 +98,6 @@ class JobQueue:
         """Pending jobs in submission order (drops jobs that left PENDING)."""
         self._jobs = [j for j in self._jobs if j.state is JobState.PENDING]
         return list(self._jobs)
-
-    def pop_ready(self, predicate: Callable[[Job], bool]) -> list[Job]:
-        """Remove and return the pending jobs satisfying ``predicate`` (in order)."""
-        ready = [j for j in self.pending_jobs() if predicate(j)]
-        taken = {id(j) for j in ready}
-        self._jobs = [j for j in self._jobs if id(j) not in taken]
-        return ready
 
     def waiting_gpu_demand(self) -> int:
         """Total GPUs requested by jobs currently waiting in the queue."""

@@ -42,8 +42,8 @@ class SimulatedGpuDevice:
     """Mutable state of one simulated GPU device.
 
     Attributes mirror what NVML exposes: current utilization, enforced power
-    limit, temperature, plus cumulative energy and busy-time counters used by
-    the tracking layer.
+    limit, temperature, plus the cumulative energy counter used by the
+    tracking layer.
     """
 
     index: int
@@ -52,8 +52,6 @@ class SimulatedGpuDevice:
     power_limit_w: Optional[float] = None
     temperature_c: float = 30.0
     cumulative_energy_j: float = 0.0
-    busy_seconds: float = 0.0
-    total_seconds: float = 0.0
     measurement_noise_fraction: float = 0.01
     _rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)
 
@@ -86,21 +84,12 @@ class SimulatedGpuDevice:
             raise TelemetryError(f"dt_s must be non-negative, got {dt_s!r}")
         energy = self.true_power_w() * dt_s
         self.cumulative_energy_j += energy
-        self.total_seconds += dt_s
-        if self.utilization > 0:
-            self.busy_seconds += dt_s
         # Crude thermal response: temperature relaxes towards a load-dependent target.
         target = 30.0 + 50.0 * self.utilization
         tau = 120.0  # seconds
         alpha = 1.0 - float(np.exp(-dt_s / tau))
         self.temperature_c += (target - self.temperature_c) * alpha
         return energy
-
-    def average_utilization(self) -> float:
-        """Busy fraction since creation (0 when no time has elapsed)."""
-        if self.total_seconds == 0:
-            return 0.0
-        return self.busy_seconds / self.total_seconds
 
 
 class SimulatedNvml:
@@ -166,11 +155,6 @@ class SimulatedNvml:
         """Shut the simulated library down; device calls then raise."""
         self._initialized = False
 
-    @property
-    def initialized(self) -> bool:
-        """Whether :meth:`init` has been called (and not shut down)."""
-        return self._initialized
-
     def _check_initialized(self) -> None:
         if not self._initialized:
             raise NvmlNotInitializedError(
@@ -207,11 +191,6 @@ class SimulatedNvml:
         self._check_initialized()
         return handle.measured_power_w()
 
-    def device_power_limit_w(self, handle: SimulatedGpuDevice) -> float:
-        """Currently enforced power limit in watts."""
-        self._check_initialized()
-        return handle.effective_power_limit_w()
-
     # ------------------------------------------------------------------
     # Per-device controls
     # ------------------------------------------------------------------
@@ -222,11 +201,6 @@ class SimulatedNvml:
             raise TelemetryError(f"power limit must be positive, got {limit_w!r}")
         handle.power_limit_w = float(handle.model.clamp_power_limit(limit_w))
         return handle.power_limit_w
-
-    def device_reset_power_limit(self, handle: SimulatedGpuDevice) -> None:
-        """Restore the default power limit (TDP)."""
-        self._check_initialized()
-        handle.power_limit_w = None
 
     def set_utilization(self, handle: SimulatedGpuDevice, utilization: float) -> None:
         """Set the workload-driven utilization of a device (simulation hook).

@@ -95,10 +95,6 @@ class EnergyIntegrator:
             return 0.0
         return float(max(self._powers))
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (timestamps, powers) as NumPy arrays (copies)."""
-        return np.asarray(self._timestamps, dtype=float), np.asarray(self._powers, dtype=float)
-
 
 class PowerSampler:
     """Polls a :class:`SimulatedNvml` instance at a fixed period.
@@ -221,10 +217,6 @@ class PowerSampler:
     def peak_power_w(self) -> float:
         """Peak aggregate power across the sampled window."""
         return self._aggregate.peak_power_w()
-
-    def power_trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The aggregate (timestamps, total power) trace as arrays."""
-        return self._aggregate.as_arrays()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

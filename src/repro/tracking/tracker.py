@@ -59,21 +59,6 @@ class TrackerReport:
         """Emissions in kilograms CO2e."""
         return self.emissions_g / 1e3
 
-    def as_dict(self) -> dict[str, object]:
-        """Flat dictionary form (used by the reporting layer)."""
-        return {
-            "label": self.label,
-            "duration_s": self.duration_s,
-            "energy_kwh": self.energy_kwh,
-            "mean_power_w": self.mean_power_w,
-            "peak_power_w": self.peak_power_w,
-            "emissions_kg": self.emissions_kg,
-            "region": str(self.region_or_intensity),
-            "n_devices": self.n_devices,
-            "n_samples": self.n_samples,
-            "mean_utilization": self.mean_utilization,
-        }
-
 
 class EnergyTracker:
     """Context-manager energy/carbon tracker over simulated NVML devices.

@@ -155,14 +155,6 @@ class ConferenceCalendar:
             table.setdefault(conference.area, []).append(conference.name)
         return table
 
-    def areas(self) -> list[str]:
-        """Distinct areas, in catalogue order."""
-        seen: list[str] = []
-        for conference in self.conferences:
-            if conference.area not in seen:
-                seen.append(conference.area)
-        return seen
-
     def __len__(self) -> int:
         return len(self.conferences)
 

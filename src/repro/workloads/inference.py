@@ -90,13 +90,6 @@ class InferenceFleetResult:
         """GPU + host energy over the serving period."""
         return self.gpu_energy_kwh + self.host_energy_kwh
 
-    @property
-    def energy_per_1k_queries_wh(self) -> float:
-        """Watt-hours per thousand queries served."""
-        if self.total_queries == 0:
-            return float("nan")
-        return self.total_energy_kwh * 1e3 / (self.total_queries / 1e3)
-
 
 class InferenceFleetModel:
     """Sizes and simulates an inference-serving GPU fleet."""

@@ -53,10 +53,6 @@ class ScalingEfficiencyModel:
         comm_penalty = 1.0 + self.comm_overhead_per_log2_gpu * np.log2(n_gpus)
         return float(amdahl / comm_penalty)
 
-    def efficiency(self, n_gpus: int) -> float:
-        """Parallel efficiency = speedup / n_gpus (1.0 at a single GPU)."""
-        return self.speedup(n_gpus) / n_gpus
-
 
 @dataclass(frozen=True)
 class TrainingJobSpec:

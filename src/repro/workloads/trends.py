@@ -153,15 +153,6 @@ class ComputeTrendModel:
             raise DataError("pre-2012 growth rate must be positive to compute acceleration")
         return fits["modern"].growth_rate_per_year / pre
 
-    def projected_compute(self, year: float, era: str = "modern") -> float:
-        """Extrapolated training compute (petaflop/s-days) for a future year."""
-        fit = self.fit_era(era)
-        subset = self.era_systems(era)
-        years = np.asarray([s.year for s in subset])
-        log_compute = np.log10([s.compute_pfs_days for s in subset])
-        intercept = float(np.mean(log_compute) - fit.growth_rate_per_year * np.mean(years))
-        return float(10 ** (fit.growth_rate_per_year * year + intercept))
-
     def scatter_series(self) -> dict[str, np.ndarray]:
         """(year, compute) arrays for plotting the Fig. 1 scatter."""
         return {

@@ -72,6 +72,17 @@ class TestKeys:
         b = CampaignSpec(**CHEAP).expand()
         assert [run_key(p) for p in a] == [run_key(p) for p in b]
 
+    def test_run_keys_are_pinned(self, monkeypatch):
+        # A change to what a spec serializes re-keys every stored artifact;
+        # the pins make such a change a deliberate, visible edit.
+        monkeypatch.setenv(CODE_VERSION_ENV, "pinned")
+        assert [run_key(p) for p in CampaignSpec(**CHEAP).expand()] == [
+            "a6d3aab6192ec8880ef394722f8421b9",
+            "85554d4b3f1e000e860940341d54518f",
+            "47d46793f635d79e274c9fae24fa4aa7",
+            "1de5d00de3a720d12e7a8a28316ebf01",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Store

@@ -78,13 +78,6 @@ class TestWeatherModel:
             model.hourly_temperature_c(small_calendar), other.hourly_temperature_c(small_calendar)
         )
 
-    def test_degree_hours_above(self, year_calendar, year_weather):
-        model, hourly = year_weather
-        dh_low = model.degree_hours_above(year_calendar, -50.0, hourly)
-        dh_high = model.degree_hours_above(year_calendar, 60.0, hourly)
-        assert dh_low > 0
-        assert dh_high == 0.0
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             WeatherConfig(peak_hour_of_day=25.0)

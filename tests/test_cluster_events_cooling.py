@@ -1,5 +1,7 @@
 """Tests for the event queue and the cooling models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,14 +110,10 @@ class TestCoolingModel:
         )
         with pytest.raises(DataError):
             model.with_capacity_fraction(0.0)
-
-    def test_water_use(self):
-        model = CoolingModel()
-        assert float(model.water_use_liters(100.0)) == pytest.approx(
-            100.0 * model.config.water_liters_per_kwh_cooling
-        )
-        with pytest.raises(DataError):
-            model.water_use_liters(-1.0)
+        # Every other field of a non-default config carries over unchanged.
+        custom = CoolingConfig(baseline_pue=1.4, min_pue=1.1, free_cooling_threshold_c=5.0)
+        halved = CoolingModel(custom).with_capacity_fraction(0.5).config
+        assert replace(halved, cooling_capacity_kw=custom.cooling_capacity_kw) == custom
 
     def test_negative_it_power_rejected(self):
         with pytest.raises(DataError):
@@ -126,13 +124,6 @@ class TestCoolingModel:
             CoolingConfig(baseline_pue=0.9)
         with pytest.raises(ConfigurationError):
             CoolingConfig(min_pue=1.5, baseline_pue=1.2)
-
-    def test_from_facility(self):
-        from repro.config import FacilityConfig
-
-        facility = FacilityConfig(baseline_pue=1.4)
-        config = CoolingConfig.from_facility(facility)
-        assert config.baseline_pue == pytest.approx(1.4)
 
 
 class TestCoolingControllers:

@@ -51,10 +51,6 @@ class TestGenerationMix:
             mix.renewable_share(), mix.share_of("solar") + mix.share_of("wind")
         )
 
-    def test_low_carbon_share_at_least_renewable(self, year_mix):
-        _, mix = year_mix
-        assert np.all(mix.low_carbon_share() >= mix.renewable_share() - 1e-12)
-
     def test_shape_validation(self):
         with pytest.raises(DataError):
             GenerationMix(

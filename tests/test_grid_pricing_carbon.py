@@ -49,7 +49,7 @@ class TestCarbonIntensity:
     def test_annual_average_in_plausible_range(self, year_calendar):
         model = CarbonIntensityModel()
         mix = FuelMixModel(seed=0).generate(year_calendar)
-        avg = model.annual_average(mix)
+        avg = float(np.average(model.intensity_series(mix), weights=mix.demand_mw))
         # ISO-NE's average intensity is a few hundred gCO2e/kWh.
         assert 150.0 < avg < 550.0
 
@@ -81,18 +81,6 @@ class TestLmpPriceModel:
             LmpPriceConfig(renewable_discount=1.5)
         with pytest.raises(ConfigurationError):
             LmpPriceConfig(winter_gas_premium=0.8)
-
-    def test_cost_of_hourly_load(self, small_calendar):
-        mix = FuelMixModel(seed=0).generate(small_calendar)
-        model = LmpPriceModel(seed=0)
-        prices = model.price_series(small_calendar, mix)
-        load = np.full(prices.shape, 0.5)  # 0.5 MWh each hour
-        cost = model.cost_of_hourly_load(prices, load)
-        assert cost == pytest.approx(float(np.sum(prices) * 0.5))
-
-    def test_cost_shape_mismatch(self):
-        with pytest.raises(DataError):
-            LmpPriceModel().cost_of_hourly_load(np.ones(5), np.ones(4))
 
     def test_mix_horizon_mismatch_rejected(self, small_calendar, year_calendar):
         mix = FuelMixModel(seed=0).generate(small_calendar)

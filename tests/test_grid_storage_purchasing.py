@@ -18,7 +18,6 @@ class TestBatteryStorage:
     def test_initial_state(self):
         battery = BatteryStorage(StorageConfig(capacity_kwh=100.0, initial_soc_fraction=0.5))
         assert battery.soc_kwh == pytest.approx(50.0)
-        assert battery.soc_fraction == pytest.approx(0.5)
 
     def test_charge_respects_power_limit(self):
         battery = BatteryStorage(StorageConfig(capacity_kwh=1000.0, max_charge_kw=50.0))

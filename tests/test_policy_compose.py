@@ -643,17 +643,3 @@ class TestLifecycleHooks:
         stage.on_job_finish(simulator, job, 10.0, completed=True)
         expected = 2 * (power_uncapped * 4.0 + power_1 * 3.0 + power_2 * 3.0) * 3600.0
         assert job.energy_j == pytest.approx(expected, rel=1e-12)
-
-    def test_add_observer_after_construction(self, compose_worlds):
-        facility, weather, grid, jobs = compose_worlds["supercloud-small"]
-        simulator = ClusterSimulator(
-            Cluster(facility),
-            make_scheduler("fifo"),
-            SimulationConfig(horizon_h=HORIZON_H),
-            weather_hourly_c=weather,
-            cooling=CoolingModel(),
-            grid=grid,
-        )
-        observer = simulator.add_observer(RecordingObserver())
-        simulator.run([job.clone_pending() for job in jobs])
-        assert observer.rounds > 0 and observer.ticks

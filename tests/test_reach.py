@@ -1,4 +1,4 @@
-"""Every ``src/repro`` module, public name and import is used outside tests.
+"""Every ``src/repro`` module, public name, method and import is used outside tests.
 
 A module or function that only its own tests reach is code the toolkit does
 not run: no CLI path, library caller, benchmark, example or perfbench
@@ -10,6 +10,15 @@ workload depends on it.  These guards read source with :mod:`ast` only
   counts when it appears as a name, an attribute or an imported name in a
   non-test file; an import in a package ``__init__`` (a re-export) and an
   entry of ``__all__`` do not count;
+* a public method, property or classmethod of a public top-level class that
+  no non-test file names.  A method counts as named when its name appears as
+  a name, an attribute or a whole string constant in a non-test file
+  (``perfbench/layers.py`` wraps methods by name string); its own ``def``
+  does not count.  Names are matched without their class, so a method
+  shares its fate with every other of the same name.  State probes that
+  tests compare against are listed in ``EXEMPT_METHODS``, each with its
+  reason; an exempt case fails once its method gains a non-test name or no
+  test names it any more;
 * a module-level import the module never uses.  An unused import would
   otherwise make the imported name look used to the check above.
 
@@ -43,6 +52,30 @@ NON_TEST_DIRS = (SRC / "repro", ROOT / "benchmarks", ROOT / "examples", ROOT / "
 #: embodied-carbon breakeven.  ``test_exemption_is_still_unreached`` fails
 #: once either gains a caller, so the exemption cannot go stale.
 EXEMPT = frozenset({"repro.core.user_level", "repro.tracking.embodied"})
+
+#: Public methods kept although only tests name them, keyed ``module.Class.method``.
+EXEMPT_METHODS = {
+    "repro.cluster.resources.Cluster.n_occupied_nodes": "state probe the parity tests compare",
+    "repro.cluster.resources.Cluster.gpu_utilization_fraction": "state probe the parity tests compare",
+    "repro.cluster.resources.Cluster.busy_utilizations": "state probe the parity tests compare",
+    "repro.cluster.resources.Cluster.recompute_it_power_w": (
+        "full-recompute reference for the delta-maintained IT power"
+    ),
+    "repro.cluster.resources.Cluster.snapshot_state": "whole-pool state the parity tests compare",
+    "repro.cluster.resources.Cluster.undrain_all": (
+        "moves the state-parity random walk out of drained states; it stalls without it"
+    ),
+    "repro.grid.storage.BatteryStorage.soc_kwh": "battery total the storage tests check",
+    "repro.grid.storage.BatteryStorage.total_charged_kwh": "battery total the storage tests check",
+    "repro.grid.storage.BatteryStorage.total_discharged_kwh": (
+        "battery total the storage tests check"
+    ),
+    "repro.telemetry.nvml_sim.SimulatedNvml.total_energy_j": (
+        "device-side energy the sampler's integrated energy is checked against"
+    ),
+    "repro.experiments.result.ExperimentResult.scalar": "typed read of a result the tests compare",
+    "repro.serve.client.ServeClient.list_sessions": "the client's twin of the daemon's GET /sessions",
+}
 
 
 def _module_name(path: pathlib.Path) -> str:
@@ -185,6 +218,56 @@ def names_used_outside_tests() -> frozenset[str]:
     return frozenset(names)
 
 
+def public_methods(tree: ast.Module) -> list[str]:
+    """``Class.method`` for each public method, property and classmethod of a public class."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def attribute_names(tree: ast.Module) -> set[str]:
+    """Every name, attribute and whole string constant one file mentions."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unnamed_methods(tree: ast.Module, named: set[str] | frozenset[str]) -> list[str]:
+    """``Class.method`` for each public method of ``tree`` whose name is not in ``named``."""
+    return [method for method in public_methods(tree) if method.rpartition(".")[2] not in named]
+
+
+def _attribute_names_in(paths) -> frozenset[str]:
+    return frozenset().union(*(attribute_names(_parse(path)) for path in paths))
+
+
+@functools.cache
+def attribute_names_outside_tests() -> frozenset[str]:
+    return _attribute_names_in(
+        path for directory in NON_TEST_DIRS for path in sorted(directory.rglob("*.py"))
+    )
+
+
+@functools.cache
+def attribute_names_in_tests() -> frozenset[str]:
+    """What the other test files name; this file's exempt keys would name every entry."""
+    this_file = pathlib.Path(__file__).resolve()
+    return _attribute_names_in(
+        path for path in sorted((ROOT / "tests").rglob("*.py")) if path.resolve() != this_file
+    )
+
+
 def _module_level(body: list[ast.stmt]):
     """Statements at module level, including those under ``if``/``try``."""
     for stmt in body:
@@ -303,3 +386,63 @@ class TestReach:
     def test_module_has_no_unused_imports(self, module):
         unused = unused_imports(_parse(SRC_FILES[module]))
         assert not unused, f"{module} never uses its imports {', '.join(unused)}"
+
+    def test_method_list_is_read_from_src(self):
+        # An empty method list would pass the case below vacuously; pin a few
+        # methods every layer depends on, and every exempt entry.
+        scanned = {
+            f"{module}.{method}"
+            for module in MODULES
+            for method in public_methods(_parse(SRC_FILES[module]))
+        }
+        assert {
+            "repro.cluster.resources.Cluster.allocate",
+            "repro.cluster.simulator.ClusterSimulator.run",
+            "repro.serve.client.ServeClient.advance",
+        } <= scanned
+        assert set(EXEMPT_METHODS) <= scanned, "an exempt method no longer exists"
+        assert {"allocate", "peek"} <= attribute_names_outside_tests()
+        assert {"snapshot_state", "soc_kwh"} <= attribute_names_in_tests()
+
+    def test_method_check_flags_a_synthetic_unnamed_method(self):
+        tree = ast.parse(
+            "class Model:\n"
+            "    def orphan(self):\n"
+            "        return 1\n"
+            "    @property\n"
+            "    def wrapped(self):\n"
+            "        return self._private()\n"
+            "    def _private(self):\n"
+            "        return 2\n"
+            "class _Hidden:\n"
+            "    def unseen(self):\n"
+            "        pass\n"
+            "WRAPPED = ('wrapped',)\n"
+        )
+        assert public_methods(tree) == ["Model.orphan", "Model.wrapped"]
+        # A method's own ``def`` does not name it; a string constant does
+        # (perfbench wraps methods by name string).
+        assert unnamed_methods(tree, attribute_names(tree)) == ["Model.orphan"]
+
+    @pytest.mark.parametrize("module", sorted(set(MODULES) - EXEMPT))
+    def test_public_methods_are_named_outside_tests(self, module):
+        tree = _parse(SRC_FILES[module])
+        unnamed = [
+            f"{module}.{method}"
+            for method in unnamed_methods(tree, attribute_names_outside_tests())
+            if f"{module}.{method}" not in EXEMPT_METHODS
+        ]
+        assert not unnamed, (
+            f"{', '.join(unnamed)} named only by tests or by nothing; "
+            "give each a caller outside tests/ or delete it"
+        )
+
+    @pytest.mark.parametrize("method", sorted(EXEMPT_METHODS))
+    def test_method_exemption_is_still_test_only(self, method):
+        name = method.rpartition(".")[2]
+        assert name not in attribute_names_outside_tests(), (
+            f"exempt method {method} is now named outside tests; drop it from EXEMPT_METHODS"
+        )
+        assert name in attribute_names_in_tests(), (
+            f"exempt method {method} is named by no test any more; delete it"
+        )

@@ -48,13 +48,6 @@ class TestSimulatedNvml:
         nvml.set_utilization(handle, 1.0)
         assert nvml.device_power_usage_w(handle) == pytest.approx(enforced)
 
-    def test_reset_power_limit(self):
-        nvml = SimulatedNvml.create(1, "V100", seed=0)
-        handle = nvml.get_handle(0)
-        nvml.device_set_power_limit_w(handle, 150.0)
-        nvml.device_reset_power_limit(handle)
-        assert nvml.device_power_limit_w(handle) == pytest.approx(handle.spec.tdp_w)
-
     def test_advance_time_accumulates_energy(self):
         nvml = SimulatedNvml.create(2, "V100", seed=0, measurement_noise_fraction=0.0)
         for handle in nvml.devices:
@@ -76,14 +69,6 @@ class TestSimulatedNvml:
         nvml.set_utilization(handle, 1.0)
         nvml.advance_time(600.0)
         assert handle.temperature_c > start
-
-    def test_average_utilization_counter(self):
-        nvml = SimulatedNvml.create(1, "V100", seed=0)
-        handle = nvml.get_handle(0)
-        nvml.advance_time(100.0)
-        nvml.set_utilization(handle, 0.8)
-        nvml.advance_time(100.0)
-        assert handle.average_utilization() == pytest.approx(0.5)
 
     def test_zero_devices_rejected(self):
         with pytest.raises(TelemetryError):

@@ -1,6 +1,5 @@
 """Tests for the power sampler and energy integrator."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
@@ -32,14 +31,6 @@ class TestEnergyIntegrator:
     def test_rejects_negative_power(self):
         with pytest.raises(TelemetryError):
             EnergyIntegrator().add(0.0, -5.0)
-
-    def test_as_arrays(self):
-        integ = EnergyIntegrator()
-        integ.add(0.0, 1.0)
-        integ.add(1.0, 2.0)
-        times, powers = integ.as_arrays()
-        np.testing.assert_allclose(times, [0.0, 1.0])
-        np.testing.assert_allclose(powers, [1.0, 2.0])
 
 
 class TestPowerSampler:
@@ -89,11 +80,3 @@ class TestPowerSampler:
         sampler.run(60.0)
         assert sampler.mean_power_w() == pytest.approx(250.0, rel=1e-6)
         assert sampler.peak_power_w() == pytest.approx(250.0, rel=1e-6)
-
-    def test_power_trace_shapes(self):
-        nvml = self._nvml(1)
-        sampler = PowerSampler(nvml, period_s=1.0)
-        sampler.run(10.0)
-        times, powers = sampler.power_trace()
-        assert times.shape == powers.shape
-        assert times.shape[0] == len(sampler.samples)

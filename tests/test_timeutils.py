@@ -1,5 +1,8 @@
 """Tests for repro.timeutils (simulation calendar)."""
 
+import bisect
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,9 +109,15 @@ class TestSimulationCalendar:
             SimulationCalendar(2020, 0)
 
 
+@functools.cache
+def _month_starts(cal):
+    """Each month's start hour, read one month at a time."""
+    return tuple(cal.month_start_hour(i) for i in range(cal.n_months))
+
+
 def _month_of_hour(cal, hour):
-    """The 0-based month containing ``hour``, by a scan of the month starts."""
-    return max(i for i in range(cal.n_months) if cal.month_start_hour(i) <= hour)
+    """The 0-based month containing ``hour`` (>= 0): the last month start at or before it."""
+    return bisect.bisect_right(_month_starts(cal), hour) - 1
 
 
 def _summed_day_of_year(cal, hour):

@@ -17,7 +17,7 @@ from repro.workloads.trends import ComputeTrendModel
 class TestConferenceCalendar:
     def test_catalogue_matches_table1_areas(self):
         calendar = ConferenceCalendar()
-        areas = set(calendar.areas())
+        areas = {conference.area for conference in calendar.conferences}
         assert areas == {"NLP/Speech", "Computer Vision", "Robotics", "General ML", "Data Mining"}
 
     def test_table1_venues_present(self):
@@ -222,10 +222,6 @@ class TestComputeTrends:
         fits = ComputeTrendModel().fit_all()
         assert fits["pre-2012"].r_squared > 0.7
         assert fits["modern"].r_squared > 0.5
-
-    def test_projection_is_increasing(self):
-        model = ComputeTrendModel()
-        assert model.projected_compute(2023.0) > model.projected_compute(2021.0)
 
     def test_scatter_series(self):
         series = ComputeTrendModel().scatter_series()

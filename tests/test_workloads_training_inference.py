@@ -16,7 +16,6 @@ class TestScalingEfficiency:
     def test_single_gpu_is_unit(self):
         model = ScalingEfficiencyModel()
         assert model.speedup(1) == pytest.approx(1.0)
-        assert model.efficiency(1) == pytest.approx(1.0)
 
     def test_speedup_monotone_but_sublinear(self):
         model = ScalingEfficiencyModel()
@@ -26,7 +25,7 @@ class TestScalingEfficiency:
 
     def test_efficiency_decreases(self):
         model = ScalingEfficiencyModel()
-        assert model.efficiency(16) < model.efficiency(2)
+        assert model.speedup(16) / 16 < model.speedup(2) / 2
 
     def test_invalid_gpu_count(self):
         with pytest.raises(ConfigurationError):
@@ -98,7 +97,6 @@ class TestInferenceFleet:
         assert result.gpu_energy_kwh > 0
         assert result.host_energy_kwh > 0
         assert result.total_queries > 0
-        assert result.energy_per_1k_queries_wh > 0
 
     def test_smaller_fleet_higher_utilization(self, model):
         provisioned = model.serve(period_days=7.0)

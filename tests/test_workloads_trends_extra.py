@@ -22,7 +22,7 @@ class TestScalingProperties:
         model = ScalingEfficiencyModel(serial_fraction, comm_overhead)
         speedup = model.speedup(n_gpus)
         assert 0 < speedup <= n_gpus + 1e-9
-        assert model.efficiency(n_gpus) <= 1.0 + 1e-9
+        assert speedup / n_gpus <= 1.0 + 1e-9
 
 
 class TestTrainingModelProperties:
