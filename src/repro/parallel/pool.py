@@ -30,7 +30,8 @@ class ParallelConfig:
     Attributes
     ----------
     n_workers:
-        Number of worker processes; ``0`` means "use all available cores",
+        Number of worker processes; ``0`` means "use every CPU this process
+        may run on" (its CPU affinity where the platform has one),
         ``1`` forces serial execution.
     min_tasks_for_processes:
         Below this many tasks the sweep runs serially regardless of
@@ -47,8 +48,10 @@ class ParallelConfig:
             raise ConfigurationError("min_tasks_for_processes must be >= 0")
 
     def resolved_workers(self) -> int:
-        """The actual worker count (resolving 0 to the CPU count)."""
+        """The actual worker count (resolving 0 to the CPUs this process may run on)."""
         if self.n_workers == 0:
+            if hasattr(os, "sched_getaffinity"):
+                return max(1, len(os.sched_getaffinity(0)))
             return max(1, os.cpu_count() or 1)
         return self.n_workers
 

@@ -1,7 +1,8 @@
 """The ``greenhpc serve`` HTTP daemon.
 
-A :class:`~http.server.ThreadingHTTPServer` (stdlib only — the service adds
-no dependencies) exposing warm simulation sessions over a small JSON API:
+A threaded :mod:`socketserver` TCP server with a small hand-written HTTP/1.1
+request loop (stdlib only — the service adds no dependencies) exposing warm
+simulation sessions over a small JSON API:
 
 ====== =================================== ======================================
 Method Path                                Meaning
@@ -24,7 +25,8 @@ GET    ``/metrics``                        Prometheus text exposition (scrapeabl
 Error mapping: :class:`~repro.serve.session.UnknownSessionError` → 404, any
 other :class:`~repro.errors.GreenHPCError` → 400, everything else → 500 with
 the exception text in ``{"error": ...}`` and a ``request_id`` that keys the
-traceback the daemon writes to stderr.
+traceback the daemon writes to stderr.  A request it cannot parse gets a
+400, 414, 431, 501 or 505 error the same way, and its connection is closed.
 
 Connections: HTTP/1.1 keep-alive.  A client sends request after request over
 one connection; every request's ``Content-Length`` body is read before
@@ -32,13 +34,15 @@ routing, so each route leaves the connection at the next request (a body
 over the limit, or framed with ``Transfer-Encoding``, gets a 400 and the
 connection is closed).  A response is held until its request has been
 traced and counted on ``serve_requests_total``, then leaves in one write,
-so a client that has its reply is already counted.  A telemetry read is a
-``Content-Length`` reply on the same connection; only ``follow=1`` streams
-rows as they come, one write per batch, and closes its connection when it
-is done.  A connection idle for ``request_timeout_s`` is closed.  Once the
-graceful drain has started, every request — on an open connection or a new
-one — gets a 503 and its connection is closed, so no session moves past its
-drain checkpoint; :meth:`ServeDaemon.close` ends every connection still open.
+so a client that has its reply is already counted; ``serve_request_seconds``
+times each request from the arrival of its request line to that write.  A
+telemetry read is a ``Content-Length`` reply on the same connection; only
+``follow=1`` streams rows as they come, one write per batch, and closes its
+connection when it is done.  A connection idle for ``request_timeout_s`` is
+closed.  Once the graceful drain has started, every request — on an open
+connection or a new one — gets a 503 and its connection is closed, so no
+session moves past its drain checkpoint; :meth:`ServeDaemon.close` ends
+every connection still open.
 
 Robustness: every session is checkpointed periodically during ``advance``
 and on SIGTERM/SIGINT (graceful drain).  A checkpoint is the session's input
@@ -54,29 +58,38 @@ costs one uninterrupted run up to the session's cursor.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import signal
 import socket
+import socketserver
 import sys
 import threading
+import time
 import traceback
 import uuid
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Iterator, Optional
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import GreenHPCError, ServeError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 from ..obs.recorder import get_recorder
 from .checkpoint import CheckpointStore
+from .client import _MAX_HEADERS, _MAX_LINE
 from .session import SessionManager, UnknownSessionError, number_field
 
 __all__ = ["ServeDaemon", "run_serve"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: The request headers the daemon reads; every other header is skipped.
+_HEADERS_READ = frozenset({b"content-length", b"transfer-encoding", b"connection", b"expect"})
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+#: ``serve_request_seconds`` bounds: a status request takes tens of µs.
+_REQUEST_BUCKETS = (0.0001, 0.00025, 0.0005, *DEFAULT_BUCKETS)
 
 #: Top-level routes with a fixed label on the request counter; anything else
 #: (typos, scans) collapses to "other" so label cardinality stays bounded.
@@ -105,11 +118,18 @@ def _route_label(segments: list[str]) -> str:
     return "/".join(segments[:2])
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value, formatted once a second."""
+    return formatdate(second, usegmt=True)
+
+
 class _Refused(ServeError):
     """A request answered with ``status`` and its connection closed.
 
-    Raised for a body the daemon will not read (the stream is no longer
-    framed) and for any request once the graceful drain has started.
+    Raised for a request the daemon cannot parse, for a body it will not
+    read (the stream is no longer framed) and for any request once the
+    graceful drain has started.
     """
 
     def __init__(self, status: int, message: str) -> None:
@@ -124,9 +144,6 @@ class _ResponseWriter(io.BufferedIOBase):
         self._connection = connection
         self._pending: list[bytes] = []
 
-    def writable(self) -> bool:
-        return True
-
     def write(self, data: bytes) -> int:
         if data:
             self._pending.append(bytes(data))
@@ -139,8 +156,8 @@ class _ResponseWriter(io.BufferedIOBase):
             self._connection.sendall(data)
 
 
-class _Server(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` that knows its open connections.
+class _Server(socketserver.ThreadingTCPServer):
+    """A threading TCP server that knows its open connections.
 
     A keep-alive handler thread waits on its connection for the next
     request, so :meth:`server_close` shuts down the read side of every open
@@ -150,6 +167,7 @@ class _Server(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: tuple, handler: type, accepted: Any) -> None:
         super().__init__(address, handler)
@@ -158,15 +176,6 @@ class _Server(ThreadingHTTPServer):
         self._handlers: dict[socket.socket, threading.Thread] = {}
         #: Connections whose handler is answering a request right now.
         self.busy: set[socket.socket] = set()
-
-    @contextmanager
-    def answering(self, connection: socket.socket) -> Iterator[None]:
-        """Mark ``connection`` busy while its handler answers a request."""
-        self.busy.add(connection)
-        try:
-            yield
-        finally:
-            self.busy.discard(connection)
 
     def process_request(self, request: socket.socket, client_address: Any) -> None:
         self._accepted.inc()
@@ -196,10 +205,9 @@ class _Server(ThreadingHTTPServer):
                 thread.join()
 
 
-class _JsonHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the daemon's session manager."""
+class _JsonHandler(socketserver.StreamRequestHandler):
+    """One connection's HTTP/1.1 request loop, routing onto the daemon's session manager."""
 
-    protocol_version = "HTTP/1.1"
     # A response is one write, but a follow stream's batches are several;
     # with Nagle's algorithm on, a small batch would wait for the client's
     # delayed ACK.
@@ -209,37 +217,85 @@ class _JsonHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.daemon.verbose:
-            super().log_message(format, *args)
-
     def setup(self) -> None:
         super().setup()
         self.wfile = _ResponseWriter(self.connection)
         # A stuck client must not pin a handler thread forever.
         self.connection.settimeout(self.daemon.request_timeout_s)
+        self.close_connection = False
+        self._request_line = ""
 
-    def handle_expect_100(self) -> bool:
-        """Send ``100 Continue`` now: a client waits for it before its body."""
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
+    def handle(self) -> None:
+        """Answer requests until the client closes, idles out or is refused."""
+        while not self.close_connection:
+            try:
+                line = self.rfile.readline(_MAX_LINE + 1)
+                if not line:
+                    return
+                start = time.perf_counter()
+                method, target = self._read_head(line)
+            except _Refused as exc:  # finish() sends the refusal
+                self._send_json({"error": str(exc)}, status=exc.status, close=True)
+                return
+            except OSError:
+                return  # idle past request_timeout_s, or reset by the client
+            self._dispatch(method, target, start)
+
+    def _read_head(self, line: bytes) -> tuple[str, str]:
+        """Parse the request line and the headers the daemon reads; returns (method, target)."""
+        self._request_line = text = line.decode("latin-1").rstrip("\r\n")
+        if len(line) > _MAX_LINE:
+            raise _Refused(414, f"request line longer than {_MAX_LINE} bytes")
+        words = text.split()
+        version = words[2] if len(words) == 3 else ""
+        major, _, minor = version[5:].partition(".")
+        if not (
+            version[:5] == "HTTP/" and len(version) < 20 and major.isdecimal() and minor.isdecimal()
+        ):
+            raise _Refused(400, f"bad request line {text[:80]!r}")
+        if int(major) >= 2:
+            raise _Refused(505, f"HTTP version {version} is not supported")
+        http11 = (int(major), int(minor)) >= (1, 1)
+        self._headers = headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Refused(431, f"header line longer than {_MAX_LINE} bytes")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name in _HEADERS_READ:
+                headers.setdefault(name, value.strip().decode("latin-1"))
+        else:
+            raise _Refused(431, f"more than {_MAX_HEADERS} header lines")
+        method, target = words[:2]
+        if method not in ("GET", "POST", "DELETE"):
+            raise _Refused(501, f"method {method[:20]!r} is not supported")
+        tokens = headers.get(b"connection", "").lower()
+        self.close_connection = "close" in tokens or (not http11 and "keep-alive" not in tokens)
+        if not http11:
+            headers.pop(b"expect", None)  # HTTP/1.0 clients get no 100 Continue
+        return method, target
 
     def _read_body(self) -> bytes:
         """The whole declared body, read before routing to keep the stream framed."""
-        if "Transfer-Encoding" in self.headers:
+        if b"transfer-encoding" in self._headers:
             raise _Refused(400, "request bodies must be sent with Content-Length")
-        declared = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(declared)
-        except ValueError:
-            length = -1
+        declared = self._headers.get(b"content-length") or "0"
+        length = int(declared) if declared.isdecimal() and len(declared) < 19 else -1
         if length < 0:
             raise _Refused(400, f"invalid Content-Length {declared!r}")
         if length > _MAX_BODY_BYTES:
             raise _Refused(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")
+        if not length:
+            return b""
+        if self._headers.get(b"expect", "").lower() == "100-continue":
+            # A client waits for this before it sends its body.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
         try:
-            raw = self.rfile.read(length) if length else b""
+            raw = self.rfile.read(length)
         except TimeoutError:
             raw = b""
         if len(raw) != length:
@@ -258,6 +314,22 @@ class _JsonHandler(BaseHTTPRequestHandler):
             raise ServeError("request body must be a JSON object")
         return body
 
+    def send_response(self, status: int) -> None:
+        """Start a response with its status line and ``Date`` header."""
+        self._status = status
+        date = _http_date(int(time.time()))
+        self.wfile.write(f"{_STATUS_LINES[status]}Date: {date}\r\n".encode())
+        if self.daemon.verbose:
+            sys.stderr.write(f'{self.client_address[0]} "{self._request_line[:200]}" {status}\n')
+
+    def send_header(self, name: str, value: str) -> None:
+        if name.lower() == "connection" and value.lower() == "close":
+            self.close_connection = True
+        self.wfile.write(f"{name}: {value}\r\n".encode("latin-1"))
+
+    def end_headers(self) -> None:
+        self.wfile.write(b"\r\n")
+
     def _send(
         self, body: bytes, content_type: str, status: int = 200, *, close: bool = False
     ) -> None:
@@ -266,22 +338,25 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Cache-Control", "no-store")
-        if close:
-            self.send_header("Connection", "close")  # also sets close_connection
+        if close or self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
-        self._status = status
 
     def _send_json(self, payload: Any, status: int = 200, *, close: bool = False) -> None:
         self._send(json.dumps(payload).encode() + b"\n", "application/json", status, close=close)
 
-    def _dispatch(self, method: str) -> None:
-        parts = urlsplit(self.path)
-        segments = [segment for segment in parts.path.split("/") if segment]
-        query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
+    def _dispatch(self, method: str, target: str, start: float) -> None:
+        path, query = target, {}
+        if "?" in target or not target.startswith("/"):
+            parts = urlsplit(target)
+            path = parts.path
+            query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
+        segments = [segment for segment in path.split("/") if segment]
         route = _route_label(segments)
-        self._status = 200  # updated by _send
-        with self.server.answering(self.connection):
+        self._status = 200  # updated by send_response
+        self.server.busy.add(self.connection)
+        try:
             with get_recorder().span("serve.request", method=method, route=route) as span:
                 try:
                     self._body = self._read_body()
@@ -299,7 +374,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
                 except Exception as exc:  # noqa: BLE001 - the daemon must not die on a request
                     request_id = uuid.uuid4().hex
                     sys.stderr.write(
-                        f"greenhpc serve: request {request_id} ({method} {parts.path}) "
+                        f"greenhpc serve: request {request_id} ({method} {path}) "
                         f"failed\n{traceback.format_exc()}"
                     )
                     span.set("request_id", request_id)
@@ -309,32 +384,19 @@ class _JsonHandler(BaseHTTPRequestHandler):
                     )
                 else:
                     if not handled:
-                        self._send_json(
-                            {"error": f"no route for {method} {parts.path}"}, status=404
-                        )
+                        self._send_json({"error": f"no route for {method} {path}"}, status=404)
                 span.set("status", self._status)
-            self.daemon.metrics.counter(
-                "serve_requests_total",
-                help="API requests handled, by method/route/status",
-                method=method,
-                route=route,
-                status=str(self._status),
-            ).inc()
+            requests, seconds = self.daemon._accounting(method, route, self._status)
+            requests.inc()
             # Only now does the response leave: a client holding its reply
             # finds the request already traced and counted.
             try:
                 self.wfile.flush()
             except OSError:
                 self.close_connection = True  # the client went away
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
+            seconds.observe(time.perf_counter() - start)
+        finally:
+            self.server.busy.discard(self.connection)
 
 
 class ServeDaemon:
@@ -389,6 +451,7 @@ class ServeDaemon:
         self._server = _Server((host, port), handler, accepted)
         self.host, self.port = self._server.server_address[:2]
         self._shutdown_started = threading.Event()
+        self._request_metrics: dict[tuple[str, str, int], tuple[Counter, Histogram]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -431,6 +494,23 @@ class ServeDaemon:
         """Route SIGTERM/SIGINT to the graceful drain (main thread only)."""
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda _signum, _frame: self.shutdown())
+
+    def _accounting(self, method: str, route: str, status: int) -> tuple[Counter, Histogram]:
+        """The request counter and latency histogram of one (method, route, status)."""
+        key = (method, route, status)
+        handles = self._request_metrics.get(key)
+        if handles is None:
+            handles = self._request_metrics[key] = (
+                self.metrics.counter(
+                    "serve_requests_total", help="API requests handled, by method/route/status",
+                    method=method, route=route, status=str(status),
+                ),
+                self.metrics.histogram(
+                    "serve_request_seconds", help="Seconds from request line to response write",
+                    buckets=_REQUEST_BUCKETS, method=method, route=route,
+                ),
+            )
+        return handles
 
     # ------------------------------------------------------------------
     # Routing table

@@ -14,7 +14,6 @@ from repro.climate.stress_scenarios import STANDARD_STRESS_SCENARIOS
 from repro.climate.weather import WeatherConfig, WeatherModel
 from repro.config import SiteConfig
 from repro.errors import ConfigurationError, DataError
-from repro.timeutils import SimulationCalendar
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.figures import SuperCloudScenario, fig2_power_vs_green_share
-from repro.config import FacilityConfig, SiteConfig
+from repro.config import FacilityConfig
 from repro.errors import ConfigurationError, DataError
 from repro.experiments import (
     ExperimentResult,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError, DataError
 from repro.grid.fuel_mix import FUEL_TYPES, FuelMixConfig, FuelMixModel, GenerationMix
-from repro.timeutils import SimulationCalendar
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,7 @@ from repro.analysis.correlation import pearson_correlation
 from repro.errors import ConfigurationError, DataError
 from repro.grid.carbon_intensity import EMISSION_FACTORS_G_PER_KWH, CarbonIntensityModel
 from repro.grid.fuel_mix import FUEL_TYPES, FuelMixModel
-from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.grid.pricing import LmpPriceConfig, LmpPriceModel
-from repro.timeutils import SimulationCalendar
 
 
 class TestCarbonIntensity:

@@ -1,5 +1,6 @@
 """Tests for the parallel sweep harness."""
 
+import os
 import time
 
 import pytest
@@ -26,6 +27,14 @@ class TestParallelConfig:
 
     def test_zero_means_all_cores(self):
         assert ParallelConfig(n_workers=0).resolved_workers() >= 1
+
+    def test_zero_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert ParallelConfig(n_workers=0).resolved_workers() == 2
+        assert ParallelConfig(n_workers=3).resolved_workers() == 3  # explicit counts stand
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ParallelConfig(n_workers=0).resolved_workers() == 64
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

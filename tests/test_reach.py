@@ -20,7 +20,8 @@ workload depends on it.  These guards read source with :mod:`ast` only
   reason; an exempt case fails once its method gains a non-test name or no
   test names it any more;
 * a module-level import the module never uses.  An unused import would
-  otherwise make the imported name look used to the check above.
+  otherwise make the imported name look used to the check above.  The
+  test files under ``tests/`` are scanned for unused imports too.
 
 A module M counts as reached when a non-test file
 
@@ -88,6 +89,7 @@ def _module_name(path: pathlib.Path) -> str:
 SRC_FILES = {_module_name(path): path for path in sorted((SRC / "repro").rglob("*.py"))}
 PACKAGES = {name for name, path in SRC_FILES.items() if path.name == "__init__.py"}
 MODULES = sorted(name for name in SRC_FILES if name not in PACKAGES)
+TEST_FILES = sorted(path.name for path in (ROOT / "tests").glob("*.py"))
 
 
 def _parent_package(name: str) -> str:
@@ -386,6 +388,11 @@ class TestReach:
     def test_module_has_no_unused_imports(self, module):
         unused = unused_imports(_parse(SRC_FILES[module]))
         assert not unused, f"{module} never uses its imports {', '.join(unused)}"
+
+    @pytest.mark.parametrize("name", TEST_FILES)
+    def test_test_file_has_no_unused_imports(self, name):
+        unused = unused_imports(_parse(ROOT / "tests" / name))
+        assert not unused, f"tests/{name} never uses its imports {', '.join(unused)}"
 
     def test_method_list_is_read_from_src(self):
         # An empty method list would pass the case below vacuously; pin a few

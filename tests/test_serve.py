@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import http.client
 import json
+import re
 import socket
 import struct
 import threading
@@ -376,7 +377,10 @@ class TestObservability:
             .read()
             .decode()
         )
-        assert text.count('route="other"') == 1  # one series, status=404
+        # One series in each family that carries the route label.
+        counters = [line for line in text.splitlines() if line.startswith("serve_requests_total")]
+        assert sum('route="other"' in line for line in counters) == 1  # status=404
+        assert text.count('serve_request_seconds_count{method="GET",route="other"}') == 1
 
     def test_requests_are_traced_when_ambient_recorder_enabled(self, client):
         from repro.obs import NULL_RECORDER, TraceRecorder, recording, set_recorder
@@ -773,6 +777,105 @@ class TestClientFraming:
             for session_id in ("a b", "a\r\nX-Injected: 1", "café"):
                 with pytest.raises(ServeError, match="visible ASCII"):
                     client.session_status(session_id)
+
+
+def _read_reply(reader):
+    """One reply off a raw socket reader: (status, lower-cased headers, body)."""
+    status_line = reader.readline()
+    match = re.match(rb"HTTP/1\.1 (\d{3}) [^\r\n]*\r\n$", status_line)
+    assert match, status_line
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, colon, value = line.decode("latin-1").partition(":")
+        assert colon, line
+        headers[name.strip().lower()] = value.strip()
+    return int(match.group(1)), headers, reader.read(int(headers["content-length"]))
+
+
+class TestRequestLoop:
+    """The daemon's hand-parsed HTTP/1.1: malformed input, framing edge cases, latency."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /health\r\n\r\n", 400),
+            (b"GET /health HTTP/1.x\r\n\r\n", 400),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"PATCH /health HTTP/1.1\r\n\r\n", 501),
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
+            (b"GET /health HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+        ],
+        ids=["garbage", "no-version", "bad-version", "http2", "patch", "long-line",
+             "long-header", "many-headers"],
+    )
+    def test_malformed_requests_get_their_status_and_close(
+        self, daemon, client, request_bytes, status
+    ):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(request_bytes)
+            got, headers, body = _read_reply(reader)
+            assert got == status
+            assert headers["connection"] == "close"
+            assert headers["content-type"] == "application/json"
+            assert json.loads(body)["error"]
+            assert reader.read() == b""  # the daemon closed the connection
+            reader.close()
+        assert client.health()["status"] == "ok"
+
+    def test_http10_request_is_answered_and_closed(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+            status, headers, body = _read_reply(reader)
+            assert (status, headers["connection"]) == (200, "close")
+            assert json.loads(body)["status"] == "ok"
+            assert reader.read() == b""
+            reader.close()
+
+    def test_pipelined_requests_are_answered_in_order(self, daemon):
+        two = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\nGET /version HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(two)
+            first, second = _read_reply(reader), _read_reply(reader)
+            reader.close()
+        assert (first[0], json.loads(first[2])["status"]) == (200, "ok")
+        assert (second[0], json.loads(second[2])["package"]) == (200, "repro")
+
+    def test_headers_split_over_small_writes_are_parsed(self, daemon):
+        pieces = [b"GET /hea", b"lth HTTP/1.1\r\nHo", b"st: t\r\nConn", b"ection: cl", b"ose\r\n\r"]
+        pieces.append(b"\n")
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            reader = sock.makefile("rb")
+            for piece in pieces:
+                sock.sendall(piece)
+                time.sleep(0.02)
+            status, headers, body = _read_reply(reader)
+            assert (status, headers["connection"]) == (200, "close")  # the split header counted
+            assert json.loads(body)["status"] == "ok"
+            assert reader.read() == b""
+            reader.close()
+
+    def test_request_latency_histogram_counts_each_request(self, daemon, client):
+        _create(client)
+        for _ in range(7):
+            client.session_status("s1")
+        client.health()  # the same connection: the status requests are all timed
+        seconds = daemon.metrics.histogram(
+            "serve_request_seconds", method="GET", route="sessions/{id}"
+        )
+        assert seconds.count == 7 and seconds.total > 0.0
+        connection = _raw(daemon)
+        try:
+            text = _exchange(connection, "GET", "/metrics")[2].decode()
+        finally:
+            connection.close()
+        assert "# TYPE serve_request_seconds histogram" in text
+        assert 'serve_request_seconds_count{method="GET",route="sessions/{id}"} 7' in text
 
 
 class TestDiagnostics:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.climate.weather import WeatherModel
-from repro.config import FacilityConfig
 from repro.errors import ConfigurationError, DataError
 from repro.scheduler.job import JobState
-from repro.timeutils import SimulationCalendar
 from repro.workloads.conferences import CONFERENCE_CATALOG, Conference, ConferenceCalendar
 from repro.workloads.demand import DeadlineDemandConfig, DeadlineDemandModel
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator

@@ -4,7 +4,6 @@ These complement the example-based tests with invariants that must hold for
 *any* workload configuration, using hypothesis to explore the parameter space.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mechanism import MechanismOption, TwoPartMechanism, UserPreference
