@@ -2,9 +2,8 @@
 
 Everything else in the toolkit is batch: build a world, run it, exit.  This
 package keeps worlds *warm* instead.  ``greenhpc serve`` starts an HTTP
-daemon (stdlib sockets and hand-parsed HTTP/1.1 — no new dependencies)
-holding any number of live mid-run
-:class:`~repro.cluster.simulator.ClusterSimulator` sessions:
+daemon (stdlib sockets — no new dependencies) holding any number of
+live mid-run :class:`~repro.cluster.simulator.ClusterSimulator` sessions:
 
 * **Sessions** (:mod:`.session`) — create a session over any registered
   scenario, submit jobs mid-run, advance simulated time in bounded requests.

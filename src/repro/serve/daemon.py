@@ -1,8 +1,7 @@
 """The ``greenhpc serve`` HTTP daemon.
 
-A threaded :mod:`socketserver` TCP server with a small hand-written HTTP/1.1
-request loop (stdlib only — the service adds no dependencies) exposing warm
-simulation sessions over a small JSON API:
+A threaded :mod:`socketserver` server with hand-parsed HTTP/1.1 (stdlib only)
+exposing warm simulation sessions over a small JSON API:
 
 ====== =================================== ======================================
 Method Path                                Meaning
@@ -34,15 +33,13 @@ routing, so each route leaves the connection at the next request (a body
 over the limit, or framed with ``Transfer-Encoding``, gets a 400 and the
 connection is closed).  A response is held until its request has been
 traced and counted on ``serve_requests_total``, then leaves in one write,
-so a client that has its reply is already counted; ``serve_request_seconds``
-times each request from the arrival of its request line to that write.  A
-telemetry read is a ``Content-Length`` reply on the same connection; only
-``follow=1`` streams rows as they come, one write per batch, and closes its
-connection when it is done.  A connection idle for ``request_timeout_s`` is
-closed.  Once the graceful drain has started, every request — on an open
-connection or a new one — gets a 503 and its connection is closed, so no
-session moves past its drain checkpoint; :meth:`ServeDaemon.close` ends
-every connection still open.
+so a client that has its reply is already counted.  A telemetry read is a
+``Content-Length`` reply on the same connection; only ``follow=1`` streams
+rows as they come, one write per batch, and closes its connection when it
+is done.  A connection idle for ``request_timeout_s`` is closed.  Once the
+graceful drain has started, every request — on an open connection or a new
+one — gets a 503 and its connection is closed, so no session moves past its
+drain checkpoint; :meth:`ServeDaemon.close` ends every connection still open.
 
 Robustness: every session is checkpointed periodically during ``advance``
 and on SIGTERM/SIGINT (graceful drain).  A checkpoint is the session's input
@@ -62,6 +59,7 @@ import functools
 import io
 import json
 import math
+import re
 import signal
 import socket
 import socketserver
@@ -87,6 +85,7 @@ __all__ = ["ServeDaemon", "run_serve"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: The request headers the daemon reads; every other header is skipped.
 _HEADERS_READ = frozenset({b"content-length", b"transfer-encoding", b"connection", b"expect"})
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,9})\.([0-9]{1,9})")
 _STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
 #: ``serve_request_seconds`` bounds: a status request takes tens of µs.
 _REQUEST_BUCKETS = (0.0001, 0.00025, 0.0005, *DEFAULT_BUCKETS)
@@ -127,9 +126,8 @@ def _http_date(second: int) -> str:
 class _Refused(ServeError):
     """A request answered with ``status`` and its connection closed.
 
-    Raised for a request the daemon cannot parse, for a body it will not
-    read (the stream is no longer framed) and for any request once the
-    graceful drain has started.
+    Raised for a request the daemon cannot parse or a body it will not read,
+    and for any request once the graceful drain has started.
     """
 
     def __init__(self, status: int, message: str) -> None:
@@ -223,13 +221,14 @@ class _JsonHandler(socketserver.StreamRequestHandler):
         # A stuck client must not pin a handler thread forever.
         self.connection.settimeout(self.daemon.request_timeout_s)
         self.close_connection = False
-        self._request_line = ""
 
     def handle(self) -> None:
         """Answer requests until the client closes, idles out or is refused."""
         while not self.close_connection:
             try:
                 line = self.rfile.readline(_MAX_LINE + 1)
+                if line in (b"\r\n", b"\n"):  # RFC 9112 2.2: skip an empty line before a request
+                    line = self.rfile.readline(_MAX_LINE + 1)
                 if not line:
                     return
                 start = time.perf_counter()
@@ -247,15 +246,13 @@ class _JsonHandler(socketserver.StreamRequestHandler):
         if len(line) > _MAX_LINE:
             raise _Refused(414, f"request line longer than {_MAX_LINE} bytes")
         words = text.split()
-        version = words[2] if len(words) == 3 else ""
-        major, _, minor = version[5:].partition(".")
-        if not (
-            version[:5] == "HTTP/" and len(version) < 20 and major.isdecimal() and minor.isdecimal()
-        ):
+        match = len(words) == 3 and _HTTP_VERSION.fullmatch(words[2])
+        if not match:
             raise _Refused(400, f"bad request line {text[:80]!r}")
-        if int(major) >= 2:
-            raise _Refused(505, f"HTTP version {version} is not supported")
-        http11 = (int(major), int(minor)) >= (1, 1)
+        version = (int(match[1]), int(match[2]))
+        if version >= (2, 0):
+            raise _Refused(505, f"HTTP version {words[2]} is not supported")
+        http11 = version >= (1, 1)
         self._headers = headers = {}
         for _ in range(_MAX_HEADERS + 1):
             line = self.rfile.readline(_MAX_LINE + 1)
@@ -288,8 +285,6 @@ class _JsonHandler(socketserver.StreamRequestHandler):
             raise _Refused(400, f"invalid Content-Length {declared!r}")
         if length > _MAX_BODY_BYTES:
             raise _Refused(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        if not length:
-            return b""
         if self._headers.get(b"expect", "").lower() == "100-continue":
             # A client waits for this before it sends its body.
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -335,24 +330,18 @@ class _JsonHandler(socketserver.StreamRequestHandler):
     ) -> None:
         """Queue one ``Content-Length`` response; ``_dispatch`` sends it."""
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Cache-Control", "no-store")
-        if close or self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self.close_connection |= close
+        closing = "Connection: close\r\n" if self.close_connection else ""
+        head = f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        self.wfile.write(f"{head}Cache-Control: no-store\r\n{closing}\r\n".encode() + body)
 
     def _send_json(self, payload: Any, status: int = 200, *, close: bool = False) -> None:
         self._send(json.dumps(payload).encode() + b"\n", "application/json", status, close=close)
 
     def _dispatch(self, method: str, target: str, start: float) -> None:
-        path, query = target, {}
-        if "?" in target or not target.startswith("/"):
-            parts = urlsplit(target)
-            path = parts.path
-            query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
-        segments = [segment for segment in path.split("/") if segment]
+        parts = urlsplit(target)
+        segments = [segment for segment in parts.path.split("/") if segment]
+        query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
         route = _route_label(segments)
         self._status = 200  # updated by send_response
         self.server.busy.add(self.connection)
@@ -374,7 +363,7 @@ class _JsonHandler(socketserver.StreamRequestHandler):
                 except Exception as exc:  # noqa: BLE001 - the daemon must not die on a request
                     request_id = uuid.uuid4().hex
                     sys.stderr.write(
-                        f"greenhpc serve: request {request_id} ({method} {path}) "
+                        f"greenhpc serve: request {request_id} ({method} {parts.path}) "
                         f"failed\n{traceback.format_exc()}"
                     )
                     span.set("request_id", request_id)
@@ -384,7 +373,9 @@ class _JsonHandler(socketserver.StreamRequestHandler):
                     )
                 else:
                     if not handled:
-                        self._send_json({"error": f"no route for {method} {path}"}, status=404)
+                        self._send_json(
+                            {"error": f"no route for {method} {parts.path}"}, status=404
+                        )
                 span.set("status", self._status)
             requests, seconds = self.daemon._accounting(method, route, self._status)
             requests.inc()

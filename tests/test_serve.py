@@ -845,6 +845,16 @@ class TestRequestLoop:
         assert (first[0], json.loads(first[2])["status"]) == (200, "ok")
         assert (second[0], json.loads(second[2])["package"]) == (200, "repro")
 
+    def test_stray_empty_line_after_a_body_is_skipped(self, daemon):
+        post = b"POST /nowhere HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}\r\n"
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(post + b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+            first, second = _read_reply(reader), _read_reply(reader)
+            reader.close()
+        assert first[0] == 404 and "connection" not in first[1]
+        assert (second[0], json.loads(second[2])["status"]) == (200, "ok")
+
     def test_headers_split_over_small_writes_are_parsed(self, daemon):
         pieces = [b"GET /hea", b"lth HTTP/1.1\r\nHo", b"st: t\r\nConn", b"ection: cl", b"ose\r\n\r"]
         pieces.append(b"\n")
