@@ -347,13 +347,6 @@ class LegacyScanCluster:
         return power
 
 
-def _records_key(result):
-    return [
-        (r.job_id, r.start_time_h, r.finish_time_h, r.energy_j, r.completed)
-        for r in result.job_records
-    ]
-
-
 def test_bench_incremental_vs_scan_speedup(worlds):
     """The tentpole claim: >= 5x over the scan-based core on the profiled workload.
 
@@ -396,7 +389,7 @@ def test_bench_incremental_vs_scan_speedup(worlds):
     print(f"reading: identical workload, identical job records; {speedup:.1f}x faster event loop")
 
     # Identical outcomes, much less time.
-    assert _records_key(fast_result) == _records_key(legacy_result)
+    assert fast_result.digest() == legacy_result.digest()
     np.testing.assert_allclose(
         fast_result.it_power_w, legacy_result.it_power_w, rtol=1e-9
     )
@@ -516,7 +509,7 @@ def test_bench_fleet_lockstep_overhead():
     )
 
     for site_result, standalone in zip(fleet_result.site_results, standalone_results):
-        assert _records_key(site_result) == _records_key(standalone)
+        assert site_result.digest() == standalone.digest()
     assert fleet_result.completed_jobs > 0.9 * FLEET_N_JOBS
     assert overhead <= MAX_LOCKSTEP_OVERHEAD, (
         f"fleet lockstep overhead must stay <= {MAX_LOCKSTEP_OVERHEAD}x the summed "
@@ -625,11 +618,7 @@ def test_bench_fleet_parallel_speedup(benchmark):
     # Parity by construction: routing stays in the coordinator, so the
     # assignments and every site's job records match bit-for-bit.
     assert timings.mode == "parallel"
-    assert parallel_result.assignments == serial_result.assignments
-    for serial_site, parallel_site in zip(
-        serial_result.site_results, parallel_result.site_results
-    ):
-        assert _records_key(parallel_site) == _records_key(serial_site)
+    assert parallel_result.digest() == serial_result.digest()
 
     if cores >= FLEET_PARALLEL_WORKERS:
         assert speedup >= 2.0, (

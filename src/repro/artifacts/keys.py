@@ -15,6 +15,9 @@ sound cache identity:
   :func:`code_version` of the package that produced it.  Upgrading the
   package therefore invalidates stale artifacts instead of silently
   serving results computed by older code.
+
+A serve session's ``spec_hash`` is the first 16 hex digits of
+``stable_hash(spec.to_dict())``, so a spec has one identity.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ loop itself:
 
 Observers are attached either explicitly (``ClusterSimulator(...,
 observers=[...])``) or implicitly by the scheduling policy:
-the simulator asks its scheduler for :meth:`~repro.scheduler.base.Scheduler.
-observers` at construction, which is how pipeline stages that carry run-time
+the simulator asks its scheduler for :meth:`~repro.scheduler.pipeline.
+PolicyPipeline.observers` at construction, which is how pipeline stages that carry run-time
 state (e.g. the adaptive power-cap stage) get wired into the loop they need.
 
 Every hook receives the simulator itself, giving observers access to the

@@ -29,7 +29,7 @@ Design notes
 * Scheduling happens after every batch of simultaneous events, so a finish
   and the start of the next job can occur at the same simulated instant.
 * The pending queue is kept sorted on the policy's
-  :attr:`~repro.scheduler.base.Scheduler.queue_key`: a submitted job is
+  :attr:`~repro.scheduler.pipeline.PolicyPipeline.queue_key`: a submitted job is
   bisected into a parallel list of keys, and a started job is found by its
   key and deleted, so a round hands the policy its queue without copying or
   sorting it.
@@ -38,9 +38,9 @@ Design notes
   callbacks, so adaptive controllers and telemetry live outside the loop.
   Observers are attached explicitly (``observers=``) or implicitly by the
   scheduling policy via
-  :meth:`~repro.scheduler.base.Scheduler.observers`.  Each hook site loops
-  over the bound methods of the observers that override that hook, so with
-  no observers it is an empty loop and the hot path is unchanged.
+  :meth:`~repro.scheduler.pipeline.PolicyPipeline.observers`.  Each hook site
+  loops over the bound methods of the observers that override that hook, so
+  with no observers it is an empty loop and the hot path is unchanged.
 * Stepping API: :meth:`ClusterSimulator.run` is a thin composition of
   :meth:`~ClusterSimulator.begin` (validate and enqueue the trace),
   :meth:`~ClusterSimulator.advance` (process events strictly before a time
@@ -59,9 +59,11 @@ Design notes
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,12 +71,15 @@ from ..config import require_positive
 from ..errors import SimulationError, SteppingError
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..obs.recorder import get_recorder
-from ..scheduler.base import ScheduleDecision, Scheduler, SchedulingContext
+from ..scheduler.base import ScheduleDecision, SchedulingContext
 from ..scheduler.job import Job, JobState
 from .cooling import CoolingModel
 from .events import EventQueue, EventType
 from .observers import MetricsObserver, SimulatorObserver
 from .resources import Cluster
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (the pipeline imports this package)
+    from ..scheduler.pipeline import PolicyPipeline
 
 __all__ = [
     "SimulationConfig",
@@ -169,6 +174,16 @@ def miss_rate(records: Iterable[JobRecord]) -> float:
         return 0.0
     missed = sum(1 for r in deadline_jobs if r.missed_deadline or not r.completed)
     return missed / len(deadline_jobs)
+
+
+#: The job-record fields a result digest covers (a fleet's omits the last).
+DIGEST_FIELDS = ("job_id", "start_time_h", "finish_time_h", "energy_j", "power_cap_w", "completed",
+                 "missed_deadline")
+
+
+def repr_digest(items: Iterable) -> str:
+    """sha256 hex of ``repr(list(items))``: the one formula of every result digest."""
+    return hashlib.sha256(repr(list(items)).encode()).hexdigest()
 
 
 def energy_per_gpu_hour(facility_energy_kwh: float, delivered_gpu_hours: float) -> float:
@@ -292,6 +307,10 @@ class SimulationResult:
             "energy_per_gpu_hour_kwh": self.energy_per_gpu_hour_kwh,
         }
 
+    def digest(self) -> str:
+        """:func:`repr_digest` of the job records' :data:`DIGEST_FIELDS`; not of the tick series."""
+        return repr_digest(map(attrgetter(*DIGEST_FIELDS), self.job_records))
+
 
 class ClusterSimulator:
     """Runs a job trace through a scheduling policy on a simulated cluster.
@@ -323,14 +342,14 @@ class ClusterSimulator:
         Optional grid model supplying hourly carbon intensity and price.
     observers:
         Lifecycle observers to attach; the scheduler's own
-        :meth:`~repro.scheduler.base.Scheduler.observers` are appended
+        :meth:`~repro.scheduler.pipeline.PolicyPipeline.observers` are appended
         automatically (pipeline stages such as adaptive power caps use this).
     """
 
     def __init__(
         self,
         cluster: Cluster,
-        scheduler: Scheduler,
+        scheduler: PolicyPipeline,
         config: SimulationConfig | None = None,
         *,
         weather_hourly_c: Optional[np.ndarray] = None,

@@ -43,8 +43,8 @@ from ..cluster.simulator import ClusterSimulator, SimulationConfig
 from ..errors import OptimizationError, SchedulingError
 from ..grid.iso_ne import IsoNeLikeGrid
 from ..registry import Registry
-from ..scheduler.base import Scheduler
 from ..scheduler.compose import build_pipeline, parse_policy
+from ..scheduler.pipeline import PolicyPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.spec import ScenarioSpec
@@ -121,7 +121,7 @@ class PolicyDefinition:
             return self.spec
         return f"{self.spec}+{_cap_token(power_cap_fraction)}"
 
-    def build(self, power_cap_fraction: Optional[float] = None) -> Scheduler:
+    def build(self, power_cap_fraction: Optional[float] = None) -> PolicyPipeline:
         """A fresh pipeline for this policy at the given cap, named after it."""
         return build_pipeline(self.effective_spec(power_cap_fraction), name=self.name)
 
@@ -175,7 +175,7 @@ def resolve_policy(policy: str) -> PolicyDefinition:
         ) from None
 
 
-def make_scheduler(policy_name: str, power_cap_fraction: Optional[float] = None) -> Scheduler:
+def make_scheduler(policy_name: str, power_cap_fraction: Optional[float] = None) -> PolicyPipeline:
     """Instantiate a scheduler by registry name or pipeline spec string."""
     if power_cap_fraction is not None and not 0.0 < power_cap_fraction <= 1.0:
         raise OptimizationError("power_cap_fraction must lie in (0, 1]")

@@ -11,18 +11,21 @@ it independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from operator import attrgetter
 from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from ..cluster.simulator import (
+    DIGEST_FIELDS,
     JobRecord,
     SimulationResult,
     energy_per_gpu_hour,
     mean_wait,
     miss_rate,
     p95_wait,
+    repr_digest,
 )
 from ..errors import FleetError
 from ..obs.profile import RunProfile
@@ -224,6 +227,14 @@ class FleetResult:
         for assignment in self.assignments:
             counts[assignment.site_name] += 1
         return counts
+
+    def digest(self) -> str:
+        """``repr_digest`` of the assignment table, then of every site's job records.
+
+        Records omit ``missed_deadline``; the tick series are not covered.
+        """
+        records = map(attrgetter(*DIGEST_FIELDS[:-1]), self._records())
+        return repr_digest(itertools.chain(map(astuple, self.assignments), records))
 
     # ------------------------------------------------------------------
     # Flat views

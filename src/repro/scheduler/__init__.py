@@ -35,11 +35,11 @@ The package provides:
   deadline, deferability, power-cap assignment) and its lifecycle states.
 * :mod:`~repro.scheduler.queue` — FIFO job queues and the *segmented* queue
   structure from Section II.C (per-profile queues with stated preferences).
-* :mod:`~repro.scheduler.base` — the :class:`Scheduler` interface and the
-  :class:`SchedulingContext` handed to policies (grid state, weather, budget).
+* :mod:`~repro.scheduler.base` — the :class:`SchedulingContext` handed to
+  policies (grid state, weather, budget) and their :class:`ScheduleDecision`.
 * :mod:`~repro.scheduler.stages` — the stage taxonomy listed above.
 * :mod:`~repro.scheduler.pipeline` / :mod:`~repro.scheduler.compose` — the
-  pipeline scheduler and the spec grammar / stage registry.
+  one scheduler (:class:`PolicyPipeline`) and the spec grammar / registry.
 * :mod:`~repro.scheduler.powercap` — the adaptive GPU power-cap controller
   and the cap trade-off sweep (the mechanism shown effective by Frey et al.
   [15]).
@@ -47,7 +47,7 @@ The package provides:
 
 from .job import Job, JobState
 from .queue import JobQueue, QueuePolicy, SegmentedQueueSystem
-from .base import Scheduler, SchedulingContext, ScheduleDecision
+from .base import SchedulingContext, ScheduleDecision
 from .powercap import AdaptivePowerCapController, powercap_energy_tradeoff
 from .stages import (
     AdaptiveCapStage,
@@ -85,7 +85,6 @@ __all__ = [
     "JobQueue",
     "QueuePolicy",
     "SegmentedQueueSystem",
-    "Scheduler",
     "SchedulingContext",
     "ScheduleDecision",
     "AdaptivePowerCapController",

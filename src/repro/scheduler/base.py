@@ -1,25 +1,23 @@
-"""Scheduler interface and scheduling context.
+"""Scheduling context and decisions.
 
 A scheduler implements the policy lever ``p`` of Eq. 1: at every scheduling
 point it sees the pending jobs, the cluster's free capacity, and a
 :class:`SchedulingContext` describing the environment ``ε`` (grid carbon
 intensity and price, outdoor temperature, facility power budget), and decides
-which jobs to start now and under what power caps.
+which jobs to start now and under what power caps, one
+:class:`ScheduleDecision` each.  :class:`~repro.scheduler.pipeline.
+PolicyPipeline` is the one scheduler.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 from ..errors import SchedulingError
 from .job import Job
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.resources import Cluster
-
-__all__ = ["SchedulingContext", "ScheduleDecision", "Scheduler"]
+__all__ = ["SchedulingContext", "ScheduleDecision"]
 
 
 @dataclass
@@ -95,46 +93,3 @@ class ScheduleDecision:
     def __post_init__(self) -> None:
         if self.power_cap_fraction is not None and not 0.0 < self.power_cap_fraction <= 1.0:
             raise SchedulingError("power_cap_fraction must lie in (0, 1]")
-
-
-class Scheduler(ABC):
-    """Interface implemented by all scheduling policies."""
-
-    #: Human-readable policy name used in benchmark tables.
-    name: str = "abstract"
-
-    def observers(self) -> tuple:
-        """Simulator lifecycle observers this policy wants attached.
-
-        The cluster simulator subscribes these automatically at construction,
-        which is how stateful pipeline stages (e.g. adaptive power caps) hook
-        into the event loop without being special-cased there.  The default
-        is none.
-        """
-        return ()
-
-    @property
-    @abstractmethod
-    def queue_key(self) -> Callable[[Job], tuple]:
-        """The sort key of the pending queue, a total order over jobs.
-
-        The key must depend only on fields no code writes after a job is
-        constructed, so a job's place in the queue never changes while it
-        waits.  The cluster simulator keeps its queue sorted on it as jobs
-        arrive and hands :meth:`select` the queue in that order.
-        """
-
-    @abstractmethod
-    def select(
-        self, pending: list[Job], cluster: Cluster, context: SchedulingContext
-    ) -> list[ScheduleDecision]:
-        """Choose which pending jobs to start at this decision point.
-
-        Implementations must not start more GPUs than are currently free and
-        must not return the same job twice; the simulator validates both.
-        The ``pending`` list is in :attr:`queue_key` order; it is the
-        simulator's own queue, which implementations must not modify.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -1,4 +1,4 @@
-"""The staged policy pipeline — a :class:`Scheduler` built from stages.
+"""The staged policy pipeline — the scheduler, built from stages.
 
 A :class:`PolicyPipeline` composes one :class:`~repro.scheduler.stages.
 OrderingStage`, any number of :class:`~repro.scheduler.stages.AdmissionGate`\\ s,
@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 from ..cluster.observers import SimulatorObserver
 from ..cluster.resources import Cluster
 from ..errors import SchedulingError
-from .base import ScheduleDecision, Scheduler, SchedulingContext
+from .base import ScheduleDecision, SchedulingContext
 from .job import Job
 from .stages import AdmissionGate, OrderingStage, Placement, PowerStage, SubmitOrdering
 
@@ -52,8 +52,13 @@ __all__ = ["PolicyPipeline"]
 _DEFAULT_PLACEMENT = Placement(name="backfill", stop_at_first_blocked=False, pack=True)
 
 
-class PolicyPipeline(Scheduler):
+class PolicyPipeline:
     """A scheduling policy composed from explicit stages.
+
+    Every policy is one of these.  The simulator relies on :attr:`queue_key`
+    being a total order over static job fields (a waiting job never moves),
+    and on :meth:`select` never exceeding the free GPUs, never repeating a
+    job and never modifying ``pending``.
 
     Parameters
     ----------
@@ -102,7 +107,7 @@ class PolicyPipeline(Scheduler):
         return "+".join(parts)
 
     # ------------------------------------------------------------------
-    # Scheduler interface
+    # The simulator's interface
     # ------------------------------------------------------------------
     def cap_for(self, job: Job, cluster: Cluster, context: SchedulingContext) -> Optional[float]:
         """The job's resolved power cap: its own cap through the power chain."""
@@ -113,12 +118,13 @@ class PolicyPipeline(Scheduler):
 
     @property
     def queue_key(self) -> Callable[[Job], tuple]:
-        """The ordering stage's key."""
+        """The ordering stage's key: the simulator keeps its queue sorted on it."""
         return self.ordering.key
 
     def select(
         self, pending: list[Job], cluster: Cluster, context: SchedulingContext
     ) -> list[ScheduleDecision]:
+        """The jobs to start now, from the simulator's queue in key order."""
         gates = self.gates
         for gate in gates:
             gate.begin_round(cluster, context)

@@ -21,8 +21,8 @@ answering one question per scheduling round:
   :class:`DeadlineSlackCapStage`, :class:`AdaptiveCapStage`)
 
 :class:`~repro.scheduler.pipeline.PolicyPipeline` composes one ordering, any
-number of gates, one placement and a power chain into a full
-:class:`~repro.scheduler.base.Scheduler`; the grammar in
+number of gates, one placement and a power chain into a full scheduling
+policy; the grammar in
 :mod:`~repro.scheduler.compose` makes any such composition addressable by a
 spec string.
 

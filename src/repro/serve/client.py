@@ -336,7 +336,7 @@ class ServeClient:
         return self._request("POST", f"/sessions/{session_id}/checkpoint", {})
 
     def finalize(self, session_id: str) -> dict:
-        """Finalize the session's run; returns the result summary."""
+        """Finalize the session's run; returns its ``summary``, ``digest`` and status."""
         return self._request("POST", f"/sessions/{session_id}/finalize", {})
 
     def route(

@@ -15,7 +15,7 @@ DELETE ``/sessions/{id}``                  drop a session
 POST   ``/sessions/{id}/jobs``             submit jobs mid-run
 POST   ``/sessions/{id}/advance``          advance to ``until_h`` (deadline-bounded)
 POST   ``/sessions/{id}/checkpoint``       checkpoint now
-POST   ``/sessions/{id}/finalize``         finalize; returns the run summary
+POST   ``/sessions/{id}/finalize``         finalize; returns summary and digest
 GET    ``/sessions/{id}/telemetry``        NDJSON tick stream (``since``, ``follow``)
 POST   ``/route``                          what-if routing across live sessions
 GET    ``/metrics``                        Prometheus text exposition (scrapeable)
@@ -640,7 +640,7 @@ class ServeDaemon:
             request._send_json({"checkpoint": path, **session.status()})
             return True
         if method == "POST" and action == "finalize":
-            request._send_json({"summary": session.finalize(), **session.status()})
+            request._send_json({**session.finalize(), **session.status()})
             return True
         if method == "GET" and action == "telemetry":
             self._stream_telemetry(request, session, query)

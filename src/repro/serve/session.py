@@ -17,15 +17,16 @@ running any router spec over them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 import time
 import uuid
 from typing import Any, Optional, Sequence
 
+from ..artifacts.keys import stable_hash
 from ..cluster.observers import SimulatorObserver
 from ..cluster.simulator import ClusterSimulator, SimulationConfig
+from ..config import config_to_jsonable
 from ..core.levers import build_simulator
 from ..errors import CheckpointError, ServeError, checkpoint_fields
 from ..experiments.session import ExperimentSession
@@ -186,8 +187,8 @@ class ServeSession:
         self.scenario_name = scenario_name
         self.overrides = dict(overrides)
         self.spec = resolve_spec(scenario_name, self.overrides)
-        #: Digest of the scenario spec (the substrate-sharing key).
-        self.spec_hash = hashlib.sha256(repr(self.spec).encode()).hexdigest()[:16]
+        #: The spec's identity: the canonical hash inside campaign run keys.
+        self.spec_hash = stable_hash(self.spec.to_dict())[:16]
         self.policy = policy
         self.power_cap_fraction = power_cap_fraction
         self.preload_jobs = int(preload_jobs)
@@ -446,13 +447,13 @@ class ServeSession:
         return status
 
     def finalize(self) -> dict[str, Any]:
-        """Finalize the run; the summary is kept for repeat reads."""
+        """Finalize the run once; returns its kept summary (non-finite as ``None``) and digest."""
         with self.lock:
             if self.result_summary is None:
                 self.result = self.simulator.finalize()
-                self.result_summary = self.result.summary()
+                self.result_summary = config_to_jsonable(self.result.summary())
                 self.ticks_available.notify_all()
-            return dict(self.result_summary)
+            return {"summary": dict(self.result_summary), "digest": self.result.digest()}
 
     # ------------------------------------------------------------------
     # Telemetry stream

@@ -1,5 +1,7 @@
 """Tests for the discrete-event cluster simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,25 @@ class TestDeadlinesAndSummary:
         assert np.isnan(mean_wait(records[4:])) and np.isnan(p95_wait([]))
         assert energy_per_gpu_hour(10.0, 4.0) == 2.5
         assert np.isnan(energy_per_gpu_hour(10.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("job_id", "other"),
+            ("start_time_h", 1.5),
+            ("finish_time_h", 9.0),
+            ("energy_j", 1.0),
+            ("power_cap_w", 123.0),
+            ("completed", False),
+            ("missed_deadline", True),
+        ],
+    )
+    def test_digest_covers_every_outcome_field(self, field, value):
+        result = run([make_job("a", 2, 3.0, 1.0), make_job("b", 1, 2.0, 0.0)])
+        before = result.digest()
+        assert getattr(result.job_records[0], field) != value
+        result.job_records[0] = dataclasses.replace(result.job_records[0], **{field: value})
+        assert result.digest() != before
 
 
 class TestCarbonAwareIntegration:

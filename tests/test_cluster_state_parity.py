@@ -21,8 +21,6 @@ Three layers of evidence that the delta-maintained state model is exact:
    scheduling round and tick (:class:`PowerParityObserver`).
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -397,22 +395,6 @@ class PowerParityObserver(SimulatorObserver):
         self._check(simulator)
 
 
-def _records_fingerprint(result) -> str:
-    records = [
-        (
-            record.job_id,
-            record.start_time_h,
-            record.finish_time_h,
-            record.energy_j,
-            record.power_cap_w,
-            record.completed,
-            record.missed_deadline,
-        )
-        for record in result.job_records
-    ]
-    return hashlib.sha256(repr(records).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
 def test_end_to_end_matches_pre_refactor(policy, parity_world):
     weather, grid, jobs = parity_world
@@ -433,7 +415,7 @@ def test_end_to_end_matches_pre_refactor(policy, parity_world):
     assert result.mean_wait_h == mean_wait
     np.testing.assert_allclose(result.it_energy_kwh, it_kwh, rtol=1e-12)
     np.testing.assert_allclose(result.facility_energy_kwh, facility_kwh, rtol=1e-12)
-    assert _records_fingerprint(result) == PRE_REFACTOR_RECORD_HASHES[policy]
+    assert result.digest() == PRE_REFACTOR_RECORD_HASHES[policy]
 
 
 def test_power_series_matches_recompute_at_every_tick(parity_world):

@@ -14,7 +14,7 @@ Covers, per the subsystem's acceptance bar:
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
 
 import numpy as np
@@ -73,19 +73,6 @@ PINNED_FLEET_HASHES = {
         "da2f670af5709a196eaf2e06abdbe9d697d187e6d8a7f14ed90b8741200f2277"
     ),
 }
-
-
-def _fleet_fingerprint(result) -> str:
-    payload = [
-        (a.job_id, a.site_index, a.site_name, a.submit_time_h, a.dispatch_hour)
-        for a in result.assignments
-    ]
-    for site_result in result.site_results:
-        payload.extend(
-            (r.job_id, r.start_time_h, r.finish_time_h, r.energy_j, r.power_cap_w, r.completed)
-            for r in site_result.job_records
-        )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +375,14 @@ class TestFleetConservation:
     @pytest.mark.parametrize("router", PINNED_ROUTERS)
     def test_seeded_run_matches_pinned_hash(self, tri_world, router):
         _, _, _, results = tri_world
-        assert _fleet_fingerprint(results[router]) == PINNED_FLEET_HASHES[router]
+        assert results[router].digest() == PINNED_FLEET_HASHES[router]
+
+    def test_digest_covers_the_assigned_site(self, tri_world):
+        _, _, _, results = tri_world
+        result = results["round-robin"]
+        first, *rest = result.assignments
+        moved = dataclasses.replace(first, site_index=(first.site_index + 1) % result.n_sites)
+        assert dataclasses.replace(result, assignments=(moved, *rest)).digest() != result.digest()
 
     def test_routers_make_distinct_decisions(self, tri_world):
         _, _, _, results = tri_world

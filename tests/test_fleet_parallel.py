@@ -21,7 +21,6 @@ totals.  Covers, per the perf issue's acceptance bar:
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -66,19 +65,6 @@ PINNED_COMPOSED_HASH = (
 )
 
 
-def _fleet_fingerprint(result) -> str:
-    payload = [
-        (a.job_id, a.site_index, a.site_name, a.submit_time_h, a.dispatch_hour)
-        for a in result.assignments
-    ]
-    for site_result in result.site_results:
-        payload.extend(
-            (r.job_id, r.start_time_h, r.finish_time_h, r.energy_j, r.power_cap_w, r.completed)
-            for r in site_result.job_records
-        )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def tri_world():
     """The seeded tri-site world: fleet, shared session, shared trace."""
@@ -115,8 +101,8 @@ class TestParallelParity:
         parallel = _run(fleet, session, trace, router=router, workers=WORKERS)
         assert serial.step_timings.mode == "serial"
         assert parallel.step_timings.mode == "parallel"
-        assert _fleet_fingerprint(serial) == PINNED_PARALLEL_HASHES[router]
-        assert _fleet_fingerprint(parallel) == PINNED_PARALLEL_HASHES[router]
+        assert serial.digest() == PINNED_PARALLEL_HASHES[router]
+        assert parallel.digest() == PINNED_PARALLEL_HASHES[router]
         assert parallel.assignments == serial.assignments
 
     def test_composed_policy_spec_bit_identical_and_pinned(self, tri_world):
@@ -132,8 +118,8 @@ class TestParallelParity:
             policy=COMPOSED_POLICY,
             workers=WORKERS,
         )
-        assert _fleet_fingerprint(serial) == PINNED_COMPOSED_HASH
-        assert _fleet_fingerprint(parallel) == PINNED_COMPOSED_HASH
+        assert serial.digest() == PINNED_COMPOSED_HASH
+        assert parallel.digest() == PINNED_COMPOSED_HASH
 
     def test_parallel_totals_and_power_series_match_serial(self, tri_world):
         fleet, session, trace = tri_world

@@ -276,16 +276,14 @@ class TestPinnedCompositionParity:
             assert isinstance(scheduler, PolicyPipeline)
             result = _run_policy(compose_worlds[world_name], scheduler, budget=budget)
             expected = PRE_REFACTOR_PIPELINE_HASHES[(world_name, policy, cap, budget)]
-            assert state_parity._records_fingerprint(result) == expected
+            assert result.digest() == expected
 
     @pytest.mark.parametrize("policy", sorted(state_parity.SCHEDULERS))
     def test_explicit_spelling_equals_canned_composition(self, compose_worlds, policy):
         spelled = build_pipeline(state_parity.SCHEDULERS[policy])
         world = compose_worlds["supercloud-small"]
         budget = PARITY_WORLDS["supercloud-small"][1]
-        spelled_fp = state_parity._records_fingerprint(
-            _run_policy(world, spelled, budget=budget)
-        )
+        spelled_fp = _run_policy(world, spelled, budget=budget).digest()
         assert spelled_fp == EXPLICIT_SPELLING_HASHES[policy]
 
 
@@ -431,7 +429,7 @@ class TestPinnedCompositions:
         for budget in budgets:
             result = _run_policy(pinned_worlds[n_jobs], make_scheduler(spec), budget=budget)
             expected = COMPOSED_POLICY_HASHES[(n_jobs, spec, budget)]
-            assert state_parity._records_fingerprint(result) == expected
+            assert result.digest() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +509,7 @@ class TestLifecycleHooks:
         observed = _run_policy(
             world, make_scheduler("carbon-aware"), observers=[RecordingObserver()]
         )
-        assert state_parity._records_fingerprint(
-            observed
-        ) == state_parity._records_fingerprint(plain)
+        assert observed.digest() == plain.digest()
 
     def test_pipeline_observers_attach_automatically(self, compose_worlds):
         scheduler = make_scheduler("backfill+adaptive(budget_w=15000.0)")

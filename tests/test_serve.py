@@ -24,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifacts.keys import stable_hash
 from repro.errors import ServeError
+from repro.experiments import ExperimentSession
 from repro.serve import ServeClient, ServeDaemon
 
 HORIZON_H = 72.0
@@ -93,6 +95,35 @@ class TestSessionLifecycle:
         summary = client.finalize("s1")["summary"]
         assert summary["completed_jobs"] > 0
         assert client.session_status("s1")["finalized"] is True
+
+    def test_finalize_digest_equals_simulate_policy(self, client):
+        _create(client, policy="carbon-aware")
+        served = client.finalize("s1")["digest"]
+        reference = ExperimentSession("supercloud-small").simulate_policy(
+            "carbon-aware", n_jobs=60, horizon_h=HORIZON_H
+        )
+        assert served == reference.digest()
+
+    def test_finalize_with_no_started_job_is_strict_json(self, daemon, client):
+        _create(client, preload_jobs=0, horizon_h=4.0)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        connection = _raw(daemon)
+        try:
+            status, _, body = _exchange(connection, "POST", "/sessions/s1/finalize", "{}")
+        finally:
+            connection.close()
+        summary = json.loads(body, parse_constant=reject)["summary"]
+        assert status == 200
+        assert summary["mean_wait_h"] is None and summary["p95_wait_h"] is None
+
+    def test_spec_hash_is_the_canonical_spec_identity(self, daemon, client):
+        spec_hash = _create(client, session_id="a")["spec_hash"]
+        assert _create(client, session_id="b", policy="carbon-aware")["spec_hash"] == spec_hash
+        assert spec_hash == stable_hash(daemon.manager.get("a").spec.to_dict())[:16]
+        assert _create(client, session_id="c", seed=99)["spec_hash"] != spec_hash
 
     def test_mid_run_submission_runs(self, client):
         _create(client, preload_jobs=0)

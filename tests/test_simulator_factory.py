@@ -13,7 +13,6 @@ touches the cluster's state rows and counters.
 from __future__ import annotations
 
 import ast
-import hashlib
 import pathlib
 
 import pytest
@@ -33,23 +32,6 @@ SCENARIO = "supercloud-small"
 N_JOBS = 200
 HORIZON_H = 5 * 24.0
 BUDGET_W = 18000.0
-
-
-def _fingerprint(result) -> str:
-    """sha256 over every job record's outcome fields."""
-    records = [
-        (
-            record.job_id,
-            record.start_time_h,
-            record.finish_time_h,
-            record.energy_j,
-            record.power_cap_w,
-            record.completed,
-            record.missed_deadline,
-        )
-        for record in result.job_records
-    ]
-    return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
 #: ``simulate_policy`` on supercloud-small: (policy, cap, facility budget) -> digest.
@@ -89,7 +71,7 @@ def test_simulate_policy_records_pinned(session, key):
         power_cap_fraction=cap,
         facility_power_budget_w=budget,
     )
-    assert _fingerprint(result) == SIMULATE_POLICY_HASHES[key]
+    assert result.digest() == SIMULATE_POLICY_HASHES[key]
 
 
 def test_optimize_operations_records_pinned(session):
@@ -97,7 +79,7 @@ def test_optimize_operations_records_pinned(session):
         n_jobs=N_JOBS, horizon_h=HORIZON_H, points=OPTIMIZE_POINTS
     )
     digests = {
-        (e.point.label(), e.point.facility_power_budget_w): _fingerprint(e.result)
+        (e.point.label(), e.point.facility_power_budget_w): e.result.digest()
         for e in outcome.evaluated
     }
     assert digests == OPTIMIZE_HASHES
@@ -118,7 +100,7 @@ def test_served_session_records_pinned(session):
     )
     served.advance_to(HORIZON_H)
     served.finalize()
-    assert _fingerprint(served.result) == SERVE_HASH
+    assert served.result.digest() == SERVE_HASH
 
 
 # ---------------------------------------------------------------------------
