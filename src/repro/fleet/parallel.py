@@ -8,17 +8,20 @@ processes while the *routing* stays in the coordinator, which is what keeps
 parallel runs bit-identical to serial ones:
 
 * Each worker process hosts one or more member sites (assigned round-robin by
-  member index) and speaks a small command protocol over a duplex
-  :func:`multiprocessing.Pipe`: ``begin`` / ``submit-batch`` / ``advance`` /
-  ``snapshot`` / ``finalize`` / ``stop``.
+  member index) and gets the run's sorted job trace once, as a process
+  argument.  It speaks a small command protocol over a duplex
+  :func:`multiprocessing.Pipe`: ``begin`` / ``advance`` / ``snapshot`` /
+  ``finalize`` / ``stop``.
 * The coordinator routes one hourly window at a time from the workers'
-  :class:`~repro.fleet.routing.SiteSnapshot`\\ s, ships one batched
-  ``submit-batch`` message per worker per window, then pipelines the
-  ``advance`` command behind it — pipes are ordered, so the submit lands
-  first and no round trip is paid between the two.
+  :class:`~repro.fleet.routing.SiteSnapshot`\\ s and records each routed job
+  as its *position* in the trace.  The window's positions ride in the
+  ``advance`` command itself (``snapshot`` and ``finalize`` carry them the
+  same way); the host that steps a site clones ``trace[position]`` and
+  submits the clone before it advances.  No :class:`~repro.scheduler.job.Job`
+  crosses a pipe.
 * The ``advance`` reply carries the post-advance snapshot of every hosted
   site, so routing the next window needs no extra exchange: steady state is
-  exactly two messages down and one message up, per worker, per window.
+  exactly one message down and one message up, per worker, per window.
 
 Routers (which may be stateful, e.g. ``round-robin``'s cursor) never cross
 the process boundary, job batches are routed in trace order, and workers
@@ -49,6 +52,10 @@ from ..obs.recorder import NULL_RECORDER, SpanRecord, TraceRecorder, get_recorde
 from ..scheduler.job import Job
 from .routing import SiteSnapshot
 
+#: Per-site trace positions to submit, keyed by member index, each list in
+#: dispatch order.
+_Positions = Mapping[int, Sequence[int]]
+
 __all__ = [
     "SitePayload",
     "SiteFinal",
@@ -62,13 +69,14 @@ def fleet_start_method() -> str:
     """The multiprocessing start method fleet workers use.
 
     ``fork`` where the platform offers it: workers inherit the registries
-    (custom policies, scorers, scheduler stages) and the shipped substrates
-    without a pickling round trip.  A worker's start is then building its
-    sites' simulators plus, for a grid whose hourly series the coordinator
-    has not read yet, deriving those series (:class:`SitePayload`): about
-    90 ms for a worker hosting five 24-month sites on a 2-vCPU Xeon host.
-    Elsewhere (``spawn`` platforms) the payloads below are fully picklable,
-    at the cost of a slower worker start.
+    (custom policies, scorers, scheduler stages), the shipped substrates and
+    the job trace without a pickling round trip.  A worker's start is then
+    building its sites' simulators plus, for a grid whose hourly series the
+    coordinator has not read yet, deriving those series (:class:`SitePayload`):
+    about 90 ms for a worker hosting five 24-month sites on a 2-vCPU Xeon
+    host.  Elsewhere (``spawn`` platforms) the payloads and the trace are
+    fully picklable, pickled once per worker at its start, at the cost of a
+    slower worker start.
     """
     return "fork" if "fork" in mp.get_all_start_methods() else mp.get_start_method(allow_none=False)
 
@@ -137,20 +145,29 @@ class SiteHost:
     """The member sites one process steps: the serial backend and a worker.
 
     Speaks the bulk operations of :class:`FleetWorkerPool` (``begin``,
-    ``submit_batch``, ``advance``, ``snapshot``, ``finalize``), so
+    ``advance``, ``snapshot``, ``finalize``), so
     :meth:`~repro.fleet.simulator.FleetSimulator.run` drives both stepping
     modes with one coordinator loop, and a worker process is this class
     behind a pipe.
 
-    Each site's ``advance`` is timed with ``perf_counter``.  With ``traced``
-    it is also recorded as a ``fleet.site_advance`` span into a private
-    recorder, shipped in :class:`SiteFinal` for the coordinator to merge, so
-    an untraced run builds no spans at all.
+    ``trace`` is the run's job trace in dispatch order.  ``advance``,
+    ``snapshot`` and ``finalize`` first submit the jobs routed since the
+    previous command, given as per-site lists of positions in ``trace``: a
+    fresh PENDING clone of each, so the trace itself is never mutated.
+
+    Each site's step (submitting its window's jobs, then ``advance``) is
+    timed with ``perf_counter``.  With ``traced`` it is also recorded as a
+    ``fleet.site_advance`` span into a private recorder, shipped in
+    :class:`SiteFinal` for the coordinator to merge, so an untraced run
+    builds no spans at all.
     """
 
     n_workers = 1
 
-    def __init__(self, payloads: Sequence[SitePayload], *, traced: bool) -> None:
+    def __init__(
+        self, payloads: Sequence[SitePayload], trace: Sequence[Job], *, traced: bool
+    ) -> None:
+        self._trace = trace
         self._sims = {payload.index: build_site_simulator(payload) for payload in payloads}
         self._names = {payload.index: payload.spec.name for payload in payloads}
         self._indices = sorted(self._sims)
@@ -168,36 +185,45 @@ class SiteHost:
         """The hosted member indices, ascending."""
         return list(self._indices)
 
-    def snapshot(self, at_h: float) -> dict[int, SiteSnapshot]:
-        """Per-site routing views at ``at_h`` without advancing anything."""
+    def _snapshots(self, at_h: float) -> dict[int, SiteSnapshot]:
         return {
             index: SiteSnapshot.of(self._sims[index], index, self._names[index], at_h)
             for index in self._indices
         }
 
+    def _submit(self, index: int, positions: Sequence[int]) -> None:
+        submit, trace = self._sims[index].submit, self._trace
+        for position in positions:
+            submit(trace[position].clone_pending())
+
     def begin(self) -> dict[int, SiteSnapshot]:
         for index in self._indices:
             self._sims[index].begin()
-        return self.snapshot(0.0)
+        return self._snapshots(0.0)
 
-    def submit_batch(self, batches: Mapping[int, Sequence[Job]]) -> None:
-        for index in sorted(batches):
-            simulator = self._sims[index]
-            for job in batches[index]:
-                simulator.submit(job)
+    def snapshot(self, at_h: float, positions: _Positions) -> dict[int, SiteSnapshot]:
+        """Submit ``positions``, then per-site routing views at ``at_h``."""
+        for index, site_positions in positions.items():
+            self._submit(index, site_positions)
+        return self._snapshots(at_h)
 
-    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteSnapshot]:
+    def advance(
+        self, until_h: float, snapshot_h: float, positions: _Positions
+    ) -> dict[int, SiteSnapshot]:
         recorder = self._recorder
         for index in self._indices:
             start = time.perf_counter()
             with recorder.span(
                 "fleet.site_advance", site=self._names[index], index=index, until_h=until_h
             ):
+                self._submit(index, positions.get(index, ()))
                 self._sims[index].advance(until_h)
             self._advance_s[index] += time.perf_counter() - start
-        return self.snapshot(snapshot_h)
+        return self._snapshots(snapshot_h)
 
-    def finalize(self) -> dict[int, SiteFinal]:
+    def finalize(self, positions: _Positions) -> dict[int, SiteFinal]:
+        for index, site_positions in positions.items():
+            self._submit(index, site_positions)
         spans: dict[int, list[SpanRecord]] = {index: [] for index in self._indices}
         for record in self._recorder.spans:
             spans[record.attributes["index"]].append(record)
@@ -217,54 +243,44 @@ class SiteHost:
 # ---------------------------------------------------------------------------
 
 
-def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
+def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload], trace: Sequence[Job]) -> None:
     """One worker process: build the hosted sites, then serve the protocol.
 
-    Replies are ``("ok", payload)`` or ``("error", message)``.  Commands that
-    send no reply (``submit-batch``) defer any failure to the next replying
-    command, so the coordinator's pipelined send pattern still observes it.
+    Every command but ``stop`` gets one reply: ``("ok", payload)`` or
+    ``("error", message)``.
     """
     # Fork-started workers inherit the coordinator's ambient recorder: site
     # spans are recorded only when it is enabled.  Reset it so instrumented
     # layers in this process stay no-op.
     traced = get_recorder().enabled
     set_recorder(NULL_RECORDER)
-    deferred_error: Optional[str] = None
     try:
         try:
-            host = SiteHost(payloads, traced=traced)
+            host = SiteHost(payloads, trace, traced=traced)
         except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator
             conn.send(("error", str(exc)))
             return
         conn.send(("ok", host.indices))
+        handlers = {
+            "begin": host.begin,
+            "advance": host.advance,
+            "snapshot": host.snapshot,
+            "finalize": host.finalize,
+        }
         while True:
-            message = conn.recv()
-            command = message[0]
+            command, *args = conn.recv()
             if command == "stop":
                 return
+            handler = handlers.get(command)
+            if handler is None:
+                conn.send(("error", f"unknown fleet worker command {command!r}"))
+                continue
             try:
-                if deferred_error is not None and command != "submit-batch":
-                    error, deferred_error = deferred_error, None
-                    conn.send(("error", error))
-                    continue
-                if command == "begin":
-                    conn.send(("ok", host.begin()))
-                elif command == "submit-batch":
-                    host.submit_batch(message[1])
-                elif command == "advance":
-                    _, until_h, snapshot_h = message
-                    conn.send(("ok", host.advance(until_h, snapshot_h)))
-                elif command == "snapshot":
-                    conn.send(("ok", host.snapshot(message[1])))
-                elif command == "finalize":
-                    conn.send(("ok", host.finalize()))
-                else:
-                    conn.send(("error", f"unknown fleet worker command {command!r}"))
+                reply = handler(*args)
             except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator
-                if command == "submit-batch":
-                    deferred_error = str(exc)
-                else:
-                    conn.send(("error", str(exc)))
+                conn.send(("error", str(exc)))
+            else:
+                conn.send(("ok", reply))
     except (EOFError, OSError, KeyboardInterrupt):  # coordinator went away
         return
     finally:
@@ -292,18 +308,24 @@ class FleetWorkerPool:
     """Coordinator end of the fleet worker protocol.
 
     Spawns ``n_workers`` processes (capped at the number of sites), assigns
-    member sites round-robin by index, and exposes the protocol as bulk
-    operations over all sites: every method sends to the relevant workers
-    first and only then collects replies, so workers run concurrently.
+    member sites round-robin by index, hands every worker the whole
+    ``trace``, and exposes the protocol as bulk operations over all sites:
+    every method sends one message to each worker first and only then
+    collects replies, so workers run concurrently.  ``positions`` (per-site
+    trace positions to submit before the command runs, see
+    :class:`SiteHost`) are split so each worker gets its own sites' lists.
 
     Use as a context manager; :meth:`close` is idempotent and always
     terminates stragglers.
     """
 
-    def __init__(self, payloads: Sequence[SitePayload], n_workers: int) -> None:
+    def __init__(
+        self, payloads: Sequence[SitePayload], trace: Sequence[Job], n_workers: int
+    ) -> None:
         if not payloads:
             raise FleetError("fleet worker pool needs at least one site payload")
         self._payloads = tuple(payloads)
+        self._trace = trace
         self.n_workers = max(1, min(int(n_workers), len(self._payloads)))
         self.workers: list[_WorkerHandle] = []
         self._closed = False
@@ -321,7 +343,7 @@ class FleetWorkerPool:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_fleet_worker_main,
-                args=(child_conn, worker_payloads),
+                args=(child_conn, worker_payloads, self._trace),
                 daemon=True,
             )
             process.start()
@@ -405,42 +427,31 @@ class FleetWorkerPool:
     # ------------------------------------------------------------------
     # Protocol operations (bulk, over all sites)
     # ------------------------------------------------------------------
+    def _exchange(self, command: str, *args: Any, positions: _Positions) -> dict[int, Any]:
+        """Send ``command`` with each worker's share of ``positions``; merge replies."""
+        for worker in self.workers:
+            hosted = worker.site_indices
+            share = {index: positions[index] for index in hosted if index in positions}
+            self._send(worker, (command, *args, share))
+        return self._collect(self.workers)
+
     def begin(self) -> dict[int, SiteSnapshot]:
         """``begin`` every site; returns each site's snapshot at hour 0."""
         for worker in self.workers:
             self._send(worker, ("begin",))
         return self._collect(self.workers)
 
-    def submit_batch(self, batches: Mapping[int, Sequence[Job]]) -> None:
-        """Ship one window's routed jobs — one message per involved worker.
+    def advance(
+        self, until_h: float, snapshot_h: float, positions: _Positions
+    ) -> dict[int, SiteSnapshot]:
+        """Submit ``positions``, advance every site to ``until_h``; returns
+        snapshots at ``snapshot_h``."""
+        return self._exchange("advance", until_h, snapshot_h, positions=positions)
 
-        Sends no reply (the next ``advance``/``snapshot``/``finalize`` reply
-        reports any deferred submit failure), so the coordinator can pipeline
-        the window's ``advance`` right behind it.
-        """
-        if not batches:
-            return
-        for worker in self.workers:
-            worker_batches = {
-                index: list(batches[index]) for index in worker.site_indices if index in batches
-            }
-            if worker_batches:
-                self._send(worker, ("submit-batch", worker_batches))
+    def snapshot(self, at_h: float, positions: _Positions) -> dict[int, SiteSnapshot]:
+        """Submit ``positions``; returns per-site snapshots at ``at_h``."""
+        return self._exchange("snapshot", at_h, positions=positions)
 
-    def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteSnapshot]:
-        """Advance every site to ``until_h``; returns snapshots at ``snapshot_h``."""
-        for worker in self.workers:
-            self._send(worker, ("advance", until_h, snapshot_h))
-        return self._collect(self.workers)
-
-    def snapshot(self, at_h: float) -> dict[int, SiteSnapshot]:
-        """Fresh per-site snapshots at ``at_h`` without advancing anything."""
-        for worker in self.workers:
-            self._send(worker, ("snapshot", at_h))
-        return self._collect(self.workers)
-
-    def finalize(self) -> dict[int, SiteFinal]:
-        """Finalize every site; returns results and timings."""
-        for worker in self.workers:
-            self._send(worker, ("finalize",))
-        return self._collect(self.workers)
+    def finalize(self, positions: _Positions) -> dict[int, SiteFinal]:
+        """Submit ``positions``, finalize every site; returns results and timings."""
+        return self._exchange("finalize", positions=positions)

@@ -71,9 +71,10 @@ class FleetStepTimings:
         advance loop, or — in parallel mode — the time waiting on the
         workers' ``advance`` replies.
     site_advance_s:
-        Per-site cumulative ``advance`` wall seconds, in member order
-        (measured inside the worker for parallel runs).  Their max is the
-        parallel critical path; their sum is the serial cost.
+        Per-site cumulative wall seconds of submitting each window's routed
+        jobs and ``advance``, in member order (measured inside the worker
+        for parallel runs).  Their max is the parallel critical path; their
+        sum is the serial cost.
     """
 
     mode: str

@@ -71,6 +71,9 @@ class FleetSimulator:
         resolved worker count of 1 steps every site in-process (serial
         lockstep); more than one worker steps the sites on worker processes
         (:mod:`repro.fleet.parallel`) with bit-identical per-site records.
+        Each worker gets the job trace once, at its start; a window then
+        costs one message down and one up per worker, carrying trace
+        positions and site snapshots, never jobs.
         ``n_workers=0`` means "all cores".  Unlike the sweep layer,
         ``min_tasks_for_processes`` does not apply here — an explicit
         multi-worker request always parallelises, even a one-site fleet
@@ -150,9 +153,11 @@ class FleetSimulator:
         """Co-simulate the fleet over a job trace and return the fleet result.
 
         ``jobs`` defaults to the shared workload trace
-        (:meth:`shared_job_trace`); explicit traces are dispatched as given.
-        Jobs are cloned at dispatch, so the input trace can be reused across
-        routers and runs.
+        (:meth:`shared_job_trace`); explicit traces are dispatched in a
+        stable sort by submit time.  Routing records each job's position in
+        that sorted copy, and the host stepping the chosen site submits a
+        fresh clone of it, so the input trace is never mutated and can be
+        reused across routers and runs.
         """
         trace = list(jobs) if jobs is not None else self.shared_job_trace(n_jobs=n_jobs)
         # Stable sort: same-instant jobs keep trace order, so a site's event
@@ -175,9 +180,10 @@ class FleetSimulator:
         self.router.begin_fleet(len(members))
 
         def route_window(
-            window: Sequence[Job], states: Mapping[int, SiteSnapshot], now_h: float, hour: int
-        ) -> dict[int, list[Job]]:
-            """Route one window's arrivals; returns per-site submit batches.
+            first: int, stop: int, states: Mapping[int, SiteSnapshot], now_h: float, hour: int
+        ) -> dict[int, list[int]]:
+            """Route the arrivals ``trace[first:stop]``; returns per-site
+            trace positions, each list in dispatch order.
 
             ``states`` are the sites' fresh snapshots; each gets its
             cumulative ``dispatched`` count here, and the receiving site's
@@ -188,8 +194,9 @@ class FleetSimulator:
             snapshots = [states[index] for index in range(len(members))]
             for snapshot in snapshots:
                 snapshot.dispatched = dispatched[snapshot.index]
-            batches: dict[int, list[Job]] = {}
-            for job in window:
+            positions: dict[int, list[int]] = {}
+            for position in range(first, stop):
+                job = trace[position]
                 index = self.router.select(job, snapshots, now_h)
                 if not 0 <= index < len(members):
                     raise FleetError(
@@ -200,7 +207,7 @@ class FleetSimulator:
                 chosen = snapshots[index]
                 chosen.queue_length += 1
                 chosen.dispatched = dispatched[index]
-                batches.setdefault(index, []).append(job.clone_pending())
+                positions.setdefault(index, []).append(position)
                 assignments.append(
                     JobAssignment(
                         job_id=job.job_id,
@@ -210,7 +217,7 @@ class FleetSimulator:
                         dispatch_hour=hour,
                     )
                 )
-            return batches
+            return positions
 
         n_hours = int(math.ceil(self.horizon_h))
         cursor = 0
@@ -223,29 +230,31 @@ class FleetSimulator:
             mode=mode,
             n_sites=len(members),
         ), (
-            FleetWorkerPool(payloads, workers)
+            FleetWorkerPool(payloads, trace, workers)
             if workers > 1
-            else SiteHost(payloads, traced=recorder.enabled)
+            else SiteHost(payloads, trace, traced=recorder.enabled)
         ) as backend:
             states = backend.begin()
             for hour in range(n_hours):
                 # Route this window's arrivals first, then advance every site
                 # through the window — submits at instant `hour` must be
-                # enqueued before that instant's events are drained.
-                window = []
-                while cursor < len(trace) and trace[cursor].submit_time_h < hour + 1:
-                    window.append(trace[cursor])
-                    cursor += 1
-                if window:
+                # enqueued before that instant's events are drained, so the
+                # advance command carries them.
+                stop = cursor
+                while stop < len(trace) and trace[stop].submit_time_h < hour + 1:
+                    stop += 1
+                positions: dict[int, list[int]] = {}
+                if stop > cursor:
                     start = time.perf_counter()
-                    with recorder.span("fleet.route", hour=hour, n_jobs=len(window)):
-                        batches = route_window(window, states, float(hour), hour)
+                    with recorder.span("fleet.route", hour=hour, n_jobs=stop - cursor):
+                        positions = route_window(cursor, stop, states, float(hour), hour)
                     route_s += time.perf_counter() - start
-                    backend.submit_batch(batches)
+                    cursor = stop
                 start = time.perf_counter()
                 with recorder.span("fleet.advance", hour=hour):
-                    states = backend.advance(hour + 1.0, float(hour + 1))
+                    states = backend.advance(hour + 1.0, float(hour + 1), positions)
                 advance_s += time.perf_counter() - start
+            tail: dict[int, list[int]] = {}
             if cursor < len(trace):
                 # Jobs submitting at/after the horizon still get routed (and
                 # recorded as never-started), so every generated job is
@@ -254,15 +263,14 @@ class FleetSimulator:
                 # series end at the horizon boundary, and the hour after the
                 # simulation ends carries no signal.
                 tail_h = min(self.horizon_h, float(max(n_hours - 1, 0)))
-                states = backend.snapshot(tail_h)
+                states = backend.snapshot(tail_h, {})
                 start = time.perf_counter()
                 with recorder.span(
                     "fleet.route", hour=n_hours, n_jobs=len(trace) - cursor, tail=True
                 ):
-                    batches = route_window(trace[cursor:], states, tail_h, n_hours)
+                    tail = route_window(cursor, len(trace), states, tail_h, n_hours)
                 route_s += time.perf_counter() - start
-                backend.submit_batch(batches)
-            finals = backend.finalize()
+            finals = backend.finalize(tail)
         total_s = time.perf_counter() - run_start
 
         step_timings = FleetStepTimings(

@@ -11,6 +11,10 @@ totals.  Covers, per the perf issue's acceptance bar:
   caught) plus a composed per-site policy spec;
 * the degenerate one-site fleet on the worker path vs.
   :meth:`~repro.experiments.ExperimentSession.simulate_policy`;
+* spawn-started workers and a trace given out of submit order matching the
+  serial run;
+* the wire protocol: one message per worker per window, carrying trace
+  positions and never a pickled job;
 * worker death and worker-side exceptions surfacing as typed
   :class:`~repro.errors.FleetError`\\ s naming the hosted sites;
 * the :class:`~repro.fleet.result.FleetStepTimings` breakdown;
@@ -38,7 +42,7 @@ from repro.fleet.parallel import (
 )
 from repro.fleet.routing import Router, SiteSnapshot
 from repro.parallel import ParallelConfig
-from repro.scheduler.job import Job
+from repro.scheduler.job import Job, JobState
 
 SEED = 7
 N_MONTHS = 2
@@ -144,6 +148,29 @@ class TestParallelParity:
         _run(fleet, session, trace, router="round-robin", workers=WORKERS)
         assert [(job.job_id, job.state, job.submit_time_h) for job in trace] == before
 
+    def test_reversed_trace_matches_serial_and_stays_in_caller_order(self, tri_world):
+        # Trace positions index the run's sorted copy, not the caller's list:
+        # a worker that read the caller's order would submit other jobs.
+        fleet, session, trace = tri_world
+        reversed_trace = list(reversed(trace))
+        serial = _run(fleet, session, reversed_trace, router="least-queued")
+        parallel = _run(fleet, session, reversed_trace, router="least-queued", workers=2)
+        assert parallel.digest() == serial.digest()
+        assert [job.job_id for job in reversed_trace] == [job.job_id for job in trace][::-1]
+        assert all(job.state is JobState.PENDING for job in reversed_trace)
+
+    def test_spawn_started_workers_match_serial(self, tri_world, monkeypatch):
+        # Under spawn the payloads and the trace are pickled into each
+        # worker instead of inherited.
+        fleet, session, _ = tri_world
+        serial = FleetSimulator(fleet, horizon_h=24.0, session=session).run(n_jobs=200)
+        monkeypatch.setattr("repro.fleet.parallel.fleet_start_method", lambda: "spawn")
+        spawned = FleetSimulator(
+            fleet, horizon_h=24.0, parallel=ParallelConfig(n_workers=2), session=session
+        ).run(n_jobs=200)
+        assert spawned.step_timings.mode == "parallel"
+        assert spawned.digest() == serial.digest()
+
 
 # ---------------------------------------------------------------------------
 # Degenerate one-site fleet on the worker path
@@ -190,40 +217,37 @@ def pool_payloads(tri_world):
 
 class TestWorkerFailures:
     def test_dead_worker_raises_fleet_error_naming_its_sites(self, pool_payloads):
-        with FleetWorkerPool(pool_payloads, 2) as pool:
+        with FleetWorkerPool(pool_payloads, [], 2) as pool:
             pool.begin()
             victim = pool.workers[0]
             victim.process.kill()
             victim.process.join(timeout=5.0)
             with pytest.raises(FleetError, match="supercloud-small") as excinfo:
-                pool.advance(1.0, 1.0)
+                pool.advance(1.0, 1.0, {})
             message = str(excinfo.value)
             assert "cannot continue" in message
             for name in victim.site_names:
                 assert repr(name) in message
 
     def test_worker_side_exception_surfaces_as_fleet_error(self, pool_payloads):
-        with FleetWorkerPool(pool_payloads, 2) as pool:
+        job = Job(job_id="dup", user_id="u", n_gpus=1, duration_h=1.0, submit_time_h=0.0)
+        with FleetWorkerPool(pool_payloads, [job, job], 2) as pool:
             pool.begin()
-            job = Job(
-                job_id="dup", user_id="u", n_gpus=1, duration_h=1.0, submit_time_h=0.0
-            )
-            # A deliberately invalid batch: the duplicate id raises inside the
-            # worker, deferred to the next replying command (submit-batch
-            # itself sends no reply so advance can pipeline behind it).
-            pool.submit_batch({0: [job.clone_pending(), job.clone_pending()]})
+            # A deliberately invalid window: submitting both trace positions
+            # to one site raises the duplicate id inside the worker, which
+            # replies to the advance that carried them with the error.
             with pytest.raises(FleetError, match="duplicate job id 'dup'"):
-                pool.advance(1.0, 1.0)
+                pool.advance(1.0, 1.0, {0: [0, 1]})
 
     def test_failed_worker_refuses_further_exchanges(self, pool_payloads):
-        with FleetWorkerPool(pool_payloads, 2) as pool:
+        with FleetWorkerPool(pool_payloads, [], 2) as pool:
             pool.begin()
             pool.workers[0].process.kill()
             pool.workers[0].process.join(timeout=5.0)
             with pytest.raises(FleetError):
-                pool.advance(1.0, 1.0)
+                pool.advance(1.0, 1.0, {})
             with pytest.raises(FleetError, match="already failed"):
-                pool.snapshot(1.0)
+                pool.snapshot(1.0, {})
 
     def test_unbuildable_site_fails_at_start(self, pool_payloads):
         # A horizon longer than the member's substrate series cannot be
@@ -241,7 +265,7 @@ class TestWorkerFailures:
             for p in pool_payloads
         ]
         with pytest.raises(FleetError, match="cannot host"):
-            with FleetWorkerPool(bad, 2):
+            with FleetWorkerPool(bad, [], 2):
                 pass
 
 
@@ -251,13 +275,71 @@ class TestWorkerFailures:
 
 
 class TestWorkerProtocol:
+    def test_one_message_per_worker_per_window_and_no_jobs_sent(
+        self, tri_world, monkeypatch
+    ):
+        fleet, session, trace = tri_world
+        trailing = [
+            Job(job_id=f"trailing-{i}", user_id="u", n_gpus=1, duration_h=1.0,
+                submit_time_h=HORIZON_H + 1.0 + 10.0 * i)
+            for i in range(2)
+        ]
+        sent = []
+        send = FleetWorkerPool._send
+
+        def recording_send(self, worker, message):
+            sent.append((worker.site_indices, message))
+            send(self, worker, message)
+
+        monkeypatch.setattr(FleetWorkerPool, "_send", recording_send)
+        jobs = list(trace) + trailing
+        result = _run(fleet, session, jobs, router="least-queued", workers=2)
+
+        def holds_job(value):
+            if isinstance(value, Job):
+                return True
+            if isinstance(value, dict):
+                return any(holds_job(v) for v in value.values())
+            if isinstance(value, (tuple, list)):
+                return any(holds_job(v) for v in value)
+            return False
+
+        assert [message[0] for _, message in sent[:2]] == ["begin", "begin"]
+        after_begin = sent[2:]
+        assert not any(holds_job(message) for _, message in after_begin)
+        hosted = {indices for indices, _ in after_begin}
+        assert len(hosted) == 2
+        for indices in hosted:
+            commands = [m[0] for i, m in after_begin if i == indices]
+            assert commands == ["advance"] * int(HORIZON_H) + ["snapshot", "finalize"]
+        # Every trace position is sent once, to the worker hosting its site.
+        sent_positions = sorted(
+            position
+            for indices, message in after_begin
+            for index, positions in message[-1].items()
+            for position in positions
+            if index in indices
+        )
+        assert sent_positions == list(range(len(jobs)))
+        records = {
+            record.job_id: (index, record)
+            for index, site in enumerate(result.site_results)
+            for record in site.job_records
+        }
+        sites = {a.job_id: a.site_index for a in result.assignments}
+        for job in trailing:
+            index, record = records[job.job_id]
+            assert index == sites[job.job_id]
+            assert record.start_time_h is None
+            assert record.completed is False
+
     def test_mid_run_snapshot(self, pool_payloads):
-        with FleetWorkerPool(pool_payloads, 2) as pool:
+        with FleetWorkerPool(pool_payloads, [], 2) as pool:
             assert pool.n_workers == 2
             states = pool.begin()
             assert sorted(states) == [0, 1, 2]
-            pool.advance(3.0, 3.0)
-            again = pool.snapshot(3.0)
+            pool.advance(3.0, 3.0, {})
+            again = pool.snapshot(3.0, {})
             assert sorted(again) == [0, 1, 2]
 
     def test_states_match_inprocess_simulator(self, pool_payloads):
@@ -265,14 +347,14 @@ class TestWorkerProtocol:
         reference = build_site_simulator(payload)
         reference.begin()
         reference.advance(2.0)
-        with FleetWorkerPool(pool_payloads, 2) as pool:
+        with FleetWorkerPool(pool_payloads, [], 2) as pool:
             pool.begin()
-            states = pool.advance(2.0, 2.0)
+            states = pool.advance(2.0, 2.0, {})
         expected = SiteSnapshot.of(reference, payload.index, payload.spec.name, 2.0)
         assert states[payload.index] == expected
 
     def test_worker_count_capped_at_sites_and_close_idempotent(self, pool_payloads):
-        pool = FleetWorkerPool(pool_payloads, 64)
+        pool = FleetWorkerPool(pool_payloads, [], 64)
         assert pool.n_workers == len(pool_payloads)
         with pool:
             pool.begin()
@@ -281,7 +363,7 @@ class TestWorkerProtocol:
 
     def test_empty_payloads_raise(self):
         with pytest.raises(FleetError, match="at least one site payload"):
-            FleetWorkerPool([], 2)
+            FleetWorkerPool([], [], 2)
 
     def test_start_method_is_a_registered_one(self):
         import multiprocessing as mp
