@@ -303,7 +303,10 @@ class LegacyScanCluster:
             locations.append((gpu.node_id, gpu.index))
         for node in self.nodes:
             node.refresh_state()
-        allocation = Allocation(job_id=job_id, gpu_locations=tuple(locations))
+        # The simulator bills a job's energy from its record's per-GPU power.
+        utilization = float(utilization)
+        per_gpu_power = self.gpu_power_model.power_w_scalar(utilization, power_limit_w)
+        allocation = Allocation(job_id, tuple(locations), utilization, power_limit_w, per_gpu_power)
         self._allocations[job_id] = allocation
         return allocation
 

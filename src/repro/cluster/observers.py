@@ -21,9 +21,9 @@ state (e.g. the adaptive power-cap stage) get wired into the loop they need.
 
 Every hook receives the simulator itself, giving observers access to the
 cluster, the running set and the delta-maintained IT power through public
-accessors.  An observer that changes allocation power caps must call
-:meth:`~repro.cluster.simulator.ClusterSimulator.refresh_it_power` so the
-cached total reflects the change.
+accessors.  An observer re-caps a running job through
+:meth:`~repro.cluster.simulator.ClusterSimulator.set_power_cap`, which bills
+the segment run at the old cap and refreshes the cached IT power.
 
 The bundled :class:`MetricsObserver` turns the hooks into
 :mod:`repro.obs.metrics` series when tracing is on.

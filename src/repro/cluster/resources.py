@@ -69,10 +69,9 @@ class Allocation:
 
     job_id: str
     gpu_locations: tuple[tuple[int, int], ...]  # (node_id, gpu_index) pairs
-    # Defaults let a bare placement be built from the two fields above.
-    utilization: float = 1.0
-    power_limit_w: Optional[float] = None
-    per_gpu_power_w: float = 0.0
+    utilization: float
+    power_limit_w: Optional[float]
+    per_gpu_power_w: float
 
     @property
     def n_gpus(self) -> int:
@@ -275,8 +274,8 @@ class Cluster:
             self._busy_power_w = 0.0
         return allocation
 
-    def set_power_limit(self, job_id: str, power_limit_w: Optional[float]) -> None:
-        """Change the power cap on every GPU held by ``job_id``."""
+    def set_power_limit(self, job_id: str, power_limit_w: Optional[float]) -> Allocation:
+        """Change the power cap on every GPU held by ``job_id``, returning the replaced record."""
         allocation = self._allocations.get(job_id)
         if allocation is None:
             raise ResourceError(f"job {job_id!r} holds no allocation")
@@ -284,6 +283,7 @@ class Cluster:
         new_power = self.gpu_power_model.power_w_scalar(allocation.utilization, cap)
         self._allocations[job_id] = replace(allocation, power_limit_w=cap, per_gpu_power_w=new_power)
         self._busy_power_w += allocation.n_gpus * (new_power - allocation.per_gpu_power_w)
+        return allocation
 
     def drain_nodes(self, n_nodes: int) -> int:
         """Administratively drain up to ``n_nodes`` currently idle nodes.

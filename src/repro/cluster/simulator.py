@@ -33,6 +33,12 @@ Design notes
   bisected into a parallel list of keys, and a started job is found by its
   key and deleted, so a round hands the policy its queue without copying or
   sorting it.
+* Per-job energy is billed here and nowhere else: a job's GPUs' power, read
+  from its allocation record, times the hours it ran at that cap.
+  :meth:`ClusterSimulator.set_power_cap` bills the segment a re-cap closes,
+  and a job's finish bills the open one from the record ``release``
+  returns, so ``job.energy_j`` is final before any
+  ``on_job_finish`` observer reads it.
 * Lifecycle hooks: :class:`~repro.cluster.observers.SimulatorObserver`\\ s
   receive ``on_job_start`` / ``on_job_finish`` / ``on_round`` / ``on_tick``
   callbacks, so adaptive controllers and telemetry live outside the loop.
@@ -401,6 +407,8 @@ class ClusterSimulator:
         self._pending: list[Job] = []
         self._pending_keys: list[tuple] = []
         self._running: dict[str, Job] = {}
+        # Start hour of the open cap segment, for running jobs re-capped mid-run.
+        self._segment_start_h: dict[str, float] = {}
         self._all_jobs: list[Job] = []
         self._seen_ids: set[str] = set()
         self._current_it_power_w = self.cluster.it_power_w()
@@ -497,10 +505,24 @@ class ClusterSimulator:
     def refresh_it_power(self) -> None:
         """Pull the cluster's delta-maintained IT power (O(1) read).
 
-        Observers that change allocation power caps must call this so the
-        cached total reflects the change.
+        :meth:`set_power_cap` calls this after every re-cap.
         """
         self._current_it_power_w = self.cluster.it_power_w()
+
+    def set_power_cap(self, job: Job, cap_w: Optional[float], now_h: float) -> None:
+        """Re-cap a running job at ``now_h`` (``None`` = uncapped).
+
+        Bills the segment the job ran at its old cap into ``job.energy_j``,
+        starts a new segment at ``now_h`` and pushes the cap onto the job's
+        allocation.  The job's finish time is not re-planned: durations are
+        fixed at start.
+        """
+        since_h = self._segment_start_h.get(job.job_id, job.start_time_h)
+        replaced = self.cluster.set_power_limit(job.job_id, cap_w)
+        job.energy_j += job.n_gpus * replaced.per_gpu_power_w * max(now_h - since_h, 0.0) * 3600.0
+        self._segment_start_h[job.job_id] = now_h
+        job.assigned_power_cap_w = cap_w
+        self.refresh_it_power()
 
     # ------------------------------------------------------------------
     # Context
@@ -574,13 +596,12 @@ class ClusterSimulator:
         job = self._running.pop(job_id, None)
         if job is None:
             raise SimulationError(f"finish event for unknown running job {job_id!r}")
-        self.cluster.release(job.job_id)
-        # Per-job attributed energy: its GPUs' power over the time it actually ran.
-        model = self.cluster.gpu_power_model
-        gpu_power = model.power_w_scalar(job.utilization, job.assigned_power_cap_w)
-        start_h = job.start_time_h if job.start_time_h is not None else now_h
-        elapsed_h = max(now_h - start_h, 0.0)
-        energy_j = job.n_gpus * gpu_power * elapsed_h * 3600.0
+        allocation = self.cluster.release(job.job_id)
+        # The open segment: its GPUs' power at the last cap since it was set.
+        since_h = self._segment_start_h.pop(job.job_id, job.start_time_h)
+        energy_j = job.energy_j + (
+            job.n_gpus * allocation.per_gpu_power_w * max(now_h - since_h, 0.0) * 3600.0
+        )
         if completed:
             job.mark_completed(now_h, energy_j)
         else:

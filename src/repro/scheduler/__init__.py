@@ -1,7 +1,7 @@
 """Scheduling & control: jobs, queues, composable policies and power caps.
 
-The scheduler is the ``p`` lever of Eq. 1 and the power-cap controller is part
-of the ``c`` lever.  Policies are built from four independently pluggable
+The scheduler is the ``p`` lever of Eq. 1 and its power stages are part of
+the ``c`` lever.  Policies are built from four independently pluggable
 **stages**, composed by a :class:`PolicyPipeline`:
 
 * **ordering** — the order pending jobs are considered in: submission order
@@ -40,15 +40,14 @@ The package provides:
 * :mod:`~repro.scheduler.stages` — the stage taxonomy listed above.
 * :mod:`~repro.scheduler.pipeline` / :mod:`~repro.scheduler.compose` — the
   one scheduler (:class:`PolicyPipeline`) and the spec grammar / registry.
-* :mod:`~repro.scheduler.powercap` — the adaptive GPU power-cap controller
-  and the cap trade-off sweep (the mechanism shown effective by Frey et al.
-  [15]).
+* :mod:`~repro.scheduler.powercap` — the GPU power-cap trade-off sweep (the
+  mechanism shown effective by Frey et al. [15]).
 """
 
 from .job import Job, JobState
 from .queue import JobQueue, QueuePolicy, SegmentedQueueSystem
 from .base import SchedulingContext, ScheduleDecision
-from .powercap import AdaptivePowerCapController, powercap_energy_tradeoff
+from .powercap import powercap_energy_tradeoff
 from .stages import (
     AdaptiveCapStage,
     AdmissionGate,
@@ -87,7 +86,6 @@ __all__ = [
     "SegmentedQueueSystem",
     "SchedulingContext",
     "ScheduleDecision",
-    "AdaptivePowerCapController",
     "powercap_energy_tradeoff",
     # Stage taxonomy
     "OrderingStage",

@@ -169,7 +169,11 @@ class Job:
     # State transitions (used by the simulator)
     # ------------------------------------------------------------------
     def mark_started(self, time_h: float, *, power_cap_w: Optional[float], duration_h: float) -> None:
-        """Transition PENDING -> RUNNING, recording the placement decisions."""
+        """Transition PENDING -> RUNNING, recording the placement decisions.
+
+        ``energy_j`` restarts at zero: the simulator adds each cap segment
+        the job runs to it.
+        """
         if self.state is not JobState.PENDING:
             raise SchedulingError(f"job {self.job_id!r} cannot start from state {self.state}")
         if time_h < self.submit_time_h - 1e-9:
@@ -178,6 +182,7 @@ class Job:
         self.start_time_h = float(time_h)
         self.assigned_power_cap_w = power_cap_w
         self.actual_duration_h = float(duration_h)
+        self.energy_j = 0.0
 
     def mark_completed(self, time_h: float, energy_j: float) -> None:
         """Transition RUNNING -> COMPLETED, recording the consumed energy."""

@@ -18,7 +18,10 @@ answering one question per scheduling round:
 * **power control** — what power cap does a started job get?  A *chain* of
   :class:`PowerStage` transformers starting from the job's own agreed cap
   (:class:`StaticCapStage`, :class:`DirtyHourCapStage`,
-  :class:`DeadlineSlackCapStage`, :class:`AdaptiveCapStage`)
+  :class:`DeadlineSlackCapStage`, :class:`AdaptiveCapStage`).  The last one
+  also re-caps *running* jobs at every simulator tick; it does so through
+  :meth:`~repro.cluster.simulator.ClusterSimulator.set_power_cap`, so the
+  simulator alone bills each job's energy, one segment per cap
 
 :class:`~repro.scheduler.pipeline.PolicyPipeline` composes one ordering, any
 number of gates, one placement and a power chain into a full scheduling
@@ -33,15 +36,15 @@ records are pinned bit-for-bit against the pre-pipeline schedulers in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..cluster.observers import SimulatorObserver
 from ..cluster.resources import Cluster
 from ..errors import SchedulingError
 from .base import SchedulingContext
 from .job import Job
-from .powercap import AdaptivePowerCapController
 
 __all__ = [
     "estimate_job_it_power_w",
@@ -527,23 +530,33 @@ class DeadlineSlackCapStage(PowerStage):
 class AdaptiveCapStage(PowerStage, SimulatorObserver):
     """Budget-following caps on *running* jobs, driven by the simulator's ticks.
 
-    Wraps :class:`~repro.scheduler.powercap.AdaptivePowerCapController` as a
-    pipeline stage: at every tick the controller compares the cluster's IT
-    power against its budget and tightens caps on the largest consumers (or
-    relaxes them when there is headroom); changed caps are pushed onto the
-    live allocations through :meth:`~repro.cluster.resources.Cluster.
-    set_power_limit`.  A job's remaining runtime is *not* re-planned on re-cap
-    (durations are fixed at start) — the stage shapes the facility power
-    series, which is what demand-charge/curtailment control is about.
+    At every tick the stage compares the cluster's IT power against its
+    budget.  Over budget, it tightens caps on the largest GPU consumers first;
+    at least 10% under budget, it relaxes every cap by one step.  This is the
+    control loop an operator would run against a demand-charge or a grid
+    curtailment signal.  A job enters the loop at the cap it started with, so
+    caps imposed by the rest of the power chain (static, dirty-hour, deadline
+    caps) are relaxed from, not reset to uncapped.
 
-    Per-job attributed energy stays exact under re-caps: every cap change
-    accrues the segment just run at the *old* cap, and on finish the stage
-    replaces the simulator's single-cap attribution with the time-weighted
-    integral over all segments.
+    Changed caps go through :meth:`~repro.cluster.simulator.ClusterSimulator.
+    set_power_cap`, which bills the segment run at the old cap, so per-job
+    energy stays exact under re-caps.  A job's remaining runtime is *not*
+    re-planned on re-cap (durations are fixed at start) — the stage shapes
+    the facility power series, which is what demand-charge/curtailment
+    control is about.
 
     As a :class:`~repro.cluster.observers.SimulatorObserver` it is wired into
     the event loop automatically when its pipeline is handed to a
     :class:`~repro.cluster.simulator.ClusterSimulator`.
+
+    Parameters
+    ----------
+    power_budget_w:
+        Target ceiling on IT power.
+    min_cap_fraction:
+        Tightest cap the stage will impose.
+    step_fraction:
+        Cap adjustment applied per tick.
     """
 
     name = "adaptive"
@@ -555,14 +568,17 @@ class AdaptiveCapStage(PowerStage, SimulatorObserver):
         min_cap_fraction: float = 0.5,
         step_fraction: float = 0.05,
     ) -> None:
-        self.controller = AdaptivePowerCapController(
-            power_budget_w,
-            min_cap_fraction=min_cap_fraction,
-            step_fraction=step_fraction,
-        )
-        #: job_id -> (segment start hour, energy accrued in earlier segments),
-        #: tracked only for jobs whose cap has been changed mid-run.
-        self._accrual: dict[str, tuple[float, float]] = {}
+        if power_budget_w <= 0:
+            raise SchedulingError("power_budget_w must be positive")
+        if not 0.0 < min_cap_fraction <= 1.0:
+            raise SchedulingError("min_cap_fraction must lie in (0, 1]")
+        if not 0.0 < step_fraction <= 0.5:
+            raise SchedulingError("step_fraction must lie in (0, 0.5]")
+        self.power_budget_w = float(power_budget_w)
+        self.min_cap_fraction = float(min_cap_fraction)
+        self.step_fraction = float(step_fraction)
+        #: job_id -> cap fraction of every running job the stage has seen.
+        self._caps: dict[str, float] = {}
 
     # -- power stage: new starts keep their chained cap; adaptation is live --
     def apply(
@@ -574,34 +590,50 @@ class AdaptiveCapStage(PowerStage, SimulatorObserver):
     ) -> Optional[float]:
         return base
 
-    def _segment_energy_j(self, job: Job, cluster: Cluster, since_h: float, now_h: float) -> float:
-        """Energy of one constant-cap segment at the job's current cap."""
-        gpu_power = cluster.gpu_power_model.power_w_scalar(
-            job.utilization, job.assigned_power_cap_w
-        )
-        return job.n_gpus * gpu_power * max(now_h - since_h, 0.0) * 3600.0
+    def update(self, running_jobs: Sequence[Job], current_it_power_w: float) -> dict[str, float]:
+        """One control step; returns the new cap fraction per running job id.
 
-    # -- observer: seed at start, one control step per tick ----------------
+        Jobs not seen before start at the cap they agreed to
+        (``job.power_cap_fraction``, or 1.0 when uncapped); jobs no longer
+        running are forgotten.
+        """
+        caps = self._caps
+        for job in running_jobs:
+            caps.setdefault(job.job_id, job.power_cap_fraction or 1.0)
+        live_ids = {job.job_id for job in running_jobs}
+        self._caps = caps = {k: v for k, v in caps.items() if k in live_ids}
+
+        if not running_jobs:
+            return {}
+        if current_it_power_w > self.power_budget_w:
+            # Tighten the biggest consumers first.
+            by_size = sorted(running_jobs, key=lambda j: j.n_gpus * j.utilization, reverse=True)
+            overshoot = current_it_power_w / self.power_budget_w
+            n_to_tighten = max(1, math.ceil(len(by_size) * min(1.0, overshoot - 1.0 + 0.25)))
+            for job in by_size[:n_to_tighten]:
+                caps[job.job_id] = max(self.min_cap_fraction, caps[job.job_id] - self.step_fraction)
+        elif current_it_power_w < 0.9 * self.power_budget_w:
+            for job in running_jobs:
+                caps[job.job_id] = min(1.0, caps[job.job_id] + self.step_fraction)
+        return dict(caps)
+
+    # -- observer: enter the loop at start, one control step per tick --------
     def on_job_start(self, simulator, job: Job, now_h: float) -> None:
         # Caps imposed by the rest of the power chain (static, dirty-hour,
-        # deadline caps) must survive into the control loop: seed the
-        # controller with the job's actual starting cap, or its first step
-        # would reset the job toward uncapped.
+        # deadline caps) must survive into the control loop: start the job at
+        # its actual cap, or the first step would reset it toward uncapped.
         if job.assigned_power_cap_w is not None:
             tdp_w = simulator.cluster.gpu_spec.tdp_w
-            self.controller.seed_cap(job.job_id, job.assigned_power_cap_w / tdp_w)
+            self._caps.setdefault(job.job_id, min(1.0, job.assigned_power_cap_w / tdp_w))
 
     def on_tick(self, simulator, now_h: float, it_power_w: float) -> None:
         running = simulator.running_jobs
-        caps = self.controller.update(running, it_power_w)
-        if not running:
-            return
+        caps = self.update(running, it_power_w)
         cluster = simulator.cluster
         model = cluster.gpu_power_model
         tdp_w = cluster.gpu_spec.tdp_w
-        changed = False
         for job in running:
-            fraction = caps.get(job.job_id, 1.0)
+            fraction = caps[job.job_id]
             cap_w = None if fraction >= 1.0 else model.clamp_power_limit_scalar(fraction * tdp_w)
             if (
                 cap_w is not None
@@ -610,22 +642,4 @@ class AdaptiveCapStage(PowerStage, SimulatorObserver):
             ):
                 continue  # round-trip through the fraction left the cap as-is
             if cap_w != job.assigned_power_cap_w:
-                # Close the segment run at the old cap before switching.
-                first_since = job.start_time_h if job.start_time_h is not None else now_h
-                since_h, accrued_j = self._accrual.get(job.job_id, (first_since, 0.0))
-                accrued_j += self._segment_energy_j(job, cluster, since_h, now_h)
-                self._accrual[job.job_id] = (now_h, accrued_j)
-                cluster.set_power_limit(job.job_id, cap_w)
-                job.assigned_power_cap_w = cap_w
-                changed = True
-        if changed:
-            simulator.refresh_it_power()
-
-    def on_job_finish(self, simulator, job: Job, now_h: float, *, completed: bool) -> None:
-        entry = self._accrual.pop(job.job_id, None)
-        if entry is None:
-            return  # cap never changed: the simulator's attribution is exact
-        since_h, accrued_j = entry
-        job.energy_j = accrued_j + self._segment_energy_j(
-            job, simulator.cluster, since_h, now_h
-        )
+                simulator.set_power_cap(job, cap_w, now_h)

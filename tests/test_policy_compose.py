@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 import test_cluster_state_parity as state_parity
 
 from repro.climate.weather import WeatherModel
+from repro.config import FacilityConfig
 from repro.cluster.cooling import CoolingModel
 from repro.cluster.observers import SimulatorObserver
 from repro.cluster.resources import Cluster
@@ -42,7 +43,9 @@ from repro.scheduler.compose import (
     parse_policy,
     split_top_level,
 )
+from repro.scheduler.job import Job
 from repro.scheduler.pipeline import PolicyPipeline
+from repro.scheduler.stages import AdaptiveCapStage
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
@@ -548,36 +551,25 @@ class TestLifecycleHooks:
         assert adaptive.it_energy_kwh < uncapped.it_energy_kwh
 
     def test_adaptive_relaxes_from_chained_cap_not_uncapped(self):
-        """The controller is seeded with the pipeline-resolved starting cap.
+        """The stage takes a job into its loop at the pipeline-resolved starting cap.
 
-        Under a slack budget the controller relaxes caps by ``step`` per tick
+        Under a slack budget the stage relaxes caps by ``step`` per tick
         *from the cap the power chain imposed* — it must not treat the job as
         uncapped and reset the static cap on its first control step.
         """
-        from repro.config import FacilityConfig
-        from repro.scheduler.job import Job
-        from repro.scheduler.stages import AdaptiveCapStage
-
         cluster = Cluster(FacilityConfig(n_nodes=1, gpus_per_node=2))
         model = cluster.gpu_power_model
         tdp_w = cluster.gpu_spec.tdp_w
-        job = Job(job_id="a", user_id="u", n_gpus=2, duration_h=10.0, submit_time_h=0.0, utilization=1.0)
-        stage = AdaptiveCapStage(1e12, min_cap_fraction=0.5, step_fraction=0.05)
+        scheduler = make_scheduler(
+            "fifo+cap(fraction=0.6)+adaptive(budget_w=1000000000000.0,min_fraction=0.5,step=0.05)"
+        )
+        simulator = ClusterSimulator(cluster, scheduler, SimulationConfig(horizon_h=24.0))
+        job = Job(job_id="a", user_id="u", n_gpus=2, duration_h=10.0, submit_time_h=0.5, utilization=1.0)
 
-        class FakeSimulator:
-            def __init__(self, cluster, jobs):
-                self.cluster = cluster
-                self.running_jobs = list(jobs)
-
-            def refresh_it_power(self):
-                pass
-
-        start_cap_w = model.clamp_power_limit_scalar(0.6 * tdp_w)
-        cluster.allocate("a", 2, utilization=1.0, power_limit_w=start_cap_w)
-        job.mark_started(0.0, power_cap_w=start_cap_w, duration_h=10.0)
-        simulator = FakeSimulator(cluster, [job])
-        stage.on_job_start(simulator, job, 0.0)
-        stage.on_tick(simulator, 1.0, it_power_w=0.0)  # far under budget: relax one step
+        simulator.begin([job])
+        simulator.advance(1.0)  # started at 0.5 under the static cap
+        assert job.assigned_power_cap_w == model.clamp_power_limit_scalar(0.6 * tdp_w)
+        simulator.advance(1.5)  # the tick at 1.0 is far under budget: relax one step
         assert job.assigned_power_cap_w == model.clamp_power_limit_scalar(0.65 * tdp_w)
 
     def test_cap_exempt_none_disables_exemptions(self):
@@ -601,41 +593,46 @@ class TestLifecycleHooks:
 
     def test_adaptive_energy_attribution_is_time_weighted(self):
         """Re-capped jobs are billed per constant-cap segment, not at the last cap."""
-        from repro.config import FacilityConfig
-        from repro.scheduler.job import Job
-        from repro.scheduler.stages import AdaptiveCapStage
-
         cluster = Cluster(FacilityConfig(n_nodes=1, gpus_per_node=2))
+        model = cluster.gpu_power_model
+        tdp_w = cluster.gpu_spec.tdp_w
+        simulator = ClusterSimulator(cluster, make_scheduler("fifo"), SimulationConfig(horizon_h=24.0))
         job = Job(job_id="a", user_id="u", n_gpus=2, duration_h=10.0, submit_time_h=0.0, utilization=1.0)
         stage = AdaptiveCapStage(1.0, min_cap_fraction=0.5, step_fraction=0.25)
 
-        class FakeSimulator:
-            def __init__(self, cluster, jobs):
-                self.cluster = cluster
-                self.running = list(jobs)
-
-            @property
-            def running_jobs(self):
-                return list(self.running)
-
-            def refresh_it_power(self):
-                pass
-
-        cluster.allocate("a", 2, utilization=1.0)
-        job.mark_started(0.0, power_cap_w=None, duration_h=10.0)
-        simulator = FakeSimulator(cluster, [job])
-        model = cluster.gpu_power_model
-        tdp_w = cluster.gpu_spec.tdp_w
-
+        simulator.begin([job])
+        simulator.advance(4.0)
         power_uncapped = model.power_w_scalar(1.0, None)
         stage.on_tick(simulator, 4.0, it_power_w=1e9)  # over budget: 1.0 -> 0.75
         cap_1 = job.assigned_power_cap_w
         assert cap_1 == model.clamp_power_limit_scalar(0.75 * tdp_w)
         power_1 = model.power_w_scalar(1.0, cap_1)
+        simulator.advance(7.0)
         stage.on_tick(simulator, 7.0, it_power_w=1e9)  # 0.75 -> 0.5 (min)
         power_2 = model.power_w_scalar(1.0, job.assigned_power_cap_w)
 
-        job.mark_completed(10.0, energy_j=-1.0)  # the single-cap attribution to replace
-        stage.on_job_finish(simulator, job, 10.0, completed=True)
+        (record,) = simulator.finalize().job_records
+        assert record.finish_time_h == 10.0
         expected = 2 * (power_uncapped * 4.0 + power_1 * 3.0 + power_2 * 3.0) * 3600.0
-        assert job.energy_j == pytest.approx(expected, rel=1e-12)
+        assert record.energy_j == pytest.approx(expected, rel=1e-12)
+
+    def test_finish_hook_reads_the_final_energy(self, compose_worlds):
+        """``on_job_finish`` observers see the energy the job's record keeps.
+
+        Under the adaptive stage some jobs are re-capped mid-run, so their
+        energy spans several cap segments.
+        """
+        seen = {}
+
+        class EnergyAtFinish(SimulatorObserver):
+            def on_job_finish(self, simulator, job, now_h, *, completed):
+                seen[job.job_id] = job.energy_j
+
+        result = _run_policy(
+            compose_worlds["supercloud-small"],
+            make_scheduler("backfill+adaptive(budget_w=15000)"),
+            observers=[EnergyAtFinish()],
+        )
+        final = {r.job_id: r.energy_j for r in result.job_records if r.finish_time_h is not None}
+        assert len(final) > 250
+        assert seen == final

@@ -9,8 +9,8 @@ from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
 from repro.scheduler.base import ScheduleDecision, SchedulingContext
 from repro.scheduler.job import Job
-from repro.scheduler.powercap import AdaptivePowerCapController, powercap_energy_tradeoff
-from repro.scheduler.stages import StaticCapStage
+from repro.scheduler.powercap import powercap_energy_tradeoff
+from repro.scheduler.stages import AdaptiveCapStage, StaticCapStage
 
 
 def make_job(job_id: str, n_gpus: int, submit: float = 0.0, **kw) -> Job:
@@ -186,36 +186,38 @@ class TestStaticCapStage:
             StaticCapStage(cap_fraction=1.5)
 
 
-class TestAdaptivePowerCapController:
+class TestAdaptiveCapStage:
     def test_tightens_when_over_budget(self):
-        controller = AdaptivePowerCapController(power_budget_w=1000.0, step_fraction=0.1)
+        stage = AdaptiveCapStage(power_budget_w=1000.0, step_fraction=0.1)
         jobs = [make_job("a", 4, utilization=1.0), make_job("b", 1, utilization=0.5)]
-        caps = controller.update(jobs, current_it_power_w=2000.0)
+        caps = stage.update(jobs, 2000.0)
         assert min(caps.values()) < 1.0
 
     def test_relaxes_when_under_budget(self):
-        controller = AdaptivePowerCapController(power_budget_w=10_000.0, step_fraction=0.1)
-        jobs = [make_job("a", 4)]
-        controller._current_caps["a"] = 0.6
-        caps = controller.update(jobs, current_it_power_w=1000.0)
+        stage = AdaptiveCapStage(power_budget_w=10_000.0, step_fraction=0.1)
+        caps = stage.update([make_job("a", 4, power_cap_fraction=0.6)], 1000.0)
         assert caps["a"] > 0.6
 
     def test_never_below_min_cap(self):
-        controller = AdaptivePowerCapController(power_budget_w=1.0, min_cap_fraction=0.5, step_fraction=0.3)
+        stage = AdaptiveCapStage(power_budget_w=1.0, min_cap_fraction=0.5, step_fraction=0.3)
         jobs = [make_job("a", 4)]
         for _ in range(10):
-            caps = controller.update(jobs, current_it_power_w=1e9)
+            caps = stage.update(jobs, 1e9)
         assert caps["a"] == pytest.approx(0.5)
 
     def test_forgets_finished_jobs(self):
-        controller = AdaptivePowerCapController(power_budget_w=1000.0)
-        controller.update([make_job("a", 1)], 2000.0)
-        caps = controller.update([make_job("b", 1)], 2000.0)
+        stage = AdaptiveCapStage(power_budget_w=1000.0)
+        stage.update([make_job("a", 1)], 2000.0)
+        caps = stage.update([make_job("b", 1)], 2000.0)
         assert "a" not in caps
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "budget_w, kwargs",
+        [(0.0, {}), (1000.0, {"min_cap_fraction": 0.0}), (1000.0, {"step_fraction": 0.6})],
+    )
+    def test_validation(self, budget_w, kwargs):
         with pytest.raises(SchedulingError):
-            AdaptivePowerCapController(power_budget_w=0.0)
+            AdaptiveCapStage(budget_w, **kwargs)
 
 
 class TestPowercapTradeoff:
