@@ -18,8 +18,9 @@ Every tier runs the production ``make_scheduler("backfill")`` pipeline.
 
 It also proves the headroom directly: the pre-refactor scan-based cluster
 (whole-cluster ``refresh_state`` sweeps, per-query free-list rebuilds, full
-rescans for IT power) is embedded below verbatim and run through the same
-event loop on the medium workload.  The incremental core must beat it by at
+rescans for IT power), which lives in ``tests/scan_cluster.py`` as the tests'
+one reference pool, is run through the same event loop on the medium
+workload.  The incremental core must beat it by at
 least 5x while producing bit-identical job records, and so must a composed
 pipeline (``backfill+carbon(cap=0.7)``), so per-job stage dispatch cannot
 erode the simulator-core win.
@@ -38,12 +39,8 @@ Two **fleet** tiers gate the multi-site co-simulation layer:
 
 from __future__ import annotations
 
-import enum
 import gc
-import itertools
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -55,12 +52,12 @@ from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.core.levers import make_scheduler
-from repro.errors import ResourceError
 from repro.experiments.spec import get_scenario
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
+from tests.scan_cluster import ScanCluster
 
 SEED = 0
 HORIZON_28D = 28 * 24.0
@@ -189,167 +186,6 @@ def test_bench_scenario_build(benchmark):
         )
 
 
-# ---------------------------------------------------------------------------
-# The pre-refactor scan-based cluster, embedded verbatim as the speed baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _LegacyGpu:
-    node_id: int
-    index: int
-    allocated_job_id: Optional[str] = None
-    power_limit_w: Optional[float] = None
-    utilization: float = 0.0
-
-    @property
-    def is_free(self) -> bool:
-        return self.allocated_job_id is None
-
-
-class _LegacyNodeState(enum.Enum):
-    IDLE = "idle"
-    ACTIVE = "active"
-    DRAINED = "drained"
-
-
-@dataclass
-class _LegacyNode:
-    node_id: int
-    gpus: list
-
-    state: "_LegacyNodeState" = _LegacyNodeState.IDLE
-
-    @property
-    def free_gpus(self) -> list:
-        if self.state is _LegacyNodeState.DRAINED:
-            return []
-        return [g for g in self.gpus if g.is_free]
-
-    @property
-    def n_free_gpus(self) -> int:
-        return len(self.free_gpus)
-
-    @property
-    def is_occupied(self) -> bool:
-        return any(not g.is_free for g in self.gpus)
-
-    def refresh_state(self) -> None:
-        if self.state is _LegacyNodeState.DRAINED:
-            return
-        self.state = _LegacyNodeState.ACTIVE if self.is_occupied else _LegacyNodeState.IDLE
-
-
-class LegacyScanCluster:
-    """The seed implementation's cluster: whole-cluster scans on every query."""
-
-    def __init__(self, facility: FacilityConfig, gpu_model: str = "V100") -> None:
-        from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
-
-        self.facility = facility
-        self.gpu_spec = get_gpu_spec(gpu_model)
-        self.gpu_power_model = GpuPowerModel(self.gpu_spec)
-        self.nodes = [
-            _LegacyNode(
-                node_id=node_id,
-                gpus=[_LegacyGpu(node_id=node_id, index=i) for i in range(facility.gpus_per_node)],
-            )
-            for node_id in range(facility.n_nodes)
-        ]
-        self._allocations = {}
-
-    @property
-    def n_free_gpus(self) -> int:
-        return sum(node.n_free_gpus for node in self.nodes)
-
-    def can_fit(self, n_gpus: int) -> bool:
-        if n_gpus <= 0:
-            raise ResourceError(f"n_gpus must be positive, got {n_gpus!r}")
-        return self.n_free_gpus >= n_gpus
-
-    def iter_gpus(self):
-        return itertools.chain.from_iterable(node.gpus for node in self.nodes)
-
-    def allocate(self, job_id, n_gpus, *, utilization=1.0, power_limit_w=None, pack=True):
-        from repro.cluster.resources import Allocation
-
-        if job_id in self._allocations:
-            raise ResourceError(f"job {job_id!r} already holds an allocation")
-        if not self.can_fit(n_gpus):
-            raise ResourceError(f"cannot allocate {n_gpus} GPUs")
-        candidates = [node for node in self.nodes if node.n_free_gpus > 0]
-        chosen = []
-        if pack:
-            candidates.sort(key=lambda node: (node.n_free_gpus, node.node_id))
-            for node in candidates:
-                for gpu in node.free_gpus:
-                    chosen.append(gpu)
-                    if len(chosen) == n_gpus:
-                        break
-                if len(chosen) == n_gpus:
-                    break
-        else:
-            free_by_node = {node.node_id: list(node.free_gpus) for node in candidates}
-            while len(chosen) < n_gpus:
-                node_id = max(free_by_node, key=lambda nid: (len(free_by_node[nid]), -nid))
-                chosen.append(free_by_node[node_id].pop(0))
-                if not free_by_node[node_id]:
-                    del free_by_node[node_id]
-        locations = []
-        for gpu in chosen:
-            gpu.allocated_job_id = job_id
-            gpu.utilization = float(utilization)
-            gpu.power_limit_w = power_limit_w
-            locations.append((gpu.node_id, gpu.index))
-        for node in self.nodes:
-            node.refresh_state()
-        # The simulator bills a job's energy from its record's per-GPU power.
-        utilization = float(utilization)
-        per_gpu_power = self.gpu_power_model.power_w_scalar(utilization, power_limit_w)
-        allocation = Allocation(job_id, tuple(locations), utilization, power_limit_w, per_gpu_power)
-        self._allocations[job_id] = allocation
-        return allocation
-
-    def release(self, job_id):
-        allocation = self._allocations.pop(job_id, None)
-        if allocation is None:
-            raise ResourceError(f"job {job_id!r} holds no allocation")
-        gpu_by_location = {(g.node_id, g.index): g for g in self.iter_gpus()}
-        for location in allocation.gpu_locations:
-            gpu = gpu_by_location[location]
-            gpu.allocated_job_id = None
-            gpu.utilization = 0.0
-            gpu.power_limit_w = None
-        for node in self.nodes:
-            node.refresh_state()
-        return allocation
-
-    def it_power_w(self) -> float:
-        power = 0.0
-        busy_utils, busy_caps = [], []
-        for node in self.nodes:
-            if node.state is _LegacyNodeState.DRAINED:
-                continue
-            power += self.facility.node_idle_power_w
-            occupied = False
-            for gpu in node.gpus:
-                if gpu.is_free:
-                    power += self.gpu_spec.idle_power_w
-                else:
-                    occupied = True
-                    busy_utils.append(gpu.utilization)
-                    busy_caps.append(
-                        gpu.power_limit_w if gpu.power_limit_w is not None else self.gpu_spec.tdp_w
-                    )
-            if occupied:
-                power += self.facility.node_active_overhead_w
-        if busy_utils:
-            power += float(
-                np.sum(self.gpu_power_model.power_w(np.asarray(busy_utils), np.asarray(busy_caps)))
-            )
-        return power
-
-
 def test_bench_incremental_vs_scan_speedup(worlds):
     """The tentpole claim: >= 5x over the scan-based core on the profiled workload.
 
@@ -359,7 +195,7 @@ def test_bench_incremental_vs_scan_speedup(worlds):
     facility, gpu_model, weather, grid, jobs, horizon_h = worlds["medium"]
 
     t0 = time.perf_counter()
-    legacy_result = _run(LegacyScanCluster(facility, gpu_model), weather, grid, jobs, horizon_h)
+    legacy_result = _run(ScanCluster(facility, gpu_model), weather, grid, jobs, horizon_h)
     legacy_s = time.perf_counter() - t0
 
     def best_of_three(policy):

@@ -28,14 +28,14 @@ cluster-wide occupancy totals are updated only for the nodes an
 power is delta-maintained so the simulator reads it in O(1) at every tick and
 scheduling round.  The rows, records and counters are the only
 representation of the pool's state and change only through those methods;
-their public read is ``Cluster.snapshot_state``.  ``Cluster.recompute_it_power_w``
-is the full recompute from the rows and records, the reference the tests
-compare the incremental value against, and ``tests/test_cluster_state_parity.py``
-pins the whole model — counters, power, and end-to-end ``SimulationResult``
-outputs — against an in-test reference pool and the pre-refactor
-implementation.  The
+their public read is ``Cluster.snapshot_state``.
+``tests/test_cluster_state_parity.py`` pins the whole model — placements,
+counters, power, and end-to-end ``SimulationResult`` outputs — against one
+reference, the pre-refactor scan-based pool in ``tests/scan_cluster.py``, and
+against record hashes of the pre-refactor implementation.  The
 ``supercloud-large`` scenario (256 nodes x 8 A100s) and
-``benchmarks/test_bench_simulator_scale.py`` exercise the core at scale.
+``benchmarks/test_bench_simulator_scale.py`` exercise the core at scale; the
+benchmark times the same scan pool as the baseline of its speedup gate.
 """
 
 from .resources import Cluster, Allocation

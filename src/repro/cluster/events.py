@@ -32,7 +32,6 @@ class EventType(enum.IntEnum):
 
     JOB_FINISH = 0
     JOB_SUBMIT = 1
-    CONTROL = 2
     TICK = 3
 
 
@@ -93,7 +92,3 @@ class EventQueue:
     def is_empty(self) -> bool:
         """Whether no events remain."""
         return not self._heap
-
-    def clear(self) -> None:
-        """Drop all pending events (the clock is left unchanged)."""
-        self._heap.clear()

@@ -35,12 +35,13 @@ rescans:
 * **IT power is delta-maintained.**  Each allocation contributes
   ``n_gpus x per_gpu_power_w``; ``allocate``/``release``/``set_power_limit``
   adjust a running total so :meth:`Cluster.it_power_w` is an O(1) read.
-  :meth:`Cluster.recompute_it_power_w` is the reference: a full recompute
-  from the job-id rows and each record's utilization and cap.
 
 The rows, records and counters are private to this module and change only
 through the methods above, so they are the one representation of the pool's
-state; :meth:`Cluster.snapshot_state` is the public read of it.
+state; :meth:`Cluster.snapshot_state` is the public read of it.  The tests
+check this pool against one reference, ``ScanCluster`` in
+``tests/scan_cluster.py``: the pre-refactor pool, which rescans every GPU on
+every query, taken through the same steps or rebuilt from a snapshot.
 """
 
 from __future__ import annotations
@@ -139,27 +140,11 @@ class Cluster:
         """Nodes administratively removed from service."""
         return self._n_drained
 
-    @property
-    def allocations(self) -> dict[str, Allocation]:
-        """Live allocations keyed by job id (copy)."""
-        return dict(self._allocations)
-
-    def gpu_utilization_fraction(self) -> float:
-        """Fraction of (non-drained) GPUs currently allocated."""
-        available = (self._n_nodes - self._n_drained) * self._gpus_per_node
-        if available == 0:
-            return 0.0
-        return self._busy_gpus / available
-
     def can_fit(self, n_gpus: int) -> bool:
         """Whether ``n_gpus`` GPUs are currently free (across any nodes)."""
         if n_gpus <= 0:
             raise ResourceError(f"n_gpus must be positive, got {n_gpus!r}")
         return self._free_gpus_nondrained >= n_gpus
-
-    def busy_utilizations(self) -> np.ndarray:
-        """Utilizations of the currently-busy GPUs (node-major order)."""
-        return np.array([record.utilization for record in self._held_records()], dtype=float)
 
     # ------------------------------------------------------------------
     # Allocation / release
@@ -338,31 +323,6 @@ class Cluster:
             + self._busy_power_w
         )
 
-    def recompute_it_power_w(self) -> float:
-        """Full recompute of IT power from the job-id rows and the records.
-
-        The reference for the delta-maintained value returned by
-        :meth:`it_power_w`: it counts nodes and GPUs from the job-id rows and
-        evaluates the power model on each held GPU's utilization and cap,
-        never reading the maintained counters or the records' stored power.
-        """
-        facility = self.facility
-        live = ~np.array(self._drained, dtype=bool)
-        allocated = self._allocated_mask()[live]
-        n_busy = int(np.count_nonzero(allocated))
-        power = (
-            facility.node_idle_power_w * int(np.count_nonzero(live))
-            + facility.node_active_overhead_w * int(np.count_nonzero(allocated.any(axis=1)))
-            + self.gpu_spec.idle_power_w * (allocated.size - n_busy)
-        )
-        held = self._held_records()
-        if held:
-            tdp_w = self.gpu_spec.tdp_w
-            utils = np.array([record.utilization for record in held])
-            caps = np.array([tdp_w if r.power_limit_w is None else r.power_limit_w for r in held])
-            power += float(np.sum(self.gpu_power_model.power_w(utils, caps)))
-        return float(power)
-
     # ------------------------------------------------------------------
     # Public read of the whole state
     # ------------------------------------------------------------------
@@ -395,15 +355,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Job-id rows, drain flags and free-count buckets
     # ------------------------------------------------------------------
-    def _held_records(self) -> list[Allocation]:
-        """The allocation record of every held GPU, node-major."""
-        records = self._allocations
-        return [records[job_id] for row in self._job_ids for job_id in row if job_id is not None]
-
-    def _allocated_mask(self) -> np.ndarray:
-        """``[node, gpu]`` mask of the GPUs that hold a job."""
-        return np.array([[job_id is not None for job_id in row] for row in self._job_ids])
-
     def _drained_ids(self) -> list[int]:
         """Ids of the drained nodes, ascending."""
         return [node_id for node_id, drained in enumerate(self._drained) if drained]

@@ -16,9 +16,9 @@ Design notes
   (carbon intensity, temperature) influence scheduling decisions.
 * IT power is delta-maintained by the cluster itself: each allocate/release/
   re-cap adjusts the running total by the affected job's own GPUs, so reading
-  it at a tick or scheduling round is O(1).
-  :meth:`~repro.cluster.resources.Cluster.recompute_it_power_w` re-derives
-  it from the allocation state, for tests to compare against.
+  it at a tick or scheduling round is O(1).  The tests compare it against a
+  scan reference pool (``tests/scan_cluster.py``) that sums every GPU's power
+  again, and that can stand in for the cluster in a whole simulation.
 * The time-varying substrates are one table, built at construction: a
   ``(carbon, price, renewable, temperature, pue)`` row of Python floats per
   hour, with PUE evaluated in one vectorized pass over the weather trace.  A

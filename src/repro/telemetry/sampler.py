@@ -69,11 +69,6 @@ class EnergyIntegrator:
         self._timestamps.append(float(timestamp_s))
         self._powers.append(float(power_w))
 
-    @property
-    def n_samples(self) -> int:
-        """Number of samples accumulated so far."""
-        return len(self._timestamps)
-
     def energy_j(self) -> float:
         """Energy of the accumulated trace in joules (0 with fewer than two samples)."""
         if len(self._timestamps) < 2:

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional
 
 from ..errors import TrackingError
 from .tracker import TrackerReport
@@ -133,11 +133,6 @@ class ReportCollection:
 
     def __iter__(self):
         return iter(self._reports)
-
-    @property
-    def reports(self) -> Sequence[ExperimentReport]:
-        """The reports in insertion order."""
-        return tuple(self._reports)
 
     # ------------------------------------------------------------------
     # Aggregates

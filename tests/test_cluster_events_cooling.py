@@ -61,7 +61,7 @@ class TestEventQueue:
         queue.push(1.0, EventType.TICK)
         assert queue.peek_time() == 1.0
         assert len(queue) == 1
-        queue.clear()
+        queue.pop()
         assert queue.is_empty()
 
 

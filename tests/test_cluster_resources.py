@@ -5,11 +5,17 @@ import pytest
 from repro.config import FacilityConfig
 from repro.cluster.resources import Cluster
 from repro.errors import ResourceError
+from scan_cluster import ScanCluster
 
 
 @pytest.fixture()
 def cluster() -> Cluster:
     return Cluster(FacilityConfig(n_nodes=4, gpus_per_node=2), gpu_model="V100")
+
+
+def scan_power(cluster: Cluster) -> float:
+    """IT power of the scan reference rebuilt from the cluster's snapshot."""
+    return ScanCluster.from_snapshot(cluster).it_power_w()
 
 
 class TestCapacity:
@@ -23,11 +29,6 @@ class TestCapacity:
         assert not cluster.can_fit(9)
         with pytest.raises(ResourceError):
             cluster.can_fit(0)
-
-    def test_utilization_fraction(self, cluster):
-        assert cluster.gpu_utilization_fraction() == 0.0
-        cluster.allocate("a", 4)
-        assert cluster.gpu_utilization_fraction() == pytest.approx(0.5)
 
 
 class TestAllocation:
@@ -87,7 +88,7 @@ class TestAllocation:
         assert cluster.snapshot_state()["allocations"] == []
         assert cluster.n_busy_gpus == 0
         assert cluster.it_power_w() == idle
-        assert cluster.recompute_it_power_w() == pytest.approx(idle, rel=1e-12)
+        assert scan_power(cluster) == pytest.approx(idle, rel=1e-12)
         # The released GPUs are free and uncapped again: re-allocating them
         # uncapped draws exactly what a fresh cluster's allocation draws.
         cluster.allocate("b", 2, utilization=0.8)
@@ -141,19 +142,19 @@ class TestPower:
         assert cluster.it_power_w() == pytest.approx(idle / 2)
 
     def test_incremental_power_matches_recompute(self, cluster):
-        """The delta-maintained O(1) power tracks the vectorized recompute."""
+        """The delta-maintained O(1) power tracks the scan reference."""
         cluster.allocate("a", 3, utilization=0.7, power_limit_w=180.0)
         cluster.allocate("b", 2, utilization=1.0)
         cluster.set_power_limit("b", 140.0)
         cluster.drain_nodes(1)
-        assert cluster.it_power_w() == pytest.approx(cluster.recompute_it_power_w(), rel=1e-12)
+        assert cluster.it_power_w() == pytest.approx(scan_power(cluster), rel=1e-12)
         cluster.release("a")
         cluster.undrain_all()
-        assert cluster.it_power_w() == pytest.approx(cluster.recompute_it_power_w(), rel=1e-12)
+        assert cluster.it_power_w() == pytest.approx(scan_power(cluster), rel=1e-12)
 
     def test_set_power_limit_updates_cached_power(self, cluster):
         cluster.allocate("a", 4, utilization=1.0, power_limit_w=150.0)
         capped = cluster.it_power_w()
         cluster.set_power_limit("a", None)
         assert cluster.it_power_w() > capped
-        assert cluster.it_power_w() == pytest.approx(cluster.recompute_it_power_w(), rel=1e-12)
+        assert cluster.it_power_w() == pytest.approx(scan_power(cluster), rel=1e-12)

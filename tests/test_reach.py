@@ -12,13 +12,15 @@ workload depends on it.  These guards read source with :mod:`ast` only
   entry of ``__all__`` do not count;
 * a public method, property or classmethod of a public top-level class that
   no non-test file names.  A method counts as named when its name appears as
-  a name, an attribute or a whole string constant in a non-test file
-  (``perfbench/layers.py`` wraps methods by name string); its own ``def``
-  does not count.  Names are matched without their class, so a method
-  shares its fate with every other of the same name.  State probes that
-  tests compare against are listed in ``EXEMPT_METHODS``, each with its
-  reason; an exempt case fails once its method gains a non-test name or no
-  test names it any more;
+  an attribute or a whole string constant in a non-test file
+  (``perfbench/layers.py`` wraps methods by name string); a bare name such
+  as a local variable does not count, and neither does its own ``def``.
+  Names are matched without their class, so a method shares its fate with
+  every other of the same name: the check cannot see an unused method whose
+  name a builtin container method also carries (every ``list.clear()`` call
+  names a ``clear``).  State probes that tests compare against are listed in
+  ``EXEMPT_METHODS``, each with its reason; an exempt case fails once its
+  method gains a non-test name or no test names it any more;
 * a module-level import the module never uses.  An unused import would
   otherwise make the imported name look used to the check above.  The
   test files under ``tests/`` are scanned for unused imports too.
@@ -57,11 +59,6 @@ EXEMPT = frozenset({"repro.core.user_level", "repro.tracking.embodied"})
 #: Public methods kept although only tests name them, keyed ``module.Class.method``.
 EXEMPT_METHODS = {
     "repro.cluster.resources.Cluster.n_occupied_nodes": "state probe the parity tests compare",
-    "repro.cluster.resources.Cluster.gpu_utilization_fraction": "state probe the parity tests compare",
-    "repro.cluster.resources.Cluster.busy_utilizations": "state probe the parity tests compare",
-    "repro.cluster.resources.Cluster.recompute_it_power_w": (
-        "full-recompute reference for the delta-maintained IT power"
-    ),
     "repro.cluster.resources.Cluster.snapshot_state": "whole-pool state the parity tests compare",
     "repro.cluster.resources.Cluster.undrain_all": (
         "moves the state-parity random walk out of drained states; it stalls without it"
@@ -74,6 +71,8 @@ EXEMPT_METHODS = {
     "repro.telemetry.nvml_sim.SimulatedNvml.total_energy_j": (
         "device-side energy the sampler's integrated energy is checked against"
     ),
+    "repro.experiments.campaign.CampaignResult.column": "typed read of a result the tests compare",
+    "repro.experiments.result.ExperimentResult.column": "typed read of a result the tests compare",
     "repro.experiments.result.ExperimentResult.scalar": "typed read of a result the tests compare",
     "repro.serve.client.ServeClient.list_sessions": "the client's twin of the daemon's GET /sessions",
 }
@@ -233,12 +232,14 @@ def public_methods(tree: ast.Module) -> list[str]:
 
 
 def attribute_names(tree: ast.Module) -> set[str]:
-    """Every name, attribute and whole string constant one file mentions."""
+    """Every attribute and whole string constant one file mentions.
+
+    Bare names do not count: a method is called through an attribute, so a
+    local variable that shares its name does not name it.
+    """
     names: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
@@ -425,10 +426,13 @@ class TestReach:
             "    def unseen(self):\n"
             "        pass\n"
             "WRAPPED = ('wrapped',)\n"
+            "def local():\n"
+            "    orphan = 1\n"
+            "    return orphan\n"
         )
         assert public_methods(tree) == ["Model.orphan", "Model.wrapped"]
-        # A method's own ``def`` does not name it; a string constant does
-        # (perfbench wraps methods by name string).
+        # A method's own ``def`` and a local variable of its name do not name
+        # it; a string constant does (perfbench wraps methods by name string).
         assert unnamed_methods(tree, attribute_names(tree)) == ["Model.orphan"]
 
     @pytest.mark.parametrize("module", sorted(set(MODULES) - EXEMPT))
