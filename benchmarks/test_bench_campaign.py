@@ -46,7 +46,7 @@ def test_bench_campaign_sweep(benchmark):
     assert [p.seed for p in CAMPAIGN.expand()] == [p.seed for p in result.points]
 
     # Serial and multi-process execution produce identical rows.
-    parallel = run_campaign(CAMPAIGN, ParallelConfig(n_workers=2, min_tasks_for_processes=2))
+    parallel = run_campaign(CAMPAIGN, ParallelConfig(n_workers=2))
     assert parallel.rows == result.rows
 
     # One session per distinct world, shared across experiments (serial path).

@@ -40,7 +40,7 @@ def build_campaign() -> CampaignSpec:
 
 
 def run_and_summarize(campaign: CampaignSpec) -> None:
-    result = run_campaign(campaign, ParallelConfig(n_workers=2, min_tasks_for_processes=4))
+    result = run_campaign(campaign, ParallelConfig(n_workers=2))
 
     print("per-point rows (identity columns + headline scalars):")
     for row in result.rows:

@@ -49,8 +49,9 @@ per-phase totals and the longest individual spans.
 
 Shared flags are handled once for every subcommand: ``--seed``, ``--months``
 and ``--site`` override the chosen ``--scenario``'s spec, ``--workers`` (or
-the ``GREENHPC_WORKERS`` environment variable) sets the process count for
-sweep-capable subcommands, and ``--json`` switches the output from aligned
+the ``GREENHPC_WORKERS`` environment variable) sets the process count of
+the run's one fan-out (a sweep's or report's points, a fleet's sites), and
+``--json`` switches the output from aligned
 text tables to a machine-readable :class:`~repro.experiments.
 ExperimentResult` dump.  Registering a new experiment automatically gives it
 a CLI surface (and makes it sweepable) — this module contains no per-command
@@ -173,10 +174,11 @@ def _add_shared_arguments(parser: argparse.ArgumentParser, *, in_subcommand: boo
         type=int,
         default=default(None),
         help=(
-            "worker processes for sweep-capable subcommands and for fleet "
-            "stepping (greenhpc fleet --workers N steps member sites on worker "
-            "processes with bit-identical results; 0 = all cores; default: the "
-            "GREENHPC_WORKERS environment variable, else serial)"
+            "worker processes for the run's one fan-out: sweep and report "
+            "points run on them (each point serially inside), and greenhpc "
+            "fleet --workers N steps member sites on them, with bit-identical "
+            "results; 0 = all cores; default: the GREENHPC_WORKERS environment "
+            "variable, else serial"
         ),
     )
     parser.add_argument(
@@ -664,13 +666,7 @@ def _dispatch_command(args: argparse.Namespace) -> int:
     if overrides:
         spec = spec.replace(**overrides)
     workers = _resolve_workers(args.workers)
-    # An explicit worker request also lowers the serial-fallback floor:
-    # the operator asked for processes, so small sweeps use them too.
-    parallel = (
-        ParallelConfig(n_workers=workers, min_tasks_for_processes=2)
-        if workers is not None
-        else None
-    )
+    parallel = ParallelConfig(n_workers=workers) if workers is not None else None
     if args.command == "sweep":
         return _run_sweep(args, parallel, spec)
     if args.command == "report":

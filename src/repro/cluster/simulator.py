@@ -99,6 +99,10 @@ _JOB_FINISH = EventType.JOB_FINISH
 _JOB_SUBMIT = EventType.JOB_SUBMIT
 _TICK = EventType.TICK
 
+#: Quantile of the horizon's carbon intensity that is the "green hour"
+#: threshold of carbon-aware policies (the horizon median).
+CARBON_THRESHOLD_QUANTILE = 0.5
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -113,23 +117,17 @@ class SimulationConfig:
         Cadence of the power-recording / re-scheduling tick.
     facility_power_budget_w:
         Optional facility power budget passed to the scheduler.
-    carbon_threshold_quantile:
-        Quantile of the horizon's carbon-intensity distribution used as the
-        "green hour" threshold for carbon-aware policies.
     """
 
     horizon_h: float = 7.0 * 24.0
     tick_h: float = 1.0
     facility_power_budget_w: Optional[float] = None
-    carbon_threshold_quantile: float = 0.5
 
     def __post_init__(self) -> None:
         require_positive(self.horizon_h, "horizon_h")
         require_positive(self.tick_h, "tick_h")
         if self.facility_power_budget_w is not None and self.facility_power_budget_w <= 0:
             raise SimulationError("facility_power_budget_w must be positive when given")
-        if not 0.0 <= self.carbon_threshold_quantile <= 1.0:
-            raise SimulationError("carbon_threshold_quantile must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -396,8 +394,7 @@ class ClusterSimulator:
                     "grid model horizon is shorter than the simulation horizon"
                 )
             horizon_slice = grid.carbon_intensity_g_per_kwh[:n_hours_needed]
-            quantile = self.config.carbon_threshold_quantile
-            self._carbon_threshold = float(np.quantile(horizon_slice, quantile))
+            self._carbon_threshold = float(np.quantile(horizon_slice, CARBON_THRESHOLD_QUANTILE))
         self._hourly_context = self._build_hourly_context()
 
         # Runtime state
@@ -419,7 +416,7 @@ class ClusterSimulator:
         self._tick_it_power: list[float] = []
 
     def _build_hourly_context(self) -> list[tuple]:
-        """One ``(carbon, price, renewable, temperature, pue)`` row per hour.
+        """One ``(carbon, price, renewable, pue)`` row per hour.
 
         The only copy of the time-varying substrates.  Rows cover hours
         ``0..int(horizon_h)``, the range a clamped scheduling time and every
@@ -441,7 +438,6 @@ class ClusterSimulator:
                 column(None if grid is None else grid.carbon_intensity_g_per_kwh, None),
                 column(None if grid is None else grid.price_per_mwh, None),
                 column(None if grid is None else grid.renewable_share, None),
-                column(weather, None),
                 column(pue, 1.0),
             )
         )
@@ -529,14 +525,13 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _context(self, now_h: float) -> SchedulingContext:
         hour = int(min(max(now_h, 0.0), self.config.horizon_h))
-        carbon, price, renewable, temperature, pue = self._hourly_context[hour]
+        carbon, price, renewable, pue = self._hourly_context[hour]
         return SchedulingContext(
             now_h=now_h,
             carbon_intensity_g_per_kwh=carbon,
             carbon_intensity_threshold=self._carbon_threshold,
             price_per_mwh=price,
             renewable_share=renewable,
-            outdoor_temperature_c=temperature,
             facility_power_budget_w=self.config.facility_power_budget_w,
             current_it_power_w=self._current_it_power_w,
             current_pue=pue,
@@ -757,7 +752,7 @@ class ClusterSimulator:
         hourly = self._hourly_context
         rows = [hourly[int(t)] for t in self._tick_times]
         it_power = np.asarray(self._tick_it_power, dtype=float)
-        pue = np.array([row[4] for row in rows], dtype=float)
+        pue = np.array([row[3] for row in rows], dtype=float)
         carbon = price = None
         if self.grid is not None:
             carbon = np.array([row[0] for row in rows], dtype=float)

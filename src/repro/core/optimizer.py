@@ -14,12 +14,10 @@ paper's warning about perverse effects).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cluster.simulator import SimulationConfig, SimulationResult
 from ..errors import OptimizationError
-from ..parallel.pool import ParallelConfig, map_parallel
 from ..scheduler.job import Job
 from .levers import (
     OperatingPoint,
@@ -99,8 +97,7 @@ class DatacenterOptimizer:
     substrates:
         The environment (``ε``) shared by every evaluation: anything with
         ``weather_hourly_c`` and ``grid``, such as the scenario built from
-        ``spec``.  Only those two are kept, so a process pool ships them and
-        not the whole scenario.
+        ``spec``.  Only those two are kept.
     objective / constraint:
         The ``E(·)`` to minimise and the ``A(·) ≥ α`` floor.
     simulation_config:
@@ -156,17 +153,12 @@ class DatacenterOptimizer:
         self,
         jobs: Sequence[Job],
         points: Sequence[OperatingPoint] | None = None,
-        *,
-        parallel: Optional[ParallelConfig] = None,
     ) -> OptimizationOutcome:
         """Evaluate every candidate point and pick the best feasible one.
 
-        The grid search runs through the campaign layer's process-pool
-        mapping: point evaluations are independent (each builds its own
-        cluster and simulator on a cloned trace), so a multi-worker
-        ``parallel`` configuration fans them out across processes while the
-        evaluated order — and therefore the selected optimum, ties included —
-        stays identical to a serial run.
+        Points are evaluated in order (each builds its own cluster and
+        simulator on a cloned trace), the baseline last when it is not a
+        candidate; ties on the objective go to the earliest point.
         """
         if not jobs:
             raise OptimizationError("optimize() requires a non-empty job trace")
@@ -176,7 +168,7 @@ class DatacenterOptimizer:
         to_evaluate = list(candidates)
         if self.baseline_point not in to_evaluate:
             to_evaluate.append(self.baseline_point)
-        evaluated = map_parallel(partial(self.evaluate_point, jobs=jobs), to_evaluate, parallel)
+        evaluated = [self.evaluate_point(point, jobs) for point in to_evaluate]
         baseline_eval = next(e for e in evaluated if e.point == self.baseline_point)
         feasible = [e for e in evaluated if e.evaluation.feasible]
         best = min(feasible, key=lambda e: e.evaluation.objective_value) if feasible else None

@@ -21,7 +21,6 @@ from ..config import config_replace
 from ..cluster.cooling import CoolingModel
 from ..errors import SimulationError
 from ..grid.iso_ne import IsoNeLikeGrid
-from ..parallel.pool import ParallelConfig, map_parallel
 from ..timeutils import SimulationCalendar
 from ..workloads.demand import DeadlineDemandConfig, DeadlineDemandModel
 from ..workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
@@ -157,20 +156,11 @@ class StressTestHarness:
     def run_battery(
         self,
         scenarios: Sequence[StressScenarioSpec] = STANDARD_STRESS_SCENARIOS,
-        *,
-        parallel: Optional[ParallelConfig] = None,
     ) -> dict[str, StressTestResult]:
-        """Run a battery of scenarios, keyed by scenario name.
-
-        The battery goes through the campaign layer's process-pool mapping:
-        with a multi-worker ``parallel`` configuration the scenarios run
-        concurrently (the harness state is picklable), and the result order —
-        hence the returned mapping — is identical to a serial run.
-        """
+        """Run a battery of scenarios in order, keyed by scenario name."""
         if not scenarios:
             raise SimulationError("run_battery requires at least one scenario")
-        results = map_parallel(self.run_scenario, scenarios, parallel)
-        return {spec.name: result for spec, result in zip(scenarios, results)}
+        return {spec.name: self.run_scenario(spec) for spec in scenarios}
 
     @staticmethod
     def degradation_table(results: Mapping[str, StressTestResult]) -> list[dict[str, float | str]]:

@@ -129,9 +129,7 @@ def run_table1(session: ExperimentSession) -> ExperimentResult:
 @experiment("powercap", help="the power-cap energy/time trade-off sweep")
 def run_powercap(session: ExperimentSession) -> ExperimentResult:
     """Section II.C: the energy/runtime frontier of GPU power caps."""
-    points = powercap_energy_tradeoff(
-        session.spec.workload.gpu_model, parallel=session.parallel
-    )
+    points = powercap_energy_tradeoff(session.spec.workload.gpu_model)
     rows = [
         {
             "cap_fraction": p.cap_fraction,
@@ -226,7 +224,7 @@ def run_stress(session: ExperimentSession) -> ExperimentResult:
         baseline_weather_c=scenario.weather_hourly_c,
         grid=scenario.grid,
     )
-    results = harness.run_battery(parallel=session.parallel)
+    results = harness.run_battery()
     rows = StressTestHarness.degradation_table(results)
     worst = max(rows, key=lambda row: row["energy_increase_pct"])
     scalars = {
@@ -360,9 +358,11 @@ def run_fleet(
     rows: list[dict] = []
     results = []
     for router_name in routers:
-        # The session's --workers / GREENHPC_WORKERS configuration doubles as
-        # the fleet stepping mode: >1 workers steps the member sites on
-        # worker processes (bit-identical records, see repro.fleet.parallel).
+        # The session's --workers / GREENHPC_WORKERS configuration is the
+        # fleet stepping mode: >1 workers steps the member sites on worker
+        # processes (bit-identical records, see repro.fleet.parallel).
+        # Campaign points run with a serial session, so their rows never
+        # depend on the campaign's worker count.
         result = FleetSimulator(
             fleet_spec,
             router=router_name,

@@ -57,7 +57,6 @@ see ``examples/policy_composition.py``.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -311,7 +310,7 @@ class CampaignSpec:
 #: One session per distinct scenario spec, local to this (worker) process.
 #: ``map_parallel`` hands each worker a chunk of points; points sharing a
 #: spec reuse the session's cached substrates instead of rebuilding them.
-_WORKER_SESSIONS: dict[tuple[ScenarioSpec, Optional[ParallelConfig]], ExperimentSession] = {}
+_WORKER_SESSIONS: dict[ScenarioSpec, ExperimentSession] = {}
 
 #: Cache bound: ``run_campaign`` dispatches same-spec points adjacently, so a
 #: small FIFO window keeps the reuse win while a serial driver process (or a
@@ -319,17 +318,14 @@ _WORKER_SESSIONS: dict[tuple[ScenarioSpec, Optional[ParallelConfig]], Experiment
 _MAX_WORKER_SESSIONS = 8
 
 
-def _worker_session(
-    spec: ScenarioSpec, parallel: Optional[ParallelConfig] = None
-) -> ExperimentSession:
-    """The process-local session for ``spec`` (created on first use)."""
-    key = (spec, parallel)
-    session = _WORKER_SESSIONS.get(key)
+def _worker_session(spec: ScenarioSpec) -> ExperimentSession:
+    """The process-local serial session for ``spec`` (created on first use)."""
+    session = _WORKER_SESSIONS.get(spec)
     if session is None:
         while len(_WORKER_SESSIONS) >= _MAX_WORKER_SESSIONS:
             _WORKER_SESSIONS.pop(next(iter(_WORKER_SESSIONS)))
-        session = ExperimentSession(spec, parallel=parallel)
-        _WORKER_SESSIONS[key] = session
+        session = ExperimentSession(spec)
+        _WORKER_SESSIONS[spec] = session
     return session
 
 
@@ -338,9 +334,7 @@ def clear_worker_sessions() -> None:
     _WORKER_SESSIONS.clear()
 
 
-def _evaluate_campaign_point(
-    point: CampaignPoint, parallel: Optional[ParallelConfig] = None
-) -> ExperimentResult:
+def _evaluate_campaign_point(point: CampaignPoint) -> ExperimentResult:
     """Run one campaign point on the worker-local session for its spec.
 
     The ``campaign.evaluate`` span lands in the coordinator's trace for
@@ -350,7 +344,7 @@ def _evaluate_campaign_point(
     with get_recorder().span(
         "campaign.evaluate", index=point.index, experiment=point.experiment
     ):
-        session = _worker_session(point.spec, parallel)
+        session = _worker_session(point.spec)
         return session.run(point.experiment, **dict(point.params))
 
 
@@ -402,14 +396,12 @@ def run_campaign(
     returned :class:`CampaignResult` is byte-identical between serial and
     parallel runs of the same campaign.
 
-    ``parallel`` distributes the *points*, and each point's worker-local
-    session receives it too, where inner layers pick it up — most notably
-    the ``fleet`` experiment, whose member sites then step on worker
-    processes of their own (:mod:`repro.fleet.parallel`), so a router sweep
-    exploits both axes at once (points × sites).  The two multiply: a
-    campaign over F-site fleets with W workers can occupy up to W×(F+1)
-    processes.  Points are dispatched grouped by scenario spec (in order of
-    first appearance), so a world is built once per worker however many
+    ``parallel`` distributes the *points*, and that is the run's only
+    fan-out: each point runs serially inside its worker, on a session built
+    without a parallel configuration, so a ``fleet`` point steps its sites
+    in-process and a campaign at W workers occupies at most W processes.
+    Points are dispatched grouped by scenario spec (in order of first
+    appearance), so a world is built once per worker however many
     experiments share it.
 
     ``store`` (an :class:`~repro.artifacts.ArtifactStore`) makes the run
@@ -464,8 +456,7 @@ def run_campaign(
             # Cache-hit points never enter this span: a warm trace shows
             # campaign.point hit markers and no campaign.simulate at all.
             with recorder.span("campaign.simulate", n_points=len(missed)):
-                evaluate = functools.partial(_evaluate_campaign_point, parallel=parallel)
-                fresh = map_parallel(evaluate, batch, parallel)
+                fresh = map_parallel(_evaluate_campaign_point, batch, parallel)
             for point, result in zip(batch, fresh):
                 results[point.index] = result
         if store is not None:

@@ -46,10 +46,10 @@ class ExperimentSession:
         The scenario to run in — a :class:`ScenarioSpec`, the name of a
         registered scenario, or ``None`` for the default scenario.
     parallel:
-        Execution configuration for the sweep-shaped experiments (the
-        power-cap sweep, the stress battery, the Eq. 1 grid search); serial
-        by default.  The CLI plumbs ``--workers`` / ``GREENHPC_WORKERS``
-        into this.
+        Worker processes the ``fleet`` experiment steps its member sites on;
+        serial by default.  The CLI plumbs ``--workers`` /
+        ``GREENHPC_WORKERS`` into this.  Campaign points build their
+        sessions without it, so a campaign fans out only across its points.
     **overrides:
         Spec fields to replace on top of ``spec`` (e.g. ``seed=7``,
         ``n_months=12``).
@@ -76,7 +76,7 @@ class ExperimentSession:
         if overrides:
             spec = spec.replace(**overrides)
         self._spec: ScenarioSpec = spec
-        #: Execution configuration used by sweep-shaped experiments.
+        #: Worker processes for the ``fleet`` experiment's site stepping.
         self.parallel: ParallelConfig = parallel or ParallelConfig()
         self._scenarios: dict[ScenarioSpec, SuperCloudScenario] = {}
         self._job_traces: dict[tuple[ScenarioSpec, int, float], list[Job]] = {}
@@ -85,19 +85,6 @@ class ExperimentSession:
         # Build-once guard: concurrent daemon sessions share one session per
         # distinct spec, so cache fills must be serialized (reentrant — a
         # build may consult the cache again through nested calls).
-        self._cache_lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # Pickling (process-pool workers): locks don't cross process
-    # boundaries, so the guard is dropped and recreated on unpickle.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_cache_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
         self._cache_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -220,15 +207,12 @@ class ExperimentSession:
         activity_floor_fraction: float = 0.9,
         points: Optional[Sequence[OperatingPoint]] = None,
         objective_kind: ObjectiveKind = ObjectiveKind.FACILITY_ENERGY_KWH,
-        parallel: Optional[ParallelConfig] = None,
     ) -> OptimizationOutcome:
         """Run the Eq. 1 search on a job trace over this session's substrates.
 
         ``activity_floor_fraction`` sets α as a fraction of the baseline
         (uncapped backfill) delivered GPU-hours, which is how an operator
-        would phrase "no more than a 10% hit to throughput".  The grid search
-        itself runs through the parallel mapping layer; ``parallel`` defaults
-        to the session's own configuration.
+        would phrase "no more than a 10% hit to throughput".
         """
         trace = list(jobs) if jobs is not None else self.job_trace(n_jobs=n_jobs, horizon_h=horizon_h)
         simulation_config = SimulationConfig(horizon_h=horizon_h, tick_h=1.0)
@@ -247,9 +231,7 @@ class ExperimentSession:
         baseline_point = OperatingPoint(policy_name="backfill")
         baseline_result = make_optimizer(0.0, None).evaluate_point(baseline_point, trace)
         alpha = activity_floor_fraction * baseline_result.result.delivered_gpu_hours
-        return make_optimizer(alpha, baseline_point).optimize(
-            trace, points=points, parallel=parallel or self.parallel
-        )
+        return make_optimizer(alpha, baseline_point).optimize(trace, points=points)
 
     # ------------------------------------------------------------------
     # Running experiments

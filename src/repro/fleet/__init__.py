@@ -57,9 +57,9 @@ is wall-clock:
   ``quad-climate-medium`` speedup fleet of the scale benchmarks), dense
   traces, or many members (``deca-continental-*``, ``duo-xlarge``).
 * Keep the serial default for small fleets of small sites — a 3x
-  ``supercloud-small`` week steps in well under a second — and inside
-  already-parallel campaign sweeps unless the fleet itself is the
-  bottleneck (worker counts multiply: W sweep processes x F fleet workers).
+  ``supercloud-small`` week steps in well under a second.  Campaign sweeps
+  always step their ``fleet`` points serially: a campaign fans out across
+  its points, never within one.
 """
 
 from .parallel import (

@@ -74,10 +74,10 @@ class FleetSimulator:
         Each worker gets the job trace once, at its start; a window then
         costs one message down and one up per worker, carrying trace
         positions and site snapshots, never jobs.
-        ``n_workers=0`` means "all cores".  Unlike the sweep layer,
-        ``min_tasks_for_processes`` does not apply here — an explicit
-        multi-worker request always parallelises, even a one-site fleet
-        (which is how the degenerate parity tests exercise the worker path).
+        ``n_workers=0`` means "all cores".  A multi-worker request always
+        parallelises, even a one-site fleet (which is how the degenerate
+        parity tests exercise the worker path).  Campaign points leave this
+        ``None``: a campaign fans out across its points only.
     session:
         Substrate cache to build member worlds through; a private
         :class:`ExperimentSession` keyed to the first member is created when

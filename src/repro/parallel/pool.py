@@ -1,10 +1,10 @@
-"""Process-pool mapping with sensible fallbacks.
+"""Process-pool mapping with a serial fallback.
 
 Following the HPC guidance of "make it work, measure, then parallelise the
 bottleneck": the sweep harness uses plain ``ProcessPoolExecutor`` chunked
-mapping, but falls back to serial execution when the task list is small
-(process start-up would dominate) or when ``n_workers <= 1`` — which also
-keeps the code path identical and easily testable without multiprocessing.
+mapping, but runs serially when only one worker is asked for or there is
+only one task — which also keeps the code path identical and easily
+testable without multiprocessing.
 """
 
 from __future__ import annotations
@@ -33,19 +33,13 @@ class ParallelConfig:
         Number of worker processes; ``0`` means "use every CPU this process
         may run on" (its CPU affinity where the platform has one),
         ``1`` forces serial execution.
-    min_tasks_for_processes:
-        Below this many tasks the sweep runs serially regardless of
-        ``n_workers`` (process start-up costs more than it saves).
     """
 
     n_workers: int = 1
-    min_tasks_for_processes: int = 8
 
     def __post_init__(self) -> None:
         if self.n_workers < 0:
             raise ConfigurationError("n_workers must be >= 0")
-        if self.min_tasks_for_processes < 0:
-            raise ConfigurationError("min_tasks_for_processes must be >= 0")
 
     def resolved_workers(self) -> int:
         """The actual worker count (resolving 0 to the CPUs this process may run on)."""
@@ -70,8 +64,10 @@ def map_parallel(
     tasks: Iterable[T],
     config: ParallelConfig | None = None,
 ) -> list[R]:
-    """Apply ``function`` to every task, in processes when it is worth it.
+    """Apply ``function`` to every task, in processes when there are several.
 
+    Processes are used when the resolved worker count is above 1 and there
+    are at least two tasks; otherwise the tasks run in this process.
     Results are returned in task order regardless of execution order.  The
     function and tasks must be picklable when processes are used; the serial
     path has no such requirement, which tests rely on.
@@ -79,7 +75,7 @@ def map_parallel(
     config = config or ParallelConfig()
     task_list: Sequence[T] = list(tasks)
     workers = config.resolved_workers()
-    if workers <= 1 or len(task_list) < config.min_tasks_for_processes:
+    if workers <= 1 or len(task_list) < 2:
         return [function(task) for task in task_list]
     with ProcessPoolExecutor(max_workers=workers) as executor:
         return list(

@@ -37,8 +37,6 @@ class SchedulingContext:
         Current electricity price.
     renewable_share:
         Current solar+wind share of grid generation.
-    outdoor_temperature_c:
-        Current outdoor temperature (drives cooling overhead).
     facility_power_budget_w:
         Optional cap on total facility power the scheduler should respect.
     current_it_power_w:
@@ -52,7 +50,6 @@ class SchedulingContext:
     carbon_intensity_threshold: Optional[float] = None
     price_per_mwh: Optional[float] = None
     renewable_share: Optional[float] = None
-    outdoor_temperature_c: Optional[float] = None
     facility_power_budget_w: Optional[float] = None
     current_it_power_w: float = 0.0
     current_pue: float = 1.0

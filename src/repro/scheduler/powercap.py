@@ -14,11 +14,9 @@ token, :class:`~repro.scheduler.stages.AdaptiveCapStage`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import SchedulingError
-from ..parallel.pool import ParallelConfig, map_parallel
 from ..telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 
 __all__ = ["powercap_energy_tradeoff", "PowerCapSweepPoint"]
@@ -37,12 +35,10 @@ class PowerCapSweepPoint:
 
 
 def _evaluate_cap_fraction(
-    fraction: float, *, gpu_model: str, utilization: float, baseline_energy: float
+    fraction: float, model: GpuPowerModel, *, utilization: float, baseline_energy: float
 ) -> PowerCapSweepPoint:
-    """One cap level of the trade-off sweep (module-level, so it pickles)."""
-    spec = get_gpu_spec(gpu_model)
-    model = GpuPowerModel(spec)
-    cap_w = float(model.clamp_power_limit(fraction * spec.tdp_w))
+    """One cap level of the trade-off sweep."""
+    cap_w = float(model.clamp_power_limit(fraction * model.spec.tdp_w))
     slowdown = float(model.slowdown_factor(cap_w, utilization))
     energy = float(model.energy_for_work(1.0, utilization, cap_w))
     relative_energy = energy / baseline_energy
@@ -61,29 +57,24 @@ def powercap_energy_tradeoff(
     cap_fractions: Sequence[float] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5),
     *,
     utilization: float = 0.95,
-    parallel: Optional[ParallelConfig] = None,
 ) -> list[PowerCapSweepPoint]:
     """Energy/time trade-off of power caps for a fixed amount of training work.
 
     Reproduces the shape of the Frey et al. [15] result the paper leans on:
     moderate caps (70-80% of TDP) save 10-25% of energy at only a few percent
-    runtime penalty, while very tight caps hit diminishing returns.  The cap
-    levels are evaluated with :func:`~repro.parallel.pool.map_parallel`, so
-    large custom sweeps can run across processes via ``parallel``; results
-    are in ``cap_fractions`` order either way.
+    runtime penalty, while very tight caps hit diminishing returns.  Points
+    come back in ``cap_fractions`` order.
     """
     if not cap_fractions:
         return []
     for fraction in cap_fractions:
         if not 0.0 < fraction <= 1.0:
             raise SchedulingError(f"cap fractions must lie in (0, 1], got {fraction!r}")
-    spec = get_gpu_spec(gpu_model)
-    model = GpuPowerModel(spec)
+    model = GpuPowerModel(get_gpu_spec(gpu_model))
     baseline_energy = float(model.energy_for_work(1.0, utilization, None))
-    evaluate = partial(
-        _evaluate_cap_fraction,
-        gpu_model=gpu_model,
-        utilization=utilization,
-        baseline_energy=baseline_energy,
-    )
-    return map_parallel(evaluate, [float(f) for f in cap_fractions], parallel)
+    return [
+        _evaluate_cap_fraction(
+            float(fraction), model, utilization=utilization, baseline_energy=baseline_energy
+        )
+        for fraction in cap_fractions
+    ]

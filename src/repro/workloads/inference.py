@@ -141,7 +141,6 @@ class InferenceFleetModel:
         # Utilization: fraction of the GPU's saturated throughput demanded,
         # capped at the saturation utilization (beyond that, queries queue).
         demanded = per_gpu_rate / spec.queries_per_gpu_s_at_full_util
-        utilization = np.clip(demanded, 0.0, 1.0) * spec.utilization_at_saturation / spec.utilization_at_saturation
         utilization = np.minimum(demanded, spec.utilization_at_saturation)
 
         gpu_power_w = np.asarray(self.power_model.power_w(utilization, None))

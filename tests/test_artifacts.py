@@ -292,7 +292,7 @@ class TestCampaignReport:
         parallel = campaign_report(
             campaign,
             ArtifactStore(tmp_path / "parallel-cache"),
-            parallel=ParallelConfig(n_workers=2, min_tasks_for_processes=0),
+            parallel=ParallelConfig(n_workers=2),
         )
         assert (parallel.result.cache_hits, parallel.result.cache_misses) == (0, 4)
         assert parallel.markdown == serial.markdown

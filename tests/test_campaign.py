@@ -23,8 +23,8 @@ from repro.parallel import ParallelConfig
 #: A cheap campaign: neither experiment builds simulation substrates.
 CHEAP = dict(experiments=("table1", "powercap"), scenario_grid={"seed": [0, 1], "n_months": [3, 4]})
 
-#: Forces the real process pool even for small campaigns.
-TWO_WORKERS = ParallelConfig(n_workers=2, min_tasks_for_processes=2)
+#: Runs campaigns of two or more points on a real process pool.
+TWO_WORKERS = ParallelConfig(n_workers=2)
 
 
 class TestCampaignSpec:
@@ -312,9 +312,9 @@ class TestCampaignCaching:
         indices: list[int] = []
         real = campaign_module._evaluate_campaign_point
 
-        def counting(point, parallel=None):
+        def counting(point):
             indices.append(point.index)
-            return real(point, parallel)
+            return real(point)
 
         monkeypatch.setattr(campaign_module, "_evaluate_campaign_point", counting)
         return indices
@@ -399,44 +399,45 @@ class TestCampaignCaching:
         assert warm.rows == cold.rows
 
 
-class TestRewiredAnalyses:
-    """The sweep-shaped analyses give identical results serially and in processes."""
+class TestOneFanOut:
+    """A campaign fans out across its points only, so rows do not depend on workers."""
 
-    def test_powercap_tradeoff_parallel_matches_serial(self):
+    def test_parallel_and_warm_runs_give_the_cold_serial_rows(self, tmp_path):
+        campaign = CampaignSpec(
+            experiments=("fleet", "stress", "powercap"),
+            base=ScenarioSpec(n_months=2),
+            param_grid={
+                "router": ["round-robin", "carbon-min"],
+                "jobs": [40],
+                "horizon_days": [2.0],
+            },
+        )
+        serial = run_campaign(campaign)
+        assert len(serial) == 4
+        store = ArtifactStore(tmp_path / "cache")
+        parallel = run_campaign(campaign, TWO_WORKERS, store=store)
+        assert parallel.rows == serial.rows
+        # A fleet point steps its sites in its own process, not on a pool.
+        fleet_rows = [row for row in serial.rows if row["experiment"] == "fleet"]
+        assert [row["step_workers"] for row in fleet_rows] == [1, 1]
+        warm = run_campaign(campaign, store=store)
+        assert (warm.cache_hits, warm.cache_misses) == (4, 0)
+        assert warm.rows == serial.rows
+
+
+class TestRewiredAnalyses:
+    """The sweep-shaped analyses run in order, in the calling process."""
+
+    def test_powercap_tradeoff_keeps_cap_order(self):
         from repro.scheduler.powercap import powercap_energy_tradeoff
 
-        caps = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
-        serial = powercap_energy_tradeoff("V100", caps)
-        parallel = powercap_energy_tradeoff("V100", caps, parallel=TWO_WORKERS)
-        assert serial == parallel
-        assert [p.cap_fraction for p in serial] == list(caps)
+        caps = (0.5, 1.0, 0.7, 0.9)
+        assert [p.cap_fraction for p in powercap_energy_tradeoff("V100", caps)] == list(caps)
 
     def test_powercap_tradeoff_empty_caps_returns_empty(self):
         from repro.scheduler.powercap import powercap_energy_tradeoff
 
         assert powercap_energy_tradeoff("V100", ()) == []
-
-    def test_stress_battery_parallel_matches_serial(self):
-        from repro.core.stress import StressTestHarness
-
-        harness = StressTestHarness(n_months=2, seed=3)
-        serial = harness.run_battery()
-        parallel = harness.run_battery(parallel=TWO_WORKERS)
-        assert serial == parallel
-        assert list(serial) == list(parallel)  # same scenario order
-
-    def test_optimizer_parallel_matches_serial(self):
-        from repro.experiments import ExperimentSession
-
-        session = ExperimentSession(ScenarioSpec(n_months=2))
-        jobs = session.job_trace(n_jobs=20, horizon_h=24.0)
-        serial = session.optimize_operations(jobs, horizon_h=24.0)
-        parallel = session.optimize_operations(jobs, horizon_h=24.0, parallel=TWO_WORKERS)
-        assert [e.point for e in serial.evaluated] == [e.point for e in parallel.evaluated]
-        assert [e.evaluation.objective_value for e in serial.evaluated] == [
-            e.evaluation.objective_value for e in parallel.evaluated
-        ]
-        assert serial.best.point == parallel.best.point
 
     def test_optimize_experiment_validates_policies_against_registry(self):
         from repro.experiments import ExperimentSession

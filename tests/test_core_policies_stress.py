@@ -150,6 +150,9 @@ class TestStressHarness:
     def test_all_scenarios_run(self, battery):
         assert set(battery) == {s.name for s in STANDARD_STRESS_SCENARIOS}
 
+    def test_battery_keeps_scenario_order(self, battery):
+        assert list(battery) == [s.name for s in STANDARD_STRESS_SCENARIOS]
+
     def test_stress_scenarios_degrade_energy(self, battery):
         baseline = battery["baseline"]
         severe = battery["severely-adverse"]

@@ -482,6 +482,20 @@ class TestFleetWorkersCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scalars"]["step_workers"] == 2
 
+    def test_sweep_workers_flag_keeps_fleet_points_serial(self, capsys):
+        # The sweep fans out across its points; each point steps in-process.
+        exit_code = main(
+            [
+                "--months", str(N_MONTHS), "--seed", str(SEED), "--workers", "2",
+                "sweep", "--experiments", "fleet",
+                "--grid", "router=round-robin,carbon-min",
+                "--grid", "jobs=40", "--grid", "horizon_days=2", "--json",
+            ]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["step_workers"] for row in payload["rows"]] == [1, 1]
+
     def test_serial_cli_run_reports_serial_stepping(self, capsys):
         exit_code = main(
             [

@@ -7,11 +7,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel.pool import ParallelConfig, map_parallel
-from repro.scheduler.powercap import powercap_energy_tradeoff
 
 
 def square(x: int) -> int:
     return x * x
+
+
+def task_pid(_: int) -> int:
+    return os.getpid()
 
 
 def uneven_identity(x: int) -> int:
@@ -49,17 +52,21 @@ class TestMapParallel:
         assert map_parallel(square, range(10)) == [i * i for i in range(10)]
 
     def test_small_task_count_stays_serial_even_with_workers(self):
-        config = ParallelConfig(n_workers=4, min_tasks_for_processes=100)
+        config = ParallelConfig(n_workers=4)
         # A lambda is not picklable; succeeding proves the serial path was used.
-        assert map_parallel(lambda x: x + 1, [1, 2, 3], config) == [2, 3, 4]
+        assert map_parallel(lambda x: x + 1, [1], config) == [2]
+
+    def test_two_tasks_run_in_worker_processes(self):
+        pids = map_parallel(task_pid, [0, 1], ParallelConfig(n_workers=2))
+        assert os.getpid() not in pids
 
     def test_process_pool_path(self):
-        config = ParallelConfig(n_workers=2, min_tasks_for_processes=2)
+        config = ParallelConfig(n_workers=2)
         assert map_parallel(square, list(range(12)), config) == [i * i for i in range(12)]
 
     def test_process_pool_preserves_task_order_despite_uneven_durations(self):
         # 8 tasks on 4 workers resolve to one task per chunk.
-        config = ParallelConfig(n_workers=4, min_tasks_for_processes=2)
+        config = ParallelConfig(n_workers=4)
         assert map_parallel(uneven_identity, list(range(8)), config) == list(range(8))
 
     def test_empty_tasks(self):
@@ -69,13 +76,3 @@ class TestMapParallel:
         assert ParallelConfig(n_workers=2).resolved_chunksize(100) == 13
         assert ParallelConfig(n_workers=2).resolved_chunksize(1) == 1
 
-
-class TestPowercapSweep:
-    def test_parallel_execution_matches_serial(self):
-        fractions = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.45, 0.4]
-        serial = powercap_energy_tradeoff("A100", fractions)
-        parallel = powercap_energy_tradeoff(
-            "A100", fractions, parallel=ParallelConfig(n_workers=2, min_tasks_for_processes=2)
-        )
-        assert parallel == serial
-        assert [row.cap_fraction for row in serial] == fractions

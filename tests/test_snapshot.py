@@ -679,16 +679,6 @@ class TestSessionThreadSafety:
             thread.join()
         assert all(trace is results[0] for trace in results)
 
-    def test_session_survives_pickling(self):
-        import pickle
-
-        session = ExperimentSession("supercloud-small")
-        session.scenario()
-        clone = pickle.loads(pickle.dumps(session))
-        assert clone.spec == session.spec
-        # The recreated lock still guards the caches.
-        assert clone.scenario() is not None
-
 
 class TestCheckpointStore:
     def test_save_load_round_trip(self, tmp_path):
