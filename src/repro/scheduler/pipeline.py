@@ -136,7 +136,9 @@ class PolicyPipeline:
         pack = self.placement.pack
         for job in pending:
             if job.n_gpus > remaining:
-                if stop_at_first_blocked:
+                # A job larger than the whole cluster can never start, so it
+                # must not hold a strict-FIFO queue behind it.
+                if stop_at_first_blocked and job.n_gpus <= cluster.total_gpus:
                     break
                 continue
             # Each ``else`` runs only when no gate in its loop rejected the job.

@@ -7,9 +7,10 @@ state, and only the newest ``keep`` checkpoints per session are retained.
 
 A checkpoint holds a session's inputs, not its state.  The payload is:
 
-* ``meta``: the session's creation parameters (scenario name, overrides,
-  policy, horizon, tick, power budget and cap, preload size) and its
-  checkpoint count;
+* ``meta``: the session's creation record (scenario name, overrides,
+  policy, horizon, tick, power budget and cap, preload size; the keys of
+  :data:`~repro.serve.session.RECORD_KEYS`) plus its checkpoint count.
+  ``ServeSession(meta, world)`` takes it as it is;
 * ``journal``: one ``[advanced_to_h, static fields]`` entry per client job
   the session accepted, in submission order, where ``advanced_to_h`` is the
   session's cursor when the job came in.  The journal only grows, so each

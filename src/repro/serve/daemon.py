@@ -10,7 +10,7 @@ GET    ``/health``                         liveness + session/world counts
 GET    ``/version``                        package version
 POST   ``/sessions``                       create a session (scenario, policy, …)
 GET    ``/sessions``                       list live sessions
-GET    ``/sessions/{id}``                  one session's status
+GET    ``/sessions/{id}``                  creation record plus live status
 DELETE ``/sessions/{id}``                  drop a session
 POST   ``/sessions/{id}/jobs``             submit jobs mid-run
 POST   ``/sessions/{id}/advance``          advance to ``until_h`` (deadline-bounded)

@@ -5,6 +5,9 @@ A :class:`ServeSession` is one warm world: a mid-run
 has streamed and the journal of client jobs it was fed, guarded by a
 per-session lock so HTTP handler threads can submit jobs, advance time,
 stream ticks and checkpoint concurrently without corrupting the event loop.
+It is built from one creation record (:data:`RECORD_KEYS`): the request
+body fills it, a checkpoint stores it as its ``meta``, a restore passes it
+back, and a session's status starts from it.
 
 The :class:`SessionManager` builds every session's substrates through one
 (thread-safe) :class:`~repro.experiments.ExperimentSession`, which caches
@@ -37,11 +40,25 @@ from ..scheduler.job import STATIC_FIELDS, Job
 from .checkpoint import CHECKPOINT_FORMAT_VERSION, SESSION_ID, CheckpointStore
 
 __all__ = [
+    "RECORD_KEYS",
     "UnknownSessionError",
     "TelemetryObserver",
     "ServeSession",
     "SessionManager",
 ]
+
+#: A session's creation record, in the order a checkpoint's ``meta`` stores it.
+RECORD_KEYS = (
+    "session_id",
+    "scenario",
+    "overrides",
+    "policy",
+    "horizon_h",
+    "tick_h",
+    "facility_power_budget_w",
+    "power_cap_fraction",
+    "preload_jobs",
+)
 
 _REQUIRED_JOB_FIELDS = ("job_id", "user_id", "n_gpus", "duration_h", "submit_time_h")
 
@@ -165,34 +182,29 @@ class TelemetryObserver(SimulatorObserver):
 class ServeSession:
     """One live, lockable simulation session held by the daemon.
 
-    Build through :meth:`create` (fresh) or :meth:`from_checkpoint`
-    (restored, which replays a checkpoint's journal on a :meth:`create`-d
-    session).  The simulator is built from the scenario's cached
-    substrates, so restarts share builds with surviving sessions.
+    A session is built from its creation record (see :data:`RECORD_KEYS`):
+    :meth:`SessionManager.create_session` fills the record from a request
+    body, and :meth:`from_checkpoint` passes a checkpoint's ``meta``.  The
+    constructor begins the run on the record's preload trace.  The simulator
+    is built from the scenario's cached substrates, so restarts share builds
+    with surviving sessions.
     """
 
-    def __init__(
-        self,
-        *,
-        session_id: str,
-        scenario_name: str,
-        overrides: dict[str, Any],
-        policy: str,
-        config: SimulationConfig,
-        power_cap_fraction: Optional[float],
-        preload_jobs: int,
-        world: ExperimentSession,
-    ) -> None:
-        self.session_id = session_id
-        self.scenario_name = scenario_name
-        self.overrides = dict(overrides)
-        self.spec = resolve_spec(scenario_name, self.overrides)
+    def __init__(self, meta: dict[str, Any], world: ExperimentSession) -> None:
+        #: The creation record: what ``status()`` starts from and what a
+        #: checkpoint's ``meta`` stores.  Every key is read, so a checkpoint
+        #: missing one fails to restore.
+        self.record = {key: meta[key] for key in RECORD_KEYS}
+        record = self.record
+        config = SimulationConfig(
+            horizon_h=record["horizon_h"],
+            tick_h=record["tick_h"],
+            facility_power_budget_w=record["facility_power_budget_w"],
+        )
+        self.session_id = record["session_id"]
+        self.spec = resolve_spec(record["scenario"], record["overrides"])
         #: The spec's identity: the canonical hash inside campaign run keys.
         self.spec_hash = stable_hash(self.spec.to_dict())[:16]
-        self.policy = policy
-        self.power_cap_fraction = power_cap_fraction
-        self.preload_jobs = int(preload_jobs)
-        self.created_at = time.time()
         # Uptime math uses the monotonic clock: wall-clock (time.time) can
         # jump under NTP adjustment, which would skew or negate uptimes.
         self.created_monotonic = time.monotonic()
@@ -211,60 +223,31 @@ class ServeSession:
         self.simulator = build_simulator(
             self.spec,
             world.scenario(self.spec),
-            policy,
+            record["policy"],
             config,
-            power_cap_fraction=power_cap_fraction,
-            observers=[TelemetryObserver(session_id, self._ticks, self.ticks_available)],
+            power_cap_fraction=record["power_cap_fraction"],
+            observers=[TelemetryObserver(self.session_id, self._ticks, self.ticks_available)],
         )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(
-        cls,
-        *,
-        session_id: str,
-        scenario_name: str,
-        overrides: dict[str, Any],
-        policy: str,
-        horizon_h: float,
-        tick_h: float,
-        facility_power_budget_w: Optional[float],
-        power_cap_fraction: Optional[float],
-        preload_jobs: int,
-        world: ExperimentSession,
-    ) -> "ServeSession":
-        """Build a fresh session, ``begin()`` its run, optionally preload a trace."""
-        session = cls(
-            session_id=session_id,
-            scenario_name=scenario_name,
-            overrides=overrides,
-            policy=policy,
-            config=SimulationConfig(
-                horizon_h=float(horizon_h),
-                tick_h=float(tick_h),
-                facility_power_budget_w=facility_power_budget_w,
-            ),
-            power_cap_fraction=power_cap_fraction,
-            preload_jobs=preload_jobs,
-            world=world,
+        n_preload = record["preload_jobs"]
+        trace = (
+            world.job_trace(n_jobs=n_preload, horizon_h=config.horizon_h, spec=self.spec)
+            if n_preload
+            else []
         )
-        session.simulator.begin(session._preload_trace(world))
-        return session
+        self.simulator.begin([job.clone_pending() for job in trace])
 
     @classmethod
     def from_checkpoint(cls, payload: dict, world: ExperimentSession) -> "ServeSession":
         """Rebuild a session by replaying a checkpoint's input journal.
 
-        The session is built again with :meth:`create` from the checkpoint's
-        meta.  Each journal entry is replayed in order: advance to the cursor
-        the job was submitted at, then submit it.  Last, the session advances
-        to ``advanced_to_h``.  Replay writes no checkpoints, and the
-        telemetry observer regenerates every row as it goes.  Advancing to
-        each entry's own cursor keeps replay exact even when a job was
-        submitted at the instant of the last processed event, which a live
-        session then drains twice.
+        The session is built again from the checkpoint's meta.  Each journal
+        entry is replayed in order: advance to the cursor the job was
+        submitted at, then submit it.  Last, the session advances to
+        ``advanced_to_h``.  Replay writes no checkpoints, and the telemetry
+        observer regenerates every row as it goes.  Advancing to each
+        entry's own cursor keeps replay exact even when a job was submitted
+        at the instant of the last processed event, which a live session
+        then drains twice.
 
         The replayed simulator's :meth:`~repro.cluster.simulator.
         ClusterSimulator.snapshot` must equal the checkpoint's ``cursor``.
@@ -273,19 +256,7 @@ class ServeSession:
         cannot replay.
         """
         with checkpoint_fields("checkpoint"):
-            meta = payload["meta"]
-            session = cls.create(
-                session_id=meta["session_id"],
-                scenario_name=meta["scenario"],
-                overrides=meta["overrides"],
-                policy=meta["policy"],
-                horizon_h=meta["horizon_h"],
-                tick_h=meta["tick_h"],
-                facility_power_budget_w=meta["facility_power_budget_w"],
-                power_cap_fraction=meta["power_cap_fraction"],
-                preload_jobs=meta["preload_jobs"],
-                world=world,
-            )
+            session = cls(payload["meta"], world)
             for cursor_h, job in payload["journal"]:
                 session.advance_to(cursor_h)
                 session.submit_jobs([job])
@@ -296,20 +267,9 @@ class ServeSession:
                     f"replay of session {session.session_id!r} diverged: the checkpoint "
                     f"was written at {payload['cursor']!r}, the replay reached {replayed!r}"
                 )
-            session.checkpoint_count = int(meta["checkpoint_count"])
+            session.checkpoint_count = int(payload["meta"]["checkpoint_count"])
             session.last_checkpoint_h = session.advanced_to_h
         return session
-
-    def _preload_trace(self, world: ExperimentSession) -> list[Job]:
-        """Fresh PENDING copies of the session's preload trace (empty without one)."""
-        if not self.preload_jobs:
-            return []
-        trace = world.job_trace(
-            n_jobs=self.preload_jobs,
-            horizon_h=self.simulator.config.horizon_h,
-            spec=self.spec,
-        )
-        return [job.clone_pending() for job in trace]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -338,13 +298,9 @@ class ServeSession:
         with self.lock:
             simulator = self.simulator
             return {
-                "session_id": self.session_id,
-                "scenario": self.scenario_name,
-                "overrides": dict(self.overrides),
+                **self.record,
+                "overrides": dict(self.record["overrides"]),
                 "spec_hash": self.spec_hash,
-                "policy": self.policy,
-                "horizon_h": self.simulator.config.horizon_h,
-                "tick_h": self.simulator.config.tick_h,
                 "now_h": self.advanced_to_h,
                 "n_pending": simulator.n_pending,
                 "n_running": simulator.n_running,
@@ -487,22 +443,10 @@ class ServeSession:
                 raise ServeError(
                     f"session {self.session_id!r} is finalized; nothing left to checkpoint"
                 )
-            config = self.simulator.config
             self.checkpoint_count += 1
             payload = {
                 "format": CHECKPOINT_FORMAT_VERSION,
-                "meta": {
-                    "session_id": self.session_id,
-                    "scenario": self.scenario_name,
-                    "overrides": dict(self.overrides),
-                    "policy": self.policy,
-                    "horizon_h": config.horizon_h,
-                    "tick_h": config.tick_h,
-                    "facility_power_budget_w": config.facility_power_budget_w,
-                    "power_cap_fraction": self.power_cap_fraction,
-                    "preload_jobs": self.preload_jobs,
-                    "checkpoint_count": self.checkpoint_count,
-                },
+                "meta": {**self.record, "checkpoint_count": self.checkpoint_count},
                 "journal": self._journal,
                 "advanced_to_h": self.advanced_to_h,
                 # What the replay must reach, as a check on it.
@@ -540,31 +484,26 @@ class SessionManager:
             raise ServeError(
                 f"session_id must be ASCII letters, digits, '-' or '_', got {session_id!r}"
             )
-        scenario_name = params.get("scenario", "default")
-        overrides = {
-            key: params[key] for key in SCENARIO_OVERRIDES if params.get(key) is not None
+        record = {
+            "session_id": session_id,
+            "scenario": params.get("scenario", "default"),
+            "overrides": {
+                key: params[key] for key in SCENARIO_OVERRIDES if params.get(key) is not None
+            },
+            "policy": params.get("policy", "backfill"),
+            "horizon_h": number_field(params, "horizon_h", float, 7 * 24.0),
+            "tick_h": number_field(params, "tick_h", float, 1.0),
+            "facility_power_budget_w": number_field(params, "facility_power_budget_w", float),
+            "power_cap_fraction": number_field(params, "power_cap_fraction", float),
+            "preload_jobs": number_field(params, "preload_jobs", int, 0),
         }
-        session = ServeSession.create(
-            session_id=session_id,
-            scenario_name=scenario_name,
-            overrides=overrides,
-            policy=params.get("policy", "backfill"),
-            horizon_h=number_field(params, "horizon_h", float, 7 * 24.0),
-            tick_h=number_field(params, "tick_h", float, 1.0),
-            facility_power_budget_w=number_field(params, "facility_power_budget_w", float),
-            power_cap_fraction=number_field(params, "power_cap_fraction", float),
-            preload_jobs=number_field(params, "preload_jobs", int, 0),
-            world=self._world,
-        )
-        with self._lock:
-            if session_id in self._sessions:
-                raise ServeError(f"session {session_id!r} already exists")
-            self._sessions[session_id] = session
-        return session
+        return self._register(ServeSession(record, self._world))
 
     def restore_session(self, payload: dict) -> ServeSession:
         """Register a session rebuilt from a checkpoint payload."""
-        session = ServeSession.from_checkpoint(payload, self._world)
+        return self._register(ServeSession.from_checkpoint(payload, self._world))
+
+    def _register(self, session: ServeSession) -> ServeSession:
         with self._lock:
             if session.session_id in self._sessions:
                 raise ServeError(f"session {session.session_id!r} already exists")
@@ -667,11 +606,6 @@ class SessionManager:
         router.begin_fleet(len(snapshots))
         now_h = max(snapshot_session.advanced_to_h for snapshot_session in candidates)
         index = router.select(job, snapshots, now_h)
-        if not 0 <= index < len(candidates):
-            raise ServeError(
-                f"router {router.name!r} returned site index {index!r} "
-                f"for {len(candidates)} candidate sessions"
-            )
         return {
             "session_id": candidates[index].session_id,
             "router": router.name,

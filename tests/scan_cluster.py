@@ -123,6 +123,10 @@ class ScanCluster:
         return pool
 
     @property
+    def total_gpus(self) -> int:
+        return sum(len(node.gpus) for node in self.nodes)
+
+    @property
     def n_free_gpus(self) -> int:
         return sum(node.n_free_gpus for node in self.nodes)
 

@@ -8,9 +8,11 @@ from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
 from repro.scheduler.base import ScheduleDecision, SchedulingContext
+from repro.scheduler.compose import build_pipeline
 from repro.scheduler.job import Job
 from repro.scheduler.powercap import powercap_energy_tradeoff
 from repro.scheduler.stages import AdaptiveCapStage, StaticCapStage
+from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
 
 def make_job(job_id: str, n_gpus: int, submit: float = 0.0, **kw) -> Job:
@@ -52,6 +54,25 @@ class TestFifo:
         jobs = [make_job("a", 2), make_job("b", 2), make_job("c", 2)]
         decisions = make_scheduler("fifo").select(jobs, cluster, ctx())
         assert [d.job.job_id for d in decisions] == ["a", "b", "c"]
+
+    def test_a_job_larger_than_the_cluster_does_not_block(self, cluster):
+        jobs = [make_job("a", 4, 0.0), make_job("huge", 9, 1.0), make_job("c", 1, 2.0)]
+        decisions = make_scheduler("fifo").select(jobs, cluster, ctx())
+        assert [d.job.job_id for d in decisions] == ["a", "c"]
+
+    def test_oversized_jobs_do_not_starve_a_run(self):
+        """Every job that fits the cluster starts, though some never can."""
+        facility = FacilityConfig(n_nodes=2, gpus_per_node=2)
+        generator = SuperCloudTraceGenerator(SuperCloudTraceConfig(facility=facility), seed=0)
+        jobs = generator.generate_jobs(n_jobs=40, horizon_h=120.0)
+        fitting = {job.job_id for job in jobs if job.n_gpus <= facility.total_gpus}
+        assert 0 < len(fitting) < len(jobs)
+        simulator = ClusterSimulator(
+            Cluster(facility), build_pipeline("fifo"), SimulationConfig(horizon_h=120.0)
+        )
+        result = simulator.run([job.clone_pending() for job in jobs])
+        started = {r.job_id for r in result.job_records if r.start_time_h is not None}
+        assert started == fitting
 
 
 class TestBackfill:

@@ -125,6 +125,26 @@ class TestSessionLifecycle:
         assert spec_hash == stable_hash(daemon.manager.get("a").spec.to_dict())[:16]
         assert _create(client, session_id="c", seed=99)["spec_hash"] != spec_hash
 
+    def test_status_and_checkpoint_carry_the_creation_record(self, client):
+        record = {
+            "session_id": "s1",
+            "scenario": "supercloud-small",
+            "overrides": {"seed": 5},
+            "policy": "backfill+adaptive(budget_w=6000)",
+            "horizon_h": 48.0,
+            "tick_h": 2.0,
+            "facility_power_budget_w": 50000.0,
+            "power_cap_fraction": 0.8,
+            "preload_jobs": 20,
+        }
+        body = {key: value for key, value in record.items() if key != "overrides"}
+        client.create_session(**body, **record["overrides"])
+        status = client.session_status("s1")
+        assert {key: status.get(key) for key in record} == record
+        client.advance("s1", until_h=10.0)
+        payload = json.loads(Path(client.checkpoint("s1")["checkpoint"]).read_text())
+        assert payload["meta"] == {**record, "checkpoint_count": 1}
+
     def test_mid_run_submission_runs(self, client):
         _create(client, preload_jobs=0)
         client.advance("s1", until_h=10.0)

@@ -86,17 +86,19 @@ def test_optimize_operations_records_pinned(session):
 
 
 def test_served_session_records_pinned(session):
-    served = ServeSession.create(
-        session_id="pinned",
-        scenario_name=SCENARIO,
-        overrides={},
-        policy="carbon-aware",
-        horizon_h=HORIZON_H,
-        tick_h=1.0,
-        facility_power_budget_w=None,
-        power_cap_fraction=None,
-        preload_jobs=N_JOBS,
-        world=session,
+    served = ServeSession(
+        {
+            "session_id": "pinned",
+            "scenario": SCENARIO,
+            "overrides": {},
+            "policy": "carbon-aware",
+            "horizon_h": HORIZON_H,
+            "tick_h": 1.0,
+            "facility_power_budget_w": None,
+            "power_cap_fraction": None,
+            "preload_jobs": N_JOBS,
+        },
+        session,
     )
     served.advance_to(HORIZON_H)
     served.finalize()

@@ -37,6 +37,17 @@ HORIZON_H = 7 * 24.0
 #: The horizon of the replayed serve sessions.
 SESSION_HORIZON_H = 96
 
+#: A format-4 checkpoint written by the nine-parameter ``ServeSession``
+#: constructor that the creation record replaced: a ``supercloud-small``
+#: session (48 h horizon, 30 preloaded jobs, adaptive caps under a 6 kW
+#: budget, 0.9 static cap) with two client jobs submitted at hours 6 and 17,
+#: checkpointed at hour 30.
+FORMAT_4_FIXTURE = Path(__file__).parent / "data" / "checkpoint_format4.json"
+
+#: The first 16 hex digits of that session's finalize digest, taken with the
+#: code that wrote the fixture.
+FORMAT_4_FIXTURE_DIGEST = "4e6d846dfb626c74"
+
 POLICIES = [
     "backfill",
     "backfill+adaptive(budget_w=6000)",
@@ -527,6 +538,16 @@ class TestFailurePaths:
 
 
 class TestCheckpointShape:
+    def test_a_checkpoint_from_the_keyword_constructor_restores(self, tmp_path):
+        """The fixture restores, re-checkpoints to itself and finalizes to its digest."""
+        store = CheckpointStore(tmp_path)
+        written = store.load(FORMAT_4_FIXTURE)
+        session = SessionManager().restore_session(written)
+        again = store.load(session.checkpoint(store))
+        meta = {**written["meta"], "checkpoint_count": written["meta"]["checkpoint_count"] + 1}
+        assert again == {**written, "meta": meta}
+        assert session.finalize()["digest"][:16] == FORMAT_4_FIXTURE_DIGEST
+
     def test_version_1_payloads_are_refused(self, tmp_path):
         """The simulator-snapshot envelopes of formats 1 and 2 are refused like format 3."""
         for version in (1, 2):
